@@ -40,9 +40,7 @@ fn parse_args() -> Result<Args, String> {
     let mut trace = None;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
-        let value = args
-            .next()
-            .ok_or_else(|| format!("{flag} needs a value"))?;
+        let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
         let slot = match flag.as_str() {
             "--workload" => &mut workload,
             "--seed" => &mut seed,

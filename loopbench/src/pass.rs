@@ -54,7 +54,10 @@ impl Pass {
 }
 
 /// The shards `FleetRuntime::start` builds for `cfg`.
-pub fn fleet_shards(fleet: &FleetRuntime, cfg: &FleetConfig) -> Vec<(ServeConfig, Vec<SessionConfig>)> {
+pub fn fleet_shards(
+    fleet: &FleetRuntime,
+    cfg: &FleetConfig,
+) -> Vec<(ServeConfig, Vec<SessionConfig>)> {
     let sessions = fleet.session_configs(cfg);
     let assignment = cfg.placement.assign(&sessions, cfg.hosts);
     let mut shards = vec![Vec::new(); cfg.hosts];
@@ -273,8 +276,8 @@ pub fn replay(
         layers.plan_hits += hits;
         layers.plan_misses += misses;
         layers.quant_hits += quant_after.hits - quant_before.hits;
-        layers.quant_lookups += (quant_after.hits + quant_after.misses)
-            - (quant_before.hits + quant_before.misses);
+        layers.quant_lookups +=
+            (quant_after.hits + quant_after.misses) - (quant_before.hits + quant_before.misses);
         layers.launch_ms.push(launch_ms);
         if misses > 0 {
             layers.launch_miss_ms.push(launch_ms);
@@ -286,7 +289,12 @@ pub fn replay(
             .members
             .iter()
             .zip(&predictions)
-            .map(|(&m, p)| (p.as_ref().map_or(0, |p| p.tokens), sessions[m].sensed.sampled))
+            .map(|(&m, p)| {
+                (
+                    p.as_ref().map_or(0, |p| p.tokens),
+                    sessions[m].sensed.sampled,
+                )
+            })
             .collect();
         layers.frames_per_launch.push(step.members.len() as f64);
         layers
@@ -294,7 +302,9 @@ pub fn replay(
             .push(shapes.iter().map(|&(t, _)| t).sum::<usize>() as f64);
         layers.launch_flops += 2.0 * vit.config().batched_workload(&shapes).total_macs() as f64;
         let t = Instant::now();
-        std::hint::black_box(host_batched_segmentation_time_s_at(timing, &shapes, precision));
+        std::hint::black_box(host_batched_segmentation_time_s_at(
+            timing, &shapes, precision,
+        ));
         layers.host_model_us.push(elapsed_us(t, &mut attributed));
 
         let trace = &pass.outcomes[step.host].traces;
@@ -305,9 +315,13 @@ pub fn replay(
             layers.absorb_us.push(elapsed_us(t, &mut attributed));
             let counts = s.sensed.counts(tokens);
             let t = Instant::now();
-            let energy_j =
-                energy_breakdown_with_counts_at(system, SystemVariant::BlissCam, &counts, precision)
-                    .total_j();
+            let energy_j = energy_breakdown_with_counts_at(
+                system,
+                SystemVariant::BlissCam,
+                &counts,
+                precision,
+            )
+            .total_j();
             layers.energy_us.push(elapsed_us(t, &mut attributed));
 
             let served = trace[m].records.get(s.next_frame - 1);
@@ -373,14 +387,14 @@ pub fn serve_with_snapshots(
         }
         step_ms.push(wall_s * 1e3);
         steps += 1;
-        if steps % CHECKPOINT_INTERVAL != 0 {
+        if !steps.is_multiple_of(CHECKPOINT_INTERVAL) {
             continue;
         }
         let t = Instant::now();
         let json = rt.snapshot(cfg, &state).to_json();
         snaps.write_ms.push(secs(t) * 1e3);
         snaps.bytes.push(json.len() as f64);
-        if (steps / CHECKPOINT_INTERVAL) % stride == 0 {
+        if (steps / CHECKPOINT_INTERVAL).is_multiple_of(stride) {
             let t = Instant::now();
             let restored = ServeRuntime::restore(&ServeSnapshot::parse(&json)?)?;
             snaps.restore_ms.push(secs(t) * 1e3);
@@ -415,14 +429,14 @@ pub fn fleet_with_snapshots(
         let hosts = hosts_per_round.get(steps).copied().unwrap_or(cfg.hosts);
         host_step_ms.push(wall_s * 1e3 / hosts.max(1) as f64);
         steps += 1;
-        if steps % CHECKPOINT_INTERVAL != 0 {
+        if !steps.is_multiple_of(CHECKPOINT_INTERVAL) {
             continue;
         }
         let t = Instant::now();
         let json = fleet.snapshot(cfg, &state).to_json();
         snaps.write_ms.push(secs(t) * 1e3);
         snaps.bytes.push(json.len() as f64);
-        if (steps / CHECKPOINT_INTERVAL) % stride == 0 {
+        if (steps / CHECKPOINT_INTERVAL).is_multiple_of(stride) {
             let t = Instant::now();
             let restored = FleetRuntime::restore(&FleetSnapshot::parse(&json)?)?;
             snaps.restore_ms.push(secs(t) * 1e3);

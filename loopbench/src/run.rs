@@ -119,9 +119,27 @@ fn push_modelled(records: &[&FrameRecord], m: &mut Metrics) {
             (h * h + v * v).sqrt()
         })
         .collect();
-    m.push("virt_latency_ms_p99", quantile(&latencies, 0.99), "ms", Clock::Modelled, n);
-    m.push("deadline_miss_rate", ratio(misses as f64, n as f64), "ratio", Clock::Modelled, n);
-    m.push("energy_uj_per_frame", mean(&energy), "uJ", Clock::Modelled, n);
+    m.push(
+        "virt_latency_ms_p99",
+        quantile(&latencies, 0.99),
+        "ms",
+        Clock::Modelled,
+        n,
+    );
+    m.push(
+        "deadline_miss_rate",
+        ratio(misses as f64, n as f64),
+        "ratio",
+        Clock::Modelled,
+        n,
+    );
+    m.push(
+        "energy_uj_per_frame",
+        mean(&energy),
+        "uJ",
+        Clock::Modelled,
+        n,
+    );
     m.push("gaze_error_deg", mean(&gaze), "deg", Clock::Modelled, n);
 }
 
@@ -171,7 +189,13 @@ fn chaos_config(timeline: &[FleetEvent], hosts: usize) -> ChaosConfig {
 
 fn push_setup_s(times: &[SetupTimes], m: &mut Metrics) {
     let totals: Vec<f64> = times.iter().map(SetupTimes::total_s).collect();
-    m.push("setup_s", median(&totals), "s", Clock::Measured, totals.len());
+    m.push(
+        "setup_s",
+        median(&totals),
+        "s",
+        Clock::Measured,
+        totals.len(),
+    );
 }
 
 /// One measured round: frames served, its wall, and each served frame's
@@ -210,8 +234,13 @@ fn push_wall(rounds: &[Round], m: &mut Metrics) {
 fn push_failed(out: &mut Outcome, served: usize, shed: usize) {
     out.failed = out.attempted.saturating_sub(served) + shed;
     let share = ratio(out.failed as f64, out.attempted as f64);
-    out.extra
-        .push("failed_frame_share", share, "ratio", Clock::Count, out.attempted);
+    out.extra.push(
+        "failed_frame_share",
+        share,
+        "ratio",
+        Clock::Count,
+        out.attempted,
+    );
 }
 
 pub fn run(spec: &Spec, seed: u64, seconds: f64, trace: bool) -> Res<Outcome> {
@@ -302,7 +331,13 @@ fn serve_untraced(spec: &Spec, seed: u64, out: &mut Outcome) -> Res<()> {
     let m = &mut out.metrics;
     push_setup_s(&times, m);
     push_wall(&rounds, m);
-    m.push("peak_rss_mib", probes::peak_rss_mib(), "MiB", Clock::Measured, 1);
+    m.push(
+        "peak_rss_mib",
+        probes::peak_rss_mib(),
+        "MiB",
+        Clock::Measured,
+        1,
+    );
     push_modelled(&records, m);
     out.attempted = out.rounds * spec.sessions * spec.frames;
     let shed = records.iter().filter(|r| r.shed).count();
@@ -343,7 +378,10 @@ fn fleet_untraced(spec: &Spec, seed: u64, out: &mut Outcome) -> Res<()> {
             if r == 0 {
                 // Untimed: the first round again must give identical outputs.
                 let again = fleet.serve_chaos(&cfg, plan)?;
-                out.check("a second run of one seed gives identical outputs", again == run);
+                out.check(
+                    "a second run of one seed gives identical outputs",
+                    again == run,
+                );
             }
             lost += lost_frames(&run.outcome, spec.sessions, spec.frames);
             failovers.push(run.chaos.faults.failovers);
@@ -362,7 +400,10 @@ fn fleet_untraced(spec: &Spec, seed: u64, out: &mut Outcome) -> Res<()> {
     })?;
     canary.push(probes::canary_ms());
     out.canary_ms = median(&canary);
-    out.check(format!("no frame lost under faults ({lost} lost)"), lost == 0);
+    out.check(
+        format!("no frame lost under faults ({lost} lost)"),
+        lost == 0,
+    );
     out.check(
         format!("failover happened in every round ({failovers:?} failovers)"),
         failovers.iter().all(|&f| f >= 1),
@@ -379,7 +420,13 @@ fn fleet_untraced(spec: &Spec, seed: u64, out: &mut Outcome) -> Res<()> {
     let m = &mut out.metrics;
     push_setup_s(&times, m);
     push_wall(&rounds, m);
-    m.push("peak_rss_mib", probes::peak_rss_mib(), "MiB", Clock::Measured, 1);
+    m.push(
+        "peak_rss_mib",
+        probes::peak_rss_mib(),
+        "MiB",
+        Clock::Measured,
+        1,
+    );
     push_modelled(&records, m);
     out.attempted = out.rounds * spec.sessions * spec.frames;
     push_failed(out, records.len(), shed);
@@ -444,7 +491,17 @@ fn serve_traced(spec: &Spec, seed: u64, out: &mut Outcome) -> Res<()> {
         again == passes[0].outcomes[0],
     );
 
-    push_layers(spec, &times, &passes, &layers, &snaps, &host_step_ms, &FaultCounts::default(), b, out);
+    push_layers(
+        spec,
+        &times,
+        &passes,
+        &layers,
+        &snaps,
+        &host_step_ms,
+        &FaultCounts::default(),
+        b,
+        out,
+    );
     Ok(())
 }
 
@@ -497,7 +554,10 @@ fn fleet_traced(spec: &Spec, seed: u64, out: &mut Outcome) -> Res<()> {
     let run = a.fleet().serve_chaos(&cfg, &chaos)?;
     let f = run.chaos.faults;
     let lost = lost_frames(&run.outcome, spec.sessions, spec.frames);
-    out.check(format!("no frame lost under faults ({lost} lost)"), lost == 0);
+    out.check(
+        format!("no frame lost under faults ({lost} lost)"),
+        lost == 0,
+    );
     out.check(
         format!("failover happened ({} failovers)", f.failovers),
         f.failovers >= 1,
@@ -564,8 +624,20 @@ fn push_layers(
     let n_setup = times.len();
     let m = &mut out.metrics;
     m.push("setup.train_s", col(|t| t.train_s), "s", Measured, n_setup);
-    m.push("setup.int8_calibrate_s", col(|t| t.int8_calibrate_s), "s", Measured, n_setup);
-    m.push("setup.warmup_s", col(|t| t.warmup_s), "s", Measured, n_setup);
+    m.push(
+        "setup.int8_calibrate_s",
+        col(|t| t.int8_calibrate_s),
+        "s",
+        Measured,
+        n_setup,
+    );
+    m.push(
+        "setup.warmup_s",
+        col(|t| t.warmup_s),
+        "s",
+        Measured,
+        n_setup,
+    );
     m.push(
         "eye.render_us_per_frame",
         ratio(l.render_s * 1e6, l.render_frames as f64),
@@ -573,24 +645,126 @@ fn push_layers(
         Measured,
         l.render_frames,
     );
-    m.push("frontend.sense_us", median(&l.sense_us), "us", Measured, l.sense_us.len());
-    m.push("frontend.roi_input_us", median(&l.roi_input_us), "us", Measured, l.roi_input_us.len());
-    m.push("frontend.readout_us", median(&l.readout_us), "us", Measured, l.readout_us.len());
-    m.push("frontend.absorb_us", median(&l.absorb_us), "us", Measured, l.absorb_us.len());
-    m.push("frontend.sampled_px_per_frame", ratio(l.sampled_px as f64, frames), "px", Count, l.frames);
-    m.push("frontend.mipi_bytes_per_frame", ratio(l.mipi_bytes as f64, frames), "bytes", Count, l.frames);
-    m.push("frontend.cold_frame_share", ratio(l.cold_frames as f64, frames), "ratio", Count, l.frames);
-    m.push("roi_net.forward_us", median(&l.roi_forward_us), "us", Measured, l.roi_forward_us.len());
-    m.push("vit.launch_ms", median(&l.launch_ms), "ms", Measured, launches);
-    m.push("vit.frames_per_launch", mean(&l.frames_per_launch), "frames", Count, launches);
-    m.push("vit.tokens_per_launch", median(&l.tokens_per_launch), "tokens", Count, launches);
-    m.push("vit.gflops", ratio(l.launch_flops / 1e9, launch_wall_s), "GFLOP/s", Measured, launches);
+    m.push(
+        "frontend.sense_us",
+        median(&l.sense_us),
+        "us",
+        Measured,
+        l.sense_us.len(),
+    );
+    m.push(
+        "frontend.roi_input_us",
+        median(&l.roi_input_us),
+        "us",
+        Measured,
+        l.roi_input_us.len(),
+    );
+    m.push(
+        "frontend.readout_us",
+        median(&l.readout_us),
+        "us",
+        Measured,
+        l.readout_us.len(),
+    );
+    m.push(
+        "frontend.absorb_us",
+        median(&l.absorb_us),
+        "us",
+        Measured,
+        l.absorb_us.len(),
+    );
+    m.push(
+        "frontend.sampled_px_per_frame",
+        ratio(l.sampled_px as f64, frames),
+        "px",
+        Count,
+        l.frames,
+    );
+    m.push(
+        "frontend.mipi_bytes_per_frame",
+        ratio(l.mipi_bytes as f64, frames),
+        "bytes",
+        Count,
+        l.frames,
+    );
+    m.push(
+        "frontend.cold_frame_share",
+        ratio(l.cold_frames as f64, frames),
+        "ratio",
+        Count,
+        l.frames,
+    );
+    m.push(
+        "roi_net.forward_us",
+        median(&l.roi_forward_us),
+        "us",
+        Measured,
+        l.roi_forward_us.len(),
+    );
+    m.push(
+        "vit.launch_ms",
+        median(&l.launch_ms),
+        "ms",
+        Measured,
+        launches,
+    );
+    m.push(
+        "vit.frames_per_launch",
+        mean(&l.frames_per_launch),
+        "frames",
+        Count,
+        launches,
+    );
+    m.push(
+        "vit.tokens_per_launch",
+        median(&l.tokens_per_launch),
+        "tokens",
+        Count,
+        launches,
+    );
+    m.push(
+        "vit.gflops",
+        ratio(l.launch_flops / 1e9, launch_wall_s),
+        "GFLOP/s",
+        Measured,
+        launches,
+    );
     let lookups = (l.plan_hits + l.plan_misses) as f64;
-    m.push("vit.plan_hit_ratio", ratio(l.plan_hits as f64, lookups), "ratio", Count, launches);
-    m.push("vit.plan_misses", l.plan_misses as f64, "count", Count, launches);
-    m.push("vit.launch_ms_hit", median(&l.launch_hit_ms), "ms", Measured, l.launch_hit_ms.len());
-    m.push("vit.launch_ms_miss", median(&l.launch_miss_ms), "ms", Measured, l.launch_miss_ms.len());
-    m.push("vit.plans_retained", (f32_stats.plans + q_stats.plans) as f64, "count", Count, 1);
+    m.push(
+        "vit.plan_hit_ratio",
+        ratio(l.plan_hits as f64, lookups),
+        "ratio",
+        Count,
+        launches,
+    );
+    m.push(
+        "vit.plan_misses",
+        l.plan_misses as f64,
+        "count",
+        Count,
+        launches,
+    );
+    m.push(
+        "vit.launch_ms_hit",
+        median(&l.launch_hit_ms),
+        "ms",
+        Measured,
+        l.launch_hit_ms.len(),
+    );
+    m.push(
+        "vit.launch_ms_miss",
+        median(&l.launch_miss_ms),
+        "ms",
+        Measured,
+        l.launch_miss_ms.len(),
+    );
+    m.push(
+        "vit.plans_retained",
+        (f32_stats.plans + q_stats.plans) as f64,
+        "count",
+        Count,
+        1,
+    );
     let arena_mib = (f32_stats.arena_elems + q_stats.arena_elems) as f64 * 4.0 / (1 << 20) as f64;
     m.push("vit.plan_arena_mib", arena_mib, "MiB", Count, 1);
     m.push(
@@ -604,9 +778,27 @@ fn push_layers(
     m.push("parallel.gemm_i8_gflops", gemm_i8, "GOP/s", Measured, 5);
     m.push("host.peak_gflops", peak, "GFLOP/s", Measured, 3);
     m.push("host.canary_ms", out.canary_ms, "ms", Measured, 5);
-    m.push("model.host_time_us", median(&l.host_model_us), "us", Measured, l.host_model_us.len());
-    m.push("model.energy_us", median(&l.energy_us), "us", Measured, l.energy_us.len());
-    m.push("serve.step_ms", median(&step_ms), "ms", Measured, step_ms.len());
+    m.push(
+        "model.host_time_us",
+        median(&l.host_model_us),
+        "us",
+        Measured,
+        l.host_model_us.len(),
+    );
+    m.push(
+        "model.energy_us",
+        median(&l.energy_us),
+        "us",
+        Measured,
+        l.energy_us.len(),
+    );
+    m.push(
+        "serve.step_ms",
+        median(&step_ms),
+        "ms",
+        Measured,
+        step_ms.len(),
+    );
     m.push(
         "serve.unattributed_share",
         1.0 - ratio(l.attributed_s, step_wall_s),
@@ -614,14 +806,62 @@ fn push_layers(
         Measured,
         step_ms.len(),
     );
-    m.push("snapshot.write_ms", median(&snaps.write_ms), "ms", Measured, snaps.write_ms.len());
-    m.push("snapshot.bytes", median(&snaps.bytes), "bytes", Count, snaps.bytes.len());
-    m.push("snapshot.restore_ms", median(&snaps.restore_ms), "ms", Measured, snaps.restore_ms.len());
-    m.push("fleet.host_step_ms", median(host_step_ms), "ms", Measured, host_step_ms.len());
-    m.push("fleet.checkpoints", faults.checkpoints as f64, "count", Count, 1);
-    m.push("fleet.failovers", faults.failovers as f64, "count", Count, 1);
-    m.push("fleet.frames_replayed", faults.frames_replayed as f64, "count", Count, 1);
-    m.push("fleet.batch_timeouts", faults.batch_timeouts as f64, "count", Count, 1);
+    m.push(
+        "snapshot.write_ms",
+        median(&snaps.write_ms),
+        "ms",
+        Measured,
+        snaps.write_ms.len(),
+    );
+    m.push(
+        "snapshot.bytes",
+        median(&snaps.bytes),
+        "bytes",
+        Count,
+        snaps.bytes.len(),
+    );
+    m.push(
+        "snapshot.restore_ms",
+        median(&snaps.restore_ms),
+        "ms",
+        Measured,
+        snaps.restore_ms.len(),
+    );
+    m.push(
+        "fleet.host_step_ms",
+        median(host_step_ms),
+        "ms",
+        Measured,
+        host_step_ms.len(),
+    );
+    m.push(
+        "fleet.checkpoints",
+        faults.checkpoints as f64,
+        "count",
+        Count,
+        1,
+    );
+    m.push(
+        "fleet.failovers",
+        faults.failovers as f64,
+        "count",
+        Count,
+        1,
+    );
+    m.push(
+        "fleet.frames_replayed",
+        faults.frames_replayed as f64,
+        "count",
+        Count,
+        1,
+    );
+    m.push(
+        "fleet.batch_timeouts",
+        faults.batch_timeouts as f64,
+        "count",
+        Count,
+        1,
+    );
 
     let served: usize = passes.iter().map(Pass::frames).sum();
     out.attempted = passes.len() * spec.sessions * spec.frames;
