@@ -14,7 +14,7 @@
 use bliss_eye::{
     render_sequence, EyeModel, EyeModelConfig, Gaze, GazeState, MovementPhase, SequenceConfig,
 };
-use bliss_nn::MultiHeadAttention;
+use bliss_nn::{MultiHeadAttention, Tape};
 use bliss_parallel::{with_min_parallel_work, with_thread_count};
 use bliss_sensor::{rle, DigitalPixelSensor, RoiBox, SensorConfig};
 use bliss_tensor::{NdArray, Tensor};
@@ -90,14 +90,16 @@ fn bench_attention(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(7);
     let mha = MultiHeadAttention::new(&mut rng, 192, 3);
     let x = Tensor::constant(NdArray::randn(&mut rng, &[256, 192], 1.0));
-    c.bench_function("mha_forward_192d_256t", |bch| {
-        bch.iter(|| std::hint::black_box(mha.forward(std::hint::black_box(&x)).unwrap()))
-    });
+    let forward = || {
+        let x = std::hint::black_box(&x);
+        std::hint::black_box(mha.forward(&mut Tape, x, &[(0, 256)]).unwrap())
+    };
+    c.bench_function("mha_forward_192d_256t", |bch| bch.iter(forward));
     c.bench_function("mha_forward_1thread", |bch| {
-        bch.iter(|| with_thread_count(1, || std::hint::black_box(mha.forward(&x).unwrap())))
+        bch.iter(|| with_thread_count(1, forward))
     });
     c.bench_function("mha_forward_4threads", |bch| {
-        bch.iter(|| with_thread_count(4, || std::hint::black_box(mha.forward(&x).unwrap())))
+        bch.iter(|| with_thread_count(4, forward))
     });
 }
 

@@ -131,3 +131,68 @@ fn empty_fleet_snapshot_is_corrupt() {
         );
     });
 }
+
+/// Deepest `[`/`{` nesting in a JSON document, ignoring string contents.
+fn nesting_depth(json: &str) -> usize {
+    let (mut depth, mut deepest) = (0usize, 0usize);
+    let (mut in_string, mut escaped) = (false, false);
+    for b in json.bytes() {
+        if in_string {
+            match (escaped, b) {
+                (true, _) => escaped = false,
+                (false, b'\\') => escaped = true,
+                (false, b'"') => in_string = false,
+                _ => {}
+            }
+            continue;
+        }
+        match b {
+            b'"' => in_string = true,
+            b'[' | b'{' => {
+                depth += 1;
+                deepest = deepest.max(depth);
+            }
+            b']' | b'}' => depth -= 1,
+            _ => {}
+        }
+    }
+    deepest
+}
+
+#[test]
+fn corrupted_fleet_snapshot_json_fails_typed_and_never_panics() {
+    let json = bliss_parallel::with_thread_count(1, || {
+        let fleet = runtime();
+        let cfg = load(PlacementPolicy::LeastLoaded);
+        let mut state = fleet.start(&cfg);
+        for _ in 0..2 {
+            assert!(fleet.step(&mut state).expect("step succeeds"));
+        }
+        fleet.snapshot(&cfg, &state).to_json()
+    });
+    // The parser's nesting cap sits far above anything the fleet writes.
+    let depth = nesting_depth(&json);
+    assert!(
+        4 * depth < serde::json::MAX_DEPTH,
+        "fleet snapshot nests {depth} deep"
+    );
+    // Every proper prefix of the top-level object is malformed JSON.
+    let step = (json.len() / 128).max(1);
+    for cut in (0..json.len()).step_by(step) {
+        if json.is_char_boundary(cut) {
+            let err = FleetSnapshot::parse(&json[..cut]).expect_err("truncated snapshot parsed");
+            assert!(matches!(err, SnapshotError::Json(_)), "cut {cut}: {err:?}");
+        }
+    }
+    // One flipped bit anywhere parses to some snapshot or fails with a
+    // typed error. Flipping a bit below 0x80 keeps ASCII input valid UTF-8.
+    let mut bytes = json.into_bytes();
+    for (k, pos) in (0..bytes.len()).step_by(step).enumerate() {
+        let original = bytes[pos];
+        bytes[pos] ^= [0x01, 0x02, 0x20, 0x40][k % 4];
+        if let Ok(text) = std::str::from_utf8(&bytes) {
+            let _: Result<FleetSnapshot, SnapshotError> = FleetSnapshot::parse(text);
+        }
+        bytes[pos] = original;
+    }
+}

@@ -1,7 +1,7 @@
 use crate::layers::{LayerNormLayer, Linear, Mlp};
-use crate::Module;
+use crate::{Module, Op, Recorder};
 use bliss_parallel::par_map_collect;
-use bliss_tensor::{GraphBuilder, NdArray, NodeId, Tensor, TensorError};
+use bliss_tensor::{NdArray, Tensor, TensorError};
 use rand::Rng;
 
 /// Saved forward activations of one attention head, reused by the fused
@@ -95,12 +95,12 @@ fn softmax_rows_backward(attn: &NdArray, dattn: &NdArray) -> NdArray {
 /// channel size 192 at paper scale, §III-B).
 #[derive(Debug, Clone)]
 pub struct MultiHeadAttention {
-    query: Vec<Linear>,
-    key: Vec<Linear>,
-    value: Vec<Linear>,
+    pub(crate) query: Vec<Linear>,
+    pub(crate) key: Vec<Linear>,
+    pub(crate) value: Vec<Linear>,
     proj: Linear,
     dim: usize,
-    head_dim: usize,
+    pub(crate) head_dim: usize,
 }
 
 impl MultiHeadAttention {
@@ -140,52 +140,50 @@ impl MultiHeadAttention {
         self.dim
     }
 
-    /// Applies self-attention to a `[tokens, dim]` tensor.
-    ///
-    /// Equivalent to [`MultiHeadAttention::forward_spans`] with a single span
-    /// covering every row.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if the input's channel dimension is not `dim`.
-    pub fn forward(&self, x: &Tensor) -> Result<Tensor, TensorError> {
-        let rows = x.shape()[0];
-        self.forward_spans(x, &[(0, rows)])
-    }
-
-    /// Applies *block-diagonal* self-attention: rows within each
-    /// `(start, end)` span attend only to rows of the same span.
+    /// Applies *block-diagonal* self-attention on recorder `r`: rows within
+    /// each `(start, end)` span attend only to rows of the same span.
     ///
     /// This is the batched-inference primitive of the serving runtime: K
     /// sessions' token sets are stacked into one `[T, dim]` matrix and the
     /// QKV projections, the output projection and (in
-    /// [`TransformerBlock::forward_spans`]) the MLP run as *one* GEMM each
+    /// [`TransformerBlock::forward`]) the MLP run as *one* GEMM each
     /// instead of K, while the quadratic score/softmax/AV chain stays
     /// per-span so sessions never mix. Because every kernel's per-row
     /// accumulation order is independent of the row count, each span's rows
-    /// are **bit-identical** to running that span through
-    /// [`MultiHeadAttention::forward`] alone.
+    /// are **bit-identical** to running that span alone with the single span
+    /// `[(0, rows)]`.
     ///
-    /// All heads are computed as one fused autograd op. The QKV projections
-    /// of every head are evaluated as a single `[dim, 3*dim]` GEMM against
-    /// the concatenated weights (three launches fused into one, ROADMAP
-    /// PR-2 follow-up); the per-head, per-span `scores -> softmax -> AV`
-    /// chains then fan out across the `bliss_parallel` pool in both the
-    /// forward and the backward pass (head index order is fixed, so
-    /// gradients accumulate identically for every thread count).
+    /// The head core is one [`Op::BlockAttention`]: on the tape a single
+    /// fused autograd op, on a graph its primitive decomposition.
     ///
     /// # Errors
     ///
     /// Returns a shape error if the input's channel dimension is not `dim`,
     /// or [`TensorError::InvalidArgument`] if `spans` is empty, overlapping,
     /// out of order, or does not exactly cover the input rows.
-    pub fn forward_spans(
+    pub fn forward<R: Recorder>(
+        &self,
+        r: &mut R,
+        x: &R::Node,
+        spans: &[(usize, usize)],
+    ) -> Result<R::Node, TensorError> {
+        validate_spans(spans, r.shape(x)[0], "mha_forward")?;
+        let heads = r.op(Op::BlockAttention(self, x, spans))?;
+        self.proj.forward(r, &heads)
+    }
+
+    /// The tape's fused [`Op::BlockAttention`] for pre-validated
+    /// `spans`. The QKV projections of every head are evaluated as a single
+    /// `[dim, 3*dim]` GEMM against the concatenated weights (three launches
+    /// fused into one); the per-head, per-span `scores -> softmax -> AV`
+    /// chains then fan out across the `bliss_parallel` pool in both the
+    /// forward and the backward pass (head index order is fixed, so
+    /// gradients accumulate identically for every thread count).
+    pub(crate) fn fused_heads(
         &self,
         x: &Tensor,
         spans: &[(usize, usize)],
     ) -> Result<Tensor, TensorError> {
-        let rows = x.shape()[0];
-        validate_spans(spans, rows, "mha_forward_spans")?;
         let scale = 1.0 / (self.head_dim as f32).sqrt();
         let heads = self.heads();
         let head_dim = self.head_dim;
@@ -337,77 +335,7 @@ impl MultiHeadAttention {
                 p[5].add_grad(&hg.dbv).expect(e);
             }
         });
-        self.proj.forward(&fused)
-    }
-
-    /// Records block-diagonal self-attention into a planned-inference graph,
-    /// mirroring [`MultiHeadAttention::forward_spans`] exactly: the same
-    /// fused `[dim, 3*dim]` QKV GEMM (column layout
-    /// `[q_0..q_H | k_0..k_H | v_0..v_H]`), the same per-head, per-span
-    /// `scores -> softmax -> AV` chain and the same concatenation order, so
-    /// the compiled plan is bit-identical to the tape. The forward runs the
-    /// heads through the thread pool; the recorded graph lists them in the
-    /// same fixed head order, and since the heads are data-independent the
-    /// results match bit-for-bit at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if the input's channel dimension is not `dim`,
-    /// or [`TensorError::InvalidArgument`] for a malformed `spans` (see
-    /// [`MultiHeadAttention::forward_spans`]).
-    pub fn record_spans(
-        &self,
-        g: &mut GraphBuilder,
-        x: NodeId,
-        spans: &[(usize, usize)],
-    ) -> Result<NodeId, TensorError> {
-        let rows = g.shape(x)[0];
-        validate_spans(spans, rows, "mha_record_spans")?;
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let heads = self.heads();
-        let head_dim = self.head_dim;
-        let dim = self.dim;
-
-        // Fused QKV weights/biases in the same [q_0..q_H | k_0..k_H |
-        // v_0..v_H] column layout as the forward's concat.
-        let mut wcols = Vec::with_capacity(3 * heads);
-        let mut bparts = Vec::with_capacity(3 * heads);
-        for proj in 0..3 {
-            for h in 0..heads {
-                let lin = match proj {
-                    0 => &self.query[h],
-                    1 => &self.key[h],
-                    _ => &self.value[h],
-                };
-                let params = lin.parameters();
-                wcols.push(g.param(&params[0]));
-                bparts.push(g.param(&params[1]));
-            }
-        }
-        let wqkv = g.concat_cols(&wcols)?;
-        let bqkv = g.concat_flat(&bparts)?;
-        let mm = g.matmul(x, wqkv)?;
-        let qkv = g.add_row(mm, bqkv)?;
-
-        let mut head_outs = Vec::with_capacity(heads);
-        for h in 0..heads {
-            let q = g.slice_cols(qkv, h * head_dim, (h + 1) * head_dim)?;
-            let k = g.slice_cols(qkv, dim + h * head_dim, dim + (h + 1) * head_dim)?;
-            let v = g.slice_cols(qkv, 2 * dim + h * head_dim, 2 * dim + (h + 1) * head_dim)?;
-            let mut outs = Vec::with_capacity(spans.len());
-            for &(s, e) in spans {
-                let qs = g.slice_rows(q, s, e)?;
-                let ks = g.slice_rows(k, s, e)?;
-                let vs = g.slice_rows(v, s, e)?;
-                let scores = g.matmul_transposed(qs, ks)?;
-                let scaled = g.scale(scores, scale);
-                let attn = g.softmax_rows(scaled)?;
-                outs.push(g.matmul(attn, vs)?);
-            }
-            head_outs.push(g.concat_rows(&outs)?);
-        }
-        let fused = g.concat_cols(&head_outs)?;
-        self.proj.record(g, fused)
+        Ok(fused)
     }
 
     /// Multiply-accumulate operations for `tokens` input rows.
@@ -480,68 +408,35 @@ impl TransformerBlock {
         }
     }
 
-    /// Applies the block to a `[tokens, dim]` tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if the channel dimension differs.
-    pub fn forward(&self, x: &Tensor) -> Result<Tensor, TensorError> {
-        let rows = x.shape()[0];
-        self.forward_spans(x, &[(0, rows)])
-    }
-
-    /// Applies the block with block-diagonal attention over `spans`
-    /// (see [`MultiHeadAttention::forward_spans`]): layer norms, the fused
-    /// QKV/output projections and the MLP run as single cross-span GEMMs,
-    /// while attention never crosses a span boundary. Each span's rows are
-    /// bit-identical to a solo [`TransformerBlock::forward`] of that span.
+    /// Applies the block to a `[tokens, dim]` value on recorder `r` with
+    /// block-diagonal attention over `spans` (see
+    /// [`MultiHeadAttention::forward`]): layer norms, the fused QKV/output
+    /// projections and the MLP run as single cross-span GEMMs, while
+    /// attention never crosses a span boundary. Each span's rows are
+    /// bit-identical to running that span alone.
     ///
     /// # Errors
     ///
     /// Returns a shape error if the channel dimension differs, or an
     /// invalid-argument error for a malformed `spans` (see
-    /// [`MultiHeadAttention::forward_spans`]).
-    pub fn forward_spans(
+    /// [`MultiHeadAttention::forward`]).
+    pub fn forward<R: Recorder>(
         &self,
-        x: &Tensor,
+        r: &mut R,
+        x: &R::Node,
         spans: &[(usize, usize)],
-    ) -> Result<Tensor, TensorError> {
-        let attn_out = self.attn.forward_spans(&self.norm1.forward(x)?, spans)?;
-        let x = x.add(&attn_out)?;
-        let mlp_out = self.mlp.forward(&self.norm2.forward(&x)?)?;
-        x.add(&mlp_out)
-    }
-
-    /// Records the block into a planned-inference graph, mirroring
-    /// [`TransformerBlock::forward_spans`] exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if the channel dimension differs, or an
-    /// invalid-argument error for a malformed `spans` (see
-    /// [`MultiHeadAttention::forward_spans`]).
-    pub fn record_spans(
-        &self,
-        g: &mut GraphBuilder,
-        x: NodeId,
-        spans: &[(usize, usize)],
-    ) -> Result<NodeId, TensorError> {
-        let n1 = self.norm1.record(g, x)?;
-        let attn_out = self.attn.record_spans(g, n1, spans)?;
-        let x1 = g.add(x, attn_out)?;
-        let n2 = self.norm2.record(g, x1)?;
-        let mlp_out = self.mlp.record(g, n2)?;
-        g.add(x1, mlp_out)
+    ) -> Result<R::Node, TensorError> {
+        let n1 = self.norm1.forward(r, x)?;
+        let attn_out = self.attn.forward(r, &n1, spans)?;
+        let x1 = r.op(Op::Add(x, &attn_out))?;
+        let n2 = self.norm2.forward(r, &x1)?;
+        let mlp_out = self.mlp.forward(r, &n2)?;
+        r.op(Op::Add(&x1, &mlp_out))
     }
 
     /// Multiply-accumulate operations for `tokens` input rows.
     pub fn macs(&self, tokens: usize) -> u64 {
         self.attn.macs(tokens) + self.mlp.macs(tokens)
-    }
-
-    /// The attention module (for inspection).
-    pub fn attention(&self) -> &MultiHeadAttention {
-        &self.attn
     }
 }
 
@@ -558,6 +453,8 @@ impl Module for TransformerBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Tape;
+    use bliss_tensor::GraphBuilder;
     use bliss_tensor::NdArray;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -567,7 +464,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mha = MultiHeadAttention::new(&mut rng, 12, 3);
         let x = Tensor::constant(NdArray::ones(&[7, 12]));
-        let y = mha.forward(&x).unwrap();
+        let y = mha.forward(&mut Tape, &x, &[(0, 7)]).unwrap();
         assert_eq!(y.shape(), vec![7, 12]);
     }
 
@@ -593,7 +490,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let block = TransformerBlock::new(&mut rng, 8, 2);
         let x = Tensor::constant(NdArray::randn(&mut rng, &[5, 8], 1.0));
-        let y = block.forward(&x).unwrap();
+        let y = block.forward(&mut Tape, &x, &[(0, 5)]).unwrap();
         assert_eq!(y.shape(), vec![5, 8]);
         y.mean_all().backward().unwrap();
         let grads_present = block
@@ -614,7 +511,8 @@ mod tests {
             &params,
             || {
                 let xin = Tensor::constant(x.clone());
-                Ok(mha.forward(&xin)?.mul(&mha.forward(&xin)?)?.mean_all())
+                let y = |r: &mut Tape| mha.forward(r, &xin, &[(0, 3)]);
+                Ok(y(&mut Tape)?.mul(&y(&mut Tape)?)?.mean_all())
             },
             1e-2,
             4,
@@ -667,7 +565,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let mha = MultiHeadAttention::new(&mut rng, 24, 3);
         let x = NdArray::randn(&mut rng, &[11, 24], 1.0);
-        let fused = mha.forward(&Tensor::constant(x.clone())).unwrap();
+        let fused = mha
+            .forward(&mut Tape, &Tensor::constant(x.clone()), &[(0, 11)])
+            .unwrap();
         let reference = unfused_reference(&mha, &x);
         assert!(
             fused.value().approx_eq(&reference, 1e-5),
@@ -681,11 +581,15 @@ mod tests {
         let mha = MultiHeadAttention::new(&mut rng, 12, 3);
         let a = NdArray::randn(&mut rng, &[5, 12], 1.0);
         let b = NdArray::randn(&mut rng, &[3, 12], 1.0);
-        let ya = mha.forward(&Tensor::constant(a.clone())).unwrap();
-        let yb = mha.forward(&Tensor::constant(b.clone())).unwrap();
+        let ya = mha
+            .forward(&mut Tape, &Tensor::constant(a.clone()), &[(0, 5)])
+            .unwrap();
+        let yb = mha
+            .forward(&mut Tape, &Tensor::constant(b.clone()), &[(0, 3)])
+            .unwrap();
         let stacked = NdArray::concat_rows(&[&a, &b]).unwrap();
         let y = mha
-            .forward_spans(&Tensor::constant(stacked), &[(0, 5), (5, 8)])
+            .forward(&mut Tape, &Tensor::constant(stacked), &[(0, 5), (5, 8)])
             .unwrap();
         let yv = y.value();
         assert_eq!(&yv.data()[..5 * 12], ya.value().data());
@@ -698,11 +602,15 @@ mod tests {
         let block = TransformerBlock::new(&mut rng, 8, 2);
         let a = NdArray::randn(&mut rng, &[4, 8], 1.0);
         let b = NdArray::randn(&mut rng, &[6, 8], 1.0);
-        let ya = block.forward(&Tensor::constant(a.clone())).unwrap();
-        let yb = block.forward(&Tensor::constant(b.clone())).unwrap();
+        let ya = block
+            .forward(&mut Tape, &Tensor::constant(a.clone()), &[(0, 4)])
+            .unwrap();
+        let yb = block
+            .forward(&mut Tape, &Tensor::constant(b.clone()), &[(0, 6)])
+            .unwrap();
         let stacked = NdArray::concat_rows(&[&a, &b]).unwrap();
         let y = block
-            .forward_spans(&Tensor::constant(stacked), &[(0, 4), (4, 10)])
+            .forward(&mut Tape, &Tensor::constant(stacked), &[(0, 4), (4, 10)])
             .unwrap();
         let yv = y.value();
         assert_eq!(&yv.data()[..4 * 8], ya.value().data());
@@ -722,7 +630,7 @@ mod tests {
             &[(0, 3), (3, 3), (3, 6)][..], // empty span
             &[(3, 6), (0, 3)][..],         // out of order
         ] {
-            assert!(mha.forward_spans(&x, bad).is_err(), "accepted {bad:?}");
+            assert!(mha.forward(&mut Tape, &x, bad).is_err(), "accepted {bad:?}");
         }
     }
 
@@ -736,7 +644,7 @@ mod tests {
             &params,
             || {
                 let xin = Tensor::constant(x.clone());
-                Ok(mha.forward_spans(&xin, &[(0, 2), (2, 5)])?.mean_all())
+                Ok(mha.forward(&mut Tape, &xin, &[(0, 2), (2, 5)])?.mean_all())
             },
             1e-2,
             4,
@@ -761,12 +669,12 @@ mod tests {
         let x = NdArray::randn(&mut rng, &[9, 12], 1.0);
         let spans = [(0, 4), (4, 9)];
         let taped = mha
-            .forward_spans(&Tensor::constant(x.clone()), &spans)
+            .forward(&mut Tape, &Tensor::constant(x.clone()), &spans)
             .unwrap();
 
         let mut g = GraphBuilder::default();
         let xin = g.input(&[9, 12]);
-        let out = mha.record_spans(&mut g, xin, &spans).unwrap();
+        let out = mha.forward(&mut g, &xin, &spans).unwrap();
         g.mark_output(out);
         let plan = bliss_tensor::ExecPlan::compile(g).unwrap();
         plan.execute(&[x.data()], &[]).unwrap();
@@ -780,12 +688,12 @@ mod tests {
         let x = NdArray::randn(&mut rng, &[10, 8], 1.0);
         let spans = [(0, 7), (7, 10)];
         let taped = block
-            .forward_spans(&Tensor::constant(x.clone()), &spans)
+            .forward(&mut Tape, &Tensor::constant(x.clone()), &spans)
             .unwrap();
 
         let mut g = GraphBuilder::default();
         let xin = g.input(&[10, 8]);
-        let out = block.record_spans(&mut g, xin, &spans).unwrap();
+        let out = block.forward(&mut g, &xin, &spans).unwrap();
         g.mark_output(out);
         let plan = bliss_tensor::ExecPlan::compile(g).unwrap();
         plan.execute(&[x.data()], &[]).unwrap();
@@ -798,7 +706,7 @@ mod tests {
         let mha = MultiHeadAttention::new(&mut rng, 8, 2);
         let mut g = GraphBuilder::default();
         let xin = g.input(&[6, 8]);
-        assert!(mha.record_spans(&mut g, xin, &[(0, 3)]).is_err());
-        assert!(mha.record_spans(&mut g, xin, &[(0, 4), (3, 6)]).is_err());
+        assert!(mha.forward(&mut g, &xin, &[(0, 3)]).is_err());
+        assert!(mha.forward(&mut g, &xin, &[(0, 4), (3, 6)]).is_err());
     }
 }

@@ -1,6 +1,6 @@
 use crate::init::{kaiming_normal, xavier_uniform};
-use crate::Module;
-use bliss_tensor::{GraphBuilder, NdArray, NodeId, Tensor, TensorError};
+use crate::{Module, Op, Recorder, Tape};
+use bliss_tensor::{NdArray, Tensor, TensorError};
 use rand::Rng;
 
 /// A fully-connected layer: `y = x W + b` with `W: [in, out]`, `b: [out]`.
@@ -30,37 +30,21 @@ impl Linear {
         }
     }
 
-    /// Applies the layer to a `[tokens, in]` tensor.
+    /// Applies the layer to a `[tokens, in]` value on recorder `r`.
     ///
     /// # Errors
     ///
     /// Returns a shape error if the input's last dimension is not `in`.
-    pub fn forward(&self, x: &Tensor) -> Result<Tensor, TensorError> {
-        x.matmul(&self.weight)?.add_row(&self.bias)
-    }
-
-    /// Records the layer into a planned-inference graph, mirroring
-    /// [`Linear::forward`] exactly (same ops, same operand order), so the
-    /// compiled plan is bit-identical to the tape.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if the input node's last dimension is not `in`.
-    pub fn record(&self, g: &mut GraphBuilder, x: NodeId) -> Result<NodeId, TensorError> {
-        let w = g.param(&self.weight);
-        let b = g.param(&self.bias);
-        let mm = g.matmul(x, w)?;
-        g.add_row(mm, b)
+    pub fn forward<R: Recorder>(&self, r: &mut R, x: &R::Node) -> Result<R::Node, TensorError> {
+        let w = r.param(&self.weight);
+        let b = r.param(&self.bias);
+        let mm = r.op(Op::MatMul(x, &w))?;
+        r.op(Op::AddRow(&mm, &b))
     }
 
     /// Input feature count.
     pub fn in_features(&self) -> usize {
         self.in_features
-    }
-
-    /// Output feature count.
-    pub fn out_features(&self) -> usize {
-        self.out_features
     }
 
     /// Multiply-accumulate operations for `tokens` input rows.
@@ -113,59 +97,15 @@ impl Conv2d {
         }
     }
 
-    /// Applies the convolution to a `[c, h, w]` tensor.
+    /// Applies the convolution to a `[c, h, w]` value on recorder `r`.
     ///
     /// # Errors
     ///
     /// Returns a shape error if channel counts disagree or the kernel does
     /// not fit the padded input.
-    pub fn forward(&self, x: &Tensor) -> Result<Tensor, TensorError> {
-        x.conv2d(&self.weight, Some(&self.bias), self.stride, self.pad)
-    }
-
-    /// Records the convolution into a planned-inference graph, mirroring
-    /// the tape lowering of [`Conv2d::forward`] exactly: im2col, the weight
-    /// viewed as a `[oc, ic*kh*kw]` matmul operand, a per-channel bias add,
-    /// and a reshape (which compiles away as an alias).
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if the input node is not `[in_channels, h, w]`.
-    pub fn record(&self, g: &mut GraphBuilder, x: NodeId) -> Result<NodeId, TensorError> {
-        let shape = g.shape(x);
-        if shape.len() != 3 {
-            return Err(TensorError::RankMismatch {
-                op: "conv2d",
-                expected: 3,
-                actual: shape.len(),
-            });
-        }
-        if shape[0] != self.in_channels {
-            return Err(TensorError::ShapeMismatch {
-                op: "conv2d",
-                lhs: shape.to_vec(),
-                rhs: vec![
-                    self.out_channels,
-                    self.in_channels,
-                    self.kernel,
-                    self.kernel,
-                ],
-            });
-        }
-        let (h, w) = (shape[1], shape[2]);
-        let cols = g.im2col(x, self.kernel, self.kernel, self.stride, self.pad)?;
-        let w2 = g.param_view(
-            &self.weight,
-            &[
-                self.out_channels,
-                self.in_channels * self.kernel * self.kernel,
-            ],
-        )?;
-        let prod = g.matmul(w2, cols)?;
-        let b = g.param(&self.bias);
-        let biased = g.add_col_bias(prod, b)?;
-        let (oh, ow) = self.out_dims(h, w);
-        g.reshape(biased, &[self.out_channels, oh, ow])
+    pub fn forward<R: Recorder>(&self, r: &mut R, x: &R::Node) -> Result<R::Node, TensorError> {
+        let (w, b) = (&self.weight, &self.bias);
+        r.op(Op::Conv2d(x, w, b, self.stride, self.pad))
     }
 
     /// Output spatial dimensions for an `h x w` input.
@@ -179,11 +119,6 @@ impl Conv2d {
     pub fn macs(&self, h: usize, w: usize) -> u64 {
         let (oh, ow) = self.out_dims(h, w);
         (self.out_channels * self.in_channels * self.kernel * self.kernel) as u64 * (oh * ow) as u64
-    }
-
-    /// Number of output channels.
-    pub fn out_channels(&self) -> usize {
-        self.out_channels
     }
 }
 
@@ -231,7 +166,8 @@ impl DepthwiseSeparableConv2d {
         }
     }
 
-    /// Applies depthwise then pointwise convolution with a ReLU in between.
+    /// Applies depthwise then pointwise convolution with a ReLU in between,
+    /// on the autograd tape (this baseline layer has no planned path).
     ///
     /// # Errors
     ///
@@ -240,7 +176,7 @@ impl DepthwiseSeparableConv2d {
         let dw = x
             .depthwise_conv2d(&self.dw_weight, Some(&self.dw_bias), self.stride, self.pad)?
             .relu();
-        self.pointwise.forward(&dw)
+        self.pointwise.forward(&mut Tape, &dw)
     }
 
     /// Multiply-accumulate operations for an `h x w` input.
@@ -279,25 +215,15 @@ impl LayerNormLayer {
         }
     }
 
-    /// Normalises each row of a `[tokens, features]` tensor.
+    /// Normalises each row of a `[tokens, features]` value on recorder `r`.
     ///
     /// # Errors
     ///
     /// Returns a shape error if the feature dimension differs.
-    pub fn forward(&self, x: &Tensor) -> Result<Tensor, TensorError> {
-        x.layer_norm(&self.gamma, &self.beta, self.eps)
-    }
-
-    /// Records the layer norm into a planned-inference graph, mirroring
-    /// [`LayerNormLayer::forward`] exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if the feature dimension differs.
-    pub fn record(&self, g: &mut GraphBuilder, x: NodeId) -> Result<NodeId, TensorError> {
-        let gamma = g.param(&self.gamma);
-        let beta = g.param(&self.beta);
-        g.layer_norm(x, gamma, beta, self.eps)
+    pub fn forward<R: Recorder>(&self, r: &mut R, x: &R::Node) -> Result<R::Node, TensorError> {
+        let gamma = r.param(&self.gamma);
+        let beta = r.param(&self.beta);
+        r.op(Op::LayerNorm(x, &gamma, &beta, self.eps))
     }
 }
 
@@ -323,25 +249,15 @@ impl Mlp {
         }
     }
 
-    /// Applies `fc2(gelu(fc1(x)))`.
+    /// Applies `fc2(gelu(fc1(x)))` on recorder `r`.
     ///
     /// # Errors
     ///
     /// Returns a shape error if the input feature dimension differs.
-    pub fn forward(&self, x: &Tensor) -> Result<Tensor, TensorError> {
-        self.fc2.forward(&self.fc1.forward(x)?.gelu())
-    }
-
-    /// Records the MLP into a planned-inference graph, mirroring
-    /// [`Mlp::forward`] exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if the input feature dimension differs.
-    pub fn record(&self, g: &mut GraphBuilder, x: NodeId) -> Result<NodeId, TensorError> {
-        let hidden = self.fc1.record(g, x)?;
-        let act = g.gelu(hidden);
-        self.fc2.record(g, act)
+    pub fn forward<R: Recorder>(&self, r: &mut R, x: &R::Node) -> Result<R::Node, TensorError> {
+        let hidden = self.fc1.forward(r, x)?;
+        let act = r.op(Op::Gelu(&hidden))?;
+        self.fc2.forward(r, &act)
     }
 
     /// Multiply-accumulate operations for `tokens` input rows.
@@ -361,6 +277,7 @@ impl Module for Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bliss_tensor::{GraphBuilder, NodeId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -369,7 +286,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let l = Linear::new(&mut rng, 8, 3);
         let x = Tensor::constant(NdArray::ones(&[5, 8]));
-        let y = l.forward(&x).unwrap();
+        let y = l.forward(&mut Tape, &x).unwrap();
         assert_eq!(y.shape(), vec![5, 3]);
         assert_eq!(l.macs(5), 5 * 8 * 3);
         assert_eq!(l.num_parameters(), 8 * 3 + 3);
@@ -380,7 +297,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let l = Linear::new(&mut rng, 8, 3);
         let x = Tensor::constant(NdArray::ones(&[5, 7]));
-        assert!(l.forward(&x).is_err());
+        assert!(l.forward(&mut Tape, &x).is_err());
     }
 
     #[test]
@@ -388,7 +305,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let c = Conv2d::new(&mut rng, 2, 4, 3, 2, 1);
         let x = Tensor::constant(NdArray::ones(&[2, 8, 8]));
-        let y = c.forward(&x).unwrap();
+        let y = c.forward(&mut Tape, &x).unwrap();
         assert_eq!(y.shape(), vec![4, 4, 4]);
         assert_eq!(c.out_dims(8, 8), (4, 4));
         assert_eq!(c.macs(8, 8), (4 * 2 * 3 * 3) as u64 * 16);
@@ -410,7 +327,7 @@ mod tests {
     fn layer_norm_trains() {
         let ln = LayerNormLayer::new(4);
         let x = Tensor::constant(NdArray::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 4]).unwrap());
-        let y = ln.forward(&x).unwrap();
+        let y = ln.forward(&mut Tape, &x).unwrap();
         y.sum_all().backward().unwrap();
         // beta grad is all ones; gamma grad is xhat (zero-mean)
         let params = ln.parameters();
@@ -423,19 +340,23 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mlp = Mlp::new(&mut rng, 6, 24);
         let x = Tensor::constant(NdArray::ones(&[2, 6]));
-        assert_eq!(mlp.forward(&x).unwrap().shape(), vec![2, 6]);
+        assert_eq!(mlp.forward(&mut Tape, &x).unwrap().shape(), vec![2, 6]);
         assert_eq!(mlp.macs(2), 2 * 6 * 24 * 2);
     }
 
-    /// Compiles a single-input recording and checks the plan output is
-    /// bit-identical to the tape forward.
-    fn assert_plan_matches<F>(x: &NdArray, taped: &Tensor, record: F, exec_rounds: usize)
-    where
-        F: FnOnce(&mut GraphBuilder, NodeId) -> Result<NodeId, TensorError>,
-    {
+    /// Runs one module's generic forward on both recorders — the tape, and
+    /// a graph compiled into a plan — and checks the plan output is
+    /// bit-identical to the tape's.
+    fn assert_plan_matches(
+        x: &NdArray,
+        tape: impl FnOnce(&mut Tape, &Tensor) -> Result<Tensor, TensorError>,
+        graph: impl FnOnce(&mut GraphBuilder, &NodeId) -> Result<NodeId, TensorError>,
+        exec_rounds: usize,
+    ) {
+        let taped = tape(&mut Tape, &Tensor::constant(x.clone())).unwrap();
         let mut g = GraphBuilder::default();
         let xin = g.input(x.shape());
-        let out = record(&mut g, xin).unwrap();
+        let out = graph(&mut g, &xin).unwrap();
         g.mark_output(out);
         let plan = bliss_tensor::ExecPlan::compile(g).unwrap();
         for _ in 0..exec_rounds {
@@ -449,8 +370,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(30);
         let l = Linear::new(&mut rng, 8, 3);
         let x = NdArray::randn(&mut rng, &[5, 8], 1.0);
-        let taped = l.forward(&Tensor::constant(x.clone())).unwrap();
-        assert_plan_matches(&x, &taped, |g, xin| l.record(g, xin), 2);
+        assert_plan_matches(&x, |r, x| l.forward(r, x), |g, x| l.forward(g, x), 2);
     }
 
     #[test]
@@ -458,9 +378,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(31);
         let c = Conv2d::new(&mut rng, 2, 4, 3, 2, 1);
         let x = NdArray::randn(&mut rng, &[2, 8, 8], 1.0);
-        let taped = c.forward(&Tensor::constant(x.clone())).unwrap();
+        let taped = c.forward(&mut Tape, &Tensor::constant(x.clone())).unwrap();
         assert_eq!(taped.shape(), vec![4, 4, 4]);
-        assert_plan_matches(&x, &taped, |g, xin| c.record(g, xin), 2);
+        assert_plan_matches(&x, |r, x| c.forward(r, x), |g, x| c.forward(g, x), 2);
     }
 
     #[test]
@@ -468,8 +388,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(32);
         let ln = LayerNormLayer::new(6);
         let x = NdArray::randn(&mut rng, &[4, 6], 1.0);
-        let taped = ln.forward(&Tensor::constant(x.clone())).unwrap();
-        assert_plan_matches(&x, &taped, |g, xin| ln.record(g, xin), 2);
+        assert_plan_matches(&x, |r, x| ln.forward(r, x), |g, x| ln.forward(g, x), 2);
     }
 
     #[test]
@@ -477,8 +396,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(33);
         let mlp = Mlp::new(&mut rng, 6, 24);
         let x = NdArray::randn(&mut rng, &[3, 6], 1.0);
-        let taped = mlp.forward(&Tensor::constant(x.clone())).unwrap();
-        assert_plan_matches(&x, &taped, |g, xin| mlp.record(g, xin), 2);
+        assert_plan_matches(&x, |r, x| mlp.forward(r, x), |g, x| mlp.forward(g, x), 2);
     }
 
     #[test]
@@ -492,7 +410,7 @@ mod tests {
         let build = || {
             let mut g = GraphBuilder::default();
             let xin = g.input(&[3, 6]);
-            let out = mlp.record(&mut g, xin).unwrap();
+            let out = mlp.forward(&mut g, &xin).unwrap();
             g.mark_output(out);
             g
         };
@@ -544,6 +462,8 @@ mod tests {
         let c = Conv2d::new(&mut rng, 2, 4, 3, 1, 1);
         let mut g = GraphBuilder::default();
         let xin = g.input(&[3, 8, 8]);
-        assert!(c.record(&mut g, xin).is_err());
+        assert!(c.forward(&mut g, &xin).is_err());
+        let x = Tensor::constant(NdArray::ones(&[3, 8, 8]));
+        assert!(c.forward(&mut Tape, &x).is_err());
     }
 }

@@ -1,9 +1,9 @@
 //! Neural-network building blocks for the BlissCam reproduction.
 //!
-//! Layers are thin, explicitly-parameterised wrappers over
-//! [`bliss_tensor::Tensor`] operations. Networks are built define-by-run:
-//! every forward call records a fresh autograd graph, while the layer structs
-//! own the persistent parameter tensors.
+//! Layers are thin, explicitly-parameterised wrappers that own their
+//! parameter tensors. Each forward pass is written once, generic over the
+//! op [`Recorder`]: the autograd [`Tape`] for training, or a
+//! [`bliss_tensor::GraphBuilder`] for compiled, bit-identical inference.
 //!
 //! The crate provides everything the paper's networks need:
 //!
@@ -20,7 +20,7 @@
 //! # Example
 //!
 //! ```
-//! use bliss_nn::{Linear, Module, Sgd};
+//! use bliss_nn::{Linear, Module, Sgd, Tape};
 //! use bliss_tensor::{NdArray, Tensor};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
@@ -30,7 +30,7 @@
 //! let mut opt = Sgd::new(layer.parameters(), 0.1);
 //! for _ in 0..10 {
 //!     let x = Tensor::constant(NdArray::ones(&[3, 4]));
-//!     let loss = layer.forward(&x)?.mse_loss(&NdArray::zeros(&[3, 2]))?;
+//!     let loss = layer.forward(&mut Tape, &x)?.mse_loss(&NdArray::zeros(&[3, 2]))?;
 //!     opt.zero_grad();
 //!     loss.backward()?;
 //!     opt.step();
@@ -45,12 +45,14 @@ mod attention;
 mod init;
 mod layers;
 mod optim;
+mod recorder;
 mod snapshot;
 
 pub use attention::{MultiHeadAttention, TransformerBlock};
 pub use init::{kaiming_normal, xavier_uniform};
 pub use layers::{Conv2d, DepthwiseSeparableConv2d, LayerNormLayer, Linear, Mlp};
 pub use optim::{clip_global_norm, Adam, Sgd};
+pub use recorder::{Op, Recorder, Tape};
 pub use snapshot::{restore_params, snapshot_params, ParamSnapshot};
 
 use bliss_tensor::Tensor;

@@ -66,49 +66,62 @@ pub fn encode(pixels: &[u16]) -> Bytes {
 /// touching the allocator. Produces the identical wire format.
 pub fn encode_into(pixels: &[u16], out: &mut Vec<u8>) {
     out.clear();
+    encode_tokens(pixels, out);
+}
+
+/// Where [`encode_tokens`] puts each `u16` token: on the wire, or only
+/// into a byte count.
+trait TokenSink {
+    fn put(&mut self, token: u16);
+}
+
+impl TokenSink for Vec<u8> {
+    fn put(&mut self, token: u16) {
+        self.extend_from_slice(&token.to_le_bytes());
+    }
+}
+
+impl TokenSink for usize {
+    fn put(&mut self, _: u16) {
+        *self += 2;
+    }
+}
+
+/// The wire format, written once: alternating zero-run and literal-run
+/// tokens. A run longer than `u16::MAX` is split, with an empty run of the
+/// other kind between its chunks to keep the alternation.
+fn encode_tokens(pixels: &[u16], out: &mut impl TokenSink) {
+    const MAX_RUN: usize = u16::MAX as usize;
     let mut i = 0usize;
     while i < pixels.len() {
-        // Count zero run.
         let zero_start = i;
         while i < pixels.len() && pixels[i] == 0 {
             i += 1;
         }
         let mut zeros = i - zero_start;
-        // Count literal run.
         let lit_start = i;
         while i < pixels.len() && pixels[i] != 0 {
             i += 1;
         }
-        let mut lit_end = lit_start + (i - lit_start);
-
-        // Emit, splitting oversized runs.
-        loop {
-            let z = zeros.min(u16::MAX as usize);
-            out.extend_from_slice(&(z as u16).to_le_bytes());
-            zeros -= z;
-            if zeros > 0 {
-                out.extend_from_slice(&0u16.to_le_bytes()); // empty literal, continue zero run
-                continue;
-            }
-            break;
+        while zeros > MAX_RUN {
+            out.put(u16::MAX);
+            out.put(0);
+            zeros -= MAX_RUN;
         }
-        let mut lit_pos = lit_start;
+        out.put(zeros as u16);
+        let mut literals = &pixels[lit_start..i];
         loop {
-            let l = (lit_end - lit_pos).min(u16::MAX as usize);
-            out.extend_from_slice(&(l as u16).to_le_bytes());
-            for &v in &pixels[lit_pos..lit_pos + l] {
-                out.extend_from_slice(&v.to_le_bytes());
+            let chunk = &literals[..literals.len().min(MAX_RUN)];
+            out.put(chunk.len() as u16);
+            for &v in chunk {
+                out.put(v);
             }
-            lit_pos += l;
-            if lit_pos < lit_end {
-                out.extend_from_slice(&0u16.to_le_bytes()); // empty zero run, continue literals
-                continue;
+            literals = &literals[chunk.len()..];
+            if literals.is_empty() {
+                break;
             }
-            break;
+            out.put(0);
         }
-        // Normalise: lit_end consumed
-        lit_end = lit_pos;
-        debug_assert_eq!(lit_end, i);
     }
 }
 
@@ -182,7 +195,9 @@ pub fn decode_into(
 
 /// Size in bytes of the encoded form without materialising it.
 pub fn encoded_len(pixels: &[u16]) -> usize {
-    encode(pixels).len()
+    let mut len = 0usize;
+    encode_tokens(pixels, &mut len);
+    len
 }
 
 #[cfg(test)]
@@ -252,6 +267,23 @@ mod tests {
         let stream = vec![3u16, 0, 0, 0];
         let enc = encode(&[3u16]); // encode only the literal prefix
         assert_eq!(decode(&enc, 4).unwrap(), stream);
+    }
+
+    #[test]
+    fn encoded_len_counts_split_runs() {
+        let long = u16::MAX as usize;
+        let mut stream = vec![0u16; 2 * long + 3];
+        stream.extend(vec![9u16; long + 1]);
+        stream.push(0);
+        for s in [
+            &stream[..],
+            &stream[..long],
+            &stream[2 * long + 3..],
+            &[][..],
+        ] {
+            assert_eq!(encoded_len(s), encode(s).len());
+        }
+        assert_eq!(decode(&encode(&stream), stream.len()).unwrap(), stream);
     }
 
     #[test]

@@ -263,3 +263,37 @@ fn malformed_snapshot_json_is_rejected() {
     let err = ServeSnapshot::parse("{}").expect_err("missing version must fail");
     assert!(matches!(err, SnapshotError::Json(_)), "got {err:?}");
 }
+
+#[test]
+fn corrupted_snapshot_json_fails_typed_and_never_panics() {
+    let fx = fixture();
+    let cfg = load();
+    let json = bliss_parallel::with_thread_count(1, || {
+        let rt = runtime(fx);
+        let mut state = rt.start(&cfg);
+        for _ in 0..2 {
+            assert!(rt.step_batch(&cfg, &mut state).expect("step succeeds"));
+        }
+        rt.snapshot(&cfg, &state).to_json()
+    });
+    // Every proper prefix of the top-level object is malformed JSON.
+    let step = (json.len() / 128).max(1);
+    for cut in (0..json.len()).step_by(step) {
+        if json.is_char_boundary(cut) {
+            let err = ServeSnapshot::parse(&json[..cut]).expect_err("truncated snapshot parsed");
+            assert!(matches!(err, SnapshotError::Json(_)), "cut {cut}: {err:?}");
+        }
+    }
+    // One flipped bit anywhere (structure, keys, numbers, strings) parses
+    // to some snapshot or fails with a typed error. Flipping a bit below
+    // 0x80 keeps ASCII input valid UTF-8.
+    let mut bytes = json.into_bytes();
+    for (k, pos) in (0..bytes.len()).step_by(step).enumerate() {
+        let original = bytes[pos];
+        bytes[pos] ^= [0x01, 0x02, 0x20, 0x40][k % 4];
+        if let Ok(text) = std::str::from_utf8(&bytes) {
+            let _: Result<ServeSnapshot, SnapshotError> = ServeSnapshot::parse(text);
+        }
+        bytes[pos] = original;
+    }
+}

@@ -1,5 +1,5 @@
 use crate::util::pad_to_multiple;
-use bliss_nn::{Conv2d, DepthwiseSeparableConv2d, Module};
+use bliss_nn::{Conv2d, DepthwiseSeparableConv2d, Module, Tape};
 use bliss_npu::WorkloadDesc;
 use bliss_tensor::{NdArray, Tensor, TensorError};
 use rand::Rng;
@@ -109,12 +109,12 @@ impl RitnetLike {
     /// Returns shape errors if `image.len()` differs from the configuration.
     pub fn forward_dense(&self, image: &[f32]) -> Result<Tensor, TensorError> {
         dense_forward(image, &self.config, |x| {
-            let x = self.stem.forward(x)?.relu();
-            let x = self.down1.forward(&x)?.relu();
-            let x = self.down2.forward(&x)?.relu();
-            let x = self.up1.forward(&x.upsample2x()?)?.relu();
-            let x = self.up2.forward(&x.upsample2x()?)?.relu();
-            self.head.forward(&x)
+            let x = self.stem.forward(&mut Tape, x)?.relu();
+            let x = self.down1.forward(&mut Tape, &x)?.relu();
+            let x = self.down2.forward(&mut Tape, &x)?.relu();
+            let x = self.up1.forward(&mut Tape, &x.upsample2x()?)?.relu();
+            let x = self.up2.forward(&mut Tape, &x.upsample2x()?)?.relu();
+            self.head.forward(&mut Tape, &x)
         })
     }
 
@@ -176,12 +176,12 @@ impl EdGazeLike {
     /// Returns shape errors if `image.len()` differs from the configuration.
     pub fn forward_dense(&self, image: &[f32]) -> Result<Tensor, TensorError> {
         dense_forward(image, &self.config, |x| {
-            let x = self.stem.forward(x)?.relu();
+            let x = self.stem.forward(&mut Tape, x)?.relu();
             let x = self.down1.forward(&x)?.relu();
             let x = self.down2.forward(&x)?.relu();
             let x = self.up1.forward(&x.upsample2x()?)?.relu();
             let x = self.up2.forward(&x.upsample2x()?)?.relu();
-            self.head.forward(&x)
+            self.head.forward(&mut Tape, &x)
         })
     }
 

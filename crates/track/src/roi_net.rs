@@ -1,5 +1,5 @@
 use crate::util::denormalize_box;
-use bliss_nn::{Conv2d, Linear, Module};
+use bliss_nn::{Conv2d, Linear, Module, Op, Recorder, Tape};
 use bliss_npu::WorkloadDesc;
 use bliss_sensor::RoiBox;
 use bliss_tensor::{
@@ -206,6 +206,10 @@ impl RoiPredictionNet {
     /// Forward pass producing the normalised `(cx, cy, w, h)` box as a
     /// `[1, 4]` tensor in `(0, 1)`.
     ///
+    /// Outside [`bliss_tensor::inference_mode`] this runs on the autograd
+    /// tape; inside it, it executes a cached compiled plan of the same
+    /// network body.
+    ///
     /// # Errors
     ///
     /// Returns shape errors if `input` is not the `[2, ih, iw]` layout from
@@ -214,26 +218,39 @@ impl RoiPredictionNet {
         if bliss_tensor::in_inference_mode() {
             return self.forward_planned(input);
         }
-        let x = Tensor::constant(input.clone());
-        let x = self.conv1.forward(&x)?.relu();
-        let x = self.conv2.forward(&x)?.relu();
-        let x = self.conv3.forward(&x)?.relu();
-        let flat = x.reshape(&[1, self.fc1.in_features()])?;
-        let h = self.fc1.forward(&flat)?.relu();
-        Ok(self.fc2.forward(&h)?.sigmoid())
+        self.layers(&mut Tape, &Tensor::constant(input.clone()))
+    }
+
+    /// The network (conv x3 with ReLU, flatten, FC-ReLU, FC-sigmoid), written
+    /// once for both recorders.
+    fn layers<R: Recorder>(&self, r: &mut R, x: &R::Node) -> Result<R::Node, TensorError> {
+        let x = self.conv1.forward(r, x)?;
+        let x = r.op(Op::Relu(&x))?;
+        let x = self.conv2.forward(r, &x)?;
+        let x = r.op(Op::Relu(&x))?;
+        let x = self.conv3.forward(r, &x)?;
+        let x = r.op(Op::Relu(&x))?;
+        let flat = r.op(Op::Reshape(&x, &[1, self.fc1.in_features()]))?;
+        let h = self.fc1.forward(r, &flat)?;
+        let h = r.op(Op::Relu(&h))?;
+        let o = self.fc2.forward(r, &h)?;
+        r.op(Op::Sigmoid(&o))
     }
 
     /// Planned counterpart of [`RoiPredictionNet::forward`]: compiles the
-    /// fixed-shape conv/FC graph once, then each call executes the cached
+    /// fixed-shape network graph once, then each call executes the cached
     /// plan (zero allocations in the plan itself; only the tiny `[1, 4]`
     /// result tensor is materialised, from a pooled buffer). Bit-identical
     /// to the tape forward at any thread count.
     fn forward_planned(&self, input: &NdArray) -> Result<Tensor, TensorError> {
         let (iw, ih) = self.config.input_dims();
-        let plan = self
-            .plans
-            .borrow_mut()
-            .get_or_build(&[2, ih, iw], || self.record_graph())?;
+        let plan = self.plans.borrow_mut().get_or_build(&[2, ih, iw], || {
+            let mut g = GraphBuilder::default();
+            let x = g.input(&[2, ih, iw]);
+            let out = self.layers(&mut g, &x)?;
+            g.mark_output(out);
+            ExecPlan::compile(g)
+        })?;
         plan.execute(&[input.data()], &[])?;
         let out = plan.with_output(0, |data| {
             let mut buf = take_f32_buffer(data.len());
@@ -241,27 +258,6 @@ impl RoiPredictionNet {
             NdArray::from_vec(buf, &[1, 4])
         })?;
         Ok(Tensor::constant(out))
-    }
-
-    /// Records the network (conv x3 with ReLU, flatten, FC-ReLU, FC-sigmoid)
-    /// into a planned-inference graph, mirroring the tape forward exactly.
-    fn record_graph(&self) -> Result<ExecPlan, TensorError> {
-        let (iw, ih) = self.config.input_dims();
-        let mut g = GraphBuilder::default();
-        let x = g.input(&[2, ih, iw]);
-        let c1 = self.conv1.record(&mut g, x)?;
-        let r1 = g.relu(c1);
-        let c2 = self.conv2.record(&mut g, r1)?;
-        let r2 = g.relu(c2);
-        let c3 = self.conv3.record(&mut g, r2)?;
-        let r3 = g.relu(c3);
-        let flat = g.reshape(r3, &[1, self.fc1.in_features()])?;
-        let h = self.fc1.record(&mut g, flat)?;
-        let hr = g.relu(h);
-        let o = self.fc2.record(&mut g, hr)?;
-        let s = g.sigmoid(o);
-        g.mark_output(s);
-        ExecPlan::compile(g)
     }
 
     /// Plan-cache counters (the soak harness gates on the plan count

@@ -1,4 +1,4 @@
-use bliss_nn::{Linear, Module, TransformerBlock};
+use bliss_nn::{Linear, Module, Op, Recorder, Tape, TransformerBlock};
 use bliss_npu::{GemmShape, WorkloadDesc};
 use bliss_tensor::{
     kernels, recycle_f32_buffer, recycle_index_buffer, take_f32_buffer, take_index_buffer,
@@ -186,6 +186,11 @@ impl PreparedFrame {
     }
 }
 
+/// A batch's active frames stacked for one launch, in pooled buffers: the
+/// flat `[T, 2*p^2]` token rows, their `T` kept patch-grid indices, and the
+/// flat `[S, 2]` pixel-head features.
+type StackedFrames = (Vec<f32>, Vec<usize>, Vec<f32>);
+
 /// Output of one sparse segmentation forward pass.
 #[derive(Debug)]
 pub struct SegPrediction {
@@ -323,11 +328,9 @@ pub struct PlannedBatch {
     classes: usize,
     // Scratch reused across calls (never observable between them).
     prepared: Vec<Option<PreparedFrame>>,
-    active: Vec<usize>,
     /// Active frames' token counts — also the plan-cache key.
     token_counts: Vec<usize>,
     refined: Vec<f32>,
-    pixel_feat_all: Vec<f32>,
 }
 
 /// One active frame's slice of a [`PlannedBatch`].
@@ -624,7 +627,7 @@ impl SparseViT {
     /// inference**: the patch embedding, every transformer projection/MLP and
     /// the pixel head run as *one* GEMM over all frames' tokens, while
     /// attention stays block-diagonal per frame (see
-    /// [`bliss_nn::TransformerBlock::forward_spans`]). One set of kernel
+    /// [`bliss_nn::TransformerBlock::forward`]). One set of kernel
     /// launches replaces K — the serving runtime's hot path.
     ///
     /// Every output is **bit-identical** to running its frame through
@@ -646,110 +649,156 @@ impl SparseViT {
             return self.forward_batch_planned(frames);
         }
         let p2 = self.config.patch * self.config.patch;
-        let classes = self.config.num_classes;
-        let mut prepared: Vec<Option<PreparedFrame>> = frames
-            .iter()
-            .map(|(image, sampled)| self.prepare(image, sampled))
-            .collect::<Result<_, _>>()?;
-        let active: Vec<usize> = (0..prepared.len())
-            .filter(|&i| prepared[i].is_some())
-            .collect();
-        if active.is_empty() {
-            return Ok(prepared.into_iter().map(|_| None).collect());
-        }
+        let mut prepared = Vec::with_capacity(frames.len());
+        let mut token_counts = Vec::with_capacity(frames.len());
+        let Some((token_data, kept_all, pixel_feats)) =
+            self.stack_frames(frames, &mut prepared, &mut token_counts)?
+        else {
+            return Ok(frames.iter().map(|_| None).collect());
+        };
+        // The f32 buffers move into the graph (recycled when it drops);
+        // `kept_all` goes back to the pool after the pass (the position
+        // gather keeps its own copy for backward).
+        let tokens_in = NdArray::from_vec(token_data, &[kept_all.len(), 2 * p2])?;
+        let tokens_in = Tensor::constant(tokens_in);
+        let patch_logits = self.token_pass(&mut Tape, &tokens_in, &kept_all, &token_counts)?;
+        recycle_index_buffer(kept_all);
 
-        // Stack all frames' tokens: one embedding GEMM, block-diagonal spans
-        // for the encoder. The stacking buffers come from the scratch pools:
-        // `token_data` moves into the graph (recycled when it drops) and
-        // `kept_all` is handed back as soon as the gather has copied it.
-        let total_tokens: usize = active
-            .iter()
-            .map(|&i| {
-                prepared[i]
-                    .as_ref()
-                    .expect("active frames are Some")
-                    .kept
-                    .len()
+        // Pixel head: one GEMM over every frame's sampled-pixel features.
+        let s_total = pixel_feats.len() / 2;
+        let feats = Tensor::constant(NdArray::from_vec(pixel_feats, &[s_total, 2])?);
+        let refined_all = self.pixel_head.forward(&mut Tape, &feats)?;
+
+        // Per-frame decode: expand each frame's patch logits to its pixel
+        // queries and add the refinement rows.
+        let mut patch_logits = patch_logits.into_iter();
+        let mut pixel_cursor = 0usize;
+        prepared
+            .into_iter()
+            .map(|f| {
+                let Some(f) = f else { return Ok(None) };
+                let rows = f.pixel_indices.len();
+                let expanded = patch_logits
+                    .next()
+                    .expect("one patch-logits node per active frame")
+                    .gather_rows(&f.pixel_token)?;
+                let refined = refined_all.slice_rows(pixel_cursor, pixel_cursor + rows)?;
+                pixel_cursor += rows;
+                let logits = expanded.add(&refined)?;
+                let tokens = f.kept.len();
+                Ok(Some(SegPrediction {
+                    pixel_indices: f.recycle(),
+                    logits,
+                    tokens,
+                }))
             })
-            .sum();
-        let mut token_data = take_f32_buffer(total_tokens * 2 * p2);
-        let mut kept_all = take_index_buffer(total_tokens);
-        let mut enc_spans = Vec::with_capacity(active.len());
-        let mut cursor = 0usize;
-        for &i in &active {
-            let f = prepared[i].as_ref().expect("active frames are Some");
+            .collect()
+    }
+
+    /// Lowers every frame into `prepared` (`None` where no pixel is
+    /// sampled), writes the active frames' token counts — the span layout —
+    /// into `token_counts`, and stacks the active frames' inputs. Both
+    /// vectors are cleared first. Returns `None` when no frame is active.
+    fn stack_frames(
+        &self,
+        frames: &[(&[f32], &[f32])],
+        prepared: &mut Vec<Option<PreparedFrame>>,
+        token_counts: &mut Vec<usize>,
+    ) -> Result<Option<StackedFrames>, TensorError> {
+        prepared.clear();
+        token_counts.clear();
+        for (image, sampled) in frames {
+            prepared.push(self.prepare(image, sampled)?);
+        }
+        token_counts.extend(prepared.iter().flatten().map(|f| f.kept.len()));
+        if token_counts.is_empty() {
+            return Ok(None);
+        }
+        let p2 = self.config.patch * self.config.patch;
+        let total: usize = token_counts.iter().sum();
+        let feats: usize = prepared.iter().flatten().map(|f| f.pixel_feat.len()).sum();
+        let mut token_data = take_f32_buffer(total * 2 * p2);
+        let mut kept_all = take_index_buffer(total);
+        let mut pixel_feats = take_f32_buffer(feats);
+        for f in prepared.iter().flatten() {
             token_data.extend_from_slice(&f.token_data);
             kept_all.extend_from_slice(&f.kept);
-            enc_spans.push((cursor, cursor + f.kept.len()));
-            cursor += f.kept.len();
+            pixel_feats.extend_from_slice(&f.pixel_feat);
         }
-        let tokens_in = Tensor::constant(NdArray::from_vec(token_data, &[cursor, 2 * p2])?);
-        let pos = self.pos_embed.gather_rows(&kept_all)?;
-        recycle_index_buffer(kept_all);
-        let mut x = self.patch_embed.forward(&tokens_in)?.add(&pos)?;
+        Ok(Some((token_data, kept_all, pixel_feats)))
+    }
+
+    /// The cross-frame batched token pass, written once for both recorders:
+    /// patch embedding + position gather, block-diagonal encoder, per-frame
+    /// class-embedding append, decoder, and per-frame scaled patch-x-class
+    /// logits, one `[t, classes]` node per active frame. The per-pixel tail
+    /// is left out: its row count changes every frame, which would defeat
+    /// the shape-keyed plan cache.
+    fn token_pass<R: Recorder>(
+        &self,
+        r: &mut R,
+        tokens_in: &R::Node,
+        kept: &R::Indices,
+        token_counts: &[usize],
+    ) -> Result<Vec<R::Node>, TensorError> {
+        let classes = self.config.num_classes;
+        let pos_embed = r.param(&self.pos_embed);
+        let pos = r.op(Op::GatherRows(&pos_embed, kept))?;
+        let emb = self.patch_embed.forward(r, tokens_in)?;
+        let mut x = r.op(Op::Add(&emb, &pos))?;
+
+        let mut enc_spans = Vec::with_capacity(token_counts.len());
+        let mut cursor = 0usize;
+        for &t in token_counts {
+            enc_spans.push((cursor, cursor + t));
+            cursor += t;
+        }
         for block in &self.encoder {
-            x = block.forward_spans(&x, &enc_spans)?;
+            x = block.forward(r, &x, &enc_spans)?;
         }
 
         // Decoder: each frame's token rows get their own copy of the class
         // embeddings appended; spans grow by `classes` rows.
-        let mut dec_parts = Vec::with_capacity(2 * active.len());
-        let mut dec_spans = Vec::with_capacity(active.len());
+        let class_embed = r.param(&self.class_embed);
+        let mut dec_parts = Vec::with_capacity(2 * token_counts.len());
+        let mut dec_spans = Vec::with_capacity(token_counts.len());
         let mut dec_cursor = 0usize;
         for &(s, e) in &enc_spans {
-            dec_parts.push(x.slice_rows(s, e)?);
-            dec_parts.push(self.class_embed.clone());
+            dec_parts.push(r.op(Op::SliceRows(&x, s, e))?);
+            dec_parts.push(class_embed.clone());
             dec_spans.push((dec_cursor, dec_cursor + (e - s) + classes));
             dec_cursor += (e - s) + classes;
         }
-        let mut d = Tensor::concat_rows(&dec_parts)?;
+        let mut d = r.op(Op::ConcatRows(&dec_parts))?;
         for block in &self.decoder {
-            d = block.forward_spans(&d, &dec_spans)?;
+            d = block.forward(r, &d, &dec_spans)?;
         }
 
-        // Pixel head: one GEMM over every frame's sampled-pixel features
-        // (pooled staging, moved into the graph).
-        let mut pixel_counts = Vec::with_capacity(active.len());
-        let mut s_total = 0usize;
-        for &i in &active {
-            let f = prepared[i].as_ref().expect("active frames are Some");
-            pixel_counts.push(f.pixel_indices.len());
-            s_total += f.pixel_indices.len();
+        let inv = 1.0 / (self.config.dim as f32).sqrt();
+        let mut logits = Vec::with_capacity(token_counts.len());
+        for (&t, &(ds, de)) in token_counts.iter().zip(&dec_spans) {
+            let patch = r.op(Op::SliceRows(&d, ds, ds + t))?;
+            let cls = r.op(Op::SliceRows(&d, ds + t, de))?;
+            let cls_t = r.op(Op::Transpose(&cls))?;
+            let mm = r.op(Op::MatMul(&patch, &cls_t))?;
+            logits.push(r.op(Op::Scale(&mm, inv))?);
         }
-        let mut pixel_feat_all = take_f32_buffer(2 * s_total);
-        for &i in &active {
-            let f = prepared[i].as_ref().expect("active frames are Some");
-            pixel_feat_all.extend_from_slice(&f.pixel_feat);
-        }
-        let feats = Tensor::constant(NdArray::from_vec(pixel_feat_all, &[s_total, 2])?);
-        let refined_all = self.pixel_head.forward(&feats)?;
+        Ok(logits)
+    }
 
-        // Per-frame mask decoding: scaled patch-token x class-token product,
-        // expanded to the frame's pixel queries.
-        let mut out: Vec<Option<SegPrediction>> = frames.iter().map(|_| None).collect();
-        let mut pixel_cursor = 0usize;
-        for (slot, &i) in active.iter().enumerate() {
-            let f = prepared[i].take().expect("active frames are Some");
-            let (ds, de) = dec_spans[slot];
-            let t = f.kept.len();
-            let patch_tokens = d.slice_rows(ds, ds + t)?;
-            let class_tokens = d.slice_rows(ds + t, de)?;
-            let patch_logits = patch_tokens
-                .matmul(&class_tokens.transpose()?)?
-                .scale(1.0 / (self.config.dim as f32).sqrt());
-            let expanded = patch_logits.gather_rows(&f.pixel_token)?;
-            let refined =
-                refined_all.slice_rows(pixel_cursor, pixel_cursor + pixel_counts[slot])?;
-            pixel_cursor += pixel_counts[slot];
-            let logits = expanded.add(&refined)?;
-            let pixel_indices = f.recycle();
-            out[i] = Some(SegPrediction {
-                pixel_indices,
-                logits,
-                tokens: t,
-            });
+    /// Records [`SparseViT::token_pass`] for one span layout (input 0: the
+    /// stacked tokens; index input 0: the kept indices; one output per
+    /// active frame). The caller compiles, instruments or quantises it.
+    fn token_graph(&self, token_counts: &[usize]) -> Result<GraphBuilder, TensorError> {
+        let p2 = self.config.patch * self.config.patch;
+        let total: usize = token_counts.iter().sum();
+        let mut g = GraphBuilder::default();
+        let tokens_in = g.input(&[total, 2 * p2]);
+        let kept = g.index_input(total);
+        for logits in self.token_pass(&mut g, &tokens_in, &kept, token_counts)? {
+            g.mark_output(logits);
         }
-        Ok(out)
+        Ok(g)
     }
 
     /// The planned counterpart of the tape `forward_batch` body: runs
@@ -786,71 +835,6 @@ impl SparseViT {
         result
     }
 
-    /// Records the cross-frame batched token pass — patch embedding +
-    /// position gather, block-diagonal encoder, per-frame class-embedding
-    /// append, decoder, per-frame scaled patch-x-class logits — for one
-    /// span layout, mirroring the tape `forward_batch` body op for op, and
-    /// compiles it into an [`ExecPlan`]. One output per active frame.
-    ///
-    /// The per-pixel refinement tail is *not* recorded: its row count
-    /// changes every frame, which would defeat the shape-keyed plan cache,
-    /// so it runs as direct kernel calls on pooled buffers instead (see
-    /// [`SparseViT::forward_batch_into`]).
-    ///
-    /// Returns the *builder*, not a compiled plan: the caller decides
-    /// whether to compile it straight ([`ExecPlan::compile`]), instrument
-    /// it for int8 calibration, or rewrite it through
-    /// [`ExecPlan::compile_quantized`].
-    fn record_batch_builder(&self, token_counts: &[usize]) -> Result<GraphBuilder, TensorError> {
-        let p2 = self.config.patch * self.config.patch;
-        let classes = self.config.num_classes;
-        let total: usize = token_counts.iter().sum();
-        let mut g = GraphBuilder::default();
-        let tokens_in = g.input(&[total, 2 * p2]);
-        let kept_slot = g.index_input(total);
-        let pos_param = g.param(&self.pos_embed);
-        let pos = g.gather_rows(pos_param, kept_slot)?;
-        let emb = self.patch_embed.record(&mut g, tokens_in)?;
-        let mut x = g.add(emb, pos)?;
-
-        let mut enc_spans = Vec::with_capacity(token_counts.len());
-        let mut cursor = 0usize;
-        for &t in token_counts {
-            enc_spans.push((cursor, cursor + t));
-            cursor += t;
-        }
-        for block in &self.encoder {
-            x = block.record_spans(&mut g, x, &enc_spans)?;
-        }
-
-        let cls_param = g.param(&self.class_embed);
-        let mut dec_parts = Vec::with_capacity(2 * token_counts.len());
-        let mut dec_spans = Vec::with_capacity(token_counts.len());
-        let mut dec_cursor = 0usize;
-        for &(s, e) in &enc_spans {
-            dec_parts.push(g.slice_rows(x, s, e)?);
-            dec_parts.push(cls_param);
-            dec_spans.push((dec_cursor, dec_cursor + (e - s) + classes));
-            dec_cursor += (e - s) + classes;
-        }
-        let mut d = g.concat_rows(&dec_parts)?;
-        for block in &self.decoder {
-            d = block.record_spans(&mut g, d, &dec_spans)?;
-        }
-
-        let inv = 1.0 / (self.config.dim as f32).sqrt();
-        for (slot, &(ds, de)) in dec_spans.iter().enumerate() {
-            let t = token_counts[slot];
-            let patch = g.slice_rows(d, ds, ds + t)?;
-            let cls = g.slice_rows(d, ds + t, de)?;
-            let tr = g.transpose(cls)?;
-            let mm = g.matmul(patch, tr)?;
-            let logits = g.scale(mm, inv);
-            g.mark_output(logits);
-        }
-        Ok(g)
-    }
-
     /// Segments a batch of sparse frames through the **compiled planned
     /// path**, writing every result into the reusable `out` holder.
     ///
@@ -872,42 +856,18 @@ impl SparseViT {
         frames: &[(&[f32], &[f32])],
         out: &mut PlannedBatch,
     ) -> Result<(), TensorError> {
-        let p2 = self.config.patch * self.config.patch;
         let classes = self.config.num_classes;
         out.classes = classes;
         out.logits.clear();
         out.frames.clear();
-        out.prepared.clear();
-        out.active.clear();
-        out.token_counts.clear();
-        for (image, sampled) in frames {
-            out.prepared.push(self.prepare(image, sampled)?);
-        }
-        for (i, p) in out.prepared.iter().enumerate() {
-            if p.is_some() {
-                out.active.push(i);
-            }
-        }
-        if out.active.is_empty() {
+        let Some((token_data, kept_all, pixel_feats)) =
+            self.stack_frames(frames, &mut out.prepared, &mut out.token_counts)?
+        else {
             out.frames.extend(frames.iter().map(|_| None));
             return Ok(());
-        }
+        };
 
-        // Stack active frames' tokens and look up (or compile) the plan for
-        // this span layout.
-        let mut total = 0usize;
-        for &i in &out.active {
-            let t = out.prepared[i].as_ref().expect("active").kept.len();
-            out.token_counts.push(t);
-            total += t;
-        }
-        let mut token_data = take_f32_buffer(total * 2 * p2);
-        let mut kept_all = take_index_buffer(total);
-        for &i in &out.active {
-            let f = out.prepared[i].as_ref().expect("active");
-            token_data.extend_from_slice(&f.token_data);
-            kept_all.extend_from_slice(&f.kept);
-        }
+        // Look up (or compile) the plan for this span layout.
         let plan = {
             let mut plans = self.plans.borrow_mut();
             let counts = &out.token_counts;
@@ -917,13 +877,13 @@ impl SparseViT {
                     .clone()
                     .expect("use_int8 implies a finished calibration spec");
                 plans.qcache.get_or_build(counts, || {
-                    let g = self.record_batch_builder(counts)?;
+                    let g = self.token_graph(counts)?;
                     ExecPlan::compile_quantized(g, &spec)
                 })?
             } else {
-                plans.cache.get_or_build(counts, || {
-                    ExecPlan::compile(self.record_batch_builder(counts)?)
-                })?
+                plans
+                    .cache
+                    .get_or_build(counts, || ExecPlan::compile(self.token_graph(counts)?))?
             }
         };
         plan.execute(&[&token_data], &[&kept_all])?;
@@ -931,21 +891,8 @@ impl SparseViT {
         recycle_index_buffer(kept_all);
 
         // Pixel refinement head: one GEMM over every frame's sampled-pixel
-        // features, staged in retained buffers.
-        let mut s_total = 0usize;
-        for &i in &out.active {
-            s_total += out.prepared[i]
-                .as_ref()
-                .expect("active")
-                .pixel_indices
-                .len();
-        }
-        out.pixel_feat_all.clear();
-        out.pixel_feat_all.reserve(2 * s_total);
-        for &i in &out.active {
-            let f = out.prepared[i].as_ref().expect("active");
-            out.pixel_feat_all.extend_from_slice(&f.pixel_feat);
-        }
+        // features.
+        let s_total = pixel_feats.len() / 2;
         let (pw, pb) = {
             let mut plans = self.plans.borrow_mut();
             if plans.pixel_params.is_none() {
@@ -957,13 +904,14 @@ impl SparseViT {
         out.refined.clear();
         out.refined.resize(s_total * classes, 0.0);
         kernels::matmul_into(
-            &out.pixel_feat_all,
+            &pixel_feats,
             pw.value().data(),
             2,
             classes,
             &mut out.refined,
         );
         kernels::add_row_assign(&mut out.refined, pb.value().data());
+        recycle_f32_buffer(pixel_feats);
 
         // Per-frame decode: expand each frame's patch logits (a plan
         // output) to its pixel queries and add the refinement rows.
@@ -1035,25 +983,15 @@ impl SparseViT {
     /// Returns shape errors if a buffer does not match the configured
     /// frame, or plan compile/execute errors.
     pub fn observe_int8_calibration(&self, frames: &[(&[f32], &[f32])]) -> Result<(), TensorError> {
-        let p2 = self.config.patch * self.config.patch;
         let mut prepared = Vec::with_capacity(frames.len());
-        for (image, sampled) in frames {
-            if let Some(f) = self.prepare(image, sampled)? {
-                prepared.push(f);
-            }
-        }
-        if prepared.is_empty() {
+        let mut token_counts = Vec::with_capacity(frames.len());
+        let Some((token_data, kept_all, pixel_feats)) =
+            self.stack_frames(frames, &mut prepared, &mut token_counts)?
+        else {
             return Ok(());
-        }
-        let token_counts: Vec<usize> = prepared.iter().map(|f| f.kept.len()).collect();
-        let total: usize = token_counts.iter().sum();
-        let mut token_data = take_f32_buffer(total * 2 * p2);
-        let mut kept_all = take_index_buffer(total);
-        for f in &prepared {
-            token_data.extend_from_slice(&f.token_data);
-            kept_all.extend_from_slice(&f.kept);
-        }
-        let mut g = self.record_batch_builder(&token_counts)?;
+        };
+        recycle_f32_buffer(pixel_feats);
+        let mut g = self.token_graph(&token_counts)?;
         let taps = QuantCalibration::instrument(&mut g);
         let plan = ExecPlan::compile(g)?;
         plan.execute(&[&token_data], &[&kept_all])?;
@@ -1064,7 +1002,7 @@ impl SparseViT {
         }
         recycle_f32_buffer(token_data);
         recycle_index_buffer(kept_all);
-        for f in prepared {
+        for f in prepared.into_iter().flatten() {
             drop(f.recycle());
         }
         Ok(())
@@ -1084,7 +1022,7 @@ impl SparseViT {
     /// Returns `InvalidArgument` if no calibration is in progress or no
     /// batch was observed.
     pub fn finish_int8_calibration(&self) -> Result<usize, TensorError> {
-        let g = self.record_batch_builder(&[1])?;
+        let g = self.token_graph(&[1])?;
         let mut plans = self.plans.borrow_mut();
         let calib = plans
             .calib

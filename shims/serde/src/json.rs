@@ -14,6 +14,11 @@
 
 use std::fmt;
 
+/// Deepest array/object nesting [`JsonValue::parse`] accepts; deeper input
+/// is a [`JsonError::Syntax`] error, not a stack overflow. Snapshots nest a
+/// few levels deep (the fleet suite pins the margin).
+pub const MAX_DEPTH: usize = 256;
+
 /// A parsed JSON document node.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
@@ -104,7 +109,7 @@ impl JsonValue {
             pos: 0,
         };
         p.skip_ws();
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(JsonError::Syntax {
@@ -219,10 +224,14 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue, JsonError> {
+    /// Parses a value inside `depth` open arrays/objects.
+    fn value(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => {
+                Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -242,7 +251,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, JsonError> {
+    fn object(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
         self.expect_byte(b'{')?;
         let mut entries = Vec::new();
         self.skip_ws();
@@ -256,7 +265,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect_byte(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.value(depth)?;
             entries.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -270,7 +279,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<JsonValue, JsonError> {
+    fn array(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
         self.expect_byte(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -280,7 +289,7 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -324,13 +333,17 @@ impl<'a> Parser<'a> {
                     return Err(self.err("unescaped control character in string"));
                 }
                 Some(_) => {
-                    // Consume one complete UTF-8 scalar (input is &str, so
-                    // the byte stream is valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).expect("input was a &str");
-                    let c = s.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain characters up to the next quote,
+                    // backslash or control byte. Those are all ASCII, so they
+                    // never occur inside a multi-byte UTF-8 sequence and the
+                    // run ends on a char boundary of the (valid) input.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .expect("input was a &str");
+                    out.push_str(run);
                 }
             }
         }

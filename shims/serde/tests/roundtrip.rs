@@ -232,3 +232,30 @@ fn unknown_struct_keys_are_ignored() {
         }
     );
 }
+
+#[test]
+fn nesting_is_capped_instead_of_overflowing_the_stack() {
+    use serde::json::{JsonError, JsonValue, MAX_DEPTH};
+
+    // A million unclosed brackets used to recurse once per bracket and
+    // abort the process; now the parser stops at the depth cap.
+    let err = JsonValue::parse(&"[".repeat(1_000_000)).expect_err("must not parse");
+    assert!(
+        matches!(err, JsonError::Syntax { offset, .. } if offset == MAX_DEPTH),
+        "got {err:?}"
+    );
+    let objects = "{\"k\":".repeat(1_000_000);
+    assert!(matches!(
+        JsonValue::parse(&objects),
+        Err(JsonError::Syntax { .. })
+    ));
+
+    // Exactly at the cap still parses; one level more does not.
+    let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+    assert!(JsonValue::parse(&at_cap).is_ok());
+    let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+    assert!(matches!(
+        JsonValue::parse(&over),
+        Err(JsonError::Syntax { .. })
+    ));
+}
