@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks of the hot kernels in the BlissCam pipeline:
 //! dense linear algebra (matmul, multi-head attention), sensor
-//! eventification and readout, run-length coding, the procedural renderer,
+//! eventification, readout, die build and SRAM sampling, run-length coding, the procedural renderer,
 //! and the `plan_vs_tape` group — compiled-plan vs autograd-tape batched
 //! inference, with per-iteration heap-allocation counts recorded alongside
 //! the timings. The `*_1thread` / `*_4threads` variants pin the
@@ -16,7 +16,7 @@ use bliss_eye::{
 };
 use bliss_nn::{MultiHeadAttention, Tape};
 use bliss_parallel::{with_min_parallel_work, with_thread_count};
-use bliss_sensor::{rle, DigitalPixelSensor, RoiBox, SensorConfig};
+use bliss_sensor::{rle, DigitalPixelSensor, RoiBox, SensorConfig, SramRng};
 use bliss_tensor::{NdArray, Tensor};
 use bliss_track::{PlannedBatch, SparseViT, ViTConfig};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
@@ -126,6 +126,24 @@ fn bench_sparse_readout(c: &mut Criterion) {
     let roi = RoiBox::new(40, 25, 120, 75);
     c.bench_function("sensor_sparse_readout_20pct", |b| {
         b.iter(|| std::hint::black_box(sensor.sparse_readout(roi, 0.2)))
+    });
+}
+
+/// The die build (comparator offsets, SRAM thresholds and the 64-power-up
+/// θ-LUT calibration) every serving session pays once, and the per-frame
+/// SRAM power-up mask on its own.
+fn bench_sensor_die(c: &mut Criterion) {
+    let config = SensorConfig::miniature(160, 100);
+    c.bench_function("sensor_die_build_160x100", |b| {
+        b.iter(|| std::hint::black_box(DigitalPixelSensor::new(std::hint::black_box(config))))
+    });
+    let mut sram = SramRng::new(config.pixels(), config.sram_rng, config.seed);
+    let mut mask = Vec::new();
+    c.bench_function("sram_sample_mask_160x100", |b| {
+        b.iter(|| {
+            sram.sample_mask_into(5, &mut mask);
+            std::hint::black_box(&mask);
+        })
     });
 }
 
@@ -379,6 +397,6 @@ criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(20);
     targets = bench_renderer, bench_eventify, bench_matmul, bench_attention, bench_sparse_readout,
-        bench_rle, bench_pool_overhead, bench_plan_vs_tape, bench_telemetry_overhead
+        bench_sensor_die, bench_rle, bench_pool_overhead, bench_plan_vs_tape, bench_telemetry_overhead
 }
 criterion_main!(kernels);

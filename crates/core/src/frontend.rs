@@ -193,7 +193,9 @@ impl SparseFrontEnd {
     /// Overwrites the dynamic state from a snapshot taken on a front end
     /// with the same geometry and seed. After [`SparseFrontEnd::begin_stream`]
     /// has primed this front end for the same sequence, the restored stream
-    /// continues bit-identically to the uninterrupted one.
+    /// continues bit-identically to the uninterrupted one. The sensor die
+    /// this front end already built is restored in place
+    /// ([`DigitalPixelSensor::restore`]), not built and calibrated again.
     ///
     /// # Panics
     ///
@@ -207,7 +209,7 @@ impl SparseFrontEnd {
             self.width * self.height,
             "front-end snapshot geometry mismatch"
         );
-        self.sensor = DigitalPixelSensor::restore(*self.sensor.config(), &snapshot.sensor);
+        self.sensor.restore(&snapshot.sensor);
         self.rng = StdRng::from_state(snapshot.rng);
         match (&mut self.estimator, &snapshot.estimator) {
             (Some(est), Some(snap)) => est.restore(snap),

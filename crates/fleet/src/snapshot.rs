@@ -92,20 +92,20 @@ impl FleetRuntime {
         let first = snapshot.per_host.first().ok_or_else(|| {
             SnapshotError::Corrupt("fleet snapshot contains no host shards".into())
         })?;
-        // All hosts are replicas of one model: rebuild the shared runtime
-        // once from host 0, then restore each shard's scheduler state
-        // against it.
-        let (runtime, _, _) =
-            bliss_serve::ServeRuntime::restore(first).map_err(|e| SnapshotError::for_host(0, e))?;
-        let fleet = FleetRuntime { runtime };
+        // All hosts are replicas of one model: build the shared runtime once
+        // from host 0, then restore every shard's scheduler state against it.
+        let runtime = bliss_serve::ServeRuntime::restore_runtime(first)
+            .map_err(|e| SnapshotError::for_host(0, e))?;
         let mut shard_cfgs = Vec::with_capacity(snapshot.per_host.len());
         let mut shards = Vec::with_capacity(snapshot.per_host.len());
         for (host_id, host) in snapshot.per_host.iter().enumerate() {
-            let (_, shard_cfg, shard) = bliss_serve::ServeRuntime::restore(host)
+            let shard = runtime
+                .restore_state(host)
                 .map_err(|e| SnapshotError::for_host(host_id, e))?;
-            shard_cfgs.push(shard_cfg);
+            shard_cfgs.push(host.serve);
             shards.push(shard);
         }
+        let fleet = FleetRuntime { runtime };
         // The fleet-wide config: per-shard settings are identical except for
         // the session count, which is fleet-wide at this level.
         let mut serve = first.serve;

@@ -7,13 +7,15 @@
 //!   injected-fault log included — is identical across repeated runs.
 //! * The merged timeline stays totally ordered and gap-free when hosts drop
 //!   out and rejoin mid-run.
+//! * A truncated or bit-flipped plan file fails with a typed
+//!   [`serde::JsonError`] (or parses to some plan); it never panics.
 
 use bliss_fleet::{ChaosConfig, FaultMix, FaultPlan, FleetConfig, FleetRuntime, PlacementPolicy};
 use bliss_track::{RoiPredictionNet, SparseViT};
 use blisscam_core::SystemConfig;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
-use serde::{Deserialize as _, Serialize as _};
+use serde::{Deserialize as _, JsonError, Serialize as _};
 use std::collections::BTreeMap;
 
 fn fleet() -> FleetRuntime {
@@ -117,5 +119,44 @@ proptest! {
             }
             Ok(())
         })?;
+    }
+}
+
+#[test]
+fn corrupted_fault_plan_json_fails_typed_and_never_panics() {
+    let mixes = [
+        FaultMix::default(),
+        FaultMix {
+            crashes: 2,
+            slow_hosts: 2,
+            timeouts: 2,
+            corrupt_checkpoints: 1,
+        },
+        FaultMix {
+            crashes: 0,
+            slow_hosts: 0,
+            timeouts: 0,
+            corrupt_checkpoints: 0,
+        },
+    ];
+    for (i, mix) in mixes.iter().enumerate() {
+        let json = FaultPlan::generate(0xFA17 + i as u64, 3, 2.5, mix).to_json();
+        // Every proper prefix of the top-level object is malformed JSON.
+        for cut in 0..json.len() {
+            let err: Result<FaultPlan, JsonError> = FaultPlan::from_json(&json[..cut]);
+            assert!(err.is_err(), "plan {i}: prefix of {cut} bytes parsed");
+        }
+        // One flipped bit anywhere parses to some plan or fails with a
+        // typed error. Flipping a bit below 0x80 keeps ASCII input valid
+        // UTF-8.
+        let step = (json.len() / 128).max(1);
+        let mut bytes = json.into_bytes();
+        for (k, pos) in (0..bytes.len()).step_by(step).enumerate() {
+            let original = bytes[pos];
+            bytes[pos] ^= [0x01, 0x02, 0x20, 0x40][k % 4];
+            let text = std::str::from_utf8(&bytes).expect("ASCII stays UTF-8");
+            let _: Result<FaultPlan, JsonError> = FaultPlan::from_json(text);
+            bytes[pos] = original;
+        }
     }
 }

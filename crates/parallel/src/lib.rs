@@ -869,10 +869,12 @@ mod tests {
     fn pool_reuses_threads_across_thousands_of_small_regions() {
         // Thousands of forced-pool regions must not leak threads: the pool
         // spawns at most MAX_THREADS - 1 persistent workers, and the count
-        // stabilises after the first regions.
-        with_thread_count(4, || {
+        // stabilises after the first regions. The first region runs at full
+        // width, so tests running concurrently in this process cannot grow
+        // the shared pool between the two counts.
+        with_thread_count(MAX_THREADS, || {
             pooled(|| {
-                let mut v = vec![0u64; 64];
+                let mut v = vec![0u64; 256];
                 par_chunks(&mut v, 8, |_, c| {
                     for x in c.iter_mut() {
                         *x += 1;

@@ -185,7 +185,8 @@ impl ReadoutResult {
 /// Everything else a [`DigitalPixelSensor`] carries — comparator offsets,
 /// SRAM cell biases, the θ-LUT, the conversion-noise seed — is a permanent
 /// property of the (simulated) die, re-derived bit-identically from the
-/// [`SensorConfig`] seed by [`DigitalPixelSensor::restore`].
+/// [`SensorConfig`] seed when the die is built, which is why
+/// [`DigitalPixelSensor::restore`] only overwrites this state.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SensorSnapshot {
     /// Previous frame held on the auto-zero capacitors.
@@ -255,20 +256,23 @@ impl DigitalPixelSensor {
         }
     }
 
-    /// Rebuilds a sensor from its configuration and a snapshot.
+    /// Restores a snapshot's serving-time state onto this die, in place.
     ///
-    /// Runs the normal construction path (re-deriving every die property
-    /// from the config seed, including the θ-LUT calibration), then
-    /// restores the dynamic state, so the result continues the interrupted
-    /// stream bit-identically.
+    /// Every die property (comparator offsets, SRAM thresholds, the θ-LUT,
+    /// the conversion-noise seed) is a pure function of the config seed, so
+    /// a die built from the snapshotted sensor's [`SensorConfig`] only needs
+    /// its dynamic state overwritten to continue the interrupted stream
+    /// bit-identically — no second build or calibration. Whatever this die
+    /// streamed before is discarded.
     ///
     /// # Panics
     ///
-    /// Panics when a snapshotted frame buffer's length does not match the
-    /// configured pixel count, or when the RNG state is all zeros — either
-    /// means the snapshot belongs to a different config or is corrupt.
-    pub fn restore(config: SensorConfig, snapshot: &SensorSnapshot) -> Self {
-        let pixels = config.pixels();
+    /// Panics, leaving the sensor unchanged, when a snapshotted frame
+    /// buffer's length does not match the configured pixel count, or when
+    /// the RNG state is all zeros — either means the snapshot belongs to a
+    /// different config or is corrupt.
+    pub fn restore(&mut self, snapshot: &SensorSnapshot) {
+        let pixels = self.config.pixels();
         for buf in [&snapshot.held, &snapshot.current].into_iter().flatten() {
             assert_eq!(
                 buf.len(),
@@ -276,12 +280,10 @@ impl DigitalPixelSensor {
                 "sensor snapshot frame buffer does not match the configured pixel count"
             );
         }
-        let mut sensor = Self::new(config);
-        sensor.held = snapshot.held.clone();
-        sensor.current = snapshot.current.clone();
-        sensor.sram_rng.set_rng_state(snapshot.sram_rng);
-        sensor.readouts = snapshot.readouts;
-        sensor
+        self.sram_rng.set_rng_state(snapshot.sram_rng);
+        self.held.clone_from(&snapshot.held);
+        self.current.clone_from(&snapshot.current);
+        self.readouts = snapshot.readouts;
     }
 
     /// The sensor configuration.
@@ -770,7 +772,13 @@ mod tests {
         let json = snap.to_json();
         let parsed = SensorSnapshot::from_json(&json).expect("snapshot parses");
         assert_eq!(parsed, snap);
-        let mut restored = DigitalPixelSensor::restore(SensorConfig::miniature(16, 12), &parsed);
+        // Restore onto a die that has streamed something else: in-place
+        // restore must overwrite all of its dynamic state.
+        let mut restored = sensor(16, 12);
+        restored.expose(&img2);
+        let _ = restored.eventify();
+        let _ = restored.sparse_readout(RoiBox::full(16, 12), 0.2);
+        restored.restore(&parsed);
 
         for s in [&mut live, &mut restored] {
             s.expose(&img2);
@@ -789,6 +797,6 @@ mod tests {
         let mut s = sensor(8, 8);
         s.expose(&[0.5; 64]);
         let snap = s.snapshot();
-        let _ = DigitalPixelSensor::restore(SensorConfig::miniature(4, 4), &snap);
+        sensor(4, 4).restore(&snap);
     }
 }

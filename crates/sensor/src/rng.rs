@@ -1,5 +1,5 @@
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the SRAM power-up entropy source.
@@ -78,11 +78,35 @@ impl CalibrationLut {
 /// the "If Skip ADC" logic (paper Fig. 9). Process variation gives each cell
 /// a fixed bias; summing the 10 cells and thresholding the sum whitens the
 /// per-pixel sampling probability.
+///
+/// # Threshold form
+///
+/// A cell with bias `b` powers up to one when a uniform draw `u` in
+/// `[0, 1)` falls below `b`. The draw is `gen::<f32>()`, which is
+/// `x · 2^-24` for the integer `x = next_u64() >> 40 < 2^24`, so the scaling
+/// is exact and `u < b` holds exactly when `x < b · 2^24`. Since `x` is an
+/// integer, that is `x < ceil(b · 2^24)`. Each cell therefore stores the
+/// integer threshold `ceil(b · 2^24)` fixed at construction, and a power-up
+/// compares raw 24-bit draws against it: no float conversion, no branch, and
+/// bit-for-bit the same ones-counts as the float comparison.
+///
+/// # Why the stream stays sequential
+///
+/// All draws come from one sequential xoshiro stream, pixel by pixel and
+/// cell by cell. A counter-hashed draw per cell would let power-ups
+/// parallelise, but a hashed variant reproducibly left the host CPU of the
+/// dev container in a state where *unrelated* FP code (the eye renderer) ran
+/// ~10x slower until the next power-up toggled it back — a data-dependent,
+/// virtualisation-specific pathology. Power-up is a per-frame
+/// O(pixels × cells) scan that is not on the parallel readout's critical
+/// path, and jumping the stream ahead would change every mask, so the
+/// sequential stream stays.
 #[derive(Debug, Clone)]
 pub struct SramRng {
     config: SramRngConfig,
-    /// Per-cell probability of powering up to 1 (length = pixels x cells).
-    cell_bias: Vec<f32>,
+    /// Per-cell power-up-one threshold `ceil(bias · 2^24)` on the 24-bit
+    /// draw (length = pixels × cells; see the type docs).
+    cell_threshold: Vec<u32>,
     pixels: usize,
     rng: StdRng,
 }
@@ -94,15 +118,15 @@ impl SramRng {
     /// of a physical die) and the subsequent power-up draws.
     pub fn new(pixels: usize, config: SramRngConfig, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let n = pixels * config.cells_per_pixel;
-        let mut cell_bias = Vec::with_capacity(n);
-        for _ in 0..n {
-            let g: f32 = gauss(&mut rng) * config.cell_bias_sigma + 0.5;
-            cell_bias.push(g.clamp(0.02, 0.98));
-        }
+        let cell_threshold = (0..pixels * config.cells_per_pixel)
+            .map(|_| {
+                let bias = gauss(&mut rng) * config.cell_bias_sigma + 0.5;
+                bias_threshold(bias.clamp(0.02, 0.98))
+            })
+            .collect();
         SramRng {
             config,
-            cell_bias,
+            cell_threshold,
             pixels,
             rng,
         }
@@ -120,15 +144,6 @@ impl SramRng {
 
     /// Simulates one SRAM power-up event: returns each pixel's ones-count
     /// (`0..=cells_per_pixel`). This is the 4-bit value compared against θ.
-    ///
-    /// Deliberately a sequential `StdRng` stream rather than the
-    /// counter-hashed draws the readout path uses: a hashed variant
-    /// (`hash_unit(counter_hash(..)) < bias` per cell) reproducibly left the
-    /// host CPU of the dev container in a state where *unrelated* FP code
-    /// (the eye renderer) ran ~10x slower until the next power-up toggled it
-    /// back — a data-dependent, virtualisation-specific pathology. Power-up
-    /// is a per-frame O(pixels x cells) scan that is not on the parallel
-    /// readout's critical path, so the sequential stream stays.
     pub fn power_up(&mut self) -> Vec<u8> {
         let mut counts = Vec::with_capacity(self.pixels);
         self.power_up_into(&mut counts);
@@ -140,23 +155,14 @@ impl SramRng {
     /// Draws the identical RNG stream as the allocating variant.
     pub fn power_up_into(&mut self, counts: &mut Vec<u8>) {
         counts.clear();
-        let cells = self.config.cells_per_pixel;
-        for p in 0..self.pixels {
-            let mut ones = 0u8;
-            for c in 0..cells {
-                if self.rng.gen::<f32>() < self.cell_bias[p * cells + c] {
-                    ones += 1;
-                }
-            }
-            counts.push(ones);
-        }
+        self.each_power_up(|ones| counts.push(ones));
     }
 
     /// The power-up generator's internal state, for snapshotting.
     ///
-    /// The per-cell process variation (`cell_bias`) is a permanent property
-    /// of the die, fully re-derived from the construction seed, so the
-    /// sequential power-up stream is the only serving-time state this
+    /// The per-cell process variation (the thresholds) is a permanent
+    /// property of the die, fully re-derived from the construction seed, so
+    /// the sequential power-up stream is the only serving-time state this
     /// entropy source carries.
     pub fn rng_state(&self) -> [u64; 4] {
         self.rng.state()
@@ -170,18 +176,18 @@ impl SramRng {
 
     /// One-time offline calibration: profiles the ones-count distribution and
     /// builds the rate→θ lookup table (paper §IV-C).
+    ///
+    /// Histograms the ones-counts of `calibration_trials` power-ups, then
+    /// suffix-sums the histogram into the `count >= θ` tallies.
     pub fn calibrate(&mut self) -> CalibrationLut {
         let cells = self.config.cells_per_pixel;
         let trials = self.config.calibration_trials.max(1);
         let mut ge_counts = vec![0u64; cells + 1];
         for _ in 0..trials {
-            let counts = self.power_up();
-            for &c in &counts {
-                // count >= theta for every theta <= count
-                for theta in 0..=(c as usize) {
-                    ge_counts[theta] += 1;
-                }
-            }
+            self.each_power_up(|ones| ge_counts[ones as usize] += 1);
+        }
+        for theta in (0..cells).rev() {
+            ge_counts[theta] += ge_counts[theta + 1];
         }
         let total = (trials * self.pixels) as f32;
         CalibrationLut {
@@ -202,17 +208,30 @@ impl SramRng {
     /// bit-identical to the allocating variant.
     pub fn sample_mask_into(&mut self, theta: u8, mask: &mut Vec<bool>) {
         mask.clear();
+        self.each_power_up(|ones| mask.push(ones >= theta));
+    }
+
+    /// One power-up of the whole array: hands each pixel's ones-count to
+    /// `f`, in pixel order. The one place the stream is drawn, so every
+    /// caller consumes it identically.
+    fn each_power_up(&mut self, mut f: impl FnMut(u8)) {
         let cells = self.config.cells_per_pixel;
         for p in 0..self.pixels {
             let mut ones = 0u8;
-            for c in 0..cells {
-                if self.rng.gen::<f32>() < self.cell_bias[p * cells + c] {
-                    ones += 1;
-                }
+            for &threshold in &self.cell_threshold[p * cells..(p + 1) * cells] {
+                let draw = (self.rng.next_u64() >> 40) as u32;
+                ones += u8::from(draw < threshold);
             }
-            mask.push(ones >= theta);
+            f(ones);
         }
     }
+}
+
+/// The integer threshold `ceil(bias · 2^24)` on a 24-bit draw `x` with
+/// `x < threshold` exactly when `x · 2^-24 < bias` (see [`SramRng`]).
+/// Scaling by a power of two is exact in `f32`.
+fn bias_threshold(bias: f32) -> u32 {
+    (bias * (1u32 << 24) as f32).ceil() as u32
 }
 
 fn gauss(rng: &mut StdRng) -> f32 {
@@ -364,9 +383,9 @@ mod tests {
     fn process_variation_is_fixed_per_die() {
         let a = SramRng::new(100, SramRngConfig::default(), 42);
         let b = SramRng::new(100, SramRngConfig::default(), 42);
-        assert_eq!(a.cell_bias, b.cell_bias);
+        assert_eq!(a.cell_threshold, b.cell_threshold);
         let c = SramRng::new(100, SramRngConfig::default(), 43);
-        assert_ne!(a.cell_bias, c.cell_bias);
+        assert_ne!(a.cell_threshold, c.cell_threshold);
     }
 
     #[test]
@@ -386,5 +405,202 @@ mod tests {
         // theta=5 ~ median: a single pixel should sit in a moderate band
         // around 0.5 despite per-cell bias.
         assert!((0.2..=0.9).contains(&rate), "pixel rate {rate}");
+    }
+
+    /// The float-comparison power-up the threshold form replaces, kept as
+    /// the reference: per cell, `gen::<f32>() < bias`, counted with a branch.
+    struct FloatSram {
+        cell_bias: Vec<f32>,
+        cells: usize,
+        pixels: usize,
+        trials: usize,
+        rng: StdRng,
+    }
+
+    impl FloatSram {
+        fn new(pixels: usize, config: SramRngConfig, seed: u64) -> Self {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = pixels * config.cells_per_pixel;
+            let mut cell_bias = Vec::with_capacity(n);
+            for _ in 0..n {
+                let g: f32 = gauss(&mut rng) * config.cell_bias_sigma + 0.5;
+                cell_bias.push(g.clamp(0.02, 0.98));
+            }
+            FloatSram {
+                cell_bias,
+                cells: config.cells_per_pixel,
+                pixels,
+                trials: config.calibration_trials.max(1),
+                rng,
+            }
+        }
+
+        fn power_up(&mut self) -> Vec<u8> {
+            let mut counts = Vec::with_capacity(self.pixels);
+            for p in 0..self.pixels {
+                let mut ones = 0u8;
+                for c in 0..self.cells {
+                    if self.rng.gen::<f32>() < self.cell_bias[p * self.cells + c] {
+                        ones += 1;
+                    }
+                }
+                counts.push(ones);
+            }
+            counts
+        }
+
+        fn sample_mask(&mut self, theta: u8) -> Vec<bool> {
+            self.power_up().into_iter().map(|c| c >= theta).collect()
+        }
+
+        fn calibrate(&mut self) -> Vec<u32> {
+            let mut ge_counts = vec![0u64; self.cells + 1];
+            for _ in 0..self.trials {
+                for c in self.power_up() {
+                    for theta in 0..=(c as usize) {
+                        ge_counts[theta] += 1;
+                    }
+                }
+            }
+            let total = (self.trials * self.pixels) as f32;
+            ge_counts
+                .iter()
+                .map(|&c| (c as f32 / total).to_bits())
+                .collect()
+        }
+    }
+
+    /// Both implementations stay in lockstep through every entry point:
+    /// power-up counts, masks at every θ, the LUT bits and the RNG state
+    /// after each call.
+    fn assert_lockstep(fast: &mut SramRng, reference: &mut FloatSram, label: &str) {
+        assert_eq!(fast.rng.state(), reference.rng.state(), "{label}: build");
+        assert_eq!(fast.power_up(), reference.power_up(), "{label}: power_up");
+        assert_eq!(fast.rng.state(), reference.rng.state(), "{label}: power_up");
+        for theta in 0..=11u8 {
+            assert_eq!(
+                fast.sample_mask(theta),
+                reference.sample_mask(theta),
+                "{label}: sample_mask({theta})"
+            );
+            assert_eq!(
+                fast.rng.state(),
+                reference.rng.state(),
+                "{label}: θ {theta}"
+            );
+        }
+        let lut: Vec<u32> = fast
+            .calibrate()
+            .achieved_rate
+            .iter()
+            .map(|r| r.to_bits())
+            .collect();
+        assert_eq!(lut, reference.calibrate(), "{label}: calibrate");
+        assert_eq!(
+            fast.rng.state(),
+            reference.rng.state(),
+            "{label}: calibrate"
+        );
+    }
+
+    #[test]
+    fn threshold_draws_match_float_reference_bit_for_bit() {
+        let config = SramRngConfig {
+            calibration_trials: 8,
+            ..SramRngConfig::default()
+        };
+        for seed in [1u64, 7, 42, 0xB1155, u64::MAX] {
+            for pixels in [0usize, 1, 3, 100, 1_000] {
+                let mut fast = SramRng::new(pixels, config, seed);
+                let mut reference = FloatSram::new(pixels, config, seed);
+                let thresholds: Vec<u32> = reference
+                    .cell_bias
+                    .iter()
+                    .map(|&b| bias_threshold(b))
+                    .collect();
+                assert_eq!(fast.cell_threshold, thresholds);
+                assert_lockstep(
+                    &mut fast,
+                    &mut reference,
+                    &format!("seed {seed}, {pixels} px"),
+                );
+            }
+        }
+    }
+
+    /// Biases where `bias · 2^24` is an exact integer (0.5, 0.25, one
+    /// step above zero, one step below one) are where `ceil` must not
+    /// round up, plus the clamp ends 0.02/0.98.
+    const EDGE_BIASES: [f32; 7] = [
+        0.5,
+        0.25,
+        0.75,
+        0.02,
+        0.98,
+        1.0 / 16_777_216.0,
+        1.0 - 1.0 / 16_777_216.0,
+    ];
+
+    #[test]
+    fn threshold_is_exact_for_every_draw_at_edge_biases() {
+        for bias in EDGE_BIASES {
+            let threshold = bias_threshold(bias);
+            for x in 0..1u32 << 24 {
+                let float = x as f32 * (1.0 / (1u32 << 24) as f32);
+                assert_eq!(x < threshold, float < bias, "bias {bias}, draw {x}");
+            }
+        }
+    }
+
+    /// Runs both implementations in lockstep on a die with the given
+    /// per-cell biases (`cells_per_pixel` = 10, 16 calibration trials).
+    fn assert_lockstep_with_biases(cell_bias: Vec<f32>, seed: u64, label: &str) {
+        let config = SramRngConfig {
+            calibration_trials: 16,
+            ..SramRngConfig::default()
+        };
+        let cells = config.cells_per_pixel;
+        let pixels = cell_bias.len() / cells;
+        let mut fast = SramRng {
+            config,
+            cell_threshold: cell_bias.iter().map(|&b| bias_threshold(b)).collect(),
+            pixels,
+            rng: StdRng::seed_from_u64(seed),
+        };
+        let mut reference = FloatSram {
+            cell_bias,
+            cells,
+            pixels,
+            trials: config.calibration_trials,
+            rng: StdRng::seed_from_u64(seed),
+        };
+        assert_lockstep(&mut fast, &mut reference, label);
+    }
+
+    #[test]
+    fn edge_biases_match_float_reference_through_every_entry_point() {
+        for seed in [3u64, 99] {
+            // Each pixel mixes the edge biases in a different rotation.
+            let cell_bias = (0..640)
+                .map(|i| EDGE_BIASES[(i + i / 10) % EDGE_BIASES.len()])
+                .collect();
+            assert_lockstep_with_biases(cell_bias, seed, &format!("edge biases, seed {seed}"));
+        }
+    }
+
+    #[test]
+    fn draws_landing_on_the_threshold_match_float_reference() {
+        // Every cell's bias is its own first draw `x · 2^-24` (powers up to
+        // zero) or one step above it (powers up to one), so the first
+        // power-up compares every cell exactly at its threshold.
+        let seed = 11;
+        let mut probe = StdRng::seed_from_u64(seed);
+        let cell_bias = (0..2_000u32)
+            .map(|i| {
+                let x = (probe.next_u64() >> 40) as u32 + i % 2;
+                x as f32 * (1.0 / (1u32 << 24) as f32)
+            })
+            .collect();
+        assert_lockstep_with_biases(cell_bias, seed, "biases on the draws");
     }
 }

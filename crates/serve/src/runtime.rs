@@ -601,11 +601,16 @@ impl ServeRuntime {
 
     /// Starts a resumable run over an explicit session set: renders every
     /// session's trace, primes its front end and seeds the event queue.
+    ///
+    /// Sessions are built in parallel on the `bliss_parallel` pool, one per
+    /// task; each is a pure function of its config, so the state is the same
+    /// for any thread count. A single session builds inline, keeping the
+    /// pool for its renderer's rows.
     pub fn start_sessions(&self, session_cfgs: Vec<SessionConfig>) -> ServeState {
-        let sessions: Vec<Session> = session_cfgs
-            .iter()
-            .map(|sc| Session::new(*sc, &self.system))
-            .collect();
+        let system = &self.system;
+        let sessions = bliss_parallel::par_map_collect(session_cfgs.len(), |i| {
+            Session::new(session_cfgs[i], system)
+        });
         let mut state = ServeState {
             sessions,
             heap: BinaryHeap::new(),

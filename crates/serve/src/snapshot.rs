@@ -195,22 +195,34 @@ impl ServeRuntime {
         }
     }
 
-    /// Rebuilds a runtime and its in-flight state from a snapshot.
+    /// Rebuilds a runtime and its in-flight state from a snapshot:
+    /// [`ServeRuntime::restore_runtime`] followed by
+    /// [`ServeRuntime::restore_state`]. Stepping the result produces
+    /// bit-identical traces to the uninterrupted run.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Corrupt`] if the weight shapes or the session states
+    /// do not match the recorded system configuration.
+    pub fn restore(
+        snapshot: &ServeSnapshot,
+    ) -> Result<(ServeRuntime, ServeConfig, ServeState), SnapshotError> {
+        let runtime = Self::restore_runtime(snapshot)?;
+        let state = runtime.restore_state(snapshot)?;
+        Ok((runtime, snapshot.serve, state))
+    }
+
+    /// Rebuilds the runtime a snapshot was taken on, without its sessions.
     ///
     /// The networks are reconstructed at the recorded [`SystemConfig`]'s
-    /// architecture and overwritten with the snapshotted weights; each
-    /// session re-renders its trace from its config (pure function of the
-    /// seeds) and then overwrites the front end's dynamic state; the event
-    /// queue is rebuilt from per-session progress. Stepping the result
-    /// produces bit-identical traces to the uninterrupted run.
+    /// architecture and overwritten with the snapshotted weights; timing
+    /// scale and precision state (including the int8 spec) are re-derived.
     ///
     /// # Errors
     ///
     /// [`SnapshotError::Corrupt`] if the weight shapes do not match the
     /// recorded system configuration.
-    pub fn restore(
-        snapshot: &ServeSnapshot,
-    ) -> Result<(ServeRuntime, ServeConfig, ServeState), SnapshotError> {
+    pub fn restore_runtime(snapshot: &ServeSnapshot) -> Result<ServeRuntime, SnapshotError> {
         // Architectures from config; weights from the snapshot. The seed
         // only initialises weights that are immediately overwritten.
         let mut rng = StdRng::seed_from_u64(snapshot.system.seed);
@@ -231,19 +243,37 @@ impl ServeRuntime {
         runtime
             .apply_precision(&snapshot.serve)
             .map_err(|e| SnapshotError::Corrupt(format!("precision restore: {e}")))?;
+        Ok(runtime)
+    }
 
-        let mut sessions = Vec::with_capacity(snapshot.sessions.len());
-        for snap in &snapshot.sessions {
-            sessions.push(restore_session(snap, &runtime.system)?);
+    /// Restores a snapshot's in-flight state against this runtime: each
+    /// session re-renders its trace from its config (pure function of the
+    /// seeds), sessions in parallel, and then overwrites the front end's
+    /// dynamic state; the event queue is rebuilt from per-session progress.
+    ///
+    /// The snapshot's weights are not read: the caller guarantees this
+    /// runtime serves them (it came from [`ServeRuntime::restore_runtime`]
+    /// on this snapshot, or on a replica host's snapshot of the same run).
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Corrupt`] if the snapshot was taken on a different
+    /// system or timing scale, or a session's state does not match this
+    /// runtime's geometry.
+    pub fn restore_state(&self, snapshot: &ServeSnapshot) -> Result<ServeState, SnapshotError> {
+        if snapshot.system != self.system || snapshot.paper_scale_timing != self.scaled_timing {
+            return Err(SnapshotError::Corrupt(
+                "snapshot was taken on a different system configuration".into(),
+            ));
         }
         let mut state = ServeState {
-            sessions,
+            sessions: self.restore_sessions(&snapshot.sessions, f64::NEG_INFINITY)?,
             heap: std::collections::BinaryHeap::new(),
             host_free_s: snapshot.host_free_s,
             host_busy_s: snapshot.host_busy_s,
         };
-        runtime.rebuild_heap(&mut state);
-        Ok((runtime, snapshot.serve, state))
+        self.rebuild_heap(&mut state);
+        Ok(state)
     }
 
     /// Adopts sessions frozen in another runtime's snapshot into a live
@@ -272,13 +302,29 @@ impl ServeRuntime {
         snaps: &[SessionSnapshot],
         not_before_s: f64,
     ) -> Result<(), SnapshotError> {
-        for snap in snaps {
-            let mut session = restore_session(snap, &self.system)?;
-            session.prev_completion_s = session.prev_completion_s.max(not_before_s);
-            state.sessions.push(session);
-        }
+        let adopted = self.restore_sessions(snaps, not_before_s)?;
+        state.sessions.extend(adopted);
         self.rebuild_heap(state);
         Ok(())
+    }
+
+    /// Rebuilds `snaps` as live sessions in parallel on the pool (in
+    /// snapshot order, so the result is the same for any thread count),
+    /// with each feedback gate pushed to at least `not_before_s`. The first
+    /// invalid snapshot in order decides the error.
+    fn restore_sessions(
+        &self,
+        snaps: &[SessionSnapshot],
+        not_before_s: f64,
+    ) -> Result<Vec<Session>, SnapshotError> {
+        let system = &self.system;
+        bliss_parallel::par_map_collect(snaps.len(), |i| {
+            let mut session = restore_session(&snaps[i], system)?;
+            session.prev_completion_s = session.prev_completion_s.max(not_before_s);
+            Ok(session)
+        })
+        .into_iter()
+        .collect()
     }
 }
 
@@ -324,4 +370,40 @@ fn restore_session(
     session.prev_completion_s = snap.prev_completion_s.unwrap_or(f64::NEG_INFINITY);
     session.records = snap.records.clone();
     Ok(session)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn runtime(system: SystemConfig) -> ServeRuntime {
+        let mut rng = StdRng::seed_from_u64(system.seed);
+        let vit = SparseViT::new(&mut rng, system.vit);
+        let roi_net = RoiPredictionNet::new(&mut rng, system.roi_net);
+        ServeRuntime::with_networks(system, vit, roi_net)
+    }
+
+    #[test]
+    fn restore_state_round_trips_and_rejects_another_system() {
+        let mut system = SystemConfig::miniature();
+        system.vit.dim = 12;
+        system.vit.enc_depth = 1;
+        system.vit.dec_depth = 1;
+        system.roi_net.hidden = 16;
+        let rt = runtime(system);
+        let cfg = ServeConfig::new(3, 3);
+        let mut state = rt.start(&cfg);
+        assert!(rt.step_batch(&cfg, &mut state).expect("step succeeds"));
+        let snap = rt.snapshot(&cfg, &state);
+
+        let restored = rt.restore_state(&snap).expect("same system restores");
+        assert_eq!(rt.snapshot(&cfg, &restored), snap);
+
+        let mut other = system;
+        other.seed ^= 1;
+        let err = runtime(other)
+            .restore_state(&snap)
+            .expect_err("another system's snapshot must not restore");
+        assert!(matches!(err, SnapshotError::Corrupt(_)), "{err:?}");
+    }
 }
