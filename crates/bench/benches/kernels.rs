@@ -1,5 +1,7 @@
 //! Criterion micro-benchmarks of the hot kernels in the BlissCam pipeline:
-//! dense linear algebra (matmul, multi-head attention), sensor
+//! dense linear algebra (matmul, multi-head attention), the ViT's
+//! elementwise ops (GELU, softmax, bias broadcast, and the `tanh`/`exp`
+//! ports beside the libm calls they replace), sensor
 //! eventification, readout, die build and SRAM sampling, run-length coding, the procedural renderer,
 //! and the `plan_vs_tape` group — compiled-plan vs autograd-tape batched
 //! inference, with per-iteration heap-allocation counts recorded alongside
@@ -101,6 +103,62 @@ fn bench_attention(c: &mut Criterion) {
     c.bench_function("mha_forward_4threads", |bch| {
         bch.iter(|| with_thread_count(4, forward))
     });
+}
+
+/// The ViT's elementwise hot ops at one block's shapes on the miniature
+/// model (84 tokens, width 48): GELU over the MLP hidden activation, softmax
+/// over an attention map, and the QKV bias broadcast. Then the two scalar
+/// ports against the host libm over 16 K values each, so the port and the
+/// call it replaces sit side by side in the report.
+fn bench_elementwise(c: &mut Criterion) {
+    use bliss_tensor::kernels::{add_row_assign, exp_f32, gelu_into, softmax_rows_into, tanh_f32};
+    use std::hint::black_box;
+
+    let mut rng = StdRng::seed_from_u64(84);
+    let hidden = NdArray::randn(&mut rng, &[84, 192], 1.5);
+    let mut out = vec![0.0f32; 84 * 192];
+    c.bench_function("gelu_84x192", |b| {
+        b.iter(|| {
+            gelu_into(black_box(hidden.data()), &mut out);
+            black_box(&out);
+        })
+    });
+    let scores = NdArray::randn(&mut rng, &[84, 84], 2.0);
+    let mut probs = vec![0.0f32; 84 * 84];
+    c.bench_function("softmax_rows_84x84", |b| {
+        b.iter(|| {
+            softmax_rows_into(black_box(scores.data()), 84, &mut probs);
+            black_box(&probs);
+        })
+    });
+    let bias = NdArray::randn(&mut rng, &[144], 0.1);
+    let mut qkv = NdArray::randn(&mut rng, &[84, 144], 1.0).data().to_vec();
+    c.bench_function("add_row_84x144", |b| {
+        b.iter(|| {
+            add_row_assign(black_box(&mut qkv), black_box(bias.data()));
+        })
+    });
+
+    // Arguments in the ranges the ViT feeds them: GELU's tanh sees roughly
+    // [-4, 4], softmax's exp sees non-positive shifted scores.
+    let xs: Vec<f32> = (0..16_384).map(|_| rng.gen_range(-4.0f32..4.0)).collect();
+    let neg: Vec<f32> = xs.iter().map(|x| -x.abs() * 4.0).collect();
+    // Generic in `f`, so each function is inlined into its own loop.
+    fn map(c: &mut Criterion, name: &str, src: &[f32], f: impl Fn(f32) -> f32) {
+        let mut ys = vec![0.0f32; src.len()];
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                for (y, &x) in ys.iter_mut().zip(black_box(src)) {
+                    *y = f(x);
+                }
+                black_box(&ys);
+            })
+        });
+    }
+    map(c, "tanh_f32_16k", &xs, tanh_f32);
+    map(c, "libm_tanh_16k", &xs, f32::tanh);
+    map(c, "exp_f32_16k", &neg, exp_f32);
+    map(c, "libm_exp_16k", &neg, f32::exp);
 }
 
 fn bench_eventify(c: &mut Criterion) {
@@ -396,7 +454,8 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(20);
-    targets = bench_renderer, bench_eventify, bench_matmul, bench_attention, bench_sparse_readout,
-        bench_sensor_die, bench_rle, bench_pool_overhead, bench_plan_vs_tape, bench_telemetry_overhead
+    targets = bench_renderer, bench_eventify, bench_matmul, bench_attention, bench_elementwise,
+        bench_sparse_readout, bench_sensor_die, bench_rle, bench_pool_overhead, bench_plan_vs_tape,
+        bench_telemetry_overhead
 }
 criterion_main!(kernels);

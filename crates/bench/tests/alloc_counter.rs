@@ -346,3 +346,40 @@ fn steady_state_planned_forward_with_tracing_on_allocates_nothing() {
     assert_eq!(bliss_telemetry::spans_dropped(), 0);
     bliss_telemetry::clear_spans();
 }
+
+#[test]
+fn steady_state_planned_forward_on_two_threads_allocates_nothing_at_all() {
+    let mut rng = StdRng::seed_from_u64(0x5CA7C4);
+    let vit = SparseViT::new(&mut rng, ViTConfig::miniature(160, 100));
+    let a = synth_frame(1, 160 * 100, 0.06);
+    let b = synth_frame(2, 160 * 100, 0.02);
+    let batch: Vec<(&[f32], &[f32])> = vec![(&a.0, &a.1), (&b.0, &b.1)];
+
+    // Two pool shares and a zero work cutoff: every parallel region in the
+    // forward (matmuls, softmax, GELU, transposes) dispatches to the pool, so
+    // the count covers the region set-up on the submitting thread — the
+    // share hand-off must live on its stack, not in a fresh `Vec`.
+    with_thread_count(2, || {
+        bliss_parallel::with_min_parallel_work(0, || {
+            let mut out = PlannedBatch::new();
+            for _ in 0..4 {
+                vit.forward_batch_into(&batch, &mut out)
+                    .expect("forward succeeds");
+                assert!(out.frame(0).is_some() && out.frame(1).is_some());
+            }
+            for iter in 0..4 {
+                let (total, big) = count_allocs(|| {
+                    vit.forward_batch_into(&batch, &mut out)
+                        .expect("forward succeeds");
+                    std::hint::black_box(&out);
+                });
+                assert_eq!(
+                    total, 0,
+                    "two-thread planned forward_batch_into performed {total} \
+                     heap allocations on iteration {iter} ({big} buffer-class); \
+                     dispatching a parallel region must not allocate"
+                );
+            }
+        });
+    });
+}

@@ -303,17 +303,16 @@ where
     // on this thread and handed across the pool through take-once cells.
     let chunks_per_share = n_chunks.div_ceil(threads);
     let span = chunks_per_share * chunk_len;
-    let mut parts: Vec<(usize, &mut [T])> = Vec::with_capacity(threads);
+    let mut cells = pool::ShareCells::new();
     let mut rest = data;
     let mut first_chunk = 0usize;
     while !rest.is_empty() {
         let take = span.min(rest.len());
         let (head, tail) = rest.split_at_mut(take);
-        parts.push((first_chunk, head));
+        cells.push((first_chunk, head));
         first_chunk += chunks_per_share;
         rest = tail;
     }
-    let cells = pool::ShareCells::new(parts);
     let f = &f;
     pool::run_region(cells.len(), &|w: usize| {
         let (first_chunk, slice) = cells.take(w);
@@ -450,7 +449,7 @@ pub fn par_zip_rows_with_cost<A, B, F>(
         return;
     }
     let rows_per_share = rows.div_ceil(threads);
-    let mut parts: Vec<(usize, &mut [A], &mut [B])> = Vec::with_capacity(threads);
+    let mut cells = pool::ShareCells::new();
     let mut rest_a = a;
     let mut rest_b = b;
     let mut first_row = 0usize;
@@ -458,12 +457,11 @@ pub fn par_zip_rows_with_cost<A, B, F>(
         let take_rows = rows_per_share.min(rest_a.len() / row_len_a);
         let (head_a, tail_a) = rest_a.split_at_mut(take_rows * row_len_a);
         let (head_b, tail_b) = rest_b.split_at_mut(take_rows * row_len_b);
-        parts.push((first_row, head_a, head_b));
+        cells.push((first_row, head_a, head_b));
         first_row += take_rows;
         rest_a = tail_a;
         rest_b = tail_b;
     }
-    let cells = pool::ShareCells::new(parts);
     let f = &f;
     pool::run_region(cells.len(), &|w: usize| {
         let (first_row, sa, sb) = cells.take(w);
@@ -530,12 +528,10 @@ where
     let per_share = n.div_ceil(threads);
     let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
     {
-        let parts: Vec<(usize, &mut [Option<R>])> = out
-            .chunks_mut(per_share)
-            .enumerate()
-            .map(|(w, block)| (w * per_share, block))
-            .collect();
-        let cells = pool::ShareCells::new(parts);
+        let mut cells = pool::ShareCells::new();
+        for (w, block) in out.chunks_mut(per_share).enumerate() {
+            cells.push((w * per_share, block));
+        }
         let f = &f;
         pool::run_region(cells.len(), &|w: usize| {
             let (start, slots) = cells.take(w);
@@ -592,14 +588,14 @@ where
     let per_share = n.div_ceil(threads);
     let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
     {
-        type MutShare<'p, T, R> = (usize, &'p mut [T], &'p mut [Option<R>]);
-        let parts: Vec<MutShare<'_, T, R>> = items
+        let mut cells = pool::ShareCells::new();
+        for (w, (block, slots)) in items
             .chunks_mut(per_share)
             .zip(out.chunks_mut(per_share))
             .enumerate()
-            .map(|(w, (block, slots))| (w * per_share, block, slots))
-            .collect();
-        let cells = pool::ShareCells::new(parts);
+        {
+            cells.push((w * per_share, block, slots));
+        }
         let f = &f;
         pool::run_region(cells.len(), &|w: usize| {
             let (start, block, slots) = cells.take(w);

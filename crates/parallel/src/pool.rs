@@ -143,9 +143,12 @@ pub fn pool_thread_count() -> usize {
 /// the submitting thread, park the disjoint pieces here, and each share
 /// takes exactly its own index from inside the region closure — so the
 /// mutable borrows cross threads without any raw-pointer slicing in the
-/// primitives themselves.
+/// primitives themselves. The cells are a fixed array on the submitter's
+/// stack (a region has at most [`MAX_THREADS`] shares), so dispatching a
+/// region allocates nothing.
 pub(crate) struct ShareCells<T> {
-    cells: Vec<UnsafeCell<Option<T>>>,
+    cells: [UnsafeCell<Option<T>>; MAX_THREADS],
+    len: usize,
 }
 
 // SAFETY: a `ShareCells` is only shared between the threads of one region,
@@ -156,19 +159,28 @@ pub(crate) struct ShareCells<T> {
 unsafe impl<T: Send> Sync for ShareCells<T> {}
 
 impl<T> ShareCells<T> {
-    /// Parks one work item per share, in share order.
-    pub(crate) fn new(items: Vec<T>) -> Self {
+    /// An empty set of cells.
+    pub(crate) fn new() -> Self {
         ShareCells {
-            cells: items
-                .into_iter()
-                .map(|t| UnsafeCell::new(Some(t)))
-                .collect(),
+            cells: std::array::from_fn(|_| UnsafeCell::new(None)),
+            len: 0,
         }
+    }
+
+    /// Parks the next share's work item.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`MAX_THREADS`] items are already parked.
+    pub(crate) fn push(&mut self, item: T) {
+        assert!(self.len < MAX_THREADS, "more shares than MAX_THREADS");
+        *self.cells[self.len].get_mut() = Some(item);
+        self.len += 1;
     }
 
     /// Number of parked shares.
     pub(crate) fn len(&self) -> usize {
-        self.cells.len()
+        self.len
     }
 
     /// Takes share `w`'s item. Must be called at most once per index, from

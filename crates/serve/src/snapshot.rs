@@ -364,6 +364,26 @@ fn restore_session(
             snap.next_frame - 1
         )));
     }
+    // The sensor and front end assert these on restore; a snapshot from
+    // outside the process must fail with a typed error instead.
+    let sensor = &snap.front.sensor;
+    for (name, buf) in [("held", &sensor.held), ("current", &sensor.current)] {
+        if let Some(buf) = buf.as_ref().filter(|b| b.len() != pixels) {
+            return Err(SnapshotError::Corrupt(format!(
+                "session {}: sensor {name} frame holds {} pixels, system expects {pixels}",
+                snap.config.id,
+                buf.len()
+            )));
+        }
+    }
+    for (name, state) in [("SRAM", sensor.sram_rng), ("imaging-noise", snap.front.rng)] {
+        if state == [0; 4] {
+            return Err(SnapshotError::Corrupt(format!(
+                "session {}: all-zero {name} RNG state",
+                snap.config.id
+            )));
+        }
+    }
     let mut session = Session::new(snap.config, system);
     session.front.restore(&snap.front);
     session.next_frame = snap.next_frame;
@@ -383,8 +403,8 @@ mod tests {
         ServeRuntime::with_networks(system, vit, roi_net)
     }
 
-    #[test]
-    fn restore_state_round_trips_and_rejects_another_system() {
+    /// A small runtime and a snapshot of it after one served batch.
+    fn stepped_snapshot() -> (ServeRuntime, ServeSnapshot) {
         let mut system = SystemConfig::miniature();
         system.vit.dim = 12;
         system.vit.enc_depth = 1;
@@ -395,11 +415,52 @@ mod tests {
         let mut state = rt.start(&cfg);
         assert!(rt.step_batch(&cfg, &mut state).expect("step succeeds"));
         let snap = rt.snapshot(&cfg, &state);
+        (rt, snap)
+    }
+
+    fn assert_corrupt(rt: &ServeRuntime, snap: &ServeSnapshot, needle: &str) {
+        match rt.restore_state(snap) {
+            Err(SnapshotError::Corrupt(msg)) => assert!(msg.contains(needle), "{msg}"),
+            other => panic!("expected a Corrupt error naming {needle:?}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_sensor_frame_of_the_wrong_length() {
+        let (rt, snap) = stepped_snapshot();
+        for held in [true, false] {
+            let mut bad = snap.clone();
+            let sensor = &mut bad.sessions[1].front.sensor;
+            let buf = if held {
+                &mut sensor.held
+            } else {
+                &mut sensor.current
+            };
+            buf.as_mut().expect("a stepped session holds frames").pop();
+            assert_corrupt(&rt, &bad, if held { "held" } else { "current" });
+        }
+    }
+
+    #[test]
+    fn restore_rejects_an_all_zero_rng_state() {
+        let (rt, snap) = stepped_snapshot();
+        let mut bad = snap.clone();
+        bad.sessions[0].front.sensor.sram_rng = [0; 4];
+        assert_corrupt(&rt, &bad, "SRAM");
+        let mut bad = snap;
+        bad.sessions[2].front.rng = [0; 4];
+        assert_corrupt(&rt, &bad, "imaging-noise");
+    }
+
+    #[test]
+    fn restore_state_round_trips_and_rejects_another_system() {
+        let (rt, snap) = stepped_snapshot();
+        let cfg = snap.serve;
 
         let restored = rt.restore_state(&snap).expect("same system restores");
         assert_eq!(rt.snapshot(&cfg, &restored), snap);
 
-        let mut other = system;
+        let mut other = snap.system;
         other.seed ^= 1;
         let err = runtime(other)
             .restore_state(&snap)

@@ -1,3 +1,4 @@
+use crate::math::{exp_f32, tanh_f32};
 use crate::scratch;
 use crate::TensorError;
 use rand::Rng;
@@ -1182,18 +1183,19 @@ pub(crate) fn transpose_into(src: &[f32], m: usize, n: usize, out: &mut [f32]) {
 
 /// Row-wise numerically-stabilised softmax of `src` (rows of length `n`)
 /// into the same-size `out`. `src` and `out` must not alias.
-pub(crate) fn softmax_rows_into(src: &[f32], n: usize, out: &mut [f32]) {
+///
+/// Each row takes its max, exponentiates the shifted row with [`exp_f32`] in
+/// one vectorised pass, sums the exponentials in order and divides.
+pub fn softmax_rows_into(src: &[f32], n: usize, out: &mut [f32]) {
     if n > 0 {
         // Cost hint 8: exp + normalisation per element.
         bliss_parallel::par_map_rows_with_cost(out, n, 8, |i, out_row| {
             let row = &src[i * n..(i + 1) * n];
             let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut denom = 0.0;
-            for (o, &v) in out_row.iter_mut().zip(row.iter()) {
-                let e = (v - mx).exp();
-                *o = e;
-                denom += e;
+            for (o, &v) in out_row.iter_mut().zip(row) {
+                *o = exp_f32(v - mx);
             }
+            let denom = out_row.iter().fold(0.0f32, |acc, &e| acc + e);
             for v in out_row.iter_mut() {
                 *v /= denom;
             }
@@ -1202,11 +1204,13 @@ pub(crate) fn softmax_rows_into(src: &[f32], n: usize, out: &mut [f32]) {
 }
 
 /// Adds the length-`n` `row` to every `n`-wide row of `out` in place — the
-/// broadcast at the heart of [`NdArray::add_row`].
+/// broadcast at the heart of [`NdArray::add_row`]. A trailing partial row
+/// gets the matching prefix of `row`.
 pub fn add_row_assign(out: &mut [f32], row: &[f32]) {
-    let n = row.len();
-    for (i, v) in out.iter_mut().enumerate() {
-        *v += row[i % n];
+    for out_row in out.chunks_mut(row.len()) {
+        for (v, &r) in out_row.iter_mut().zip(row) {
+            *v += r;
+        }
     }
 }
 
@@ -1286,15 +1290,47 @@ pub(crate) const GELU_A: f32 = 0.797_884_6;
 /// Cubic coefficient of the tanh GELU approximation.
 pub(crate) const GELU_B: f32 = 0.044_715;
 
-/// The tanh-approximated GELU, elementwise.
+/// The tanh-approximated GELU of one element. Always inlined, so the slice
+/// kernels below vectorise; callers outside them use those kernels.
+#[inline(always)]
 pub(crate) fn gelu_scalar(v: f32) -> f32 {
     let u = GELU_A * (v + GELU_B * v * v * v);
-    0.5 * v * (1.0 + u.tanh())
+    0.5 * v * (1.0 + tanh_f32(u))
+}
+
+/// Elements per GELU chunk on the pool. The op is elementwise, so any fixed
+/// partition gives the same bytes at every thread count.
+const GELU_CHUNK: usize = 4096;
+/// Work-estimate cost of one GELU element for the pool's serial cutoff.
+const GELU_COST: usize = 8;
+
+/// The tanh-approximated GELU of `src` into the same-length `out`.
+///
+/// # Panics
+///
+/// Panics if the lengths differ.
+pub fn gelu_into(src: &[f32], out: &mut [f32]) {
+    assert_eq!(src.len(), out.len(), "gelu_into: length mismatch");
+    bliss_parallel::par_chunks_with_cost(out, GELU_CHUNK, GELU_COST, |ci, chunk| {
+        let src = &src[ci * GELU_CHUNK..ci * GELU_CHUNK + chunk.len()];
+        for (o, &x) in chunk.iter_mut().zip(src) {
+            *o = gelu_scalar(x);
+        }
+    });
+}
+
+/// The tanh-approximated GELU of `data`, in place.
+pub fn gelu_assign(data: &mut [f32]) {
+    bliss_parallel::par_chunks_with_cost(data, GELU_CHUNK, GELU_COST, |_, chunk| {
+        for v in chunk.iter_mut() {
+            *v = gelu_scalar(*v);
+        }
+    });
 }
 
 /// The logistic sigmoid, elementwise.
 pub(crate) fn sigmoid_scalar(v: f32) -> f32 {
-    1.0 / (1.0 + (-v).exp())
+    1.0 / (1.0 + exp_f32(-v))
 }
 
 /// Mean and inverse standard deviation of one layer-norm row, in exactly the

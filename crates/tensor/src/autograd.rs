@@ -479,7 +479,7 @@ impl Tensor {
 
     /// Hyperbolic tangent.
     pub fn tanh(&self) -> Tensor {
-        let value = self.value().map(f32::tanh);
+        let value = self.value().map(crate::math::tanh_f32);
         let y = value.clone();
         Tensor::from_op(
             value,
@@ -495,14 +495,15 @@ impl Tensor {
     pub fn gelu(&self) -> Tensor {
         use crate::array::{GELU_A as A, GELU_B as B};
         let x = self.value().clone();
-        let value = x.map(crate::array::gelu_scalar);
+        let mut value = NdArray::zeros(x.shape());
+        crate::array::gelu_into(x.data(), value.data_mut());
         Tensor::from_op(
             value,
             vec![self.clone()],
             Box::new(move |g, parents| {
                 let dg = g.zip_with(&x, |gv, v| {
                     let u = A * (v + B * v * v * v);
-                    let t = u.tanh();
+                    let t = crate::math::tanh_f32(u);
                     let du = A * (1.0 + 3.0 * B * v * v);
                     gv * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * du)
                 });

@@ -34,8 +34,8 @@
 #![warn(missing_docs)]
 
 use crate::array::{
-    add_row_assign, gather_rows_into, gelu_scalar, im2col_into, layer_norm_row_stats, matmul_into,
-    matmul_transposed_into, sigmoid_scalar, softmax_rows_into, transpose_into,
+    add_row_assign, gather_rows_into, gelu_assign, gelu_into, im2col_into, layer_norm_row_stats,
+    matmul_into, matmul_transposed_into, sigmoid_scalar, softmax_rows_into, transpose_into,
 };
 use crate::graph::GraphBuilder;
 use crate::plan::{plan_graph, Operand, Plan, SrcLoc, StepOp};
@@ -424,17 +424,9 @@ impl ExecPlan {
                     }
                 }
                 StepOp::Gelu { a } => {
-                    self.with_src(a, inputs, base, |av| {
-                        for (o, &x) in out.iter_mut().zip(av) {
-                            *o = gelu_scalar(x);
-                        }
-                    });
+                    self.with_src(a, inputs, base, |av| gelu_into(av, out));
                 }
-                StepOp::GeluIp => {
-                    for o in out.iter_mut() {
-                        *o = gelu_scalar(*o);
-                    }
-                }
+                StepOp::GeluIp => gelu_assign(out),
                 StepOp::SoftmaxRows { a, cols } => {
                     self.with_src(a, inputs, base, |av| softmax_rows_into(av, *cols, out));
                 }

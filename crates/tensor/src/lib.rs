@@ -67,6 +67,7 @@ mod error;
 mod exec;
 mod gradcheck;
 mod graph;
+mod math;
 mod plan;
 pub mod quant;
 mod scratch;
@@ -93,7 +94,10 @@ pub use quant::{CalTap, QuantCalibration, QuantEntry, QuantSpec, QuantizedWeight
 /// arithmetic as the corresponding [`NdArray`] / [`Tensor`] ops —
 /// bit-identical results at any thread count.
 pub mod kernels {
-    pub use crate::array::{add_row_assign, gather_rows_into, matmul_into};
+    pub use crate::array::{
+        add_row_assign, gather_rows_into, gelu_into, matmul_into, softmax_rows_into,
+    };
+    pub use crate::math::{exp_f32, tanh_f32};
 }
 pub use scratch::{
     pool_stats, recycle_f32_buffer, recycle_i32_buffer, recycle_i8_buffer, recycle_index_buffer,
