@@ -355,8 +355,13 @@ fn bench_plan_vs_tape(c: &mut Criterion) {
     c.report_value(
         "plan_vs_tape_planned_allocs_per_iter",
         planned_allocs as f64,
+        "allocs",
     );
-    c.report_value("plan_vs_tape_tape_allocs_per_iter", tape_allocs as f64);
+    c.report_value(
+        "plan_vs_tape_tape_allocs_per_iter",
+        tape_allocs as f64,
+        "allocs",
+    );
 }
 
 /// Telemetry overhead on the instrumented hot path: the planned batched
@@ -437,7 +442,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     }
 
     let overhead_pct = (best_on_s - best_off_s) / best_off_s * 100.0;
-    c.report_value("telemetry_overhead_pct", overhead_pct);
+    c.report_value("telemetry_overhead_pct", overhead_pct, "%");
     if std::env::var_os("BLISS_TELEMETRY_GATE").is_some_and(|v| v == "1") {
         assert!(
             overhead_pct <= 3.0,

@@ -123,7 +123,7 @@ fn gate_zero_frame_loss(
 }
 
 fn main() {
-    let quick = bliss_bench::fast_mode();
+    let quick = bliss_bench::fast_mode(&[bliss_bench::Flag::Quick]);
     let (sessions, hosts, frames, seeds): (usize, usize, usize, &[u64]) = if quick {
         (6, 2, 4, &[0xA1, 0xB2, 0xC3])
     } else {

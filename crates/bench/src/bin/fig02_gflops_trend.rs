@@ -5,6 +5,8 @@ use bliss_bench::print_table;
 use bliss_energy::trends::{EYE_TRACKING_ALGORITHMS, JETSON_GPUS};
 
 fn main() {
+    // Analytic: `--quick` is accepted and changes nothing.
+    bliss_bench::flags(&[bliss_bench::Flag::Quick]);
     let rows: Vec<Vec<String>> = JETSON_GPUS
         .iter()
         .map(|g| {

@@ -5,6 +5,8 @@ use bliss_bench::{fmt_time, print_table};
 use bliss_energy::{MipiLink, Resolution};
 
 fn main() {
+    // Analytic: `--quick` is accepted and changes nothing.
+    bliss_bench::flags(&[bliss_bench::Flag::Quick]);
     let link = MipiLink::default();
     let rows: Vec<Vec<String>> = Resolution::ALL
         .iter()

@@ -5,6 +5,8 @@ use bliss_bench::print_table;
 use bliss_energy::trends::{mean_readout_power_pct, READOUT_POWER_SURVEY};
 
 fn main() {
+    // Analytic: `--quick` is accepted and changes nothing.
+    bliss_bench::flags(&[bliss_bench::Flag::Quick]);
     let rows: Vec<Vec<String>> = READOUT_POWER_SURVEY
         .iter()
         .map(|e| {

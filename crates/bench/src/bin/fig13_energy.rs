@@ -6,6 +6,8 @@ use blisscam_core::experiments::fig13_energy;
 use blisscam_core::SystemConfig;
 
 fn main() {
+    // Analytic: `--quick` is accepted and changes nothing.
+    bliss_bench::flags(&[bliss_bench::Flag::Quick]);
     let cfg = SystemConfig::paper();
     let rows_data = fig13_energy(&cfg);
     let rows: Vec<Vec<String>> = rows_data

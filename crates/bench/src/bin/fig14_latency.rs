@@ -5,6 +5,8 @@ use blisscam_core::experiments::fig14_latency;
 use blisscam_core::SystemConfig;
 
 fn main() {
+    // Analytic: `--quick` is accepted and changes nothing.
+    bliss_bench::flags(&[bliss_bench::Flag::Quick]);
     let cfg = SystemConfig::paper();
     let rows_data = fig14_latency(&cfg);
     let rows: Vec<Vec<String>> = rows_data

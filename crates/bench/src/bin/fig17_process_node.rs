@@ -5,6 +5,8 @@ use bliss_bench::print_table;
 use blisscam_core::experiments::fig17_process_node;
 
 fn main() {
+    // Analytic: `--quick` is accepted and changes nothing.
+    bliss_bench::flags(&[bliss_bench::Flag::Quick]);
     let rows_data = fig17_process_node();
     for soc in [7u32, 22] {
         let rows: Vec<Vec<String>> = rows_data

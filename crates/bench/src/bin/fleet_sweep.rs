@@ -17,6 +17,7 @@
 //! spans — `pid` = host, `tid` = session — are exported as
 //! Perfetto-loadable Chrome trace JSON to `TRACE_fleet.json`.
 
+use bliss_bench::Flag;
 use bliss_fleet::{FleetConfig, FleetReport, FleetRuntime, PlacementPolicy};
 use bliss_telemetry::export::{chrome_trace_json, stage_breakdown, StageSummary};
 use bliss_telemetry::MetricsSnapshot;
@@ -50,7 +51,7 @@ struct SweepReport {
 }
 
 fn main() {
-    let quick = bliss_bench::fast_mode();
+    let quick = bliss_bench::fast_mode(&[Flag::Quick]);
     let (session_counts, host_counts, frames): (&[usize], &[usize], usize) = if quick {
         (&[6], &[1, 2], 4)
     } else {
@@ -124,13 +125,18 @@ fn main() {
         &rows,
     );
 
-    // Drain the span ring: validate the Chrome trace JSON by re-parsing,
-    // then write it next to the bench report.
+    // Freeze the metrics, then drain the span ring: validate the Chrome
+    // trace JSON by re-parsing, then write it next to the bench report.
     bliss_telemetry::set_enabled(false);
     let spans_dropped = bliss_telemetry::spans_dropped();
-    let spans = bliss_telemetry::take_spans();
-    let stages = stage_breakdown(&spans);
     let metrics = bliss_telemetry::metrics_snapshot();
+    let spans = bliss_telemetry::take_spans();
+    assert_eq!(
+        metrics.gauge("spans_recorded"),
+        spans.len() as f64,
+        "the spans_recorded gauge must count the spans drained from the ring"
+    );
+    let stages = stage_breakdown(&spans);
     let trace_json = chrome_trace_json(&spans);
     let trace_value = JsonValue::parse(&trace_json).expect("trace JSON must parse");
     let event_count = trace_value

@@ -18,6 +18,7 @@
 //! Perfetto-loadable Chrome trace JSON to `TRACE_serve.json` (validated by
 //! re-parsing before it is written).
 
+use bliss_bench::Flag;
 use bliss_serve::{Precision, ServeConfig, ServeOutcome, ServeReport, ServeRuntime};
 use bliss_telemetry::export::{chrome_trace_json, stage_breakdown, StageSummary};
 use bliss_telemetry::MetricsSnapshot;
@@ -85,15 +86,6 @@ struct SweepReport {
     /// First swept session count whose batched deadline-miss rate reaches
     /// 50% (0 = never): the serving saturation knee.
     knee_sessions: usize,
-    /// Wall-clock of one representative batched load point served through
-    /// the compiled execution plans (the default).
-    planned_wall_ms: f64,
-    /// The same load point forced back onto the autograd tape.
-    tape_wall_ms: f64,
-    /// `tape_wall_ms / planned_wall_ms`: the per-frame dispatch win of
-    /// planned execution (identical outputs, pinned bit-for-bit before the
-    /// ratio is reported).
-    planned_dispatch_speedup: f64,
     /// Per-stage span aggregates over the whole traced sweep (virtual and
     /// wall time), in pipeline order.
     stages: Vec<StageSummary>,
@@ -116,19 +108,14 @@ struct SweepReport {
     points: Vec<SweepPoint>,
 }
 
-/// Parses `--precision <f32|int8|both>` (or `BLISS_BENCH_PRECISION`);
+/// The flags this binary accepts.
+const FLAGS: &[Flag] = &[Flag::Quick, Flag::Precision];
+
+/// Reads `--precision <f32|int8|both>` (or `BLISS_BENCH_PRECISION`);
 /// defaults to `both`.
 fn precision_mode() -> String {
-    let args: Vec<String> = std::env::args().collect();
-    let mut value = None;
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix("--precision=") {
-            value = Some(v.to_string());
-        } else if a == "--precision" {
-            value = args.get(i + 1).cloned();
-        }
-    }
-    let mode = value
+    let mode = bliss_bench::flags(FLAGS)
+        .precision
         .or_else(|| std::env::var("BLISS_BENCH_PRECISION").ok())
         .unwrap_or_else(|| "both".to_string());
     assert!(
@@ -192,7 +179,7 @@ fn roi_tightness(runtime: &ServeRuntime, frames: usize) -> f64 {
 }
 
 fn main() {
-    let quick = bliss_bench::fast_mode();
+    let quick = bliss_bench::fast_mode(FLAGS);
     let precision_mode = precision_mode();
     let quant_gate = std::env::var("BLISS_QUANT_GATE").is_ok_and(|v| !v.is_empty() && v != "0");
     assert!(
@@ -416,36 +403,20 @@ fn main() {
     }
     let int8_sites = runtime.int8_sites();
 
-    // Dispatch win: one mid-sweep batched load point served through the
-    // compiled execution plans (the default), then forced back onto the
-    // autograd tape. Outputs must agree bit-for-bit; only wall time moves.
-    let mut probe_cfg = ServeConfig::new(if quick { 4 } else { 8 }, frames);
-    probe_cfg.max_batch = max_batch;
-    let t = Instant::now();
-    let planned_outcome = runtime.serve(&probe_cfg).expect("serve succeeds");
-    let planned_wall_ms = t.elapsed().as_secs_f64() * 1e3;
-    let tape_runtime = runtime.without_planned_inference();
-    let t = Instant::now();
-    let tape_outcome = tape_runtime.serve(&probe_cfg).expect("serve succeeds");
-    let tape_wall_ms = t.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(
-        planned_outcome.report, tape_outcome.report,
-        "planned and tape serving must agree bit-for-bit"
-    );
-    let planned_dispatch_speedup = tape_wall_ms / planned_wall_ms.max(1e-9);
-    println!(
-        "planned dispatch {planned_wall_ms:.1} ms vs tape {tape_wall_ms:.1} ms \
-         ({planned_dispatch_speedup:.2}x)"
-    );
-
-    // Drain the span ring into the Perfetto-loadable Chrome trace and the
-    // per-stage breakdown; validate the trace JSON by re-parsing it with
-    // the same parser CI uses before writing it next to the bench report.
+    // Freeze the metrics, then drain the span ring into the
+    // Perfetto-loadable Chrome trace and the per-stage breakdown; validate
+    // the trace JSON by re-parsing it with the same parser CI uses before
+    // writing it next to the bench report.
     bliss_telemetry::set_enabled(false);
     let spans_dropped = bliss_telemetry::spans_dropped();
-    let spans = bliss_telemetry::take_spans();
-    let stages = stage_breakdown(&spans);
     let metrics = bliss_telemetry::metrics_snapshot();
+    let spans = bliss_telemetry::take_spans();
+    assert_eq!(
+        metrics.gauge("spans_recorded"),
+        spans.len() as f64,
+        "the spans_recorded gauge must count the spans drained from the ring"
+    );
+    let stages = stage_breakdown(&spans);
     let trace_json = chrome_trace_json(&spans);
     let trace_value = JsonValue::parse(&trace_json).expect("trace JSON must parse");
     let event_count = trace_value
@@ -476,9 +447,6 @@ fn main() {
         max_batch,
         roi_box_to_gt_area_ratio: roi_ratio,
         knee_sessions,
-        planned_wall_ms,
-        tape_wall_ms,
-        planned_dispatch_speedup,
         stages,
         metrics,
         spans_dropped,

@@ -24,7 +24,7 @@ use serde::Serialize;
 use std::time::Instant;
 
 fn main() {
-    let quick = bliss_bench::fast_mode();
+    let quick = bliss_bench::fast_mode(&[bliss_bench::Flag::Quick]);
     let cfg = if quick {
         SoakConfig::smoke()
     } else {

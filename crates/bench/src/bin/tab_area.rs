@@ -4,6 +4,8 @@ use bliss_bench::print_table;
 use bliss_energy::{AreaModel, ProcessNode};
 
 fn main() {
+    // Analytic: `--quick` is accepted and changes nothing.
+    bliss_bench::flags(&[bliss_bench::Flag::Quick]);
     let m = AreaModel::default();
     let rows = vec![
         vec![

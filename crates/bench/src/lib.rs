@@ -21,8 +21,10 @@
 //! serving layers and `soak` runs the long-horizon durability soak (see
 //! the [`soak`] module).
 //!
-//! Accuracy binaries accept `--quick` for a fast, smaller-workload run; the
-//! default matches `ExperimentScale::standard()`.
+//! Every binary accepts `--quick` (a fast, smaller-workload run; the
+//! default matches `ExperimentScale::standard()`) and `serve_sweep` also
+//! accepts `--precision <f32|int8|both>`. Any other argument exits with
+//! status 2 and a usage line (see [`flags`]).
 //!
 //! Criterion micro-benchmarks for the hot kernels (eventification, RLE,
 //! SRAM sampling, ViT forward, systolic model, renderer) live in `benches/`.
@@ -66,19 +68,96 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("{line}");
 }
 
+/// A command-line flag a bench binary accepts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flag {
+    /// `--quick`: the reduced workload. Every binary accepts it.
+    Quick,
+    /// `--precision <f32|int8|both>` or `--precision=<mode>`.
+    Precision,
+}
+
+impl Flag {
+    fn usage(self) -> &'static str {
+        match self {
+            Flag::Quick => "[--quick]",
+            Flag::Precision => "[--precision <f32|int8|both>]",
+        }
+    }
+}
+
+/// The flags a bench binary was given.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Flags {
+    /// `--quick` was given.
+    pub quick: bool,
+    /// The `--precision` mode, when given.
+    pub precision: Option<String>,
+}
+
+/// Parses `args` (program name excluded) against the `accepted` flags.
+///
+/// # Errors
+///
+/// A message naming the offending argument: a flag not in `accepted`, a
+/// positional argument, or a missing or unknown `--precision` mode.
+pub fn parse_flags(args: &[String], accepted: &[Flag]) -> Result<Flags, String> {
+    let mut flags = Flags::default();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let (name, inline) = match arg.split_once('=') {
+            Some((name, value)) => (name, Some(value.to_string())),
+            None => (arg.as_str(), None),
+        };
+        match name {
+            "--quick" if inline.is_none() && accepted.contains(&Flag::Quick) => flags.quick = true,
+            "--precision" if accepted.contains(&Flag::Precision) => {
+                let mode = inline
+                    .or_else(|| rest.next().cloned())
+                    .ok_or("--precision needs a value")?;
+                if !matches!(mode.as_str(), "f32" | "int8" | "both") {
+                    return Err(format!(
+                        "--precision must be f32, int8 or both, not {mode:?}"
+                    ));
+                }
+                flags.precision = Some(mode);
+            }
+            _ => return Err(format!("unexpected argument {arg:?}")),
+        }
+    }
+    Ok(flags)
+}
+
+/// This process's flags, parsed against `accepted`. On a bad argument it
+/// prints the error and a usage line to stderr and exits with status 2.
+pub fn flags(accepted: &[Flag]) -> Flags {
+    let mut args = std::env::args();
+    let program = args.next().unwrap_or_default();
+    let args: Vec<String> = args.collect();
+    parse_flags(&args, accepted).unwrap_or_else(|e| {
+        let program = std::path::Path::new(&program)
+            .file_name()
+            .map_or(program.clone(), |n| n.to_string_lossy().into_owned());
+        let usage: Vec<&str> = accepted.iter().map(|f| f.usage()).collect();
+        eprintln!("error: {e}\nusage: {program} {}", usage.join(" "));
+        std::process::exit(2)
+    })
+}
+
 /// Parses the common `--quick` flag into an [`ExperimentScale`].
 pub fn scale_from_args() -> ExperimentScale {
-    if std::env::args().any(|a| a == "--quick") {
+    if flags(&[Flag::Quick]).quick {
         ExperimentScale::quick()
     } else {
         ExperimentScale::standard()
     }
 }
 
-/// Whether a sweep binary should run its reduced CI profile: the `--quick`
-/// flag or a non-empty, non-`"0"` `BLISS_BENCH_FAST` environment variable.
-pub fn fast_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
+/// Whether a sweep binary accepting `accepted` should run its reduced CI
+/// profile: the `--quick` flag or a non-empty, non-`"0"`
+/// `BLISS_BENCH_FAST` environment variable.
+pub fn fast_mode(accepted: &[Flag]) -> bool {
+    flags(accepted).quick
         || std::env::var("BLISS_BENCH_FAST").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
@@ -124,6 +203,46 @@ mod tests {
     fn fmt_time_units() {
         assert_eq!(fmt_time(2e-3), "2.00 ms");
         assert_eq!(fmt_time(5e-6), "5.0 us");
+    }
+
+    fn parse(args: &[&str], accepted: &[Flag]) -> Result<Flags, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_flags(&args, accepted)
+    }
+
+    #[test]
+    fn parse_flags_reads_quick_and_both_precision_forms() {
+        let all = [Flag::Quick, Flag::Precision];
+        assert_eq!(parse(&[], &all), Ok(Flags::default()));
+        let want = Flags {
+            quick: true,
+            precision: Some("int8".to_string()),
+        };
+        assert_eq!(
+            parse(&["--quick", "--precision=int8"], &all).as_ref(),
+            Ok(&want)
+        );
+        assert_eq!(parse(&["--precision", "int8", "--quick"], &all), Ok(want));
+    }
+
+    #[test]
+    fn parse_flags_rejects_unknown_and_unaccepted_flags() {
+        let all = [Flag::Quick, Flag::Precision];
+        assert!(parse(&["--quikc"], &all).unwrap_err().contains("--quikc"));
+        assert!(parse(&["quick"], &all).is_err());
+        assert!(parse(&["--quick=1"], &all).is_err());
+        // A flag another binary takes is still unknown here.
+        assert!(parse(&["--precision", "f32"], &[Flag::Quick]).is_err());
+    }
+
+    #[test]
+    fn parse_flags_rejects_a_missing_or_unknown_precision() {
+        let all = [Flag::Quick, Flag::Precision];
+        assert!(parse(&["--precision"], &all)
+            .unwrap_err()
+            .contains("needs a value"));
+        assert!(parse(&["--precision", "fp16"], &all).is_err());
+        assert!(parse(&["--precision="], &all).is_err());
     }
 
     #[test]

@@ -362,6 +362,7 @@ fn hardware_model_values_round_trip() {
         bank_bytes: 1 << 14,
         node: bliss_energy::ProcessNode::NM16,
         dispatch_cycles: 1000,
+        precision: bliss_npu::Precision::Int8,
     };
     rt(&array);
     let report: RunReport = array.run(&w, &bliss_energy::EnergyParams::default(), true);
@@ -555,7 +556,6 @@ fn telemetry_values_round_trip() {
     }
     let span = bliss_telemetry::SpanRecord {
         stage: bliss_telemetry::Stage::Inference,
-        planned: true,
         scenario: 3,
         host: 2,
         session: 17,

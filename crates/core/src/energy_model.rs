@@ -147,27 +147,18 @@ impl FrameCounts {
 /// Analytic per-frame energy of `variant` under `cfg` (paper Fig. 13),
 /// using the expected ROI size and sampling rate.
 pub fn energy_breakdown(cfg: &SystemConfig, variant: SystemVariant) -> EnergyBreakdown {
-    energy_breakdown_with_counts(cfg, variant, &FrameCounts::expected(cfg))
+    energy_breakdown_with_counts_at(cfg, variant, &FrameCounts::expected(cfg), Precision::F32)
 }
 
 /// Per-frame energy of `variant` under `cfg` with *measured* activity
 /// counts (used by the executable simulation, which knows the real ROI
-/// size, sample count and RLE payload of every frame).
-pub fn energy_breakdown_with_counts(
-    cfg: &SystemConfig,
-    variant: SystemVariant,
-    counts: &FrameCounts,
-) -> EnergyBreakdown {
-    energy_breakdown_with_counts_at(cfg, variant, counts, Precision::F32)
-}
-
-/// [`energy_breakdown_with_counts`] with the host **segmentation** network
-/// executed at an explicit precision (the serving stack's f32/int8 switch).
+/// size, sample count and RLE payload of every frame), with the host
+/// **segmentation** network executed at `precision` (the serving stack's
+/// f32/int8 switch).
 ///
 /// Precision applies to the segmentation GEMMs only: the ROI-prediction net
 /// and every sensor-side analog/digital component are precision-independent
-/// in this model, and `Precision::F32` reproduces the default breakdown
-/// bit-exactly.
+/// in this model.
 pub fn energy_breakdown_with_counts_at(
     cfg: &SystemConfig,
     variant: SystemVariant,
@@ -179,6 +170,7 @@ pub fn energy_breakdown_with_counts_at(
     let period = cfg.frame_period_s();
     let sampled = counts.sampled;
     let host = SystolicArray::host().at_node(cfg.host_node);
+    let seg_host = host.at_precision(precision);
     let in_sensor = SystolicArray::in_sensor().at_node(cfg.sensor_logic_node);
     let full_frame_bytes = p.mipi.frame_bytes(cfg.pixels());
     let feedback_bytes = counts.roi_pixels.div_ceil(4); // 2-bit class map
@@ -189,7 +181,7 @@ pub fn energy_breakdown_with_counts_at(
         SystemVariant::NpuFull => {
             e.analog_readout_j = p.readout.adc_energy_j(pixels, cfg.analog_node);
             e.mipi_j = p.mipi.transfer_energy_j(full_frame_bytes);
-            let seg = host.run_at(&cfg.cnn.workload(false), p, true, precision);
+            let seg = seg_host.run(&cfg.cnn.workload(false), p, true);
             e.host_compute_j = seg.mac_energy_j + seg.sram_energy_j;
             // Frame staged through DRAM on its way into the NPU buffer.
             e.dram_j = seg.dram_energy_j + p.dram.traffic_energy_j(2 * full_frame_bytes);
@@ -198,11 +190,10 @@ pub fn energy_breakdown_with_counts_at(
             e.analog_readout_j = p.readout.adc_energy_j(pixels, cfg.analog_node);
             e.mipi_j = p.mipi.transfer_energy_j(full_frame_bytes);
             let roi_pred = host.run(&cfg.roi_net.workload(), p, true);
-            let seg = host.run_at(
+            let seg = seg_host.run(
                 &cnn_on_roi(&cfg.cnn, cfg.roi_fraction).workload(false),
                 p,
                 true,
-                precision,
             );
             e.host_compute_j = roi_pred.mac_energy_j
                 + roi_pred.sram_energy_j
@@ -235,12 +226,7 @@ pub fn energy_breakdown_with_counts_at(
             e.rle_j = p.rle_energy_j(sparse_bytes, cfg.sensor_logic_node);
             e.mipi_j = p.mipi.transfer_energy_j(sparse_bytes);
             e.feedback_j = p.mipi.transfer_energy_j(feedback_bytes);
-            let seg = host.run_at(
-                &cfg.vit.workload(counts.tokens, sampled as usize),
-                p,
-                true,
-                precision,
-            );
+            let seg = seg_host.run(&cfg.vit.workload(counts.tokens, sampled as usize), p, true);
             e.host_compute_j = seg.mac_energy_j + seg.sram_energy_j;
             e.dram_j = seg.dram_energy_j;
             e.rld_j = p.rld_energy_j(sparse_bytes, cfg.host_node);
@@ -338,23 +324,31 @@ mod tests {
 
     #[test]
     fn f32_precision_variant_is_bit_exact() {
+        // At f32 the segmentation arm is exactly the default-precision host
+        // array's run of the sparse ViT.
         let cfg = SystemConfig::paper();
         let counts = FrameCounts::expected(&cfg);
-        for v in SystemVariant::ALL {
-            assert_eq!(
-                energy_breakdown_with_counts(&cfg, v, &counts),
-                energy_breakdown_with_counts_at(&cfg, v, &counts, Precision::F32),
-                "{}",
-                v.label()
-            );
-        }
+        let e =
+            energy_breakdown_with_counts_at(&cfg, SystemVariant::BlissCam, &counts, Precision::F32);
+        let seg = SystolicArray::host().at_node(cfg.host_node).run(
+            &cfg.vit.workload(counts.tokens, counts.sampled as usize),
+            &cfg.energy,
+            true,
+        );
+        assert_eq!(
+            e.host_compute_j.to_bits(),
+            (seg.mac_energy_j + seg.sram_energy_j).to_bits()
+        );
+        assert_eq!(e.dram_j.to_bits(), seg.dram_energy_j.to_bits());
+        assert_eq!(energy_breakdown(&cfg, SystemVariant::BlissCam), e);
     }
 
     #[test]
     fn int8_strictly_cuts_blisscam_frame_energy() {
         let cfg = SystemConfig::paper();
         let counts = FrameCounts::expected(&cfg);
-        let f32 = energy_breakdown_with_counts(&cfg, SystemVariant::BlissCam, &counts);
+        let f32 =
+            energy_breakdown_with_counts_at(&cfg, SystemVariant::BlissCam, &counts, Precision::F32);
         let i8 = energy_breakdown_with_counts_at(
             &cfg,
             SystemVariant::BlissCam,

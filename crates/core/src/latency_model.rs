@@ -125,27 +125,18 @@ pub fn host_segmentation_time_s(cfg: &SystemConfig, tokens: usize, pixels: usize
 /// the batch and amortise fill/drain bubbles and partial row tiles, while
 /// the quadratic attention products stay per-frame — so one launch over K
 /// frames costs less than K solo launches but never pays a `(K*t)^2`
-/// attention.
-pub fn host_batched_segmentation_time_s(cfg: &SystemConfig, frames: &[(usize, usize)]) -> f64 {
-    host_batched_segmentation_time_s_at(cfg, frames, Precision::F32)
-}
-
-/// [`host_batched_segmentation_time_s`] with the launch executed at an
-/// explicit precision: int8 streams the reduction dimension in half the
-/// cycles (`Precision::F32` reproduces the f32 time bit-exactly).
+/// attention. The launch executes at `precision`: int8 streams the
+/// reduction dimension in half the cycles.
 pub fn host_batched_segmentation_time_s_at(
     cfg: &SystemConfig,
     frames: &[(usize, usize)],
     precision: Precision,
 ) -> f64 {
-    let host = SystolicArray::host().at_node(cfg.host_node);
-    host.run_at(
-        &cfg.vit.batched_workload(frames),
-        &cfg.energy,
-        true,
-        precision,
-    )
-    .time_s
+    let host = SystolicArray::host()
+        .at_node(cfg.host_node)
+        .at_precision(precision);
+    host.run(&cfg.vit.batched_workload(frames), &cfg.energy, true)
+        .time_s
 }
 
 /// Runs the Fig. 8 pipeline scheduler for `variant` over `frames` frames.
@@ -244,7 +235,7 @@ mod tests {
         let (tokens, pixels) = (108, 6851);
         let solo = host_segmentation_time_s(&cfg, tokens, pixels);
         let frames: Vec<(usize, usize)> = (0..8).map(|_| (tokens, pixels)).collect();
-        let batched = host_batched_segmentation_time_s(&cfg, &frames);
+        let batched = host_batched_segmentation_time_s_at(&cfg, &frames, Precision::F32);
         assert!(solo > 0.0);
         assert!(batched > solo);
         assert!(
@@ -264,7 +255,7 @@ mod tests {
         let frame = (108usize, 6851usize);
         let per_frame = |k: usize| {
             let frames = vec![frame; k];
-            host_batched_segmentation_time_s(&cfg, &frames) / k as f64
+            host_batched_segmentation_time_s_at(&cfg, &frames, Precision::F32) / k as f64
         };
         let (c1, c4, c16) = (per_frame(1), per_frame(4), per_frame(16));
         assert!(c4 < c1, "batch 4 per-frame {c4} vs solo {c1}");
@@ -280,7 +271,12 @@ mod tests {
     fn int8_batched_segmentation_is_faster_and_f32_is_exact() {
         let cfg = SystemConfig::paper();
         let frames: Vec<(usize, usize)> = (0..4).map(|_| (108usize, 6851usize)).collect();
-        let default = host_batched_segmentation_time_s(&cfg, &frames);
+        // At f32 the launch is exactly the default-precision host array's
+        // run of the batched workload.
+        let default = SystolicArray::host()
+            .at_node(cfg.host_node)
+            .run(&cfg.vit.batched_workload(&frames), &cfg.energy, true)
+            .time_s;
         let f32 = host_batched_segmentation_time_s_at(&cfg, &frames, Precision::F32);
         let i8 = host_batched_segmentation_time_s_at(&cfg, &frames, Precision::Int8);
         assert_eq!(default.to_bits(), f32.to_bits());

@@ -42,12 +42,11 @@ mod system;
 pub use bliss_npu::Precision;
 pub use config::{SystemConfig, SystemVariant};
 pub use energy_model::{
-    energy_breakdown, energy_breakdown_with_counts, energy_breakdown_with_counts_at,
-    EnergyBreakdown, FrameCounts,
+    energy_breakdown, energy_breakdown_with_counts_at, EnergyBreakdown, FrameCounts,
 };
 pub use frontend::{FrontEndSnapshot, SensedFrame, ServedFrame, SparseFrontEnd};
 pub use latency_model::{
-    host_batched_segmentation_time_s, host_batched_segmentation_time_s_at,
-    host_segmentation_time_s, simulate_pipeline, stage_durations,
+    host_batched_segmentation_time_s_at, host_segmentation_time_s, simulate_pipeline,
+    stage_durations,
 };
 pub use system::{EyeTrackingSystem, FrameResult, MeanAngularError, SystemReport};

@@ -1,8 +1,9 @@
 use crate::config::{SystemConfig, SystemVariant};
-use crate::energy_model::{energy_breakdown_with_counts, EnergyBreakdown, FrameCounts};
+use crate::energy_model::{energy_breakdown_with_counts_at, EnergyBreakdown, FrameCounts};
 use crate::frontend::SparseFrontEnd;
 use crate::latency_model::simulate_pipeline;
 use bliss_eye::{render_sequence, EyeSequence, Gaze, ImagingNoise, Scenario, SequenceConfig};
+use bliss_npu::Precision;
 use bliss_sensor::{DigitalPixelSensor, RoiBox, SensorConfig};
 use bliss_tensor::TensorError;
 use bliss_timing::PipelineReport;
@@ -349,7 +350,7 @@ fn run_sparse(
             conversions: served.sensed.conversions,
             mipi_bytes: served.sensed.mipi_bytes,
             tokens: served.tokens,
-            energy: energy_breakdown_with_counts(cfg, variant, &counts),
+            energy: energy_breakdown_with_counts_at(cfg, variant, &counts, Precision::F32),
         });
     }
     Ok(())
@@ -415,7 +416,7 @@ fn run_dense(
             conversions: readout.conversions,
             mipi_bytes: cfg.energy.mipi.frame_bytes(w * h),
             tokens: 0,
-            energy: energy_breakdown_with_counts(cfg, variant, &counts),
+            energy: energy_breakdown_with_counts_at(cfg, variant, &counts, Precision::F32),
         });
         prev_noisy = noisy;
     }
@@ -489,7 +490,7 @@ mod tests {
             conversions: 800,
             mipi_bytes: 1000,
             tokens: 12,
-            energy: energy_breakdown_with_counts(
+            energy: energy_breakdown_with_counts_at(
                 &cfg,
                 SystemVariant::BlissCam,
                 &FrameCounts {
@@ -499,6 +500,7 @@ mod tests {
                     tokens: 12,
                     roi_pixels: 4000,
                 },
+                Precision::F32,
             ),
         });
         let json = report.to_json();

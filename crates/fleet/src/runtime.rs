@@ -160,15 +160,6 @@ impl FleetRuntime {
         self
     }
 
-    /// Forces every host's inference back onto the autograd tape path,
-    /// bypassing the compiled execution plans (see
-    /// [`ServeRuntime::without_planned_inference`]); results are
-    /// bit-identical either way.
-    pub fn without_planned_inference(mut self) -> Self {
-        self.runtime = self.runtime.without_planned_inference();
-        self
-    }
-
     /// The per-host serving runtime (all hosts are identical replicas).
     pub fn serve_runtime(&self) -> &ServeRuntime {
         &self.runtime

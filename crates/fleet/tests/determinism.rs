@@ -196,12 +196,13 @@ fn report_is_sane_and_serialises() {
 }
 
 #[test]
-fn compiled_plans_are_shared_across_hosts_and_match_the_tape_path() {
+fn compiled_plans_are_shared_across_hosts() {
     // All host shards serve through one model replica, so a plan compiled
     // for host 0's batch layout is a cache hit when any other host sees the
     // same layout — fleet-wide compilation cost stays that of a single
     // host. Untrained miniature networks keep this standalone test fast
-    // (plan reuse and bit-identity do not depend on trained weights).
+    // (plan reuse does not depend on trained weights). Planned-vs-tape
+    // bit-identity is the serve crate's `equivalence` suite.
     use bliss_track::{RoiPredictionNet, SparseViT};
     use rand::{rngs::StdRng, SeedableRng};
 
@@ -210,16 +211,12 @@ fn compiled_plans_are_shared_across_hosts_and_match_the_tape_path() {
     system.vit.enc_depth = 1;
     system.vit.dec_depth = 1;
     system.roi_net.hidden = 16;
-    let build = || {
-        let mut rng = StdRng::seed_from_u64(7);
-        let vit = SparseViT::new(&mut rng, system.vit);
-        let roi = RoiPredictionNet::new(&mut rng, system.roi_net);
-        FleetRuntime::with_networks(system, vit, roi)
-    };
+    let mut rng = StdRng::seed_from_u64(7);
+    let vit = SparseViT::new(&mut rng, system.vit);
+    let roi = RoiPredictionNet::new(&mut rng, system.roi_net);
+    let planned_fleet = FleetRuntime::with_networks(system, vit, roi);
     let cfg = FleetConfig::new(3, PlacementPolicy::RoundRobin, 6, 3);
-
-    let planned_fleet = build();
-    let planned = planned_fleet.serve(&cfg).unwrap();
+    planned_fleet.serve(&cfg).unwrap();
     let vit_stats = planned_fleet.serve_runtime().vit_plan_stats();
     let roi_stats = planned_fleet.serve_runtime().roi_plan_stats();
     // The planned path actually ran, and recurring batch layouts across the
@@ -233,13 +230,6 @@ fn compiled_plans_are_shared_across_hosts_and_match_the_tape_path() {
     // The ROI net has a single input shape class: one plan, hit thereafter.
     assert_eq!(roi_stats.plans, 1, "{roi_stats:?}");
     assert!(roi_stats.hits >= 6 * 3 - 1, "{roi_stats:?}");
-
-    let tape = build().without_planned_inference().serve(&cfg).unwrap();
-    assert_eq!(planned.report, tape.report);
-    assert_eq!(planned.timeline, tape.timeline);
-    for (p, t) in planned.per_host.iter().zip(&tape.per_host) {
-        assert_eq!(p.traces, t.traces);
-    }
 }
 
 #[test]

@@ -13,7 +13,9 @@ use serde::{Deserialize, Serialize};
 /// it K times.
 pub const DEFAULT_DISPATCH_CYCLES: u64 = 1000;
 
-/// Arithmetic precision a workload executes at on the array.
+/// Arithmetic precision a workload executes at on the array, carried as the
+/// [`SystolicArray::precision`] field and set with
+/// [`SystolicArray::at_precision`].
 ///
 /// The array's MAC lanes are f32-wide; in int8 mode each lane packs **two**
 /// i8 multiply-accumulates along the reduction dimension per cycle (the
@@ -51,6 +53,12 @@ impl Precision {
 }
 
 /// An output-stationary systolic MAC array with a scratchpad hierarchy.
+///
+/// The struct is the whole cost configuration: geometry, clock, buffer,
+/// process node, dispatch cost and arithmetic precision are fields, and
+/// [`SystolicArray::gemm_cycles`] and [`SystolicArray::run`] read them.
+/// Variants are built from [`SystolicArray::host`] or
+/// [`SystolicArray::in_sensor`] with the `at_*`/`with_*` builders.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SystolicArray {
     /// MAC rows.
@@ -69,6 +77,8 @@ pub struct SystolicArray {
     /// [`DEFAULT_DISPATCH_CYCLES`]); set 0 for the idealised
     /// zero-launch-cost model.
     pub dispatch_cycles: u64,
+    /// Arithmetic precision every GEMM runs at (see [`Precision`]).
+    pub precision: Precision,
 }
 
 impl SystolicArray {
@@ -83,6 +93,7 @@ impl SystolicArray {
             bank_bytes: 128 * 1024,
             node: ProcessNode::NM7,
             dispatch_cycles: DEFAULT_DISPATCH_CYCLES,
+            precision: Precision::F32,
         }
     }
 
@@ -97,12 +108,19 @@ impl SystolicArray {
             bank_bytes: 512 * 1024,
             node: ProcessNode::NM22,
             dispatch_cycles: DEFAULT_DISPATCH_CYCLES,
+            precision: Precision::F32,
         }
     }
 
     /// Same design re-targeted to a different process node (Fig. 17 sweep).
     pub fn at_node(mut self, node: ProcessNode) -> Self {
         self.node = node;
+        self
+    }
+
+    /// Same design executing at `precision`.
+    pub fn at_precision(mut self, precision: Precision) -> Self {
+        self.precision = precision;
         self
     }
 
@@ -121,19 +139,14 @@ impl SystolicArray {
     /// Cycle count for one GEMM under output-stationary tiling: every
     /// `[rows x cols]` output tile streams the full reduction dimension plus
     /// an array fill/drain bubble, and the launch itself pays the fixed
-    /// [`SystolicArray::dispatch_cycles`] dispatch/DMA setup once.
+    /// [`SystolicArray::dispatch_cycles`] dispatch/DMA setup once. At int8
+    /// each lane packs two MACs along the reduction dimension, so `k`
+    /// streams in `ceil(k / 2)` cycles.
     pub fn gemm_cycles(&self, g: &GemmShape) -> u64 {
-        self.gemm_cycles_at(g, Precision::F32)
-    }
-
-    /// [`SystolicArray::gemm_cycles`] at an explicit precision: int8 packs
-    /// two MACs per lane along the reduction dimension, so `k` streams in
-    /// `ceil(k / 2)` cycles. `Precision::F32` is exactly `gemm_cycles`.
-    pub fn gemm_cycles_at(&self, g: &GemmShape, precision: Precision) -> u64 {
         let tiles_m = g.m.div_ceil(self.rows) as u64;
         let tiles_n = g.n.div_ceil(self.cols) as u64;
         let fill_drain = (self.rows + self.cols) as u64;
-        let k_cycles = (g.k as u64).div_ceil(precision.macs_per_lane());
+        let k_cycles = (g.k as u64).div_ceil(self.precision.macs_per_lane());
         self.dispatch_cycles + tiles_m * tiles_n * (k_cycles + fill_drain)
     }
 
@@ -142,32 +155,21 @@ impl SystolicArray {
     /// `weights_resident` models weights pinned in the on-chip buffer across
     /// frames (true for steady-state inference when they fit); otherwise all
     /// weight bytes stream from DRAM every frame.
+    ///
+    /// At `Precision::F32` every precision factor is the identity. At
+    /// `Precision::Int8` reduction cycles halve, each MAC costs a quarter of
+    /// the f32 per-MAC energy and the utilisation denominator's peak
+    /// doubles; SRAM/DRAM byte counts are left unchanged (conservative —
+    /// see [`Precision`]).
     pub fn run(
         &self,
         w: &WorkloadDesc,
         params: &EnergyParams,
         weights_resident: bool,
     ) -> RunReport {
-        self.run_at(w, params, weights_resident, Precision::F32)
-    }
-
-    /// [`SystolicArray::run`] at an explicit precision.
-    ///
-    /// `Precision::F32` reproduces `run` **bit-exactly** (every factor is
-    /// the identity). `Precision::Int8` halves reduction cycles, charges a
-    /// quarter of the f32 per-MAC energy and doubles the utilisation
-    /// denominator's peak; SRAM/DRAM byte counts are left unchanged
-    /// (conservative — see [`Precision`]).
-    pub fn run_at(
-        &self,
-        w: &WorkloadDesc,
-        params: &EnergyParams,
-        weights_resident: bool,
-        precision: Precision,
-    ) -> RunReport {
         let mut report = RunReport::new(w.name.clone());
         for g in &w.gemms {
-            let cycles = self.gemm_cycles_at(g, precision);
+            let cycles = self.gemm_cycles(g);
             let macs = g.macs();
             let tiles_m = g.m.div_ceil(self.rows) as u64;
             let tiles_n = g.n.div_ceil(self.cols) as u64;
@@ -199,12 +201,12 @@ impl SystolicArray {
             report.sram_bytes += sram_reads + sram_writes;
             report.dram_bytes += dram_bytes;
             report.mac_energy_j +=
-                macs as f64 * params.mac_energy_j(self.node) * precision.mac_energy_factor();
+                macs as f64 * params.mac_energy_j(self.node) * self.precision.mac_energy_factor();
             report.sram_energy_j += sram_energy;
             report.dram_energy_j += params.dram.traffic_energy_j(dram_bytes);
         }
         report.time_s = report.cycles as f64 / self.frequency_hz;
-        let peak = self.peak_macs_per_cycle() * precision.macs_per_lane();
+        let peak = self.peak_macs_per_cycle() * self.precision.macs_per_lane();
         report.utilization = if report.cycles == 0 {
             0.0
         } else {
@@ -404,12 +406,12 @@ mod tests {
         let w = linear_workload(96, 192, 384);
         let p = EnergyParams::default();
         let host = SystolicArray::host();
-        let default = host.run(&w, &p, true);
-        let explicit = host.run_at(&w, &p, true, Precision::F32);
-        assert_eq!(default, explicit, "F32 run_at must be bit-exact vs run");
+        assert_eq!(host.precision, Precision::F32, "f32 is the default");
+        let explicit = host.at_precision(Precision::F32);
+        assert_eq!(host.run(&w, &p, true), explicit.run(&w, &p, true));
         assert_eq!(
             host.gemm_cycles(&GemmShape::new(17, 33, 65)),
-            host.gemm_cycles_at(&GemmShape::new(17, 33, 65), Precision::F32)
+            explicit.gemm_cycles(&GemmShape::new(17, 33, 65))
         );
     }
 
@@ -418,8 +420,8 @@ mod tests {
         let w = linear_workload(256, 384, 384);
         let p = EnergyParams::default();
         let host = SystolicArray::host();
-        let f32 = host.run_at(&w, &p, true, Precision::F32);
-        let i8 = host.run_at(&w, &p, true, Precision::Int8);
+        let f32 = host.run(&w, &p, true);
+        let i8 = host.at_precision(Precision::Int8).run(&w, &p, true);
         assert!(i8.cycles < f32.cycles, "int8 must save reduction cycles");
         assert!(i8.mac_energy_j < f32.mac_energy_j);
         assert_eq!(i8.mac_energy_j, 0.25 * f32.mac_energy_j);
@@ -433,14 +435,16 @@ mod tests {
 
     #[test]
     fn int8_halves_reduction_cycles_exactly() {
-        let host = SystolicArray::host().with_dispatch_cycles(0);
+        let host = SystolicArray::host()
+            .with_dispatch_cycles(0)
+            .at_precision(Precision::Int8);
         // Even k: the packed reduction is exactly half.
         let even = GemmShape::new(32, 128, 32);
         let fill_drain = (host.rows + host.cols) as u64;
-        assert_eq!(host.gemm_cycles_at(&even, Precision::Int8), 64 + fill_drain);
+        assert_eq!(host.gemm_cycles(&even), 64 + fill_drain);
         // Odd k rounds up: ceil(7 / 2) = 4.
         let odd = GemmShape::new(32, 7, 32);
-        assert_eq!(host.gemm_cycles_at(&odd, Precision::Int8), 4 + fill_drain);
+        assert_eq!(host.gemm_cycles(&odd), 4 + fill_drain);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 use crate::report::ServeReport;
 use crate::session::{FrameRecord, Session, SessionConfig, SessionTrace};
 use bliss_eye::{render_sequence, Scenario, SequenceConfig};
-use bliss_tensor::TensorError;
+use bliss_tensor::{inference_mode, TensorError};
 use bliss_timing::StageDurations;
 use bliss_track::{JointTrainer, RoiPredictionNet, SparseViT};
 use blisscam_core::{
@@ -21,9 +21,6 @@ pub struct ServeConfig {
     pub frames_per_session: usize,
     /// Maximum frames fused into one host inference launch.
     pub max_batch: usize,
-    /// Extra virtual time the scheduler waits past the host becoming free to
-    /// let near-ready frames join a batch, in seconds.
-    pub batch_window_s: f64,
     /// Per-frame latency budget; a frame whose gaze lands later than
     /// `arrival + deadline_s` counts as a deadline miss.
     pub deadline_s: f64,
@@ -54,8 +51,7 @@ pub struct ServeConfig {
     /// once over the scenario library (deterministic — depends only on the
     /// trained weights and the system seed), inference executes the
     /// i8×i8→i32 plans, and latency/energy accounting switches to the
-    /// NPU's int8 mode. Requires planned inference (the autograd tape has
-    /// no int8 path).
+    /// NPU's int8 mode.
     pub precision: Precision,
     /// Per-session cold-start prefix, in frames: each session's first
     /// `warmup_frames` frames are classed as warmup regardless of when
@@ -74,14 +70,14 @@ impl ServeConfig {
         Self::for_fps(120.0, sessions, frames_per_session)
     }
 
-    /// A load point at an explicit tracking rate: batches of up to 16 with
-    /// a zero batch window (work-conserving adaptive batching — fuse
-    /// whatever is already ready, never idle the host waiting for future
-    /// frames), a two-period deadline, a one-period admission ramp —
-    /// sessions connect one frame apart, so their expensive full-frame
-    /// cold-start reads do not all land on the host in the same instant —
-    /// and at most 4 cold-start frames per fused batch (the cap catches the
-    /// convoys the ramp cannot, e.g. reconnect storms).
+    /// A load point at an explicit tracking rate: batches of up to 16
+    /// (work-conserving adaptive batching — fuse whatever is already ready,
+    /// never idle the host waiting for future frames), a two-period
+    /// deadline, a one-period admission ramp — sessions connect one frame
+    /// apart, so their expensive full-frame cold-start reads do not all
+    /// land on the host in the same instant — and at most 4 cold-start
+    /// frames per fused batch (the cap catches the convoys the ramp cannot,
+    /// e.g. reconnect storms).
     ///
     /// `fps` should match the served system's (timing) frame rate so the
     /// deadline and stagger track the real frame period.
@@ -91,7 +87,6 @@ impl ServeConfig {
             sessions,
             frames_per_session,
             max_batch: 16,
-            batch_window_s: 0.0,
             deadline_s: 2.0 * period,
             stagger_s: period,
             max_cold_per_batch: 4,
@@ -281,11 +276,6 @@ pub struct ServeRuntime {
     pub(crate) vit: SparseViT,
     pub(crate) roi_net: RoiPredictionNet,
     stages: StageDurations,
-    /// Whether steady-state inference runs through the compiled planned
-    /// path (graph-IR plans executing in a preallocated arena) instead of
-    /// the autograd tape. On by default; results are bit-identical either
-    /// way, so this is a measurement/regression knob, not a behaviour one.
-    planned: bool,
 }
 
 impl ServeRuntime {
@@ -322,22 +312,7 @@ impl ServeRuntime {
             vit,
             roi_net,
             stages,
-            planned: true,
         }
-    }
-
-    /// Forces every inference launch back onto the autograd tape path,
-    /// bypassing the compiled execution plans. The determinism suite uses
-    /// this to pin planned-vs-tape bit-identity; it is also the escape
-    /// hatch if a plan-level issue ever needs ruling out in production.
-    pub fn without_planned_inference(mut self) -> Self {
-        self.planned = false;
-        self
-    }
-
-    /// Whether inference runs through the compiled planned path.
-    pub fn planned_inference(&self) -> bool {
-        self.planned
     }
 
     /// Plan-cache counters of the shared sparse-ViT planned state (one
@@ -350,15 +325,6 @@ impl ServeRuntime {
     /// fixed-shape plan).
     pub fn roi_plan_stats(&self) -> bliss_tensor::PlanCacheStats {
         self.roi_net.plan_stats()
-    }
-
-    /// Runs `f` in planned-inference mode when enabled, else on the tape.
-    fn infer<R>(&self, f: impl FnOnce() -> R) -> R {
-        if self.planned {
-            bliss_tensor::inference_mode(f)
-        } else {
-            f()
-        }
     }
 
     /// Puts the shared ViT in the precision `cfg` asks for, calibrating the
@@ -377,21 +343,11 @@ impl ServeRuntime {
     ///
     /// # Errors
     ///
-    /// `InvalidArgument` when int8 is requested on a tape-path runtime
-    /// ([`ServeRuntime::without_planned_inference`]), plus any tensor error
-    /// from the calibration forwards.
+    /// Propagates tensor errors from the calibration forwards.
     pub fn apply_precision(&self, cfg: &ServeConfig) -> Result<(), TensorError> {
         match cfg.precision {
             Precision::F32 => self.vit.set_int8(false),
             Precision::Int8 => {
-                if !self.planned {
-                    return Err(TensorError::InvalidArgument {
-                        op: "apply_precision",
-                        message: "int8 serving requires planned inference (the autograd \
-                                  tape has no quantised path)"
-                            .to_string(),
-                    });
-                }
                 if self.vit.int8_sites() == 0 {
                     self.calibrate_int8()?;
                 }
@@ -441,7 +397,7 @@ impl ServeRuntime {
             let mut session = Session::new(sc, &self.system);
             while session.has_next() {
                 let input = session.prepare_roi_input(&roi_cfg);
-                let roi_out = self.infer(|| self.roi_net.forward(&input))?;
+                let roi_out = inference_mode(|| self.roi_net.forward(&input))?;
                 let roi_box = session.front.select_box(&self.roi_net, &roi_out);
                 session.read_out(roi_box, sample_rate)?;
                 let frame = (&session.sensed.image[..], &session.sensed.mask[..]);
@@ -449,8 +405,7 @@ impl ServeRuntime {
                 // Close the feedback loop with the f32 prediction so later
                 // frames calibrate the warm sparse regime, not just
                 // cold-start full reads.
-                let prediction = self
-                    .infer(|| self.vit.forward_batch(&[frame]))?
+                let prediction = inference_mode(|| self.vit.forward_batch(&[frame]))?
                     .pop()
                     .expect("single-frame batch");
                 session.front.absorb(prediction);
@@ -681,10 +636,9 @@ impl ServeRuntime {
         let sessions = &mut state.sessions;
         let heap = &mut state.heap;
         // Adaptive batching: every frame that is (or becomes) ready by
-        // the time the host could start — plus the configured window —
-        // joins, up to max_batch. Selection depends only on virtual
-        // times, so the schedule is deterministic.
-        let gate = state.host_free_s.max(first_ready.0) + cfg.batch_window_s;
+        // the time the host could start joins, up to max_batch. Selection
+        // depends only on virtual times, so the schedule is deterministic.
+        let gate = state.host_free_s.max(first_ready.0);
         let mut batch: Vec<(usize, f64)> = vec![(first, first_ready.0)];
         // Cold-start cap: the head frame is always admitted (progress),
         // further cold-start full-frame reads join only up to the cap;
@@ -856,7 +810,7 @@ impl ServeRuntime {
         // shared autograd parameters, so it stays off the pool.
         let mut boxes = Vec::with_capacity(refs.len());
         for (s, input) in refs.iter().zip(&inputs) {
-            let roi_out = self.infer(|| self.roi_net.forward(input))?;
+            let roi_out = inference_mode(|| self.roi_net.forward(input))?;
             boxes.push(s.front.select_box(&self.roi_net, &roi_out));
         }
         let w2 = if tel {
@@ -903,7 +857,7 @@ impl ServeRuntime {
             .collect();
         let any_live = !live_frames.is_empty();
         let mut live_predictions = if any_live {
-            self.infer(|| self.vit.forward_batch(&live_frames))?
+            inference_mode(|| self.vit.forward_batch(&live_frames))?
         } else {
             Vec::new()
         };
@@ -1058,7 +1012,6 @@ impl ServeRuntime {
             }
             let base = SpanRecord {
                 stage: Stage::Expose,
-                planned: self.planned,
                 scenario: scenario as u8,
                 host,
                 session: s.config.id as u32,

@@ -43,8 +43,9 @@ use std::fmt;
 /// from the restored weights and the fixed scenario-library calibration
 /// set, which keeps the snapshot format independent of the quantiser's
 /// internals; `4` — [`crate::FrameRecord`] (embedded per session) gained
-/// `shed`, the graceful-degradation marker.
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// `shed`, the graceful-degradation marker; `5` — `ServeConfig` lost its
+/// batching-window field (batches gate on the host becoming free).
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Errors from restoring a serving snapshot.
 #[derive(Debug, Clone, PartialEq)]

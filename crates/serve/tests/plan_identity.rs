@@ -1,13 +1,11 @@
-//! Planned-vs-tape **bit-identity** at the serving level.
+//! Compiled execution plans at the serving level.
 //!
-//! Inference-only serving runs through compiled execution plans by default
-//! (`bliss_tensor::exec`); forcing the same runtime back onto the autograd
-//! tape with [`ServeRuntime::without_planned_inference`] must change
-//! *nothing* — every per-frame gaze, latency, batch composition and report
-//! byte stays identical, for every scenario in the session mix, under 1-,
-//! 2- and 8-thread pools. The executor shares the tape's slice-level
-//! kernel cores and `bliss_parallel` partitions depend only on sizes, so
-//! this holds bit-for-bit, not just approximately.
+//! Serving runs every inference through compiled execution plans
+//! (`bliss_tensor::exec`): for every scenario in the session mix, under 1-,
+//! 2- and 8-thread pools, both networks compile plans (misses) and reuse
+//! them across batches (hits). That planned serving is bit-identical to the
+//! autograd tape is pinned by the `equivalence` suite, which compares it
+//! with the lock-step `EyeTrackingSystem` path.
 //!
 //! Snapshots extend the guarantee across restarts: compiled plans are
 //! deliberately **not** serialised (they are pure derived state), so a
@@ -69,7 +67,7 @@ fn runtime(fx: &Fixture) -> ServeRuntime {
 
 /// A 5-session load point: one session per [`bliss_eye::Scenario`]
 /// (round-robin assignment), so every scenario's token-count rhythm — and
-/// hence every plan shape class — crosses both execution paths.
+/// hence every plan shape class — is compiled.
 fn load() -> ServeConfig {
     let mut cfg = ServeConfig::new(5, 6);
     cfg.max_batch = 4;
@@ -77,13 +75,12 @@ fn load() -> ServeConfig {
 }
 
 #[test]
-fn planned_serving_is_bit_identical_to_tape_across_scenarios_and_thread_counts() {
+fn planned_serving_compiles_and_reuses_plans_across_scenarios_and_thread_counts() {
     let fx = fixture();
     let cfg = load();
     for threads in [1usize, 2, 8] {
         bliss_parallel::with_thread_count(threads, || {
             let rt = runtime(fx);
-            assert!(rt.planned_inference(), "planned path must be the default");
             let planned = rt.serve(&cfg).expect("planned serve succeeds");
             // The planned path actually ran: shape classes compiled (misses)
             // and were reused across batches (hits), for both networks.
@@ -99,23 +96,6 @@ fn planned_serving_is_bit_identical_to_tape_across_scenarios_and_thread_counts()
                 .map(|t| t.config.scenario.label())
                 .collect();
             assert_eq!(labels.len(), 5, "expected 5 distinct scenarios");
-
-            let tape_rt = runtime(fx).without_planned_inference();
-            assert!(!tape_rt.planned_inference());
-            let tape = tape_rt.serve(&cfg).expect("tape serve succeeds");
-            assert_eq!(
-                tape_rt.vit_plan_stats().misses,
-                0,
-                "tape-forced runtime must never compile a plan"
-            );
-            assert_eq!(
-                planned.traces, tape.traces,
-                "planned traces diverged from tape at {threads} threads"
-            );
-            assert_eq!(
-                planned.report, tape.report,
-                "planned report diverged from tape at {threads} threads"
-            );
         });
     }
 }
@@ -140,8 +120,7 @@ fn restored_runtime_rebuilds_plans_lazily_and_stays_bit_identical() {
         let (rt2, cfg2, mut state2) = ServeRuntime::restore(&snap).expect("snapshot restores");
 
         // Plans are derived state and not part of the wire format: the
-        // restored runtime starts cold and stays on the planned path.
-        assert!(rt2.planned_inference(), "restore must keep planned default");
+        // restored runtime starts cold.
         let cold = rt2.vit_plan_stats();
         assert_eq!((cold.plans, cold.misses, cold.hits), (0, 0, 0));
 

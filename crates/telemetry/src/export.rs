@@ -5,8 +5,7 @@
 //! both Perfetto (<https://ui.perfetto.dev>) and `chrome://tracing` load
 //! directly. Virtual time maps to the trace timeline (microseconds); fleet
 //! hosts map to `pid` and sessions to `tid`, so the UI groups tracks by
-//! host then session; wall time, batch size, scenario and the planned/tape
-//! flag ride in `args`.
+//! host then session; wall time, batch size and scenario ride in `args`.
 
 use crate::span::{SpanRecord, Stage};
 use serde::{Deserialize, Serialize};
@@ -20,8 +19,6 @@ pub struct TraceArgs {
     pub batch: u32,
     /// Scenario index of the owning session.
     pub scenario: u8,
-    /// Compiled-plan (vs tape) inference.
-    pub planned: bool,
     /// Wall-clock duration of the span's execution region, microseconds.
     pub wall_us: f64,
 }
@@ -74,7 +71,6 @@ impl ChromeTrace {
                         frame: s.frame,
                         batch: s.batch,
                         scenario: s.scenario,
-                        planned: s.planned,
                         wall_us: s.wall_dur_ns as f64 / 1e3,
                     },
                 })

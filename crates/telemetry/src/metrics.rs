@@ -9,7 +9,6 @@
 //! is off. [`metrics_snapshot`] freezes the registry into a serialisable,
 //! comparable [`MetricsSnapshot`] for the bench reports.
 
-use crate::histogram::StreamingHistogram;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -223,27 +222,6 @@ impl AtomicHistogram {
             p99: self.quantile(0.99),
             max: self.max(),
         }
-    }
-
-    /// Copies the bucket counts into a [`StreamingHistogram`]-shaped value
-    /// **when the geometries coincide** (base 1 µs, √2 growth); used by the
-    /// frame-latency metric. Panics on a geometry mismatch.
-    pub fn to_streaming(&self) -> StreamingHistogram {
-        assert!(
-            self.base == crate::HISTOGRAM_BASE_S && self.buckets_per_octave == 2.0,
-            "to_streaming requires the canonical latency geometry"
-        );
-        let mut out = StreamingHistogram::new();
-        for i in 0..ATOMIC_HISTOGRAM_BUCKETS {
-            // Re-record a representative of each bucket to keep the
-            // invariants (count/sum/max) coherent without exposing fields.
-            let n = self.buckets[i].load(Ordering::Relaxed);
-            let rep = self.base * 2f64.powf(i as f64 / self.buckets_per_octave);
-            for _ in 0..n {
-                out.record(rep);
-            }
-        }
-        out
     }
 }
 
@@ -540,6 +518,7 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::histogram::StreamingHistogram;
     use crate::test_support;
 
     #[test]
@@ -576,7 +555,6 @@ mod tests {
         for q in [0.5, 0.9, 0.99, 1.0] {
             assert!((h.quantile(q) - s.quantile_s(q)).abs() < 1e-12);
         }
-        assert_eq!(h.to_streaming().buckets(), s.buckets());
         h.reset();
         assert_eq!(h.count(), 0);
     }

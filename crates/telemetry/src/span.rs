@@ -14,8 +14,7 @@ use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// The pipeline stage a [`SpanRecord`] measures, in per-frame dataflow
-/// order. `Inference` covers the batched ViT segmentation forward (the
-/// record's `planned` flag distinguishes compiled-plan from tape replay);
+/// order. `Inference` covers the batched ViT segmentation forward;
 /// `Feedback` covers the per-frame gaze regression plus result absorption
 /// slot that closes the sensor loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -69,10 +68,6 @@ impl Stage {
 pub struct SpanRecord {
     /// Which pipeline stage this span measures.
     pub stage: Stage,
-    /// For [`Stage::Inference`]: `true` when the batch ran through a
-    /// compiled execution plan, `false` for tape replay. Carried (but not
-    /// meaningful) on other stages.
-    pub planned: bool,
     /// Scenario index of the owning session ([`Stage::ALL`]-independent;
     /// matches `bliss_eye::Scenario::index`).
     pub scenario: u8,
@@ -100,7 +95,6 @@ impl SpanRecord {
     /// The all-zero record used to pre-fill the ring.
     pub const ZERO: SpanRecord = SpanRecord {
         stage: Stage::Expose,
-        planned: false,
         scenario: 0,
         host: 0,
         session: 0,

@@ -14,6 +14,8 @@
 //! * **Machine-readable output** — every group writes its results as JSON
 //!   (`BENCH_<group>.json` at the workspace root by default, or the path in
 //!   `BLISS_BENCH_OUT`), so successive PRs can diff kernel performance.
+//!   Every row carries a `unit`: `ns` for a timing, or the unit a value row
+//!   ([`Criterion::report_value`]) was recorded with.
 //! * **Fast mode** — setting `BLISS_BENCH_FAST=1` shrinks warm-up and sample
 //!   counts for CI smoke runs.
 //!
@@ -67,11 +69,16 @@ impl Profile {
     }
 }
 
-/// The statistics recorded for one finished benchmark.
+/// The statistics recorded for one finished benchmark, or one value row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchResult {
     /// Benchmark name as passed to [`Criterion::bench_function`].
     pub name: String,
+    /// `ns` for a timing; a value row's own unit (`allocs`, `%`).
+    pub unit: String,
+    /// A value row's scalar; `None` for a timing. The timing fields of a
+    /// value row stay zero.
+    pub value: Option<f64>,
     /// Median per-iteration time (after outlier rejection), in nanoseconds.
     pub median_ns: f64,
     /// Mean per-iteration time over the kept samples, in nanoseconds.
@@ -190,6 +197,8 @@ impl Bencher {
         deviations.sort_by(|a, b| a.total_cmp(b));
         BenchResult {
             name: name.to_string(),
+            unit: "ns".to_string(),
+            value: None,
             median_ns,
             mean_ns,
             mad_ns: median_of(&deviations),
@@ -250,16 +259,18 @@ impl Criterion {
         self
     }
 
-    /// Records an already-measured scalar (an allocation count, a cache-hit
-    /// tally) as a result row so it lands in the group's JSON report next to
-    /// the timings. Not part of real criterion's API — the value is stored
-    /// verbatim in the `median_ns`/`mean_ns` fields with zero spread.
-    pub fn report_value(&mut self, name: &str, value: f64) -> &mut Self {
-        println!("{name:<40} value: {value}");
+    /// Records an already-measured scalar in `unit` (an allocation count
+    /// in `allocs`, an overhead in `%`) as a result row so it lands in the
+    /// group's JSON report next to the timings, as `"value"` rather than in
+    /// the `*_ns` fields. Not part of real criterion's API.
+    pub fn report_value(&mut self, name: &str, value: f64, unit: &str) -> &mut Self {
+        println!("{name:<40} value: {value} {unit}");
         self.results.push(BenchResult {
             name: name.to_string(),
-            median_ns: value,
-            mean_ns: value,
+            unit: unit.to_string(),
+            value: Some(value),
+            median_ns: 0.0,
+            mean_ns: 0.0,
             mad_ns: 0.0,
             samples_kept: 1,
             outliers_rejected: 0,
@@ -279,22 +290,30 @@ impl Criterion {
         for (i, r) in self.results.iter().enumerate() {
             let _ = write!(
                 out,
-                "    {{\"name\": \"{}\", \"median_ns\": {:.1}, \"mean_ns\": {:.1}, \
-                 \"mad_ns\": {:.1}, \"samples_kept\": {}, \"outliers_rejected\": {}, \
-                 \"iters_per_sample\": {}}}{}",
+                "    {{\"name\": \"{}\", \"unit\": \"{}\", ",
                 r.name.replace('"', "'"),
-                r.median_ns,
-                r.mean_ns,
-                r.mad_ns,
-                r.samples_kept,
-                r.outliers_rejected,
-                r.iters_per_sample,
-                if i + 1 < self.results.len() {
-                    ",\n"
-                } else {
-                    "\n"
-                },
+                r.unit.replace('"', "'"),
             );
+            let _ = match r.value {
+                Some(value) => write!(out, "\"value\": {value}}}"),
+                None => write!(
+                    out,
+                    "\"median_ns\": {:.1}, \"mean_ns\": {:.1}, \"mad_ns\": {:.1}, \
+                     \"samples_kept\": {}, \"outliers_rejected\": {}, \
+                     \"iters_per_sample\": {}}}",
+                    r.median_ns,
+                    r.mean_ns,
+                    r.mad_ns,
+                    r.samples_kept,
+                    r.outliers_rejected,
+                    r.iters_per_sample,
+                ),
+            };
+            out.push_str(if i + 1 < self.results.len() {
+                ",\n"
+            } else {
+                "\n"
+            });
         }
         out.push_str("  ]\n}\n");
         out
@@ -404,10 +423,19 @@ mod tests {
     #[test]
     fn report_value_lands_in_the_json() {
         let mut c = Criterion::default();
-        c.report_value("allocs_per_iter", 583.0);
-        assert_eq!(c.results().len(), 1);
-        assert_eq!(c.results()[0].median_ns, 583.0);
-        assert!(c.to_json().contains("\"name\": \"allocs_per_iter\""));
+        c.report_value("allocs_per_iter", 583.0, "allocs");
+        c.report_value("overhead_pct", 1.25, "%");
+        assert_eq!(c.results().len(), 2);
+        let r = &c.results()[0];
+        assert_eq!((r.value, r.unit.as_str()), (Some(583.0), "allocs"));
+        // A value is not a time: the `*_ns` fields stay empty.
+        assert_eq!((r.median_ns, r.mean_ns), (0.0, 0.0));
+        let json = c.to_json();
+        assert!(
+            json.contains("{\"name\": \"allocs_per_iter\", \"unit\": \"allocs\", \"value\": 583},")
+        );
+        assert!(json.contains("{\"name\": \"overhead_pct\", \"unit\": \"%\", \"value\": 1.25}\n"));
+        assert!(!json.contains("_ns"));
     }
 
     #[test]
@@ -428,9 +456,10 @@ mod tests {
         c.bench_function("alpha", |b| b.iter(|| 1 + 1));
         c.bench_function("beta", |b| b.iter(|| 2 + 2));
         let json = c.to_json();
-        assert!(json.contains("\"name\": \"alpha\""));
-        assert!(json.contains("\"name\": \"beta\""));
+        assert!(json.contains("\"name\": \"alpha\", \"unit\": \"ns\""));
+        assert!(json.contains("\"name\": \"beta\", \"unit\": \"ns\""));
         assert!(json.contains("\"median_ns\""));
+        assert!(!json.contains("\"value\""));
         // Exactly one comma between the two entries, none trailing.
         assert_eq!(json.matches("},").count(), 1);
     }
