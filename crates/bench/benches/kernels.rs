@@ -1,8 +1,10 @@
 //! Criterion micro-benchmarks of the hot kernels in the BlissCam pipeline:
 //! dense linear algebra (matmul, multi-head attention), the ViT's
-//! elementwise ops (GELU, softmax, bias broadcast, and the `tanh`/`exp`
-//! ports beside the libm calls they replace), sensor
-//! eventification, readout, die build and SRAM sampling, run-length coding, the procedural renderer,
+//! elementwise ops (GELU, softmax, bias broadcast, and the
+//! `tanh`/`exp`/`log`/`cos` ports beside the libm calls they replace), the
+//! front end's imaging noise and ROI-input assembly, sensor eventification,
+//! readout, die build and SRAM sampling, run-length coding, the procedural
+//! renderer,
 //! and the `plan_vs_tape` group — compiled-plan vs autograd-tape batched
 //! inference, with per-iteration heap-allocation counts recorded alongside
 //! the timings. The `*_1thread` / `*_4threads` variants pin the
@@ -14,13 +16,14 @@
 #![allow(unsafe_code)]
 
 use bliss_eye::{
-    render_sequence, EyeModel, EyeModelConfig, Gaze, GazeState, MovementPhase, SequenceConfig,
+    render_sequence, EyeModel, EyeModelConfig, Gaze, GazeState, ImagingNoise, MovementPhase,
+    SequenceConfig,
 };
 use bliss_nn::{MultiHeadAttention, Tape};
 use bliss_parallel::{with_min_parallel_work, with_thread_count};
 use bliss_sensor::{rle, DigitalPixelSensor, RoiBox, SensorConfig, SramRng};
 use bliss_tensor::{NdArray, Tensor};
-use bliss_track::{PlannedBatch, SparseViT, ViTConfig};
+use bliss_track::{PlannedBatch, RoiNetConfig, SparseViT, ViTConfig};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -111,6 +114,7 @@ fn bench_attention(c: &mut Criterion) {
 /// ports against the host libm over 16 K values each, so the port and the
 /// call it replaces sit side by side in the report.
 fn bench_elementwise(c: &mut Criterion) {
+    use bliss_parallel::math::{cos_f32, log_f32};
     use bliss_tensor::kernels::{add_row_assign, exp_f32, gelu_into, softmax_rows_into, tanh_f32};
     use std::hint::black_box;
 
@@ -159,6 +163,48 @@ fn bench_elementwise(c: &mut Criterion) {
     map(c, "libm_tanh_16k", &xs, f32::tanh);
     map(c, "exp_f32_16k", &neg, exp_f32);
     map(c, "libm_exp_16k", &neg, f32::exp);
+
+    // The Box–Muller transform's arguments: u1 in [EPSILON, 1) for the
+    // log, 2 pi u2 in [0, 2 pi) for the cosine.
+    let u1: Vec<f32> = (0..16_384)
+        .map(|_| rng.gen_range(f32::EPSILON..1.0))
+        .collect();
+    let angle: Vec<f32> = (0..16_384)
+        .map(|_| std::f32::consts::TAU * rng.gen_range(0.0f32..1.0))
+        .collect();
+    map(c, "logf_f32_16k", &u1, log_f32);
+    map(c, "libm_logf_16k", &u1, f32::ln);
+    map(c, "cosf_f32_16k", &angle, cos_f32);
+    map(c, "libm_cosf_16k", &angle, f32::cos);
+}
+
+/// The two per-frame front-end stages the libm-free kernels target: the
+/// imaging noise on a rendered frame, and the ROI net's input assembly
+/// from that frame's event map and segmentation labels.
+fn bench_frontend(c: &mut Criterion) {
+    use std::hint::black_box;
+
+    let seq = render_sequence(&SequenceConfig::miniature(2, 3));
+    let noise = ImagingNoise::default();
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut noisy = Vec::new();
+    c.bench_function("imaging_noise_160x100", |b| {
+        b.iter(|| {
+            noise.apply_into(black_box(&seq.frames[1].clean), 1.0, &mut rng, &mut noisy);
+            black_box(&noisy);
+        })
+    });
+
+    let mut sensor = DigitalPixelSensor::new(SensorConfig::miniature(160, 100));
+    sensor.expose(&noise.apply(&seq.frames[0].clean, 1.0, &mut rng));
+    let _ = sensor.eventify();
+    sensor.expose(&noisy);
+    let events = sensor.eventify().to_f32();
+    let cfg = RoiNetConfig::miniature(160, 100);
+    let seg = &seq.frames[1].mask;
+    c.bench_function("roi_input_160x100", |b| {
+        b.iter(|| black_box(cfg.make_input(black_box(&events), black_box(seg))))
+    });
 }
 
 fn bench_eventify(c: &mut Criterion) {
@@ -459,8 +505,8 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(20);
-    targets = bench_renderer, bench_eventify, bench_matmul, bench_attention, bench_elementwise,
-        bench_sparse_readout, bench_sensor_die, bench_rle, bench_pool_overhead, bench_plan_vs_tape,
-        bench_telemetry_overhead
+    targets = bench_renderer, bench_eventify, bench_frontend, bench_matmul, bench_attention,
+        bench_elementwise, bench_sparse_readout, bench_sensor_die, bench_rle, bench_pool_overhead,
+        bench_plan_vs_tape, bench_telemetry_overhead
 }
 criterion_main!(kernels);

@@ -201,8 +201,8 @@ impl<R: Rng> TrajectoryGenerator<R> {
         let (openness, phase_kind) = match self.phase {
             Phase::Fixation { remaining_s } => {
                 let tremor = self.config.tremor_deg;
-                self.gaze.horizontal_deg += self.gauss() * tremor;
-                self.gaze.vertical_deg += self.gauss() * tremor;
+                self.gaze.horizontal_deg += bliss_sensor::gauss(&mut self.rng) * tremor;
+                self.gaze.vertical_deg += bliss_sensor::gauss(&mut self.rng) * tremor;
                 let remaining = remaining_s - dt;
                 if remaining <= 0.0 {
                     self.begin_movement();
@@ -323,12 +323,6 @@ impl<R: Rng> TrajectoryGenerator<R> {
         // Exponential with the configured mean, floored at 80 ms.
         let u: f32 = self.rng.gen_range(f32::EPSILON..1.0);
         (-u.ln() * self.config.mean_fixation_s).max(0.08)
-    }
-
-    fn gauss(&mut self) -> f32 {
-        let u1: f32 = self.rng.gen_range(f32::EPSILON..1.0);
-        let u2: f32 = self.rng.gen_range(0.0..1.0);
-        (-2.0 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos()
     }
 }
 

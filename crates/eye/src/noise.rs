@@ -1,5 +1,54 @@
-use rand::Rng;
+//! Imaging noise: photon shot noise, read noise and ADC quantisation.
+//!
+//! [`ImagingNoise::apply_into`] corrupts a frame in three passes:
+//!
+//! 1. **Draw** (scalar, in pixel order). Consumes the noise generator
+//!    exactly as a per-pixel loop would, and stores four raw 24-bit words
+//!    per pixel in a per-thread buffer: the two uniforms of the shot
+//!    noise's Gaussian in the buffer's first half, the two of the read
+//!    noise's in its second. A pixel whose mean is at most 50 e⁻ gets no
+//!    shot Gaussian: its Poisson count (0 for a zero mean, Knuth's method
+//!    otherwise, both drawing inline) goes into the second word of its
+//!    shot pair, and the first holds a sentinel, `u32::MAX`, which no
+//!    24-bit word can equal.
+//! 2. **Gaussian**. Per chunk of 256 pixels, looks up `logf`'s table for
+//!    every Box–Muller draw into a stack block, then runs the transform
+//!    as a loop with no other loads, which LLVM vectorises
+//!    ([`bliss_parallel::normal::gauss_words_into`]).
+//! 3. **Combine**. Adds shot and read noise (taking the stored count where
+//!    the sentinel is set) and quantises. The quantiser's `f32::round` is
+//!    written as its exact expansion `trunc(x + pred(0.5))`
+//!    ([`bliss_parallel::math::round_non_negative`]), so this loop
+//!    vectorises too.
+//!
+//! Passes 2 and 3 run per chunk on the [`bliss_parallel`] pool; each chunk
+//! depends only on its own pixels, so the output is the same at any thread
+//! count. The ports return the bits of glibc 2.36's FMA `logf`/`cosf`, so
+//! the output and the generator's end state are those of the per-pixel
+//! loop on that libm, whatever libm the host has.
+
+use bliss_parallel::math::{exp_f32, round_non_negative};
+use bliss_parallel::normal::{gauss_words_into, unit};
+use bliss_sensor::{gauss, uniform_word};
+use rand::RngCore;
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
+
+thread_local! {
+    /// This thread's draw buffer for [`ImagingNoise::apply_into`]. Every
+    /// call overwrites it, so it carries nothing from one frame to the
+    /// next. Keeping one per thread, not one per stream, bounds its memory
+    /// by the pool width instead of the number of live streams.
+    static DRAWS: Cell<Vec<u32>> = const { Cell::new(Vec::new()) };
+}
+
+/// Marks a pixel whose shot noise the draw pass sampled itself.
+const SENTINEL: u32 = u32::MAX;
+/// Pixels per chunk of the Gaussian and combine passes.
+const CHUNK: usize = 256;
+/// Above this mean (in electrons) shot noise is a Gaussian, at or below it
+/// a Knuth Poisson draw.
+const GAUSS_MIN_MEAN: f32 = 50.0;
 
 /// Physical parameters of the imaging noise model.
 ///
@@ -50,7 +99,7 @@ impl ImagingNoise {
     /// `exposure_scale` is the exposure time relative to the 8.3 ms
     /// reference; e.g. 0.25 models a 480 FPS capture. Returns the noisy
     /// image normalised back to `[0, 1]`.
-    pub fn apply<R: Rng + ?Sized>(
+    pub fn apply<R: RngCore + ?Sized>(
         &self,
         clean: &[f32],
         exposure_scale: f32,
@@ -65,7 +114,11 @@ impl ImagingNoise {
     /// the per-pixel RNG stream is consumed in the same order, so outputs
     /// are bit-identical, and a per-stream buffer reused across frames
     /// avoids a full-frame allocation per exposure.
-    pub fn apply_into<R: Rng + ?Sized>(
+    ///
+    /// Runs the three passes of the module docs. The second and third run
+    /// on the [`bliss_parallel`] pool in fixed chunks, so the output is the
+    /// same at any thread count.
+    pub fn apply_into<R: RngCore + ?Sized>(
         &self,
         clean: &[f32],
         exposure_scale: f32,
@@ -73,18 +126,65 @@ impl ImagingNoise {
         out: &mut Vec<f32>,
     ) {
         let full = self.config.full_scale_electrons * exposure_scale.max(1e-6);
+        let n = clean.len();
+        // Taken out of the cell for the call, so even a nested call could
+        // not see it half-written; it would start a buffer of its own.
+        let mut words = DRAWS.take();
+        // Every word is written below, so a buffer of the right length is
+        // not cleared first.
+        words.resize(4 * n, 0);
+        // Shot-noise pairs fill the first half, read-noise pairs the second.
+        let (shot_words, read_words) = words.split_at_mut(2 * n);
+        for ((&v, shot), read) in clean
+            .iter()
+            .zip(shot_words.chunks_exact_mut(2))
+            .zip(read_words.chunks_exact_mut(2))
+        {
+            let mean_e = mean_electrons(v, full);
+            if mean_e > GAUSS_MIN_MEAN {
+                shot[0] = uniform_word(rng);
+                shot[1] = uniform_word(rng);
+            } else {
+                shot[0] = SENTINEL;
+                shot[1] = poisson_sample(rng, mean_e).to_bits();
+            }
+            read[0] = uniform_word(rng);
+            read[1] = uniform_word(rng);
+        }
+        out.resize(n, 0.0);
+        let (shot_words, read_words) = words.split_at(2 * n);
+        let read_noise = self.config.read_noise_electrons;
         let levels = (1u32 << self.config.adc_bits) as f32;
-        out.clear();
-        out.reserve(clean.len());
-        out.extend(clean.iter().map(|&v| {
-            let mean_e = (v.clamp(0.0, 1.0) * full).max(0.0);
-            let shot = poisson_sample(rng, mean_e);
-            let read = gauss(rng) * self.config.read_noise_electrons;
-            let electrons = (shot + read).max(0.0);
-            // Quantise with the ADC, then renormalise.
-            let code = (electrons / full * levels).round().min(levels - 1.0);
-            code / (levels - 1.0)
-        }));
+        // Cost hint 16: two Box–Muller transforms and a quantisation.
+        bliss_parallel::par_chunks_with_cost(out, CHUNK, 16, |ci, out| {
+            let (base, m) = (ci * CHUNK, out.len());
+            let clean = &clean[base..base + m];
+            let shot_words = &shot_words[2 * base..2 * (base + m)];
+            let mut shot_gauss = [0.0f32; CHUNK];
+            let mut read_gauss = [0.0f32; CHUNK];
+            gauss_words_into(shot_words, &mut shot_gauss[..m]);
+            gauss_words_into(&read_words[2 * base..2 * (base + m)], &mut read_gauss[..m]);
+            for ((((o, &v), shot), &shot_g), &read_g) in out
+                .iter_mut()
+                .zip(clean)
+                .zip(shot_words.chunks_exact(2))
+                .zip(&shot_gauss[..m])
+                .zip(&read_gauss[..m])
+            {
+                let mean_e = mean_electrons(v, full);
+                let gaussian = (mean_e + shot_g * mean_e.sqrt()).max(0.0);
+                // Load the count on every pixel: a load inside the select
+                // keeps LLVM from vectorising the loop.
+                let count = f32::from_bits(shot[1]);
+                let shot = if shot[0] == SENTINEL { count } else { gaussian };
+                let electrons = (shot + read_g * read_noise).max(0.0);
+                // Quantise with the ADC, then renormalise. The electrons are
+                // never -0.0, so the rounding is `f32::round`'s.
+                let code = round_non_negative(electrons / full * levels).min(levels - 1.0);
+                *o = code / (levels - 1.0);
+            }
+        });
+        DRAWS.set(words);
     }
 
     /// Expected signal-to-noise ratio (in dB) of a pixel with radiance `v`
@@ -104,34 +204,34 @@ impl Default for ImagingNoise {
     }
 }
 
+/// Mean photo-electrons of a pixel with radiance `v` at full-scale `full`.
+#[inline(always)]
+fn mean_electrons(v: f32, full: f32) -> f32 {
+    (v.clamp(0.0, 1.0) * full).max(0.0)
+}
+
 /// Samples a Poisson random variable with the given mean.
 ///
 /// Uses Knuth's method for small means and a Gaussian approximation above 50
 /// (the regime of all realistic pixel intensities here), keeping the renderer
 /// fast without a `rand_distr` dependency.
-pub fn poisson_sample<R: Rng + ?Sized>(rng: &mut R, mean: f32) -> f32 {
+fn poisson_sample<R: RngCore + ?Sized>(rng: &mut R, mean: f32) -> f32 {
     if mean <= 0.0 {
         return 0.0;
     }
-    if mean > 50.0 {
+    if mean > GAUSS_MIN_MEAN {
         return (mean + gauss(rng) * mean.sqrt()).max(0.0);
     }
-    let l = (-mean).exp();
+    let l = exp_f32(-mean);
     let mut k = 0u32;
     let mut p = 1.0f32;
     loop {
-        p *= rng.gen_range(0.0f32..1.0);
+        p *= unit(uniform_word(rng));
         if p <= l || k > 10_000 {
             return k as f32;
         }
         k += 1;
     }
-}
-
-fn gauss<R: Rng + ?Sized>(rng: &mut R) -> f32 {
-    let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-    let u2: f32 = rng.gen_range(0.0f32..1.0);
-    (-2.0 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos()
 }
 
 #[cfg(test)]
@@ -144,8 +244,119 @@ mod tests {
     //! *same-run* comparisons (two identically-seeded generators in
     //! lockstep), which hold under any generator.
     use super::*;
+    use crate::{render_sequence, SequenceConfig};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The per-pixel loop `apply_into` replaces, kept as the reference:
+    /// Box–Muller and Knuth on the host libm, one pixel at a time.
+    fn reference_apply(
+        noise: &ImagingNoise,
+        clean: &[f32],
+        exposure_scale: f32,
+        rng: &mut StdRng,
+    ) -> Vec<f32> {
+        fn gauss(rng: &mut StdRng) -> f32 {
+            let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
+            let u2: f32 = rng.gen_range(0.0f32..1.0);
+            (-2.0 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos()
+        }
+        fn poisson(rng: &mut StdRng, mean: f32) -> f32 {
+            if mean <= 0.0 {
+                return 0.0;
+            }
+            if mean > 50.0 {
+                return (mean + gauss(rng) * mean.sqrt()).max(0.0);
+            }
+            let l = (-mean).exp();
+            let mut k = 0u32;
+            let mut p = 1.0f32;
+            loop {
+                p *= rng.gen_range(0.0f32..1.0);
+                if p <= l || k > 10_000 {
+                    return k as f32;
+                }
+                k += 1;
+            }
+        }
+        let config = noise.config();
+        let full = config.full_scale_electrons * exposure_scale.max(1e-6);
+        let levels = (1u32 << config.adc_bits) as f32;
+        clean
+            .iter()
+            .map(|&v| {
+                let mean_e = (v.clamp(0.0, 1.0) * full).max(0.0);
+                let shot = poisson(rng, mean_e);
+                let read = gauss(rng) * config.read_noise_electrons;
+                let electrons = (shot + read).max(0.0);
+                let code = (electrons / full * levels).round().min(levels - 1.0);
+                code / (levels - 1.0)
+            })
+            .collect()
+    }
+
+    /// A 161x101 frame (not a multiple of the chunk) mixing zero,
+    /// Knuth-range and Gaussian-range pixels, with out-of-range and NaN
+    /// radiances.
+    fn mixed_frame() -> Vec<f32> {
+        (0..161 * 101)
+            .map(|i| match i % 11 {
+                0 => 0.0,
+                1 => 0.003,
+                2 => 0.006_25,
+                3 => 0.006_26,
+                4 => 1.0,
+                5 => -0.5,
+                6 => 2.0,
+                7 if i % 77 == 7 => f32::NAN,
+                _ => (i % 997) as f32 / 996.0,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn apply_into_matches_the_per_pixel_loop() {
+        let rendered = render_sequence(&SequenceConfig::miniature(3, 5));
+        let mut frames: Vec<Vec<f32>> = rendered.frames.iter().map(|f| f.clean.clone()).collect();
+        frames.push(mixed_frame());
+        frames.push(Vec::new());
+        frames.push(vec![0.0; 7]);
+        let noise = ImagingNoise::default();
+        for threads in [1usize, 2, 8] {
+            bliss_parallel::with_thread_count(threads, || {
+                for exposure in [1.0f32, 0.25, 0.01] {
+                    let mut rng = StdRng::seed_from_u64(9);
+                    let mut reference_rng = StdRng::seed_from_u64(9);
+                    let mut out = Vec::new();
+                    for (f, clean) in frames.iter().enumerate() {
+                        noise.apply_into(clean, exposure, &mut rng, &mut out);
+                        let reference =
+                            reference_apply(&noise, clean, exposure, &mut reference_rng);
+                        let label = format!("{threads} threads, exposure {exposure}, frame {f}");
+                        assert_eq!(out.len(), reference.len(), "{label}");
+                        for (i, (a, b)) in out.iter().zip(&reference).enumerate() {
+                            assert_eq!(a.to_bits(), b.to_bits(), "{label}, pixel {i}");
+                        }
+                        assert_eq!(rng.state(), reference_rng.state(), "{label}: stream");
+                    }
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn frames_mix_all_three_kinds_of_pixel() {
+        // The mixed frame reaches the zero, Knuth and Gaussian branches at
+        // every exposure the identity test uses.
+        let clean = mixed_frame();
+        for exposure in [1.0f32, 0.25, 0.01] {
+            let full = NoiseConfig::default().full_scale_electrons * exposure;
+            let means: Vec<f32> = clean.iter().map(|&v| mean_electrons(v, full)).collect();
+            assert!(means.iter().any(|&m| m <= 0.0));
+            assert!(means.iter().any(|&m| m > 0.0 && m <= GAUSS_MIN_MEAN));
+            assert!(means.iter().any(|&m| m > GAUSS_MIN_MEAN));
+        }
+    }
 
     #[test]
     fn poisson_mean_matches_small_lambda() {

@@ -51,6 +51,15 @@
 //! pass a per-item cost with the `_with_cost` variants when items are cheap
 //! (the ViT's patch-occupancy scan does).
 //!
+//! # Elementwise kernels
+//!
+//! [`math`] holds branch-free, bit-exact ports of the libm functions on the
+//! hot paths (`tanhf`, `expf`, `logf`, `cosf`, and `f32::round` on
+//! non-negative inputs), which vectorise where a libm call cannot.
+//! [`normal`] builds the workspace's one Box–Muller sampler on them. They
+//! live here, below every other crate, so the tensor ops and the sensor
+//! front end share them.
+//!
 //! # Example
 //!
 //! ```
@@ -86,6 +95,8 @@ use std::sync::OnceLock;
 use std::thread;
 
 pub mod gemm;
+pub mod math;
+pub mod normal;
 pub mod pool;
 
 pub use gemm::matmul_i8t_into;

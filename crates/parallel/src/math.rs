@@ -1,5 +1,6 @@
-//! Branch-free, bit-exact ports of the two libm transcendentals on the ViT's
-//! forward path: `tanhf` (GELU) and `expf` (softmax, sigmoid).
+//! Branch-free, bit-exact ports of the libm functions on the hot paths:
+//! `tanhf` (GELU), `expf` (softmax, sigmoid), and `logf`/`cosf` (the
+//! Box–Muller transform behind every Gaussian draw, see [`crate::normal`]).
 //!
 //! A libm call per element cannot be inlined, so a loop over it never
 //! vectorises, and the call itself costs more than the GELU or softmax
@@ -18,12 +19,31 @@
 //!   as `f64::mul_add`. The one that changes bits is the range reduction
 //!   `r = fma(InvLn2N, x, -kd)`: computing `z - kd` from a rounded `z`
 //!   differs at exactly one input, x = -63.09946 (`0xc27c65d9`).
+//! * [`log_f32`] is glibc 2.36's FMA `logf`: a 16-entry table of `1/c` and
+//!   `log c` and a degree-3 polynomial in `log1p(z/c - 1)`, all in `f64`.
+//!   The table index is the only data-dependent load, and LLVM will not
+//!   vectorise a loop that gathers from a table (its cost model rejects the
+//!   gather). So the port splits in two: `log_table_entry` picks the
+//!   entry, and `log_f32_with` does the arithmetic given the entry. A
+//!   caller that gathers the entries into a block first gets a vector loop
+//!   for the rest ([`crate::normal::gauss_words_into`] does this).
+//! * [`cos_f32`] is glibc 2.36's FMA `cosf` on its fast path, `|x| < 120`:
+//!   a quadrant reduction by one fused multiply-subtract with `pi/2` in
+//!   `f64` and a degree-8 cosine or degree-7 sine polynomial. The second
+//!   coefficient set of glibc's table is the first with the cosine
+//!   polynomial negated, and both polynomials are odd or even in their
+//!   inputs, so the quadrant only decides which polynomial to take and the
+//!   sign of the result; no table load is left.
+//! * [`round_non_negative`] is `f32::round` for `x >= +0.0`, written as
+//!   `trunc(x + pred(0.5))` so a loop over it vectorises (`f32::round` has
+//!   no x86 vector instruction and stays a scalar call).
 //!
-//! The unit tests pin both ports to branchy scalar transcriptions of the
-//! reference C over a strided sweep of all 2^32 bit patterns plus the edges
-//! of every branch. An `#[ignore]`d test compares them with the host's
-//! `f32::tanh`/`f32::exp` on every input; it holds where the host libm is
-//! glibc 2.36–2.40 on an FMA-capable x86-64.
+//! The unit tests pin every port to a branchy scalar transcription of the
+//! reference C over a strided sweep of the bit patterns plus the edges of
+//! every branch. `#[ignore]`d tests compare them with the host's libm
+//! (`f32::tanh`, `f32::exp`, `f32::ln`, `f32::cos`, `f32::round`) on every
+//! input of their domain; they hold where the host libm is glibc 2.36–2.40
+//! on an FMA-capable x86-64.
 
 /// High part of ln 2; `k * LN2_HI` is exact for the `k` `expm1` reaches.
 const LN2_HI: f32 = f32::from_bits(0x3f31_7180);
@@ -227,6 +247,170 @@ pub fn exp_f32(x: f32) -> f32 {
     } else {
         y
     }
+}
+
+/// `logf`'s table: `1/c` and `log c` for the centre `c` of each of the 16
+/// subintervals of `[0x1.66p-1, 0x1.66p0)` (glibc's `__logf_data.tab`).
+const LOG_INVC: [f64; 16] = [
+    f64::from_bits(0x3ff6_61ec_79f8_f3be),
+    f64::from_bits(0x3ff5_71ed_4aaf_883d),
+    f64::from_bits(0x3ff4_9539_f0f0_10b0),
+    f64::from_bits(0x3ff3_c995_b0b8_0385),
+    f64::from_bits(0x3ff3_0d19_0c88_64a5),
+    f64::from_bits(0x3ff2_5e22_7b0b_8ea0),
+    f64::from_bits(0x3ff1_bb4a_4a1a_343f),
+    f64::from_bits(0x3ff1_2358_f08a_e5ba),
+    f64::from_bits(0x3ff0_953f_4199_00a7),
+    1.0,
+    f64::from_bits(0x3fee_608c_fd9a_47ac),
+    f64::from_bits(0x3fec_a4b3_1f02_6aa0),
+    f64::from_bits(0x3feb_2036_576a_fce6),
+    f64::from_bits(0x3fe9_c2d1_63a1_aa2d),
+    f64::from_bits(0x3fe8_86e6_0378_41ed),
+    f64::from_bits(0x3fe7_67dc_f553_4862),
+];
+/// `log c` for the same subintervals.
+const LOG_LOGC: [f64; 16] = [
+    f64::from_bits(0xbfd5_7bf7_808c_aade),
+    f64::from_bits(0xbfd2_bef0_a7c0_6ddb),
+    f64::from_bits(0xbfd0_1eae_7f51_3a67),
+    f64::from_bits(0xbfcb_31d8_a682_24e9),
+    f64::from_bits(0xbfc6_574f_0ac0_7758),
+    f64::from_bits(0xbfc1_aa2b_c79c_8100),
+    f64::from_bits(0xbfba_4e76_ce8c_0e5e),
+    f64::from_bits(0xbfb1_973c_5a61_1ccc),
+    f64::from_bits(0xbfa2_52f4_38e1_0c1e),
+    0.0,
+    f64::from_bits(0x3faa_a5aa_5df2_5984),
+    f64::from_bits(0x3fbc_5e53_aa36_2eb4),
+    f64::from_bits(0x3fc5_26e5_7720_db08),
+    f64::from_bits(0x3fcb_c286_0d22_4770),
+    f64::from_bits(0x3fd1_058b_c8a0_7ee1),
+    f64::from_bits(0x3fd4_0430_57b6_ee09),
+];
+/// ln 2 in `f64`.
+const LN2: f64 = f64::from_bits(0x3fe6_2e42_fefa_39ef);
+/// `log1p(r) ~= r + A2 r^2 + A1 r^3 + A0 r^4`.
+const LOG_A0: f64 = f64::from_bits(0xbfd0_0ea3_48b8_8334);
+const LOG_A1: f64 = f64::from_bits(0x3fd5_575b_0be0_0b6a);
+const LOG_A2: f64 = f64::from_bits(0xbfdf_fffe_f20a_4123);
+/// Bits of `0x1.66p-1`: `x = 2^k z` with `z` in `[OFF, 2 OFF)`.
+const LOG_OFF: u32 = 0x3f33_0000;
+
+/// The entry of `logf`'s table that [`log_f32`] uses for `x`, as
+/// `(1/c, log c)`.
+#[inline(always)]
+pub(crate) fn log_table_entry(x: f32) -> (f64, f64) {
+    let i = log_table_index(x);
+    (LOG_INVC[i], LOG_LOGC[i])
+}
+
+/// The index into `logf`'s 16-entry table for `x`.
+#[inline(always)]
+fn log_table_index(x: f32) -> usize {
+    ((x.to_bits().wrapping_sub(LOG_OFF) >> 19) % 16) as usize
+}
+
+/// [`log_f32`] given the table entry `log_table_entry` returns for `x`.
+///
+/// No table load, so a loop over it vectorises.
+#[inline(always)]
+pub(crate) fn log_f32_with(x: f32, invc: f64, logc: f64) -> f32 {
+    let ix = x.to_bits();
+    // x = 2^k z with z in [OFF, 2 OFF) exact; log x = log1p(z/c - 1) +
+    // log c + k ln2.
+    let tmp = ix.wrapping_sub(LOG_OFF);
+    let k = (tmp as i32) >> 23;
+    let z = f64::from(f32::from_bits(ix.wrapping_sub(tmp & 0xff80_0000)));
+    let r = z.mul_add(invc, -1.0);
+    let y0 = f64::from(k).mul_add(LN2, logc);
+    let r2 = r * r;
+    let y = LOG_A1.mul_add(r, LOG_A2);
+    let y = LOG_A0.mul_add(r2, y);
+    y.mul_add(r2, y0 + r) as f32
+}
+
+/// Natural logarithm, bit-identical to glibc 2.36's FMA `logf` on every
+/// positive normal `x`.
+///
+/// Subnormals, zero, negatives, infinity and NaN are outside the port's
+/// domain (glibc takes a slow path for them) and return unspecified values.
+/// Branch-free apart from the table load; see the module docs for the
+/// split that vectorises.
+#[inline(always)]
+pub fn log_f32(x: f32) -> f32 {
+    let (invc, logc) = log_table_entry(x);
+    log_f32_with(x, invc, logc)
+}
+
+/// `2 / pi`, scaled by `2^24` so the quadrant lands in bits 24 and up.
+const HPI_INV: f64 = f64::from_bits(0x4164_5f30_6dc9_c883);
+/// `pi / 2`.
+const HPI: f64 = f64::from_bits(0x3ff9_21fb_5444_2d18);
+/// The cosine polynomial of `cosf`'s first table entry.
+const COS_C0: f64 = 1.0;
+const COS_C1: f64 = f64::from_bits(0xbfdf_ffff_fd0c_621c);
+const COS_C2: f64 = f64::from_bits(0x3fa5_5553_e106_8f19);
+const COS_C3: f64 = f64::from_bits(0xbf56_c087_e89a_359d);
+const COS_C4: f64 = f64::from_bits(0x3ef9_9343_027b_f8c3);
+/// The sine polynomial, the same in both entries.
+const SIN_S1: f64 = f64::from_bits(0xbfc5_5554_5995_a603);
+const SIN_S2: f64 = f64::from_bits(0x3f81_1076_0523_0bc4);
+const SIN_S3: f64 = f64::from_bits(0xbf29_94eb_3774_cf24);
+/// 1.5 * 2^52 in `f64`: adding it to an integer-valued `f64` puts the
+/// integer in the low mantissa bits.
+const F64_TO_INT: f64 = 6_755_399_441_055_744.0;
+
+/// Cosine, bit-identical to glibc 2.36's FMA `cosf` for `|x| < 120`.
+///
+/// Larger magnitudes, infinities and NaN take glibc's slow path and are
+/// outside the port's domain; they return unspecified values. The
+/// Box–Muller transform only passes `2 pi u` for `u` in `[0, 1)`.
+/// Branch-free; see the module docs.
+#[inline(always)]
+pub fn cos_f32(y: f32) -> f32 {
+    let x = f64::from(y);
+    // n = ((int32_t) (x 2/pi 2^24) + 2^23) >> 24, the quadrant; every step
+    // is exact in f64 for |x| < 120.
+    let n = (((x * HPI_INV).trunc() + 8_388_608.0) * (1.0 / 16_777_216.0)).floor();
+    let xr = (-n).mul_add(HPI, x);
+    let q = (n + F64_TO_INT).to_bits() as u32;
+    let x2 = xr * xr;
+    // Odd quadrants take the sine polynomial of xr.
+    let x3 = xr * x2;
+    let s1 = x2.mul_add(SIN_S3, SIN_S2);
+    let x7 = x3 * x2;
+    let sin = x7.mul_add(s1, x3.mul_add(SIN_S1, xr));
+    // Even quadrants take the cosine polynomial.
+    let x4 = x2 * x2;
+    let c2 = x2.mul_add(COS_C4, COS_C3);
+    let c1 = x2.mul_add(COS_C1, COS_C0);
+    let x6 = x4 * x2;
+    let cos = x6.mul_add(c2, x4.mul_add(COS_C2, c1));
+    let v = (if q & 1 != 0 { sin } else { cos }) as f32;
+    // Quadrants 1 and 2 are negative: glibc multiplies x by -1 in quadrant
+    // 1 and negates the cosine coefficients in 2, both exact sign flips.
+    let v = if q.wrapping_add(1) & 2 != 0 { -v } else { v };
+    // |x| < 2^-12: 1.
+    if (y.to_bits() & 0x7fff_ffff) < 0x3980_0000 {
+        1.0
+    } else {
+        v
+    }
+}
+
+/// `0.5` minus one ulp.
+const PRED_HALF: f32 = f32::from_bits(0x3eff_ffff);
+
+/// `x.round()` for `x >= +0.0`, as `trunc(x + pred(0.5))`.
+///
+/// The sum rounds to the next integer exactly when `x`'s fraction is at
+/// least one half, and never reaches it otherwise, so the result is
+/// `f32::round`'s on every non-negative input. `-0.0` and negative inputs
+/// are outside the domain.
+#[inline(always)]
+pub fn round_non_negative(x: f32) -> f32 {
+    (x + PRED_HALF).trunc()
 }
 
 #[cfg(test)]
@@ -590,6 +774,368 @@ mod tests {
                 "entry {i}: {v} vs 2^({i}/32) = {exact}"
             );
         }
+    }
+
+    /// glibc 2.36 `logf` as its FMA variant computes it, transcribed branch
+    /// for branch (special cases return their values without raising).
+    fn ref_log(x: f32) -> f32 {
+        let mut ix = x.to_bits();
+        if ix == 0x3f80_0000 {
+            return 0.0;
+        }
+        if ix.wrapping_sub(0x0080_0000) >= 0x7f80_0000 - 0x0080_0000 {
+            if ix.wrapping_mul(2) == 0 {
+                return f32::NEG_INFINITY;
+            }
+            if ix == 0x7f80_0000 {
+                return x;
+            }
+            if (ix & 0x8000_0000) != 0 || ix.wrapping_mul(2) >= 0xff00_0000 {
+                return f32::NAN;
+            }
+            ix = (x * 8_388_608.0).to_bits();
+            ix -= 23 << 23;
+        }
+        let tmp = ix.wrapping_sub(LOG_OFF);
+        let i = ((tmp >> 19) % 16) as usize;
+        let k = (tmp as i32) >> 23;
+        let iz = ix.wrapping_sub(tmp & 0xff80_0000);
+        let (invc, logc) = (LOG_INVC[i], LOG_LOGC[i]);
+        let z = f64::from(f32::from_bits(iz));
+        let r = z.mul_add(invc, -1.0);
+        let y0 = f64::from(k).mul_add(LN2, logc);
+        let r2 = r * r;
+        let y = LOG_A1.mul_add(r, LOG_A2);
+        let y = LOG_A0.mul_add(r2, y);
+        let y = y.mul_add(r2, y0 + r);
+        y as f32
+    }
+
+    /// One entry of glibc's `__sincosf_table`, as stored.
+    struct SinCosEntry {
+        sign: [f64; 4],
+        hpi_inv: f64,
+        hpi: f64,
+        c0: f64,
+        c1: f64,
+        s1: f64,
+        c2: f64,
+        s2: f64,
+        c3: f64,
+        s3: f64,
+        c4: f64,
+    }
+
+    fn sincos_table() -> [SinCosEntry; 2] {
+        let e = |c: [u64; 8]| SinCosEntry {
+            sign: [1.0, -1.0, -1.0, 1.0],
+            hpi_inv: f64::from_bits(0x4164_5f30_6dc9_c883),
+            hpi: f64::from_bits(0x3ff9_21fb_5444_2d18),
+            c0: f64::from_bits(c[0]),
+            c1: f64::from_bits(c[1]),
+            s1: f64::from_bits(c[2]),
+            c2: f64::from_bits(c[3]),
+            s2: f64::from_bits(c[4]),
+            c3: f64::from_bits(c[5]),
+            s3: f64::from_bits(c[6]),
+            c4: f64::from_bits(c[7]),
+        };
+        [
+            e([
+                0x3ff0_0000_0000_0000,
+                0xbfdf_ffff_fd0c_621c,
+                0xbfc5_5554_5995_a603,
+                0x3fa5_5553_e106_8f19,
+                0x3f81_1076_0523_0bc4,
+                0xbf56_c087_e89a_359d,
+                0xbf29_94eb_3774_cf24,
+                0x3ef9_9343_027b_f8c3,
+            ]),
+            e([
+                0xbff0_0000_0000_0000,
+                0x3fdf_ffff_fd0c_621c,
+                0xbfc5_5554_5995_a603,
+                0xbfa5_5553_e106_8f19,
+                0x3f81_1076_0523_0bc4,
+                0x3f56_c087_e89a_359d,
+                0xbf29_94eb_3774_cf24,
+                0xbef9_9343_027b_f8c3,
+            ]),
+        ]
+    }
+
+    /// glibc's `sinf_poly`, FMA-contracted.
+    fn sinf_poly(x: f64, x2: f64, p: &SinCosEntry, n: i32) -> f32 {
+        if n & 1 == 0 {
+            let x3 = x * x2;
+            let s1 = x2.mul_add(p.s3, p.s2);
+            let x7 = x3 * x2;
+            let s = x3.mul_add(p.s1, x);
+            x7.mul_add(s1, s) as f32
+        } else {
+            let x4 = x2 * x2;
+            let c2 = x2.mul_add(p.c4, p.c3);
+            let c1 = x2.mul_add(p.c1, p.c0);
+            let x6 = x4 * x2;
+            let c = x4.mul_add(p.c2, c1);
+            x6.mul_add(c2, c) as f32
+        }
+    }
+
+    /// glibc 2.36 `cosf` as its FMA variant computes it for `|y| < 120`,
+    /// transcribed branch for branch.
+    fn ref_cos(y: f32) -> f32 {
+        let abstop12 = |v: f32| (v.to_bits() >> 20) & 0x7ff;
+        let table = sincos_table();
+        let x = f64::from(y);
+        let pio4 = f64::from_bits(0x3fe9_21fb_5444_2d18) as f32;
+        if abstop12(y) < abstop12(pio4) {
+            if abstop12(y) < abstop12(f32::from_bits(0x3980_0000)) {
+                return 1.0;
+            }
+            return sinf_poly(x, x * x, &table[0], 1);
+        }
+        assert!(abstop12(y) < abstop12(120.0), "{y} is off the fast path");
+        let p = &table[0];
+        let r = x * p.hpi_inv;
+        let n = ((r as i32) + 0x80_0000) >> 24;
+        let x = (-f64::from(n)).mul_add(p.hpi, x);
+        let s = p.sign[(n & 3) as usize];
+        let p = &table[usize::from(n & 2 != 0)];
+        sinf_poly(x * s, x * x, p, n ^ 1)
+    }
+
+    /// Round half away from zero by comparing the fraction with one half.
+    fn ref_round(x: f32) -> f32 {
+        if x.abs() >= 8_388_608.0 || x.is_nan() {
+            return x;
+        }
+        let t = x.trunc();
+        if (x - t).abs() >= 0.5 {
+            t + x.signum()
+        } else {
+            t
+        }
+    }
+
+    fn log_slice(xs: &[f32], ys: &mut [f32]) {
+        for (y, &x) in ys.iter_mut().zip(xs) {
+            *y = log_f32(x);
+        }
+    }
+
+    fn cos_slice(xs: &[f32], ys: &mut [f32]) {
+        for (y, &x) in ys.iter_mut().zip(xs) {
+            *y = cos_f32(x);
+        }
+    }
+
+    fn round_slice(xs: &[f32], ys: &mut [f32]) {
+        for (y, &x) in ys.iter_mut().zip(xs) {
+            *y = round_non_negative(x);
+        }
+    }
+
+    fn positive_normal(x: f32) -> bool {
+        x.is_normal() && x > 0.0
+    }
+
+    fn cos_domain(x: f32) -> bool {
+        x.abs() < 120.0
+    }
+
+    fn non_negative_finite(x: f32) -> bool {
+        x.is_finite() && x.to_bits() >> 31 == 0
+    }
+
+    /// Checks `kernel` against `reference` on the inputs of `xs` inside
+    /// `domain`.
+    fn assert_on_domain(
+        xs: &[f32],
+        ys: &mut [f32],
+        kernel: fn(&[f32], &mut [f32]),
+        domain: fn(f32) -> bool,
+        reference: fn(f32) -> f32,
+        name: &str,
+    ) {
+        kernel(xs, ys);
+        for (&x, &y) in xs.iter().zip(ys.iter()) {
+            if domain(x) {
+                let r = reference(x);
+                assert!(
+                    same(y, r),
+                    "{name}({x:e} = {:#010x}) = {y:e}, reference {r:e}",
+                    x.to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn log_matches_glibc_on_a_strided_sweep() {
+        sweep(257, |xs, ys| {
+            assert_on_domain(xs, ys, log_slice, positive_normal, ref_log, "log")
+        });
+    }
+
+    #[test]
+    fn log_matches_glibc_at_branch_edges() {
+        let mut xs = Vec::new();
+        // The smallest and largest normals, 1 and its neighbours, the
+        // sampler's lower bound, and every table boundary in three binades.
+        for b in [0x0080_0000u32, 0x7f7f_ffff, 0x3f80_0000, 0x3400_0000] {
+            xs.extend(around(f32::from_bits(b), 64));
+        }
+        for i in 0..16u32 {
+            for k in [-1i32, 0, 1] {
+                let b = LOG_OFF.wrapping_add(i << 19).wrapping_add((k << 23) as u32);
+                xs.extend(around(f32::from_bits(b), 8));
+            }
+        }
+        let mut ys = vec![0.0; xs.len()];
+        assert_on_domain(&xs, &mut ys, log_slice, positive_normal, ref_log, "log");
+        assert_eq!(log_f32(1.0).to_bits(), 0);
+        assert_eq!(log_f32(2.0), std::f32::consts::LN_2);
+    }
+
+    #[test]
+    fn log_table_entry_is_the_indexed_pair() {
+        for x in [f32::EPSILON, 0.3, 0.7, 1.0, 1.5, 2.0e10] {
+            let i = log_table_index(x);
+            assert_eq!(log_table_entry(x), (LOG_INVC[i], LOG_LOGC[i]));
+            let exact = (1.0 / LOG_INVC[i]).ln();
+            assert!((LOG_LOGC[i] - exact).abs() < 1e-15, "entry {i}");
+        }
+    }
+
+    #[test]
+    fn cos_matches_glibc_on_a_strided_sweep() {
+        sweep(257, |xs, ys| {
+            assert_on_domain(xs, ys, cos_slice, cos_domain, ref_cos, "cos")
+        });
+    }
+
+    #[test]
+    fn cos_matches_glibc_at_branch_edges() {
+        let mut xs = vec![0.0f32, -0.0];
+        // The 2^-12 and pi/4 thresholds, the 120 cut-off, and every
+        // quadrant boundary (k + 1/2) pi/2 the fast path reaches.
+        for b in [0x3980_0000u32, 0x3f40_0000, 0x3f49_0fdb] {
+            for x in around(f32::from_bits(b), 64) {
+                xs.extend([x, -x]);
+            }
+        }
+        for x in around(120.0, 64).filter(|x| x.abs() < 120.0) {
+            xs.extend([x, -x]);
+        }
+        for k in 0..76 {
+            let b = (k as f32 + 0.5) * std::f32::consts::FRAC_PI_2;
+            for x in around(b, 16) {
+                xs.extend([x, -x]);
+            }
+        }
+        // The largest argument the Box–Muller transform passes.
+        xs.extend(around(std::f32::consts::TAU, 16));
+        let mut ys = vec![0.0; xs.len()];
+        assert_on_domain(&xs, &mut ys, cos_slice, cos_domain, ref_cos, "cos");
+        assert_eq!(cos_f32(0.0), 1.0);
+    }
+
+    #[test]
+    fn round_matches_half_away_from_zero_on_a_strided_sweep() {
+        sweep(257, |xs, ys| {
+            assert_on_domain(xs, ys, round_slice, non_negative_finite, ref_round, "round")
+        });
+    }
+
+    #[test]
+    fn round_matches_at_half_integers() {
+        let mut xs = vec![0.0f32, f32::from_bits(1), f32::MAX];
+        for v in [0.5f32, 1.5, 2.5, 4_194_303.5, 4_194_304.5, 8_388_607.5] {
+            xs.extend(around(v, 4));
+        }
+        xs.extend(around(8_388_608.0, 4));
+        let mut ys = vec![0.0; xs.len()];
+        assert_on_domain(
+            &xs,
+            &mut ys,
+            round_slice,
+            non_negative_finite,
+            ref_round,
+            "round",
+        );
+        for &x in &xs {
+            assert!(same(round_non_negative(x), x.round()), "{x:e}");
+        }
+    }
+
+    /// Runs `kernel` on every bit pattern in `bits` inside `domain`, split
+    /// over the available cores, and compares it with `reference`.
+    fn exhaustive(
+        bits: std::ops::Range<u64>,
+        kernel: fn(&[f32], &mut [f32]),
+        domain: fn(f32) -> bool,
+        reference: fn(f32) -> f32,
+        name: &str,
+    ) {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
+        let per = (bits.end - bits.start).div_ceil(threads);
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                s.spawn(move || {
+                    let mut xs = vec![0.0f32; 1 << 14];
+                    let mut ys = vec![0.0f32; 1 << 14];
+                    let end = (bits.start + (t + 1) * per).min(bits.end);
+                    let mut b = bits.start + t * per;
+                    while b < end {
+                        let n = (end - b).min(xs.len() as u64) as usize;
+                        for (j, x) in xs[..n].iter_mut().enumerate() {
+                            *x = f32::from_bits((b + j as u64) as u32);
+                        }
+                        assert_on_domain(&xs[..n], &mut ys[..n], kernel, domain, reference, name);
+                        b += n as u64;
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    #[ignore = "exhaustive over 2^31 inputs; needs glibc 2.36-2.40 on x86-64 with FMA"]
+    fn log_matches_host_libm_on_every_positive_normal() {
+        exhaustive(
+            0x0080_0000..0x7f80_0000,
+            log_slice,
+            positive_normal,
+            f32::ln,
+            "log",
+        );
+    }
+
+    #[test]
+    #[ignore = "exhaustive over 2^31 inputs; needs glibc 2.36-2.40 on x86-64 with FMA"]
+    fn cos_matches_host_libm_below_120() {
+        let top = u64::from(120.0f32.to_bits());
+        exhaustive(0..top, cos_slice, cos_domain, f32::cos, "cos");
+        exhaustive(
+            0x8000_0000..0x8000_0000 + top,
+            cos_slice,
+            cos_domain,
+            f32::cos,
+            "cos",
+        );
+    }
+
+    #[test]
+    #[ignore = "exhaustive over 2^31 inputs"]
+    fn round_matches_std_on_every_non_negative_finite() {
+        exhaustive(
+            0..0x7f80_0000,
+            round_slice,
+            non_negative_finite,
+            f32::round,
+            "round",
+        );
     }
 
     /// Every f32 bit pattern against the host libm, split over the available

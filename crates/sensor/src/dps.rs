@@ -1,10 +1,12 @@
 use crate::event::EventMap;
 use crate::rle;
-use crate::rng::{counter_hash, hash_gauss, CalibrationLut, SramRng, SramRngConfig};
+use crate::rng::{
+    counter_hash, for_each_gauss, hash_gauss, CalibrationLut, SramRng, SramRngConfig,
+};
 use crate::roi::RoiBox;
 use bytes::Bytes;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the BlissCam digital pixel sensor.
@@ -228,9 +230,10 @@ impl DigitalPixelSensor {
     pub fn new(config: SensorConfig) -> Self {
         let mut seed_rng = StdRng::seed_from_u64(config.seed);
         let pixels = config.pixels();
-        let comparator_offset = (0..pixels)
-            .map(|_| gauss(&mut seed_rng) * config.comparator_offset_sigma)
-            .collect();
+        let mut comparator_offset = Vec::with_capacity(pixels);
+        for_each_gauss(&mut seed_rng, pixels, |g| {
+            comparator_offset.push(g * config.comparator_offset_sigma)
+        });
         let mut sram_rng = SramRng::new(pixels, config.sram_rng, config.seed ^ 0x5EED);
         let lut = sram_rng.calibrate();
         DigitalPixelSensor {
@@ -520,12 +523,6 @@ impl DigitalPixelSensor {
     }
 }
 
-fn gauss(rng: &mut StdRng) -> f32 {
-    let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-    let u2: f32 = rng.gen_range(0.0f32..1.0);
-    (-2.0 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos()
-}
-
 #[cfg(test)]
 mod tests {
     //! RNG-stream test policy: the sampler draws through the vendored
@@ -535,6 +532,27 @@ mod tests {
     //! any generator. Expected *values* (rates, counts from sampling) are
     //! tolerance- or structure-based; no golden literals of the stream.
     use super::*;
+
+    /// A full 160x100 die's comparator offsets, against the per-pixel
+    /// Box–Muller draw on the host libm that built them before the shared
+    /// kernel.
+    #[test]
+    fn comparator_offsets_match_the_libm_formula() {
+        use rand::Rng;
+        let config = SensorConfig::miniature(160, 100);
+        let die = DigitalPixelSensor::new(config);
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let reference: Vec<u32> = (0..config.pixels())
+            .map(|_| {
+                let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
+                let u2: f32 = rng.gen_range(0.0f32..1.0);
+                let g = (-2.0 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos();
+                (g * config.comparator_offset_sigma).to_bits()
+            })
+            .collect();
+        let offsets: Vec<u32> = die.comparator_offset.iter().map(|o| o.to_bits()).collect();
+        assert_eq!(offsets, reference);
+    }
 
     fn sensor(w: usize, h: usize) -> DigitalPixelSensor {
         DigitalPixelSensor::new(SensorConfig::miniature(w, h))

@@ -46,5 +46,5 @@ mod roi;
 
 pub use dps::{DigitalPixelSensor, ReadoutResult, SensorConfig, SensorSnapshot};
 pub use event::EventMap;
-pub use rng::{CalibrationLut, SramRng, SramRngConfig};
+pub use rng::{gauss, uniform_word, CalibrationLut, SramRng, SramRngConfig};
 pub use roi::RoiBox;

@@ -1,5 +1,6 @@
+use bliss_parallel::normal::{box_muller, gauss_from_words, gauss_words_into, unit};
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the SRAM power-up entropy source.
@@ -118,12 +119,11 @@ impl SramRng {
     /// of a physical die) and the subsequent power-up draws.
     pub fn new(pixels: usize, config: SramRngConfig, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let cell_threshold = (0..pixels * config.cells_per_pixel)
-            .map(|_| {
-                let bias = gauss(&mut rng) * config.cell_bias_sigma + 0.5;
-                bias_threshold(bias.clamp(0.02, 0.98))
-            })
-            .collect();
+        let mut cell_threshold = Vec::with_capacity(pixels * config.cells_per_pixel);
+        for_each_gauss(&mut rng, pixels * config.cells_per_pixel, |g| {
+            let bias = g * config.cell_bias_sigma + 0.5;
+            cell_threshold.push(bias_threshold(bias.clamp(0.02, 0.98)));
+        });
         SramRng {
             config,
             cell_threshold,
@@ -234,10 +234,46 @@ fn bias_threshold(bias: f32) -> u32 {
     (bias * (1u32 << 24) as f32).ceil() as u32
 }
 
-fn gauss(rng: &mut StdRng) -> f32 {
-    let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-    let u2: f32 = rng.gen_range(0.0f32..1.0);
-    (-2.0 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos()
+/// The next uniform 24-bit word of `rng`: the top 24 bits of one 64-bit
+/// output, which is what `gen_range` over `f32` consumes per draw.
+#[inline(always)]
+pub fn uniform_word<R: RngCore + ?Sized>(rng: &mut R) -> u32 {
+    (rng.next_u64() >> 40) as u32
+}
+
+/// A standard-normal draw: two words of `rng`, through the workspace's one
+/// Box–Muller kernel ([`bliss_parallel::normal::gauss_from_words`]).
+///
+/// The same stream and bits as the Box–Muller of
+/// `gen_range(f32::EPSILON..1.0)` and `gen_range(0.0..1.0)` on glibc
+/// 2.36's FMA `logf`/`cosf`, without a libm call.
+#[inline]
+pub fn gauss<R: RngCore + ?Sized>(rng: &mut R) -> f32 {
+    let w1 = uniform_word(rng);
+    let w2 = uniform_word(rng);
+    gauss_from_words(w1, w2)
+}
+
+/// Hands `f` the next `n` draws of [`gauss`] on `rng`, in order.
+///
+/// Draws the words of a block first, then transforms the block with the
+/// vectorised [`gauss_words_into`]: the stream stays sequential and the
+/// values are [`gauss`]'s, but the transform does not run one call at a
+/// time.
+pub(crate) fn for_each_gauss(rng: &mut StdRng, n: usize, mut f: impl FnMut(f32)) {
+    const BLOCK: usize = 1024;
+    let mut words = [0u32; 2 * BLOCK];
+    let mut out = [0.0f32; BLOCK];
+    let mut left = n;
+    while left > 0 {
+        let m = left.min(BLOCK);
+        for w in &mut words[..2 * m] {
+            *w = uniform_word(rng);
+        }
+        gauss_words_into(&words[..2 * m], &mut out[..m]);
+        out[..m].iter().copied().for_each(&mut f);
+        left -= m;
+    }
 }
 
 /// SplitMix64 finaliser: a cheap, high-quality bijective mixer.
@@ -272,15 +308,17 @@ pub(crate) fn hash_unit(h: u64) -> f32 {
 }
 
 /// Standard-normal sample via Box–Muller on two 24-bit lanes of a hash.
+#[inline]
 pub(crate) fn hash_gauss(h: u64) -> f32 {
     let u1 = ((((h >> 40) as u32) as f32) + 1.0) * 2.0f32.powi(-24); // (0, 1]
-    let u2 = (((h as u32) & 0x00FF_FFFF) as f32) * 2.0f32.powi(-24); // [0, 1)
-    (-2.0 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos()
+    let u2 = unit((h as u32) & 0x00FF_FFFF); // [0, 1)
+    box_muller(u1, u2)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
 
     fn rng(pixels: usize, seed: u64) -> SramRng {
         SramRng::new(pixels, SramRngConfig::default(), seed)
@@ -407,6 +445,53 @@ mod tests {
         assert!((0.2..=0.9).contains(&rate), "pixel rate {rate}");
     }
 
+    /// The Box–Muller draw every sampler made before the shared kernel, on
+    /// the host libm: the reference for the cell biases and [`gauss`].
+    fn libm_gauss(rng: &mut StdRng) -> f32 {
+        let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
+        let u2: f32 = rng.gen_range(0.0f32..1.0);
+        (-2.0 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos()
+    }
+
+    #[test]
+    fn gauss_matches_the_libm_draw_and_stream() {
+        let mut a = StdRng::seed_from_u64(11);
+        let mut b = StdRng::seed_from_u64(11);
+        for i in 0..100_000 {
+            let (g, r) = (gauss(&mut a), libm_gauss(&mut b));
+            assert_eq!(g.to_bits(), r.to_bits(), "draw {i}");
+        }
+        assert_eq!(a.state(), b.state());
+    }
+
+    #[test]
+    fn hash_gauss_matches_the_libm_formula() {
+        for i in 0..100_000 {
+            let h = counter_hash(3, 9, i);
+            let u1 = ((((h >> 40) as u32) as f32) + 1.0) * 2.0f32.powi(-24);
+            let u2 = (((h as u32) & 0x00FF_FFFF) as f32) * 2.0f32.powi(-24);
+            let r = (-2.0 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos();
+            assert_eq!(hash_gauss(h).to_bits(), r.to_bits(), "index {i}");
+        }
+    }
+
+    /// A full 160x100 die: every one of its 160 000 cell thresholds, and
+    /// the stream after them, as the per-cell libm draw gives them.
+    #[test]
+    fn full_die_thresholds_match_the_libm_formula() {
+        let config = SramRngConfig::default();
+        let pixels = 160 * 100;
+        let fast = SramRng::new(pixels, config, 0xD5 ^ 0x5EED);
+        let reference = FloatSram::new(pixels, config, 0xD5 ^ 0x5EED);
+        let thresholds: Vec<u32> = reference
+            .cell_bias
+            .iter()
+            .map(|&b| bias_threshold(b))
+            .collect();
+        assert_eq!(fast.cell_threshold, thresholds);
+        assert_eq!(fast.rng.state(), reference.rng.state());
+    }
+
     /// The float-comparison power-up the threshold form replaces, kept as
     /// the reference: per cell, `gen::<f32>() < bias`, counted with a branch.
     struct FloatSram {
@@ -423,7 +508,7 @@ mod tests {
             let n = pixels * config.cells_per_pixel;
             let mut cell_bias = Vec::with_capacity(n);
             for _ in 0..n {
-                let g: f32 = gauss(&mut rng) * config.cell_bias_sigma + 0.5;
+                let g: f32 = libm_gauss(&mut rng) * config.cell_bias_sigma + 0.5;
                 cell_bias.push(g.clamp(0.02, 0.98));
             }
             FloatSram {

@@ -1,6 +1,6 @@
-use crate::math::{exp_f32, tanh_f32};
 use crate::scratch;
 use crate::TensorError;
+use bliss_parallel::math::{exp_f32, tanh_f32};
 use rand::Rng;
 use std::fmt;
 

@@ -479,7 +479,7 @@ impl Tensor {
 
     /// Hyperbolic tangent.
     pub fn tanh(&self) -> Tensor {
-        let value = self.value().map(crate::math::tanh_f32);
+        let value = self.value().map(bliss_parallel::math::tanh_f32);
         let y = value.clone();
         Tensor::from_op(
             value,
@@ -503,7 +503,7 @@ impl Tensor {
             Box::new(move |g, parents| {
                 let dg = g.zip_with(&x, |gv, v| {
                     let u = A * (v + B * v * v * v);
-                    let t = crate::math::tanh_f32(u);
+                    let t = bliss_parallel::math::tanh_f32(u);
                     let du = A * (1.0 + 3.0 * B * v * v);
                     gv * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * du)
                 });

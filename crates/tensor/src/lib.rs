@@ -67,7 +67,6 @@ mod error;
 mod exec;
 mod gradcheck;
 mod graph;
-mod math;
 mod plan;
 pub mod quant;
 mod scratch;
@@ -97,7 +96,7 @@ pub mod kernels {
     pub use crate::array::{
         add_row_assign, gather_rows_into, gelu_into, matmul_into, softmax_rows_into,
     };
-    pub use crate::math::{exp_f32, tanh_f32};
+    pub use bliss_parallel::math::{exp_f32, tanh_f32};
 }
 pub use scratch::{
     pool_stats, recycle_f32_buffer, recycle_i32_buffer, recycle_i8_buffer, recycle_index_buffer,

@@ -96,38 +96,35 @@ impl RoiNetConfig {
         // backing store on drop, so steady-state serving builds ROI inputs
         // without touching the global allocator at any geometry.
         let mut data = take_f32_buffer(2 * iw * ih);
-        // Channel 0: block-average of the event map (row-major).
-        for oy in 0..ih {
-            for ox in 0..iw {
-                let mut sum = 0.0f32;
-                let mut count = 0u32;
-                for dy in 0..f {
-                    let y = oy * f + dy;
-                    if y >= h {
-                        break;
-                    }
-                    for dx in 0..f {
-                        let x = ox * f + dx;
-                        if x >= w {
-                            break;
+        data.resize(2 * iw * ih, 0.0);
+        let (mean, seg_max) = data.split_at_mut(iw * ih);
+        // One band of `f` frame rows per output row. Channel 0 is the block
+        // average of the event map: each block's sum accumulates row by row
+        // from its top-left pixel, the order of a nested loop over the
+        // block. Channel 1 is the block max of the segmentation labels
+        // normalised to [0, 1]; max commutes with the monotone /3.0 scaling
+        // and does not depend on order.
+        if w > 0 {
+            let bands = events.chunks(f * w).zip(prev_seg.chunks(f * w));
+            let outs = mean.chunks_exact_mut(iw).zip(seg_max.chunks_exact_mut(iw));
+            for ((ev_band, seg_band), (sums, maxes)) in bands.zip(outs) {
+                for (ev_row, seg_row) in ev_band.chunks_exact(w).zip(seg_band.chunks_exact(w)) {
+                    for (sum, block) in sums.iter_mut().zip(ev_row.chunks(f)) {
+                        for &e in block {
+                            *sum += e;
                         }
-                        sum += events[y * w + x];
-                        count += 1;
+                    }
+                    for (m, block) in maxes.iter_mut().zip(seg_row.chunks(f)) {
+                        let v = block.iter().copied().max().unwrap_or(0) as f32 / 3.0;
+                        if v > *m {
+                            *m = v;
+                        }
                     }
                 }
-                data.push(sum / count.max(1) as f32);
-            }
-        }
-        // Channel 1: max-downsampled segmentation labels normalised to
-        // [0, 1] (max commutes with the monotone /3.0 scaling).
-        data.resize(2 * iw * ih, 0.0);
-        for (i, &c) in prev_seg.iter().enumerate() {
-            let x = i % w;
-            let y = i / w;
-            let o = iw * ih + (y / f) * iw + x / f;
-            let v = c as f32 / 3.0;
-            if v > data[o] {
-                data[o] = v;
+                let rows = ev_band.len() / w;
+                for (ox, sum) in sums.iter_mut().enumerate() {
+                    *sum /= (rows * f.min(w - ox * f)) as f32;
+                }
             }
         }
         NdArray::from_vec(data, &[2, ih, iw]).expect("roi input shape")
@@ -400,6 +397,80 @@ mod tests {
                 bliss_parallel::with_thread_count(threads, run),
                 "t={threads}"
             );
+        }
+    }
+
+    /// The per-output nested loop and the per-pixel divide `make_input`
+    /// replaces, kept as the reference.
+    fn reference_make_input(cfg: &RoiNetConfig, events: &[f32], prev_seg: &[u8]) -> Vec<f32> {
+        let (w, h) = (cfg.frame_width, cfg.frame_height);
+        let f = cfg.input_downsample;
+        let (iw, ih) = cfg.input_dims();
+        let mut data = Vec::new();
+        for oy in 0..ih {
+            for ox in 0..iw {
+                let mut sum = 0.0f32;
+                let mut count = 0u32;
+                for dy in 0..f {
+                    let y = oy * f + dy;
+                    if y >= h {
+                        break;
+                    }
+                    for dx in 0..f {
+                        let x = ox * f + dx;
+                        if x >= w {
+                            break;
+                        }
+                        sum += events[y * w + x];
+                        count += 1;
+                    }
+                }
+                data.push(sum / count.max(1) as f32);
+            }
+        }
+        data.resize(2 * iw * ih, 0.0);
+        for (i, &c) in prev_seg.iter().enumerate() {
+            let x = i % w;
+            let y = i / w;
+            let o = iw * ih + (y / f) * iw + x / f;
+            let v = c as f32 / 3.0;
+            if v > data[o] {
+                data[o] = v;
+            }
+        }
+        data
+    }
+
+    #[test]
+    fn make_input_matches_the_reference_loop() {
+        for (w, h, f) in [
+            (160, 100, 4),
+            (161, 101, 4),
+            (7, 5, 3),
+            (1, 1, 4),
+            (9, 4, 1),
+            (5, 0, 2),
+        ] {
+            let cfg = RoiNetConfig {
+                input_downsample: f,
+                ..RoiNetConfig::miniature(w, h)
+            };
+            // Events with signed zeros, fractions and sums that round; a
+            // segmentation map that visits every class.
+            let events: Vec<f32> = (0..w * h)
+                .map(|i| match i % 5 {
+                    0 => -0.0,
+                    1 => 1.0,
+                    2 => 0.1 * (i % 13) as f32,
+                    3 => -1.0 / 3.0,
+                    _ => 1.0e-7 * i as f32,
+                })
+                .collect();
+            let seg: Vec<u8> = (0..w * h).map(|i| ((i * 7 + i / 3) % 4) as u8).collect();
+            let got = cfg.make_input(&events, &seg);
+            let want = reference_make_input(&cfg, &events, &seg);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got.data()), bits(&want), "{w}x{h}, f = {f}");
         }
     }
 
