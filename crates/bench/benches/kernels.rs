@@ -324,7 +324,7 @@ fn bench_pool_overhead(c: &mut Criterion) {
         with_thread_count(SHARES, || {
             with_min_parallel_work(0, || {
                 b.iter(|| {
-                    bliss_parallel::par_chunks(&mut buf, 16, |i, part| {
+                    bliss_parallel::par_chunks(&mut buf, 16, 1, |i, part| {
                         for x in part.iter_mut() {
                             *x = x.wrapping_add(i as u64);
                         }
@@ -338,7 +338,7 @@ fn bench_pool_overhead(c: &mut Criterion) {
     c.bench_function("pool_overhead_serial_cutoff", |b| {
         with_thread_count(SHARES, || {
             b.iter(|| {
-                bliss_parallel::par_chunks(&mut buf, 16, |i, part| {
+                bliss_parallel::par_chunks(&mut buf, 16, 1, |i, part| {
                     for x in part.iter_mut() {
                         *x = x.wrapping_add(i as u64);
                     }

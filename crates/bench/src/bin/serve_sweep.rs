@@ -111,18 +111,12 @@ struct SweepReport {
 /// The flags this binary accepts.
 const FLAGS: &[Flag] = &[Flag::Quick, Flag::Precision];
 
-/// Reads `--precision <f32|int8|both>` (or `BLISS_BENCH_PRECISION`);
-/// defaults to `both`.
+/// Reads `--precision <f32|int8|both>` (`bliss_bench::flags` rejects any
+/// other mode); defaults to `both`.
 fn precision_mode() -> String {
-    let mode = bliss_bench::flags(FLAGS)
+    bliss_bench::flags(FLAGS)
         .precision
-        .or_else(|| std::env::var("BLISS_BENCH_PRECISION").ok())
-        .unwrap_or_else(|| "both".to_string());
-    assert!(
-        matches!(mode.as_str(), "f32" | "int8" | "both"),
-        "--precision must be f32, int8 or both (got {mode:?})"
-    );
-    mode
+        .unwrap_or_else(|| "both".to_string())
 }
 
 /// Mean per-frame angular gaze error over an outcome's traces, optionally

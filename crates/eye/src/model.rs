@@ -167,58 +167,51 @@ impl EyeModel {
         let texture = &self.skin_texture;
         // Cost hint 64: each pixel runs full ellipse/iris geometry, so even
         // a miniature frame is well worth dispatching.
-        bliss_parallel::par_zip_rows_with_cost(
-            &mut image,
-            w,
-            &mut mask,
-            w,
-            64,
-            |y, img_row, mask_row| {
-                let fy = y as f32 + 0.5;
-                for x in 0..w {
-                    let idx = y * w + x;
-                    let fx = x as f32 + 0.5;
-                    // Skin with static texture by default.
-                    let mut value = 0.52 + texture[idx];
-                    let mut class = EyeClass::Skin;
+        bliss_parallel::par_zip_rows(&mut image, w, &mut mask, w, 64, |y, img_row, mask_row| {
+            let fy = y as f32 + 0.5;
+            for x in 0..w {
+                let idx = y * w + x;
+                let fx = x as f32 + 0.5;
+                // Skin with static texture by default.
+                let mut value = 0.52 + texture[idx];
+                let mut class = EyeClass::Skin;
 
-                    let nx = (fx - cx) / fis_a.max(1e-3);
-                    let ny = (fy - cy) / fis_b.max(1e-3);
-                    let inside_fissure = fis_b > 0.5 && nx * nx + ny * ny < 1.0;
-                    if inside_fissure {
-                        let dx = fx - px;
-                        let dy = fy - py;
-                        let d = (dx * dx + dy * dy).sqrt();
-                        if d < pupil_r {
-                            class = EyeClass::Pupil;
-                            value = 0.06;
-                        } else if d < iris_r {
-                            class = EyeClass::Iris;
-                            // Radial striation texture.
-                            let angle = dy.atan2(dx);
-                            let stria = 0.05 * (angle * 14.0).sin();
-                            let radial = 0.04 * ((d / iris_r) * 9.0).cos();
-                            value = 0.34 + stria + radial;
-                        } else {
-                            class = EyeClass::Sclera;
-                            // Slight limbal darkening near the iris boundary.
-                            let falloff = (1.0 - ((d - iris_r) / iris_r).min(1.0)) * 0.08;
-                            value = 0.86 - falloff;
-                        }
-                        // Specular glint on top of the cornea (image kept, class
-                        // label stays the underlying region, as in OpenEDS).
-                        let gdx = fx - glint_x;
-                        let gdy = fy - glint_y;
-                        if gdx * gdx + gdy * gdy < glint_r * glint_r {
-                            value = 0.98;
-                        }
+                let nx = (fx - cx) / fis_a.max(1e-3);
+                let ny = (fy - cy) / fis_b.max(1e-3);
+                let inside_fissure = fis_b > 0.5 && nx * nx + ny * ny < 1.0;
+                if inside_fissure {
+                    let dx = fx - px;
+                    let dy = fy - py;
+                    let d = (dx * dx + dy * dy).sqrt();
+                    if d < pupil_r {
+                        class = EyeClass::Pupil;
+                        value = 0.06;
+                    } else if d < iris_r {
+                        class = EyeClass::Iris;
+                        // Radial striation texture.
+                        let angle = dy.atan2(dx);
+                        let stria = 0.05 * (angle * 14.0).sin();
+                        let radial = 0.04 * ((d / iris_r) * 9.0).cos();
+                        value = 0.34 + stria + radial;
+                    } else {
+                        class = EyeClass::Sclera;
+                        // Slight limbal darkening near the iris boundary.
+                        let falloff = (1.0 - ((d - iris_r) / iris_r).min(1.0)) * 0.08;
+                        value = 0.86 - falloff;
                     }
-
-                    img_row[x] = value.clamp(0.0, 1.0);
-                    mask_row[x] = class as u8;
+                    // Specular glint on top of the cornea (image kept, class
+                    // label stays the underlying region, as in OpenEDS).
+                    let gdx = fx - glint_x;
+                    let gdy = fy - glint_y;
+                    if gdx * gdx + gdy * gdy < glint_r * glint_r {
+                        value = 0.98;
+                    }
                 }
-            },
-        );
+
+                img_row[x] = value.clamp(0.0, 1.0);
+                mask_row[x] = class as u8;
+            }
+        });
         (image, mask)
     }
 

@@ -156,7 +156,7 @@ impl ImagingNoise {
         let read_noise = self.config.read_noise_electrons;
         let levels = (1u32 << self.config.adc_bits) as f32;
         // Cost hint 16: two Box–Muller transforms and a quantisation.
-        bliss_parallel::par_chunks_with_cost(out, CHUNK, 16, |ci, out| {
+        bliss_parallel::par_chunks(out, CHUNK, 16, |ci, out| {
             let (base, m) = (ci * CHUNK, out.len());
             let clean = &clean[base..base + m];
             let shot_words = &shot_words[2 * base..2 * (base + m)];

@@ -1,8 +1,6 @@
 use crate::runtime::FleetConfig;
 use bliss_serve::{LatencyStats, ServeOutcome, ServeReport};
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// One gaze-output event in the fleet-wide merged timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -162,83 +160,36 @@ impl FleetReport {
     }
 }
 
-/// Merges the per-host completion-event queues into one fleet-wide,
+/// Merges the per-host completion records into one fleet-wide,
 /// virtual-time-ordered stream.
 ///
-/// Each host's records are first ordered into its own event queue (by
-/// completion time, then session id, then frame index — a total order, so
-/// simultaneous completions never reorder between runs), then the queues are
-/// k-way merged with the host index as the final tie-breaker. The result is
-/// deterministic for a fixed fleet configuration regardless of host count,
-/// thread pool or traversal order.
+/// Events are ordered by completion time, then host index, then session id,
+/// then frame index — a total order, so simultaneous completions never
+/// reorder between runs. The result is deterministic for a fixed fleet
+/// configuration regardless of host count, thread pool or traversal order.
 pub fn merge_timelines(per_host: &[ServeOutcome]) -> Vec<FleetEvent> {
-    // Build each host's sorted event queue.
-    let queues: Vec<Vec<FleetEvent>> = per_host
+    let mut events: Vec<FleetEvent> = per_host
         .iter()
         .enumerate()
-        .map(|(host, outcome)| {
-            let mut q: Vec<FleetEvent> = outcome
-                .traces
-                .iter()
-                .flat_map(|t| {
-                    t.records.iter().map(move |r| FleetEvent {
-                        time_s: r.completion_s,
-                        host,
-                        session: t.config.id,
-                        frame: r.index,
-                        latency_s: r.latency_s,
-                        deadline_missed: r.deadline_missed,
-                    })
+        .flat_map(|(host, outcome)| {
+            outcome.traces.iter().flat_map(move |t| {
+                t.records.iter().map(move |r| FleetEvent {
+                    time_s: r.completion_s,
+                    host,
+                    session: t.config.id,
+                    frame: r.index,
+                    latency_s: r.latency_s,
+                    deadline_missed: r.deadline_missed,
                 })
-                .collect();
-            q.sort_by(|a, b| {
-                a.time_s
-                    .total_cmp(&b.time_s)
-                    .then(a.session.cmp(&b.session))
-                    .then(a.frame.cmp(&b.frame))
-            });
-            q
+            })
         })
         .collect();
-
-    // K-way merge keyed on (time, host, session, frame).
-    #[derive(PartialEq)]
-    struct Key(f64, usize, usize, usize);
-    impl Eq for Key {}
-    impl PartialOrd for Key {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for Key {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            self.0
-                .total_cmp(&other.0)
-                .then(self.1.cmp(&other.1))
-                .then(self.2.cmp(&other.2))
-                .then(self.3.cmp(&other.3))
-        }
-    }
-
-    let total: usize = queues.iter().map(Vec::len).sum();
-    let mut merged = Vec::with_capacity(total);
-    let mut heads: Vec<usize> = vec![0; queues.len()];
-    let mut heap: BinaryHeap<Reverse<(Key, usize)>> = BinaryHeap::new();
-    for (host, q) in queues.iter().enumerate() {
-        if let Some(e) = q.first() {
-            heap.push(Reverse((Key(e.time_s, e.host, e.session, e.frame), host)));
-        }
-    }
-    while let Some(Reverse((_, host))) = heap.pop() {
-        let e = queues[host][heads[host]];
-        merged.push(e);
-        heads[host] += 1;
-        if let Some(next) = queues[host].get(heads[host]) {
-            heap.push(Reverse((
-                Key(next.time_s, next.host, next.session, next.frame),
-                host,
-            )));
-        }
-    }
-    merged
+    events.sort_by(|a, b| {
+        a.time_s
+            .total_cmp(&b.time_s)
+            .then(a.host.cmp(&b.host))
+            .then(a.session.cmp(&b.session))
+            .then(a.frame.cmp(&b.frame))
+    });
+    events
 }

@@ -50,7 +50,7 @@ pub fn matmul_i8t_into(a: &[i8], bt: &[i8], k: usize, p: usize, out: &mut [i32])
 
     // One contiguous run of ROW_BLOCK output rows per chunk; each output
     // element costs k multiply-accumulates.
-    crate::par_chunks_with_cost(out, ROW_BLOCK * p, k, |blk, out_chunk| {
+    crate::par_chunks(out, ROW_BLOCK * p, k, |blk, out_chunk| {
         let row0 = blk * ROW_BLOCK;
         let rows = out_chunk.len() / p;
         let mut r = 0;

@@ -30,26 +30,33 @@
 //! `BLISS_THREADS` environment variable, and finally
 //! [`std::thread::available_parallelism`], capped at 16.
 //!
+//! # Regions
+//!
+//! Four region entry points cover every partition shape in the workspace:
+//!
+//! * [`par_chunks`]: consecutive fixed-length chunks (or rows) of one
+//!   mutable buffer;
+//! * [`par_zip_rows`]: matching rows of two mutable buffers;
+//! * [`par_map_collect`]: `n` owned results, one per index;
+//! * [`par_map_mut`]: one result per mutable item.
+//!
 //! # Small-region cutoff
 //!
 //! Dispatching a region costs roughly a microsecond even on the persistent
 //! pool, which tiny regions (eventification of a miniature frame, a
-//! handful-of-rows transpose) can never amortise. Each primitive therefore
-//! estimates its region's total work — element count times an optional
-//! per-element cost hint (the `*_with_cost` variants; e.g. the matmul passes
-//! its inner dimension) — and runs **serially on the calling thread** when
+//! handful-of-rows transpose) can never amortise. [`par_chunks`] and
+//! [`par_zip_rows`] therefore estimate their region's total work — element
+//! count times the caller's per-element cost hint (e.g. the matmul passes
+//! its inner dimension) — and run **serially on the calling thread** when
 //! the estimate falls below [`min_parallel_work`]. The cutoff changes only
 //! *where* the closures run, never the partition, so results remain
-//! bit-identical on both sides of the threshold; it is tunable via the
-//! `BLISS_PAR_THRESHOLD` environment variable or scoped
-//! [`with_min_parallel_work`] (the benches force `0` to measure pure
-//! dispatch).
+//! bit-identical on both sides of the threshold; scoped
+//! [`with_min_parallel_work`] overrides it (the benches and tests force `0`
+//! to measure or exercise pure dispatch).
 //!
 //! [`par_map_collect`] and [`par_map_mut`] fan out *items* (attention heads,
-//! serving sessions) rather than elements; their plain forms assume every
-//! item is at least a threshold's worth of work and always parallelise —
-//! pass a per-item cost with the `_with_cost` variants when items are cheap
-//! (the ViT's patch-occupancy scan does).
+//! serving sessions) rather than elements; they assume every item is at
+//! least a threshold's worth of work and always parallelise.
 //!
 //! # Elementwise kernels
 //!
@@ -67,7 +74,7 @@
 //! let mut data: Vec<f32> = (0..40).map(|x| x as f32).collect();
 //! let expected: Vec<f32> = data.iter().map(|x| x * x).collect();
 //!
-//! bliss_parallel::par_map_rows(&mut data, 4, |_row, slice| {
+//! bliss_parallel::par_chunks(&mut data, 4, 1, |_row, slice| {
 //!     for v in slice.iter_mut() {
 //!         *v *= *v;
 //!     }
@@ -80,7 +87,7 @@
 //! let mut again: Vec<f32> = (0..40).map(|x| x as f32).collect();
 //! bliss_parallel::with_thread_count(8, || {
 //!     bliss_parallel::with_min_parallel_work(0, || {
-//!         bliss_parallel::par_map_rows(&mut again, 4, |_row, slice| {
+//!         bliss_parallel::par_chunks(&mut again, 4, 1, |_row, slice| {
 //!             for v in slice.iter_mut() {
 //!                 *v *= *v;
 //!             }
@@ -134,16 +141,6 @@ fn env_thread_count() -> usize {
     })
 }
 
-fn env_min_parallel_work() -> usize {
-    static ENV: OnceLock<usize> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("BLISS_PAR_THRESHOLD")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .unwrap_or(DEFAULT_MIN_PARALLEL_WORK)
-    })
-}
-
 /// The number of worker threads a parallel region started on this thread
 /// will use.
 ///
@@ -164,15 +161,12 @@ pub fn thread_count() -> usize {
     }
 }
 
-/// The total-work cutoff below which regions run serially.
-///
-/// Resolution order: [`with_min_parallel_work`] override →
-/// `BLISS_PAR_THRESHOLD` environment variable →
-/// [`DEFAULT_MIN_PARALLEL_WORK`].
+/// The total-work cutoff below which regions run serially: the
+/// [`with_min_parallel_work`] override, else [`DEFAULT_MIN_PARALLEL_WORK`].
 pub fn min_parallel_work() -> usize {
     WORK_CUTOFF_OVERRIDE
         .with(Cell::get)
-        .unwrap_or_else(env_min_parallel_work)
+        .unwrap_or(DEFAULT_MIN_PARALLEL_WORK)
 }
 
 /// Restores the previous override when a scoped override ends, even on panic.
@@ -221,7 +215,7 @@ pub fn with_thread_count<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 /// // Force pool dispatch for a tiny region; the bytes cannot change.
 /// let run = || {
 ///     let mut v = vec![1.0f32; 8];
-///     bliss_parallel::par_map_rows(&mut v, 2, |r, row| row[0] += r as f32);
+///     bliss_parallel::par_chunks(&mut v, 2, 1, |r, row| row[0] += r as f32);
 ///     v
 /// };
 /// let serial = run();
@@ -244,14 +238,20 @@ fn worker_guard() -> OverrideGuard {
     OverrideGuard(prev)
 }
 
-/// Applies `f` to consecutive `chunk_len`-sized chunks of `data` in parallel.
+/// Applies `f` to consecutive `chunk_len`-sized chunks (or rows) of `data`
+/// in parallel.
 ///
 /// The closure receives the chunk index and a mutable slice; the final chunk
 /// may be shorter. Chunk boundaries depend only on `data.len()` and
 /// `chunk_len`, so for a pure `f` the result is bit-identical for every
 /// thread count. Work is distributed as one contiguous run of chunks per
-/// worker; regions smaller than [`min_parallel_work`] elements run serially
-/// on the calling thread (same partition, same bytes).
+/// worker.
+///
+/// `cost_per_elem` scales the work estimate (`data.len() * cost_per_elem`)
+/// compared against [`min_parallel_work`]; below it the region runs
+/// serially on the calling thread (same partition, same bytes). It has **no
+/// effect on results**. The matmul passes its inner dimension `k` (each
+/// output element costs `k` FMAs); memory-bound kernels pass 1.
 ///
 /// An empty `data` is a no-op. Panics in `f` propagate to the caller.
 ///
@@ -263,7 +263,7 @@ fn worker_guard() -> OverrideGuard {
 ///
 /// ```
 /// let mut v = vec![1.0f32; 10];
-/// bliss_parallel::par_chunks(&mut v, 4, |idx, chunk| {
+/// bliss_parallel::par_chunks(&mut v, 4, 1, |idx, chunk| {
 ///     for x in chunk.iter_mut() {
 ///         *x += idx as f32;
 ///     }
@@ -272,27 +272,7 @@ fn worker_guard() -> OverrideGuard {
 /// assert_eq!(v[4..8], [2.0; 4]);
 /// assert_eq!(v[8..], [3.0; 2]); // tail chunk is shorter
 /// ```
-pub fn par_chunks<T, F>(data: &mut [T], chunk_len: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    par_chunks_with_cost(data, chunk_len, 1, f)
-}
-
-/// [`par_chunks`] with an explicit per-element cost hint for the
-/// small-region cutoff.
-///
-/// `cost_per_elem` scales the work estimate (`data.len() * cost_per_elem`)
-/// compared against [`min_parallel_work`]; it has **no effect on results**,
-/// only on whether the region dispatches to the pool. The matmul passes its
-/// inner dimension `k` (each output element costs `k` FMAs); memory-bound
-/// kernels use the default of 1.
-///
-/// # Panics
-///
-/// Panics if `chunk_len == 0`, or if any worker closure panics.
-pub fn par_chunks_with_cost<T, F>(data: &mut [T], chunk_len: usize, cost_per_elem: usize, f: F)
+pub fn par_chunks<T, F>(data: &mut [T], chunk_len: usize, cost_per_elem: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
@@ -333,57 +313,14 @@ where
     });
 }
 
-/// Applies `f` to each `row_len`-sized row of `data` in parallel.
-///
-/// Identical to [`par_chunks`] with `chunk_len = row_len`; provided as the
-/// natural vocabulary for row-major matrix kernels. `data.len()` does not
-/// need to be a multiple of `row_len` (the last row may be partial).
-///
-/// # Panics
-///
-/// Panics if `row_len == 0`, or if any worker closure panics.
-///
-/// # Example
-///
-/// ```
-/// // Normalise each row of a 3x4 matrix by its first element.
-/// let mut m = vec![2.0f32, 4.0, 6.0, 8.0, 1.0, 3.0, 5.0, 7.0, 4.0, 4.0, 8.0, 2.0];
-/// bliss_parallel::par_map_rows(&mut m, 4, |_r, row| {
-///     let head = row[0];
-///     for v in row.iter_mut() {
-///         *v /= head;
-///     }
-/// });
-/// assert_eq!(&m[..4], &[1.0, 2.0, 3.0, 4.0]);
-/// ```
-pub fn par_map_rows<T, F>(data: &mut [T], row_len: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    par_chunks_with_cost(data, row_len, 1, f);
-}
-
-/// [`par_map_rows`] with an explicit per-element cost hint (see
-/// [`par_chunks_with_cost`]).
-///
-/// # Panics
-///
-/// Panics if `row_len == 0`, or if any worker closure panics.
-pub fn par_map_rows_with_cost<T, F>(data: &mut [T], row_len: usize, cost_per_elem: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    par_chunks_with_cost(data, row_len, cost_per_elem, f);
-}
-
 /// Applies `f` to matching rows of two parallel buffers.
 ///
 /// `a` is split into `row_len_a`-sized rows and `b` into `row_len_b`-sized
 /// rows; both must contain the same number of rows. Used by kernels that
 /// produce two per-pixel outputs at once (e.g. the eye renderer's radiance
-/// image and class mask).
+/// image and class mask). `cost_per_elem` is the cutoff's cost hint, as in
+/// [`par_chunks`]; the work estimate covers both buffers. The eye renderer
+/// passes a high cost because each output pixel runs full ellipse geometry.
 ///
 /// # Panics
 ///
@@ -396,7 +333,7 @@ where
 /// ```
 /// let mut img = vec![0.0f32; 6];
 /// let mut mask = vec![0u8; 3];
-/// bliss_parallel::par_zip_rows(&mut img, 2, &mut mask, 1, |row, i, m| {
+/// bliss_parallel::par_zip_rows(&mut img, 2, &mut mask, 1, 1, |row, i, m| {
 ///     i[0] = row as f32;
 ///     i[1] = row as f32 + 0.5;
 ///     m[0] = row as u8;
@@ -404,25 +341,7 @@ where
 /// assert_eq!(img, [0.0, 0.5, 1.0, 1.5, 2.0, 2.5]);
 /// assert_eq!(mask, [0, 1, 2]);
 /// ```
-pub fn par_zip_rows<A, B, F>(a: &mut [A], row_len_a: usize, b: &mut [B], row_len_b: usize, f: F)
-where
-    A: Send,
-    B: Send,
-    F: Fn(usize, &mut [A], &mut [B]) + Sync,
-{
-    par_zip_rows_with_cost(a, row_len_a, b, row_len_b, 1, f);
-}
-
-/// [`par_zip_rows`] with an explicit per-element cost hint (see
-/// [`par_chunks_with_cost`]); the work estimate covers both buffers. The eye
-/// renderer passes a high cost because each output pixel runs full ellipse
-/// geometry.
-///
-/// # Panics
-///
-/// Same conditions as [`par_zip_rows`].
-#[allow(clippy::too_many_arguments)]
-pub fn par_zip_rows_with_cost<A, B, F>(
+pub fn par_zip_rows<A, B, F>(
     a: &mut [A],
     row_len_a: usize,
     b: &mut [B],
@@ -490,11 +409,10 @@ pub fn par_zip_rows_with_cost<A, B, F>(
 /// in index order.
 ///
 /// Used for coarse-grained fan-out where each task produces an owned value —
-/// e.g. one attention head's output, or one serving session's step. Results
+/// e.g. one attention head's output, or one serving session's build. Results
 /// are returned in index order regardless of completion order, so the output
 /// is independent of the thread count. Items are assumed expensive (the
-/// region always dispatches); use [`par_map_collect_with_cost`] when they
-/// are not.
+/// region always dispatches).
 ///
 /// # Panics
 ///
@@ -512,28 +430,11 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    par_map_collect_with_cost(n, usize::MAX, f)
-}
-
-/// [`par_map_collect`] with an explicit per-item cost hint: the region runs
-/// serially when `n * cost_per_item` falls below [`min_parallel_work`]
-/// (results are identical either way). The ViT's patch-occupancy scan passes
-/// its patch area.
-///
-/// # Panics
-///
-/// Panics if any worker closure panics.
-pub fn par_map_collect_with_cost<R, F>(n: usize, cost_per_item: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
     if n == 0 {
         return Vec::new();
     }
     let threads = thread_count().min(n);
-    let work = n.saturating_mul(cost_per_item.max(1));
-    if threads <= 1 || work < min_parallel_work() {
+    if threads <= 1 {
         return (0..n).map(f).collect();
     }
     let per_share = n.div_ceil(threads);
@@ -634,7 +535,7 @@ mod tests {
 
     fn fill_squares(len: usize, chunk: usize) -> Vec<f32> {
         let mut v: Vec<f32> = (0..len).map(|x| x as f32).collect();
-        par_chunks(&mut v, chunk, |_i, c| {
+        par_chunks(&mut v, chunk, 1, |_i, c| {
             for x in c.iter_mut() {
                 *x = (*x).sin() * 1e3;
             }
@@ -658,7 +559,7 @@ mod tests {
         // The same region, pinned serial (huge cutoff) and pinned pooled
         // (zero cutoff), must produce identical bytes — the cutoff moves
         // execution, never the partition. Covers par_chunks and
-        // par_map_collect, the two primitives with cost-gated dispatch.
+        // par_zip_rows, the two primitives with cost-gated dispatch.
         let chunks = |cutoff: usize| {
             with_thread_count(8, || {
                 with_min_parallel_work(cutoff, || fill_squares(1000, 17))
@@ -666,14 +567,19 @@ mod tests {
         };
         assert_eq!(chunks(usize::MAX), chunks(0));
 
-        let collect = |cutoff: usize| {
+        let zip = |cutoff: usize| {
             with_thread_count(8, || {
                 with_min_parallel_work(cutoff, || {
-                    par_map_collect_with_cost(100, 3, |i| (i as f32).cos())
+                    let (mut a, mut b) = (vec![0.0f32; 100 * 3], vec![0u32; 100]);
+                    par_zip_rows(&mut a, 3, &mut b, 1, 3, |i, ra, rb| {
+                        ra.fill((i as f32).cos());
+                        rb[0] = (i as u32).wrapping_mul(2_654_435_761);
+                    });
+                    (a, b)
                 })
             })
         };
-        assert_eq!(collect(usize::MAX), collect(0));
+        assert_eq!(zip(usize::MAX), zip(0));
     }
 
     #[test]
@@ -683,7 +589,7 @@ mod tests {
             // Tiny region, default cutoff: every chunk runs inline on the
             // calling thread — no dispatch, no pool growth required.
             let mut v = vec![0u8; 64];
-            par_chunks(&mut v, 8, |_, _| {
+            par_chunks(&mut v, 8, 1, |_, _| {
                 assert_eq!(std::thread::current().id(), caller);
             });
             // The same region with the cutoff forced to zero dispatches to
@@ -692,7 +598,7 @@ mod tests {
             // shares — which thread runs a share never changes the bytes).
             pooled(|| {
                 let mut v = vec![0u8; 64];
-                par_chunks(&mut v, 8, |_, _| {});
+                par_chunks(&mut v, 8, 1, |_, _| {});
             });
             assert!(pool_thread_count() >= 1);
         });
@@ -703,7 +609,7 @@ mod tests {
         let mut v = vec![0u32; 103];
         with_thread_count(8, || {
             pooled(|| {
-                par_chunks(&mut v, 10, |i, c| {
+                par_chunks(&mut v, 10, 1, |i, c| {
                     for x in c.iter_mut() {
                         *x += 1 + i as u32;
                     }
@@ -718,12 +624,12 @@ mod tests {
     #[test]
     fn par_chunks_handles_empty_and_odd_inputs() {
         let mut empty: Vec<f32> = Vec::new();
-        par_chunks(&mut empty, 4, |_, _| panic!("must not be called"));
+        par_chunks(&mut empty, 4, 1, |_, _| panic!("must not be called"));
         // Odd-sized tail: last chunk shorter than chunk_len.
         let mut v = vec![1u8; 5];
         with_thread_count(4, || {
             pooled(|| {
-                par_chunks(&mut v, 2, |i, c| {
+                par_chunks(&mut v, 2, 1, |i, c| {
                     assert_eq!(c.len(), if i == 2 { 1 } else { 2 });
                 });
             });
@@ -733,7 +639,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "chunk_len must be positive")]
     fn par_chunks_rejects_zero_chunk() {
-        par_chunks(&mut [0u8; 4][..], 0, |_, _| {});
+        par_chunks(&mut [0u8; 4][..], 0, 1, |_, _| {});
     }
 
     #[test]
@@ -742,7 +648,7 @@ mod tests {
             let mut v = vec![0u8; 100];
             with_thread_count(4, || {
                 pooled(|| {
-                    par_chunks(&mut v, 10, |i, _| {
+                    par_chunks(&mut v, 10, 1, |i, _| {
                         if i == 7 {
                             panic!("worker failure");
                         }
@@ -823,7 +729,7 @@ mod tests {
         let run = || {
             let mut a = vec![0.0f32; 9 * 5];
             let mut b = vec![0u8; 9 * 2];
-            par_zip_rows(&mut a, 5, &mut b, 2, |row, ra, rb| {
+            par_zip_rows(&mut a, 5, &mut b, 2, 1, |row, ra, rb| {
                 for (j, x) in ra.iter_mut().enumerate() {
                     *x = (row * 10 + j) as f32;
                 }
@@ -882,7 +788,7 @@ mod tests {
         with_thread_count(MAX_THREADS, || {
             pooled(|| {
                 let mut v = vec![0u64; 256];
-                par_chunks(&mut v, 8, |_, c| {
+                par_chunks(&mut v, 8, 1, |_, c| {
                     for x in c.iter_mut() {
                         *x += 1;
                     }
@@ -890,7 +796,7 @@ mod tests {
                 let after_first = pool_thread_count();
                 assert!((1..MAX_THREADS).contains(&after_first));
                 for _ in 0..2_000 {
-                    par_chunks(&mut v, 8, |i, c| {
+                    par_chunks(&mut v, 8, 1, |i, c| {
                         for x in c.iter_mut() {
                             *x = x.wrapping_add(i as u64);
                         }

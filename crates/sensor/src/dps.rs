@@ -361,7 +361,7 @@ impl DigitalPixelSensor {
                 // Every pixel's comparator fires independently: eventify one
                 // row per task. Row sub-slices keep the inner loop on fused
                 // iterators (no bounds checks, vectorisable).
-                bliss_parallel::par_map_rows(bits, w, |y, row| {
+                bliss_parallel::par_chunks(bits, w, 1, |y, row| {
                     let base = y * w;
                     let cur_row = &current[base..base + row.len()];
                     let prev_row = &prev[base..base + row.len()];
@@ -500,7 +500,7 @@ impl DigitalPixelSensor {
         stream.resize(roi.area(), 0);
         if col_len > 0 {
             // Cost hint 16: a counter-hash draw + conversion per pixel.
-            bliss_parallel::par_chunks_with_cost(stream, col_len, 16, |ci, column| {
+            bliss_parallel::par_chunks(stream, col_len, 16, |ci, column| {
                 let x = roi.x1 + ci;
                 for (dy, out) in column.iter_mut().enumerate() {
                     let idx = (roi.y1 + dy) * w + x;

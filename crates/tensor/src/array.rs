@@ -855,7 +855,7 @@ impl NdArray {
             // channel but never across channels, so the adjoint parallelises
             // over channel planes. Cost hint: kh*kw adds land on each output
             // element.
-            bliss_parallel::par_chunks_with_cost(&mut out, h * w, kh * kw, |ci, plane| {
+            bliss_parallel::par_chunks(&mut out, h * w, kh * kw, |ci, plane| {
                 for ki in 0..kh {
                     for kj in 0..kw {
                         let row = (ci * kh + ki) * kw + kj;
@@ -901,7 +901,7 @@ impl NdArray {
         let (oh, ow) = (2 * h, 2 * w);
         if ow > 0 {
             let src = &self.data;
-            bliss_parallel::par_map_rows(&mut out, ow, |row, out_row| {
+            bliss_parallel::par_chunks(&mut out, ow, 1, |row, out_row| {
                 let i = row % oh;
                 let ci = row / oh;
                 for (j, v) in out_row.iter_mut().enumerate() {
@@ -941,7 +941,7 @@ impl NdArray {
         if oh * ow > 0 {
             let src = &self.data;
             // Cost hint 4: each pooled output element sums a 2x2 block.
-            bliss_parallel::par_chunks_with_cost(&mut out, oh * ow, 4, |ci, plane| {
+            bliss_parallel::par_chunks(&mut out, oh * ow, 4, |ci, plane| {
                 for i in 0..h {
                     for j in 0..w {
                         plane[(i / 2) * ow + j / 2] += src[(ci * h + i) * w + j];
@@ -1011,7 +1011,7 @@ pub fn matmul_into(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
     let probe = &a[..a.len().min(4096)];
     let zeros = probe.iter().filter(|&&x| x == 0.0).count();
     let sparse = zeros * 8 > probe.len();
-    bliss_parallel::par_chunks_with_cost(out, MATMUL_ROW_BLOCK * n, k, |block, out_block| {
+    bliss_parallel::par_chunks(out, MATMUL_ROW_BLOCK * n, k, |block, out_block| {
         matmul_block(a, b, k, n, block * MATMUL_ROW_BLOCK, out_block, sparse);
     });
 }
@@ -1158,7 +1158,7 @@ pub(crate) fn matmul_transposed_into(a: &[f32], b: &[f32], k: usize, p: usize, o
     crate::workspace::with_pack_buf(k * p, |bt| {
         // Pack b^T: bt[j, i] = b[i, j]. Same gather loop as `transpose`,
         // writing into the reused workspace instead of a fresh array.
-        bliss_parallel::par_map_rows(bt, p, |j, row| {
+        bliss_parallel::par_chunks(bt, p, 1, |j, row| {
             for (i, v) in row.iter_mut().enumerate() {
                 *v = b[i * k + j];
             }
@@ -1173,7 +1173,7 @@ pub(crate) fn transpose_into(src: &[f32], m: usize, n: usize, out: &mut [f32]) {
     if m > 0 {
         // Each output row j gathers input column j; rows are disjoint, so
         // the transpose parallelises over output rows.
-        bliss_parallel::par_map_rows(out, m, |j, row| {
+        bliss_parallel::par_chunks(out, m, 1, |j, row| {
             for (i, v) in row.iter_mut().enumerate() {
                 *v = src[i * n + j];
             }
@@ -1189,7 +1189,7 @@ pub(crate) fn transpose_into(src: &[f32], m: usize, n: usize, out: &mut [f32]) {
 pub fn softmax_rows_into(src: &[f32], n: usize, out: &mut [f32]) {
     if n > 0 {
         // Cost hint 8: exp + normalisation per element.
-        bliss_parallel::par_map_rows_with_cost(out, n, 8, |i, out_row| {
+        bliss_parallel::par_chunks(out, n, 8, |i, out_row| {
             let row = &src[i * n..(i + 1) * n];
             let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
             for (o, &v) in out_row.iter_mut().zip(row) {
@@ -1235,7 +1235,7 @@ pub(crate) fn im2col_into(
     if ow_total > 0 {
         // One output row per (channel, kernel offset): rows are disjoint,
         // so the lowering parallelises over them.
-        bliss_parallel::par_map_rows(out, ow_total, |row, out_row| {
+        bliss_parallel::par_chunks(out, ow_total, 1, |row, out_row| {
             let kj = row % kw;
             let ki = (row / kw) % kh;
             let ci = row / (kh * kw);
@@ -1311,7 +1311,7 @@ const GELU_COST: usize = 8;
 /// Panics if the lengths differ.
 pub fn gelu_into(src: &[f32], out: &mut [f32]) {
     assert_eq!(src.len(), out.len(), "gelu_into: length mismatch");
-    bliss_parallel::par_chunks_with_cost(out, GELU_CHUNK, GELU_COST, |ci, chunk| {
+    bliss_parallel::par_chunks(out, GELU_CHUNK, GELU_COST, |ci, chunk| {
         let src = &src[ci * GELU_CHUNK..ci * GELU_CHUNK + chunk.len()];
         for (o, &x) in chunk.iter_mut().zip(src) {
             *o = gelu_scalar(x);
@@ -1321,7 +1321,7 @@ pub fn gelu_into(src: &[f32], out: &mut [f32]) {
 
 /// The tanh-approximated GELU of `data`, in place.
 pub fn gelu_assign(data: &mut [f32]) {
-    bliss_parallel::par_chunks_with_cost(data, GELU_CHUNK, GELU_COST, |_, chunk| {
+    bliss_parallel::par_chunks(data, GELU_CHUNK, GELU_COST, |_, chunk| {
         for v in chunk.iter_mut() {
             *v = gelu_scalar(*v);
         }

@@ -18,9 +18,10 @@
 //! intervals, all inside the one arena — which safe Rust cannot express.
 //! The slices are derived from raw pointers instead; soundness rests on the
 //! planner's build-time `assert_disjoint` proof that no step's read interval
-//! overlaps its output interval (in-place steps encode the single
-//! intentional overlap in the op variant itself and read nothing else from
-//! the output range).
+//! — an elementwise step's copy source included — overlaps its output
+//! interval. Elementwise steps run in place: they read their primary
+//! operand from the output slice itself (after the copy source, if any, has
+//! been copied into it) and read nothing else from the output range.
 //!
 //! # Stale-plan protection
 //!
@@ -34,8 +35,8 @@
 #![warn(missing_docs)]
 
 use crate::array::{
-    add_row_assign, gather_rows_into, gelu_assign, gelu_into, im2col_into, layer_norm_row_stats,
-    matmul_into, matmul_transposed_into, sigmoid_scalar, softmax_rows_into, transpose_into,
+    add_row_assign, gather_rows_into, gelu_assign, im2col_into, layer_norm_row_stats, matmul_into,
+    matmul_transposed_into, sigmoid_scalar, softmax_rows_into, transpose_into,
 };
 use crate::graph::GraphBuilder;
 use crate::plan::{plan_graph, Operand, Plan, SrcLoc, StepOp};
@@ -344,6 +345,9 @@ impl ExecPlan {
             // these raw-derived slices are alive.
             let out =
                 unsafe { std::slice::from_raw_parts_mut(base.add(step.out_off), step.out_len) };
+            if let Some(init) = step.op.init() {
+                self.with_src(init, inputs, base, |s| out.copy_from_slice(s));
+            }
             match &step.op {
                 StepOp::MatMul { a, b, k, n } => {
                     self.with_src(a, inputs, base, |av| {
@@ -357,76 +361,35 @@ impl ExecPlan {
                         })
                     });
                 }
-                StepOp::Add { a, b } => {
-                    self.with_src(a, inputs, base, |av| {
-                        self.with_src(b, inputs, base, |bv| {
-                            for ((o, &x), &y) in out.iter_mut().zip(av).zip(bv) {
-                                *o = x + y;
-                            }
-                        })
-                    });
-                }
-                StepOp::AddIp { b } => {
+                StepOp::Add { b, .. } => {
                     self.with_src(b, inputs, base, |bv| {
                         for (o, &y) in out.iter_mut().zip(bv) {
                             *o += y;
                         }
                     });
                 }
-                StepOp::AddRow { a, row } => {
-                    self.with_src(a, inputs, base, |av| out.copy_from_slice(av));
+                StepOp::AddRow { row, .. } => {
                     self.with_src(row, inputs, base, |rv| add_row_assign(out, rv));
                 }
-                StepOp::AddRowIp { row } => {
-                    self.with_src(row, inputs, base, |rv| add_row_assign(out, rv));
-                }
-                StepOp::AddColBias { a, bias, rows } => {
-                    self.with_src(a, inputs, base, |av| out.copy_from_slice(av));
+                StepOp::AddColBias { bias, rows, .. } => {
                     self.with_src(bias, inputs, base, |bv| add_col_bias(out, bv, *rows));
                 }
-                StepOp::AddColBiasIp { bias, rows } => {
-                    self.with_src(bias, inputs, base, |bv| add_col_bias(out, bv, *rows));
-                }
-                StepOp::Scale { a, factor } => {
-                    self.with_src(a, inputs, base, |av| {
-                        for (o, &x) in out.iter_mut().zip(av) {
-                            *o = x * factor;
-                        }
-                    });
-                }
-                StepOp::ScaleIp { factor } => {
+                StepOp::Scale { factor, .. } => {
                     for o in out.iter_mut() {
                         *o *= factor;
                     }
                 }
-                StepOp::Relu { a } => {
-                    self.with_src(a, inputs, base, |av| {
-                        for (o, &x) in out.iter_mut().zip(av) {
-                            *o = x.max(0.0);
-                        }
-                    });
-                }
-                StepOp::ReluIp => {
+                StepOp::Relu { .. } => {
                     for o in out.iter_mut() {
                         *o = o.max(0.0);
                     }
                 }
-                StepOp::Sigmoid { a } => {
-                    self.with_src(a, inputs, base, |av| {
-                        for (o, &x) in out.iter_mut().zip(av) {
-                            *o = sigmoid_scalar(x);
-                        }
-                    });
-                }
-                StepOp::SigmoidIp => {
+                StepOp::Sigmoid { .. } => {
                     for o in out.iter_mut() {
                         *o = sigmoid_scalar(*o);
                     }
                 }
-                StepOp::Gelu { a } => {
-                    self.with_src(a, inputs, base, |av| gelu_into(av, out));
-                }
-                StepOp::GeluIp => gelu_assign(out),
+                StepOp::Gelu { .. } => gelu_assign(out),
                 StepOp::SoftmaxRows { a, cols } => {
                     self.with_src(a, inputs, base, |av| softmax_rows_into(av, *cols, out));
                 }
@@ -530,8 +493,8 @@ impl ExecPlan {
     }
 }
 
-/// Per-row scalar bias add shared by the in-place and copying conv-bias
-/// arms; matches the tape's serial per-channel loop exactly.
+/// Per-row scalar bias add of the conv-bias arm; matches the tape's serial
+/// per-channel loop exactly.
 fn add_col_bias(out: &mut [f32], bias: &[f32], rows: usize) {
     if rows == 0 {
         return;
@@ -717,6 +680,7 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::NodeId;
     use crate::NdArray;
 
     fn nd(data: &[f32], shape: &[usize]) -> NdArray {
@@ -805,7 +769,7 @@ mod tests {
     fn aliases_compile_away_and_in_place_reuses_buffers() {
         let mut g = GraphBuilder::new();
         let x = g.input(&[2, 4]);
-        let a = g.scale(x, 2.0); // cannot be in place (input operand)
+        let a = g.scale(x, 2.0); // copies its input operand in first
         let b = g.relu(a); // in place: a dies here
         let c = g.reshape(b, &[4, 2]).unwrap(); // alias: no step
         let d = g.gelu(c); // in place again
@@ -825,6 +789,103 @@ mod tests {
             .map(|v| v.max(0.0))
             .map(crate::array::gelu_scalar);
         plan.with_output(0, |planned| assert_eq!(planned, reference.data()));
+    }
+
+    #[test]
+    fn elementwise_steps_match_reference_when_taken_over_or_copied() {
+        let x = nd(&[-1.5, 0.5, 2.0, -0.25, 1.5, -3.0, 0.0, 4.0], &[2, 4]);
+        let other = Tensor::parameter(nd(&[0.1, -0.2, 0.3, -0.4, 0.5, -0.6, 0.7, -0.8], &[2, 4]));
+        let row = Tensor::parameter(nd(&[0.25, -0.5, 0.75, -1.0], &[4]));
+        let bias = Tensor::parameter(nd(&[-0.125, 0.375], &[2]));
+        let x_param = Tensor::parameter(x.clone());
+
+        // Each elementwise graph op on `a`, and its NdArray reference.
+        let apply = |g: &mut GraphBuilder, name: &str, a: NodeId, side: [NodeId; 3]| match name {
+            "add" => g.add(a, side[0]).unwrap(),
+            "add_row" => g.add_row(a, side[1]).unwrap(),
+            "add_col_bias" => g.add_col_bias(a, side[2]).unwrap(),
+            "scale" => g.scale(a, -0.75),
+            "relu" => g.relu(a),
+            "sigmoid" => g.sigmoid(a),
+            "gelu" => g.gelu(a),
+            _ => unreachable!(),
+        };
+        let reference = |name: &str, a: &NdArray| -> NdArray {
+            match name {
+                "add" => a.add(&other.value()).unwrap(),
+                "add_row" => a.add_row(&row.value()).unwrap(),
+                "add_col_bias" => a
+                    .transpose()
+                    .unwrap()
+                    .add_row(&bias.value())
+                    .unwrap()
+                    .transpose()
+                    .unwrap(),
+                "scale" => a.scale(-0.75),
+                "relu" => a.map(|v| v.max(0.0)),
+                "sigmoid" => a.map(crate::array::sigmoid_scalar),
+                "gelu" => a.map(crate::array::gelu_scalar),
+                _ => unreachable!(),
+            }
+        };
+
+        // (placement, steps, arena_len, copy source on the op's step)
+        let placements = [
+            ("dying node", 2, 8, false),
+            ("graph input", 1, 8, true),
+            ("parameter", 1, 8, true),
+            ("node used later", 3, 16, true),
+        ];
+        let ops = [
+            "add",
+            "add_row",
+            "add_col_bias",
+            "scale",
+            "relu",
+            "sigmoid",
+            "gelu",
+        ];
+        for name in ops {
+            for (placement, steps, arena_len, copied) in placements {
+                let mut g = GraphBuilder::new();
+                let xi = g.input(&[2, 4]);
+                let side = [g.param(&other), g.param(&row), g.param(&bias)];
+                let (out, op_step) = match placement {
+                    "dying node" => {
+                        let a = g.slice_cols(xi, 0, 4).unwrap();
+                        (apply(&mut g, name, a, side), 1)
+                    }
+                    "graph input" => (apply(&mut g, name, xi, side), 0),
+                    "parameter" => {
+                        let a = g.param(&x_param);
+                        (apply(&mut g, name, a, side), 0)
+                    }
+                    _ => {
+                        let a = g.slice_cols(xi, 0, 4).unwrap();
+                        let y = apply(&mut g, name, a, side);
+                        (g.add(y, a).unwrap(), 1)
+                    }
+                };
+                g.mark_output(out);
+                let plan = ExecPlan::compile(g).unwrap();
+                let what = format!("{name} on a {placement}");
+                assert_eq!(plan.num_steps(), steps, "{what}");
+                assert_eq!(plan.arena_len(), arena_len, "{what}");
+                assert_eq!(
+                    plan.plan.steps[op_step].op.init().is_some(),
+                    copied,
+                    "{what}"
+                );
+
+                plan.execute(&[x.data()], &[]).unwrap();
+                let mut want = reference(name, &x);
+                if placement == "node used later" {
+                    want = want.add(&x).unwrap();
+                }
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                plan.with_output(0, |got| assert_eq!(bits(got), bits(want.data()), "{what}"));
+            }
+        }
     }
 
     #[test]

@@ -16,17 +16,21 @@
 //!   with coalescing over one flat `f32` arena; a freed interval is
 //!   immediately reusable by later nodes. The resulting `arena_len` is the
 //!   plan's entire per-execution working set.
-//! * **In-place reuse.** When an elementwise-style op's primary operand is
-//!   a full (non-aliased) arena buffer that *dies at that node*, the output
-//!   steals the operand's interval and the step is emitted as a distinct
-//!   in-place variant (`ReluIp`, `AddIp`, …) whose executor arm touches only
-//!   the output slice — the in-place and out-of-place arms can therefore
-//!   never alias by construction.
+//! * **In-place elementwise steps.** Every elementwise step (`Add`,
+//!   `AddRow`, `AddColBias`, `Scale`, `Relu`, `Sigmoid`, `Gelu`) runs in
+//!   place on its output interval, with one executor arm per op. When the
+//!   primary operand is a full (non-aliased) arena buffer that *dies at that
+//!   node*, the output takes over the operand's interval; otherwise the
+//!   output gets a fresh interval and the step carries the operand as its
+//!   copy source (`init`), which the executor copies in before the arm
+//!   runs. Both placements compute each element with the same
+//!   expression, so they return the same bits.
 //!
 //! The planner asserts, at build time, that every emitted step's read
-//! operands are disjoint from its output interval (in-place variants encode
-//! the one intentional overlap in the op itself). The executor's `unsafe`
-//! slice derivation leans on exactly this invariant.
+//! operands — the copy source included — are disjoint from its output
+//! interval (an in-place arm reads its primary operand from the output
+//! slice itself, never through an operand). The executor's `unsafe` slice
+//! derivation leans on exactly this invariant.
 #![warn(missing_docs)]
 
 use crate::graph::{DType, GraphBuilder, Op};
@@ -53,9 +57,9 @@ pub(crate) struct Operand {
 
 /// One executable step, with all shapes/offsets resolved at plan time.
 ///
-/// `*Ip` variants execute in place: the step's output interval *is* the
-/// primary operand (which died at this node), so the arm reads and writes
-/// only the output slice.
+/// The elementwise variants (`Add` … `Gelu`) run in place: their primary
+/// operand is the output slice itself, taken over from a dying buffer or,
+/// when `init` is set, first copied in from that operand.
 #[derive(Debug, Clone)]
 pub(crate) enum StepOp {
     MatMul {
@@ -71,47 +75,31 @@ pub(crate) enum StepOp {
         p: usize,
     },
     Add {
-        a: Operand,
-        b: Operand,
-    },
-    AddIp {
+        init: Option<Operand>,
         b: Operand,
     },
     AddRow {
-        a: Operand,
-        row: Operand,
-    },
-    AddRowIp {
+        init: Option<Operand>,
         row: Operand,
     },
     AddColBias {
-        a: Operand,
-        bias: Operand,
-        rows: usize,
-    },
-    AddColBiasIp {
+        init: Option<Operand>,
         bias: Operand,
         rows: usize,
     },
     Scale {
-        a: Operand,
-        factor: f32,
-    },
-    ScaleIp {
+        init: Option<Operand>,
         factor: f32,
     },
     Relu {
-        a: Operand,
+        init: Option<Operand>,
     },
-    ReluIp,
     Sigmoid {
-        a: Operand,
+        init: Option<Operand>,
     },
-    SigmoidIp,
     Gelu {
-        a: Operand,
+        init: Option<Operand>,
     },
-    GeluIp,
     SoftmaxRows {
         a: Operand,
         cols: usize,
@@ -438,33 +426,32 @@ pub(crate) fn plan_graph(b: &GraphBuilder) -> Result<Plan, TensorError> {
         };
         Operand { loc, len: r.len }
     };
-    // In-place eligibility: `a` must be the *entire* live buffer of a
-    // computed, unpinned root that dies at this node.
-    let eligible_ip = |res: &[Res], uses: &[usize], pinned: &[bool], a: usize| -> Option<usize> {
-        match res[a].base {
-            Base::Node(root)
-                if res[a].off == 0
-                    && res[a].len == res[root].len
-                    && uses[root] == 1
-                    && !pinned[root] =>
-            {
-                Some(root)
-            }
-            _ => None,
-        }
-    };
-    let root_of = |res: &[Res], a: usize| -> Option<usize> {
-        match res[a].base {
-            Base::Node(r) => Some(r),
-            _ => None,
-        }
-    };
 
     for (idx, node) in b.nodes.iter().enumerate() {
         let out_len = node.numel();
         // `stolen` is the root whose buffer this node takes over in place;
         // its interval must not be freed by the decrement pass below.
         let mut stolen: Option<usize> = None;
+        // An elementwise step runs in place on its output. It takes over its
+        // primary operand `a` when that is the *entire* live buffer of a
+        // computed, unpinned root dying at this node (a second operand of
+        // the step in that buffer would count as another use, so the arm
+        // never reads what it writes). Otherwise it gets a fresh interval
+        // and `a` becomes its copy source.
+        let mut init_from = |a: usize| -> Option<Operand> {
+            match res[a].base {
+                Base::Node(root)
+                    if res[a].off == 0
+                        && res[a].len == res[root].len
+                        && uses[root] == 1
+                        && !pinned[root] =>
+                {
+                    stolen = Some(root);
+                    None
+                }
+                _ => Some(operand_of(&res, &arena_off, a)),
+            }
+        };
 
         let step_op = match &node.op {
             Op::Input { .. } | Op::Param { .. } | Op::Reshape { .. } | Op::SliceRows { .. } => None,
@@ -488,104 +475,32 @@ pub(crate) fn plan_graph(b: &GraphBuilder) -> Result<Plan, TensorError> {
                     p,
                 })
             }
-            Op::Add { a, b: rhs } => {
-                // In place only when b lives in a different buffer than a —
-                // otherwise the accumulating arm would read what it writes.
-                if root_of(&res, rhs.0) != root_of(&res, a.0) {
-                    if let Some(root) = eligible_ip(&res, &uses, &pinned, a.0) {
-                        stolen = Some(root);
-                    }
-                }
-                match stolen {
-                    Some(_) => Some(StepOp::AddIp {
-                        b: operand_of(&res, &arena_off, rhs.0),
-                    }),
-                    None => Some(StepOp::Add {
-                        a: operand_of(&res, &arena_off, a.0),
-                        b: operand_of(&res, &arena_off, rhs.0),
-                    }),
-                }
-            }
-            Op::AddRow { a, row } => {
-                if root_of(&res, row.0) != root_of(&res, a.0) {
-                    if let Some(root) = eligible_ip(&res, &uses, &pinned, a.0) {
-                        stolen = Some(root);
-                    }
-                }
-                let row_op = operand_of(&res, &arena_off, row.0);
-                match stolen {
-                    Some(_) => Some(StepOp::AddRowIp { row: row_op }),
-                    None => Some(StepOp::AddRow {
-                        a: operand_of(&res, &arena_off, a.0),
-                        row: row_op,
-                    }),
-                }
-            }
-            Op::AddColBias { a, bias } => {
-                let rows = node.shape[0];
-                if root_of(&res, bias.0) != root_of(&res, a.0) {
-                    if let Some(root) = eligible_ip(&res, &uses, &pinned, a.0) {
-                        stolen = Some(root);
-                    }
-                }
-                let bias_op = operand_of(&res, &arena_off, bias.0);
-                match stolen {
-                    Some(_) => Some(StepOp::AddColBiasIp {
-                        bias: bias_op,
-                        rows,
-                    }),
-                    None => Some(StepOp::AddColBias {
-                        a: operand_of(&res, &arena_off, a.0),
-                        bias: bias_op,
-                        rows,
-                    }),
-                }
-            }
-            Op::Scale { a, factor } => {
-                if let Some(root) = eligible_ip(&res, &uses, &pinned, a.0) {
-                    stolen = Some(root);
-                }
-                match stolen {
-                    Some(_) => Some(StepOp::ScaleIp { factor: *factor }),
-                    None => Some(StepOp::Scale {
-                        a: operand_of(&res, &arena_off, a.0),
-                        factor: *factor,
-                    }),
-                }
-            }
-            Op::Relu { a } => {
-                if let Some(root) = eligible_ip(&res, &uses, &pinned, a.0) {
-                    stolen = Some(root);
-                }
-                match stolen {
-                    Some(_) => Some(StepOp::ReluIp),
-                    None => Some(StepOp::Relu {
-                        a: operand_of(&res, &arena_off, a.0),
-                    }),
-                }
-            }
-            Op::Sigmoid { a } => {
-                if let Some(root) = eligible_ip(&res, &uses, &pinned, a.0) {
-                    stolen = Some(root);
-                }
-                match stolen {
-                    Some(_) => Some(StepOp::SigmoidIp),
-                    None => Some(StepOp::Sigmoid {
-                        a: operand_of(&res, &arena_off, a.0),
-                    }),
-                }
-            }
-            Op::Gelu { a } => {
-                if let Some(root) = eligible_ip(&res, &uses, &pinned, a.0) {
-                    stolen = Some(root);
-                }
-                match stolen {
-                    Some(_) => Some(StepOp::GeluIp),
-                    None => Some(StepOp::Gelu {
-                        a: operand_of(&res, &arena_off, a.0),
-                    }),
-                }
-            }
+            Op::Add { a, b: rhs } => Some(StepOp::Add {
+                init: init_from(a.0),
+                b: operand_of(&res, &arena_off, rhs.0),
+            }),
+            Op::AddRow { a, row } => Some(StepOp::AddRow {
+                init: init_from(a.0),
+                row: operand_of(&res, &arena_off, row.0),
+            }),
+            Op::AddColBias { a, bias } => Some(StepOp::AddColBias {
+                init: init_from(a.0),
+                bias: operand_of(&res, &arena_off, bias.0),
+                rows: node.shape[0],
+            }),
+            Op::Scale { a, factor } => Some(StepOp::Scale {
+                init: init_from(a.0),
+                factor: *factor,
+            }),
+            Op::Relu { a } => Some(StepOp::Relu {
+                init: init_from(a.0),
+            }),
+            Op::Sigmoid { a } => Some(StepOp::Sigmoid {
+                init: init_from(a.0),
+            }),
+            Op::Gelu { a } => Some(StepOp::Gelu {
+                init: init_from(a.0),
+            }),
             // Softmax reads its source row while writing the output row, so
             // it is never executed in place.
             Op::SoftmaxRows { a } => Some(StepOp::SoftmaxRows {
@@ -789,35 +704,45 @@ impl Op {
 }
 
 impl StepOp {
-    /// Visits every operand this step *reads* (in-place variants read only
-    /// their extra operand — the output slice is the primary operand).
-    fn for_each_read_operand(&self, mut f: impl FnMut(&Operand)) {
+    /// The copy source of an elementwise step whose output could not take
+    /// over its primary operand's buffer (`None` for every other step).
+    pub(crate) fn init(&self) -> Option<&Operand> {
         match self {
-            StepOp::MatMul { a, b, .. } | StepOp::MatMulT { a, b, .. } | StepOp::Add { a, b } => {
+            StepOp::Add { init, .. }
+            | StepOp::AddRow { init, .. }
+            | StepOp::AddColBias { init, .. }
+            | StepOp::Scale { init, .. }
+            | StepOp::Relu { init }
+            | StepOp::Sigmoid { init }
+            | StepOp::Gelu { init } => init.as_ref(),
+            _ => None,
+        }
+    }
+
+    /// Visits every operand this step *reads*: its copy source, then its
+    /// own operands (an elementwise op's primary operand is the output
+    /// slice, not a read).
+    fn for_each_read_operand(&self, mut f: impl FnMut(&Operand)) {
+        if let Some(init) = self.init() {
+            f(init);
+        }
+        match self {
+            StepOp::MatMul { a, b, .. } | StepOp::MatMulT { a, b, .. } => {
                 f(a);
                 f(b);
             }
-            StepOp::AddIp { b } => f(b),
-            StepOp::AddRow { a, row } => {
-                f(a);
-                f(row);
-            }
-            StepOp::AddRowIp { row } => f(row),
-            StepOp::AddColBias { a, bias, .. } => {
-                f(a);
-                f(bias);
-            }
-            StepOp::AddColBiasIp { bias, .. } => f(bias),
-            StepOp::Scale { a, .. }
-            | StepOp::Relu { a }
-            | StepOp::Sigmoid { a }
-            | StepOp::Gelu { a }
-            | StepOp::SoftmaxRows { a, .. }
+            StepOp::Add { b: o, .. }
+            | StepOp::AddRow { row: o, .. }
+            | StepOp::AddColBias { bias: o, .. } => f(o),
+            StepOp::SoftmaxRows { a, .. }
             | StepOp::Transpose { a, .. }
             | StepOp::SliceCols { a, .. }
             | StepOp::Im2Col { a, .. }
             | StepOp::GatherRows { a, .. } => f(a),
-            StepOp::ScaleIp { .. } | StepOp::ReluIp | StepOp::SigmoidIp | StepOp::GeluIp => {}
+            StepOp::Scale { .. }
+            | StepOp::Relu { .. }
+            | StepOp::Sigmoid { .. }
+            | StepOp::Gelu { .. } => {}
             // Quantised steps read and write *different* arenas; their
             // offsets are not comparable with the output interval, so the
             // disjointness proof skips them (disjoint by construction).

@@ -527,7 +527,7 @@ impl SparseViT {
         // the steady-state lowering allocates nothing.
         let mut occupancy = take_f32_buffer(gw * gh);
         occupancy.resize(gw * gh, 0.0);
-        bliss_parallel::par_chunks_with_cost(&mut occupancy, 1, p2, |patch_idx, chunk| {
+        bliss_parallel::par_chunks(&mut occupancy, 1, p2, |patch_idx, chunk| {
             let (gy, gx) = (patch_idx / gw, patch_idx % gw);
             chunk[0] = 0.0;
             'scan: for dy in 0..p {
@@ -561,7 +561,7 @@ impl SparseViT {
         // `(values, sample-mask)` slice of the batched embedding input.
         let mut token_data = take_f32_buffer(t * 2 * p2);
         token_data.resize(t * 2 * p2, 0.0);
-        bliss_parallel::par_chunks(&mut token_data, 2 * p2, |token, chunk| {
+        bliss_parallel::par_chunks(&mut token_data, 2 * p2, 1, |token, chunk| {
             let patch_idx = kept[token];
             let (gy, gx) = (patch_idx / gw, patch_idx % gw);
             let (values, mask) = chunk.split_at_mut(p2);
