@@ -12,11 +12,14 @@
 //!   range, in the traces and in the merged timeline;
 //! * recovery identity: with shedding off, every frame's
 //!   gaze/volume/energy outputs must be bit-identical to the fault-free
-//!   baseline — faults may only move timing.
+//!   baseline — faults may only move timing;
+//! * weight-free checkpoints: every per-host checkpoint must stay smaller
+//!   than the model image, so weights creeping back into checkpoints fail.
 //!
 //! Any gate failure exits non-zero (the `chaos-smoke` CI job fails).
-//! Results — per-run fault/recovery counters, recovery-latency samples and
-//! survival curves — go to `BENCH_chaos.json` at the workspace root (or
+//! Results — per-run fault/recovery counters, recovery-latency samples,
+//! survival curves and checkpoint sizes — go to `BENCH_chaos.json` at the
+//! workspace root (or
 //! `BLISS_BENCH_OUT`). `--quick` / `BLISS_BENCH_FAST=1` runs the reduced
 //! CI profile.
 
@@ -56,6 +59,9 @@ struct ChaosSweepReport {
     sessions: usize,
     hosts: usize,
     frames_per_session: usize,
+    /// JSON bytes of the shared model image; each run's
+    /// `chaos.max_checkpoint_bytes` must stay below it.
+    model_image_bytes: usize,
     /// The telemetry metrics registry frozen at the end of the sweep: the
     /// fault/recovery counters and the recovery-latency histogram aggregate
     /// every run above.
@@ -142,6 +148,8 @@ fn main() {
         .expect("training succeeds")
         .with_paper_scale_timing();
 
+    let model_image_bytes = fleet.serve_runtime().model_image().to_json().len();
+
     bliss_telemetry::reset_metrics();
     bliss_telemetry::set_enabled(true);
 
@@ -181,6 +189,12 @@ fn main() {
                     "{label}: recovery identity broken — accuracy/volume/energy diverged from the fault-free run"
                 ));
             }
+            if run.chaos.max_checkpoint_bytes >= model_image_bytes {
+                failures.push(format!(
+                    "{label}: a {}-byte checkpoint reaches the {model_image_bytes}-byte model image",
+                    run.chaos.max_checkpoint_bytes
+                ));
+            }
 
             let f = run.chaos.faults;
             rows.push(vec![
@@ -192,6 +206,7 @@ fn main() {
                 format!("{}", f.frames_replayed),
                 format!("{}", f.batch_timeouts),
                 format!("{}", f.corrupt_checkpoint_reads),
+                format!("{:.1}", run.chaos.max_checkpoint_bytes as f64 / 1e3),
                 if run.chaos.recovery_latency_s.is_empty() {
                     "-".to_string()
                 } else {
@@ -239,6 +254,12 @@ fn main() {
         if run.chaos.faults.frames_shed == 0 {
             failures.push(format!("{label}: forced degradation shed nothing"));
         }
+        if run.chaos.max_checkpoint_bytes >= model_image_bytes {
+            failures.push(format!(
+                "{label}: a {}-byte checkpoint reaches the {model_image_bytes}-byte model image",
+                run.chaos.max_checkpoint_bytes
+            ));
+        }
         rows.push(vec![
             policy.label().to_string(),
             "degraded".to_string(),
@@ -248,6 +269,7 @@ fn main() {
             "0".to_string(),
             "0".to_string(),
             "0".to_string(),
+            format!("{:.1}", run.chaos.max_checkpoint_bytes as f64 / 1e3),
             format!("shed {}", run.chaos.faults.frames_shed),
         ]);
         points.push(ChaosPoint {
@@ -275,6 +297,7 @@ fn main() {
             "replay",
             "t/o",
             "corrupt",
+            "ckpt KB",
             "rec p100 ms",
         ],
         &rows,
@@ -285,6 +308,7 @@ fn main() {
         sessions,
         hosts,
         frames_per_session: frames,
+        model_image_bytes,
         metrics: bliss_telemetry::metrics_snapshot(),
         points,
     };
@@ -302,7 +326,7 @@ fn main() {
         std::process::exit(1);
     }
     println!(
-        "all chaos gates passed: replay determinism, zero frame loss, recovery identity ({} runs)",
+        "all chaos gates passed: replay determinism, zero frame loss, recovery identity, weight-free checkpoints ({} runs)",
         report.points.len()
     );
 }

@@ -29,7 +29,8 @@ use bliss_fleet::{
 };
 use bliss_npu::{GemmShape, RunReport, SystolicArray, WorkloadDesc};
 use bliss_sensor::{
-    CalibrationLut, EventMap, ReadoutResult, RoiBox, SensorConfig, SensorSnapshot, SramRngConfig,
+    CalibrationLut, EventMap, ReadoutResult, RoiBox, SensorConfig, SensorSnapshot, SnapshotFrame,
+    SramRngConfig,
 };
 use bliss_serve::{ServeConfig, ServeRuntime};
 use bliss_timing::{simulate, PipelineConfig, StageDurations, StageKind, StageSpan};
@@ -226,15 +227,20 @@ fn serve_and_fleet_values_round_trip() {
         assert!(runtime.step_batch(&cfg, &mut state).expect("step succeeds"));
         let snap = runtime.snapshot(&cfg, &state);
         rt(&snap);
-        for s in &snap.sessions {
+        rt(&snap.model);
+        rt(&snap.shard);
+        for s in &snap.shard.sessions {
             rt(s);
             rt(&s.front);
             rt(&s.front.sensor);
+            for f in &s.front.sensor.frames {
+                rt(f);
+            }
             if let Some(est) = &s.front.estimator {
                 rt(est);
             }
         }
-        for p in snap.vit_params.iter().chain(&snap.roi_params) {
+        for p in snap.model.vit_params.iter().chain(&snap.model.roi_params) {
             rt(p);
         }
 
@@ -401,8 +407,12 @@ fn sensor_and_track_values_round_trip() {
         sampled: 4,
     });
     rt(&SensorSnapshot {
-        held: Some(vec![0.5, 0.25, 0.0]),
-        current: None,
+        frames: vec![
+            SnapshotFrame::encode(&[0.5, 0.25, 0.0]),
+            SnapshotFrame::encode(&[1.0, 512.0 / 1023.0, 0.0, 3.0 / 1023.0]),
+        ],
+        held: Some(0),
+        current: Some(1),
         sram_rng: [1, 2, 3, 4],
         readouts: 99,
     });

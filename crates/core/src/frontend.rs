@@ -47,7 +47,8 @@ use bliss_eye::{
     render_sequence_with, EyeModel, EyeSequence, Gaze, ImagingNoise, Scenario, SequenceConfig,
 };
 use bliss_sensor::{
-    rle, DigitalPixelSensor, EventMap, ReadoutResult, RoiBox, SensorConfig, SensorSnapshot,
+    rle, DigitalPixelSensor, EventMap, PackedCodes, ReadoutResult, RoiBox, SensorConfig,
+    SensorSnapshot,
 };
 use bliss_tensor::{NdArray, Tensor, TensorError};
 use bliss_track::{
@@ -119,10 +120,44 @@ pub struct FrontEndSnapshot {
     pub rng: [u64; 4],
     /// The gaze estimator's dynamic state, if a stream has begun.
     pub estimator: Option<EstimatorSnapshot>,
-    /// The fed-back segmentation map from the last absorbed prediction.
-    pub prev_seg: Vec<u8>,
+    /// The fed-back segmentation map from the last absorbed prediction,
+    /// one class per pixel. The map holds classes only where the host saw
+    /// tokens, so it has thousands of short runs; packed, it costs a fixed
+    /// two bits per pixel at four classes.
+    pub prev_seg: PackedCodes,
     /// Whether the feedback map has been adopted yet (cold-start flag).
     pub have_seg: bool,
+}
+
+impl FrontEndSnapshot {
+    /// Checks that the snapshot fits a front end of `pixels` pixels: the
+    /// feedback map covers exactly the frame with byte-sized classes, the
+    /// sensor state fits ([`SensorSnapshot::check`]) and the imaging-noise
+    /// RNG state is not all zeros. The error names the offending field.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first mismatch found.
+    pub fn check(&self, pixels: usize) -> Result<(), String> {
+        let seg = self.prev_seg.codes().len();
+        if seg != pixels {
+            return Err(format!(
+                "feedback map holds {seg} pixels, system expects {pixels}"
+            ));
+        }
+        if self.prev_seg.width() > u8::BITS {
+            return Err(format!(
+                "feedback map classes take {} bits, at most {} fit",
+                self.prev_seg.width(),
+                u8::BITS
+            ));
+        }
+        self.sensor.check(pixels)?;
+        if self.rng == [0; 4] {
+            return Err("all-zero imaging-noise RNG state".into());
+        }
+        Ok(())
+    }
 }
 
 /// Per-stream state of the sparse per-frame pipeline (see the module docs
@@ -185,7 +220,7 @@ impl SparseFrontEnd {
             sensor: self.sensor.snapshot(),
             rng: self.rng.state(),
             estimator: self.estimator.as_ref().map(|e| e.snapshot()),
-            prev_seg: self.prev_seg.clone(),
+            prev_seg: PackedCodes::new(self.prev_seg.iter().map(|&c| u16::from(c)).collect()),
             have_seg: self.have_seg,
         }
     }
@@ -199,16 +234,14 @@ impl SparseFrontEnd {
     ///
     /// # Panics
     ///
-    /// Panics if the snapshot's geometry does not match, or if it carries an
-    /// estimator state but [`SparseFrontEnd::begin_stream`] has not yet
-    /// installed an estimator (the eye model is re-derived from the
-    /// sequence, not serialised).
+    /// Panics if [`FrontEndSnapshot::check`] rejects the snapshot for this
+    /// front end's geometry, or if it carries an estimator state but
+    /// [`SparseFrontEnd::begin_stream`] has not yet installed an estimator
+    /// (the eye model is re-derived from the sequence, not serialised).
     pub fn restore(&mut self, snapshot: &FrontEndSnapshot) {
-        assert_eq!(
-            snapshot.prev_seg.len(),
-            self.width * self.height,
-            "front-end snapshot geometry mismatch"
-        );
+        if let Err(e) = snapshot.check(self.width * self.height) {
+            panic!("front-end snapshot does not fit this front end: {e}");
+        }
         self.sensor.restore(&snapshot.sensor);
         self.rng = StdRng::from_state(snapshot.rng);
         match (&mut self.estimator, &snapshot.estimator) {
@@ -219,7 +252,9 @@ impl SparseFrontEnd {
             }
         }
         self.prev_seg.clear();
-        self.prev_seg.extend_from_slice(&snapshot.prev_seg);
+        // `check` bounded every class to a byte.
+        let classes = snapshot.prev_seg.codes().iter().map(|&c| c as u8);
+        self.prev_seg.extend(classes);
         self.have_seg = snapshot.have_seg;
     }
 

@@ -25,6 +25,11 @@
 //!   host/session-context [`SnapshotError`]) and falls back to the newest
 //!   intact checkpoint. A replaced or rejoined host gets a fresh medium.
 //!
+//! Checkpoints are weight-free [`ShardCheckpoint`]s naming the shared model
+//! by digest, computed once per run. A failover counts a checkpoint as
+//! readable only when it parses, names that digest and rebuilds every one
+//! of its sessions; otherwise it falls back to the next older one.
+//!
 //! Under a sustained SLO breach a [`DegradationPolicy`] deterministically
 //! sheds load — selected warm frames skip host inference and fall back to
 //! the feedback ROI — instead of letting the deadline-miss queue collapse
@@ -42,7 +47,7 @@
 use crate::report::FaultStats;
 use crate::runtime::{FleetConfig, FleetOutcome, FleetRuntime, FleetState};
 use bliss_serve::{
-    ServeSnapshot, SessionConfig, SessionProgress, SessionSnapshot, SnapshotError, StepOptions,
+    RestoredSession, SessionConfig, SessionProgress, ShardCheckpoint, SnapshotError, StepOptions,
 };
 use bliss_tensor::TensorError;
 use rand::rngs::StdRng;
@@ -327,6 +332,11 @@ pub struct ChaosReport {
     pub recovery_latency_s: Vec<f64>,
     /// Fleet progress at start, at every crash, and at drain.
     pub survival: Vec<SurvivalPoint>,
+    /// JSON bytes of the largest per-host checkpoint written (initial,
+    /// periodic or handoff; a corrupt write counts at its full size).
+    /// Checkpoints carry no weights, so this stays far below the model
+    /// image's size.
+    pub max_checkpoint_bytes: usize,
 }
 
 /// Everything a chaos run produces: the ordinary fleet outcome (with
@@ -359,6 +369,8 @@ struct HostChaos {
     /// Stored checkpoints, oldest → newest.
     checkpoints: Vec<Checkpoint>,
     next_checkpoint_seq: usize,
+    /// JSON bytes of the largest checkpoint written.
+    max_checkpoint_bytes: usize,
     /// Checkpoint medium gone bad: periodic writes truncate until the host
     /// is replaced or rejoins.
     corrupt_writes: bool,
@@ -370,6 +382,23 @@ struct HostChaos {
 }
 
 impl HostChaos {
+    /// A live host with a fresh checkpoint medium and `faults` pending.
+    fn new(faults: std::collections::VecDeque<FaultEvent>) -> Self {
+        HostChaos {
+            alive: true,
+            faults,
+            slow_windows: Vec::new(),
+            checkpoints: Vec::new(),
+            next_checkpoint_seq: 0,
+            max_checkpoint_bytes: 0,
+            corrupt_writes: false,
+            batches_since_checkpoint: 0,
+            consecutive_timeouts: 0,
+            slo_window: std::collections::VecDeque::new(),
+            degraded: false,
+        }
+    }
+
     /// Keeps the checkpoint store small without ever dropping
     /// recoverability: corrupt entries older than the newest intact one are
     /// useless (a fallback scan would skip past them to the intact one),
@@ -449,30 +478,18 @@ impl FleetRuntime {
         // the ids so failover can update the routing table by session id.
         let session_ids: Vec<usize> = sessions.iter().map(|s| s.id).collect();
         let mut state = self.start_sessions(cfg, sessions);
+        // Every checkpoint names the shared model; hash it once.
+        let digest = self.runtime.model_digest();
         let mut hosts: Vec<HostChaos> = (0..cfg.hosts)
-            .map(|h| HostChaos {
-                alive: true,
-                faults: chaos
-                    .plan
-                    .events
-                    .iter()
-                    .filter(|e| e.host == h)
-                    .copied()
-                    .collect(),
-                slow_windows: Vec::new(),
-                checkpoints: Vec::new(),
-                next_checkpoint_seq: 0,
-                corrupt_writes: false,
-                batches_since_checkpoint: 0,
-                consecutive_timeouts: 0,
-                slo_window: std::collections::VecDeque::new(),
-                degraded: false,
+            .map(|h| {
+                let faults = chaos.plan.events.iter().filter(|e| e.host == h);
+                HostChaos::new(faults.copied().collect())
             })
             .collect();
         // Checkpoint 0: the initial state, always intact — every host is
         // recoverable from the start.
         for h in 0..cfg.hosts {
-            self.take_checkpoint(&state, &mut hosts[h], h, 0.0, false);
+            self.take_checkpoint(&state, digest, &mut hosts[h], h, 0.0, false);
         }
 
         let mut faults = FaultStats {
@@ -512,6 +529,7 @@ impl FleetRuntime {
                             let detail = self.fail_over(
                                 cfg,
                                 chaos,
+                                digest,
                                 &mut state,
                                 &session_ids,
                                 &mut hosts,
@@ -639,6 +657,7 @@ impl FleetRuntime {
                     let corrupt = hosts[host].corrupt_writes;
                     self.take_checkpoint(
                         &state,
+                        digest,
                         &mut hosts[host],
                         host,
                         stats.host_free_s,
@@ -678,16 +697,9 @@ impl FleetRuntime {
         });
 
         if bliss_telemetry::enabled() {
-            use bliss_telemetry::metrics as m;
-            m::FAULTS_INJECTED.add(faults.faults_injected as u64);
-            m::FAILOVERS.add(faults.failovers as u64);
-            m::SESSIONS_RECOVERED.add(faults.sessions_recovered as u64);
-            m::FRAMES_REPLAYED.add(faults.frames_replayed as u64);
-            m::BATCH_TIMEOUTS.add(faults.batch_timeouts as u64);
-            m::CORRUPT_CHECKPOINT_READS.add(faults.corrupt_checkpoint_reads as u64);
-            m::CHECKPOINTS_TAKEN.add(faults.checkpoints_taken as u64);
+            faults.record_telemetry();
             for &r in &recovery_latency_s {
-                m::RECOVERY_LATENCY_S.record(r);
+                bliss_telemetry::metrics::RECOVERY_LATENCY_S.record(r);
             }
         }
 
@@ -700,26 +712,34 @@ impl FleetRuntime {
                 degraded_enters,
                 recovery_latency_s,
                 survival,
+                max_checkpoint_bytes: hosts
+                    .iter()
+                    .map(|h| h.max_checkpoint_bytes)
+                    .max()
+                    .unwrap_or(0),
             },
             log,
             outcome,
         })
     }
 
-    /// Captures one host's shard. A corrupt write truncates the payload so
-    /// a later read genuinely fails to parse.
+    /// Captures one host's shard as a checkpoint naming the model `digest`.
+    /// A corrupt write truncates the payload so a later read genuinely
+    /// fails to parse.
     fn take_checkpoint(
         &self,
         state: &FleetState,
+        digest: u64,
         hc: &mut HostChaos,
         host: usize,
         taken_s: f64,
         corrupt: bool,
     ) {
-        let snap = self
+        let mut json = self
             .runtime
-            .snapshot(&state.shard_cfgs[host], &state.shards[host]);
-        let mut json = snap.to_json();
+            .checkpoint(&state.shard_cfgs[host], &state.shards[host], digest)
+            .to_json();
+        hc.max_checkpoint_bytes = hc.max_checkpoint_bytes.max(json.len());
         if corrupt {
             json.truncate(json.len() / 2);
         }
@@ -734,16 +754,35 @@ impl FleetRuntime {
         hc.trim_checkpoints();
     }
 
-    /// Crash + failover: discard the dead host's live shard, restore its
-    /// sessions from the newest parseable checkpoint, re-place them across
-    /// the survivors (in place when none survive), and checkpoint every
-    /// adopting host so the handoff is durable. Returns the deterministic
-    /// detail string for the fault log.
+    /// Reads one stored checkpoint for failover: parses it, checks its
+    /// version and that it names the model `digest`, and rebuilds every one
+    /// of its sessions with feedback gates at `not_before_s`. Any failure
+    /// makes the whole checkpoint unreadable.
+    fn read_checkpoint(
+        &self,
+        json: &str,
+        digest: u64,
+        not_before_s: f64,
+    ) -> Result<(ShardCheckpoint, Vec<RestoredSession>), SnapshotError> {
+        let checkpoint = ShardCheckpoint::parse(json)?;
+        checkpoint.verify(digest)?;
+        let sessions = self
+            .runtime
+            .restore_sessions(&checkpoint.sessions, not_before_s)?;
+        Ok((checkpoint, sessions))
+    }
+
+    /// Crash + failover: restore the dead host's sessions from its newest
+    /// readable checkpoint, discard its live shard, re-place the sessions
+    /// across the survivors (in place when none survive), and checkpoint
+    /// every adopting host so the handoff is durable. Returns the
+    /// deterministic detail string for the fault log.
     #[allow(clippy::too_many_arguments)]
     fn fail_over(
         &self,
         cfg: &FleetConfig,
         chaos: &ChaosConfig,
+        digest: u64,
         state: &mut FleetState,
         session_ids: &[usize],
         hosts: &mut [HostChaos],
@@ -754,15 +793,17 @@ impl FleetRuntime {
     ) -> String {
         faults.failovers += 1;
         let live_progress: Vec<SessionProgress> = state.shards[host].progress();
+        let not_before = crash_s + chaos.failover_delay_s;
 
-        // Newest → oldest: the first checkpoint that parses wins. Corrupt
-        // reads surface the host-context SnapshotError and fall through.
+        // Newest → oldest: the first checkpoint whose sessions all rebuild
+        // wins, before anything of the live shard is touched. Unreadable
+        // ones surface the host-context SnapshotError and fall through.
         let mut detail = String::new();
-        let mut restored: Option<(ServeSnapshot, usize, f64)> = None;
+        let mut restored = None;
         for ck in hosts[host].checkpoints.iter().rev() {
-            match ServeSnapshot::parse(&ck.json) {
-                Ok(snap) => {
-                    restored = Some((snap, ck.seq, ck.taken_s));
+            match self.read_checkpoint(&ck.json, digest, not_before) {
+                Ok((snap, sessions)) => {
+                    restored = Some((snap, sessions, ck.seq, ck.taken_s));
                     break;
                 }
                 Err(e) => {
@@ -772,8 +813,9 @@ impl FleetRuntime {
                 }
             }
         }
-        let (snap, ck_seq, ck_taken) =
-            restored.expect("an intact checkpoint always exists (checkpoint 0 is never corrupted)");
+        let (snap, sessions, ck_seq, ck_taken) = restored.expect(
+            "a readable checkpoint always exists (checkpoint 0 is never corrupted or trimmed)",
+        );
 
         // Replay accounting: progress recorded live minus progress in the
         // checkpoint is re-served on the adoptive hosts.
@@ -809,41 +851,29 @@ impl FleetRuntime {
         };
         let configs: Vec<SessionConfig> = snap.sessions.iter().map(|s| s.config).collect();
         let routed = cfg.placement.assign(&configs, targets.len());
-        let not_before = crash_s + chaos.failover_delay_s;
+        let mut groups: Vec<Vec<RestoredSession>> = targets.iter().map(|_| Vec::new()).collect();
         let mut moved: Vec<(usize, usize)> = Vec::new(); // (session id, first replay frame)
-        for (ti, &target) in targets.iter().enumerate() {
-            let group: Vec<SessionSnapshot> = snap
-                .sessions
-                .iter()
-                .zip(&routed)
-                .filter(|&(_, &r)| r == ti)
-                .map(|(s, _)| s.clone())
-                .collect();
+        for ((session, ss), &ti) in sessions.into_iter().zip(&snap.sessions).zip(&routed) {
+            // `records.len()` is the index of the next frame this session
+            // will record — the first replayed frame.
+            moved.push((ss.config.id, ss.records.len()));
+            // Keep the fleet's routing table honest for the report.
+            if let Some(slot) = session_ids.iter().position(|&id| id == ss.config.id) {
+                state.assignment[slot] = targets[ti];
+            }
+            groups[ti].push(session);
+        }
+        for (&target, group) in targets.iter().zip(groups) {
             if group.is_empty() {
                 continue;
             }
-            for s in &group {
-                // `records.len()` is the index of the next frame this
-                // session will record — the first replayed frame.
-                moved.push((s.config.id, s.records.len()));
-                // Keep the fleet's routing table honest for the report.
-                if let Some(slot) = session_ids.iter().position(|&id| id == s.config.id) {
-                    state.assignment[slot] = target;
-                }
-            }
             state.shard_cfgs[target].sessions += group.len();
             self.runtime
-                .adopt_sessions(&mut state.shards[target], &group, not_before)
-                .unwrap_or_else(|e| {
-                    panic!(
-                        "failover adoption onto host {target} failed: {}",
-                        SnapshotError::for_host(target, e)
-                    )
-                });
+                .adopt_sessions(&mut state.shards[target], group);
             // Handoff durability: the adoptive host checkpoints immediately
             // (always intact), so a second crash cannot lose the adopted
             // sessions.
-            self.take_checkpoint(state, &mut hosts[target], target, not_before, false);
+            self.take_checkpoint(state, digest, &mut hosts[target], target, not_before, false);
             faults.checkpoints_taken += 1;
         }
         moved.sort_unstable();
@@ -857,5 +887,99 @@ impl FleetRuntime {
             sessions: moved,
         });
         detail
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::PlacementPolicy;
+    use bliss_sensor::PackedCodes;
+    use bliss_track::{RoiPredictionNet, SparseViT};
+    use blisscam_core::SystemConfig;
+
+    fn fleet() -> FleetRuntime {
+        let mut system = SystemConfig::miniature();
+        system.vit.dim = 12;
+        system.vit.enc_depth = 1;
+        system.vit.dec_depth = 1;
+        system.roi_net.hidden = 16;
+        let mut rng = StdRng::seed_from_u64(0xC4EC);
+        FleetRuntime::with_networks(
+            system,
+            SparseViT::new(&mut rng, system.vit),
+            RoiPredictionNet::new(&mut rng, system.roi_net),
+        )
+    }
+
+    #[test]
+    fn failover_falls_back_past_a_checkpoint_that_parses_but_does_not_restore() {
+        let fleet = fleet();
+        let cfg = FleetConfig::new(2, PlacementPolicy::RoundRobin, 4, 4);
+        let chaos = ChaosConfig::new(FaultPlan::quiet());
+        let ids: Vec<usize> = fleet.session_configs(&cfg).iter().map(|s| s.id).collect();
+        let digest = fleet.serve_runtime().model_digest();
+        type Breakage = fn(&mut ShardCheckpoint);
+        let breakages: [(&str, Breakage); 2] = [
+            ("checkpoint was taken on model", |ck| ck.model_digest ^= 1),
+            ("feedback map", |ck| {
+                let seg = &mut ck.sessions[1].front.prev_seg;
+                *seg = PackedCodes::new(seg.codes()[1..].to_vec());
+            }),
+        ];
+        for (needle, breakage) in breakages {
+            let mut state = fleet.start(&cfg);
+            let mut hosts: Vec<HostChaos> = (0..cfg.hosts)
+                .map(|_| HostChaos::new(Default::default()))
+                .collect();
+            fleet.take_checkpoint(&state, digest, &mut hosts[0], 0, 0.0, false);
+            assert!(fleet.step(&mut state).expect("step succeeds"));
+            fleet.take_checkpoint(&state, digest, &mut hosts[0], 0, 1e-3, false);
+            assert!(fleet.step(&mut state).expect("step succeeds"));
+            // The newest entry parses but names another model or holds a
+            // session that cannot restore.
+            let mut bad =
+                fleet
+                    .serve_runtime()
+                    .checkpoint(&state.shard_cfgs[0], &state.shards[0], digest);
+            breakage(&mut bad);
+            let hc = &mut hosts[0];
+            hc.checkpoints.push(Checkpoint {
+                seq: hc.next_checkpoint_seq,
+                taken_s: 2e-3,
+                json: bad.to_json(),
+                intact: true,
+            });
+
+            let mut faults = FaultStats::default();
+            let mut pending = Vec::new();
+            let detail = fleet.fail_over(
+                &cfg,
+                &chaos,
+                digest,
+                &mut state,
+                &ids,
+                &mut hosts,
+                0,
+                3e-3,
+                &mut faults,
+                &mut pending,
+            );
+            assert_eq!(faults.corrupt_checkpoint_reads, 1, "{detail}");
+            assert!(
+                detail.starts_with("checkpoint 2 unreadable (host 0: ") && detail.contains(needle),
+                "{detail}"
+            );
+            assert!(detail.contains("restored checkpoint 1"), "{detail}");
+            // Host 0's two sessions moved to host 1 from checkpoint 1, one
+            // batch behind: their second batch is replayed.
+            assert_eq!(faults.sessions_recovered, 2);
+            assert!(faults.frames_replayed > 0);
+            assert_eq!(state.shards[0].progress().len(), 0);
+            assert_eq!(state.shards[1].progress().len(), 4);
+            assert!(!hosts[0].alive);
+            while fleet.step(&mut state).expect("step succeeds") {}
+            assert_eq!(state.frames_served(), 4 * 4);
+        }
     }
 }

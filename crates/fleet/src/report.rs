@@ -50,10 +50,42 @@ pub struct FaultStats {
     pub frames_shed: usize,
     /// Batch launches that timed out and were retried with backoff.
     pub batch_timeouts: usize,
-    /// Checkpoint reads that failed to parse during failover.
+    /// Checkpoint reads during failover that failed to parse, named another
+    /// model or held a session that would not restore.
     pub corrupt_checkpoint_reads: usize,
     /// Periodic per-host checkpoints taken.
     pub checkpoints_taken: usize,
+}
+
+impl FaultStats {
+    /// Adds the counters to the telemetry registry's fault counters — the
+    /// one place the two are matched up.
+    pub fn record_telemetry(&self) {
+        use bliss_telemetry::metrics as m;
+        // Destructured in full, so a new counter must be matched up here.
+        let FaultStats {
+            faults_injected,
+            failovers,
+            sessions_recovered,
+            frames_replayed,
+            // The serve layer counts shed frames as it sheds them.
+            frames_shed: _,
+            batch_timeouts,
+            corrupt_checkpoint_reads,
+            checkpoints_taken,
+        } = *self;
+        for (counter, value) in [
+            (&m::FAULTS_INJECTED, faults_injected),
+            (&m::FAILOVERS, failovers),
+            (&m::SESSIONS_RECOVERED, sessions_recovered),
+            (&m::FRAMES_REPLAYED, frames_replayed),
+            (&m::BATCH_TIMEOUTS, batch_timeouts),
+            (&m::CORRUPT_CHECKPOINT_READS, corrupt_checkpoint_reads),
+            (&m::CHECKPOINTS_TAKEN, checkpoints_taken),
+        ] {
+            counter.add(value as u64);
+        }
+    }
 }
 
 /// Aggregate results of one fleet run — the `BENCH_fleet.json` payload.

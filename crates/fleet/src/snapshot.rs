@@ -1,24 +1,27 @@
 //! Whole-fleet durable-serving snapshots.
 //!
-//! A [`FleetSnapshot`] freezes every host shard at a batch boundary by
-//! composing one [`ServeSnapshot`] per host with the fleet's
-//! session→host assignment and placement policy. All hosts are replicas of
-//! one model, so [`FleetRuntime::restore`] rebuilds the shared runtime from
-//! host 0's snapshot and only the per-shard scheduler/session states differ
-//! between hosts. The restored fleet continues bit-identically to the
+//! A [`FleetSnapshot`] freezes every host shard at a batch boundary. All
+//! hosts are replicas of one model, so it holds that model once, as a
+//! [`ModelImage`], plus one weight-free [`ShardCheckpoint`] per host and the
+//! fleet's session→host assignment and placement policy.
+//! [`FleetRuntime::restore`] rebuilds the shared runtime from the image and
+//! restores every shard against it, checking that each shard names the
+//! image's digest. The restored fleet continues bit-identically to the
 //! uninterrupted run — the same guarantee the serve layer makes, lifted
 //! over the k-way shard composition (hosts are independent, so per-shard
 //! bit-identity composes).
 //!
 //! The version field is checked before full deserialisation, exactly like
-//! the serve layer's ([`bliss_serve::SNAPSHOT_VERSION`] governs both — the
-//! per-host payloads embed their own version, and the fleet envelope
-//! re-checks it at the top level so a stale file fails loudly at the door).
+//! the serve layer's ([`bliss_serve::parse_versioned`];
+//! [`bliss_serve::SNAPSHOT_VERSION`] governs both — each shard embeds its
+//! own version, checked again when it is restored).
 
 use crate::placement::PlacementPolicy;
 use crate::runtime::{FleetConfig, FleetRuntime, FleetState};
-use bliss_serve::{ServeSnapshot, SnapshotError, SNAPSHOT_VERSION};
-use serde::{Deserialize, JsonValue, Serialize};
+use bliss_serve::{
+    parse_versioned, ModelImage, ServeRuntime, ShardCheckpoint, SnapshotError, SNAPSHOT_VERSION,
+};
+use serde::{Deserialize, Serialize};
 
 /// A whole fleet frozen at a batch boundary on every host.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -32,8 +35,10 @@ pub struct FleetSnapshot {
     pub placement: PlacementPolicy,
     /// Session→host routing of the frozen run.
     pub assignment: Vec<usize>,
-    /// Each host shard's full serving snapshot, indexed by host.
-    pub per_host: Vec<ServeSnapshot>,
+    /// The one model every host serves.
+    pub model: ModelImage,
+    /// Each host shard's checkpoint, indexed by host.
+    pub per_host: Vec<ShardCheckpoint>,
 }
 
 impl FleetSnapshot {
@@ -45,16 +50,7 @@ impl FleetSnapshot {
     /// [`SnapshotError::Version`] on a version mismatch,
     /// [`SnapshotError::Json`] on malformed JSON.
     pub fn parse(json: &str) -> Result<Self, SnapshotError> {
-        let value = JsonValue::parse(json).map_err(SnapshotError::Json)?;
-        let version_field = value.field("version").map_err(SnapshotError::Json)?;
-        let version = u32::from_json_value(version_field).map_err(SnapshotError::Json)?;
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::Version {
-                found: version,
-                supported: SNAPSHOT_VERSION,
-            });
-        }
-        Self::from_json_value(&value).map_err(SnapshotError::Json)
+        parse_versioned(json)
     }
 }
 
@@ -63,16 +59,19 @@ impl FleetRuntime {
     ///
     /// `cfg` must be the fleet configuration the run is stepping under.
     pub fn snapshot(&self, cfg: &FleetConfig, state: &FleetState) -> FleetSnapshot {
+        let model = self.runtime.model_image();
+        let digest = model.digest();
         FleetSnapshot {
             version: SNAPSHOT_VERSION,
             hosts: cfg.hosts,
             placement: cfg.placement,
             assignment: state.assignment.clone(),
+            model,
             per_host: state
                 .shard_cfgs
                 .iter()
                 .zip(&state.shards)
-                .map(|(shard_cfg, shard)| self.serve_runtime().snapshot(shard_cfg, shard))
+                .map(|(shard_cfg, shard)| self.runtime.checkpoint(shard_cfg, shard, digest))
                 .collect(),
         }
     }
@@ -83,9 +82,11 @@ impl FleetRuntime {
     ///
     /// [`SnapshotError::Corrupt`] on an empty host list or weight shapes
     /// that do not match the recorded system configuration. Shard-level
-    /// errors are wrapped in [`SnapshotError::Host`] with the offending
-    /// host id (and, for per-session corruption, the session id inside),
-    /// so a corrupt shard is diagnosable from the message alone.
+    /// errors — a shard naming another model
+    /// ([`SnapshotError::ModelMismatch`]) or a corrupt session — are
+    /// wrapped in [`SnapshotError::Host`] with the offending host id (and,
+    /// for per-session corruption, the session id inside), so a corrupt
+    /// shard is diagnosable from the message alone.
     pub fn restore(
         snapshot: &FleetSnapshot,
     ) -> Result<(FleetRuntime, FleetConfig, FleetState), SnapshotError> {
@@ -93,14 +94,15 @@ impl FleetRuntime {
             SnapshotError::Corrupt("fleet snapshot contains no host shards".into())
         })?;
         // All hosts are replicas of one model: build the shared runtime once
-        // from host 0, then restore every shard's scheduler state against it.
-        let runtime = bliss_serve::ServeRuntime::restore_runtime(first)
-            .map_err(|e| SnapshotError::for_host(0, e))?;
+        // (its precision from host 0's settings, which every shard shares),
+        // then restore every shard's scheduler state against it.
+        let runtime = ServeRuntime::restore_runtime(&snapshot.model, &first.serve)?;
+        let digest = snapshot.model.digest();
         let mut shard_cfgs = Vec::with_capacity(snapshot.per_host.len());
         let mut shards = Vec::with_capacity(snapshot.per_host.len());
         for (host_id, host) in snapshot.per_host.iter().enumerate() {
             let shard = runtime
-                .restore_state(host)
+                .restore_state(host, digest)
                 .map_err(|e| SnapshotError::for_host(host_id, e))?;
             shard_cfgs.push(host.serve);
             shards.push(shard);

@@ -132,6 +132,49 @@ fn empty_fleet_snapshot_is_corrupt() {
     });
 }
 
+#[test]
+fn a_shard_naming_another_model_fails_typed_with_its_host() {
+    bliss_parallel::with_thread_count(1, || {
+        let fleet = runtime();
+        let cfg = load(PlacementPolicy::RoundRobin);
+        let mut state = fleet.start(&cfg);
+        assert!(fleet.step(&mut state).expect("step succeeds"));
+        let snap = fleet.snapshot(&cfg, &state);
+        let digest = snap.model.digest();
+        assert_eq!(digest, fleet.serve_runtime().model_digest());
+
+        // One shard names another model.
+        let mut bad = snap.clone();
+        bad.per_host[1].model_digest ^= 1;
+        let err = FleetRuntime::restore(&bad).expect_err("a foreign shard must not restore");
+        assert_eq!(
+            err,
+            SnapshotError::for_host(
+                1,
+                SnapshotError::ModelMismatch {
+                    expected: digest,
+                    found: digest ^ 1,
+                }
+            )
+        );
+
+        // One weight bit of the image changes: no shard names it any more.
+        let mut bad = snap;
+        let w = &mut bad.model.vit_params[0].data[0];
+        *w = f32::from_bits(w.to_bits() ^ 1);
+        let err = FleetRuntime::restore(&bad).expect_err("a changed image must not restore");
+        assert!(
+            matches!(
+                &err,
+                SnapshotError::Host { host: 0, source }
+                    if matches!(**source, SnapshotError::ModelMismatch { found, .. } if found == digest)
+            ),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("host 0"), "{err}");
+    });
+}
+
 /// Deepest `[`/`{` nesting in a JSON document, ignoring string contents.
 fn nesting_depth(json: &str) -> usize {
     let (mut depth, mut deepest) = (0usize, 0usize);

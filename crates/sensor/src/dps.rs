@@ -1,3 +1,4 @@
+use crate::codes::SnapshotFrame;
 use crate::event::EventMap;
 use crate::rle;
 use crate::rng::{
@@ -189,16 +190,66 @@ impl ReadoutResult {
 /// property of the (simulated) die, re-derived bit-identically from the
 /// [`SensorConfig`] seed when the die is built, which is why
 /// [`DigitalPixelSensor::restore`] only overwrites this state.
+///
+/// The two analog frame buffers are stored once each when they differ and
+/// once in all when they are equal, which is the case after every
+/// eventification. Each is stored as ADC codes when it lies on the ADC
+/// grid ([`SnapshotFrame`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SensorSnapshot {
-    /// Previous frame held on the auto-zero capacitors.
-    pub held: Option<Vec<f32>>,
-    /// Current latched exposure.
-    pub current: Option<Vec<f32>>,
+    /// The distinct frame buffers.
+    pub frames: Vec<SnapshotFrame>,
+    /// Index into `frames` of the previous frame held on the auto-zero
+    /// capacitors.
+    pub held: Option<usize>,
+    /// Index into `frames` of the current latched exposure.
+    pub current: Option<usize>,
     /// SRAM power-up generator state.
     pub sram_rng: [u64; 4],
     /// Readouts performed so far (the conversion-noise counter).
     pub readouts: u64,
+}
+
+impl SensorSnapshot {
+    /// Checks that the snapshot fits a die of `pixels` pixels: every frame
+    /// index names a stored frame that passes [`SnapshotFrame::check`], and
+    /// the SRAM RNG state is not all zeros. The error names the offending
+    /// field.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first mismatch found.
+    pub fn check(&self, pixels: usize) -> Result<(), String> {
+        for (name, index) in [("held", self.held), ("current", self.current)] {
+            let Some(i) = index else { continue };
+            let Some(frame) = self.frames.get(i) else {
+                return Err(format!(
+                    "sensor {name} frame is #{i} of {} stored",
+                    self.frames.len()
+                ));
+            };
+            frame
+                .check(pixels)
+                .map_err(|e| format!("sensor {name} frame {e}"))?;
+        }
+        if self.sram_rng == [0; 4] {
+            return Err("all-zero SRAM RNG state".into());
+        }
+        Ok(())
+    }
+}
+
+/// Whether two buffers hold the same bits.
+fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// Overwrites one analog frame buffer from a snapshot, reusing its storage.
+fn restore_frame(buf: &mut Option<Vec<f32>>, frame: Option<&SnapshotFrame>) {
+    match frame {
+        Some(frame) => frame.decode_into(buf.get_or_insert_with(Vec::new)),
+        None => *buf = None,
+    }
 }
 
 /// Behavioural model of the BlissCam stacked DPS.
@@ -251,9 +302,22 @@ impl DigitalPixelSensor {
 
     /// Captures the sensor's serving-time state (see [`SensorSnapshot`]).
     pub fn snapshot(&self) -> SensorSnapshot {
+        let mut frames = Vec::new();
+        let current = self.current.as_ref().map(|c| {
+            frames.push(SnapshotFrame::encode(c));
+            0
+        });
+        let held = self.held.as_ref().map(|h| match &self.current {
+            Some(c) if same_bits(c, h) => 0,
+            _ => {
+                frames.push(SnapshotFrame::encode(h));
+                frames.len() - 1
+            }
+        });
         SensorSnapshot {
-            held: self.held.clone(),
-            current: self.current.clone(),
+            frames,
+            held,
+            current,
             sram_rng: self.sram_rng.rng_state(),
             readouts: self.readouts,
         }
@@ -270,22 +334,17 @@ impl DigitalPixelSensor {
     ///
     /// # Panics
     ///
-    /// Panics, leaving the sensor unchanged, when a snapshotted frame
-    /// buffer's length does not match the configured pixel count, or when
-    /// the RNG state is all zeros — either means the snapshot belongs to a
-    /// different config or is corrupt.
+    /// Panics, leaving the sensor unchanged, when
+    /// [`SensorSnapshot::check`] rejects the snapshot for this die's pixel
+    /// count: it belongs to a different config or is corrupt.
     pub fn restore(&mut self, snapshot: &SensorSnapshot) {
-        let pixels = self.config.pixels();
-        for buf in [&snapshot.held, &snapshot.current].into_iter().flatten() {
-            assert_eq!(
-                buf.len(),
-                pixels,
-                "sensor snapshot frame buffer does not match the configured pixel count"
-            );
+        if let Err(e) = snapshot.check(self.config.pixels()) {
+            panic!("sensor snapshot does not fit this die: {e}");
         }
         self.sram_rng.set_rng_state(snapshot.sram_rng);
-        self.held.clone_from(&snapshot.held);
-        self.current.clone_from(&snapshot.current);
+        let frame = |index: Option<usize>| index.map(|i| &snapshot.frames[i]);
+        restore_frame(&mut self.held, frame(snapshot.held));
+        restore_frame(&mut self.current, frame(snapshot.current));
         self.readouts = snapshot.readouts;
     }
 
@@ -801,6 +860,50 @@ mod tests {
         for s in [&mut live, &mut restored] {
             s.expose(&img2);
         }
+        assert_eq!(live.eventify(), restored.eventify());
+        let roi = RoiBox::new(1, 1, 15, 11);
+        assert_eq!(
+            live.sparse_readout(roi, 0.3),
+            restored.sparse_readout(roi, 0.3)
+        );
+    }
+
+    #[test]
+    fn snapshot_stores_each_distinct_frame_once_in_its_exact_form() {
+        let on_grid: Vec<f32> = (0..16 * 12)
+            .map(|i| ((i * 37) % 1024) as f32 / 1023.0)
+            .collect();
+        let off_grid = gradient(16, 12);
+        let mut live = sensor(16, 12);
+        live.expose(&on_grid);
+        let _ = live.eventify();
+        // After eventify the held frame equals the current one: stored once,
+        // as codes.
+        let snap = live.snapshot();
+        assert_eq!((snap.held, snap.current), (Some(0), Some(0)));
+        assert!(matches!(snap.frames[..], [SnapshotFrame::Codes(_)]));
+        let json = snap.to_json();
+        assert!(json.len() < 3 * 16 * 12, "{} bytes", json.len());
+        assert_eq!(SensorSnapshot::from_json(&json).expect("parses"), snap);
+
+        // A fresh exposure off the grid: two frames, one in each form.
+        live.expose(&off_grid);
+        let snap = live.snapshot();
+        assert_eq!((snap.current, snap.held), (Some(0), Some(1)));
+        assert!(matches!(
+            snap.frames[..],
+            [SnapshotFrame::Raw(_), SnapshotFrame::Codes(_)]
+        ));
+        let parsed = SensorSnapshot::from_json(&snap.to_json()).expect("parses");
+        assert_eq!(parsed, snap);
+        let mut restored = sensor(16, 12);
+        restored.restore(&parsed);
+        let bits = |v: &Option<Vec<f32>>| {
+            v.as_ref()
+                .map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+        };
+        assert_eq!(bits(&restored.held), bits(&live.held));
+        assert_eq!(bits(&restored.current), bits(&live.current));
         assert_eq!(live.eventify(), restored.eventify());
         let roi = RoiBox::new(1, 1, 15, 11);
         assert_eq!(

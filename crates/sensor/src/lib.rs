@@ -38,12 +38,14 @@
 //! assert!(readout.conversions <= readout.roi.area() as u64);
 //! ```
 
+mod codes;
 mod dps;
 mod event;
 pub mod rle;
 mod rng;
 mod roi;
 
+pub use codes::{PackedCodes, SnapshotFrame};
 pub use dps::{DigitalPixelSensor, ReadoutResult, SensorConfig, SensorSnapshot};
 pub use event::EventMap;
 pub use rng::{gauss, uniform_word, CalibrationLut, SramRng, SramRngConfig};

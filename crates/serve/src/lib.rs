@@ -73,4 +73,7 @@ pub use runtime::{
     ServeConfig, ServeOutcome, ServeRuntime, ServeState, SessionProgress, StepOptions, StepStats,
 };
 pub use session::{FrameRecord, SessionConfig, SessionTrace};
-pub use snapshot::{ServeSnapshot, SessionSnapshot, SnapshotError, SNAPSHOT_VERSION};
+pub use snapshot::{
+    parse_versioned, ModelImage, RestoredSession, ServeSnapshot, SessionSnapshot, ShardCheckpoint,
+    SnapshotError, SNAPSHOT_VERSION,
+};

@@ -19,8 +19,12 @@
 //! outcomes, because these tests need live runtimes.
 
 use bliss_nn::{restore_params, snapshot_params, ParamSnapshot};
-use bliss_serve::{ServeConfig, ServeRuntime, ServeSnapshot, SnapshotError, SNAPSHOT_VERSION};
-use bliss_track::{JointTrainer, RoiPredictionNet, SparseViT};
+use bliss_sensor::SnapshotFrame;
+use bliss_serve::{
+    FrameRecord, ServeConfig, ServeRuntime, ServeSnapshot, SessionConfig, ShardCheckpoint,
+    SnapshotError, SNAPSHOT_VERSION,
+};
+use bliss_track::{EstimatorSnapshot, JointTrainer, RoiPredictionNet, SparseViT};
 use blisscam_core::SystemConfig;
 use rand::{rngs::StdRng, SeedableRng};
 use serde::Serialize;
@@ -247,7 +251,7 @@ fn corrupt_weights_fail_loudly() {
         let mut state = rt.start(&cfg);
         assert!(rt.step_batch(&cfg, &mut state).expect("step succeeds"));
         let mut snap = rt.snapshot(&cfg, &state);
-        snap.vit_params.pop();
+        snap.model.vit_params.pop();
         let err = ServeRuntime::restore(&snap).expect_err("truncated weights must fail");
         assert!(
             matches!(err, SnapshotError::Corrupt(_)),
@@ -296,4 +300,168 @@ fn corrupted_snapshot_json_fails_typed_and_never_panics() {
         }
         bytes[pos] = original;
     }
+}
+
+/// The version-5 wire shape of a [`ServeSnapshot`]: the weights in every
+/// snapshot, both sensor frames as f32, the feedback map pixel by pixel.
+/// Kept to size the weight-free checkpoints against.
+#[derive(Serialize)]
+struct V5Snapshot {
+    version: u32,
+    system: SystemConfig,
+    paper_scale_timing: bool,
+    serve: ServeConfig,
+    vit_params: Vec<ParamSnapshot>,
+    roi_params: Vec<ParamSnapshot>,
+    host_free_s: f64,
+    host_busy_s: f64,
+    sessions: Vec<V5Session>,
+}
+
+#[derive(Serialize)]
+struct V5Session {
+    config: SessionConfig,
+    front: V5Front,
+    next_frame: usize,
+    prev_completion_s: Option<f64>,
+    records: Vec<FrameRecord>,
+}
+
+#[derive(Serialize)]
+struct V5Front {
+    sensor: V5Sensor,
+    rng: [u64; 4],
+    estimator: Option<EstimatorSnapshot>,
+    prev_seg: Vec<u8>,
+    have_seg: bool,
+}
+
+#[derive(Serialize)]
+struct V5Sensor {
+    held: Option<Vec<f32>>,
+    current: Option<Vec<f32>>,
+    sram_rng: [u64; 4],
+    readouts: u64,
+}
+
+impl V5Snapshot {
+    fn of(snap: &ServeSnapshot) -> Self {
+        let shard = &snap.shard;
+        let sessions = shard.sessions.iter().map(|s| {
+            let sensor = &s.front.sensor;
+            let frame = |index: Option<usize>| {
+                index.map(|i| {
+                    let mut out = Vec::new();
+                    sensor.frames[i].decode_into(&mut out);
+                    out
+                })
+            };
+            V5Session {
+                config: s.config,
+                front: V5Front {
+                    sensor: V5Sensor {
+                        held: frame(sensor.held),
+                        current: frame(sensor.current),
+                        sram_rng: sensor.sram_rng,
+                        readouts: sensor.readouts,
+                    },
+                    rng: s.front.rng,
+                    estimator: s.front.estimator,
+                    prev_seg: s.front.prev_seg.codes().iter().map(|&c| c as u8).collect(),
+                    have_seg: s.front.have_seg,
+                },
+                next_frame: s.next_frame,
+                prev_completion_s: s.prev_completion_s,
+                records: s.records.clone(),
+            }
+        });
+        V5Snapshot {
+            version: 5,
+            system: snap.model.system,
+            paper_scale_timing: snap.model.paper_scale_timing,
+            serve: shard.serve,
+            vit_params: snap.model.vit_params.clone(),
+            roi_params: snap.model.roi_params.clone(),
+            host_free_s: shard.host_free_s,
+            host_busy_s: shard.host_busy_s,
+            sessions: sessions.collect(),
+        }
+    }
+}
+
+#[test]
+fn shard_checkpoint_holds_no_weights_and_a_tenth_of_the_v5_bytes() {
+    let fx = fixture();
+    // Half the fleet-chaos load point: one host's six sessions.
+    let mut cfg = ServeConfig::new(6, 12);
+    cfg.max_batch = 16;
+    bliss_parallel::with_thread_count(1, || {
+        let rt = runtime(fx);
+        let mut state = rt.start(&cfg);
+        for batch in 0..6 {
+            assert!(rt.step_batch(&cfg, &mut state).expect("step succeeds"));
+            let snap = rt.snapshot(&cfg, &state);
+            let checkpoint = snap.shard.to_json();
+            let v5 = V5Snapshot::of(&snap).to_json();
+            assert!(!checkpoint.contains("params"), "weights in a checkpoint");
+            assert!(
+                10 * checkpoint.len() <= v5.len(),
+                "batch {batch}: checkpoint {} bytes against {} in v5",
+                checkpoint.len(),
+                v5.len()
+            );
+            // Every sensor frame the noise model exposed is on the ADC grid:
+            // written once, as codes.
+            for s in &snap.shard.sessions {
+                let sensor = &s.front.sensor;
+                assert_eq!((sensor.held, sensor.current), (Some(0), Some(0)));
+                assert!(matches!(sensor.frames[..], [SnapshotFrame::Codes(_)]));
+            }
+            // The shard restores against the model it names, bit for bit.
+            let back = ShardCheckpoint::parse(&checkpoint).expect("checkpoint parses");
+            assert_eq!(back, snap.shard);
+            let restored = rt
+                .restore_state(&back, rt.model_digest())
+                .expect("checkpoint restores");
+            assert_eq!(rt.snapshot(&cfg, &restored), snap);
+        }
+    });
+}
+
+#[test]
+fn corrupted_shard_checkpoint_json_fails_typed_and_never_panics() {
+    let fx = fixture();
+    let cfg = load();
+    bliss_parallel::with_thread_count(1, || {
+        let rt = runtime(fx);
+        let digest = rt.model_digest();
+        let mut state = rt.start(&cfg);
+        for _ in 0..2 {
+            assert!(rt.step_batch(&cfg, &mut state).expect("step succeeds"));
+        }
+        let json = rt.checkpoint(&cfg, &state, digest).to_json();
+        // Every proper prefix of the top-level object is malformed JSON.
+        let step = (json.len() / 128).max(1);
+        for cut in (0..json.len()).step_by(step) {
+            if json.is_char_boundary(cut) {
+                let err =
+                    ShardCheckpoint::parse(&json[..cut]).expect_err("truncated checkpoint parsed");
+                assert!(matches!(err, SnapshotError::Json(_)), "cut {cut}: {err:?}");
+            }
+        }
+        // One flipped bit anywhere parses to some checkpoint or fails with a
+        // typed error, and so does restoring what parsed — the failover
+        // path. Flipping a bit below 0x80 keeps ASCII input valid UTF-8.
+        let mut bytes = json.into_bytes();
+        for (k, pos) in (0..bytes.len()).step_by(step).enumerate() {
+            let original = bytes[pos];
+            bytes[pos] ^= [0x01, 0x02, 0x20, 0x40][k % 4];
+            if let Ok(text) = std::str::from_utf8(&bytes) {
+                if let Ok(checkpoint) = ShardCheckpoint::parse(text) {
+                    let _ = rt.restore_state(&checkpoint, digest);
+                }
+            }
+            bytes[pos] = original;
+        }
+    });
 }

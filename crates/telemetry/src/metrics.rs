@@ -281,8 +281,9 @@ pub static FRAMES_REPLAYED: Counter = Counter::new();
 pub static FRAMES_SHED: Counter = Counter::new();
 /// Batch launches that timed out and were retried with backoff.
 pub static BATCH_TIMEOUTS: Counter = Counter::new();
-/// Checkpoint reads that failed to parse during failover (the engine falls
-/// back to the previous checkpoint).
+/// Checkpoint reads during failover that failed to parse, named another
+/// model or held a session that would not restore (the engine falls back to
+/// the previous checkpoint).
 pub static CORRUPT_CHECKPOINT_READS: Counter = Counter::new();
 /// Periodic per-host checkpoints taken by the chaos engine.
 pub static CHECKPOINTS_TAKEN: Counter = Counter::new();

@@ -73,6 +73,9 @@ pub enum JsonError {
         /// The Rust type it was being parsed as.
         target: &'static str,
     },
+    /// A value had the right JSON shape but failed the target type's own
+    /// validation (the shim's counterpart of serde's `de::Error::custom`).
+    Custom(String),
 }
 
 impl fmt::Display for JsonError {
@@ -95,6 +98,7 @@ impl fmt::Display for JsonError {
             JsonError::InvalidNumber { token, target } => {
                 write!(f, "JSON number `{token}` does not fit target type {target}")
             }
+            JsonError::Custom(message) => write!(f, "invalid JSON value: {message}"),
         }
     }
 }
