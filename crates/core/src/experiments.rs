@@ -15,9 +15,10 @@ use bliss_eye::{render_sequence, EyeClass, EyeSequence, SequenceConfig};
 use bliss_tensor::TensorError;
 use bliss_timing::StageKind;
 use bliss_track::{
-    AngularErrorStats, DenseTrainer, EvalResult, GazeEstimator, JointTrainer, SamplingStrategy,
-    TrainConfig,
+    AngularErrorStats, DenseTrainer, EvalResult, JointTrainer, SamplingStrategy, TrainConfig,
 };
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// Workload size of the accuracy experiments.
@@ -468,9 +469,11 @@ pub fn tab1_roi_reuse(scale: &ExperimentScale) -> Result<Vec<Tab1Row>, TensorErr
     // Energy: the only saving is skipping the ROI-prediction inferences.
     let paper = SystemConfig::paper();
     let base = energy_breakdown(&paper, SystemVariant::BlissCam);
+    let seed = trainer.config().seed ^ 0x0F0F;
     let mut rows = Vec::new();
     for &window in &[1usize, 4, 16] {
-        let result = evaluate_with_roi_reuse(&mut trainer, &eval, window)?;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let result = trainer.evaluate_with_roi_reuse(&eval, window, &mut rng)?;
         let saved = base.roi_prediction_j * (1.0 - 1.0 / window as f64);
         rows.push(Tab1Row {
             reuse_window: window,
@@ -479,93 +482,6 @@ pub fn tab1_roi_reuse(scale: &ExperimentScale) -> Result<Vec<Tab1Row>, TensorErr
         });
     }
     Ok(rows)
-}
-
-/// Closed-loop evaluation where the ROI prediction runs only every
-/// `window`-th frame and is reused in between.
-fn evaluate_with_roi_reuse(
-    trainer: &mut JointTrainer,
-    seq: &EyeSequence,
-    window: usize,
-) -> Result<EvalResult, TensorError> {
-    use bliss_track::util::frame_difference_events;
-    use rand::Rng;
-    use rand::{rngs::StdRng, SeedableRng};
-
-    let (w, h) = (seq.width, seq.height);
-    let cfg = *trainer.config();
-    let noise = bliss_eye::ImagingNoise::new(cfg.noise);
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x0F0F);
-    let mut estimator = GazeEstimator::new(seq.model.clone());
-    let mut prev = noise.apply(&seq.frames[0].clean, cfg.exposure_scale, &mut rng);
-    let mut prev_seg = vec![0u8; w * h];
-    let mut have_seg = false;
-    let mut held_box: Option<bliss_sensor::RoiBox> = None;
-    let mut err_h = Vec::new();
-    let mut err_v = Vec::new();
-    let mut seg_accs = Vec::new();
-    let mut sampled_total = 0u64;
-    let mut tokens_total = 0usize;
-
-    for t in 1..seq.frames.len() {
-        let frame = &seq.frames[t];
-        let cur = noise.apply(&frame.clean, cfg.exposure_scale, &mut rng);
-        let events = frame_difference_events(&cur, &prev, cfg.event_sigma);
-
-        if (t - 1) % window == 0 || held_box.is_none() {
-            let input = trainer.roi_net().make_input(&events, &prev_seg);
-            let out = trainer.roi_net().forward(&input)?;
-            held_box = Some(if have_seg {
-                trainer.roi_net().predict_box(&out)
-            } else {
-                bliss_sensor::RoiBox::full(w, h)
-            });
-        }
-        let roi = held_box.expect("roi box set above");
-
-        let mut mask = vec![0.0f32; w * h];
-        let mut values = vec![0.0f32; w * h];
-        let mut sampled = 0usize;
-        for y in roi.y1..roi.y2.min(h) {
-            for x in roi.x1..roi.x2.min(w) {
-                if rng.gen::<f32>() < cfg.sample_rate {
-                    let i = y * w + x;
-                    mask[i] = 1.0;
-                    values[i] = cur[i];
-                    sampled += 1;
-                }
-            }
-        }
-        sampled_total += sampled as u64;
-
-        let gaze = match trainer.vit().forward(&values, &mask)? {
-            Some(pred) => {
-                tokens_total += pred.tokens;
-                let classes = pred.classes();
-                seg_accs.push(bliss_track::seg_accuracy(&classes, &frame.mask));
-                let seg = pred.seg_map(w, h);
-                if seg.iter().any(|&c| c != 0) {
-                    prev_seg = seg;
-                    have_seg = true;
-                }
-                estimator.estimate_from_pairs(&classes, w)
-            }
-            None => estimator.last(),
-        };
-        err_h.push((gaze.horizontal_deg - frame.gaze.horizontal_deg).abs());
-        err_v.push((gaze.vertical_deg - frame.gaze.vertical_deg).abs());
-        prev = cur;
-    }
-
-    let frames = seq.frames.len() - 1;
-    Ok(EvalResult {
-        horizontal: AngularErrorStats::from_errors(&err_h),
-        vertical: AngularErrorStats::from_errors(&err_v),
-        seg_accuracy: seg_accs.iter().sum::<f32>() / seg_accs.len().max(1) as f32,
-        mean_compression: (w * h * frames) as f32 / sampled_total.max(1) as f32,
-        mean_tokens: tokens_total as f32 / frames.max(1) as f32,
-        frames,
-    })
 }
 
 #[cfg(test)]

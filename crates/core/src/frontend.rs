@@ -47,8 +47,8 @@ use bliss_eye::{
     render_sequence_with, EyeModel, EyeSequence, Gaze, ImagingNoise, Scenario, SequenceConfig,
 };
 use bliss_sensor::{
-    rle, DigitalPixelSensor, EventMap, PackedCodes, ReadoutResult, RoiBox, SensorConfig,
-    SensorSnapshot,
+    rle, sparse_image_into, DigitalPixelSensor, EventMap, PackedCodes, ReadoutResult, RoiBox,
+    SensorConfig, SensorSnapshot,
 };
 use bliss_tensor::{NdArray, Tensor, TensorError};
 use bliss_track::{
@@ -390,7 +390,9 @@ impl SparseFrontEnd {
             },
         )?;
         debug_assert_eq!(self.decode_buf, readout.stream);
-        readout.sparse_image_f32_into(
+        sparse_image_into(
+            readout.roi,
+            &self.decode_buf,
             self.width,
             self.height,
             self.sensor.config().adc_bits,

@@ -104,13 +104,13 @@ pub fn stage_durations(cfg: &SystemConfig, variant: SystemVariant) -> StageDurat
     }
 }
 
-/// Host-NPU time for one sparse-segmentation launch of `tokens` occupied
-/// patches and `pixels` classification queries under `cfg`'s host model.
+/// Host-NPU time for one solo f32 sparse-segmentation launch of `tokens`
+/// occupied patches and `pixels` classification queries under `cfg`'s host
+/// model.
 ///
-/// The serving runtime uses this for *cross-session batched* launches: the
-/// batch's summed token count fills the systolic array's row tiles, so one
-/// launch over `sum(tokens)` costs less than the sum of per-session
-/// launches (fewer partial tiles and fill/drain bubbles).
+/// Serving does not use this: it prices its cross-session batched launches
+/// with [`host_batched_segmentation_time_s_at`], where one launch over K
+/// frames costs less than K of these solo launches.
 pub fn host_segmentation_time_s(cfg: &SystemConfig, tokens: usize, pixels: usize) -> f64 {
     let host = SystolicArray::host().at_node(cfg.host_node);
     host.run(&cfg.vit.workload(tokens, pixels), &cfg.energy, true)

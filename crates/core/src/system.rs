@@ -4,7 +4,7 @@ use crate::frontend::SparseFrontEnd;
 use crate::latency_model::simulate_pipeline;
 use bliss_eye::{render_sequence, EyeSequence, Gaze, ImagingNoise, Scenario, SequenceConfig};
 use bliss_npu::Precision;
-use bliss_sensor::{DigitalPixelSensor, RoiBox, SensorConfig};
+use bliss_sensor::{sparse_image_into, DigitalPixelSensor, RoiBox, SensorConfig};
 use bliss_tensor::TensorError;
 use bliss_timing::PipelineReport;
 use bliss_track::{
@@ -370,12 +370,22 @@ fn run_dense(
     let (w, h) = (cfg.width, cfg.height);
     let mut estimator = GazeEstimator::new(seq.model.clone());
     let mut prev_noisy = noise.apply(&seq.frames[0].clean, 1.0, rng);
+    let adc_bits = sensor.config().adc_bits;
+    let (mut image, mut mask) = (Vec::new(), Vec::new());
 
     for (t, frame) in seq.frames.iter().enumerate().skip(1) {
         let noisy = noise.apply(&frame.clean, 1.0, rng);
         sensor.expose(&noisy);
         let readout = sensor.dense_readout(RoiBox::full(w, h));
-        let (mut image, _) = readout.sparse_image(w, h, sensor.config().adc_bits);
+        sparse_image_into(
+            readout.roi,
+            &readout.stream,
+            w,
+            h,
+            adc_bits,
+            &mut image,
+            &mut mask,
+        );
 
         // NPU-ROI masks everything outside the (host-derived) ROI before
         // segmentation; the ROI comes from frame differencing on the host.

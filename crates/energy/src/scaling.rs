@@ -95,11 +95,6 @@ impl ProcessNode {
         Ok(ProcessNode(nm))
     }
 
-    /// Feature size in nanometres.
-    pub fn nanometers(&self) -> u32 {
-        self.0
-    }
-
     fn interpolate(&self, select: impl Fn(&(u32, f32, f32, f32, f32)) -> f32) -> f32 {
         let nm = self.0 as f32;
         // Exact anchor?

@@ -247,25 +247,6 @@ impl EyeModel {
         }
         RoiBox::new(x1, y1, x2, y2).expand(2, w, h)
     }
-
-    /// Centroid of ground-truth pupil pixels, if any are visible.
-    pub fn pupil_centroid(mask: &[u8], width: usize) -> Option<(f32, f32)> {
-        let mut sx = 0.0f64;
-        let mut sy = 0.0f64;
-        let mut n = 0u64;
-        for (i, &c) in mask.iter().enumerate() {
-            if c == EyeClass::Pupil as u8 {
-                sx += (i % width) as f64 + 0.5;
-                sy += (i / width) as f64 + 0.5;
-                n += 1;
-            }
-        }
-        if n == 0 {
-            None
-        } else {
-            Some(((sx / n as f64) as f32, (sy / n as f64) as f32))
-        }
-    }
 }
 
 fn hash64(mut x: u64) -> u64 {
@@ -356,19 +337,6 @@ mod tests {
             let back = m.gaze_from_pupil_center(x, y);
             assert!(back.angular_distance(&g) < 0.05, "{g:?} -> {back:?}");
         }
-    }
-
-    #[test]
-    fn pupil_centroid_tracks_gaze() {
-        let m = model();
-        let g = Gaze::new(8.0, 3.0);
-        let (_, mask) = m.render(&open_state(g));
-        let (cx, cy) = EyeModel::pupil_centroid(&mask, 160).unwrap();
-        let est = m.gaze_from_pupil_center(cx, cy);
-        assert!(
-            est.angular_distance(&g) < 1.5,
-            "centroid gaze {est:?} vs {g:?}"
-        );
     }
 
     #[test]

@@ -251,6 +251,13 @@ impl Default for DegradationPolicy {
     }
 }
 
+/// Virtual crash-detection + restore latency: a failed-over session's
+/// replayed frames cannot complete before `crash + FAILOVER_DELAY_S`.
+const FAILOVER_DELAY_S: f64 = 5e-3;
+/// Extra stall added per consecutive timeout on the same host (retry
+/// backoff).
+const TIMEOUT_BACKOFF_S: f64 = 1e-3;
+
 /// Everything one chaos run is parameterised by, beyond the fleet config.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ChaosConfig {
@@ -260,12 +267,6 @@ pub struct ChaosConfig {
     /// cadence; the initial state and post-failover handoffs are always
     /// checkpointed, so every host stays recoverable).
     pub checkpoint_interval: usize,
-    /// Virtual crash-detection + restore latency: a failed-over session's
-    /// replayed frames cannot complete before `crash + failover_delay_s`.
-    pub failover_delay_s: f64,
-    /// Extra stall added per consecutive timeout on the same host
-    /// (retry backoff).
-    pub timeout_backoff_s: f64,
     /// SLO-aware load shedding; `None` never sheds (and makes the chaos
     /// run's accuracy outputs bit-identical to the fault-free run).
     pub degradation: Option<DegradationPolicy>,
@@ -279,8 +280,6 @@ impl ChaosConfig {
         ChaosConfig {
             plan,
             checkpoint_interval: 4,
-            failover_delay_s: 5e-3,
-            timeout_backoff_s: 1e-3,
             degradation: None,
         }
     }
@@ -528,7 +527,6 @@ impl FleetRuntime {
                         FaultKind::Crash => {
                             let detail = self.fail_over(
                                 cfg,
-                                chaos,
                                 digest,
                                 &mut state,
                                 &session_ids,
@@ -567,7 +565,7 @@ impl FleetRuntime {
                         }
                         FaultKind::Timeout { stall_s } => {
                             let backoff =
-                                chaos.timeout_backoff_s * hosts[host].consecutive_timeouts as f64;
+                                TIMEOUT_BACKOFF_S * hosts[host].consecutive_timeouts as f64;
                             let stall = stall_s + backoff;
                             hosts[host].consecutive_timeouts += 1;
                             faults.batch_timeouts += 1;
@@ -781,7 +779,6 @@ impl FleetRuntime {
     fn fail_over(
         &self,
         cfg: &FleetConfig,
-        chaos: &ChaosConfig,
         digest: u64,
         state: &mut FleetState,
         session_ids: &[usize],
@@ -793,7 +790,7 @@ impl FleetRuntime {
     ) -> String {
         faults.failovers += 1;
         let live_progress: Vec<SessionProgress> = state.shards[host].progress();
-        let not_before = crash_s + chaos.failover_delay_s;
+        let not_before = crash_s + FAILOVER_DELAY_S;
 
         // Newest → oldest: the first checkpoint whose sessions all rebuild
         // wins, before anything of the live shard is touched. Unreadable
@@ -916,7 +913,6 @@ mod tests {
     fn failover_falls_back_past_a_checkpoint_that_parses_but_does_not_restore() {
         let fleet = fleet();
         let cfg = FleetConfig::new(2, PlacementPolicy::RoundRobin, 4, 4);
-        let chaos = ChaosConfig::new(FaultPlan::quiet());
         let ids: Vec<usize> = fleet.session_configs(&cfg).iter().map(|s| s.id).collect();
         let digest = fleet.serve_runtime().model_digest();
         type Breakage = fn(&mut ShardCheckpoint);
@@ -955,7 +951,6 @@ mod tests {
             let mut pending = Vec::new();
             let detail = fleet.fail_over(
                 &cfg,
-                &chaos,
                 digest,
                 &mut state,
                 &ids,

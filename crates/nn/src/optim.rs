@@ -29,11 +29,6 @@ impl Sgd {
         }
     }
 
-    /// Current learning rate.
-    pub fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
     /// Overrides the learning rate (e.g. for schedules).
     pub fn set_learning_rate(&mut self, lr: f32) {
         self.lr = lr;
@@ -101,11 +96,6 @@ impl Adam {
             m,
             v,
         }
-    }
-
-    /// Current learning rate.
-    pub fn learning_rate(&self) -> f32 {
-        self.lr
     }
 
     /// Overrides the learning rate (e.g. for warmup/decay schedules).

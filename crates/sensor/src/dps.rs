@@ -1,11 +1,9 @@
 use crate::codes::SnapshotFrame;
 use crate::event::EventMap;
-use crate::rle;
 use crate::rng::{
     counter_hash, for_each_gauss, hash_gauss, CalibrationLut, SramRng, SramRngConfig,
 };
 use crate::roi::RoiBox;
-use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -89,82 +87,6 @@ impl ReadoutResult {
         }
     }
 
-    /// Run-length encodes the stream for MIPI transfer.
-    pub fn encode(&self) -> Bytes {
-        rle::encode(&self.stream)
-    }
-
-    /// Size of the run-length-encoded stream in bytes.
-    pub fn encoded_bytes(&self) -> u64 {
-        rle::encoded_len(&self.stream) as u64
-    }
-
-    /// Size of the raw (un-encoded) stream in bytes at 10 bits/pixel packed
-    /// into 2-byte words.
-    pub fn raw_bytes(&self) -> u64 {
-        self.stream.len() as u64 * 2
-    }
-
-    /// Reconstructs the sparse image on the host after run-length decoding:
-    /// a full-frame normalised image (zeros outside ROI / unsampled) plus the
-    /// sampled-pixel mask. `adc_bits` must match the sensor configuration.
-    pub fn sparse_image(
-        &self,
-        width: usize,
-        height: usize,
-        adc_bits: u32,
-    ) -> (Vec<f32>, Vec<bool>) {
-        let max_code = ((1u32 << adc_bits) - 1) as f32;
-        let mut image = vec![0.0f32; width * height];
-        let mut mask = vec![false; width * height];
-        let roi = self.roi.clamp_to(width, height);
-        let mut i = 0usize;
-        for x in roi.x1..roi.x2 {
-            for y in roi.y1..roi.y2 {
-                if let Some(&code) = self.stream.get(i) {
-                    if code != 0 {
-                        image[y * width + x] = code as f32 / max_code;
-                        mask[y * width + x] = true;
-                    }
-                }
-                i += 1;
-            }
-        }
-        (image, mask)
-    }
-
-    /// Reconstructs the sparse image into caller-owned buffers, with the
-    /// mask already in the `f32` format the segmenter consumes (1.0 where a
-    /// sample landed). Both buffers are resized and fully overwritten, so a
-    /// per-stream pair can be reused across frames without reallocating.
-    pub fn sparse_image_f32_into(
-        &self,
-        width: usize,
-        height: usize,
-        adc_bits: u32,
-        image: &mut Vec<f32>,
-        mask: &mut Vec<f32>,
-    ) {
-        let max_code = ((1u32 << adc_bits) - 1) as f32;
-        image.clear();
-        image.resize(width * height, 0.0);
-        mask.clear();
-        mask.resize(width * height, 0.0);
-        let roi = self.roi.clamp_to(width, height);
-        let mut i = 0usize;
-        for x in roi.x1..roi.x2 {
-            for y in roi.y1..roi.y2 {
-                if let Some(&code) = self.stream.get(i) {
-                    if code != 0 {
-                        image[y * width + x] = code as f32 / max_code;
-                        mask[y * width + x] = 1.0;
-                    }
-                }
-                i += 1;
-            }
-        }
-    }
-
     /// Pixel-volume compression rate versus a dense full-frame readout:
     /// total pixels over transmitted (sampled) pixels. This is the paper's
     /// Fig. 12/15 x-axis ("uncompressed size over compressed size"); the
@@ -172,14 +94,42 @@ impl ReadoutResult {
     pub fn compression_rate(&self, full_pixels: usize) -> f32 {
         full_pixels as f32 / self.sampled.max(1) as f32
     }
+}
 
-    /// Byte-level compression rate of the run-length-encoded stream versus
-    /// the raw full-frame RAW10 size. Lower than [`Self::compression_rate`]
-    /// because of run-token overhead; this is what the MIPI link sees.
-    pub fn byte_compression_rate(&self, full_pixels: usize) -> f32 {
-        let full_bytes = (full_pixels as u64 * 10).div_ceil(8);
-        let enc = self.encoded_bytes().max(1);
-        full_bytes as f32 / enc as f32
+/// Reconstructs the sparse image on the host from a readout stream, as the
+/// host sees it after run-length decoding: `stream` is the column-major
+/// stream of a readout over `roi` (zeros mark skipped pixels). Both buffers
+/// are resized to the full frame and fully overwritten, so a per-stream pair
+/// can be reused across frames without reallocating: `image` holds the
+/// normalised codes (zero outside the ROI and at unsampled pixels), `mask`
+/// 1.0 where a sample landed, the format the segmenter consumes.
+/// `adc_bits` must match the sensor configuration.
+pub fn sparse_image_into(
+    roi: RoiBox,
+    stream: &[u16],
+    width: usize,
+    height: usize,
+    adc_bits: u32,
+    image: &mut Vec<f32>,
+    mask: &mut Vec<f32>,
+) {
+    let max_code = ((1u32 << adc_bits) - 1) as f32;
+    image.clear();
+    image.resize(width * height, 0.0);
+    mask.clear();
+    mask.resize(width * height, 0.0);
+    let roi = roi.clamp_to(width, height);
+    let mut i = 0usize;
+    for x in roi.x1..roi.x2 {
+        for y in roi.y1..roi.y2 {
+            if let Some(&code) = stream.get(i) {
+                if code != 0 {
+                    image[y * width + x] = code as f32 / max_code;
+                    mask[y * width + x] = 1.0;
+                }
+            }
+            i += 1;
+        }
     }
 }
 
@@ -481,52 +431,8 @@ impl DigitalPixelSensor {
     ///
     /// Panics if called before [`DigitalPixelSensor::expose`].
     pub fn dense_readout(&mut self, roi: RoiBox) -> ReadoutResult {
-        self.readout_with_mask(roi, None, 0)
-    }
-
-    /// Uniform (grid) downsampled readout within a region: converts pixels
-    /// where `(x - x1) % stride == 0 && (y - y1) % stride == 0`. Implements
-    /// the Full+DS and ROI+DS baselines (paper §VI-E).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stride == 0` or before [`DigitalPixelSensor::expose`].
-    pub fn uniform_readout(&mut self, roi: RoiBox, stride: usize) -> ReadoutResult {
-        assert!(stride > 0, "stride must be positive");
-        let roi = roi.clamp_to(self.config.width, self.config.height);
-        let w = self.config.width;
-        let mut mask = vec![false; self.config.pixels()];
-        for x in roi.x1..roi.x2 {
-            for y in roi.y1..roi.y2 {
-                if (x - roi.x1).is_multiple_of(stride) && (y - roi.y1).is_multiple_of(stride) {
-                    mask[y * w + x] = true;
-                }
-            }
-        }
-        self.readout_with_mask(roi, Some(&mask), 0)
-    }
-
-    /// Readout with an arbitrary caller-provided full-frame mask (used by
-    /// the ROI+Fixed and ROI+Learned baselines, whose masks come from
-    /// dataset statistics or an auxiliary network).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mask.len()` differs from the pixel count or before
-    /// [`DigitalPixelSensor::expose`].
-    pub fn masked_readout(&mut self, roi: RoiBox, mask: &[bool]) -> ReadoutResult {
-        assert_eq!(mask.len(), self.config.pixels(), "mask size mismatch");
-        self.readout_with_mask(roi, Some(mask), 0)
-    }
-
-    fn readout_with_mask(
-        &mut self,
-        roi: RoiBox,
-        mask: Option<&[bool]>,
-        theta: u8,
-    ) -> ReadoutResult {
         let mut out = ReadoutResult::empty();
-        self.readout_with_mask_into(roi, mask, theta, &mut out);
+        self.readout_with_mask_into(roi, None, 0, &mut out);
         out
     }
 
@@ -708,7 +614,9 @@ mod tests {
         s.expose(&vec![0.7; 192]);
         let roi = RoiBox::new(2, 3, 10, 9);
         let r = s.sparse_readout(roi, 0.5);
-        let (img, mask) = r.sparse_image(16, 12, 10);
+        let (mut img, mut mask) = (Vec::new(), Vec::new());
+        sparse_image_into(r.roi, &r.stream, 16, 12, 10, &mut img, &mut mask);
+        let mask: Vec<bool> = mask.iter().map(|&m| m == 1.0).collect();
         let sampled = mask.iter().filter(|&&b| b).count();
         assert_eq!(sampled, r.sampled);
         for y in 0..12 {
@@ -728,17 +636,6 @@ mod tests {
     }
 
     #[test]
-    fn rle_roundtrip_through_encode() {
-        let mut s = sensor(32, 32);
-        s.expose(&gradient(32, 32));
-        let r = s.sparse_readout(RoiBox::new(4, 4, 28, 28), 0.2);
-        let enc = r.encode();
-        let dec = crate::rle::decode(&enc, r.stream.len()).unwrap();
-        assert_eq!(dec, r.stream);
-        assert!(enc.len() < r.raw_bytes() as usize);
-    }
-
-    #[test]
     fn compression_rate_increases_with_sparsity() {
         let mut s = sensor(64, 64);
         s.expose(&gradient(64, 64));
@@ -749,35 +646,6 @@ mod tests {
         assert!(sparse > dense);
         // 20% of a quarter-frame ROI keeps ~5% of pixels: ~20x pixel volume.
         assert!(sparse > 10.0, "sparse pixel compression {sparse}");
-        // Byte-level compression is lower but still well above dense.
-        let sparse_bytes = sparse_result.byte_compression_rate(64 * 64);
-        let dense_bytes = s.dense_readout(roi).byte_compression_rate(64 * 64);
-        assert!(sparse_bytes > dense_bytes);
-        assert!(sparse_bytes > 2.0, "byte compression {sparse_bytes}");
-    }
-
-    #[test]
-    fn uniform_readout_grid_pattern() {
-        let mut s = sensor(8, 8);
-        s.expose(&vec![0.9; 64]);
-        let r = s.uniform_readout(RoiBox::full(8, 8), 2);
-        assert_eq!(r.sampled, 16);
-        let (_, mask) = r.sparse_image(8, 8, 10);
-        assert!(mask[0]);
-        assert!(!mask[1]);
-        assert!(mask[2]);
-    }
-
-    #[test]
-    fn masked_readout_honours_mask() {
-        let mut s = sensor(4, 4);
-        s.expose(&[0.5; 16]);
-        let mut mask = vec![false; 16];
-        mask[5] = true;
-        mask[10] = true;
-        let r = s.masked_readout(RoiBox::full(4, 4), &mask);
-        assert_eq!(r.sampled, 2);
-        assert_eq!(r.conversions, 2);
     }
 
     #[test]

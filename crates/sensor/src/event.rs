@@ -106,30 +106,6 @@ impl EventMap {
         out.reserve(self.bits.len());
         out.extend(self.bits.iter().map(|&b| if b { 1.0 } else { 0.0 }));
     }
-
-    /// Tight bounding box of all events, if any:
-    /// `(x1, y1, x2, y2)` inclusive-exclusive.
-    pub fn bounding_box(&self) -> Option<(usize, usize, usize, usize)> {
-        let mut x1 = self.width;
-        let mut y1 = self.height;
-        let mut x2 = 0usize;
-        let mut y2 = 0usize;
-        for y in 0..self.height {
-            for x in 0..self.width {
-                if self.bits[y * self.width + x] {
-                    x1 = x1.min(x);
-                    y1 = y1.min(y);
-                    x2 = x2.max(x + 1);
-                    y2 = y2.max(y + 1);
-                }
-            }
-        }
-        if x2 > x1 && y2 > y1 {
-            Some((x1, y1, x2, y2))
-        } else {
-            None
-        }
-    }
 }
 
 #[cfg(test)]
@@ -144,20 +120,6 @@ mod tests {
         let m = EventMap::new(4, 4, bits);
         assert_eq!(m.count(), 2);
         assert!((m.density() - 0.125).abs() < 1e-6);
-    }
-
-    #[test]
-    fn empty_map_has_no_bbox() {
-        assert_eq!(EventMap::empty(8, 8).bounding_box(), None);
-    }
-
-    #[test]
-    fn bbox_is_tight() {
-        let mut bits = vec![false; 25];
-        bits[5 + 2] = true;
-        bits[3 * 5 + 4] = true;
-        let m = EventMap::new(5, 5, bits);
-        assert_eq!(m.bounding_box(), Some((2, 1, 5, 4)));
     }
 
     #[test]

@@ -46,7 +46,7 @@ mod rng;
 mod roi;
 
 pub use codes::{PackedCodes, SnapshotFrame};
-pub use dps::{DigitalPixelSensor, ReadoutResult, SensorConfig, SensorSnapshot};
+pub use dps::{sparse_image_into, DigitalPixelSensor, ReadoutResult, SensorConfig, SensorSnapshot};
 pub use event::EventMap;
 pub use rng::{gauss, uniform_word, CalibrationLut, SramRng, SramRngConfig};
 pub use roi::RoiBox;

@@ -78,18 +78,16 @@ pub struct SessionSummary {
 }
 
 /// Warm/cold split statistics: the same recorded frame latencies with the
-/// warmup windows **excluded** from the steady side, never recomputed.
+/// warmup window **excluded** from the steady side, never recomputed.
 ///
 /// Cold-start convoys dominate a run's head; the steady view answers "what
 /// does a long-lived deployment look like" without touching the all-frames
 /// statistics the load sweeps have always reported. A frame is **warm**
 /// (steady) iff its exposure started at or after
-/// [`crate::ServeConfig::warmup_s`] *and* its index within its session is
-/// at least [`crate::ServeConfig::warmup_frames`]; every other frame is
-/// the **cold** side, reported separately rather than discarded. Recorded
-/// latencies are used verbatim on both sides, so with both windows zero
-/// the warm numbers match the all-frames numbers exactly and the cold side
-/// is empty.
+/// [`crate::ServeConfig::warmup_s`]; every other frame is the **cold**
+/// side, reported separately rather than discarded. Recorded latencies are
+/// used verbatim on both sides, so with a zero window the warm numbers
+/// match the all-frames numbers exactly and the cold side is empty.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SteadyStats {
     /// Frames that survived the exclusion windows (the warm side).
@@ -172,10 +170,8 @@ impl ServeReport {
                 lat.push(r.latency_s);
                 miss += usize::from(r.deadline_missed);
                 // Warmup exclusion: the recorded latency is reused verbatim
-                // on whichever side it lands — never recomputed. Warm means
-                // past the fleet-wide virtual-time window AND past the
-                // session's own cold-start frame prefix.
-                if r.arrival_s >= cfg.warmup_s && r.index >= cfg.warmup_frames {
+                // on whichever side it lands — never recomputed.
+                if r.arrival_s >= cfg.warmup_s {
                     steady_latencies.push(r.latency_s);
                     steady_misses += usize::from(r.deadline_missed);
                 } else {
@@ -304,34 +300,20 @@ mod tests {
     }
 
     #[test]
-    fn warmup_frames_split_warm_and_cold_sides() {
+    fn warmup_s_splits_warm_and_cold_sides() {
         let trace = synthetic_trace(10);
         let mut cfg = ServeConfig::new(1, 10);
-        cfg.warmup_frames = 3;
-        let report = ServeReport::from_traces(&cfg, std::slice::from_ref(&trace), 1.0);
-        // Frames 0..3 are cold, 3..10 warm; recorded latencies reused
-        // verbatim on both sides.
-        assert_eq!(report.steady.frames, 7);
-        assert_eq!(report.steady.excluded, 3);
-        assert_eq!(report.steady.latency.max_ms, 10.0);
-        assert_eq!(report.steady.cold_latency.max_ms, 3.0);
-        assert_eq!(report.steady.deadline_miss_rate, 1.0);
-        assert_eq!(report.steady.cold_deadline_miss_rate, 1.0);
-        // All-frames stats are untouched by the split.
-        assert_eq!(report.frames_total, 10);
-        assert_eq!(report.latency.max_ms, 10.0);
-
-        // Both windows must clear: a virtual-time warmup horizon composes
-        // with the per-session frame prefix.
         cfg.warmup_s = 5.5; // excludes frames 0..=5 by arrival
         let report = ServeReport::from_traces(&cfg, std::slice::from_ref(&trace), 1.0);
         assert_eq!(report.steady.frames, 4);
         assert_eq!(report.steady.excluded, 6);
         assert_eq!(report.steady.cold_latency.max_ms, 6.0);
+        // All-frames stats are untouched by the split.
+        assert_eq!(report.frames_total, 10);
+        assert_eq!(report.latency.max_ms, 10.0);
 
-        // Zero windows: warm side equals all frames, cold side is empty.
+        // Zero window: warm side equals all frames, cold side is empty.
         cfg.warmup_s = 0.0;
-        cfg.warmup_frames = 0;
         let report = ServeReport::from_traces(&cfg, std::slice::from_ref(&trace), 1.0);
         assert_eq!(report.steady.frames, 10);
         assert_eq!(report.steady.excluded, 0);

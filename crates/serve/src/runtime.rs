@@ -53,14 +53,6 @@ pub struct ServeConfig {
     /// i8×i8→i32 plans, and latency/energy accounting switches to the
     /// NPU's int8 mode.
     pub precision: Precision,
-    /// Per-session cold-start prefix, in frames: each session's first
-    /// `warmup_frames` frames are classed as warmup regardless of when
-    /// they arrive — a late-connecting session's cold-start convoy lands
-    /// past any fixed `warmup_s` horizon, but its first frames are still
-    /// bootstrap reads, not steady state. A frame is steady iff it clears
-    /// **both** windows; excluded frames are reported separately as the
-    /// cold side of [`crate::SteadyStats`]. `0` excludes nothing.
-    pub warmup_frames: usize,
 }
 
 impl ServeConfig {
@@ -93,7 +85,6 @@ impl ServeConfig {
             precision: Precision::F32,
             seed: 0x5EB5,
             warmup_s: 0.0,
-            warmup_frames: 0,
         }
     }
 

@@ -63,8 +63,9 @@ use std::fmt;
 /// batching-window field (batches gate on the host becoming free); `6` —
 /// the format split into a digest-named [`ModelImage`] and weight-free
 /// [`ShardCheckpoint`]s, sensor frames became deduplicated ADC codes and
-/// the feedback map became bit-packed classes.
-pub const SNAPSHOT_VERSION: u32 = 6;
+/// the feedback map became bit-packed classes; `7` — `ServeConfig` lost
+/// `warmup_frames` (the virtual-time `warmup_s` window remains).
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 /// Errors from restoring a serving snapshot.
 #[derive(Debug, Clone, PartialEq)]

@@ -42,7 +42,7 @@ impl Drop for NdArray {
     fn drop(&mut self) {
         // Return the backing store to the thread-local scratch pool so the
         // next forward/backward pass reuses it instead of reallocating.
-        scratch::recycle(std::mem::take(&mut self.data));
+        scratch::recycle_buffer(std::mem::take(&mut self.data));
     }
 }
 
@@ -107,7 +107,7 @@ impl NdArray {
     /// Creates an array filled with `value`.
     pub fn full(shape: &[usize], value: f32) -> Self {
         let n: usize = shape.iter().product();
-        let mut data = scratch::take_empty(n);
+        let mut data = scratch::take_buffer(n);
         data.resize(n, value);
         NdArray {
             shape: shape.to_vec(),
@@ -195,11 +195,6 @@ impl NdArray {
     /// Mutable view of the underlying row-major buffer.
     pub fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the array, returning its raw buffer.
-    pub fn into_vec(mut self) -> Vec<f32> {
-        std::mem::take(&mut self.data)
     }
 
     /// Element at `(row, col)` of a rank-2 array.
@@ -632,7 +627,7 @@ impl NdArray {
             }
             rows += p.shape[0];
         }
-        let mut data = scratch::take_empty(rows * cols);
+        let mut data = scratch::take_buffer(rows * cols);
         for p in parts {
             data.extend_from_slice(&p.data);
         }
@@ -667,7 +662,7 @@ impl NdArray {
             }
             cols += p.shape[1];
         }
-        let mut data = scratch::take_empty(rows * cols);
+        let mut data = scratch::take_buffer(rows * cols);
         for r in 0..rows {
             for p in parts {
                 let w = p.shape[1];
@@ -765,7 +760,7 @@ impl NdArray {
             });
         }
         let (m, n) = (self.shape[0], self.shape[1]);
-        let mut data = scratch::take_empty(indices.len() * n);
+        let mut data = scratch::take_buffer(indices.len() * n);
         for &i in indices {
             if i >= m {
                 return Err(TensorError::IndexOutOfBounds {

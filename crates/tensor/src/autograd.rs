@@ -63,11 +63,6 @@ impl Tensor {
         Self::leaf(value, false)
     }
 
-    /// Creates a rank-2 constant from a scalar value.
-    pub fn scalar(value: f32) -> Self {
-        Self::constant(NdArray::from_vec(vec![value], &[1]).expect("scalar shape"))
-    }
-
     fn leaf(value: NdArray, requires_grad: bool) -> Self {
         Tensor {
             node: Rc::new(TensorNode {

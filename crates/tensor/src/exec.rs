@@ -71,8 +71,8 @@ pub struct ExecPlan {
 
 impl Drop for ExecPlan {
     fn drop(&mut self) {
-        crate::scratch::recycle_i8_buffer(std::mem::take(self.arena_i8.get_mut()));
-        crate::scratch::recycle_i32_buffer(std::mem::take(self.arena_i32.get_mut()));
+        crate::scratch::recycle_buffer(std::mem::take(self.arena_i8.get_mut()));
+        crate::scratch::recycle_buffer(std::mem::take(self.arena_i32.get_mut()));
     }
 }
 
@@ -99,9 +99,9 @@ impl ExecPlan {
     pub fn compile(graph: GraphBuilder) -> Result<ExecPlan, TensorError> {
         let plan = plan_graph(&graph)?;
         let arena = RefCell::new(vec![0.0; plan.arena_len]);
-        let mut i8_buf = crate::scratch::take_i8_buffer(plan.arena_i8_len);
+        let mut i8_buf = crate::scratch::take_buffer::<i8>(plan.arena_i8_len);
         i8_buf.resize(plan.arena_i8_len, 0);
-        let mut i32_buf = crate::scratch::take_i32_buffer(plan.arena_i32_len);
+        let mut i32_buf = crate::scratch::take_buffer::<i32>(plan.arena_i32_len);
         i32_buf.resize(plan.arena_i32_len, 0);
         Ok(ExecPlan {
             plan,
@@ -160,11 +160,6 @@ impl ExecPlan {
     /// Number of execution steps (aliases compile away and do not count).
     pub fn num_steps(&self) -> usize {
         self.plan.steps.len()
-    }
-
-    /// Number of marked outputs.
-    pub fn num_outputs(&self) -> usize {
-        self.plan.outputs.len()
     }
 
     /// Build-time shape of output `i`.

@@ -19,9 +19,9 @@
 //! allocating: every `NdArray` returns its backing store to a bounded,
 //! size-class-binned, thread-local pool on drop, and the constructors draw
 //! from it first (see the `scratch` module docs for the full contract).
-//! Other crates join the same economy through [`take_f32_buffer`] /
-//! [`recycle_f32_buffer`] and [`take_index_buffer`] /
-//! [`recycle_index_buffer`] for explicit staging buffers, or [`IndexVec`] — a
+//! Other crates join the same economy through [`take_buffer`] /
+//! [`recycle_buffer`] (for `f32`, `usize`, `i8` and `i32` buffers) for
+//! explicit staging buffers, or [`IndexVec`] — a
 //! pooled `Vec<usize>` that recycles itself on drop — for index lists that
 //! escape into caller-held results. The register-blocked matmul additionally
 //! keeps a dedicated per-thread operand-packing workspace for
@@ -99,7 +99,5 @@ pub mod kernels {
     pub use bliss_parallel::math::{exp_f32, tanh_f32};
 }
 pub use scratch::{
-    pool_stats, recycle_f32_buffer, recycle_i32_buffer, recycle_i8_buffer, recycle_index_buffer,
-    shelf_stats, take_f32_buffer, take_i32_buffer, take_i8_buffer, take_index_buffer, IndexVec,
-    PoolStats, ShelfStats,
+    pool_stats, recycle_buffer, shelf_stats, take_buffer, IndexVec, PoolStats, Pooled,
 };

@@ -4,11 +4,12 @@
 //! serving frame lowers, stacks and segments the same-shaped buffers over and
 //! over — so both paths would otherwise hammer the global allocator with the
 //! same requests every iteration. This module keeps per-thread free lists of
-//! backing stores: [`crate::NdArray`] returns its `f32` buffer here on drop,
-//! the array constructors draw from the lists before touching the global
-//! allocator, and the index-buffer pool does the same for the `usize`
-//! staging vectors of the sparse-ViT lowering (kept-patch lists, per-pixel
-//! token maps, gather indices).
+//! backing stores for each [`Pooled`] element type: [`crate::NdArray`]
+//! returns its `f32` buffer here on drop, the array constructors draw from
+//! the lists before touching the global allocator, the sparse-ViT lowering
+//! stages its `usize` index lists here (kept-patch lists, per-pixel token
+//! maps, gather indices), and compiled plans draw their `i8`/`i32` quantised
+//! arenas here.
 //!
 //! # Reuse contract
 //!
@@ -31,17 +32,19 @@
 //! * **Steady state allocates nothing.** Once the working set has been seen
 //!   (a few iterations), every buffer-class request is served from the pool;
 //!   `crates/bench/tests/alloc_counter.rs` pins this with a counting global
-//!   allocator around a serving-style `forward_batch` loop.
+//!   allocator around a serving-style `forward_batch_into` loop.
 //!
-//! External crates reuse the pool through [`take_f32_buffer`] /
-//! [`recycle_f32_buffer`] (and the `usize` twins) for staging buffers whose
-//! lifetime does not fit an `NdArray`, or through [`IndexVec`], a pooled
-//! `Vec<usize>` that recycles itself on drop exactly like `NdArray` does.
+//! External crates reuse the pool through [`take_buffer`] /
+//! [`recycle_buffer`] for staging buffers whose lifetime does not fit an
+//! `NdArray`, or through [`IndexVec`], a pooled `Vec<usize>` that recycles
+//! itself on drop exactly like `NdArray` does.
 
+use bliss_telemetry::metrics::{self, Counter};
 use std::cell::RefCell;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
+use std::thread::LocalKey;
 
 /// Buffers smaller than this stay on the global allocator: the bookkeeping
 /// would cost more than the allocation.
@@ -71,154 +74,163 @@ fn class_of_capacity(cap: usize) -> usize {
     (usize::BITS - 1 - cap.max(1).leading_zeros()) as usize
 }
 
-/// Pops a buffer with capacity >= `len` from class-binned free lists under
-/// the slack bound shared by the thread pools and the shelf: the request
-/// class, then one above (every buffer in either has capacity >= len, and
-/// the class bound keeps big buffers from being burned on small requests —
-/// 4x slack for power-of-two capacities, ~8x worst case for odd recycled
-/// ones), then an exact-fit scan of the class below (externally built
-/// vectors recycled via the public API file under floor(log2(cap)), which is
-/// one class below their request class unless cap is a power of two).
-fn pop_fitting<T>(bins: &mut [Vec<Vec<T>>], len: usize) -> Option<Vec<T>> {
-    let class = class_for_request(len);
-    for c in class..(class + 2).min(CLASSES) {
-        if let Some(buf) = bins[c].pop() {
-            return Some(buf);
-        }
-    }
-    if class > 0 {
-        let bin = &mut bins[class - 1];
-        if let Some(i) = bin.iter().rposition(|b| b.capacity() >= len) {
-            return Some(bin.swap_remove(i));
-        }
-    }
-    None
-}
-
-struct Pool<T> {
+/// A bounded, class-binned store of empty buffers. Each thread has one per
+/// element type (its pool), and each element type has one global store
+/// behind a mutex (its shelf), which catches what full thread pools would
+/// otherwise free and serves any thread whose pool misses. Steady-state
+/// traffic never touches the shelf — it is the hand-off lane between a
+/// worker that built a working set and a worker that needs one.
+pub struct Bins<T> {
     /// `bins[c]` holds buffers with capacity in `[2^c, 2^(c+1))`.
-    bins: Vec<Vec<Vec<T>>>,
-    bufs: usize,
-    elems: usize,
-}
-
-impl<T: Copy + Default> Pool<T> {
-    fn new() -> Self {
-        Pool {
-            bins: (0..CLASSES).map(|_| Vec::new()).collect(),
-            bufs: 0,
-            elems: 0,
-        }
-    }
-
-    /// Pops a local buffer that satisfies a request of `len` elements, or
-    /// `None` on a miss (the caller then probes the shelf before
-    /// allocating).
-    fn take_local(&mut self, len: usize) -> Option<Vec<T>> {
-        let buf = pop_fitting(&mut self.bins, len)?;
-        self.bufs -= 1;
-        self.elems -= buf.capacity();
-        Some(buf)
-    }
-
-    /// Files `buf` locally; hands it back when the pool is full so the
-    /// caller can shelf it for other threads.
-    fn recycle(&mut self, mut buf: Vec<T>) -> Option<Vec<T>> {
-        let cap = buf.capacity();
-        if cap < MIN_POOL_LEN {
-            return None;
-        }
-        if self.bufs >= MAX_POOL_BUFS || self.elems + cap > MAX_POOL_ELEMS {
-            return Some(buf);
-        }
-        let class = class_of_capacity(cap);
-        buf.clear();
-        self.bufs += 1;
-        self.elems += cap;
-        self.bins[class].push(buf);
-        None
-    }
-}
-
-/// The cross-thread overflow shelf: a mutex-protected, class-binned store
-/// that catches buffers a full thread-local pool would otherwise free, and
-/// serves them to any thread whose local pool misses. Steady-state traffic
-/// never touches it — it is the hand-off lane between a worker that built a
-/// working set and a worker that needs one.
-struct Shelf<T> {
     bins: [Vec<Vec<T>>; CLASSES],
     bufs: usize,
     elems: usize,
+    max_bufs: usize,
+    max_elems: usize,
 }
 
-impl<T> Shelf<T> {
-    const fn new() -> Self {
-        Shelf {
+impl<T> Bins<T> {
+    const fn new(max_bufs: usize, max_elems: usize) -> Self {
+        Bins {
             bins: [const { Vec::new() }; CLASSES],
             bufs: 0,
             elems: 0,
+            max_bufs,
+            max_elems,
         }
     }
 
+    /// Pops a buffer with capacity at least `len`, or `None` on a miss:
+    /// the request class, then one above (every buffer in either fits, and
+    /// the class bound keeps big buffers from being burned on small
+    /// requests — 4x slack for power-of-two capacities, ~8x worst case for
+    /// odd recycled ones), then an exact-fit scan of the class below
+    /// (externally built vectors recycled via the public API file under
+    /// floor(log2(cap)), which is one class below their request class
+    /// unless cap is a power of two).
     fn take(&mut self, len: usize) -> Option<Vec<T>> {
-        let buf = pop_fitting(&mut self.bins, len)?;
+        let class = class_for_request(len);
+        let buf = (class..(class + 2).min(CLASSES))
+            .find_map(|c| self.bins[c].pop())
+            .or_else(|| {
+                let bin = &mut self.bins[class.checked_sub(1)?];
+                let i = bin.iter().rposition(|b| b.capacity() >= len)?;
+                Some(bin.swap_remove(i))
+            })?;
         self.bufs -= 1;
         self.elems -= buf.capacity();
         Some(buf)
     }
 
-    fn shelve(&mut self, mut buf: Vec<T>) {
+    /// Files `buf` (cleared), or hands it back when the store is full.
+    fn put(&mut self, mut buf: Vec<T>) -> Option<Vec<T>> {
         let cap = buf.capacity();
-        if self.bufs >= MAX_SHELF_BUFS || self.elems + cap > MAX_SHELF_ELEMS {
-            return;
+        if self.bufs >= self.max_bufs || self.elems + cap > self.max_elems {
+            return Some(buf);
         }
         buf.clear();
         self.bufs += 1;
         self.elems += cap;
         self.bins[class_of_capacity(cap)].push(buf);
+        None
     }
 }
 
-static F32_SHELF: Mutex<Shelf<f32>> = Mutex::new(Shelf::new());
-static IDX_SHELF: Mutex<Shelf<usize>> = Mutex::new(Shelf::new());
-static I8_SHELF: Mutex<Shelf<i8>> = Mutex::new(Shelf::new());
-static I32_SHELF: Mutex<Shelf<i32>> = Mutex::new(Shelf::new());
+/// An element type with pooled buffers: names its thread-local pool, its
+/// global overflow shelf and the telemetry counter a miss bumps, if any.
+/// Implemented for `f32`, `usize`, `i8` and `i32`.
+pub trait Pooled: Sized + 'static {
+    /// The calling thread's pool of this type's buffers.
+    fn pool() -> &'static LocalKey<RefCell<Bins<Self>>>;
+    /// The process-wide overflow shelf of this type's buffers.
+    fn shelf() -> &'static Mutex<Bins<Self>>;
+    /// Counts takes that had to allocate (`None`: not counted).
+    fn misses() -> Option<&'static Counter>;
+}
+
+macro_rules! pooled {
+    ($t:ty, $pool:ident, $shelf:ident, $misses:expr) => {
+        static $shelf: Mutex<Bins<$t>> = Mutex::new(Bins::new(MAX_SHELF_BUFS, MAX_SHELF_ELEMS));
+        thread_local! {
+            static $pool: RefCell<Bins<$t>> =
+                const { RefCell::new(Bins::new(MAX_POOL_BUFS, MAX_POOL_ELEMS)) };
+        }
+        impl Pooled for $t {
+            fn pool() -> &'static LocalKey<RefCell<Bins<$t>>> {
+                &$pool
+            }
+            fn shelf() -> &'static Mutex<Bins<$t>> {
+                &$shelf
+            }
+            fn misses() -> Option<&'static Counter> {
+                $misses
+            }
+        }
+    };
+}
+
+pooled!(f32, F32_POOL, F32_SHELF, Some(&metrics::SCRATCH_F32_MISSES));
+pooled!(
+    usize,
+    IDX_POOL,
+    IDX_SHELF,
+    Some(&metrics::SCRATCH_INDEX_MISSES)
+);
+// The quantised arenas live exactly as long as their plans, so their misses
+// and occupancy are not reported: the f32 and index gauges remain the
+// soak-test leak signal.
+pooled!(i8, I8_POOL, I8_SHELF, None);
+pooled!(i32, I32_POOL, I32_SHELF, None);
 
 /// Locks a shelf, shrugging off poisoning (the shelf holds only empty
 /// buffers, so a panicking holder cannot leave it inconsistent).
-fn lock<T>(shelf: &Mutex<Shelf<T>>) -> std::sync::MutexGuard<'_, Shelf<T>> {
+fn lock<T>(shelf: &Mutex<Bins<T>>) -> MutexGuard<'_, Bins<T>> {
     shelf.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-thread_local! {
-    static F32_POOL: RefCell<Pool<f32>> = RefCell::new(Pool::new());
-    static IDX_POOL: RefCell<Pool<usize>> = RefCell::new(Pool::new());
-    static I8_POOL: RefCell<Pool<i8>> = RefCell::new(Pool::new());
-    static I32_POOL: RefCell<Pool<i32>> = RefCell::new(Pool::new());
-}
-
-/// Pops a recycled `f32` buffer with capacity at least `len` (cleared,
-/// length 0), or creates a fresh one.
-pub(crate) fn take_empty(len: usize) -> Vec<f32> {
+/// Takes an empty pooled buffer with capacity at least `len`: from the
+/// calling thread's pool, else from the shelf, else freshly allocated.
+///
+/// The public entry point for staging buffers that outlive an expression but
+/// do not live inside an [`crate::NdArray`] (sensor readout images, stacked
+/// token data, index lists, quantised plan arenas). Pair with
+/// [`recycle_buffer`]; dropping the buffer instead is safe but forfeits the
+/// reuse.
+pub fn take_buffer<T: Pooled>(len: usize) -> Vec<T> {
     if len < MIN_POOL_LEN {
         return Vec::with_capacity(len);
     }
-    F32_POOL
-        .with(|p| p.borrow_mut().take_local(len))
-        .or_else(|| lock(&F32_SHELF).take(len))
+    T::pool()
+        .with(|p| p.borrow_mut().take(len))
+        .or_else(|| lock(T::shelf()).take(len))
         // Fresh buffers get power-of-two capacity so they later file in the
         // exact class their own request size maps to — without this, every
         // odd-sized working-set buffer would miss its bin on the next
         // iteration and steady state would keep allocating.
         .unwrap_or_else(|| {
-            bliss_telemetry::metrics::SCRATCH_F32_MISSES.add(1);
+            if let Some(misses) = T::misses() {
+                misses.add(1);
+            }
             Vec::with_capacity(len.next_power_of_two())
         })
 }
 
+/// Returns a buffer obtained from [`take_buffer`] (or any `Vec`) to the
+/// calling thread's pool, overflowing onto the shelf when the pool is full
+/// (and dropping it when the shelf is full too, or when it is too small to
+/// be worth keeping).
+pub fn recycle_buffer<T: Pooled>(buf: Vec<T>) {
+    if buf.capacity() < MIN_POOL_LEN {
+        return;
+    }
+    if let Some(overflow) = T::pool().with(|p| p.borrow_mut().put(buf)) {
+        lock(T::shelf()).put(overflow);
+    }
+}
+
 /// A zero-filled buffer of exactly `len` elements, recycled when possible.
 pub(crate) fn take_zeroed(len: usize) -> Vec<f32> {
-    let mut buf = take_empty(len);
+    let mut buf = take_buffer(len);
     buf.resize(len, 0.0);
     buf
 }
@@ -226,42 +238,44 @@ pub(crate) fn take_zeroed(len: usize) -> Vec<f32> {
 /// A buffer of exactly `len` elements filled from `it`, recycled when
 /// possible. `it` must yield exactly `len` items.
 pub(crate) fn take_from_iter(len: usize, it: impl Iterator<Item = f32>) -> Vec<f32> {
-    let mut buf = take_empty(len);
+    let mut buf = take_buffer(len);
     buf.extend(it);
     debug_assert_eq!(buf.len(), len, "iterator length must match request");
     buf
 }
 
-/// Returns a no-longer-needed backing store to the thread's pool (or lets it
-/// drop if the pool is full or the buffer too small to be worth keeping).
-pub(crate) fn recycle(buf: Vec<f32>) {
-    if buf.capacity() < MIN_POOL_LEN {
-        return;
-    }
-    if let Some(overflow) = F32_POOL.with(|p| p.borrow_mut().recycle(buf)) {
-        lock(&F32_SHELF).shelve(overflow);
-    }
-}
-
-/// A point-in-time view of the calling thread's buffer pools, for
-/// leak/high-water assertions in long-horizon soak tests: a steady-state
-/// serving loop must show a **flat** retained-elements curve after warmup —
-/// monotone growth across epochs means some path leaks buffers into (or
-/// past) the pool instead of reusing them.
+/// A point-in-time view of the `f32` and `usize` buffers a store retains,
+/// for leak/high-water assertions in long-horizon soak tests. For the
+/// calling thread's pools ([`pool_stats`]), a steady-state serving loop
+/// must show a **flat** retained-elements curve after warmup — monotone
+/// growth across epochs means some path leaks buffers into (or past) the
+/// pool instead of reusing them. For the process-wide shelf
+/// ([`shelf_stats`]), which only ever holds what full thread pools spilled,
+/// monotone growth means some thread keeps building buffers it never
+/// re-takes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Retained `f32` buffers on this thread.
+    /// Retained `f32` buffers.
     pub f32_bufs: usize,
-    /// Total retained `f32` capacity on this thread, in elements.
+    /// Total retained `f32` capacity, in elements.
     pub f32_elems: usize,
-    /// Retained `usize` buffers on this thread.
+    /// Retained `usize` buffers.
     pub index_bufs: usize,
-    /// Total retained `usize` capacity on this thread, in elements.
+    /// Total retained `usize` capacity, in elements.
     pub index_elems: usize,
 }
 
 impl PoolStats {
-    /// Total retained bytes across both pools.
+    fn of(f: &Bins<f32>, idx: &Bins<usize>) -> Self {
+        PoolStats {
+            f32_bufs: f.bufs,
+            f32_elems: f.elems,
+            index_bufs: idx.bufs,
+            index_elems: idx.elems,
+        }
+    }
+
+    /// Total retained bytes across both element types.
     pub fn retained_bytes(&self) -> usize {
         self.f32_elems * std::mem::size_of::<f32>()
             + self.index_elems * std::mem::size_of::<usize>()
@@ -271,159 +285,12 @@ impl PoolStats {
 /// Snapshots the calling thread's pool occupancy (cheap: four counter
 /// reads).
 pub fn pool_stats() -> PoolStats {
-    let (f32_bufs, f32_elems) = F32_POOL.with(|p| {
-        let p = p.borrow();
-        (p.bufs, p.elems)
-    });
-    let (index_bufs, index_elems) = IDX_POOL.with(|p| {
-        let p = p.borrow();
-        (p.bufs, p.elems)
-    });
-    PoolStats {
-        f32_bufs,
-        f32_elems,
-        index_bufs,
-        index_elems,
-    }
-}
-
-/// A point-in-time view of the global cross-thread overflow shelf, for the
-/// same leak/high-water assertions as [`PoolStats`] — but process-wide: the
-/// shelf only ever holds what full thread-local pools spilled, so a
-/// monotonically growing shelf means some thread keeps building buffers it
-/// never re-takes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShelfStats {
-    /// Shelved `f32` buffers across all threads.
-    pub f32_bufs: usize,
-    /// Total shelved `f32` capacity, in elements.
-    pub f32_elems: usize,
-    /// Shelved `usize` buffers across all threads.
-    pub index_bufs: usize,
-    /// Total shelved `usize` capacity, in elements.
-    pub index_elems: usize,
-}
-
-impl ShelfStats {
-    /// Total shelved bytes across both element types.
-    pub fn retained_bytes(&self) -> usize {
-        self.f32_elems * std::mem::size_of::<f32>()
-            + self.index_elems * std::mem::size_of::<usize>()
-    }
+    F32_POOL.with(|f| IDX_POOL.with(|idx| PoolStats::of(&f.borrow(), &idx.borrow())))
 }
 
 /// Snapshots the global overflow shelf's occupancy (two mutex locks).
-pub fn shelf_stats() -> ShelfStats {
-    let (f32_bufs, f32_elems) = {
-        let s = lock(&F32_SHELF);
-        (s.bufs, s.elems)
-    };
-    let (index_bufs, index_elems) = {
-        let s = lock(&IDX_SHELF);
-        (s.bufs, s.elems)
-    };
-    ShelfStats {
-        f32_bufs,
-        f32_elems,
-        index_bufs,
-        index_elems,
-    }
-}
-
-/// Takes an empty pooled `f32` staging buffer with capacity at least `len`.
-///
-/// The public entry point for staging buffers that outlive an expression but
-/// do not live inside an [`crate::NdArray`] (sensor readout images, stacked
-/// token data, event maps). Pair with [`recycle_f32_buffer`]; dropping the
-/// buffer instead is safe but forfeits the reuse.
-pub fn take_f32_buffer(len: usize) -> Vec<f32> {
-    take_empty(len)
-}
-
-/// Returns a buffer obtained from [`take_f32_buffer`] (or any `Vec<f32>`)
-/// to the thread's pool.
-pub fn recycle_f32_buffer(buf: Vec<f32>) {
-    recycle(buf);
-}
-
-/// Takes an empty pooled `usize` staging buffer with capacity at least
-/// `len`. Pair with [`recycle_index_buffer`].
-pub fn take_index_buffer(len: usize) -> Vec<usize> {
-    if len < MIN_POOL_LEN {
-        return Vec::with_capacity(len);
-    }
-    IDX_POOL
-        .with(|p| p.borrow_mut().take_local(len))
-        .or_else(|| lock(&IDX_SHELF).take(len))
-        .unwrap_or_else(|| {
-            bliss_telemetry::metrics::SCRATCH_INDEX_MISSES.add(1);
-            Vec::with_capacity(len.next_power_of_two())
-        })
-}
-
-/// Returns a buffer obtained from [`take_index_buffer`] (or any
-/// `Vec<usize>`) to the thread's pool.
-pub fn recycle_index_buffer(buf: Vec<usize>) {
-    if buf.capacity() < MIN_POOL_LEN {
-        return;
-    }
-    if let Some(overflow) = IDX_POOL.with(|p| p.borrow_mut().recycle(buf)) {
-        lock(&IDX_SHELF).shelve(overflow);
-    }
-}
-
-/// Takes an empty pooled `i8` buffer with capacity at least `len`.
-///
-/// Serves the quantised inference path: `ExecPlan` draws its `i8`
-/// activation arena here at compile time and recycles it on drop, so plan
-/// churn (cache eviction, shape-class rotation) reuses quant working sets
-/// instead of round-tripping the global allocator. Steady-state execution
-/// never touches the pool — the arena is owned by the plan. Pair with
-/// [`recycle_i8_buffer`]. (These pools are not included in [`PoolStats`];
-/// quant arenas live exactly as long as their plans, so the f32 gauges
-/// remain the soak-test leak signal.)
-pub fn take_i8_buffer(len: usize) -> Vec<i8> {
-    if len < MIN_POOL_LEN {
-        return Vec::with_capacity(len);
-    }
-    I8_POOL
-        .with(|p| p.borrow_mut().take_local(len))
-        .or_else(|| lock(&I8_SHELF).take(len))
-        .unwrap_or_else(|| Vec::with_capacity(len.next_power_of_two()))
-}
-
-/// Returns a buffer obtained from [`take_i8_buffer`] (or any `Vec<i8>`) to
-/// the thread's pool.
-pub fn recycle_i8_buffer(buf: Vec<i8>) {
-    if buf.capacity() < MIN_POOL_LEN {
-        return;
-    }
-    if let Some(overflow) = I8_POOL.with(|p| p.borrow_mut().recycle(buf)) {
-        lock(&I8_SHELF).shelve(overflow);
-    }
-}
-
-/// Takes an empty pooled `i32` buffer with capacity at least `len` — the
-/// accumulator twin of [`take_i8_buffer`]. Pair with [`recycle_i32_buffer`].
-pub fn take_i32_buffer(len: usize) -> Vec<i32> {
-    if len < MIN_POOL_LEN {
-        return Vec::with_capacity(len);
-    }
-    I32_POOL
-        .with(|p| p.borrow_mut().take_local(len))
-        .or_else(|| lock(&I32_SHELF).take(len))
-        .unwrap_or_else(|| Vec::with_capacity(len.next_power_of_two()))
-}
-
-/// Returns a buffer obtained from [`take_i32_buffer`] (or any `Vec<i32>`)
-/// to the thread's pool.
-pub fn recycle_i32_buffer(buf: Vec<i32>) {
-    if buf.capacity() < MIN_POOL_LEN {
-        return;
-    }
-    if let Some(overflow) = I32_POOL.with(|p| p.borrow_mut().recycle(buf)) {
-        lock(&I32_SHELF).shelve(overflow);
-    }
+pub fn shelf_stats() -> PoolStats {
+    PoolStats::of(&lock(&F32_SHELF), &lock(&IDX_SHELF))
 }
 
 /// A pooled `Vec<usize>`: drawn from the thread-local index pool and
@@ -463,13 +330,13 @@ impl IndexVec {
     /// An empty pooled vector with capacity at least `cap`.
     pub fn with_capacity(cap: usize) -> Self {
         IndexVec {
-            data: take_index_buffer(cap),
+            data: take_buffer(cap),
         }
     }
 
     /// A pooled copy of `slice`.
     pub fn from_slice(slice: &[usize]) -> Self {
-        let mut data = take_index_buffer(slice.len());
+        let mut data = take_buffer(slice.len());
         data.extend_from_slice(slice);
         IndexVec { data }
     }
@@ -492,7 +359,7 @@ impl IndexVec {
 
 impl Drop for IndexVec {
     fn drop(&mut self) {
-        recycle_index_buffer(std::mem::take(&mut self.data));
+        recycle_buffer(std::mem::take(&mut self.data));
     }
 }
 
@@ -549,7 +416,7 @@ impl PartialEq<IndexVec> for Vec<usize> {
 impl FromIterator<usize> for IndexVec {
     fn from_iter<I: IntoIterator<Item = usize>>(iter: I) -> Self {
         let it = iter.into_iter();
-        let mut data = take_index_buffer(it.size_hint().0);
+        let mut data = take_buffer(it.size_hint().0);
         data.extend(it);
         IndexVec { data }
     }
@@ -571,7 +438,7 @@ mod tests {
     fn recycles_large_buffers() {
         let buf = take_zeroed(1024);
         let ptr = buf.as_ptr();
-        recycle(buf);
+        recycle_buffer(buf);
         let again = take_zeroed(512); // class below, served from one above
         assert_eq!(again.len(), 512);
         assert_eq!(again.as_ptr(), ptr, "expected the pooled allocation back");
@@ -582,7 +449,7 @@ mod tests {
     fn zeroes_are_fresh_after_reuse() {
         let mut buf = take_zeroed(256);
         buf.iter_mut().for_each(|x| *x = 7.0);
-        recycle(buf);
+        recycle_buffer(buf);
         assert!(take_zeroed(256).iter().all(|&x| x == 0.0));
     }
 
@@ -597,7 +464,7 @@ mod tests {
     fn tiny_buffers_bypass_the_pool() {
         let buf = take_zeroed(4);
         assert_eq!(buf.len(), 4);
-        recycle(vec![0.0; 4]); // silently ignored
+        recycle_buffer(vec![0.0f32; 4]); // silently ignored
     }
 
     #[test]
@@ -605,7 +472,7 @@ mod tests {
         // A 1 MiB-class buffer must not be handed to a 64-element request.
         let big = take_zeroed(1 << 18);
         let big_ptr = big.as_ptr();
-        recycle(big);
+        recycle_buffer(big);
         let small = take_zeroed(64);
         assert_ne!(small.as_ptr(), big_ptr, "class slack bound violated");
         // The big buffer is still there for a big request.
@@ -616,7 +483,7 @@ mod tests {
     #[test]
     fn pool_is_bounded() {
         for _ in 0..(MAX_POOL_BUFS * 2) {
-            recycle(vec![0.0; MIN_POOL_LEN]);
+            recycle_buffer(vec![0.0f32; MIN_POOL_LEN]);
         }
         F32_POOL.with(|pool| {
             let pool = pool.borrow();
@@ -627,11 +494,11 @@ mod tests {
 
     #[test]
     fn index_pool_round_trips() {
-        let mut buf = take_index_buffer(256);
+        let mut buf = take_buffer::<usize>(256);
         buf.extend(0..256);
         let ptr = buf.as_ptr();
-        recycle_index_buffer(buf);
-        let again = take_index_buffer(200);
+        recycle_buffer(buf);
+        let again = take_buffer::<usize>(200);
         assert!(again.is_empty());
         assert_eq!(again.as_ptr(), ptr);
     }
@@ -651,15 +518,15 @@ mod tests {
         // binary cannot race us for the shelved buffer.
         const BIG: usize = 5 << 18;
         let ptr = std::thread::spawn(|| {
-            let mut marked = take_f32_buffer(BIG);
+            let mut marked = take_buffer::<f32>(BIG);
             marked.resize(BIG, 1.0);
             let ptr = marked.as_ptr() as usize;
             // Fill this thread's local pool to its buffer cap so the marked
             // buffer overflows onto the cross-thread shelf.
             for _ in 0..MAX_POOL_BUFS {
-                recycle(vec![0.0; MIN_POOL_LEN]);
+                recycle_buffer(vec![0.0f32; MIN_POOL_LEN]);
             }
-            recycle_f32_buffer(marked);
+            recycle_buffer(marked);
             ptr
         })
         .join()
@@ -667,7 +534,7 @@ mod tests {
         // A different thread — empty local pool — must get worker A's buffer
         // back from the shelf, cleared.
         let got = std::thread::spawn(move || {
-            let buf = take_f32_buffer(BIG);
+            let buf = take_buffer::<f32>(BIG);
             assert!(buf.is_empty(), "shelved buffers must come back cleared");
             buf.as_ptr() as usize
         })
@@ -680,19 +547,19 @@ mod tests {
     fn overflowing_index_recycle_crosses_threads_via_the_shelf() {
         const BIG: usize = 3 << 18; // distinct class from the f32 test's data
         let ptr = std::thread::spawn(|| {
-            let mut marked = take_index_buffer(BIG);
+            let mut marked = take_buffer::<usize>(BIG);
             marked.resize(BIG, 7);
             let ptr = marked.as_ptr() as usize;
             for _ in 0..MAX_POOL_BUFS {
-                recycle_index_buffer(vec![0; MIN_POOL_LEN]);
+                recycle_buffer(vec![0usize; MIN_POOL_LEN]);
             }
-            recycle_index_buffer(marked);
+            recycle_buffer(marked);
             ptr
         })
         .join()
         .unwrap();
         let got = std::thread::spawn(move || {
-            let buf = take_index_buffer(BIG);
+            let buf = take_buffer::<usize>(BIG);
             buf.as_ptr() as usize
         })
         .join()
@@ -701,12 +568,43 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_i8_and_i32_recycles_cross_threads_via_the_shelf() {
+        fn crosses<T: Pooled + Copy + Default>() {
+            // Each element type has its own shelf; this class is used by no
+            // other quantised-buffer test in this binary.
+            const BIG: usize = 5 << 18;
+            let ptr = std::thread::spawn(|| {
+                let mut marked = take_buffer::<T>(BIG);
+                marked.resize(BIG, T::default());
+                let ptr = marked.as_ptr() as usize;
+                for _ in 0..MAX_POOL_BUFS {
+                    recycle_buffer(vec![T::default(); MIN_POOL_LEN]);
+                }
+                recycle_buffer(marked);
+                ptr
+            })
+            .join()
+            .unwrap();
+            let got = std::thread::spawn(|| {
+                let buf = take_buffer::<T>(BIG);
+                assert!(buf.is_empty(), "shelved buffers must come back cleared");
+                buf.as_ptr() as usize
+            })
+            .join()
+            .unwrap();
+            assert_eq!(got, ptr, "expected the shelved allocation on thread B");
+        }
+        crosses::<i8>();
+        crosses::<i32>();
+    }
+
+    #[test]
     fn shelf_is_bounded_and_reports_occupancy() {
         // Overflow far more small buffers than the shelf admits; its caps
         // must hold no matter what other tests shelve concurrently.
         std::thread::spawn(|| {
             for _ in 0..(MAX_POOL_BUFS + MAX_SHELF_BUFS * 2) {
-                recycle(vec![0.0; MIN_POOL_LEN]);
+                recycle_buffer(vec![0.0f32; MIN_POOL_LEN]);
             }
         })
         .join()
@@ -720,19 +618,19 @@ mod tests {
 
     #[test]
     fn quant_pools_round_trip() {
-        let mut b8 = take_i8_buffer(512);
+        let mut b8 = take_buffer::<i8>(512);
         b8.resize(512, 3);
         let p8 = b8.as_ptr();
-        recycle_i8_buffer(b8);
-        let again8 = take_i8_buffer(512);
+        recycle_buffer(b8);
+        let again8 = take_buffer::<i8>(512);
         assert!(again8.is_empty(), "recycled buffers come back cleared");
         assert_eq!(again8.as_ptr(), p8);
 
-        let mut b32 = take_i32_buffer(512);
+        let mut b32 = take_buffer::<i32>(512);
         b32.resize(512, -9);
         let p32 = b32.as_ptr();
-        recycle_i32_buffer(b32);
-        let again32 = take_i32_buffer(512);
+        recycle_buffer(b32);
+        let again32 = take_buffer::<i32>(512);
         assert_eq!(again32.as_ptr(), p32);
     }
 

@@ -3,8 +3,7 @@ use bliss_nn::{Conv2d, Linear, Module, Op, Recorder, Tape};
 use bliss_npu::WorkloadDesc;
 use bliss_sensor::RoiBox;
 use bliss_tensor::{
-    take_f32_buffer, ExecPlan, GraphBuilder, NdArray, PlanCache, PlanCacheStats, Tensor,
-    TensorError,
+    take_buffer, ExecPlan, GraphBuilder, NdArray, PlanCache, PlanCacheStats, Tensor, TensorError,
 };
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -95,7 +94,7 @@ impl RoiNetConfig {
         // Stage through the shared buffer pool: the NdArray returns the
         // backing store on drop, so steady-state serving builds ROI inputs
         // without touching the global allocator at any geometry.
-        let mut data = take_f32_buffer(2 * iw * ih);
+        let mut data = take_buffer::<f32>(2 * iw * ih);
         data.resize(2 * iw * ih, 0.0);
         let (mean, seg_max) = data.split_at_mut(iw * ih);
         // One band of `f` frame rows per output row. Channel 0 is the block
@@ -250,7 +249,7 @@ impl RoiPredictionNet {
         })?;
         plan.execute(&[input.data()], &[])?;
         let out = plan.with_output(0, |data| {
-            let mut buf = take_f32_buffer(data.len());
+            let mut buf = take_buffer::<f32>(data.len());
             buf.extend_from_slice(data);
             NdArray::from_vec(buf, &[1, 4])
         })?;

@@ -62,18 +62,6 @@ impl SamplingStrategy {
             SamplingStrategy::Skip { .. } => "Skip",
         }
     }
-
-    /// Whether the strategy depends on an ROI prediction.
-    pub fn uses_roi(&self) -> bool {
-        matches!(
-            self,
-            SamplingStrategy::RoiRandom { .. }
-                | SamplingStrategy::RoiDownsample { .. }
-                | SamplingStrategy::RoiFixed { .. }
-                | SamplingStrategy::RoiLearned { .. }
-                | SamplingStrategy::Skip { .. }
-        )
-    }
 }
 
 /// A frame after sampling: full-frame sparse values and the sampling mask.

@@ -153,11 +153,6 @@ impl JointTrainer {
         self.config.exposure_scale = scale.max(1e-3);
     }
 
-    /// Overrides the in-ROI sampling rate for subsequent runs.
-    pub fn set_sample_rate(&mut self, rate: f32) {
-        self.config.sample_rate = rate.clamp(0.0, 1.0);
-    }
-
     /// Trains over the sequence for `config.epochs` passes; returns the loss
     /// at every step.
     ///
@@ -243,19 +238,13 @@ impl JointTrainer {
         } else {
             self.roi_net.predict_box(&roi_out)
         };
-        let mut mask = vec![0.0f32; cur.len()];
-        let mut values = vec![0.0f32; cur.len()];
-        for y in hard_box.y1..hard_box.y2 {
-            for x in hard_box.x1..hard_box.x2 {
-                if self.rng.gen::<f32>() < self.config.sample_rate {
-                    let i = y * seq.width + x;
-                    mask[i] = 1.0;
-                    values[i] = cur[i];
-                }
-            }
-        }
+        let strategy = SamplingStrategy::RoiRandom {
+            rate: self.config.sample_rate,
+        };
+        let (w, h) = (seq.width, seq.height);
+        let sampled = apply_strategy(&strategy, cur, w, h, hard_box, None, 0.0, &mut self.rng);
 
-        let total = match self.vit.forward(&values, &mask)? {
+        let total = match self.vit.forward(&sampled.values, &sampled.mask)? {
             Some(pred) => {
                 let targets: Vec<usize> = pred
                     .pixel_indices
@@ -366,19 +355,56 @@ impl JointTrainer {
         strategy: &SamplingStrategy,
         importance: Option<&[f32]>,
     ) -> Result<EvalResult, TensorError> {
+        self.closed_loop(seq, strategy, importance, 1, None)
+    }
+
+    /// Closed-loop in-ROI random sampling where the ROI network runs only
+    /// every `window`-th frame and its box is reused in between (the Table I
+    /// study; a window of 0 counts as 1). Imaging noise and samples are
+    /// drawn from `rng` instead of the trainer's own stream.
+    ///
+    /// # Errors
+    ///
+    /// Propagates tensor shape errors.
+    pub fn evaluate_with_roi_reuse(
+        &mut self,
+        seq: &EyeSequence,
+        window: usize,
+        rng: &mut StdRng,
+    ) -> Result<EvalResult, TensorError> {
+        let strategy = SamplingStrategy::RoiRandom {
+            rate: self.config.sample_rate,
+        };
+        self.closed_loop(seq, &strategy, None, window.max(1), Some(rng))
+    }
+
+    /// The closed loop behind every evaluation: the ROI network runs on
+    /// frames `1, 1 + window, …` and its box is held in between; draws come
+    /// from `rng`, or from the trainer's stream when `None`.
+    fn closed_loop(
+        &mut self,
+        seq: &EyeSequence,
+        strategy: &SamplingStrategy,
+        importance: Option<&[f32]>,
+        window: usize,
+        rng: Option<&mut StdRng>,
+    ) -> Result<EvalResult, TensorError> {
+        let rng = match rng {
+            Some(rng) => rng,
+            None => &mut self.rng,
+        };
         let (w, h) = (seq.width, seq.height);
         let mut estimator = GazeEstimator::new(seq.model.clone());
-        let mut prev = self.noise.apply(
-            &seq.frames[0].clean,
-            self.config.exposure_scale,
-            &mut self.rng,
-        );
+        let mut prev = self
+            .noise
+            .apply(&seq.frames[0].clean, self.config.exposure_scale, rng);
         let mut prev_seg = vec![0u8; w * h];
         // Cold start: until the first segmentation map exists, the ROI
         // prediction has no corrective cue and fixation frames carry no
         // events — read the full frame, as the sensor's bootstrap (all-events
         // first map) does in hardware.
         let mut have_seg = false;
+        let mut roi_box = bliss_sensor::RoiBox::full(w, h);
         let mut err_h = Vec::new();
         let mut err_v = Vec::new();
         let mut seg_accs = Vec::new();
@@ -391,28 +417,21 @@ impl JointTrainer {
             let frame = &seq.frames[t];
             let cur = self
                 .noise
-                .apply(&frame.clean, self.config.exposure_scale, &mut self.rng);
+                .apply(&frame.clean, self.config.exposure_scale, rng);
             let events = frame_difference_events(&cur, &prev, self.config.event_sigma);
             let density = events.iter().sum::<f32>() / events.len() as f32;
 
-            let roi_input = self.roi_net.make_input(&events, &prev_seg);
-            let roi_out = self.roi_net.forward(&roi_input)?;
-            let roi_box = if have_seg {
-                self.roi_net.predict_box(&roi_out)
-            } else {
-                bliss_sensor::RoiBox::full(w, h)
-            };
+            if (t - 1) % window == 0 {
+                let roi_input = self.roi_net.make_input(&events, &prev_seg);
+                let roi_out = self.roi_net.forward(&roi_input)?;
+                roi_box = if have_seg {
+                    self.roi_net.predict_box(&roi_out)
+                } else {
+                    bliss_sensor::RoiBox::full(w, h)
+                };
+            }
 
-            let sampled = apply_strategy(
-                strategy,
-                &cur,
-                w,
-                h,
-                roi_box,
-                importance,
-                density,
-                &mut self.rng,
-            );
+            let sampled = apply_strategy(strategy, &cur, w, h, roi_box, importance, density, rng);
             sampled_total += sampled.sampled as u64;
 
             let gaze = if sampled.skipped {

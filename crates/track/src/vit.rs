@@ -1,9 +1,8 @@
 use bliss_nn::{Linear, Module, Op, Recorder, Tape, TransformerBlock};
 use bliss_npu::{GemmShape, WorkloadDesc};
 use bliss_tensor::{
-    kernels, recycle_f32_buffer, recycle_index_buffer, take_f32_buffer, take_index_buffer,
-    ExecPlan, GraphBuilder, IndexVec, NdArray, PlanCache, PlanCacheStats, QuantCalibration,
-    QuantSpec, Tensor, TensorError,
+    kernels, recycle_buffer, take_buffer, ExecPlan, GraphBuilder, IndexVec, NdArray, PlanCache,
+    PlanCacheStats, QuantCalibration, QuantSpec, Tensor, TensorError,
 };
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -178,10 +177,10 @@ impl PreparedFrame {
     /// (except `pixel_indices`, which lives on inside the prediction and
     /// recycles itself on drop).
     fn recycle(self) -> IndexVec {
-        bliss_tensor::recycle_index_buffer(self.kept);
-        bliss_tensor::recycle_f32_buffer(self.token_data);
-        bliss_tensor::recycle_index_buffer(self.pixel_token);
-        bliss_tensor::recycle_f32_buffer(self.pixel_feat);
+        recycle_buffer(self.kept);
+        recycle_buffer(self.token_data);
+        recycle_buffer(self.pixel_token);
+        recycle_buffer(self.pixel_feat);
         self.pixel_indices
     }
 }
@@ -525,7 +524,7 @@ impl SparseViT {
         // grids stay on the calling thread). The flags are staged in a
         // pooled f32 buffer — one write per patch into its own chunk — so
         // the steady-state lowering allocates nothing.
-        let mut occupancy = take_f32_buffer(gw * gh);
+        let mut occupancy = take_buffer::<f32>(gw * gh);
         occupancy.resize(gw * gh, 0.0);
         bliss_parallel::par_chunks(&mut occupancy, 1, p2, |patch_idx, chunk| {
             let (gy, gx) = (patch_idx / gw, patch_idx % gw);
@@ -548,18 +547,18 @@ impl SparseViT {
                 }
             }
         });
-        let mut kept = take_index_buffer(gw * gh);
+        let mut kept = take_buffer::<usize>(gw * gh);
         kept.extend((0..gw * gh).filter(|&i| occupancy[i] > 0.0));
-        recycle_f32_buffer(occupancy);
+        recycle_buffer(occupancy);
         if kept.is_empty() {
-            recycle_index_buffer(kept);
+            recycle_buffer(kept);
             return Ok(None);
         }
         let t = kept.len();
 
         // Pass 2: parallel token gather — each kept patch fills its own
         // `(values, sample-mask)` slice of the batched embedding input.
-        let mut token_data = take_f32_buffer(t * 2 * p2);
+        let mut token_data = take_buffer::<f32>(t * 2 * p2);
         token_data.resize(t * 2 * p2, 0.0);
         bliss_parallel::par_chunks(&mut token_data, 2 * p2, 1, |token, chunk| {
             let patch_idx = kept[token];
@@ -589,8 +588,8 @@ impl SparseViT {
         // t * p^2 bounds the query count — sizing up front keeps the pooled
         // buffers from growing (and thus re-allocating) mid-loop.
         let mut pixel_indices = IndexVec::with_capacity(t * p2);
-        let mut pixel_token = take_index_buffer(t * p2);
-        let mut pixel_feat = take_f32_buffer(2 * t * p2);
+        let mut pixel_token = take_buffer::<usize>(t * p2);
+        let mut pixel_feat = take_buffer::<f32>(2 * t * p2);
         for (token, &patch_idx) in kept.iter().enumerate() {
             let (gy, gx) = (patch_idx / gw, patch_idx % gw);
             for dy in 0..p {
@@ -662,7 +661,7 @@ impl SparseViT {
         let tokens_in = NdArray::from_vec(token_data, &[kept_all.len(), 2 * p2])?;
         let tokens_in = Tensor::constant(tokens_in);
         let patch_logits = self.token_pass(&mut Tape, &tokens_in, &kept_all, &token_counts)?;
-        recycle_index_buffer(kept_all);
+        recycle_buffer(kept_all);
 
         // Pixel head: one GEMM over every frame's sampled-pixel features.
         let s_total = pixel_feats.len() / 2;
@@ -717,9 +716,9 @@ impl SparseViT {
         let p2 = self.config.patch * self.config.patch;
         let total: usize = token_counts.iter().sum();
         let feats: usize = prepared.iter().flatten().map(|f| f.pixel_feat.len()).sum();
-        let mut token_data = take_f32_buffer(total * 2 * p2);
-        let mut kept_all = take_index_buffer(total);
-        let mut pixel_feats = take_f32_buffer(feats);
+        let mut token_data = take_buffer::<f32>(total * 2 * p2);
+        let mut kept_all = take_buffer::<usize>(total);
+        let mut pixel_feats = take_buffer::<f32>(feats);
         for f in prepared.iter().flatten() {
             token_data.extend_from_slice(&f.token_data);
             kept_all.extend_from_slice(&f.kept);
@@ -820,7 +819,7 @@ impl SparseViT {
                     out.push(None);
                     continue;
                 };
-                let mut buf = take_f32_buffer(pf.rows * classes);
+                let mut buf = take_buffer::<f32>(pf.rows * classes);
                 buf.extend_from_slice(&batch.logits[pf.off..pf.off + pf.rows * classes]);
                 let logits = Tensor::constant(NdArray::from_vec(buf, &[pf.rows, classes])?);
                 out.push(Some(SegPrediction {
@@ -887,8 +886,8 @@ impl SparseViT {
             }
         };
         plan.execute(&[&token_data], &[&kept_all])?;
-        recycle_f32_buffer(token_data);
-        recycle_index_buffer(kept_all);
+        recycle_buffer(token_data);
+        recycle_buffer(kept_all);
 
         // Pixel refinement head: one GEMM over every frame's sampled-pixel
         // features.
@@ -911,7 +910,7 @@ impl SparseViT {
             &mut out.refined,
         );
         kernels::add_row_assign(&mut out.refined, pb.value().data());
-        recycle_f32_buffer(pixel_feats);
+        recycle_buffer(pixel_feats);
 
         // Per-frame decode: expand each frame's patch logits (a plan
         // output) to its pixel queries and add the refinement rows.
@@ -990,7 +989,7 @@ impl SparseViT {
         else {
             return Ok(());
         };
-        recycle_f32_buffer(pixel_feats);
+        recycle_buffer(pixel_feats);
         let mut g = self.token_graph(&token_counts)?;
         let taps = QuantCalibration::instrument(&mut g);
         let plan = ExecPlan::compile(g)?;
@@ -1000,8 +999,8 @@ impl SparseViT {
             let calib = plans.calib.get_or_insert_with(QuantCalibration::new);
             calib.observe_plan(&plan, &[&token_data], &taps);
         }
-        recycle_f32_buffer(token_data);
-        recycle_index_buffer(kept_all);
+        recycle_buffer(token_data);
+        recycle_buffer(kept_all);
         for f in prepared.into_iter().flatten() {
             drop(f.recycle());
         }
