@@ -2,6 +2,7 @@
 //! dense linear algebra (matmul, multi-head attention), the ViT's
 //! elementwise ops (GELU, softmax, bias broadcast, and the
 //! `tanh`/`exp`/`log`/`cos` ports beside the libm calls they replace), the
+//! fused plan steps (block attention, the int8 linear site), the
 //! front end's imaging noise and ROI-input assembly, sensor eventification,
 //! readout, die build and SRAM sampling, run-length coding, the procedural
 //! renderer,
@@ -115,7 +116,9 @@ fn bench_attention(c: &mut Criterion) {
 /// call it replaces sit side by side in the report.
 fn bench_elementwise(c: &mut Criterion) {
     use bliss_parallel::math::{cos_f32, log_f32};
-    use bliss_tensor::kernels::{add_row_assign, exp_f32, gelu_into, softmax_rows_into, tanh_f32};
+    use bliss_tensor::kernels::{
+        add_row_assign, exp_f32, exp_f32_in_place, gelu_into, softmax_rows_into, tanh_f32,
+    };
     use std::hint::black_box;
 
     let mut rng = StdRng::seed_from_u64(84);
@@ -163,6 +166,14 @@ fn bench_elementwise(c: &mut Criterion) {
     map(c, "libm_tanh_16k", &xs, f32::tanh);
     map(c, "exp_f32_16k", &neg, exp_f32);
     map(c, "libm_exp_16k", &neg, f32::exp);
+    let mut ys = neg.clone();
+    c.bench_function("exp_f32_in_place_16k", |b| {
+        b.iter(|| {
+            ys.copy_from_slice(black_box(&neg));
+            exp_f32_in_place(&mut ys);
+            black_box(&ys);
+        })
+    });
 
     // The Box–Muller transform's arguments: u1 in [EPSILON, 1) for the
     // log, 2 pi u2 in [0, 2 pi) for the cosine.
@@ -176,6 +187,54 @@ fn bench_elementwise(c: &mut Criterion) {
     map(c, "libm_logf_16k", &u1, f32::ln);
     map(c, "cosf_f32_16k", &angle, cos_f32);
     map(c, "libm_cosf_16k", &angle, f32::cos);
+}
+
+/// The two fused plan steps at one miniature block's shapes (84 tokens,
+/// width 48, 3 heads): block attention over the fused QKV operand, and an
+/// int8 linear site at the MLP's up projection (84 x 48 x 192), next to the
+/// integer GEMM it replaced and still pins it against.
+fn bench_fused_steps(c: &mut Criterion) {
+    use bliss_tensor::{ExecPlan, GraphBuilder, QuantCalibration};
+    use std::hint::black_box;
+
+    let mut rng = StdRng::seed_from_u64(48);
+    let qkv = NdArray::randn(&mut rng, &[84, 144], 1.0);
+    let mut g = GraphBuilder::new();
+    let x = g.input(&[84, 144]);
+    let y = g
+        .block_attention(x, &[(0, 84)], 3, 1.0 / 4.0)
+        .expect("valid attention shape");
+    g.mark_output(y);
+    let attention = ExecPlan::compile(g).expect("attention plan");
+    c.bench_function("block_attention_84x48_h3", |b| {
+        b.iter(|| attention.execute(&[black_box(qkv.data())], &[]).unwrap())
+    });
+
+    let act = NdArray::randn(&mut rng, &[84, 48], 1.0);
+    let w = Tensor::parameter(NdArray::randn(&mut rng, &[48, 192], 0.2));
+    let build = || {
+        let mut g = GraphBuilder::new();
+        let x = g.input(&[84, 48]);
+        let wp = g.param(&w);
+        let y = g.matmul(x, wp).expect("matching shapes");
+        g.mark_output(y);
+        g
+    };
+    let mut cal = QuantCalibration::new();
+    cal.observe(w.id(), act.data());
+    let linear = ExecPlan::compile_quantized(build(), &cal.finish(&build())).expect("int8 plan");
+    c.bench_function("int8_linear_84x48x192", |b| {
+        b.iter(|| linear.execute(&[black_box(act.data())], &[]).unwrap())
+    });
+    let a8: Vec<i8> = (0..84 * 48).map(|i| (i * 37 % 255) as i8).collect();
+    let bt8: Vec<i8> = (0..192 * 48).map(|i| (i * 91 % 255) as i8).collect();
+    let mut acc = vec![0i32; 84 * 192];
+    c.bench_function("matmul_i8t_84x48x192", |b| {
+        b.iter(|| {
+            bliss_parallel::matmul_i8t_into(black_box(&a8), black_box(&bt8), 48, 192, &mut acc);
+            black_box(&acc);
+        })
+    });
 }
 
 /// The two per-frame front-end stages the libm-free kernels target: the
@@ -506,7 +565,7 @@ criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(20);
     targets = bench_renderer, bench_eventify, bench_frontend, bench_matmul, bench_attention,
-        bench_elementwise, bench_sparse_readout, bench_sensor_die, bench_rle, bench_pool_overhead,
+        bench_elementwise, bench_fused_steps, bench_sparse_readout, bench_sensor_die, bench_rle, bench_pool_overhead,
         bench_plan_vs_tape, bench_telemetry_overhead
 }
 criterion_main!(kernels);

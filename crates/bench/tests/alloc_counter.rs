@@ -17,8 +17,8 @@
 //!    non-growing;
 //! 3. the **int8** planned path inherits the planned contract verbatim:
 //!    after calibration and one plan compile, a steady-state quantised
-//!    iteration performs zero heap allocations — its f32/i8/i32 arenas all
-//!    come from the recycled scratch pools.
+//!    iteration performs zero heap allocations — its activation codes live
+//!    in the per-thread task workspace, its weight codes in the shared spec.
 //!
 //! The loop is pinned to one thread (`with_thread_count(1)`) because the
 //! scratch pools are thread-local: with workers, buffers would recycle into
@@ -248,7 +248,7 @@ fn steady_state_int8_forward_batch_allocates_nothing_at_all() {
 
         let mut out = PlannedBatch::new();
         // Warm-up: compile the int8 plan for this span layout and populate
-        // the thread's scratch pools (f32, i8 and i32 arenas included).
+        // the thread's scratch pools and task workspace.
         for _ in 0..4 {
             vit.forward_batch_into(&batch, &mut out)
                 .expect("forward succeeds");

@@ -1,7 +1,8 @@
 use crate::layers::{LayerNormLayer, Linear, Mlp};
 use crate::{Module, Op, Recorder};
 use bliss_parallel::par_map_collect;
-use bliss_tensor::{NdArray, Tensor, TensorError};
+use bliss_tensor::kernels::attention_head_into;
+use bliss_tensor::{validate_spans, NdArray, Tensor, TensorError};
 use rand::Rng;
 
 /// Saved forward activations of one attention head, reused by the fused
@@ -40,35 +41,6 @@ struct HeadGradients {
     dbk: NdArray,
     dwv: NdArray,
     dbv: NdArray,
-}
-
-/// Checks that `spans` is a non-empty, in-order, gap-free exact cover of
-/// `0..rows`.
-fn validate_spans(
-    spans: &[(usize, usize)],
-    rows: usize,
-    op: &'static str,
-) -> Result<(), TensorError> {
-    let mut cursor = 0usize;
-    for &(s, e) in spans {
-        if s != cursor || e <= s {
-            return Err(TensorError::InvalidArgument {
-                op,
-                message: format!(
-                    "spans must exactly cover 0..{rows} in order without gaps \
-                     or empty entries; got {spans:?}"
-                ),
-            });
-        }
-        cursor = e;
-    }
-    if spans.is_empty() || cursor != rows {
-        return Err(TensorError::InvalidArgument {
-            op,
-            message: format!("spans {spans:?} do not cover all {rows} rows"),
-        });
-    }
-    Ok(())
 }
 
 /// `dS` of a row-wise softmax `A = softmax(S)` given `A` and `dA`:
@@ -154,7 +126,8 @@ impl MultiHeadAttention {
     /// `[(0, rows)]`.
     ///
     /// The head core is one [`Op::BlockAttention`]: on the tape a single
-    /// fused autograd op, on a graph its primitive decomposition.
+    /// fused autograd op, on a graph the QKV GEMM plus one block-attention
+    /// op; both run [`attention_head_into`] per (span, head).
     ///
     /// # Errors
     ///
@@ -176,9 +149,10 @@ impl MultiHeadAttention {
     /// `spans`. The QKV projections of every head are evaluated as a single
     /// `[dim, 3*dim]` GEMM against the concatenated weights (three launches
     /// fused into one); the per-head, per-span `scores -> softmax -> AV`
-    /// chains then fan out across the `bliss_parallel` pool in both the
-    /// forward and the backward pass (head index order is fixed, so
-    /// gradients accumulate identically for every thread count).
+    /// chains ([`attention_head_into`], the planned step's kernel too) then
+    /// fan out across the `bliss_parallel` pool in both the forward and the
+    /// backward pass (head index order is fixed, so gradients accumulate
+    /// identically for every thread count).
     pub(crate) fn fused_heads(
         &self,
         x: &Tensor,
@@ -234,17 +208,24 @@ impl MultiHeadAttention {
                     let k = qkv.slice_cols(dim + h * head_dim, dim + (h + 1) * head_dim)?;
                     let v = qkv.slice_cols(2 * dim + h * head_dim, 2 * dim + (h + 1) * head_dim)?;
                     let mut attns = Vec::with_capacity(spans_f.len());
-                    let mut outs = Vec::with_capacity(spans_f.len());
+                    let mut out = NdArray::zeros(&[q.shape()[0], head_dim]);
                     for &(s, e) in spans_f {
-                        let attn = q
-                            .slice_rows(s, e)?
-                            .matmul_transposed(&k.slice_rows(s, e)?)?
-                            .scale(scale)
-                            .softmax_rows()?;
-                        outs.push(attn.matmul(&v.slice_rows(s, e)?)?);
+                        let n = e - s;
+                        let rows = s * head_dim..e * head_dim;
+                        let mut scores = NdArray::zeros(&[n, n]);
+                        let mut attn = NdArray::zeros(&[n, n]);
+                        attention_head_into(
+                            &q.data()[rows.clone()],
+                            &k.data()[rows.clone()],
+                            &v.data()[rows.clone()],
+                            head_dim,
+                            scale,
+                            scores.data_mut(),
+                            attn.data_mut(),
+                            &mut out.data_mut()[rows],
+                        );
                         attns.push(attn);
                     }
-                    let out = NdArray::concat_rows(&outs.iter().collect::<Vec<_>>())?;
                     Ok((HeadForward { q, k, v, attns }, out))
                 })
                 .into_iter()
@@ -698,6 +679,53 @@ mod tests {
         let plan = bliss_tensor::ExecPlan::compile(g).unwrap();
         plan.execute(&[x.data()], &[]).unwrap();
         plan.with_output(0, |data| assert_eq!(data, taped.value().data()));
+    }
+
+    #[test]
+    fn planned_block_attention_matches_the_tape_at_any_thread_count() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let mha = MultiHeadAttention::new(&mut rng, 48, 3);
+        let mix = [1usize, 2, 3, 5, 8, 13, 21, 34, 1, 84, 7, 16, 30, 2, 60, 9];
+        let mut mixed = Vec::new();
+        let mut at = 0;
+        for len in mix {
+            mixed.push((at, at + len));
+            at += len;
+        }
+        let layouts: [Vec<(usize, usize)>; 5] = [
+            vec![(0, 1)],
+            vec![(0, 2)],
+            vec![(0, 84)],
+            vec![(0, 160)],
+            mixed,
+        ];
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for spans in &layouts {
+            let rows = spans.last().unwrap().1;
+            let x = NdArray::randn(&mut rng, &[rows, 48], 1.0);
+            let taped = mha
+                .forward(&mut Tape, &Tensor::constant(x.clone()), spans)
+                .unwrap();
+            let mut g = GraphBuilder::default();
+            let xin = g.input(&[rows, 48]);
+            let out = mha.forward(&mut g, &xin, spans).unwrap();
+            g.mark_output(out);
+            let plan = bliss_tensor::ExecPlan::compile(g).unwrap();
+            for threads in [1usize, 2, 8] {
+                let planned = bliss_parallel::with_thread_count(threads, || {
+                    bliss_parallel::with_min_parallel_work(0, || {
+                        plan.execute(&[x.data()], &[]).unwrap();
+                        plan.with_output(0, |d| d.to_vec())
+                    })
+                });
+                assert_eq!(
+                    bits(&planned),
+                    bits(taped.value().data()),
+                    "{} spans of {rows} rows, threads = {threads}",
+                    spans.len()
+                );
+            }
+        }
     }
 
     #[test]

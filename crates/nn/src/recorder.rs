@@ -10,8 +10,10 @@ use bliss_tensor::{GraphBuilder, IndexSlot, NodeId, Tensor, TensorError};
 ///
 /// Each variant mirrors the [`Tensor`] op of the same name and fails with
 /// the same [`TensorError`]. `Conv2d` and `BlockAttention` are the two ops
-/// the tape fuses with a hand-written backward; a graph records their
-/// primitive decomposition, which runs the same kernels in the same order.
+/// the tape fuses with a hand-written backward. A graph records `Conv2d` as
+/// its primitive decomposition, and `BlockAttention` as the fused QKV GEMM
+/// plus one `GraphBuilder::block_attention` op; either way the same kernels
+/// run in the same order.
 #[derive(Debug)]
 pub enum Op<'a, N, I: ?Sized> {
     /// Matrix product `a x b`.
@@ -166,21 +168,20 @@ fn lower_conv2d(
     g.reshape(biased, &[ws[0], oh, ow])
 }
 
-/// The tape's fused attention op spelled out: the same fused QKV GEMM
-/// (columns `[q_0..q_H | k_0..k_H | v_0..v_H]`), per-head per-span chain and
-/// concatenation order. Heads are data-independent, so listing them in the
-/// tape pool's fixed head order matches it bit for bit at any thread count.
+/// The tape's fused attention op as graph ops: the same fused QKV GEMM
+/// (columns `[q_0..q_H | k_0..k_H | v_0..v_H]`), then one block-attention
+/// op whose plan step runs the tape's per-head kernel on every (span, head)
+/// pair.
 fn lower_block_attention(
     g: &mut GraphBuilder,
     mha: &MultiHeadAttention,
     x: NodeId,
     spans: &[(usize, usize)],
 ) -> Result<NodeId, TensorError> {
-    let (heads, dim, head_dim) = (mha.heads(), mha.dim(), mha.head_dim);
-    let scale = 1.0 / (head_dim as f32).sqrt();
+    let scale = 1.0 / (mha.head_dim as f32).sqrt();
 
-    let mut wcols = Vec::with_capacity(3 * heads);
-    let mut bparts = Vec::with_capacity(3 * heads);
+    let mut wcols = Vec::with_capacity(3 * mha.heads());
+    let mut bparts = Vec::with_capacity(3 * mha.heads());
     for proj in mha.query.iter().chain(&mha.key).chain(&mha.value) {
         let params = proj.parameters();
         wcols.push(g.param(&params[0]));
@@ -190,23 +191,5 @@ fn lower_block_attention(
     let bqkv = g.concat_flat(&bparts)?;
     let mm = g.matmul(x, wqkv)?;
     let qkv = g.add_row(mm, bqkv)?;
-
-    let mut head_outs = Vec::with_capacity(heads);
-    for h in 0..heads {
-        let q = g.slice_cols(qkv, h * head_dim, (h + 1) * head_dim)?;
-        let k = g.slice_cols(qkv, dim + h * head_dim, dim + (h + 1) * head_dim)?;
-        let v = g.slice_cols(qkv, 2 * dim + h * head_dim, 2 * dim + (h + 1) * head_dim)?;
-        let mut outs = Vec::with_capacity(spans.len());
-        for &(s, e) in spans {
-            let qs = g.slice_rows(q, s, e)?;
-            let ks = g.slice_rows(k, s, e)?;
-            let vs = g.slice_rows(v, s, e)?;
-            let scores = g.matmul_transposed(qs, ks)?;
-            let scaled = g.scale(scores, scale);
-            let attn = g.softmax_rows(scaled)?;
-            outs.push(g.matmul(attn, vs)?);
-        }
-        head_outs.push(g.concat_rows(&outs)?);
-    }
-    g.concat_cols(&head_outs)
+    g.block_attention(qkv, spans, mha.heads(), scale)
 }

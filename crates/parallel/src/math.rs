@@ -18,7 +18,10 @@
 //!   contracts every multiply-add in that file, so the port writes each one
 //!   as `f64::mul_add`. The one that changes bits is the range reduction
 //!   `r = fma(InvLn2N, x, -kd)`: computing `z - kd` from a rounded `z`
-//!   differs at exactly one input, x = -63.09946 (`0xc27c65d9`).
+//!   differs at exactly one input, x = -63.09946 (`0xc27c65d9`). Its table
+//!   load is a gather, so [`exp_f32_in_place`] splits it the way
+//!   [`log_f32`] is split below: indices and table entries first, the
+//!   arithmetic after.
 //! * [`log_f32`] is glibc 2.36's FMA `logf`: a 16-entry table of `1/c` and
 //!   `log c` and a degree-3 polynomial in `log1p(z/c - 1)`, all in `f64`.
 //!   The table index is the only data-dependent load, and LLVM will not
@@ -223,18 +226,32 @@ const EXP_UNDERFLOW: f32 = f32::from_bits(0xc2cf_f1b4);
 /// input.
 ///
 /// Branch-free apart from the table index, so loops over it vectorise (the
-/// lookup becomes a gather); see the module docs.
+/// lookup becomes a gather); see the module docs. [`exp_f32_in_place`] is
+/// the block form that keeps the gather out of the vector loop.
 #[inline(always)]
 pub fn exp_f32(x: f32) -> f32 {
+    let ki = exp_index(x);
+    exp_f32_with(x, ki, EXP2_TABLE[(ki % 32) as usize])
+}
+
+/// The reduction `x 32/ln2 = k + r` with integer `k`, returned as the bits
+/// of `k + SHIFT`: `k` sits in the low mantissa bits, so `ki % 32` is the
+/// table index. gcc contracts both uses of the product; for `k` that gives
+/// the same value on every input.
+#[inline(always)]
+fn exp_index(x: f32) -> u64 {
+    INV_LN2_N.mul_add(f64::from(x), SHIFT).to_bits()
+}
+
+/// [`exp_f32`] given its reduction `ki` ([`exp_index`]) and the table entry
+/// `EXP2_TABLE[ki % 32]`: everything but the table load.
+#[inline(always)]
+fn exp_f32_with(x: f32, ki: u64, entry: u64) -> f32 {
     let xd = f64::from(x);
-    // x 32/ln2 = k + r with integer k and |r| <= 1/2. gcc contracts both
-    // uses of the product; for `kd` that gives the same k on every input.
-    let kd = INV_LN2_N.mul_add(xd, SHIFT);
-    let ki = kd.to_bits();
-    let kd = kd - SHIFT;
+    let kd = f64::from_bits(ki) - SHIFT;
     let r = INV_LN2_N.mul_add(xd, -kd);
     // exp(x) = 2^(k/32) 2^(r/32) ~= s (C0 r^3 + C1 r^2 + C2 r + 1).
-    let s = f64::from_bits(EXP2_TABLE[(ki % 32) as usize].wrapping_add(ki << 47));
+    let s = f64::from_bits(entry.wrapping_add(ki << 47));
     let z = C0.mul_add(r, C1);
     let r2 = r * r;
     let y = C2.mul_add(r, 1.0);
@@ -246,6 +263,34 @@ pub fn exp_f32(x: f32) -> f32 {
         x + x
     } else {
         y
+    }
+}
+
+/// Values per stack block in [`exp_f32_in_place`].
+const EXP_BLOCK: usize = 64;
+
+/// [`exp_f32`] of every element, in place, gather first.
+///
+/// Per block of 64 values, a vector loop computes each reduction index, a
+/// scalar loop loads the table entries into a stack block, and a second
+/// vector loop does the rest with no loads but its inputs. LLVM will not
+/// vectorise a loop that gathers from a table, so [`exp_f32`] over a slice
+/// runs scalar; this form does not. Every output depends only on its own
+/// input, so the bits match [`exp_f32`] exactly.
+pub fn exp_f32_in_place(xs: &mut [f32]) {
+    let mut ki = [0u64; EXP_BLOCK];
+    let mut entry = [0u64; EXP_BLOCK];
+    for block in xs.chunks_mut(EXP_BLOCK) {
+        let n = block.len();
+        for (k, &x) in ki.iter_mut().zip(block.iter()) {
+            *k = exp_index(x);
+        }
+        for (e, &k) in entry[..n].iter_mut().zip(&ki[..n]) {
+            *e = EXP2_TABLE[(k % 32) as usize];
+        }
+        for ((x, &k), &e) in block.iter_mut().zip(&ki[..n]).zip(&entry[..n]) {
+            *x = exp_f32_with(*x, k, e);
+        }
     }
 }
 
@@ -776,6 +821,30 @@ mod tests {
         }
     }
 
+    fn exp_block_slice(xs: &[f32], ys: &mut [f32]) {
+        ys.copy_from_slice(xs);
+        exp_f32_in_place(ys);
+    }
+
+    #[test]
+    fn exp_block_form_matches_exp_on_a_strided_sweep_and_the_edges() {
+        // 1,047,809 inputs; the last slice ends in a one-value block.
+        sweep(4099, |xs, ys| {
+            exp_block_slice(xs, ys);
+            assert_matches(xs, ys, exp_f32, "exp_f32_in_place");
+        });
+        let mut xs = common_edges();
+        for b in [0xc2cf_f1b4u32, 0x42b1_7217, 0xc27c_65d9] {
+            xs.extend(around(f32::from_bits(b), 64));
+        }
+        // Every slice length across two blocks, so each tail size runs.
+        for len in 0..=2 * EXP_BLOCK + 1 {
+            let mut ys = vec![0.0; len.min(xs.len())];
+            exp_block_slice(&xs[..ys.len()], &mut ys);
+            assert_matches(&xs[..ys.len()], &ys, exp_f32, "exp_f32_in_place");
+        }
+    }
+
     /// glibc 2.36 `logf` as its FMA variant computes it, transcribed branch
     /// for branch (special cases return their values without raising).
     fn ref_log(x: f32) -> f32 {
@@ -1124,6 +1193,16 @@ mod tests {
             f32::cos,
             "cos",
         );
+    }
+
+    fn any_input(_: f32) -> bool {
+        true
+    }
+
+    #[test]
+    #[ignore = "exhaustive over 2^32 inputs"]
+    fn exp_block_form_matches_exp_on_every_input() {
+        exhaustive(0..1 << 32, exp_block_slice, any_input, exp_f32, "exp");
     }
 
     #[test]

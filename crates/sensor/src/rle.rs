@@ -65,33 +65,12 @@ pub fn encode(pixels: &[u16]) -> Bytes {
 /// per-frame MIPI staging buffer can be reused across a stream without
 /// touching the allocator. Produces the identical wire format.
 pub fn encode_into(pixels: &[u16], out: &mut Vec<u8>) {
-    out.clear();
-    encode_tokens(pixels, out);
-}
-
-/// Where [`encode_tokens`] puts each `u16` token: on the wire, or only
-/// into a byte count.
-trait TokenSink {
-    fn put(&mut self, token: u16);
-}
-
-impl TokenSink for Vec<u8> {
-    fn put(&mut self, token: u16) {
-        self.extend_from_slice(&token.to_le_bytes());
-    }
-}
-
-impl TokenSink for usize {
-    fn put(&mut self, _: u16) {
-        *self += 2;
-    }
-}
-
-/// The wire format, written once: alternating zero-run and literal-run
-/// tokens. A run longer than `u16::MAX` is split, with an empty run of the
-/// other kind between its chunks to keep the alternation.
-fn encode_tokens(pixels: &[u16], out: &mut impl TokenSink) {
+    // Alternating zero-run and literal-run tokens. A run longer than
+    // `u16::MAX` is split, with an empty run of the other kind between its
+    // chunks to keep the alternation.
     const MAX_RUN: usize = u16::MAX as usize;
+    out.clear();
+    let mut put = |token: u16| out.extend_from_slice(&token.to_le_bytes());
     let mut i = 0usize;
     while i < pixels.len() {
         let zero_start = i;
@@ -104,23 +83,23 @@ fn encode_tokens(pixels: &[u16], out: &mut impl TokenSink) {
             i += 1;
         }
         while zeros > MAX_RUN {
-            out.put(u16::MAX);
-            out.put(0);
+            put(u16::MAX);
+            put(0);
             zeros -= MAX_RUN;
         }
-        out.put(zeros as u16);
+        put(zeros as u16);
         let mut literals = &pixels[lit_start..i];
         loop {
             let chunk = &literals[..literals.len().min(MAX_RUN)];
-            out.put(chunk.len() as u16);
+            put(chunk.len() as u16);
             for &v in chunk {
-                out.put(v);
+                put(v);
             }
             literals = &literals[chunk.len()..];
             if literals.is_empty() {
                 break;
             }
-            out.put(0);
+            put(0);
         }
     }
 }
@@ -191,13 +170,6 @@ pub fn decode_into(
     // Implied trailing zeros.
     out.resize(expected_pixels, 0);
     Ok(())
-}
-
-/// Size in bytes of the encoded form without materialising it.
-pub fn encoded_len(pixels: &[u16]) -> usize {
-    let mut len = 0usize;
-    encode_tokens(pixels, &mut len);
-    len
 }
 
 #[cfg(test)]
@@ -275,14 +247,6 @@ mod tests {
         let mut stream = vec![0u16; 2 * long + 3];
         stream.extend(vec![9u16; long + 1]);
         stream.push(0);
-        for s in [
-            &stream[..],
-            &stream[..long],
-            &stream[2 * long + 3..],
-            &[][..],
-        ] {
-            assert_eq!(encoded_len(s), encode(s).len());
-        }
         assert_eq!(decode(&encode(&stream), stream.len()).unwrap(), stream);
     }
 

@@ -1,6 +1,6 @@
 use crate::scratch;
 use crate::TensorError;
-use bliss_parallel::math::{exp_f32, tanh_f32};
+use bliss_parallel::math::{exp_f32, exp_f32_in_place, tanh_f32};
 use rand::Rng;
 use std::fmt;
 
@@ -1012,7 +1012,7 @@ pub fn matmul_into(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
 }
 
 /// Rows of the output matrix computed by one parallel matmul task.
-const MATMUL_ROW_BLOCK: usize = 32;
+pub(crate) const MATMUL_ROW_BLOCK: usize = 32;
 /// Column-tile width of the register-blocked micro-kernel (two 8-lane SIMD
 /// vectors on AVX2-class hardware).
 const MATMUL_COL_TILE: usize = 16;
@@ -1029,7 +1029,7 @@ const MATMUL_COL_TILE: usize = 16;
 /// With `sparse` set, all-zero columns of `a` are skipped inside the inner
 /// loop (exact for finite `b`: the skipped updates add `+0.0`); the dense
 /// variant omits the test so the loop stays branch-free.
-fn matmul_block(
+pub(crate) fn matmul_block(
     a: &[f32],
     b: &[f32],
     k: usize,
@@ -1179,23 +1179,137 @@ pub(crate) fn transpose_into(src: &[f32], m: usize, n: usize, out: &mut [f32]) {
 /// Row-wise numerically-stabilised softmax of `src` (rows of length `n`)
 /// into the same-size `out`. `src` and `out` must not alias.
 ///
-/// Each row takes its max, exponentiates the shifted row with [`exp_f32`] in
-/// one vectorised pass, sums the exponentials in order and divides.
+/// Each row takes its max, writes the shifted row, exponentiates it in place
+/// with the gather-first block form of [`exp_f32`] (`exp_f32_in_place`),
+/// sums the exponentials in order and divides. Rows go in blocks of
+/// `SOFTMAX_ROWS`, whose sums run as interleaved chains: each row still
+/// adds its own values in column order, so only the latency overlaps.
 pub fn softmax_rows_into(src: &[f32], n: usize, out: &mut [f32]) {
-    if n > 0 {
-        // Cost hint 8: exp + normalisation per element.
-        bliss_parallel::par_chunks(out, n, 8, |i, out_row| {
-            let row = &src[i * n..(i + 1) * n];
-            let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    if n == 0 {
+        return;
+    }
+    // Cost hint 8: exp + normalisation per element.
+    bliss_parallel::par_chunks(out, SOFTMAX_ROWS * n, 8, |b, block| {
+        let src = &src[b * SOFTMAX_ROWS * n..][..block.len()];
+        for (out_row, row) in block.chunks_exact_mut(n).zip(src.chunks_exact(n)) {
+            let mx = row_max(row);
             for (o, &v) in out_row.iter_mut().zip(row) {
-                *o = exp_f32(v - mx);
+                *o = v - mx;
             }
-            let denom = out_row.iter().fold(0.0f32, |acc, &e| acc + e);
+        }
+        exp_f32_in_place(block);
+        let rows = block.len() / n;
+        let mut sums = [0.0f32; SOFTMAX_ROWS];
+        for j in 0..n {
+            for (r, s) in sums[..rows].iter_mut().enumerate() {
+                *s += block[r * n + j];
+            }
+        }
+        for (out_row, &denom) in block.chunks_exact_mut(n).zip(&sums) {
             for v in out_row.iter_mut() {
                 *v /= denom;
             }
+        }
+    });
+}
+
+/// Rows per softmax block: enough independent sum chains to hide the add
+/// latency.
+const SOFTMAX_ROWS: usize = 4;
+
+/// The largest value of `row` ignoring NaNs (`-inf` for none), as eight
+/// lanes so the loop vectorises. Lanes may settle on the other zero than a
+/// serial fold when the max is a zero of either sign; softmax subtracts the
+/// max and exponentiates, and `exp(±0) = 1`, so its output bits are the
+/// same either way.
+fn row_max(row: &[f32]) -> f32 {
+    let mut lanes = [f32::NEG_INFINITY; 8];
+    let chunks = row.chunks_exact(8);
+    let tail = chunks
+        .remainder()
+        .iter()
+        .fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+    for c in chunks {
+        for (l, &v) in lanes.iter_mut().zip(c) {
+            *l = l.max(v);
+        }
+    }
+    lanes.iter().fold(tail, |m, &l| m.max(l))
+}
+
+/// One attention head over one block of `n` rows: `out = softmax(q k^T *
+/// scale) v` for row-major `q`, `k`, `v`, `out`: `[n, head_dim]`, with the
+/// scaled scores in `scores` and the attention matrix in `attn` (both
+/// `[n, n]`, fully overwritten).
+///
+/// The tape's attention op and the planned `BlockAttention` step both call
+/// this for every (span, head) pair, so they return the same bits: the
+/// scores product ([`NdArray::matmul_transposed`]'s kernel), the scale,
+/// the softmax and the value product ([`NdArray::matmul`]'s kernel) in that
+/// order, each GEMM probing its own left operand for sparsity.
+///
+/// # Panics
+///
+/// Panics if `head_dim == 0` or a slice length disagrees with `n`.
+pub fn attention_head_into(
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    head_dim: usize,
+    scale: f32,
+    scores: &mut [f32],
+    attn: &mut [f32],
+    out: &mut [f32],
+) {
+    let n = q.len() / head_dim;
+    assert!(
+        k.len() == n * head_dim && v.len() == n * head_dim && out.len() == n * head_dim,
+        "q, k, v and out must all be [n, head_dim]"
+    );
+    assert!(
+        scores.len() == n * n && attn.len() == n * n,
+        "scores and attn must be [n, n]"
+    );
+    matmul_transposed_into(q, k, head_dim, n, scores);
+    for s in scores.iter_mut() {
+        *s *= scale;
+    }
+    softmax_rows_into(scores, n, attn);
+    matmul_into(attn, v, n, head_dim, out);
+}
+
+/// Checks that `spans` is a non-empty, in-order, gap-free exact cover of
+/// `0..rows` by non-empty `(start, end)` ranges — the row layout of
+/// block-diagonal attention.
+///
+/// # Errors
+///
+/// [`TensorError::InvalidArgument`] naming `op` otherwise.
+pub fn validate_spans(
+    spans: &[(usize, usize)],
+    rows: usize,
+    op: &'static str,
+) -> Result<(), TensorError> {
+    let mut cursor = 0usize;
+    for &(s, e) in spans {
+        if s != cursor || e <= s {
+            return Err(TensorError::InvalidArgument {
+                op,
+                message: format!(
+                    "spans must exactly cover 0..{rows} in order without gaps \
+                     or empty entries; got {spans:?}"
+                ),
+            });
+        }
+        cursor = e;
+    }
+    if spans.is_empty() || cursor != rows {
+        return Err(TensorError::InvalidArgument {
+            op,
+            message: format!("spans {spans:?} do not cover all {rows} rows"),
         });
     }
+    Ok(())
 }
 
 /// Adds the length-`n` `row` to every `n`-wide row of `out` in place — the
@@ -1449,6 +1563,70 @@ mod tests {
         let a = NdArray::from_vec(vec![1.0, 5.0, 2.0, 4.0, 0.0, 3.0], &[2, 3]).unwrap();
         assert_eq!(a.sum_rows().unwrap().data(), &[5.0, 5.0, 5.0]);
         assert_eq!(a.argmax_rows().unwrap(), vec![1, 0]);
+    }
+
+    /// Softmax one row at a time with a serial max and `exp_f32` per
+    /// element: the formulation `softmax_rows_into` must match bit for bit.
+    fn softmax_reference(src: &[f32], n: usize) -> Vec<f32> {
+        let mut out = vec![0.0f32; src.len()];
+        for (o, row) in out.chunks_mut(n).zip(src.chunks(n)) {
+            let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            for (o, &v) in o.iter_mut().zip(row) {
+                *o = exp_f32(v - mx);
+            }
+            let denom = o.iter().fold(0.0f32, |acc, &e| acc + e);
+            for v in o.iter_mut() {
+                *v /= denom;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn softmax_rows_matches_the_per_row_formulation_bitwise() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        let edges = [
+            0.0,
+            -0.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -200.0,
+            1e-40,
+        ];
+        for n in [1usize, 3, 8, 9, 17, 84] {
+            for m in 1..=9 {
+                let mut src = NdArray::randn(&mut rng, &[m, n], 6.0).data().to_vec();
+                // Zero-max rows of both signs, and rows seeded with edges.
+                src[..n].fill(-0.0);
+                if m > 1 {
+                    src[n..2 * n].iter_mut().for_each(|v| *v = -v.abs());
+                    src[n + n / 2] = 0.0;
+                }
+                for (i, &e) in edges.iter().enumerate() {
+                    let at = (i * 7 + 2 * n) % src.len();
+                    src[at] = e;
+                }
+                let mut out = vec![0.0f32; m * n];
+                bliss_parallel::with_thread_count(2, || {
+                    bliss_parallel::with_min_parallel_work(0, || {
+                        softmax_rows_into(&src, n, &mut out)
+                    })
+                });
+                // Bits, with every NaN as one value: LLVM may commute an
+                // add, and which NaN operand propagates is unspecified.
+                let bits = |v: &[f32]| {
+                    v.iter()
+                        .map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() })
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(
+                    bits(&out),
+                    bits(&softmax_reference(&src, n)),
+                    "m = {m}, n = {n}"
+                );
+            }
+        }
     }
 
     #[test]

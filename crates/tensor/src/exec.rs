@@ -4,7 +4,7 @@
 //! owns the planner's step schedule, the captured parameter tensors and one
 //! flat `f32` arena sized to the plan's working set. [`ExecPlan::execute`]
 //! walks the steps, dispatching each to the *same* slice-level kernels the
-//! tape ops call (`matmul_into`, `softmax_rows_into`, `layer_norm_row_stats`
+//! tape ops call (`matmul_into`, `attention_head_into`, `layer_norm_row_stats`
 //! …), reading and writing arena offsets — no `NdArray` construction, no
 //! `Rc` traffic, no pool lookups, no heap allocation of any size once the
 //! plan exists. Sharing the kernel cores (rather than reimplementing them)
@@ -21,7 +21,10 @@
 //! — an elementwise step's copy source included — overlaps its output
 //! interval. Elementwise steps run in place: they read their primary
 //! operand from the output slice itself (after the copy source, if any, has
-//! been copied into it) and read nothing else from the output range.
+//! been copied into it) and read nothing else from the output range. The
+//! `BlockAttention` step additionally hands its output to tasks on several
+//! threads; each task writes only its own (span rows, head columns) block,
+//! and the builder's span validation makes those blocks disjoint.
 //!
 //! # Stale-plan protection
 //!
@@ -35,12 +38,12 @@
 #![warn(missing_docs)]
 
 use crate::array::{
-    add_row_assign, gather_rows_into, gelu_assign, im2col_into, layer_norm_row_stats, matmul_into,
-    matmul_transposed_into, sigmoid_scalar, softmax_rows_into, transpose_into,
+    add_row_assign, attention_head_into, gather_rows_into, gelu_assign, im2col_into,
+    layer_norm_row_stats, matmul_into, sigmoid_scalar, transpose_into,
 };
 use crate::graph::GraphBuilder;
 use crate::plan::{plan_graph, Operand, Plan, SrcLoc, StepOp};
-use crate::quant::{quantize_graph, quantize_sym_into, QuantSpec, QuantizedWeights};
+use crate::quant::{quant_linear_into, quantize_graph, QuantSpec};
 use crate::{Tensor, TensorError};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -57,23 +60,7 @@ use std::rc::Rc;
 pub struct ExecPlan {
     plan: Plan,
     params: Vec<Tensor>,
-    /// Pre-quantised weight blocks for `MatMulI8` steps (empty for pure-f32
-    /// plans).
-    qweights: Vec<Rc<QuantizedWeights>>,
     arena: RefCell<Vec<f32>>,
-    /// Quantised activation arena, drawn from the i8 scratch pool at
-    /// compile time and recycled on drop (empty for pure-f32 plans).
-    arena_i8: RefCell<Vec<i8>>,
-    /// Integer accumulator arena, drawn from the i32 scratch pool at
-    /// compile time and recycled on drop (empty for pure-f32 plans).
-    arena_i32: RefCell<Vec<i32>>,
-}
-
-impl Drop for ExecPlan {
-    fn drop(&mut self) {
-        crate::scratch::recycle_buffer(std::mem::take(self.arena_i8.get_mut()));
-        crate::scratch::recycle_buffer(std::mem::take(self.arena_i32.get_mut()));
-    }
 }
 
 impl std::fmt::Debug for ExecPlan {
@@ -99,24 +86,18 @@ impl ExecPlan {
     pub fn compile(graph: GraphBuilder) -> Result<ExecPlan, TensorError> {
         let plan = plan_graph(&graph)?;
         let arena = RefCell::new(vec![0.0; plan.arena_len]);
-        let mut i8_buf = crate::scratch::take_buffer::<i8>(plan.arena_i8_len);
-        i8_buf.resize(plan.arena_i8_len, 0);
-        let mut i32_buf = crate::scratch::take_buffer::<i32>(plan.arena_i32_len);
-        i32_buf.resize(plan.arena_i32_len, 0);
         Ok(ExecPlan {
             plan,
             params: graph.params,
-            qweights: graph.qweights,
             arena,
-            arena_i8: RefCell::new(i8_buf),
-            arena_i32: RefCell::new(i32_buf),
         })
     }
 
     /// Rewrites the graph under a calibrated [`QuantSpec`] (see
     /// [`crate::quant`]) and compiles the quantised result: every calibrated
-    /// weight GEMM runs as `quantize_sym → i8×i8→i32 → dequantize_cols`,
-    /// everything else — and the training tape — is untouched.
+    /// weight GEMM runs as one int8 linear step (quantise, exact integer
+    /// GEMM, dequantise), everything else — and the training tape — is
+    /// untouched.
     ///
     /// # Errors
     ///
@@ -135,25 +116,14 @@ impl ExecPlan {
         self.plan.arena_len
     }
 
-    /// Quantised `i8` activation arena size in elements (0 for pure-f32
-    /// plans).
-    pub fn arena_i8_len(&self) -> usize {
-        self.plan.arena_i8_len
-    }
-
-    /// `i32` accumulator arena size in elements (0 for pure-f32 plans).
-    pub fn arena_i32_len(&self) -> usize {
-        self.plan.arena_i32_len
-    }
-
-    /// Number of quantised weight GEMM steps in the plan (0 for pure-f32
+    /// Number of fused int8 linear steps in the plan (0 for pure-f32
     /// plans) — the differential harness uses this to prove the int8 path
     /// actually runs quantised.
     pub fn num_quantized_matmuls(&self) -> usize {
         self.plan
             .steps
             .iter()
-            .filter(|s| matches!(s.op, StepOp::MatMulI8 { .. }))
+            .filter(|s| matches!(s.op, StepOp::QuantLinear { .. }))
             .count()
     }
 
@@ -289,51 +259,8 @@ impl ExecPlan {
         let mut arena_ref = self.arena.borrow_mut();
         let arena = &mut **arena_ref;
         let base = arena.as_mut_ptr();
-        let mut arena_i8_ref = self.arena_i8.borrow_mut();
-        let arena_i8 = &mut **arena_i8_ref;
-        let mut arena_i32_ref = self.arena_i32.borrow_mut();
-        let arena_i32 = &mut **arena_i32_ref;
 
         for step in &self.plan.steps {
-            // Quantised steps first: they read and write *different* arenas
-            // (f32 → i8 → i32 → f32), so every access is a plain safe slice
-            // of a distinct Vec.
-            match &step.op {
-                StepOp::QuantizeSym { a, inv_scale } => {
-                    let out = &mut arena_i8[step.out_off..step.out_off + step.out_len];
-                    self.with_src(a, inputs, base, |av| quantize_sym_into(av, *inv_scale, out));
-                    continue;
-                }
-                StepOp::MatMulI8 { a, w, k, p } => {
-                    let out = &mut arena_i32[step.out_off..step.out_off + step.out_len];
-                    let av = match a.loc {
-                        SrcLoc::Arena(off) => &arena_i8[off..off + a.len],
-                        _ => unreachable!("i8 operands always live in the i8 arena"),
-                    };
-                    bliss_parallel::matmul_i8t_into(av, self.qweights[*w].data(), *k, *p, out);
-                    continue;
-                }
-                StepOp::DequantizeCols { a, scales, cols } => {
-                    let av = match a.loc {
-                        SrcLoc::Arena(off) => &arena_i32[off..off + a.len],
-                        _ => unreachable!("i32 operands always live in the i32 arena"),
-                    };
-                    // SAFETY: the output interval lies within the f32 arena
-                    // (planner layout) and the read slice is in a different
-                    // arena entirely.
-                    let out = unsafe {
-                        std::slice::from_raw_parts_mut(base.add(step.out_off), step.out_len)
-                    };
-                    for (r, orow) in out.chunks_mut(*cols).enumerate() {
-                        let irow = &av[r * cols..r * cols + orow.len()];
-                        for (j, (o, &acc)) in orow.iter_mut().zip(irow).enumerate() {
-                            *o = acc as f32 * scales[j];
-                        }
-                    }
-                    continue;
-                }
-                _ => {}
-            }
             // SAFETY: the output interval lies within the arena (planner
             // layout); all read slices derived below are build-time-proved
             // disjoint from it, and `arena` itself is not touched while
@@ -347,13 +274,6 @@ impl ExecPlan {
                 StepOp::MatMul { a, b, k, n } => {
                     self.with_src(a, inputs, base, |av| {
                         self.with_src(b, inputs, base, |bv| matmul_into(av, bv, *k, *n, out))
-                    });
-                }
-                StepOp::MatMulT { a, b, k, p } => {
-                    self.with_src(a, inputs, base, |av| {
-                        self.with_src(b, inputs, base, |bv| {
-                            matmul_transposed_into(av, bv, *k, *p, out)
-                        })
                     });
                 }
                 StepOp::Add { b, .. } => {
@@ -385,9 +305,6 @@ impl ExecPlan {
                     }
                 }
                 StepOp::Gelu { .. } => gelu_assign(out),
-                StepOp::SoftmaxRows { a, cols } => {
-                    self.with_src(a, inputs, base, |av| softmax_rows_into(av, *cols, out));
-                }
                 StepOp::LayerNorm {
                     a,
                     gamma,
@@ -477,15 +394,127 @@ impl ExecPlan {
                         gather_rows_into(av, *a_rows, *cols, index_inputs[*slot], out)
                     })?;
                 }
-                StepOp::QuantizeSym { .. }
-                | StepOp::MatMulI8 { .. }
-                | StepOp::DequantizeCols { .. } => {
-                    unreachable!("quantised steps are dispatched before the f32 match")
+                StepOp::BlockAttention {
+                    qkv,
+                    dim,
+                    spans,
+                    heads,
+                    scale,
+                } => {
+                    self.with_src(qkv, inputs, base, |qv| {
+                        block_attention(qv, *dim, spans, *heads, *scale, out)
+                    });
+                }
+                StepOp::QuantLinear {
+                    a,
+                    inv_scale,
+                    weights,
+                    scales,
+                } => {
+                    self.with_src(a, inputs, base, |av| {
+                        quant_linear_into(av, *inv_scale, weights, scales, out)
+                    });
                 }
             }
         }
         Ok(())
     }
+}
+
+/// A `BlockAttention` step's output, shared by its tasks as a raw pointer
+/// because each task writes a strided block (its span's rows, its head's
+/// columns) that no safe slice split can hand out.
+#[derive(Clone, Copy)]
+struct HeadBlocks<'a> {
+    ptr: *mut f32,
+    len: usize,
+    _out: std::marker::PhantomData<&'a mut [f32]>,
+}
+
+impl<'a> HeadBlocks<'a> {
+    fn new(out: &'a mut [f32]) -> Self {
+        HeadBlocks {
+            ptr: out.as_mut_ptr(),
+            len: out.len(),
+            _out: std::marker::PhantomData,
+        }
+    }
+
+    /// The `len` output elements from `off`.
+    ///
+    /// # Safety
+    ///
+    /// No other live reference may touch them while the slice lives.
+    unsafe fn slice(self, off: usize, len: usize) -> &'a mut [f32] {
+        assert!(off + len <= self.len, "attention output out of range");
+        // SAFETY: in bounds by the assert, within the buffer borrowed for
+        // 'a; exclusive by the caller's contract.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(off), len) }
+    }
+}
+
+// SAFETY: the tasks sharing a `HeadBlocks` write pairwise disjoint element
+// sets (see `block_attention`), and the buffer stays mutably borrowed, so
+// untouched by anyone else, until the region has joined.
+unsafe impl Sync for HeadBlocks<'_> {}
+
+/// Runs block-diagonal attention: `qkv` is `[rows, 3*dim]` with columns
+/// `[q_0..q_H | k_0..k_H | v_0..v_H]`, `out` is `[rows, dim]`.
+///
+/// One task per (head, span) pair, spread over the pool head-major so a
+/// share of consecutive tasks mixes span sizes. A task gathers its head's
+/// q/k/v columns for its span into the thread's task workspace, runs
+/// [`attention_head_into`] on them serially (the tape's per-head kernel,
+/// so the bits match the tape), and copies the result into its head's
+/// columns of the span's rows.
+fn block_attention(
+    qkv: &[f32],
+    dim: usize,
+    spans: &[(usize, usize)],
+    heads: usize,
+    scale: f32,
+    out: &mut [f32],
+) {
+    let hd = dim / heads;
+    let width = 3 * dim;
+    let blocks = HeadBlocks::new(out);
+    // Average per-task work: two GEMMs and a softmax over n x n scores.
+    let work: usize = spans
+        .iter()
+        .map(|&(s, e)| (e - s) * (e - s) * (2 * hd + 8))
+        .sum();
+    let cost = work / spans.len().max(1);
+    // Zero-sized task slots: a `Vec<()>` never allocates.
+    let mut tasks = vec![(); heads * spans.len()];
+    bliss_parallel::par_chunks(&mut tasks, 1, cost, |t, _| {
+        let (h, (s, e)) = (t / spans.len(), spans[t % spans.len()]);
+        let n = e - s;
+        let blk = n * hd;
+        crate::workspace::with_task_buf(4 * blk + 2 * n * n, |ws| {
+            let (q, ws) = ws.split_at_mut(blk);
+            let (k, ws) = ws.split_at_mut(blk);
+            let (v, ws) = ws.split_at_mut(blk);
+            let (o, ws) = ws.split_at_mut(blk);
+            let (scores, attn) = ws.split_at_mut(n * n);
+            for r in 0..n {
+                let row = &qkv[(s + r) * width..(s + r + 1) * width];
+                let c = h * hd;
+                q[r * hd..(r + 1) * hd].copy_from_slice(&row[c..c + hd]);
+                k[r * hd..(r + 1) * hd].copy_from_slice(&row[dim + c..dim + c + hd]);
+                v[r * hd..(r + 1) * hd].copy_from_slice(&row[2 * dim + c..2 * dim + c + hd]);
+            }
+            attention_head_into(q, k, v, hd, scale, scores, attn, o);
+            for r in 0..n {
+                // SAFETY: row `s + r` lies in span `(s, e)` and columns
+                // `h*hd..(h+1)*hd` belong to head `h`; spans are disjoint
+                // (validated when the op was built), so no other task
+                // writes these elements, and no one reads `out` until every
+                // task has finished.
+                let dst = unsafe { blocks.slice((s + r) * dim + h * hd, hd) };
+                dst.copy_from_slice(&o[r * hd..(r + 1) * hd]);
+            }
+        });
+    });
 }
 
 /// Per-row scalar bias add of the conv-bias arm; matches the tape's serial
@@ -715,7 +744,8 @@ mod tests {
 
     #[test]
     fn attention_style_graph_matches_ndarray_reference() {
-        // q k^t -> scale -> softmax -> *v, with row slices as aliases.
+        // q k^t -> scale -> softmax -> *v as one block-attention step over a
+        // row-slice alias of the fused [q | k | v] input.
         let q = nd(
             &(0..12).map(|i| i as f32 * 0.3 - 1.0).collect::<Vec<_>>(),
             &[4, 3],
@@ -728,21 +758,15 @@ mod tests {
             &(0..12).map(|i| (i as f32).cos()).collect::<Vec<_>>(),
             &[4, 3],
         );
+        let qkv = NdArray::concat_cols(&[&q, &k, &v]).unwrap();
 
         let mut g = GraphBuilder::new();
-        let qi = g.input(&[4, 3]);
-        let ki = g.input(&[4, 3]);
-        let vi = g.input(&[4, 3]);
-        let qs = g.slice_rows(qi, 1, 3).unwrap();
-        let ks = g.slice_rows(ki, 1, 3).unwrap();
-        let vs = g.slice_rows(vi, 1, 3).unwrap();
-        let scores = g.matmul_transposed(qs, ks).unwrap();
-        let scaled = g.scale(scores, 0.57735);
-        let attn = g.softmax_rows(scaled).unwrap();
-        let out = g.matmul(attn, vs).unwrap();
+        let qkv_in = g.input(&[4, 9]);
+        let rows = g.slice_rows(qkv_in, 1, 3).unwrap();
+        let out = g.block_attention(rows, &[(0, 2)], 1, 0.57735).unwrap();
         g.mark_output(out);
         let plan = ExecPlan::compile(g).unwrap();
-        plan.execute(&[q.data(), k.data(), v.data()], &[]).unwrap();
+        plan.execute(&[qkv.data()], &[]).unwrap();
 
         let qs = q.slice_rows(1, 3).unwrap();
         let ks = k.slice_rows(1, 3).unwrap();

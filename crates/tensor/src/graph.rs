@@ -22,6 +22,12 @@
 //!   weight (training, snapshot restore into the same tensors) is picked up
 //!   without replanning because the plan stores the tensor, not a copy.
 //!
+//! Two graph ops are fused kernels rather than primitives:
+//! [`GraphBuilder::block_attention`] (the head core of an attention module,
+//! one plan step sharing its per-head kernel with the tape) and the int8
+//! linear step that the quantisation pass (see the `quant` module) splices
+//! in for each calibrated weight GEMM.
+//!
 //! The graph is consumed by `ExecPlan::compile` (see the `exec` module),
 //! which topologically orders it (creation order is already topological —
 //! operands must exist before the node that uses them), lays out buffer
@@ -32,23 +38,6 @@ use crate::quant::QuantizedWeights;
 use crate::{Tensor, TensorError};
 use std::collections::HashMap;
 use std::rc::Rc;
-
-/// Element type of a graph node's value.
-///
-/// The tape and almost every graph op are `f32`; the `I8`/`I32` types exist
-/// only on the short quantise → integer-matmul → dequantise chains the
-/// quantisation compile pass splices in (see the `quant` module). Non-`F32`
-/// nodes live in their own arenas, may not be aliased, and may not be marked
-/// as plan outputs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DType {
-    /// 32-bit float (the default for every public builder op).
-    F32,
-    /// Quantised 8-bit activations.
-    I8,
-    /// 32-bit integer GEMM accumulators.
-    I32,
-}
 
 /// Handle to a node in a [`GraphBuilder`] DAG.
 ///
@@ -74,8 +63,6 @@ pub(crate) enum Op {
     Param { slot: usize },
     /// `a x b` for `a: [m, k]`, `b: [k, n]`.
     MatMul { a: NodeId, b: NodeId },
-    /// `a x b^T` for `a: [m, k]`, `b: [p, k]` (attention scores).
-    MatMulT { a: NodeId, b: NodeId },
     /// Elementwise sum of same-shaped operands.
     Add { a: NodeId, b: NodeId },
     /// Row-broadcast sum: `a: [m, n]` plus `row: [n]`.
@@ -91,8 +78,6 @@ pub(crate) enum Op {
     Sigmoid { a: NodeId },
     /// Tanh-approximated GELU.
     Gelu { a: NodeId },
-    /// Row-wise softmax of an `[m, n]` operand.
-    SoftmaxRows { a: NodeId },
     /// Per-row layer normalisation with learnable scale/shift.
     LayerNorm {
         a: NodeId,
@@ -126,17 +111,26 @@ pub(crate) enum Op {
     },
     /// Row gather from `a: [m, n]` by a runtime index input.
     GatherRows { a: NodeId, indices: IndexSlot },
-    /// Symmetric quantisation of an `f32` matrix to `i8` under a fixed
-    /// (calibration-time) activation scale: `q = clamp(round(x / scale))`.
-    /// Produces a [`DType::I8`] node.
-    QuantizeSym { a: NodeId, inv_scale: f32 },
-    /// `i8 x i8 -> i32` matrix product of a quantised activation against a
-    /// pre-quantised, pre-transposed weight slot (see
-    /// [`GraphBuilder::add_qweight`]). Produces a [`DType::I32`] node.
-    MatMulI8 { a: NodeId, w: usize },
-    /// Dequantisation of an `i32` accumulator matrix back to `f32` with one
-    /// combined scale per output column (`act_scale * weight_scale[col]`).
-    DequantizeCols { a: NodeId, scales: Rc<Vec<f32>> },
+    /// Block-diagonal multi-head attention over a fused `[rows, 3*dim]`
+    /// QKV operand (columns `[q_0..q_H | k_0..k_H | v_0..v_H]`): per span
+    /// and head, `softmax(q k^T * scale) v`, heads side by side in a
+    /// `[rows, dim]` output.
+    BlockAttention {
+        qkv: NodeId,
+        spans: Vec<(usize, usize)>,
+        heads: usize,
+        scale: f32,
+    },
+    /// One calibrated int8 weight GEMM, `a: [m, k]` against `weights`
+    /// (`[k, n]`): quantise `a` under the static activation scale
+    /// (`inv_scale = 1/scale`), multiply the integer codes exactly, and
+    /// scale column `j` by `scales[j]`. Spliced in by the quantisation pass.
+    QuantLinear {
+        a: NodeId,
+        inv_scale: f32,
+        weights: Rc<QuantizedWeights>,
+        scales: Rc<Vec<f32>>,
+    },
 }
 
 /// A node: its operation plus its (build-time validated) output shape.
@@ -144,7 +138,6 @@ pub(crate) enum Op {
 pub(crate) struct Node {
     pub(crate) op: Op,
     pub(crate) shape: Vec<usize>,
-    pub(crate) dtype: DType,
 }
 
 impl Node {
@@ -170,8 +163,6 @@ pub struct GraphBuilder {
     pub(crate) input_shapes: Vec<Vec<usize>>,
     pub(crate) index_input_lens: Vec<usize>,
     pub(crate) outputs: Vec<NodeId>,
-    /// Pre-quantised weight blocks referenced by [`Op::MatMulI8`] nodes.
-    pub(crate) qweights: Vec<Rc<QuantizedWeights>>,
 }
 
 impl GraphBuilder {
@@ -195,19 +186,9 @@ impl GraphBuilder {
         &self.nodes[id.0].shape
     }
 
-    /// The element type of a node ([`DType::F32`] for everything except the
-    /// quantised chains).
-    pub fn dtype(&self, id: NodeId) -> DType {
-        self.nodes[id.0].dtype
-    }
-
-    fn push(&mut self, op: Op, shape: Vec<usize>) -> NodeId {
-        self.push_typed(op, shape, DType::F32)
-    }
-
-    pub(crate) fn push_typed(&mut self, op: Op, shape: Vec<usize>, dtype: DType) -> NodeId {
+    pub(crate) fn push(&mut self, op: Op, shape: Vec<usize>) -> NodeId {
         let id = NodeId(self.nodes.len());
-        self.nodes.push(Node { op, shape, dtype });
+        self.nodes.push(Node { op, shape });
         id
     }
 
@@ -311,25 +292,6 @@ impl GraphBuilder {
         Ok(self.push(Op::MatMul { a, b }, vec![m, n]))
     }
 
-    /// Matrix product against a transposed right operand, `a x b^T`; see
-    /// [`crate::NdArray::matmul_transposed`].
-    ///
-    /// # Errors
-    ///
-    /// Rank/shape errors exactly as the tape op raises them.
-    pub fn matmul_transposed(&mut self, a: NodeId, b: NodeId) -> Result<NodeId, TensorError> {
-        let (m, k) = self.require_matrix(a, "matmul_transposed")?;
-        let (p, k2) = self.require_matrix(b, "matmul_transposed")?;
-        if k != k2 {
-            return Err(TensorError::ShapeMismatch {
-                op: "matmul_transposed",
-                lhs: self.shape(a).to_vec(),
-                rhs: self.shape(b).to_vec(),
-            });
-        }
-        Ok(self.push(Op::MatMulT { a, b }, vec![m, p]))
-    }
-
     /// Matrix transpose of an `[m, n]` node.
     ///
     /// # Errors
@@ -421,18 +383,8 @@ impl GraphBuilder {
     }
 
     // ------------------------------------------------------------------
-    // Softmax / normalisation
+    // Normalisation
     // ------------------------------------------------------------------
-
-    /// Row-wise softmax of an `[m, n]` node.
-    ///
-    /// # Errors
-    ///
-    /// [`TensorError::RankMismatch`] for non-matrix operands.
-    pub fn softmax_rows(&mut self, a: NodeId) -> Result<NodeId, TensorError> {
-        let (m, n) = self.require_matrix(a, "softmax_rows")?;
-        Ok(self.push(Op::SoftmaxRows { a }, vec![m, n]))
-    }
 
     /// Per-row layer normalisation; `a: [m, n]`, `gamma`/`beta: [n]`.
     ///
@@ -677,113 +629,48 @@ impl GraphBuilder {
     }
 
     // ------------------------------------------------------------------
-    // Quantised chains
+    // Attention
     // ------------------------------------------------------------------
 
-    /// Registers a pre-quantised weight block for [`GraphBuilder::quant_matmul`]
-    /// and returns its slot index. Blocks are shared (`Rc`), so registering a
-    /// [`crate::quant::QuantSpec`] entry is cheap.
-    pub fn add_qweight(&mut self, w: Rc<QuantizedWeights>) -> usize {
-        self.qweights.push(w);
-        self.qweights.len() - 1
-    }
-
-    /// Symmetric quantisation of an `f32` matrix node to `i8` under a fixed
-    /// activation scale. The resulting node has [`DType::I8`].
+    /// Block-diagonal multi-head attention over a fused `[rows, 3*dim]` QKV
+    /// node: rows within each `(start, end)` span attend only to rows of
+    /// the same span, and head `h` reads its query, key and value columns
+    /// at `h*head_dim`, `dim + h*head_dim` and `2*dim + h*head_dim`. The
+    /// `[rows, dim]` result holds each head's `softmax(q k^T * scale) v` in
+    /// its own columns; the plan runs it as one step on the kernel the
+    /// tape's attention op calls.
     ///
     /// # Errors
     ///
-    /// [`TensorError::RankMismatch`] for non-matrix operands,
-    /// [`TensorError::InvalidArgument`] for a non-`F32` operand or a
-    /// non-finite/non-positive scale.
-    pub fn quantize_sym(&mut self, a: NodeId, scale: f32) -> Result<NodeId, TensorError> {
-        let (m, n) = self.require_matrix(a, "quantize_sym")?;
-        if self.dtype(a) != DType::F32 {
-            return Err(TensorError::InvalidArgument {
-                op: "quantize_sym",
-                message: "operand must be f32".to_string(),
-            });
-        }
-        if !(scale.is_finite() && scale > 0.0) {
-            return Err(TensorError::InvalidArgument {
-                op: "quantize_sym",
-                message: format!("scale must be finite and positive, got {scale}"),
-            });
-        }
-        Ok(self.push_typed(
-            Op::QuantizeSym {
-                a,
-                inv_scale: 1.0 / scale,
-            },
-            vec![m, n],
-            DType::I8,
-        ))
-    }
-
-    /// `i8 x i8 -> i32` matrix product of a quantised `[m, k]` activation
-    /// against weight slot `w` (shape `[k, out_features]` logically; stored
-    /// transposed). The resulting node has [`DType::I32`].
-    ///
-    /// # Errors
-    ///
-    /// [`TensorError::InvalidArgument`] for a non-`I8` operand or an unknown
-    /// weight slot, [`TensorError::ShapeMismatch`] if the reduction
-    /// dimensions disagree.
-    pub fn quant_matmul(&mut self, a: NodeId, w: usize) -> Result<NodeId, TensorError> {
-        let (m, k) = self.require_matrix(a, "quant_matmul")?;
-        if self.dtype(a) != DType::I8 {
-            return Err(TensorError::InvalidArgument {
-                op: "quant_matmul",
-                message: "operand must be i8 (quantize_sym it first)".to_string(),
-            });
-        }
-        let qw = self
-            .qweights
-            .get(w)
-            .ok_or_else(|| TensorError::InvalidArgument {
-                op: "quant_matmul",
-                message: format!("unknown weight slot {w}"),
-            })?;
-        if qw.in_features() != k {
-            return Err(TensorError::ShapeMismatch {
-                op: "quant_matmul",
-                lhs: vec![m, k],
-                rhs: vec![qw.in_features(), qw.out_features()],
-            });
-        }
-        let n = qw.out_features();
-        Ok(self.push_typed(Op::MatMulI8 { a, w }, vec![m, n], DType::I32))
-    }
-
-    /// Dequantises an `i32` accumulator matrix back to `f32`, multiplying
-    /// column `j` by `scales[j]` (the combined activation × per-channel
-    /// weight scale).
-    ///
-    /// # Errors
-    ///
-    /// [`TensorError::InvalidArgument`] for a non-`I32` operand,
-    /// [`TensorError::ShapeMismatch`] if `scales` does not match the column
-    /// count.
-    pub fn dequantize_cols(
+    /// [`TensorError::RankMismatch`] for a non-matrix operand,
+    /// [`TensorError::InvalidArgument`] if the width is not `3 * heads *
+    /// head_dim` for some positive `head_dim`, or if `spans` is not an
+    /// in-order, gap-free cover of the rows by non-empty spans (see
+    /// [`crate::validate_spans`]).
+    pub fn block_attention(
         &mut self,
-        a: NodeId,
-        scales: Rc<Vec<f32>>,
+        qkv: NodeId,
+        spans: &[(usize, usize)],
+        heads: usize,
+        scale: f32,
     ) -> Result<NodeId, TensorError> {
-        let (m, n) = self.require_matrix(a, "dequantize_cols")?;
-        if self.dtype(a) != DType::I32 {
+        let (rows, width) = self.require_matrix(qkv, "block_attention")?;
+        if heads == 0 || width == 0 || !width.is_multiple_of(3 * heads) {
             return Err(TensorError::InvalidArgument {
-                op: "dequantize_cols",
-                message: "operand must be i32 (a quant_matmul accumulator)".to_string(),
+                op: "block_attention",
+                message: format!("width {width} is not 3 x {heads} heads x head_dim"),
             });
         }
-        if scales.len() != n {
-            return Err(TensorError::ShapeMismatch {
-                op: "dequantize_cols",
-                lhs: vec![m, n],
-                rhs: vec![scales.len()],
-            });
-        }
-        Ok(self.push_typed(Op::DequantizeCols { a, scales }, vec![m, n], DType::F32))
+        crate::validate_spans(spans, rows, "block_attention")?;
+        Ok(self.push(
+            Op::BlockAttention {
+                qkv,
+                spans: spans.to_vec(),
+                heads,
+                scale,
+            },
+            vec![rows, width / 3],
+        ))
     }
 
     // ------------------------------------------------------------------

@@ -72,7 +72,7 @@ pub mod quant;
 mod scratch;
 mod workspace;
 
-pub use array::NdArray;
+pub use array::{validate_spans, NdArray};
 pub use autograd::Tensor;
 pub use error::TensorError;
 pub use exec::{
@@ -80,7 +80,7 @@ pub use exec::{
     MAX_CACHED_PLANS,
 };
 pub use gradcheck::{check_gradients, GradCheckReport};
-pub use graph::{DType, GraphBuilder, IndexSlot, NodeId};
+pub use graph::{GraphBuilder, IndexSlot, NodeId};
 pub use quant::{CalTap, QuantCalibration, QuantEntry, QuantSpec, QuantizedWeights};
 
 /// Slice-level kernel entry points shared by the tape ops and the planned
@@ -94,9 +94,10 @@ pub use quant::{CalTap, QuantCalibration, QuantEntry, QuantSpec, QuantizedWeight
 /// bit-identical results at any thread count.
 pub mod kernels {
     pub use crate::array::{
-        add_row_assign, gather_rows_into, gelu_into, matmul_into, softmax_rows_into,
+        add_row_assign, attention_head_into, gather_rows_into, gelu_into, matmul_into,
+        softmax_rows_into,
     };
-    pub use bliss_parallel::math::{exp_f32, tanh_f32};
+    pub use bliss_parallel::math::{exp_f32, exp_f32_in_place, tanh_f32};
 }
 pub use scratch::{
     pool_stats, recycle_buffer, shelf_stats, take_buffer, IndexVec, PoolStats, Pooled,

@@ -14,8 +14,9 @@
 //!   to the end of the plan so results survive execution.
 //! * **Arena layout.** Buffers are placed by a best-fit free-list allocator
 //!   with coalescing over one flat `f32` arena; a freed interval is
-//!   immediately reusable by later nodes. The resulting `arena_len` is the
-//!   plan's entire per-execution working set.
+//!   immediately reusable by later nodes, and a request no hole fits grows
+//!   the arena from the free interval at its end, if there is one. The
+//!   resulting `arena_len` is the plan's entire per-execution working set.
 //! * **In-place elementwise steps.** Every elementwise step (`Add`,
 //!   `AddRow`, `AddColBias`, `Scale`, `Relu`, `Sigmoid`, `Gelu`) runs in
 //!   place on its output interval, with one executor arm per op. When the
@@ -25,6 +26,10 @@
 //!   copy source (`init`), which the executor copies in before the arm
 //!   runs. Both placements compute each element with the same
 //!   expression, so they return the same bits.
+//! * **Fused steps.** `BlockAttention` and the int8 `QuantLinear` each run
+//!   as one step that reads plain `f32` operands and writes a fresh output
+//!   interval; their per-task scratch lives in per-thread workspaces, not
+//!   in the arena, so cached plans do not retain it.
 //!
 //! The planner asserts, at build time, that every emitted step's read
 //! operands — the copy source included — are disjoint from its output
@@ -33,7 +38,8 @@
 //! derivation leans on exactly this invariant.
 #![warn(missing_docs)]
 
-use crate::graph::{DType, GraphBuilder, Op};
+use crate::graph::{GraphBuilder, Op};
+use crate::quant::QuantizedWeights;
 use crate::TensorError;
 use std::rc::Rc;
 
@@ -68,12 +74,6 @@ pub(crate) enum StepOp {
         k: usize,
         n: usize,
     },
-    MatMulT {
-        a: Operand,
-        b: Operand,
-        k: usize,
-        p: usize,
-    },
     Add {
         init: Option<Operand>,
         b: Operand,
@@ -99,10 +99,6 @@ pub(crate) enum StepOp {
     },
     Gelu {
         init: Option<Operand>,
-    },
-    SoftmaxRows {
-        a: Operand,
-        cols: usize,
     },
     LayerNorm {
         a: Operand,
@@ -149,24 +145,21 @@ pub(crate) enum StepOp {
         cols: usize,
         slot: usize,
     },
-    /// f32 arena/input → i8 arena; cross-arena, so never in place and never
-    /// part of the disjointness proof (distinct arenas cannot alias).
-    QuantizeSym {
+    /// One task per (span, head), each writing its head's columns of the
+    /// span's output rows.
+    BlockAttention {
+        qkv: Operand,
+        dim: usize,
+        spans: Vec<(usize, usize)>,
+        heads: usize,
+        scale: f32,
+    },
+    /// Quantise, exact integer GEMM on the f32 kernel, dequantise.
+    QuantLinear {
         a: Operand,
         inv_scale: f32,
-    },
-    /// i8 arena → i32 arena against pre-quantised weight slot `w`.
-    MatMulI8 {
-        a: Operand,
-        w: usize,
-        k: usize,
-        p: usize,
-    },
-    /// i32 arena → f32 arena with per-column combined scales.
-    DequantizeCols {
-        a: Operand,
+        weights: Rc<QuantizedWeights>,
         scales: Rc<Vec<f32>>,
-        cols: usize,
     },
 }
 
@@ -194,11 +187,6 @@ pub(crate) struct PlanOutput {
 pub(crate) struct Plan {
     pub(crate) steps: Vec<Step>,
     pub(crate) arena_len: usize,
-    /// Working set of the quantised `i8` activation arena (0 for pure-f32
-    /// plans).
-    pub(crate) arena_i8_len: usize,
-    /// Working set of the `i32` accumulator arena (0 for pure-f32 plans).
-    pub(crate) arena_i32_len: usize,
     pub(crate) input_shapes: Vec<Vec<usize>>,
     pub(crate) index_input_lens: Vec<usize>,
     pub(crate) param_lens: Vec<usize>,
@@ -254,8 +242,16 @@ impl ArenaAlloc {
             }
             return off;
         }
-        let off = self.high;
-        self.high += len;
+        // No hole fits: grow the arena, starting inside a free interval
+        // that reaches its end rather than past it.
+        let off = match self.free.last() {
+            Some(&(off, flen)) if off + flen == self.high => {
+                self.free.pop();
+                off
+            }
+            _ => self.high,
+        };
+        self.high = off + len;
         off
     }
 
@@ -291,51 +287,9 @@ fn assert_disjoint(out_off: usize, out_len: usize, o: &Operand) {
     }
 }
 
-/// The dtype-homogeneous arenas a plan lays buffers into.
-const ARENA_F32: usize = 0;
-const ARENA_I8: usize = 1;
-const ARENA_I32: usize = 2;
-
-fn arena_ix(dt: DType) -> usize {
-    match dt {
-        DType::F32 => ARENA_F32,
-        DType::I8 => ARENA_I8,
-        DType::I32 => ARENA_I32,
-    }
-}
-
 /// Compiles a finished graph into an executable [`Plan`].
 pub(crate) fn plan_graph(b: &GraphBuilder) -> Result<Plan, TensorError> {
     let n = b.nodes.len();
-
-    // Pass 0: dtype discipline. Quantised ops consume exactly the dtype the
-    // builder produced for their operand; every classic op (including the
-    // alias ops — non-f32 buffers may not be aliased) is f32-only. Graphs
-    // built through `GraphBuilder`'s methods cannot fail this; hand-spliced
-    // graphs (the quantisation rewrite) are re-checked here.
-    for node in &b.nodes {
-        let mut ok = true;
-        match &node.op {
-            Op::QuantizeSym { a, .. } => ok = b.nodes[a.0].dtype == DType::F32,
-            Op::MatMulI8 { a, .. } => ok = b.nodes[a.0].dtype == DType::I8,
-            Op::DequantizeCols { a, .. } => ok = b.nodes[a.0].dtype == DType::I32,
-            op => op.for_each_operand(|i| ok &= b.nodes[i].dtype == DType::F32),
-        }
-        if !ok {
-            return Err(TensorError::InvalidArgument {
-                op: "plan_graph",
-                message: "operand dtype does not match the op's contract".to_string(),
-            });
-        }
-    }
-    for &out in &b.outputs {
-        if b.nodes[out.0].dtype != DType::F32 {
-            return Err(TensorError::InvalidArgument {
-                op: "plan_graph",
-                message: "graph outputs must be f32 (dequantize before marking)".to_string(),
-            });
-        }
-    }
 
     // Pass 1: alias resolution. Creation order guarantees operands resolve
     // before their consumers.
@@ -403,17 +357,9 @@ pub(crate) fn plan_graph(b: &GraphBuilder) -> Result<Plan, TensorError> {
         outputs_meta.push(out);
     }
 
-    // Pass 3: allocation sweep in execution order. One allocator per dtype
-    // arena; a node's buffer lives in its dtype's arena, so cross-dtype
-    // steps (the quantised chain) read and write disjoint storage by
-    // construction.
-    let mut allocs = [
-        ArenaAlloc::default(),
-        ArenaAlloc::default(),
-        ArenaAlloc::default(),
-    ];
-    // Arena offset of each computed root's buffer (usize::MAX = not placed),
-    // relative to its dtype's arena.
+    // Pass 3: allocation sweep in execution order.
+    let mut alloc = ArenaAlloc::default();
+    // Arena offset of each computed root's buffer (usize::MAX = not placed).
     let mut arena_off = vec![usize::MAX; n];
     let mut steps = Vec::new();
 
@@ -465,16 +411,6 @@ pub(crate) fn plan_graph(b: &GraphBuilder) -> Result<Plan, TensorError> {
                     n: nn,
                 })
             }
-            Op::MatMulT { a, b: rhs } => {
-                let k = b.nodes[a.0].shape[1];
-                let p = b.nodes[rhs.0].shape[0];
-                Some(StepOp::MatMulT {
-                    a: operand_of(&res, &arena_off, a.0),
-                    b: operand_of(&res, &arena_off, rhs.0),
-                    k,
-                    p,
-                })
-            }
             Op::Add { a, b: rhs } => Some(StepOp::Add {
                 init: init_from(a.0),
                 b: operand_of(&res, &arena_off, rhs.0),
@@ -500,12 +436,6 @@ pub(crate) fn plan_graph(b: &GraphBuilder) -> Result<Plan, TensorError> {
             }),
             Op::Gelu { a } => Some(StepOp::Gelu {
                 init: init_from(a.0),
-            }),
-            // Softmax reads its source row while writing the output row, so
-            // it is never executed in place.
-            Op::SoftmaxRows { a } => Some(StepOp::SoftmaxRows {
-                a: operand_of(&res, &arena_off, a.0),
-                cols: node.shape[1],
             }),
             Op::LayerNorm {
                 a,
@@ -571,21 +501,28 @@ pub(crate) fn plan_graph(b: &GraphBuilder) -> Result<Plan, TensorError> {
                 cols: node.shape[1],
                 slot: indices.0,
             }),
-            // Quantised chain: cross-arena, never in place.
-            Op::QuantizeSym { a, inv_scale } => Some(StepOp::QuantizeSym {
+            Op::BlockAttention {
+                qkv,
+                spans,
+                heads,
+                scale,
+            } => Some(StepOp::BlockAttention {
+                qkv: operand_of(&res, &arena_off, qkv.0),
+                dim: node.shape[1],
+                spans: spans.clone(),
+                heads: *heads,
+                scale: *scale,
+            }),
+            Op::QuantLinear {
+                a,
+                inv_scale,
+                weights,
+                scales,
+            } => Some(StepOp::QuantLinear {
                 a: operand_of(&res, &arena_off, a.0),
                 inv_scale: *inv_scale,
-            }),
-            Op::MatMulI8 { a, w } => Some(StepOp::MatMulI8 {
-                a: operand_of(&res, &arena_off, a.0),
-                w: *w,
-                k: b.nodes[a.0].shape[1],
-                p: node.shape[1],
-            }),
-            Op::DequantizeCols { a, scales } => Some(StepOp::DequantizeCols {
-                a: operand_of(&res, &arena_off, a.0),
+                weights: Rc::clone(weights),
                 scales: Rc::clone(scales),
-                cols: node.shape[1],
             }),
         };
 
@@ -601,7 +538,7 @@ pub(crate) fn plan_graph(b: &GraphBuilder) -> Result<Plan, TensorError> {
                 uses[root] = 0;
                 arena_off[root]
             }
-            None => allocs[arena_ix(node.dtype)].alloc(out_len),
+            None => alloc.alloc(out_len),
         };
         arena_off[idx] = out_off;
 
@@ -623,7 +560,7 @@ pub(crate) fn plan_graph(b: &GraphBuilder) -> Result<Plan, TensorError> {
                 }
                 uses[r] -= 1;
                 if uses[r] == 0 && !pinned[r] {
-                    allocs[arena_ix(b.nodes[r].dtype)].free(arena_off[r], res[r].len);
+                    alloc.free(arena_off[r], res[r].len);
                 }
             }
         });
@@ -648,9 +585,7 @@ pub(crate) fn plan_graph(b: &GraphBuilder) -> Result<Plan, TensorError> {
     bliss_telemetry::metrics::PLANS_COMPILED.add(1);
     Ok(Plan {
         steps,
-        arena_len: allocs[ARENA_F32].high,
-        arena_i8_len: allocs[ARENA_I8].high,
-        arena_i32_len: allocs[ARENA_I32].high,
+        arena_len: alloc.high,
         input_shapes: b.input_shapes.clone(),
         index_input_lens: b.index_input_lens.clone(),
         param_lens: b.params.iter().map(|p| p.value().data().len()).collect(),
@@ -663,7 +598,7 @@ impl Op {
     pub(crate) fn for_each_operand(&self, mut f: impl FnMut(usize)) {
         match self {
             Op::Input { .. } | Op::Param { .. } => {}
-            Op::MatMul { a, b } | Op::MatMulT { a, b } | Op::Add { a, b } => {
+            Op::MatMul { a, b } | Op::Add { a, b } => {
                 f(a.0);
                 f(b.0);
             }
@@ -679,16 +614,14 @@ impl Op {
             | Op::Relu { a }
             | Op::Sigmoid { a }
             | Op::Gelu { a }
-            | Op::SoftmaxRows { a }
             | Op::Transpose { a }
             | Op::Reshape { a }
             | Op::SliceRows { a, .. }
             | Op::SliceCols { a, .. }
             | Op::Im2Col { a, .. }
             | Op::GatherRows { a, .. }
-            | Op::QuantizeSym { a, .. }
-            | Op::MatMulI8 { a, .. }
-            | Op::DequantizeCols { a, .. } => f(a.0),
+            | Op::BlockAttention { qkv: a, .. }
+            | Op::QuantLinear { a, .. } => f(a.0),
             Op::LayerNorm { a, gamma, beta, .. } => {
                 f(a.0);
                 f(gamma.0);
@@ -727,28 +660,23 @@ impl StepOp {
             f(init);
         }
         match self {
-            StepOp::MatMul { a, b, .. } | StepOp::MatMulT { a, b, .. } => {
+            StepOp::MatMul { a, b, .. } => {
                 f(a);
                 f(b);
             }
             StepOp::Add { b: o, .. }
             | StepOp::AddRow { row: o, .. }
             | StepOp::AddColBias { bias: o, .. } => f(o),
-            StepOp::SoftmaxRows { a, .. }
-            | StepOp::Transpose { a, .. }
+            StepOp::Transpose { a, .. }
             | StepOp::SliceCols { a, .. }
             | StepOp::Im2Col { a, .. }
-            | StepOp::GatherRows { a, .. } => f(a),
+            | StepOp::GatherRows { a, .. }
+            | StepOp::BlockAttention { qkv: a, .. }
+            | StepOp::QuantLinear { a, .. } => f(a),
             StepOp::Scale { .. }
             | StepOp::Relu { .. }
             | StepOp::Sigmoid { .. }
             | StepOp::Gelu { .. } => {}
-            // Quantised steps read and write *different* arenas; their
-            // offsets are not comparable with the output interval, so the
-            // disjointness proof skips them (disjoint by construction).
-            StepOp::QuantizeSym { .. }
-            | StepOp::MatMulI8 { .. }
-            | StepOp::DequantizeCols { .. } => {}
             StepOp::LayerNorm { a, gamma, beta, .. } => {
                 f(a);
                 f(gamma);
@@ -784,6 +712,18 @@ mod tests {
         // A 10-element request must take the 10-hole, not carve the 100-hole.
         assert_eq!(a.alloc(10), small);
         assert_eq!(a.alloc(100), big);
+    }
+
+    #[test]
+    fn growth_starts_in_the_trailing_hole() {
+        let mut a = ArenaAlloc::default();
+        let x = a.alloc(10);
+        let y = a.alloc(30);
+        a.free(y, 30);
+        // 40 fits no hole; it starts where the trailing hole does.
+        assert_eq!(a.alloc(40), y);
+        assert_eq!(a.high, x + 50);
+        assert!(a.free.is_empty());
     }
 
     #[test]

@@ -16,26 +16,41 @@
 //! 3. **Graph rewrite** ([`quantize_graph`], exposed through
 //!    `ExecPlan::compile_quantized`): every matmul whose right operand is a
 //!    parameter (or a column-concatenation of parameters, the fused-QKV
-//!    layout) and whose site is in the spec is replaced by
-//!    `quantize_sym → quant_matmul → dequantize_cols`; the now-dead f32
-//!    weight nodes are pruned by a liveness pass so the planner never
-//!    materialises them.
+//!    layout) and whose site is in the spec is replaced by one int8 linear
+//!    step; the now-dead f32 weight nodes are pruned by a liveness pass so
+//!    the planner never materialises them.
+//!
+//! # The int8 linear step
+//!
+//! The step quantises each row block of its activation into a per-thread
+//! buffer of integer-valued `f32` codes, multiplies them by the weight codes
+//! on the register-blocked `f32` GEMM kernel, and scales column `j` of the
+//! product by `act_scale * weight_scale[j]`. The `f32` GEMM is an exact
+//! integer GEMM here: codes lie in `[-127, 127]`, so every product is an
+//! integer of magnitude at most `127^2 = 16129`, and every partial sum of
+//! `k <= MAX_EXACT_K = 1040` of them stays below `2^24`, where every
+//! integer is an `f32`. Each multiply and add is therefore exact, in any
+//! order, and the product equals the `i32` accumulator of
+//! `quantize_sym_into → bliss_parallel::matmul_i8t_into`; `acc as f32 *
+//! scale` then gives the same bits. [`quantize_graph`] rejects a site with
+//! a longer reduction. The largest `k` in the paper-scale ViT is 768 (the
+//! MLP's down projection, `4 * 192`).
 //!
 //! Only weight GEMMs quantise. Attention score/value products (activation ×
 //! activation), softmax, layer norm and GELU stay f32 — that is the standard
 //! post-training-quantisation split and keeps the error budget in the parts
 //! the differential harness can actually bound.
 //!
-//! Determinism: quantisation, the integer GEMM and dequantisation are exact
-//! or scalar-sequenced, so a quantised plan is bit-identical across thread
-//! counts (see `bliss_parallel::matmul_i8t_into`) and across
-//! snapshot/restore as long as the spec is re-derived from the same weights
+//! Determinism: quantisation and dequantisation are elementwise and the
+//! GEMM is exact, so a quantised plan is bit-identical across thread counts
+//! (whatever the row blocking) and across snapshot/restore as long as the spec is re-derived from the same weights
 //! and calibration stream — which is exactly how the serving layer uses it.
 #![warn(missing_docs)]
 
 use crate::exec::ExecPlan;
 use crate::graph::{GraphBuilder, NodeId, Op};
 use crate::TensorError;
+use bliss_parallel::math::round_non_negative;
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -63,8 +78,8 @@ pub fn quantize_one(x: f32, inv_scale: f32) -> i8 {
 }
 
 /// Symmetric quantisation of a slice under a fixed scale (as `inv_scale =
-/// 1/scale`). Scalar and sequential — the op is memory-bound and keeping it
-/// serial makes bit-identity trivial.
+/// 1/scale`) — the reference the int8 linear step's quantiser is pinned
+/// against.
 pub fn quantize_sym_into(src: &[f32], inv_scale: f32, out: &mut [i8]) {
     assert_eq!(src.len(), out.len(), "quantize_sym_into length mismatch");
     for (o, &x) in out.iter_mut().zip(src) {
@@ -72,12 +87,75 @@ pub fn quantize_sym_into(src: &[f32], inv_scale: f32, out: &mut [i8]) {
     }
 }
 
-/// A weight matrix quantised per output channel and stored transposed
-/// (`[out_features, in_features]` row-major) so the integer GEMM streams
-/// both operands contiguously.
+/// [`quantize_one`] as an integer-valued `f32`, branch-free so a loop over
+/// it vectorises: a signed round half away from zero,
+/// `copysign(trunc(|y| + pred(0.5)), y)` with `y = x * inv_scale`, then the
+/// clamp to `±127`. NaN codes to 0, as the `i8` cast saturates it, ±inf to
+/// ±127, and `-0.0` to `+0.0`, so the code is `quantize_one(x, inv_scale)
+/// as f32` on every input.
+#[inline(always)]
+pub(crate) fn quantize_code(x: f32, inv_scale: f32) -> f32 {
+    let y = x * inv_scale;
+    let q = round_non_negative(y.abs()).copysign(y).clamp(-QMAX, QMAX);
+    // `+ 0.0` turns a -0 code into +0, the value of `0i8 as f32`.
+    if q.is_nan() {
+        0.0
+    } else {
+        q + 0.0
+    }
+}
+
+/// Largest reduction length for which the int8 linear step's `f32` GEMM is
+/// exact: `1040 * 127^2 < 2^24` (see the module docs).
+pub const MAX_EXACT_K: usize = 1040;
+
+/// The int8 linear step: `out = dequant(quant(a) x codes)` for `a: [m, k]`,
+/// `out: [m, n]`, with `scales[j] = act_scale * weight_scale[j]`.
+///
+/// Row blocks run on the pool in the `f32` GEMM's 32-row blocks (the result
+/// does not depend on the split: the GEMM is exact). An even split measured
+/// slower: it puts a parked worker's wake-up on the critical path, where
+/// the 32-row blocks leave the submitting thread the larger share. Each
+/// block quantises its rows with [`quantize_code`] into the thread's task
+/// workspace, runs the `f32` micro-kernel against the weight codes and
+/// scales the columns.
+pub(crate) fn quant_linear_into(
+    a: &[f32],
+    inv_scale: f32,
+    w: &QuantizedWeights,
+    scales: &[f32],
+    out: &mut [f32],
+) {
+    let (k, n) = (w.in_features, w.out_features);
+    if out.is_empty() {
+        return;
+    }
+    let block_rows = crate::array::MATMUL_ROW_BLOCK;
+    bliss_parallel::par_chunks(out, block_rows * n, k.max(1), |b, out_block| {
+        let rows = out_block.len() / n;
+        let src = &a[b * block_rows * k..][..rows * k];
+        crate::workspace::with_task_buf(rows * k, |codes| {
+            for (c, &x) in codes.iter_mut().zip(src) {
+                *c = quantize_code(x, inv_scale);
+            }
+            // Dense kernel: zero codes add exact zeros either way.
+            crate::array::matmul_block(codes, &w.codes, k, n, 0, out_block, false);
+        });
+        for row in out_block.chunks_exact_mut(n) {
+            for (o, &s) in row.iter_mut().zip(scales) {
+                *o *= s;
+            }
+        }
+    });
+}
+
+/// A weight matrix quantised per output channel, its integer codes held as
+/// `f32` in the `[in_features, out_features]` row-major layout of the
+/// `matmul` right operand, so the int8 linear step runs them on the `f32`
+/// micro-kernel. Every plan compiled from one spec shares one copy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedWeights {
-    data: Vec<i8>,
+    codes: Vec<f32>,
     in_features: usize,
     out_features: usize,
     scales: Vec<f32>,
@@ -99,9 +177,9 @@ impl QuantizedWeights {
     /// Panics if any block's data length is not `k * n_i`.
     pub fn from_col_blocks(k: usize, blocks: &[(&[f32], usize)]) -> Self {
         let out_features: usize = blocks.iter().map(|&(_, n)| n).sum();
-        let mut data = vec![0i8; out_features * k];
+        let mut codes = vec![0f32; k * out_features];
         let mut scales = Vec::with_capacity(out_features);
-        let mut row = 0;
+        let mut col = 0;
         for &(w, n) in blocks {
             assert_eq!(w.len(), k * n, "weight block length must be k * n");
             for oc in 0..n {
@@ -112,25 +190,24 @@ impl QuantizedWeights {
                 let scale = symmetric_scale(absmax);
                 let inv = 1.0 / scale;
                 for i in 0..k {
-                    data[row * k + i] = quantize_one(w[i * n + oc], inv);
+                    codes[i * out_features + col] = f32::from(quantize_one(w[i * n + oc], inv));
                 }
                 scales.push(scale);
-                row += 1;
+                col += 1;
             }
         }
         Self {
-            data,
+            codes,
             in_features: k,
             out_features,
             scales,
         }
     }
 
-    /// The quantised weights, transposed row-major
-    /// (`[out_features, in_features]`) — the `bt` operand of
-    /// `bliss_parallel::matmul_i8t_into`.
-    pub fn data(&self) -> &[i8] {
-        &self.data
+    /// The integer codes in `[-127, 127]` as `f32`, row-major
+    /// `[in_features, out_features]`.
+    pub fn codes(&self) -> &[f32] {
+        &self.codes
     }
 
     /// Reduction dimension (`k`).
@@ -156,7 +233,7 @@ impl QuantizedWeights {
         for oc in 0..n {
             let s = self.scales[oc];
             for i in 0..k {
-                out[i * n + oc] = self.data[oc * k + i] as f32 * s;
+                out[i * n + oc] = self.codes[i * n + oc] * s;
             }
         }
         out
@@ -439,7 +516,6 @@ fn remap_op(op: &Op, map: &[Option<NodeId>]) -> Op {
         Op::Input { slot } => Op::Input { slot: *slot },
         Op::Param { slot } => Op::Param { slot: *slot },
         Op::MatMul { a, b } => Op::MatMul { a: m(*a), b: m(*b) },
-        Op::MatMulT { a, b } => Op::MatMulT { a: m(*a), b: m(*b) },
         Op::Add { a, b } => Op::Add { a: m(*a), b: m(*b) },
         Op::AddRow { a, row } => Op::AddRow {
             a: m(*a),
@@ -456,7 +532,6 @@ fn remap_op(op: &Op, map: &[Option<NodeId>]) -> Op {
         Op::Relu { a } => Op::Relu { a: m(*a) },
         Op::Sigmoid { a } => Op::Sigmoid { a: m(*a) },
         Op::Gelu { a } => Op::Gelu { a: m(*a) },
-        Op::SoftmaxRows { a } => Op::SoftmaxRows { a: m(*a) },
         Op::LayerNorm {
             a,
             gamma,
@@ -505,28 +580,42 @@ fn remap_op(op: &Op, map: &[Option<NodeId>]) -> Op {
             a: m(*a),
             indices: *indices,
         },
-        Op::QuantizeSym { a, inv_scale } => Op::QuantizeSym {
+        Op::BlockAttention {
+            qkv,
+            spans,
+            heads,
+            scale,
+        } => Op::BlockAttention {
+            qkv: m(*qkv),
+            spans: spans.clone(),
+            heads: *heads,
+            scale: *scale,
+        },
+        Op::QuantLinear {
+            a,
+            inv_scale,
+            weights,
+            scales,
+        } => Op::QuantLinear {
             a: m(*a),
             inv_scale: *inv_scale,
-        },
-        Op::MatMulI8 { a, w } => Op::MatMulI8 { a: m(*a), w: *w },
-        Op::DequantizeCols { a, scales } => Op::DequantizeCols {
-            a: m(*a),
+            weights: Rc::clone(weights),
             scales: Rc::clone(scales),
         },
     }
 }
 
 /// Rewrites a graph under a [`QuantSpec`]: every calibrated weight-GEMM is
-/// replaced by a `quantize_sym → quant_matmul → dequantize_cols` chain and
-/// the dead f32 weight nodes are pruned so the planner never lays them out.
+/// replaced by one int8 linear step (see the module docs) and the dead f32
+/// weight nodes are pruned so the planner never lays them out.
 /// Input/index slots, parameter slots and output order are preserved, so a
 /// rewritten plan executes on exactly the same bound data as the original.
 ///
 /// # Errors
 ///
-/// Shape/validity errors from the quantised builder ops (a spec built by
-/// [`QuantCalibration::finish`] against the same graph cannot trigger them).
+/// [`TensorError::InvalidArgument`] for a calibrated site whose reduction
+/// length exceeds [`MAX_EXACT_K`], where the `f32` GEMM would stop being
+/// exact.
 pub fn quantize_graph(g: &GraphBuilder, spec: &QuantSpec) -> Result<GraphBuilder, TensorError> {
     // Sites that will actually be rewritten (calibrated + shape-consistent).
     let mut rewrites: HashMap<usize, &QuantEntry> = HashMap::new();
@@ -534,6 +623,14 @@ pub fn quantize_graph(g: &GraphBuilder, spec: &QuantSpec) -> Result<GraphBuilder
         if let Some(entry) = spec.get(site.key) {
             let k = g.nodes[site.a.0].shape[1];
             if entry.weights.in_features() == k {
+                if k > MAX_EXACT_K {
+                    return Err(TensorError::InvalidArgument {
+                        op: "quantize_graph",
+                        message: format!(
+                            "int8 site with k = {k} > {MAX_EXACT_K}: its f32 GEMM would not be exact"
+                        ),
+                    });
+                }
                 rewrites.insert(site.matmul, entry);
             }
         }
@@ -560,7 +657,7 @@ pub fn quantize_graph(g: &GraphBuilder, spec: &QuantSpec) -> Result<GraphBuilder
         }
     }
 
-    // Rebuild: copy live nodes in order, splicing quantised chains in place
+    // Rebuild: copy live nodes in order, splicing int8 linear steps in place
     // of rewritten matmuls.
     let mut ng = GraphBuilder::new();
     ng.params = g.params.clone();
@@ -576,16 +673,16 @@ pub fn quantize_graph(g: &GraphBuilder, spec: &QuantSpec) -> Result<GraphBuilder
             let Op::MatMul { a, .. } = g.nodes[idx].op else {
                 unreachable!("rewrites only hold matmuls");
             };
-            let a_new = map[a.0].expect("matmul activation must be live");
-            let qx = ng.quantize_sym(a_new, entry.act_scale)?;
-            let w = ng.add_qweight(Rc::clone(&entry.weights));
-            let acc = ng.quant_matmul(qx, w)?;
-            let dq = ng.dequantize_cols(acc, Rc::clone(&entry.dequant_scales))?;
-            map[idx] = Some(dq);
+            let op = Op::QuantLinear {
+                a: map[a.0].expect("matmul activation must be live"),
+                inv_scale: 1.0 / entry.act_scale,
+                weights: Rc::clone(&entry.weights),
+                scales: Rc::clone(&entry.dequant_scales),
+            };
+            map[idx] = Some(ng.push(op, g.nodes[idx].shape.clone()));
         } else {
             let node = &g.nodes[idx];
-            map[idx] =
-                Some(ng.push_typed(remap_op(&node.op, &map), node.shape.clone(), node.dtype));
+            map[idx] = Some(ng.push(remap_op(&node.op, &map), node.shape.clone()));
         }
     }
     ng.outputs = g
@@ -635,7 +732,7 @@ mod tests {
         let q = QuantizedWeights::from_cols(&w, 3, 2);
         assert_eq!(q.scales()[1], 1.0);
         for i in 0..3 {
-            assert_eq!(q.data()[q.in_features() + i], 0);
+            assert_eq!(q.codes()[i * 2 + 1], 0.0);
         }
         assert_eq!(quantize_one(0.0, 123.0), 0);
     }
@@ -714,6 +811,166 @@ mod tests {
     }
 
     #[test]
+    fn quantize_code_is_quantize_one_on_every_edge() {
+        let mut xs = vec![
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            f32::MAX,
+            f32::MIN,
+            1e30,
+            -1e30,
+        ];
+        // Exact halves after scaling by 16, both signs, saturating ones too.
+        for j in -140..140 {
+            let half = (j as f32 + 0.5) / 16.0;
+            xs.extend([
+                half,
+                f32::from_bits(half.to_bits() + 1),
+                f32::from_bits(half.to_bits() - 1),
+            ]);
+        }
+        for inv_scale in [16.0f32, 1.0 / 3.0, 127.0, 1e-3] {
+            for &x in &xs {
+                let (code, want) = (quantize_code(x, inv_scale), quantize_one(x, inv_scale));
+                assert_eq!(code.to_bits(), f32::from(want).to_bits(), "x = {x:e}");
+            }
+        }
+        // A strided sweep over every bit pattern.
+        for i in 0..(1u64 << 32) / 65_537 {
+            let x = f32::from_bits((i * 65_537) as u32);
+            let (code, want) = (quantize_code(x, 16.0), quantize_one(x, 16.0));
+            assert_eq!(code.to_bits(), f32::from(want).to_bits(), "x = {x:e}");
+        }
+    }
+
+    /// The integer chain the int8 linear step replaces: `quantize_sym_into`,
+    /// `matmul_i8t_into` on the transposed `i8` codes, `acc as f32 * scale`.
+    fn integer_reference(x: &[f32], entry: &QuantEntry, k: usize, n: usize) -> Vec<f32> {
+        let mut qx = vec![0i8; x.len()];
+        quantize_sym_into(x, 1.0 / entry.act_scale, &mut qx);
+        let codes = entry.weights.codes();
+        let mut wt = vec![0i8; k * n];
+        for i in 0..k {
+            for j in 0..n {
+                wt[j * k + i] = codes[i * n + j] as i8;
+            }
+        }
+        let mut acc = vec![0i32; x.len() / k * n];
+        bliss_parallel::matmul_i8t_into(&qx, &wt, k, n, &mut acc);
+        acc.iter()
+            .enumerate()
+            .map(|(i, &a)| a as f32 * entry.dequant_scales[i % n])
+            .collect()
+    }
+
+    /// `x: [m, k]` through a calibrated int8 site with weights `[k, n]`.
+    fn int8_site(k: usize, n: usize) -> (Tensor, impl Fn() -> GraphBuilder, QuantSpec) {
+        let m = 37;
+        let w: Vec<f32> = (0..k * n)
+            .map(|i| match i % n {
+                // An all-zero channel (scale 1) and a constant-magnitude one
+                // (every code ±127, the largest partial sums).
+                0 => 0.0,
+                1 => {
+                    if i % 3 == 0 {
+                        -0.5
+                    } else {
+                        0.5
+                    }
+                }
+                _ => ((i as f32 * 0.618).sin() * 1.7).powi(3),
+            })
+            .collect();
+        let wt = param(&[k, n], w);
+        let build = {
+            let wt = wt.clone();
+            move || {
+                let mut g = GraphBuilder::new();
+                let xi = g.input(&[m, k]);
+                let wp = g.param(&wt);
+                let y = g.matmul(xi, wp).unwrap();
+                g.mark_output(y);
+                g
+            }
+        };
+        // absmax 127/16: the activation scale is exactly 1/16.
+        let mut cal = QuantCalibration::new();
+        cal.observe(wt.id(), &[127.0 / 16.0]);
+        let spec = cal.finish(&build());
+        assert_eq!(spec.get(wt.id()).unwrap().act_scale(), 1.0 / 16.0);
+        (wt, build, spec)
+    }
+
+    #[test]
+    fn fused_int8_step_matches_the_integer_chain_bit_for_bit() {
+        let n = 19;
+        for k in [1usize, 47, 48, 192, 768, 1040] {
+            let (wt, build, spec) = int8_site(k, n);
+            let m = 37;
+            let mut x: Vec<f32> = (0..m * k).map(|i| (i as f32 * 0.377).cos() * 9.0).collect();
+            let edges = [
+                f32::NAN,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                0.0,
+                -0.0,
+                2.5 / 16.0,
+                -2.5 / 16.0,
+                126.5 / 16.0,
+                -0.5 / 16.0,
+                1e30,
+                -1e30,
+            ];
+            for (i, &e) in edges.iter().enumerate() {
+                x[(i * 7) % (m * k)] = e;
+            }
+            // Saturated rows: every code ±127.
+            for v in &mut x[k..3 * k] {
+                *v = if v.is_sign_negative() { -1e3 } else { 1e3 };
+            }
+            let plan = ExecPlan::compile_quantized(build(), &spec).unwrap();
+            assert_eq!(plan.num_quantized_matmuls(), 1);
+            let want = integer_reference(&x, spec.get(wt.id()).unwrap(), k, n);
+            for threads in [1usize, 2, 8] {
+                let got = bliss_parallel::with_thread_count(threads, || {
+                    bliss_parallel::with_min_parallel_work(0, || {
+                        plan.execute(&[&x], &[]).unwrap();
+                        plan.with_output(0, |d| d.to_vec())
+                    })
+                });
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "k = {k}, threads = {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn sites_past_the_exact_reduction_length_are_rejected() {
+        let (_, build, spec) = int8_site(MAX_EXACT_K + 1, 3);
+        let Err(err) = quantize_graph(&build(), &spec) else {
+            panic!("a k = {} site must be rejected", MAX_EXACT_K + 1);
+        };
+        assert!(
+            matches!(
+                err,
+                TensorError::InvalidArgument {
+                    op: "quantize_graph",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert!(ExecPlan::compile_quantized(build(), &spec).is_err());
+    }
+
+    #[test]
     fn rewrite_prunes_dead_weight_nodes_and_handles_fused_qkv() {
         // Fused layout: matmul(x, concat_cols(w0, w1)) like the attention
         // QKV assembly. After rewrite the Param/ConcatCols weight nodes must
@@ -746,10 +1003,9 @@ mod tests {
         let before = g.nodes.len();
         let ng = quantize_graph(&g, &spec).unwrap();
         // Original: input, p0, p1, concat, matmul = 5 nodes. Rewritten:
-        // input, quantize, matmul_i8, dequantize = 4, weights pruned.
+        // input and the int8 linear step = 2, weights pruned.
         assert_eq!(before, 5);
-        assert_eq!(ng.nodes.len(), 4);
-        assert_eq!(ng.qweights.len(), 1);
+        assert_eq!(ng.nodes.len(), 2);
 
         let qplan = ExecPlan::compile(ng).unwrap();
         qplan.execute(&[&x], &[]).unwrap();

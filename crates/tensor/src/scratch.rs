@@ -8,8 +8,7 @@
 //! returns its `f32` buffer here on drop, the array constructors draw from
 //! the lists before touching the global allocator, the sparse-ViT lowering
 //! stages its `usize` index lists here (kept-patch lists, per-pixel token
-//! maps, gather indices), and compiled plans draw their `i8`/`i32` quantised
-//! arenas here.
+//! maps, gather indices).
 //!
 //! # Reuse contract
 //!
@@ -137,15 +136,15 @@ impl<T> Bins<T> {
 }
 
 /// An element type with pooled buffers: names its thread-local pool, its
-/// global overflow shelf and the telemetry counter a miss bumps, if any.
-/// Implemented for `f32`, `usize`, `i8` and `i32`.
+/// global overflow shelf and the telemetry counter a miss bumps.
+/// Implemented for `f32` and `usize`.
 pub trait Pooled: Sized + 'static {
     /// The calling thread's pool of this type's buffers.
     fn pool() -> &'static LocalKey<RefCell<Bins<Self>>>;
     /// The process-wide overflow shelf of this type's buffers.
     fn shelf() -> &'static Mutex<Bins<Self>>;
-    /// Counts takes that had to allocate (`None`: not counted).
-    fn misses() -> Option<&'static Counter>;
+    /// Counts takes that had to allocate.
+    fn misses() -> &'static Counter;
 }
 
 macro_rules! pooled {
@@ -162,25 +161,15 @@ macro_rules! pooled {
             fn shelf() -> &'static Mutex<Bins<$t>> {
                 &$shelf
             }
-            fn misses() -> Option<&'static Counter> {
+            fn misses() -> &'static Counter {
                 $misses
             }
         }
     };
 }
 
-pooled!(f32, F32_POOL, F32_SHELF, Some(&metrics::SCRATCH_F32_MISSES));
-pooled!(
-    usize,
-    IDX_POOL,
-    IDX_SHELF,
-    Some(&metrics::SCRATCH_INDEX_MISSES)
-);
-// The quantised arenas live exactly as long as their plans, so their misses
-// and occupancy are not reported: the f32 and index gauges remain the
-// soak-test leak signal.
-pooled!(i8, I8_POOL, I8_SHELF, None);
-pooled!(i32, I32_POOL, I32_SHELF, None);
+pooled!(f32, F32_POOL, F32_SHELF, &metrics::SCRATCH_F32_MISSES);
+pooled!(usize, IDX_POOL, IDX_SHELF, &metrics::SCRATCH_INDEX_MISSES);
 
 /// Locks a shelf, shrugging off poisoning (the shelf holds only empty
 /// buffers, so a panicking holder cannot leave it inconsistent).
@@ -193,7 +182,7 @@ fn lock<T>(shelf: &Mutex<Bins<T>>) -> MutexGuard<'_, Bins<T>> {
 ///
 /// The public entry point for staging buffers that outlive an expression but
 /// do not live inside an [`crate::NdArray`] (sensor readout images, stacked
-/// token data, index lists, quantised plan arenas). Pair with
+/// token data, index lists). Pair with
 /// [`recycle_buffer`]; dropping the buffer instead is safe but forfeits the
 /// reuse.
 pub fn take_buffer<T: Pooled>(len: usize) -> Vec<T> {
@@ -208,9 +197,7 @@ pub fn take_buffer<T: Pooled>(len: usize) -> Vec<T> {
         // odd-sized working-set buffer would miss its bin on the next
         // iteration and steady state would keep allocating.
         .unwrap_or_else(|| {
-            if let Some(misses) = T::misses() {
-                misses.add(1);
-            }
+            T::misses().add(1);
             Vec::with_capacity(len.next_power_of_two())
         })
 }
@@ -568,37 +555,6 @@ mod tests {
     }
 
     #[test]
-    fn overflowing_i8_and_i32_recycles_cross_threads_via_the_shelf() {
-        fn crosses<T: Pooled + Copy + Default>() {
-            // Each element type has its own shelf; this class is used by no
-            // other quantised-buffer test in this binary.
-            const BIG: usize = 5 << 18;
-            let ptr = std::thread::spawn(|| {
-                let mut marked = take_buffer::<T>(BIG);
-                marked.resize(BIG, T::default());
-                let ptr = marked.as_ptr() as usize;
-                for _ in 0..MAX_POOL_BUFS {
-                    recycle_buffer(vec![T::default(); MIN_POOL_LEN]);
-                }
-                recycle_buffer(marked);
-                ptr
-            })
-            .join()
-            .unwrap();
-            let got = std::thread::spawn(|| {
-                let buf = take_buffer::<T>(BIG);
-                assert!(buf.is_empty(), "shelved buffers must come back cleared");
-                buf.as_ptr() as usize
-            })
-            .join()
-            .unwrap();
-            assert_eq!(got, ptr, "expected the shelved allocation on thread B");
-        }
-        crosses::<i8>();
-        crosses::<i32>();
-    }
-
-    #[test]
     fn shelf_is_bounded_and_reports_occupancy() {
         // Overflow far more small buffers than the shelf admits; its caps
         // must hold no matter what other tests shelve concurrently.
@@ -614,24 +570,6 @@ mod tests {
         assert!(stats.f32_elems <= MAX_SHELF_ELEMS, "{stats:?}");
         assert!(stats.index_bufs <= MAX_SHELF_BUFS, "{stats:?}");
         assert!(stats.index_elems <= MAX_SHELF_ELEMS, "{stats:?}");
-    }
-
-    #[test]
-    fn quant_pools_round_trip() {
-        let mut b8 = take_buffer::<i8>(512);
-        b8.resize(512, 3);
-        let p8 = b8.as_ptr();
-        recycle_buffer(b8);
-        let again8 = take_buffer::<i8>(512);
-        assert!(again8.is_empty(), "recycled buffers come back cleared");
-        assert_eq!(again8.as_ptr(), p8);
-
-        let mut b32 = take_buffer::<i32>(512);
-        b32.resize(512, -9);
-        let p32 = b32.as_ptr();
-        recycle_buffer(b32);
-        let again32 = take_buffer::<i32>(512);
-        assert_eq!(again32.as_ptr(), p32);
     }
 
     #[test]

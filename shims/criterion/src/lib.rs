@@ -15,14 +15,16 @@
 //!   (`BENCH_<group>.json` at the workspace root by default, or the path in
 //!   `BLISS_BENCH_OUT`), so successive PRs can diff kernel performance.
 //!   Every row carries a `unit`: `ns` for a timing, or the unit a value row
-//!   ([`Criterion::report_value`]) was recorded with.
+//!   ([`Criterion::report_value`]) was recorded with. A `provenance` object
+//!   heads the file: the commit checked out at the workspace root, the CPU
+//!   model, the logical CPU count and whether fast mode was on.
 //! * **Fast mode** — setting `BLISS_BENCH_FAST=1` shrinks warm-up and sample
 //!   counts for CI smoke runs.
 //!
 //! There is still no HTML report; `cargo bench` prints one line per benchmark.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// How `iter_batched` amortises setup cost. All variants behave identically
@@ -319,46 +321,92 @@ impl Criterion {
         out
     }
 
+    /// [`Criterion::to_json`] headed by a `provenance` object for the
+    /// checkout at `root`.
+    pub fn report_json(&self, root: &Path) -> String {
+        let provenance = format!(
+            "{{\"commit\": \"{}\", \"cpu\": \"{}\", \"nproc\": {}, \"fast_mode\": {}}}",
+            commit(root),
+            cpu_model().replace('"', "'"),
+            std::thread::available_parallelism().map_or(1, |n| n.get()),
+            fast_mode(),
+        );
+        self.to_json()
+            .replacen("{\n", &format!("{{\n  \"provenance\": {provenance},\n"), 1)
+    }
+
     /// Writes the JSON report for a finished group.
     ///
     /// The destination is `BLISS_BENCH_OUT` if set, otherwise
     /// `BENCH_<group>.json` at the workspace root (found by walking up from
-    /// `CARGO_MANIFEST_DIR` to the outermost `Cargo.lock`), falling back to
+    /// `CARGO_MANIFEST_DIR` to the nearest `Cargo.lock`), falling back to
     /// the current directory. Write errors are reported, not fatal: a
     /// read-only checkout can still run benches.
     pub fn write_report(&self, group: &str) {
-        let path = report_path(group);
-        match std::fs::write(&path, self.to_json()) {
+        let root = workspace_root();
+        let path = match std::env::var("BLISS_BENCH_OUT") {
+            Ok(path) if !path.is_empty() => PathBuf::from(path),
+            _ => root.join(format!("BENCH_{group}.json")),
+        };
+        match std::fs::write(&path, self.report_json(&root)) {
             Ok(()) => println!("wrote {} results to {}", self.results.len(), path.display()),
             Err(e) => eprintln!("could not write bench report {}: {e}", path.display()),
         }
     }
 }
 
-fn report_path(group: &str) -> PathBuf {
-    if let Ok(path) = std::env::var("BLISS_BENCH_OUT") {
-        if !path.is_empty() {
-            return PathBuf::from(path);
-        }
-    }
-    let file = format!("BENCH_{group}.json");
+/// The commit checked out at `root`, read from `.git` without spawning a
+/// process; "unknown" outside a git checkout.
+fn commit(root: &Path) -> String {
+    let read = |p: &str| std::fs::read_to_string(root.join(".git").join(p)).ok();
+    let Some(head) = read("HEAD") else {
+        return "unknown".to_string();
+    };
+    let head = head.trim();
+    let Some(reference) = head.strip_prefix("ref: ") else {
+        return head.to_string();
+    };
+    read(reference)
+        .map(|id| id.trim().to_string())
+        .or_else(|| {
+            read("packed-refs")?
+                .lines()
+                .find(|l| l.ends_with(reference))
+                .and_then(|l| l.split_whitespace().next())
+                .map(str::to_string)
+        })
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// The CPU model from `/proc/cpuinfo`; "unknown" where there is none.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            let line = s.lines().find(|l| l.starts_with("model name"))?;
+            Some(line.split(':').nth(1)?.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// The workspace root: the nearest ancestor of `CARGO_MANIFEST_DIR` (or
+/// the current directory) holding a `Cargo.lock`, else `.`.
+fn workspace_root() -> PathBuf {
     let mut dir = std::env::var("CARGO_MANIFEST_DIR")
         .map(PathBuf::from)
         .or_else(|_| std::env::current_dir())
         .unwrap_or_else(|_| PathBuf::from("."));
-    // The workspace root is the nearest ancestor holding a Cargo.lock
-    // (member crates have no lock of their own; picking the outermost match
+    // Member crates have no lock of their own; picking the outermost match
     // could escape the checkout when a parent directory happens to contain
-    // an unrelated Cargo.lock).
+    // an unrelated Cargo.lock.
     loop {
         if dir.join("Cargo.lock").exists() {
-            return dir.join(file);
+            return dir;
         }
         if !dir.pop() {
-            break;
+            return PathBuf::from(".");
         }
     }
-    PathBuf::from(".").join(file)
 }
 
 /// Declares a benchmark group: either
@@ -462,6 +510,17 @@ mod tests {
         assert!(!json.contains("\"value\""));
         // Exactly one comma between the two entries, none trailing.
         assert_eq!(json.matches("},").count(), 1);
+    }
+
+    #[test]
+    fn report_opens_with_provenance() {
+        let mut c = Criterion::default().sample_size(2);
+        c.bench_function("alpha", |b| b.iter(|| 1 + 1));
+        let report = c.report_json(Path::new("/nonexistent"));
+        assert!(report.starts_with("{\n  \"provenance\": {\"commit\": \"unknown\", \"cpu\": \""));
+        assert!(report.contains("\"nproc\": "));
+        assert!(report.contains("\"fast_mode\": "));
+        assert!(report.contains("},\n  \"benchmarks\": [\n    {\"name\": \"alpha\""));
     }
 
     #[test]
