@@ -293,20 +293,6 @@ pub(crate) fn counter_hash(seed: u64, call: u64, idx: u64) -> u64 {
     splitmix64(splitmix64(seed ^ call.wrapping_mul(0x9E37_79B9_7F4A_7C15)) ^ idx)
 }
 
-/// Uniform sample in `[0, 1)` from the top 24 bits of a hash.
-// Currently exercised only by tests: the uniform consumer (the hashed SRAM
-// power-up) was reverted to a sequential stream (see `SramRng::power_up`),
-// but the helper stays paired with `hash_gauss` for future counter-based
-// draws.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn hash_unit(h: u64) -> f32 {
-    // Narrow to u32 before converting: u32 -> f32 is the single-instruction
-    // conversion path (u64 -> f32 lowers to a branchy sequence on pre-AVX512
-    // x86-64, and was implicated in the host FP pathology noted in the
-    // ROADMAP).
-    (((h >> 40) as u32) as f32) * 2.0f32.powi(-24)
-}
-
 /// Standard-normal sample via Box–Muller on two 24-bit lanes of a hash.
 #[inline]
 pub(crate) fn hash_gauss(h: u64) -> f32 {
@@ -329,11 +315,6 @@ mod tests {
         assert_eq!(counter_hash(1, 2, 3), counter_hash(1, 2, 3));
         assert_ne!(counter_hash(1, 2, 3), counter_hash(1, 2, 4));
         assert_ne!(counter_hash(1, 2, 3), counter_hash(1, 3, 3));
-        let mean: f64 = (0..4096)
-            .map(|i| hash_unit(counter_hash(7, 0, i)) as f64)
-            .sum::<f64>()
-            / 4096.0;
-        assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
         let g_mean: f64 = (0..4096)
             .map(|i| hash_gauss(counter_hash(7, 1, i)) as f64)
             .sum::<f64>()

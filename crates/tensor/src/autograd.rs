@@ -193,12 +193,6 @@ impl Tensor {
         f(&mut self.node.value.borrow_mut());
     }
 
-    /// Returns a constant tensor sharing this tensor's current value
-    /// (cuts the graph).
-    pub fn detach(&self) -> Tensor {
-        Tensor::constant(self.node.value.borrow().clone())
-    }
-
     /// Accumulates an externally computed gradient into this tensor.
     ///
     /// Intended for optimizers and gradient surgery (clipping, masking).
@@ -570,36 +564,8 @@ impl Tensor {
     }
 
     // ------------------------------------------------------------------
-    // Softmax / normalisation
+    // Normalisation
     // ------------------------------------------------------------------
-
-    /// Row-wise softmax of an `[m, n]` tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] for non-matrix tensors.
-    pub fn softmax_rows(&self) -> Result<Tensor, TensorError> {
-        let value = self.value().softmax_rows()?;
-        let s = value.clone();
-        Ok(Tensor::from_op(
-            value,
-            vec![self.clone()],
-            Box::new(move |g, parents| {
-                let (m, n) = (s.shape()[0], s.shape()[1]);
-                let mut dg = vec![0.0f32; m * n];
-                for i in 0..m {
-                    let srow = &s.data()[i * n..(i + 1) * n];
-                    let grow = &g.data()[i * n..(i + 1) * n];
-                    let dot: f32 = srow.iter().zip(grow.iter()).map(|(&a, &b)| a * b).sum();
-                    for j in 0..n {
-                        dg[i * n + j] = srow[j] * (grow[j] - dot);
-                    }
-                }
-                let dg = NdArray::from_vec(dg, &[m, n]).expect("softmax grad shape");
-                parents[0].accumulate_grad(&dg);
-            }),
-        ))
-    }
 
     /// Per-row layer normalisation with learnable scale and shift.
     ///
@@ -924,39 +890,6 @@ impl Tensor {
                     let part = g.slice_rows(start, start + rows).expect("concat grad");
                     p.accumulate_grad(&part);
                     start += rows;
-                }
-            }),
-        ))
-    }
-
-    /// Concatenates rank-2 tensors along the column axis.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`NdArray::concat_cols`].
-    pub fn concat_cols(parts: &[Tensor]) -> Result<Tensor, TensorError> {
-        let values: Vec<_> = parts.iter().map(|p| p.value().clone()).collect();
-        let refs: Vec<&NdArray> = values.iter().collect();
-        let value = NdArray::concat_cols(&refs)?;
-        let col_counts: Vec<usize> = values.iter().map(|v| v.shape()[1]).collect();
-        let rows = value.shape()[0];
-        Ok(Tensor::from_op(
-            value,
-            parts.to_vec(),
-            Box::new(move |g, parents| {
-                let total: usize = col_counts.iter().sum();
-                let mut start = 0;
-                for (p, &cols) in parents.iter().zip(col_counts.iter()) {
-                    let mut part = vec![0.0f32; rows * cols];
-                    for r in 0..rows {
-                        part[r * cols..(r + 1) * cols].copy_from_slice(
-                            &g.data()[r * total + start..r * total + start + cols],
-                        );
-                    }
-                    p.accumulate_grad(
-                        &NdArray::from_vec(part, &[rows, cols]).expect("concat_cols grad"),
-                    );
-                    start += cols;
                 }
             }),
         ))
@@ -1335,19 +1268,6 @@ mod tests {
     }
 
     #[test]
-    fn softmax_rows_sums_to_one_and_grad_is_zero_for_uniform_seed() {
-        // With g = ones, softmax gradient is exactly zero (shift invariance).
-        let x = Tensor::parameter(arr(vec![0.3, -0.7, 1.5], &[1, 3]));
-        let y = x.softmax_rows().unwrap();
-        let s: f32 = y.value().data().iter().sum();
-        assert!((s - 1.0).abs() < 1e-6);
-        y.backward().unwrap();
-        for &g in x.grad().unwrap().data() {
-            assert!(g.abs() < 1e-6);
-        }
-    }
-
-    #[test]
     fn cross_entropy_matches_manual() {
         // Uniform logits over 4 classes: loss = ln(4)
         let x = Tensor::parameter(NdArray::zeros(&[2, 4]));
@@ -1498,17 +1418,6 @@ mod tests {
     }
 
     #[test]
-    fn concat_cols_splits_gradient() {
-        let a = Tensor::parameter(NdArray::ones(&[2, 1]));
-        let b = Tensor::parameter(NdArray::ones(&[2, 3]));
-        let c = Tensor::concat_cols(&[a.clone(), b.clone()]).unwrap();
-        assert_eq!(c.shape(), vec![2, 4]);
-        c.sum_all().backward().unwrap();
-        assert_eq!(a.grad().unwrap().data(), &[1.0, 1.0]);
-        assert_eq!(b.grad().unwrap().data().len(), 6);
-    }
-
-    #[test]
     fn slice_rows_backward_zero_pads() {
         let x = Tensor::parameter(NdArray::ones(&[3, 2]));
         let y = x.slice_rows(1, 2).unwrap();
@@ -1566,15 +1475,6 @@ mod tests {
         assert!(x.set_value(NdArray::zeros(&[3])).is_err());
         assert!(x.set_value(NdArray::ones(&[2])).is_ok());
         assert_eq!(x.value().data(), &[1.0, 1.0]);
-    }
-
-    #[test]
-    fn detach_cuts_graph() {
-        let x = Tensor::parameter(arr(vec![2.0], &[1]));
-        let y = x.scale(3.0).detach();
-        let z = y.scale(2.0);
-        z.backward().unwrap();
-        assert!(x.grad().is_none());
     }
 
     #[test]

@@ -38,11 +38,11 @@
 #![warn(missing_docs)]
 
 use crate::array::{
-    add_row_assign, attention_head_into, gather_rows_into, gelu_assign, im2col_into,
+    add_row_assign, attention_head_into, conv_out_dims, gather_rows_into, gelu_assign, im2col_into,
     layer_norm_row_stats, matmul_into, sigmoid_scalar, transpose_into,
 };
-use crate::graph::GraphBuilder;
-use crate::plan::{plan_graph, Operand, Plan, SrcLoc, StepOp};
+use crate::graph::{GraphBuilder, Op};
+use crate::plan::{plan_graph, Operand, Plan, SrcLoc};
 use crate::quant::{quant_linear_into, quantize_graph, QuantSpec};
 use crate::{Tensor, TensorError};
 use std::cell::{Cell, RefCell};
@@ -103,11 +103,11 @@ impl ExecPlan {
     ///
     /// Propagates rewrite and planner errors.
     pub fn compile_quantized(
-        graph: GraphBuilder,
+        mut graph: GraphBuilder,
         spec: &QuantSpec,
     ) -> Result<ExecPlan, TensorError> {
-        let rewritten = quantize_graph(&graph, spec)?;
-        Self::compile(rewritten)
+        quantize_graph(&mut graph, spec)?;
+        Self::compile(graph)
     }
 
     /// Arena size in `f32` elements — the plan's entire per-execution
@@ -123,18 +123,13 @@ impl ExecPlan {
         self.plan
             .steps
             .iter()
-            .filter(|s| matches!(s.op, StepOp::QuantLinear { .. }))
+            .filter(|s| matches!(s.op, Op::QuantLinear { .. }))
             .count()
     }
 
     /// Number of execution steps (aliases compile away and do not count).
     pub fn num_steps(&self) -> usize {
         self.plan.steps.len()
-    }
-
-    /// Build-time shape of output `i`.
-    pub fn output_shape(&self, i: usize) -> &[usize] {
-        &self.plan.outputs[i].shape
     }
 
     /// Reads output `i` after an [`ExecPlan::execute`] call. The slice
@@ -222,19 +217,20 @@ impl ExecPlan {
         arena: *const f32,
         f: impl FnOnce(&[f32]) -> R,
     ) -> R {
+        let len = o.len();
         match o.loc {
             SrcLoc::Arena(off) => {
                 // SAFETY: `off + len` lies within the arena (planner
                 // layout), and the planner asserted at build time that this
                 // read interval is disjoint from the step's output interval,
                 // the only `&mut` slice alive here.
-                let s = unsafe { std::slice::from_raw_parts(arena.add(off), o.len) };
+                let s = unsafe { std::slice::from_raw_parts(arena.add(off), len) };
                 f(s)
             }
-            SrcLoc::Input { slot, off } => f(&inputs[slot][off..off + o.len]),
+            SrcLoc::Input { slot, off } => f(&inputs[slot][off..off + len]),
             SrcLoc::Param { slot, off } => {
                 let v = self.params[slot].value();
-                f(&v.data()[off..off + o.len])
+                f(&v.data()[off..off + len])
             }
         }
     }
@@ -267,52 +263,55 @@ impl ExecPlan {
             // these raw-derived slices are alive.
             let out =
                 unsafe { std::slice::from_raw_parts_mut(base.add(step.out_off), step.out_len) };
-            if let Some(init) = step.op.init() {
-                self.with_src(init, inputs, base, |s| out.copy_from_slice(s));
+            if let Some(src) = step.copy_source() {
+                self.with_src(src, inputs, base, |s| out.copy_from_slice(s));
             }
             match &step.op {
-                StepOp::MatMul { a, b, k, n } => {
+                Op::Input { .. } | Op::Param { .. } | Op::Reshape { .. } | Op::SliceRows { .. } => {
+                    unreachable!("sources and aliases emit no step")
+                }
+                Op::MatMul { a, b } => {
+                    let (k, n) = (a.shape[1], b.shape[1]);
                     self.with_src(a, inputs, base, |av| {
-                        self.with_src(b, inputs, base, |bv| matmul_into(av, bv, *k, *n, out))
+                        self.with_src(b, inputs, base, |bv| matmul_into(av, bv, k, n, out))
                     });
                 }
-                StepOp::Add { b, .. } => {
+                Op::Add { b, .. } => {
                     self.with_src(b, inputs, base, |bv| {
                         for (o, &y) in out.iter_mut().zip(bv) {
                             *o += y;
                         }
                     });
                 }
-                StepOp::AddRow { row, .. } => {
+                Op::AddRow { row, .. } => {
                     self.with_src(row, inputs, base, |rv| add_row_assign(out, rv));
                 }
-                StepOp::AddColBias { bias, rows, .. } => {
-                    self.with_src(bias, inputs, base, |bv| add_col_bias(out, bv, *rows));
+                Op::AddColBias { bias, .. } => {
+                    self.with_src(bias, inputs, base, |bv| add_col_bias(out, bv));
                 }
-                StepOp::Scale { factor, .. } => {
+                Op::Scale { factor, .. } => {
                     for o in out.iter_mut() {
                         *o *= factor;
                     }
                 }
-                StepOp::Relu { .. } => {
+                Op::Relu { .. } => {
                     for o in out.iter_mut() {
                         *o = o.max(0.0);
                     }
                 }
-                StepOp::Sigmoid { .. } => {
+                Op::Sigmoid { .. } => {
                     for o in out.iter_mut() {
                         *o = sigmoid_scalar(*o);
                     }
                 }
-                StepOp::Gelu { .. } => gelu_assign(out),
-                StepOp::LayerNorm {
+                Op::Gelu { .. } => gelu_assign(out),
+                Op::LayerNorm {
                     a,
                     gamma,
                     beta,
-                    cols,
                     eps,
                 } => {
-                    let n = *cols;
+                    let n = a.shape[1];
                     self.with_src(a, inputs, base, |av| {
                         self.with_src(gamma, inputs, base, |gv| {
                             self.with_src(beta, inputs, base, |bv| {
@@ -329,39 +328,27 @@ impl ExecPlan {
                         })
                     });
                 }
-                StepOp::Transpose { a, rows, cols } => {
-                    self.with_src(a, inputs, base, |av| transpose_into(av, *rows, *cols, out));
+                Op::Transpose { a } => {
+                    let (rows, cols) = (a.shape[0], a.shape[1]);
+                    self.with_src(a, inputs, base, |av| transpose_into(av, rows, cols, out));
                 }
-                StepOp::SliceCols {
-                    a,
-                    a_cols,
-                    start,
-                    end,
-                    rows,
-                } => {
-                    let width = end - start;
-                    self.with_src(a, inputs, base, |av| {
-                        for r in 0..*rows {
-                            out[r * width..(r + 1) * width]
-                                .copy_from_slice(&av[r * a_cols + start..r * a_cols + end]);
-                        }
-                    });
-                }
-                StepOp::ConcatRows { parts } => {
+                Op::ConcatRows { parts } | Op::ConcatFlat { parts } => {
                     let mut cursor = 0;
                     for p in parts {
                         self.with_src(p, inputs, base, |s| {
                             out[cursor..cursor + s.len()].copy_from_slice(s);
+                            cursor += s.len();
                         });
-                        cursor += p.len;
                     }
                 }
-                StepOp::ConcatCols { parts, rows } => {
-                    let total = if *rows > 0 { out.len() / rows } else { 0 };
+                Op::ConcatCols { parts } => {
+                    let rows = parts[0].shape[0];
+                    let total = out.len().checked_div(rows).unwrap_or(0);
                     let mut col = 0;
-                    for (p, cols) in parts {
+                    for p in parts {
+                        let cols = p.shape[1];
                         self.with_src(p, inputs, base, |s| {
-                            for r in 0..*rows {
+                            for r in 0..rows {
                                 out[r * total + col..r * total + col + cols]
                                     .copy_from_slice(&s[r * cols..(r + 1) * cols]);
                             }
@@ -369,43 +356,37 @@ impl ExecPlan {
                         col += cols;
                     }
                 }
-                StepOp::Im2Col {
+                Op::Im2Col {
                     a,
-                    h,
-                    w,
                     kh,
                     kw,
                     stride,
                     pad,
-                    oh,
-                    ow,
                 } => {
+                    let (h, w) = (a.shape[1], a.shape[2]);
+                    let (oh, ow) = conv_out_dims(h, w, *kh, *kw, *stride, *pad)?;
                     self.with_src(a, inputs, base, |av| {
-                        im2col_into(av, *h, *w, *kh, *kw, *stride, *pad, *oh, *ow, out);
+                        im2col_into(av, h, w, *kh, *kw, *stride, *pad, oh, ow, out);
                     });
                 }
-                StepOp::GatherRows {
-                    a,
-                    a_rows,
-                    cols,
-                    slot,
-                } => {
+                Op::GatherRows { a, indices } => {
+                    let (rows, cols) = (a.shape[0], a.shape[1]);
                     self.with_src(a, inputs, base, |av| {
-                        gather_rows_into(av, *a_rows, *cols, index_inputs[*slot], out)
+                        gather_rows_into(av, rows, cols, index_inputs[indices.0], out)
                     })?;
                 }
-                StepOp::BlockAttention {
+                Op::BlockAttention {
                     qkv,
-                    dim,
                     spans,
                     heads,
                     scale,
                 } => {
+                    let dim = qkv.shape[1] / 3;
                     self.with_src(qkv, inputs, base, |qv| {
-                        block_attention(qv, *dim, spans, *heads, *scale, out)
+                        block_attention(qv, dim, spans, *heads, *scale, out)
                     });
                 }
-                StepOp::QuantLinear {
+                Op::QuantLinear {
                     a,
                     inv_scale,
                     weights,
@@ -517,14 +498,14 @@ fn block_attention(
     });
 }
 
-/// Per-row scalar bias add of the conv-bias arm; matches the tape's serial
-/// per-channel loop exactly.
-fn add_col_bias(out: &mut [f32], bias: &[f32], rows: usize) {
-    if rows == 0 {
+/// Per-row scalar bias add of the conv-bias arm (one bias per row of
+/// `out`); matches the tape's serial per-channel loop exactly.
+fn add_col_bias(out: &mut [f32], bias: &[f32]) {
+    if bias.is_empty() {
         return;
     }
-    let w = out.len() / rows;
-    for (c, &bv) in bias.iter().enumerate().take(rows) {
+    let w = out.len() / bias.len();
+    for (c, &bv) in bias.iter().enumerate() {
         for v in &mut out[c * w..(c + 1) * w] {
             *v += bv;
         }
@@ -739,7 +720,7 @@ mod tests {
         plan.with_output(0, |planned| {
             assert_eq!(planned, tape.value().data(), "planned != tape bitwise");
         });
-        assert_eq!(plan.output_shape(0), &[2, 4]);
+        plan.with_output(0, |planned| assert_eq!(planned.len(), 2 * 4));
     }
 
     #[test]
@@ -871,7 +852,7 @@ mod tests {
                 let side = [g.param(&other), g.param(&row), g.param(&bias)];
                 let (out, op_step) = match placement {
                     "dying node" => {
-                        let a = g.slice_cols(xi, 0, 4).unwrap();
+                        let a = g.concat_rows(&[xi]).unwrap();
                         (apply(&mut g, name, a, side), 1)
                     }
                     "graph input" => (apply(&mut g, name, xi, side), 0),
@@ -880,7 +861,7 @@ mod tests {
                         (apply(&mut g, name, a, side), 0)
                     }
                     _ => {
-                        let a = g.slice_cols(xi, 0, 4).unwrap();
+                        let a = g.concat_rows(&[xi]).unwrap();
                         let y = apply(&mut g, name, a, side);
                         (g.add(y, a).unwrap(), 1)
                     }
@@ -891,7 +872,7 @@ mod tests {
                 assert_eq!(plan.num_steps(), steps, "{what}");
                 assert_eq!(plan.arena_len(), arena_len, "{what}");
                 assert_eq!(
-                    plan.plan.steps[op_step].op.init().is_some(),
+                    plan.plan.steps[op_step].copy_source().is_some(),
                     copied,
                     "{what}"
                 );
@@ -925,7 +906,7 @@ mod tests {
     }
 
     #[test]
-    fn gather_concat_slice_cols_match_reference() {
+    fn gather_and_concats_match_reference() {
         let table = Tensor::parameter(nd(
             &(0..15).map(|i| i as f32 * 0.5).collect::<Vec<_>>(),
             &[5, 3],
@@ -934,9 +915,9 @@ mod tests {
         let t = g.param(&table);
         let idx = g.index_input(4);
         let gathered = g.gather_rows(t, idx).unwrap(); // [4, 3]
-        let left = g.slice_cols(gathered, 0, 2).unwrap(); // [4, 2]
-        let joined = g.concat_cols(&[gathered, left]).unwrap(); // [4, 5]
-        let stacked = g.concat_rows(&[joined, joined]).unwrap(); // [8, 5]
+        let top = g.slice_rows(t, 0, 4).unwrap(); // [4, 3], an alias
+        let joined = g.concat_cols(&[gathered, top]).unwrap(); // [4, 6]
+        let stacked = g.concat_rows(&[joined, joined]).unwrap(); // [8, 6]
         g.mark_output(stacked);
         let plan = ExecPlan::compile(g).unwrap();
 
@@ -944,10 +925,43 @@ mod tests {
         plan.execute(&[], &[&indices]).unwrap();
 
         let gath = table.value().gather_rows(&indices).unwrap();
-        let left = gath.slice_cols(0, 2).unwrap();
-        let joined = NdArray::concat_cols(&[&gath, &left]).unwrap();
+        let top = table.value().slice_rows(0, 4).unwrap();
+        let joined = NdArray::concat_cols(&[&gath, &top]).unwrap();
         let reference = NdArray::concat_rows(&[&joined, &joined]).unwrap();
         plan.with_output(0, |planned| assert_eq!(planned, reference.data()));
+    }
+
+    #[test]
+    fn nodes_no_output_reads_plan_no_step_and_no_arena() {
+        let w = Tensor::parameter(nd(&[0.5, -1.0, 0.25, 2.0, -0.75, 1.5], &[3, 2]));
+        let build = |dead_branch: bool| {
+            let mut g = GraphBuilder::new();
+            let x = g.input(&[4, 3]);
+            let wn = g.param(&w);
+            let y = g.matmul(x, wn).unwrap();
+            if dead_branch {
+                // Reads live buffers but feeds no output.
+                let t = g.transpose(y).unwrap();
+                let big = g.concat_rows(&[x, x, x]).unwrap();
+                let _ = g.matmul(big, wn).unwrap();
+                let _ = g.relu(t);
+            }
+            let out = g.gelu(y);
+            g.mark_output(out);
+            ExecPlan::compile(g).unwrap()
+        };
+        let (lean, with_dead) = (build(false), build(true));
+        assert_eq!(with_dead.num_steps(), lean.num_steps());
+        assert_eq!(with_dead.num_steps(), 2);
+        assert_eq!(with_dead.arena_len(), lean.arena_len());
+        assert_eq!(with_dead.arena_len(), 4 * 2);
+
+        let x: Vec<f32> = (0..12).map(|i| (i as f32 * 0.7).sin() * 2.0).collect();
+        let bits = |plan: &ExecPlan| {
+            plan.execute(&[&x], &[]).unwrap();
+            plan.with_output(0, |o| o.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+        };
+        assert_eq!(bits(&with_dead), bits(&lean));
     }
 
     #[test]

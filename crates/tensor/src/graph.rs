@@ -25,13 +25,15 @@
 //! Two graph ops are fused kernels rather than primitives:
 //! [`GraphBuilder::block_attention`] (the head core of an attention module,
 //! one plan step sharing its per-head kernel with the tape) and the int8
-//! linear step that the quantisation pass (see the `quant` module) splices
-//! in for each calibrated weight GEMM.
+//! linear op that the quantisation pass (see the `quant` module) writes
+//! over each calibrated weight GEMM.
 //!
 //! The graph is consumed by `ExecPlan::compile` (see the `exec` module),
-//! which topologically orders it (creation order is already topological —
-//! operands must exist before the node that uses them), lays out buffer
-//! lifetimes into one arena, and produces a reusable execution plan.
+//! which walks it in creation order (already topological — operands must
+//! exist before the node that uses them), drops the nodes no output reads,
+//! lays out buffer lifetimes into one arena, and produces a reusable
+//! execution plan whose steps run the graph's own `Op`s over resolved
+//! operands.
 #![warn(missing_docs)]
 
 use crate::quant::QuantizedWeights;
@@ -52,9 +54,13 @@ pub struct NodeId(pub(crate) usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexSlot(pub(crate) usize);
 
-/// One traced operation. Operand shapes were validated at build time.
+/// One operation, generic over its operand handle: a graph node holds an
+/// `Op<NodeId>` (operands are node ids, shapes validated at build time) and
+/// a plan step holds the same op over resolved operands (see the `plan`
+/// module). [`Op::map`] is the one place that lists every variant's
+/// operands.
 #[derive(Debug, Clone)]
-pub(crate) enum Op {
+pub(crate) enum Op<N> {
     /// Runtime `f32` input bound positionally at execute time.
     Input { slot: usize },
     /// A live parameter tensor (possibly viewed under a different shape via
@@ -62,61 +68,54 @@ pub(crate) enum Op {
     /// parameter list.
     Param { slot: usize },
     /// `a x b` for `a: [m, k]`, `b: [k, n]`.
-    MatMul { a: NodeId, b: NodeId },
+    MatMul { a: N, b: N },
     /// Elementwise sum of same-shaped operands.
-    Add { a: NodeId, b: NodeId },
+    Add { a: N, b: N },
     /// Row-broadcast sum: `a: [m, n]` plus `row: [n]`.
-    AddRow { a: NodeId, row: NodeId },
+    AddRow { a: N, row: N },
     /// Per-row scalar bias: `a: [r, w]` plus `bias: [r]` added to every
     /// element of row `r` (convolution bias over flattened spatial dims).
-    AddColBias { a: NodeId, bias: NodeId },
+    AddColBias { a: N, bias: N },
     /// Elementwise multiply by a compile-time constant.
-    Scale { a: NodeId, factor: f32 },
+    Scale { a: N, factor: f32 },
     /// Rectified linear unit.
-    Relu { a: NodeId },
+    Relu { a: N },
     /// Logistic sigmoid.
-    Sigmoid { a: NodeId },
+    Sigmoid { a: N },
     /// Tanh-approximated GELU.
-    Gelu { a: NodeId },
+    Gelu { a: N },
     /// Per-row layer normalisation with learnable scale/shift.
-    LayerNorm {
-        a: NodeId,
-        gamma: NodeId,
-        beta: NodeId,
-        eps: f32,
-    },
+    LayerNorm { a: N, gamma: N, beta: N, eps: f32 },
     /// Matrix transpose.
-    Transpose { a: NodeId },
+    Transpose { a: N },
     /// Same elements, different shape — resolved as an alias (no copy, no
     /// execution step).
-    Reshape { a: NodeId },
+    Reshape { a: N },
     /// Contiguous row range of an `[m, n]` operand — resolved as an alias
     /// (the range length is the node's own row count).
-    SliceRows { a: NodeId, start: usize },
-    /// Column range of an `[m, n]` operand (strided, so a real copy step).
-    SliceCols { a: NodeId, start: usize, end: usize },
+    SliceRows { a: N, start: usize },
     /// Vertical stack of same-width matrices.
-    ConcatRows { parts: Vec<NodeId> },
+    ConcatRows { parts: Vec<N> },
     /// Horizontal stack of same-height matrices.
-    ConcatCols { parts: Vec<NodeId> },
+    ConcatCols { parts: Vec<N> },
     /// Flat concatenation of arbitrary operands into a vector.
-    ConcatFlat { parts: Vec<NodeId> },
+    ConcatFlat { parts: Vec<N> },
     /// Convolution lowering of a `[c, h, w]` operand to columns.
     Im2Col {
-        a: NodeId,
+        a: N,
         kh: usize,
         kw: usize,
         stride: usize,
         pad: usize,
     },
     /// Row gather from `a: [m, n]` by a runtime index input.
-    GatherRows { a: NodeId, indices: IndexSlot },
+    GatherRows { a: N, indices: IndexSlot },
     /// Block-diagonal multi-head attention over a fused `[rows, 3*dim]`
     /// QKV operand (columns `[q_0..q_H | k_0..k_H | v_0..v_H]`): per span
     /// and head, `softmax(q k^T * scale) v`, heads side by side in a
     /// `[rows, dim]` output.
     BlockAttention {
-        qkv: NodeId,
+        qkv: N,
         spans: Vec<(usize, usize)>,
         heads: usize,
         scale: f32,
@@ -124,19 +123,137 @@ pub(crate) enum Op {
     /// One calibrated int8 weight GEMM, `a: [m, k]` against `weights`
     /// (`[k, n]`): quantise `a` under the static activation scale
     /// (`inv_scale = 1/scale`), multiply the integer codes exactly, and
-    /// scale column `j` by `scales[j]`. Spliced in by the quantisation pass.
+    /// scale column `j` by `scales[j]`. Written over a `MatMul` node by the
+    /// quantisation pass.
     QuantLinear {
-        a: NodeId,
+        a: N,
         inv_scale: f32,
         weights: Rc<QuantizedWeights>,
         scales: Rc<Vec<f32>>,
     },
 }
 
+impl<N> Op<N> {
+    /// The same op over new operand handles: `f` maps each operand, in
+    /// tape order. Also the operand visitor (`op.map(|a| ...)`).
+    pub(crate) fn map<M>(&self, mut f: impl FnMut(&N) -> M) -> Op<M> {
+        match self {
+            Op::Input { slot } => Op::Input { slot: *slot },
+            Op::Param { slot } => Op::Param { slot: *slot },
+            Op::MatMul { a, b } => Op::MatMul { a: f(a), b: f(b) },
+            Op::Add { a, b } => Op::Add { a: f(a), b: f(b) },
+            Op::AddRow { a, row } => Op::AddRow {
+                a: f(a),
+                row: f(row),
+            },
+            Op::AddColBias { a, bias } => Op::AddColBias {
+                a: f(a),
+                bias: f(bias),
+            },
+            Op::Scale { a, factor } => Op::Scale {
+                a: f(a),
+                factor: *factor,
+            },
+            Op::Relu { a } => Op::Relu { a: f(a) },
+            Op::Sigmoid { a } => Op::Sigmoid { a: f(a) },
+            Op::Gelu { a } => Op::Gelu { a: f(a) },
+            Op::LayerNorm {
+                a,
+                gamma,
+                beta,
+                eps,
+            } => Op::LayerNorm {
+                a: f(a),
+                gamma: f(gamma),
+                beta: f(beta),
+                eps: *eps,
+            },
+            Op::Transpose { a } => Op::Transpose { a: f(a) },
+            Op::Reshape { a } => Op::Reshape { a: f(a) },
+            Op::SliceRows { a, start } => Op::SliceRows {
+                a: f(a),
+                start: *start,
+            },
+            Op::ConcatRows { parts } => Op::ConcatRows {
+                parts: parts.iter().map(f).collect(),
+            },
+            Op::ConcatCols { parts } => Op::ConcatCols {
+                parts: parts.iter().map(f).collect(),
+            },
+            Op::ConcatFlat { parts } => Op::ConcatFlat {
+                parts: parts.iter().map(f).collect(),
+            },
+            Op::Im2Col {
+                a,
+                kh,
+                kw,
+                stride,
+                pad,
+            } => Op::Im2Col {
+                a: f(a),
+                kh: *kh,
+                kw: *kw,
+                stride: *stride,
+                pad: *pad,
+            },
+            Op::GatherRows { a, indices } => Op::GatherRows {
+                a: f(a),
+                indices: *indices,
+            },
+            Op::BlockAttention {
+                qkv,
+                spans,
+                heads,
+                scale,
+            } => Op::BlockAttention {
+                qkv: f(qkv),
+                spans: spans.clone(),
+                heads: *heads,
+                scale: *scale,
+            },
+            Op::QuantLinear {
+                a,
+                inv_scale,
+                weights,
+                scales,
+            } => Op::QuantLinear {
+                a: f(a),
+                inv_scale: *inv_scale,
+                weights: Rc::clone(weights),
+                scales: Rc::clone(scales),
+            },
+        }
+    }
+
+    /// The primary operand of an elementwise op (`Add` … `Gelu`), which its
+    /// plan step updates in place in its output interval.
+    pub(crate) fn elementwise_operand(&self) -> Option<&N> {
+        match self {
+            Op::Add { a, .. }
+            | Op::AddRow { a, .. }
+            | Op::AddColBias { a, .. }
+            | Op::Scale { a, .. }
+            | Op::Relu { a }
+            | Op::Sigmoid { a }
+            | Op::Gelu { a } => Some(a),
+            _ => None,
+        }
+    }
+
+    /// Whether the op computes nothing: a source (`Input`, `Param`) or an
+    /// alias of its operand's storage (`Reshape`, `SliceRows`).
+    pub(crate) fn is_storage(&self) -> bool {
+        matches!(
+            self,
+            Op::Input { .. } | Op::Param { .. } | Op::Reshape { .. } | Op::SliceRows { .. }
+        )
+    }
+}
+
 /// A node: its operation plus its (build-time validated) output shape.
 #[derive(Debug, Clone)]
 pub(crate) struct Node {
-    pub(crate) op: Op,
+    pub(crate) op: Op<NodeId>,
     pub(crate) shape: Vec<usize>,
 }
 
@@ -171,22 +288,12 @@ impl GraphBuilder {
         Self::default()
     }
 
-    /// Number of nodes recorded so far.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the graph is still empty.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// The build-time shape of a node.
     pub fn shape(&self, id: NodeId) -> &[usize] {
         &self.nodes[id.0].shape
     }
 
-    pub(crate) fn push(&mut self, op: Op, shape: Vec<usize>) -> NodeId {
+    fn push(&mut self, op: Op<NodeId>, shape: Vec<usize>) -> NodeId {
         let id = NodeId(self.nodes.len());
         self.nodes.push(Node { op, shape });
         id
@@ -460,29 +567,6 @@ impl GraphBuilder {
             });
         }
         Ok(self.push(Op::SliceRows { a, start }, vec![end - start, n]))
-    }
-
-    /// Columns `start..end` of an `[m, n]` node (strided — a real copy
-    /// step).
-    ///
-    /// # Errors
-    ///
-    /// Bounds errors exactly as [`crate::NdArray::slice_cols`] raises them.
-    pub fn slice_cols(
-        &mut self,
-        a: NodeId,
-        start: usize,
-        end: usize,
-    ) -> Result<NodeId, TensorError> {
-        let (m, n) = self.require_matrix(a, "slice_cols")?;
-        if start > end || end > n {
-            return Err(TensorError::IndexOutOfBounds {
-                op: "slice_cols",
-                index: end,
-                bound: n + 1,
-            });
-        }
-        Ok(self.push(Op::SliceCols { a, start, end }, vec![m, end - start]))
     }
 
     /// Vertical stack of same-width matrices.

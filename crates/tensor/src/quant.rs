@@ -16,9 +16,11 @@
 //! 3. **Graph rewrite** ([`quantize_graph`], exposed through
 //!    `ExecPlan::compile_quantized`): every matmul whose right operand is a
 //!    parameter (or a column-concatenation of parameters, the fused-QKV
-//!    layout) and whose site is in the spec is replaced by one int8 linear
-//!    step; the now-dead f32 weight nodes are pruned by a liveness pass so
-//!    the planner never materialises them.
+//!    layout) and whose site is in the spec is overwritten in place by one
+//!    int8 linear op. The f32 weight nodes it read (the fused layout's
+//!    column concatenation included) are then read by nothing, so the
+//!    planner, which plans only what an output reaches, never lays them
+//!    out.
 //!
 //! # The int8 linear step
 //!
@@ -509,190 +511,43 @@ impl QuantCalibration {
     }
 }
 
-/// Clones `op` with every operand id remapped through `map`.
-fn remap_op(op: &Op, map: &[Option<NodeId>]) -> Op {
-    let m = |id: NodeId| map[id.0].expect("operand of a live node must be live");
-    match op {
-        Op::Input { slot } => Op::Input { slot: *slot },
-        Op::Param { slot } => Op::Param { slot: *slot },
-        Op::MatMul { a, b } => Op::MatMul { a: m(*a), b: m(*b) },
-        Op::Add { a, b } => Op::Add { a: m(*a), b: m(*b) },
-        Op::AddRow { a, row } => Op::AddRow {
-            a: m(*a),
-            row: m(*row),
-        },
-        Op::AddColBias { a, bias } => Op::AddColBias {
-            a: m(*a),
-            bias: m(*bias),
-        },
-        Op::Scale { a, factor } => Op::Scale {
-            a: m(*a),
-            factor: *factor,
-        },
-        Op::Relu { a } => Op::Relu { a: m(*a) },
-        Op::Sigmoid { a } => Op::Sigmoid { a: m(*a) },
-        Op::Gelu { a } => Op::Gelu { a: m(*a) },
-        Op::LayerNorm {
-            a,
-            gamma,
-            beta,
-            eps,
-        } => Op::LayerNorm {
-            a: m(*a),
-            gamma: m(*gamma),
-            beta: m(*beta),
-            eps: *eps,
-        },
-        Op::Transpose { a } => Op::Transpose { a: m(*a) },
-        Op::Reshape { a } => Op::Reshape { a: m(*a) },
-        Op::SliceRows { a, start } => Op::SliceRows {
-            a: m(*a),
-            start: *start,
-        },
-        Op::SliceCols { a, start, end } => Op::SliceCols {
-            a: m(*a),
-            start: *start,
-            end: *end,
-        },
-        Op::ConcatRows { parts } => Op::ConcatRows {
-            parts: parts.iter().map(|&p| m(p)).collect(),
-        },
-        Op::ConcatCols { parts } => Op::ConcatCols {
-            parts: parts.iter().map(|&p| m(p)).collect(),
-        },
-        Op::ConcatFlat { parts } => Op::ConcatFlat {
-            parts: parts.iter().map(|&p| m(p)).collect(),
-        },
-        Op::Im2Col {
-            a,
-            kh,
-            kw,
-            stride,
-            pad,
-        } => Op::Im2Col {
-            a: m(*a),
-            kh: *kh,
-            kw: *kw,
-            stride: *stride,
-            pad: *pad,
-        },
-        Op::GatherRows { a, indices } => Op::GatherRows {
-            a: m(*a),
-            indices: *indices,
-        },
-        Op::BlockAttention {
-            qkv,
-            spans,
-            heads,
-            scale,
-        } => Op::BlockAttention {
-            qkv: m(*qkv),
-            spans: spans.clone(),
-            heads: *heads,
-            scale: *scale,
-        },
-        Op::QuantLinear {
-            a,
-            inv_scale,
-            weights,
-            scales,
-        } => Op::QuantLinear {
-            a: m(*a),
-            inv_scale: *inv_scale,
-            weights: Rc::clone(weights),
-            scales: Rc::clone(scales),
-        },
-    }
-}
-
-/// Rewrites a graph under a [`QuantSpec`]: every calibrated weight-GEMM is
-/// replaced by one int8 linear step (see the module docs) and the dead f32
-/// weight nodes are pruned so the planner never lays them out.
-/// Input/index slots, parameter slots and output order are preserved, so a
-/// rewritten plan executes on exactly the same bound data as the original.
+/// Rewrites a graph in place under a [`QuantSpec`]: every calibrated
+/// weight GEMM node becomes one int8 linear op (see the module docs) with
+/// the same activation operand and shape. Node ids, input/index slots,
+/// parameter slots and outputs are untouched, so the rewritten plan executes
+/// on exactly the same bound data as the original; the f32 weight nodes the
+/// rewrite leaves unread are dropped by the planner.
 ///
 /// # Errors
 ///
 /// [`TensorError::InvalidArgument`] for a calibrated site whose reduction
 /// length exceeds [`MAX_EXACT_K`], where the `f32` GEMM would stop being
-/// exact.
-pub fn quantize_graph(g: &GraphBuilder, spec: &QuantSpec) -> Result<GraphBuilder, TensorError> {
-    // Sites that will actually be rewritten (calibrated + shape-consistent).
-    let mut rewrites: HashMap<usize, &QuantEntry> = HashMap::new();
+/// exact (the graph may then be partly rewritten).
+pub fn quantize_graph(g: &mut GraphBuilder, spec: &QuantSpec) -> Result<(), TensorError> {
     for site in find_sites(g) {
-        if let Some(entry) = spec.get(site.key) {
-            let k = g.nodes[site.a.0].shape[1];
-            if entry.weights.in_features() == k {
-                if k > MAX_EXACT_K {
-                    return Err(TensorError::InvalidArgument {
-                        op: "quantize_graph",
-                        message: format!(
-                            "int8 site with k = {k} > {MAX_EXACT_K}: its f32 GEMM would not be exact"
-                        ),
-                    });
-                }
-                rewrites.insert(site.matmul, entry);
-            }
-        }
-    }
-
-    // Liveness: outputs are live; live nodes keep their operands live,
-    // except a rewritten matmul no longer reads its f32 weight operand.
-    // Input nodes always survive so input slot numbering is stable.
-    let n = g.nodes.len();
-    let mut live = vec![false; n];
-    for &o in &g.outputs {
-        live[o.0] = true;
-    }
-    for idx in (0..n).rev() {
-        if matches!(g.nodes[idx].op, Op::Input { .. }) {
-            live[idx] = true;
-        }
-        if !live[idx] {
+        let Some(entry) = spec.get(site.key) else {
+            continue;
+        };
+        let k = g.nodes[site.a.0].shape[1];
+        if entry.weights.in_features() != k {
             continue;
         }
-        match (&g.nodes[idx].op, rewrites.contains_key(&idx)) {
-            (Op::MatMul { a, .. }, true) => live[a.0] = true,
-            (op, _) => op.for_each_operand(|i| live[i] = true),
+        if k > MAX_EXACT_K {
+            return Err(TensorError::InvalidArgument {
+                op: "quantize_graph",
+                message: format!(
+                    "int8 site with k = {k} > {MAX_EXACT_K}: its f32 GEMM would not be exact"
+                ),
+            });
         }
+        g.nodes[site.matmul].op = Op::QuantLinear {
+            a: site.a,
+            inv_scale: 1.0 / entry.act_scale,
+            weights: Rc::clone(&entry.weights),
+            scales: Rc::clone(&entry.dequant_scales),
+        };
     }
-
-    // Rebuild: copy live nodes in order, splicing int8 linear steps in place
-    // of rewritten matmuls.
-    let mut ng = GraphBuilder::new();
-    ng.params = g.params.clone();
-    ng.param_slots = g.param_slots.clone();
-    ng.input_shapes = g.input_shapes.clone();
-    ng.index_input_lens = g.index_input_lens.clone();
-    let mut map: Vec<Option<NodeId>> = vec![None; n];
-    for idx in 0..n {
-        if !live[idx] {
-            continue;
-        }
-        if let Some(entry) = rewrites.get(&idx) {
-            let Op::MatMul { a, .. } = g.nodes[idx].op else {
-                unreachable!("rewrites only hold matmuls");
-            };
-            let op = Op::QuantLinear {
-                a: map[a.0].expect("matmul activation must be live"),
-                inv_scale: 1.0 / entry.act_scale,
-                weights: Rc::clone(&entry.weights),
-                scales: Rc::clone(&entry.dequant_scales),
-            };
-            map[idx] = Some(ng.push(op, g.nodes[idx].shape.clone()));
-        } else {
-            let node = &g.nodes[idx];
-            map[idx] = Some(ng.push(remap_op(&node.op, &map), node.shape.clone()));
-        }
-    }
-    ng.outputs = g
-        .outputs
-        .iter()
-        .map(|&o| map[o.0].expect("graph outputs are live by construction"))
-        .collect();
-    // param_nodes (dedup cache for future `param` calls) is left empty: the
-    // rewritten graph is sealed and handed straight to the planner.
-    Ok(ng)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -954,7 +809,7 @@ mod tests {
     #[test]
     fn sites_past_the_exact_reduction_length_are_rejected() {
         let (_, build, spec) = int8_site(MAX_EXACT_K + 1, 3);
-        let Err(err) = quantize_graph(&build(), &spec) else {
+        let Err(err) = quantize_graph(&mut build(), &spec) else {
             panic!("a k = {} site must be rejected", MAX_EXACT_K + 1);
         };
         assert!(
@@ -973,8 +828,9 @@ mod tests {
     #[test]
     fn rewrite_prunes_dead_weight_nodes_and_handles_fused_qkv() {
         // Fused layout: matmul(x, concat_cols(w0, w1)) like the attention
-        // QKV assembly. After rewrite the Param/ConcatCols weight nodes must
-        // be gone and the plan must still match f32 closely.
+        // QKV assembly. After the rewrite the Param/ConcatCols weight nodes
+        // feed nothing, so the plan holds the int8 linear step alone, and it
+        // must still match f32 closely.
         let w0 = param(&[4, 2], (0..8).map(|i| i as f32 / 8.0 - 0.4).collect());
         let w1 = param(&[4, 3], (0..12).map(|i| 0.3 - i as f32 / 11.0).collect());
         let x: Vec<f32> = (0..12).map(|i| (i as f32 - 5.0) / 3.0).collect();
@@ -991,6 +847,8 @@ mod tests {
         };
 
         let plan = ExecPlan::compile(build()).unwrap();
+        // f32: the weight concatenation and the matmul.
+        assert_eq!(plan.num_steps(), 2);
         plan.execute(&[&x], &[]).unwrap();
         let reference = plan.with_output(0, |d| d.to_vec());
 
@@ -999,15 +857,11 @@ mod tests {
         let spec = cal.finish(&build());
         assert_eq!(spec.len(), 1);
 
-        let g = build();
-        let before = g.nodes.len();
-        let ng = quantize_graph(&g, &spec).unwrap();
-        // Original: input, p0, p1, concat, matmul = 5 nodes. Rewritten:
-        // input and the int8 linear step = 2, weights pruned.
-        assert_eq!(before, 5);
-        assert_eq!(ng.nodes.len(), 2);
-
-        let qplan = ExecPlan::compile(ng).unwrap();
+        let qplan = ExecPlan::compile_quantized(build(), &spec).unwrap();
+        // The ConcatCols weight node yields no step and no arena.
+        assert_eq!(qplan.num_quantized_matmuls(), 1);
+        assert_eq!(qplan.num_steps(), 1);
+        assert_eq!(qplan.arena_len(), 3 * 5);
         qplan.execute(&[&x], &[]).unwrap();
         let quantised = qplan.with_output(0, |d| d.to_vec());
         let entry = spec.get(w0.id()).unwrap();
