@@ -19,9 +19,8 @@
 //! Any gate failure exits non-zero (the `chaos-smoke` CI job fails).
 //! Results — per-run fault/recovery counters, recovery-latency samples,
 //! survival curves and checkpoint sizes — go to `BENCH_chaos.json` at the
-//! workspace root (or
-//! `BLISS_BENCH_OUT`). `--quick` / `BLISS_BENCH_FAST=1` runs the reduced
-//! CI profile.
+//! workspace root (or inside the `BLISS_BENCH_OUT` directory); the file is
+//! not committed. `--quick` runs the reduced CI profile.
 
 use bliss_fleet::{
     ChaosConfig, ChaosReport, DegradationPolicy, FaultMix, FaultPlan, FleetConfig, FleetOutcome,
@@ -129,7 +128,7 @@ fn gate_zero_frame_loss(
 }
 
 fn main() {
-    let quick = bliss_bench::fast_mode(&[bliss_bench::Flag::Quick]);
+    let quick = bliss_bench::flags(&[bliss_bench::Flag::Quick]).quick;
     let (sessions, hosts, frames, seeds): (usize, usize, usize, &[u64]) = if quick {
         (6, 2, 4, &[0xA1, 0xB2, 0xC3])
     } else {

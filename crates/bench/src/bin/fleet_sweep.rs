@@ -6,10 +6,10 @@
 //! sessions, so the host axis shows real throughput scaling under the
 //! per-launch dispatch-overhead model.
 //!
-//! Results go to `BENCH_fleet.json` at the workspace root (or
-//! `BLISS_BENCH_OUT`), next to `BENCH_serve.json`; the `fleet-smoke` CI job
-//! uploads it on every push. `--quick` (or `BLISS_BENCH_FAST=1`) runs a
-//! reduced sweep for CI.
+//! Results go to `BENCH_fleet.json` at the workspace root (or inside the
+//! `BLISS_BENCH_OUT` directory); the file is not committed, and the
+//! `fleet-smoke` CI job uploads it on every push. `--quick` runs a reduced
+//! sweep for CI.
 //!
 //! The whole sweep runs with `bliss_telemetry` tracing **on** (after an
 //! off/on bit-identity probe): the report gains a per-stage breakdown and
@@ -51,7 +51,7 @@ struct SweepReport {
 }
 
 fn main() {
-    let quick = bliss_bench::fast_mode(&[Flag::Quick]);
+    let quick = bliss_bench::flags(&[Flag::Quick]).quick;
     let (session_counts, host_counts, frames): (&[usize], &[usize], usize) = if quick {
         (&[6], &[1, 2], 4)
     } else {

@@ -7,10 +7,10 @@
 //! deadline-miss rate, throughput, mean batch size and the wall-clock time
 //! of the whole run (the batching win on real hardware).
 //!
-//! Results go to `BENCH_serve.json` at the workspace root (or
-//! `BLISS_BENCH_OUT`), next to `BENCH_kernels.json`; the `serve-smoke` CI
-//! job uploads it on every push. `--quick` (or `BLISS_BENCH_FAST=1`) runs a
-//! reduced sweep for CI.
+//! Results go to `BENCH_serve.json` at the workspace root (or inside the
+//! `BLISS_BENCH_OUT` directory); the file is not committed, and the
+//! `serve-smoke` CI job uploads it on every push. `--quick` runs a reduced
+//! sweep for CI.
 //!
 //! The whole sweep runs with `bliss_telemetry` tracing **on** (after an
 //! off/on bit-identity probe): the report gains a per-stage breakdown and
@@ -173,7 +173,7 @@ fn roi_tightness(runtime: &ServeRuntime, frames: usize) -> f64 {
 }
 
 fn main() {
-    let quick = bliss_bench::fast_mode(FLAGS);
+    let quick = bliss_bench::flags(FLAGS).quick;
     let precision_mode = precision_mode();
     let quant_gate = std::env::var("BLISS_QUANT_GATE").is_ok_and(|v| !v.is_empty() && v != "0");
     assert!(

@@ -11,9 +11,10 @@
 //!
 //! The whole soak runs on a single-thread pool so the scratch-pool
 //! readings on the main thread cover the inference work too. Results go
-//! to `BENCH_soak.json` at the workspace root (or `BLISS_BENCH_OUT`);
-//! `--quick` / `BLISS_BENCH_FAST=1` runs the minutes-scale smoke profile
-//! the `soak-smoke` CI job uses. The process exits non-zero if a
+//! to `BENCH_soak.json` and `BENCH_soak_metrics.json` at the workspace root
+//! (or inside the `BLISS_BENCH_OUT` directory); neither is committed.
+//! `--quick` runs the minutes-scale smoke profile the `soak-smoke` CI job
+//! uses. The process exits non-zero if a
 //! durability check fails, so CI catches regressions without parsing the
 //! JSON.
 
@@ -24,7 +25,7 @@ use serde::Serialize;
 use std::time::Instant;
 
 fn main() {
-    let quick = bliss_bench::fast_mode(&[bliss_bench::Flag::Quick]);
+    let quick = bliss_bench::flags(&[bliss_bench::Flag::Quick]).quick;
     let cfg = if quick {
         SoakConfig::smoke()
     } else {

@@ -153,37 +153,32 @@ pub fn scale_from_args() -> ExperimentScale {
     }
 }
 
-/// Whether a sweep binary accepting `accepted` should run its reduced CI
-/// profile: the `--quick` flag or a non-empty, non-`"0"`
-/// `BLISS_BENCH_FAST` environment variable.
-pub fn fast_mode(accepted: &[Flag]) -> bool {
-    flags(accepted).quick
-        || std::env::var("BLISS_BENCH_FAST").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-/// Resolves where a sweep binary writes its `BENCH_<name>.json`: the
-/// `BLISS_BENCH_OUT` override when set, else `name` at the workspace root
-/// (nearest ancestor with a `Cargo.lock`), else the current directory.
+/// Resolves where a sweep binary writes its report `name`: inside the
+/// `BLISS_BENCH_OUT` directory when set, else at the workspace root
+/// (nearest ancestor with a `Cargo.lock`), else in the current directory.
 pub fn report_path(name: &str) -> std::path::PathBuf {
     use std::path::PathBuf;
-    if let Ok(path) = std::env::var("BLISS_BENCH_OUT") {
-        if !path.is_empty() {
-            return PathBuf::from(path);
-        }
-    }
-    let mut dir = std::env::var("CARGO_MANIFEST_DIR")
+    let mut root = std::env::var("CARGO_MANIFEST_DIR")
         .map(PathBuf::from)
         .or_else(|_| std::env::current_dir())
         .unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        if dir.join("Cargo.lock").exists() {
-            return dir.join(name);
-        }
-        if !dir.pop() {
+    while !root.join("Cargo.lock").exists() {
+        if !root.pop() {
+            root = PathBuf::from(".");
             break;
         }
     }
-    PathBuf::from(name)
+    let out = std::env::var("BLISS_BENCH_OUT").ok();
+    report_path_in(out.as_deref(), &root, name)
+}
+
+/// The path of report `name`: inside the `out` directory when it is given
+/// and non-empty, else inside `root`. Each name keeps its own file.
+fn report_path_in(out: Option<&str>, root: &std::path::Path, name: &str) -> std::path::PathBuf {
+    match out {
+        Some(dir) if !dir.is_empty() => std::path::Path::new(dir).join(name),
+        _ => root.join(name),
+    }
 }
 
 /// Formats seconds as adaptive ms/us text.
@@ -243,6 +238,23 @@ mod tests {
             .contains("needs a value"));
         assert!(parse(&["--precision", "fp16"], &all).is_err());
         assert!(parse(&["--precision="], &all).is_err());
+    }
+
+    #[test]
+    fn report_names_stay_distinct_under_the_out_directory() {
+        let root = std::path::Path::new("/checkout");
+        let trace = report_path_in(Some("out"), root, "TRACE_serve.json");
+        let bench = report_path_in(Some("out"), root, "BENCH_serve.json");
+        assert_ne!(trace, bench);
+        assert_eq!(bench, std::path::Path::new("out/BENCH_serve.json"));
+        assert_eq!(
+            report_path_in(Some(""), root, "BENCH_serve.json"),
+            root.join("BENCH_serve.json")
+        );
+        assert_eq!(
+            report_path_in(None, root, "BENCH_fleet.json"),
+            root.join("BENCH_fleet.json")
+        );
     }
 
     #[test]

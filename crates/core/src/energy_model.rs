@@ -181,7 +181,7 @@ pub fn energy_breakdown_with_counts_at(
         SystemVariant::NpuFull => {
             e.analog_readout_j = p.readout.adc_energy_j(pixels, cfg.analog_node);
             e.mipi_j = p.mipi.transfer_energy_j(full_frame_bytes);
-            let seg = seg_host.run(&cfg.cnn.workload(false), p, true);
+            let seg = seg_host.run(&cfg.cnn.workload(), p, true);
             e.host_compute_j = seg.mac_energy_j + seg.sram_energy_j;
             // Frame staged through DRAM on its way into the NPU buffer.
             e.dram_j = seg.dram_energy_j + p.dram.traffic_energy_j(2 * full_frame_bytes);
@@ -190,11 +190,7 @@ pub fn energy_breakdown_with_counts_at(
             e.analog_readout_j = p.readout.adc_energy_j(pixels, cfg.analog_node);
             e.mipi_j = p.mipi.transfer_energy_j(full_frame_bytes);
             let roi_pred = host.run(&cfg.roi_net.workload(), p, true);
-            let seg = seg_host.run(
-                &cnn_on_roi(&cfg.cnn, cfg.roi_fraction).workload(false),
-                p,
-                true,
-            );
+            let seg = seg_host.run(&cnn_on_roi(&cfg.cnn, cfg.roi_fraction).workload(), p, true);
             e.host_compute_j = roi_pred.mac_energy_j
                 + roi_pred.sram_energy_j
                 + seg.mac_energy_j

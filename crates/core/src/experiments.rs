@@ -170,8 +170,7 @@ pub fn fig12_accuracy(scale: &ExperimentScale) -> Result<Fig12Result, TensorErro
         (2, true),
         (3, true),
     ] {
-        let mut trainer =
-            DenseTrainer::new("ritnet", cfg.width, cfg.height, ds, roi_only, scale.seed);
+        let mut trainer = DenseTrainer::new(cfg.width, cfg.height, ds, roi_only, scale.seed);
         trainer.set_epochs(scale.epochs);
         trainer.train_on(&train)?;
         let result = trainer.evaluate(&eval)?;
@@ -192,7 +191,7 @@ pub fn fig12_accuracy(scale: &ExperimentScale) -> Result<Fig12Result, TensorErro
             paper.expected_sampled_pixels() as usize,
         )
         .total_macs() as f64;
-    let ritnet = paper.cnn.workload(false).total_macs() as f64;
+    let ritnet = paper.cnn.workload().total_macs() as f64;
 
     Ok(Fig12Result {
         series: vec![ours, npu_full, npu_roi],

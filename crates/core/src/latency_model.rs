@@ -34,7 +34,7 @@ pub fn stage_durations(cfg: &SystemConfig, variant: SystemVariant) -> StageDurat
     let (eventify_s, roi_pred_s, sampling_s, readout_s, mipi_s, segmentation_s, feedback_s) =
         match variant {
             SystemVariant::NpuFull => {
-                let seg = host.run(&cfg.cnn.workload(false), &cfg.energy, true);
+                let seg = host.run(&cfg.cnn.workload(), &cfg.energy, true);
                 (
                     0.0,
                     0.0,
@@ -48,7 +48,7 @@ pub fn stage_durations(cfg: &SystemConfig, variant: SystemVariant) -> StageDurat
             SystemVariant::NpuRoi => {
                 let roi_pred = host.run(&cfg.roi_net.workload(), &cfg.energy, true);
                 let roi_cnn = crate::energy_model::cnn_on_roi(&cfg.cnn, cfg.roi_fraction);
-                let seg = host.run(&roi_cnn.workload(false), &cfg.energy, true);
+                let seg = host.run(&roi_cnn.workload(), &cfg.energy, true);
                 (
                     0.0,
                     roi_pred.time_s,

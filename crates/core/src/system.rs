@@ -169,7 +169,6 @@ impl EyeTrackingSystem {
             }
         } else {
             let mut trainer = DenseTrainer::new(
-                "ritnet",
                 config.width,
                 config.height,
                 1,

@@ -1,5 +1,5 @@
 use crate::init::{kaiming_normal, xavier_uniform};
-use crate::{Module, Op, Recorder, Tape};
+use crate::{Module, Op, Recorder};
 use bliss_tensor::{NdArray, Tensor, TensorError};
 use rand::Rng;
 
@@ -128,74 +128,6 @@ impl Module for Conv2d {
     }
 }
 
-/// A depthwise-separable convolution (depthwise `k x k` then pointwise 1x1),
-/// the building block of the EdGaze-style baseline (paper §V).
-#[derive(Debug, Clone)]
-pub struct DepthwiseSeparableConv2d {
-    dw_weight: Tensor,
-    dw_bias: Tensor,
-    pointwise: Conv2d,
-    channels: usize,
-    kernel: usize,
-    stride: usize,
-    pad: usize,
-}
-
-impl DepthwiseSeparableConv2d {
-    /// Creates the pair of depthwise and pointwise convolutions.
-    pub fn new<R: Rng + ?Sized>(
-        rng: &mut R,
-        in_channels: usize,
-        out_channels: usize,
-        kernel: usize,
-        stride: usize,
-        pad: usize,
-    ) -> Self {
-        DepthwiseSeparableConv2d {
-            dw_weight: Tensor::parameter(kaiming_normal(
-                rng,
-                &[in_channels, kernel, kernel],
-                kernel * kernel,
-            )),
-            dw_bias: Tensor::parameter(NdArray::zeros(&[in_channels])),
-            pointwise: Conv2d::new(rng, in_channels, out_channels, 1, 1, 0),
-            channels: in_channels,
-            kernel,
-            stride,
-            pad,
-        }
-    }
-
-    /// Applies depthwise then pointwise convolution with a ReLU in between,
-    /// on the autograd tape (this baseline layer has no planned path).
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if the input channel count differs.
-    pub fn forward(&self, x: &Tensor) -> Result<Tensor, TensorError> {
-        let dw = x
-            .depthwise_conv2d(&self.dw_weight, Some(&self.dw_bias), self.stride, self.pad)?
-            .relu();
-        self.pointwise.forward(&mut Tape, &dw)
-    }
-
-    /// Multiply-accumulate operations for an `h x w` input.
-    pub fn macs(&self, h: usize, w: usize) -> u64 {
-        let oh = (h + 2 * self.pad - self.kernel) / self.stride + 1;
-        let ow = (w + 2 * self.pad - self.kernel) / self.stride + 1;
-        let dw = (self.channels * self.kernel * self.kernel) as u64 * (oh * ow) as u64;
-        dw + self.pointwise.macs(oh, ow)
-    }
-}
-
-impl Module for DepthwiseSeparableConv2d {
-    fn parameters(&self) -> Vec<Tensor> {
-        let mut p = vec![self.dw_weight.clone(), self.dw_bias.clone()];
-        p.extend(self.pointwise.parameters());
-        p
-    }
-}
-
 /// Layer normalisation with learnable scale/shift over the last dimension of
 /// `[tokens, features]` tensors.
 #[derive(Debug, Clone)]
@@ -277,6 +209,7 @@ impl Module for Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Tape;
     use bliss_tensor::{GraphBuilder, NodeId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -309,18 +242,6 @@ mod tests {
         assert_eq!(y.shape(), vec![4, 4, 4]);
         assert_eq!(c.out_dims(8, 8), (4, 4));
         assert_eq!(c.macs(8, 8), (4 * 2 * 3 * 3) as u64 * 16);
-    }
-
-    #[test]
-    fn depthwise_separable_runs_and_counts() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let c = DepthwiseSeparableConv2d::new(&mut rng, 3, 6, 3, 1, 1);
-        let x = Tensor::constant(NdArray::ones(&[3, 5, 5]));
-        let y = c.forward(&x).unwrap();
-        assert_eq!(y.shape(), vec![6, 5, 5]);
-        // Depthwise-separable should use far fewer MACs than a full conv.
-        let full = Conv2d::new(&mut rng, 3, 6, 3, 1, 1);
-        assert!(c.macs(5, 5) < full.macs(5, 5));
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!
 //! The crate provides everything the paper's networks need:
 //!
-//! * [`Linear`], [`Conv2d`], [`DepthwiseSeparableConv2d`] — the ROI-prediction
-//!   CNN (3 Conv + 2 FC, §III-A) and the RITnet/EdGaze-style baselines.
+//! * [`Linear`], [`Conv2d`] — the ROI-prediction CNN (3 Conv + 2 FC,
+//!   §III-A) and the RITnet-style dense baseline.
 //! * [`MultiHeadAttention`], [`TransformerBlock`], [`LayerNormLayer`] — the
 //!   sparse ViT segmenter (12-block encoder + 2-block decoder, §III-B).
 //! * [`Adam`], [`Sgd`] — the joint-training optimizers (§III-C).
@@ -50,7 +50,7 @@ mod snapshot;
 
 pub use attention::{MultiHeadAttention, TransformerBlock};
 pub use init::{kaiming_normal, xavier_uniform};
-pub use layers::{Conv2d, DepthwiseSeparableConv2d, LayerNormLayer, Linear, Mlp};
+pub use layers::{Conv2d, LayerNormLayer, Linear, Mlp};
 pub use optim::{clip_global_norm, Adam, Sgd};
 pub use recorder::{Op, Recorder, Tape};
 pub use snapshot::{restore_params, snapshot_params, ParamSnapshot};

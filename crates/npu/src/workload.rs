@@ -136,25 +136,6 @@ impl WorkloadDesc {
         self
     }
 
-    /// Appends a depthwise+pointwise separable convolution pair.
-    pub fn push_depthwise_separable(
-        &mut self,
-        channels: usize,
-        out_channels: usize,
-        kernel: usize,
-        oh: usize,
-        ow: usize,
-    ) -> &mut Self {
-        // Depthwise: per-channel [1, k*k] x [k*k, oh*ow] GEMMs are mapped as
-        // one tall GEMM with unit reuse; model as [channels, k*k, oh*ow]/ch.
-        self.gemms
-            .push(GemmShape::new(channels, kernel * kernel, oh * ow));
-        // Pointwise 1x1.
-        self.gemms
-            .push(GemmShape::new(out_channels, channels, oh * ow));
-        self
-    }
-
     /// Appends a fully-connected layer over `tokens` rows, lowered with the
     /// weight matrix as the stationary `[out, in]` operand.
     pub fn push_linear(&mut self, tokens: usize, in_f: usize, out_f: usize) -> &mut Self {
@@ -260,15 +241,6 @@ mod tests {
         // Dropping half the tokens (sparse sampling!) removes MORE than half
         // the attention compute.
         assert!(mk(100) * 2 < mk(200));
-    }
-
-    #[test]
-    fn depthwise_separable_cheaper_than_full() {
-        let mut sep = WorkloadDesc::new("s");
-        sep.push_depthwise_separable(32, 64, 3, 20, 20);
-        let mut full = WorkloadDesc::new("f");
-        full.push_conv(64, 32, 3, 20, 20);
-        assert!(sep.total_macs() < full.total_macs());
     }
 
     #[test]

@@ -49,9 +49,11 @@ pub struct ServeConfig {
     /// `F32` (the default) is the reference path. `Int8` runs the
     /// quantised planned path: the shared ViT is post-training calibrated
     /// once over the scenario library (deterministic — depends only on the
-    /// trained weights and the system seed), inference executes the
-    /// i8×i8→i32 plans, and latency/energy accounting switches to the
-    /// NPU's int8 mode.
+    /// trained weights and the system seed), and each calibrated weight
+    /// GEMM runs as one int8 linear step: activations are quantised to
+    /// integer codes in ±127, multiplied exactly against the weight codes
+    /// on the `f32` micro-kernel, and dequantised. Latency/energy
+    /// accounting switches to the NPU's int8 mode.
     pub precision: Precision,
 }
 

@@ -737,120 +737,6 @@ impl Tensor {
         ))
     }
 
-    /// Depthwise 2-D convolution: input `[c, h, w]`, weights `[c, kh, kw]`,
-    /// optional bias `[c]`, producing `[c, oh, ow]`. Used by the
-    /// EdGaze-style depthwise-separable baseline.
-    ///
-    /// # Errors
-    ///
-    /// Returns shape errors if operands do not line up.
-    pub fn depthwise_conv2d(
-        &self,
-        weight: &Tensor,
-        bias: Option<&Tensor>,
-        stride: usize,
-        pad: usize,
-    ) -> Result<Tensor, TensorError> {
-        let x = self.value().clone();
-        let w = weight.value().clone();
-        if x.ndim() != 3 || w.ndim() != 3 || w.shape()[0] != x.shape()[0] {
-            return Err(TensorError::ShapeMismatch {
-                op: "depthwise_conv2d",
-                lhs: x.shape().to_vec(),
-                rhs: w.shape().to_vec(),
-            });
-        }
-        let (c, h, win) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-        let (kh, kw) = (w.shape()[1], w.shape()[2]);
-        let (oh, ow) = conv_out_dims(h, win, kh, kw, stride, pad)?;
-        let bv = match bias {
-            Some(b) => {
-                let bv = b.value().clone();
-                if bv.shape() != [c] {
-                    return Err(TensorError::ShapeMismatch {
-                        op: "depthwise_conv2d bias",
-                        lhs: vec![c],
-                        rhs: bv.shape().to_vec(),
-                    });
-                }
-                Some(bv)
-            }
-            None => None,
-        };
-        let mut out = vec![0.0f32; c * oh * ow];
-        for ci in 0..c {
-            for oi in 0..oh {
-                for oj in 0..ow {
-                    let mut acc = bv.as_ref().map_or(0.0, |b| b.data()[ci]);
-                    for ki in 0..kh {
-                        let ii = (oi * stride + ki) as isize - pad as isize;
-                        if ii < 0 || ii as usize >= h {
-                            continue;
-                        }
-                        for kj in 0..kw {
-                            let jj = (oj * stride + kj) as isize - pad as isize;
-                            if jj < 0 || jj as usize >= win {
-                                continue;
-                            }
-                            acc += x.data()[(ci * h + ii as usize) * win + jj as usize]
-                                * w.data()[(ci * kh + ki) * kw + kj];
-                        }
-                    }
-                    out[(ci * oh + oi) * ow + oj] = acc;
-                }
-            }
-        }
-        let value = NdArray::from_vec(out, &[c, oh, ow])?;
-        let mut parents = vec![self.clone(), weight.clone()];
-        if let Some(b) = bias {
-            parents.push(b.clone());
-        }
-        let has_bias = bias.is_some();
-        Ok(Tensor::from_op(
-            value,
-            parents,
-            Box::new(move |g, parents| {
-                let mut dx = vec![0.0f32; c * h * win];
-                let mut dw = vec![0.0f32; c * kh * kw];
-                let mut db = vec![0.0f32; c];
-                for ci in 0..c {
-                    for oi in 0..oh {
-                        for oj in 0..ow {
-                            let gv = g.data()[(ci * oh + oi) * ow + oj];
-                            db[ci] += gv;
-                            for ki in 0..kh {
-                                let ii = (oi * stride + ki) as isize - pad as isize;
-                                if ii < 0 || ii as usize >= h {
-                                    continue;
-                                }
-                                for kj in 0..kw {
-                                    let jj = (oj * stride + kj) as isize - pad as isize;
-                                    if jj < 0 || jj as usize >= win {
-                                        continue;
-                                    }
-                                    let xi = (ci * h + ii as usize) * win + jj as usize;
-                                    let wi = (ci * kh + ki) * kw + kj;
-                                    dx[xi] += gv * w.data()[wi];
-                                    dw[wi] += gv * x.data()[xi];
-                                }
-                            }
-                        }
-                    }
-                }
-                parents[0].accumulate_grad(
-                    &NdArray::from_vec(dx, &[c, h, win]).expect("dw conv dx shape"),
-                );
-                parents[1].accumulate_grad(
-                    &NdArray::from_vec(dw, &[c, kh, kw]).expect("dw conv dw shape"),
-                );
-                if has_bias {
-                    parents[2]
-                        .accumulate_grad(&NdArray::from_vec(db, &[c]).expect("dw conv db shape"));
-                }
-            }),
-        ))
-    }
-
     /// Nearest-neighbour 2x upsampling of a `[c, h, w]` tensor.
     ///
     /// # Errors
@@ -1378,23 +1264,6 @@ mod tests {
         let y = x.conv2d(&w, Some(&b), 1, 0).unwrap();
         y.sum_all().backward().unwrap();
         assert_eq!(b.grad().unwrap().data(), &[9.0, 9.0]);
-    }
-
-    #[test]
-    fn depthwise_conv_matches_full_conv_for_single_channel() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let img = NdArray::randn(&mut rng, &[1, 4, 4], 1.0);
-        let ker = NdArray::randn(&mut rng, &[1, 3, 3], 1.0);
-        let x1 = Tensor::parameter(img.clone());
-        let wd = Tensor::parameter(ker.clone());
-        let yd = x1.depthwise_conv2d(&wd, None, 1, 1).unwrap();
-        let x2 = Tensor::parameter(img);
-        let wf = Tensor::parameter(ker.reshape(&[1, 1, 3, 3]).unwrap());
-        let yf = x2.conv2d(&wf, None, 1, 1).unwrap();
-        assert!(yd.value().approx_eq(&yf.value(), 1e-5));
-        yd.sum_all().backward().unwrap();
-        yf.sum_all().backward().unwrap();
-        assert!(x1.grad().unwrap().approx_eq(&x2.grad().unwrap(), 1e-5));
     }
 
     #[test]

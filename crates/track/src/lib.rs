@@ -9,8 +9,8 @@
 //!   patch-token encoder, Segmenter-style mask decoder with class
 //!   embeddings, and a per-pixel refinement head. Patches with no sampled
 //!   pixels are dropped, so compute scales down with pixel volume (§III-B);
-//! * [`RitnetLike`] / [`EdGazeLike`] — dense CNN baselines
-//!   (encoder-decoder and depthwise-separable, §V);
+//! * [`RitnetLike`] — the dense CNN baseline, a convolutional
+//!   encoder-decoder (§V);
 //! * [`SamplingStrategy`] — the seven sampling alternatives compared in the
 //!   paper's Fig. 15;
 //! * [`GazeEstimator`] — geometric gaze regression from the predicted pupil;
@@ -45,7 +45,7 @@ mod train;
 pub mod util;
 mod vit;
 
-pub use baselines::{CnnBaseline, CnnSegConfig, EdGazeLike, RitnetLike};
+pub use baselines::{CnnSegConfig, RitnetLike};
 pub use gaze::{EstimatorSnapshot, GazeEstimator};
 pub use metrics::{seg_accuracy, AngularErrorStats, EvalResult};
 pub use roi_net::{RoiNetConfig, RoiPredictionNet};

@@ -1,3 +1,4 @@
+use crate::baselines::{CnnSegConfig, RitnetLike};
 use crate::gaze::GazeEstimator;
 use crate::metrics::{seg_accuracy, AngularErrorStats, EvalResult};
 use crate::roi_net::{RoiNetConfig, RoiPredictionNet};
@@ -480,18 +481,17 @@ impl JointTrainer {
     }
 }
 
-/// Trains and evaluates a dense CNN baseline (RITnet- or EdGaze-style) at a
-/// fixed downsampling factor — the paper's NPU-Full / NPU-ROI accuracy
+/// Trains and evaluates the dense RITnet-style CNN baseline at a fixed
+/// downsampling factor — the paper's NPU-Full / NPU-ROI accuracy
 /// baselines, where compression comes from image downsampling instead of
 /// sparse sampling.
 #[derive(Debug)]
 pub struct DenseTrainer {
-    net: crate::baselines::CnnBaseline,
+    net: RitnetLike,
     optimizer: Adam,
     downsample: usize,
     roi_only: bool,
     noise: ImagingNoise,
-    exposure_scale: f32,
     epochs: usize,
     rng: StdRng,
 }
@@ -499,14 +499,12 @@ pub struct DenseTrainer {
 impl DenseTrainer {
     /// Creates a dense baseline trainer.
     ///
-    /// * `arch` — `"ritnet"` or `"edgaze"`;
     /// * `downsample` — integer image downsampling factor (compression =
     ///   `downsample²` for full frames);
     /// * `roi_only` — when true, pixels outside the ground-truth ROI are
     ///   zeroed before downsampling (the NPU-ROI variant); compression then
     ///   counts only ROI pixels.
     pub fn new(
-        arch: &str,
         frame_width: usize,
         frame_height: usize,
         downsample: usize,
@@ -515,11 +513,11 @@ impl DenseTrainer {
     ) -> Self {
         assert!(downsample > 0, "downsample must be positive");
         let mut rng = StdRng::seed_from_u64(seed);
-        let config = crate::baselines::CnnSegConfig::miniature(
+        let config = CnnSegConfig::miniature(
             frame_width.div_ceil(downsample),
             frame_height.div_ceil(downsample),
         );
-        let net = crate::baselines::CnnBaseline::by_name(arch, &mut rng, config);
+        let net = RitnetLike::new(&mut rng, config);
         let optimizer = Adam::new(net.parameters(), 1e-3);
         DenseTrainer {
             net,
@@ -527,7 +525,6 @@ impl DenseTrainer {
             downsample,
             roi_only,
             noise: ImagingNoise::default(),
-            exposure_scale: 1.0,
             epochs: 1,
             rng,
         }
@@ -538,20 +535,13 @@ impl DenseTrainer {
         self.epochs = epochs.max(1);
     }
 
-    /// Overrides the exposure scale (frame-rate/SNR coupling).
-    pub fn set_exposure_scale(&mut self, scale: f32) {
-        self.exposure_scale = scale;
-    }
-
     /// The wrapped network.
-    pub fn network(&self) -> &crate::baselines::CnnBaseline {
+    pub fn network(&self) -> &RitnetLike {
         &self.net
     }
 
     fn prepare(&mut self, frame: &bliss_eye::EyeFrame, w: usize, h: usize) -> (Vec<f32>, Vec<u8>) {
-        let mut img = self
-            .noise
-            .apply(&frame.clean, self.exposure_scale, &mut self.rng);
+        let mut img = self.noise.apply(&frame.clean, 1.0, &mut self.rng);
         if self.roi_only {
             for y in 0..h {
                 for x in 0..w {
@@ -758,7 +748,7 @@ mod tests {
     #[test]
     fn dense_trainer_runs_and_evaluates() {
         let seq = tiny_seq(16, 15);
-        let mut t = DenseTrainer::new("edgaze", 160, 100, 2, false, 1);
+        let mut t = DenseTrainer::new(160, 100, 2, false, 1);
         let losses = t.train_on(&seq).unwrap();
         assert!(!losses.is_empty());
         let eval = t.evaluate(&seq).unwrap();
@@ -769,8 +759,8 @@ mod tests {
     #[test]
     fn dense_roi_only_compresses_more() {
         let seq = tiny_seq(10, 16);
-        let mut full = DenseTrainer::new("ritnet", 160, 100, 2, false, 2);
-        let mut roi = DenseTrainer::new("ritnet", 160, 100, 2, true, 2);
+        let mut full = DenseTrainer::new(160, 100, 2, false, 2);
+        let mut roi = DenseTrainer::new(160, 100, 2, true, 2);
         let ef = full.evaluate(&seq).unwrap();
         let er = roi.evaluate(&seq).unwrap();
         assert!(er.mean_compression > ef.mean_compression);

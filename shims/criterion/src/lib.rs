@@ -12,8 +12,9 @@
 //!   deviations (via the median absolute deviation) from the median are
 //!   discarded before the reported median is taken.
 //! * **Machine-readable output** — every group writes its results as JSON
-//!   (`BENCH_<group>.json` at the workspace root by default, or the path in
-//!   `BLISS_BENCH_OUT`), so successive PRs can diff kernel performance.
+//!   (`BENCH_<group>.json` at the workspace root by default, or inside the
+//!   `BLISS_BENCH_OUT` directory), so successive PRs can diff kernel
+//!   performance.
 //!   Every row carries a `unit`: `ns` for a timing, or the unit a value row
 //!   ([`Criterion::report_value`]) was recorded with. A `provenance` object
 //!   heads the file: the commit checked out at the workspace root, the CPU
@@ -337,21 +338,29 @@ impl Criterion {
 
     /// Writes the JSON report for a finished group.
     ///
-    /// The destination is `BLISS_BENCH_OUT` if set, otherwise
-    /// `BENCH_<group>.json` at the workspace root (found by walking up from
-    /// `CARGO_MANIFEST_DIR` to the nearest `Cargo.lock`), falling back to
-    /// the current directory. Write errors are reported, not fatal: a
-    /// read-only checkout can still run benches.
+    /// The destination is `BENCH_<group>.json` inside the `BLISS_BENCH_OUT`
+    /// directory if set, otherwise at the workspace root (found by walking
+    /// up from `CARGO_MANIFEST_DIR` to the nearest `Cargo.lock`), falling
+    /// back to the current directory. Write errors are reported, not fatal:
+    /// a read-only checkout can still run benches.
     pub fn write_report(&self, group: &str) {
         let root = workspace_root();
-        let path = match std::env::var("BLISS_BENCH_OUT") {
-            Ok(path) if !path.is_empty() => PathBuf::from(path),
-            _ => root.join(format!("BENCH_{group}.json")),
-        };
+        let out = std::env::var("BLISS_BENCH_OUT").ok();
+        let path = report_path(out.as_deref(), &root, group);
         match std::fs::write(&path, self.report_json(&root)) {
             Ok(()) => println!("wrote {} results to {}", self.results.len(), path.display()),
             Err(e) => eprintln!("could not write bench report {}: {e}", path.display()),
         }
+    }
+}
+
+/// The path of group `group`'s report: `BENCH_<group>.json` inside the `out`
+/// directory when it is given and non-empty, else inside `root`.
+fn report_path(out: Option<&str>, root: &Path, group: &str) -> PathBuf {
+    let name = format!("BENCH_{group}.json");
+    match out {
+        Some(dir) if !dir.is_empty() => Path::new(dir).join(name),
+        _ => root.join(name),
     }
 }
 
@@ -521,6 +530,18 @@ mod tests {
         assert!(report.contains("\"nproc\": "));
         assert!(report.contains("\"fast_mode\": "));
         assert!(report.contains("},\n  \"benchmarks\": [\n    {\"name\": \"alpha\""));
+    }
+
+    #[test]
+    fn groups_keep_their_own_report_under_the_out_directory() {
+        let root = Path::new("/checkout");
+        let kernels = report_path(Some("out"), root, "kernels");
+        assert_eq!(kernels, Path::new("out/BENCH_kernels.json"));
+        assert_ne!(kernels, report_path(Some("out"), root, "pipeline"));
+        assert_eq!(
+            report_path(Some(""), root, "kernels"),
+            root.join("BENCH_kernels.json")
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! NPU simulator consumes (`bliss-npu`) — otherwise the accuracy runs and
 //! the energy model would describe different networks.
 
-use blisscam::nn::{Conv2d, DepthwiseSeparableConv2d, Linear, Module, MultiHeadAttention};
+use blisscam::nn::{Conv2d, Linear, Module, MultiHeadAttention};
 use blisscam::npu::WorkloadDesc;
 use blisscam::track::{CnnSegConfig, RoiNetConfig, ViTConfig};
 use rand::rngs::StdRng;
@@ -26,15 +26,6 @@ fn conv_layer_macs_match_workload() {
     let mut w = WorkloadDesc::new("conv");
     w.push_conv(16, 8, 3, oh, ow);
     assert_eq!(conv.macs(40, 50), w.total_macs());
-}
-
-#[test]
-fn depthwise_layer_macs_match_workload() {
-    let mut rng = StdRng::seed_from_u64(0);
-    let sep = DepthwiseSeparableConv2d::new(&mut rng, 12, 24, 3, 1, 1);
-    let mut w = WorkloadDesc::new("dw");
-    w.push_depthwise_separable(12, 24, 3, 20, 30);
-    assert_eq!(sep.macs(20, 30), w.total_macs());
 }
 
 #[test]
@@ -79,7 +70,7 @@ fn sparse_vit_macs_shrink_with_sampling() {
     let vit = ViTConfig::paper();
     let cnn = CnnSegConfig::paper();
     let sparse = vit.workload(134, 12_500).total_macs() as f64;
-    let dense_cnn = cnn.workload(false).total_macs() as f64;
+    let dense_cnn = cnn.workload().total_macs() as f64;
     let reduction = dense_cnn / sparse;
     assert!(
         (2.5..8.0).contains(&reduction),
