@@ -27,7 +27,6 @@ use bliss_fleet::{
     FleetRuntime, InjectedFault, PlacementPolicy,
 };
 use bliss_serve::FrameRecord;
-use bliss_telemetry::MetricsSnapshot;
 use blisscam_core::SystemConfig;
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -61,10 +60,6 @@ struct ChaosSweepReport {
     /// JSON bytes of the shared model image; each run's
     /// `chaos.max_checkpoint_bytes` must stay below it.
     model_image_bytes: usize,
-    /// The telemetry metrics registry frozen at the end of the sweep: the
-    /// fault/recovery counters and the recovery-latency histogram aggregate
-    /// every run above.
-    metrics: MetricsSnapshot,
     points: Vec<ChaosPoint>,
 }
 
@@ -148,9 +143,6 @@ fn main() {
         .with_paper_scale_timing();
 
     let model_image_bytes = fleet.serve_runtime().model_image().to_json().len();
-
-    bliss_telemetry::reset_metrics();
-    bliss_telemetry::set_enabled(true);
 
     let mut points = Vec::new();
     let mut rows = Vec::new();
@@ -283,7 +275,6 @@ fn main() {
             wall_ms,
         });
     }
-    bliss_telemetry::set_enabled(false);
 
     bliss_bench::print_table(
         "bliss_fleet chaos soak (crash/slow/timeout/corrupt faults, snapshot failover)",
@@ -308,14 +299,9 @@ fn main() {
         hosts,
         frames_per_session: frames,
         model_image_bytes,
-        metrics: bliss_telemetry::metrics_snapshot(),
         points,
     };
-    let path = bliss_bench::report_path("BENCH_chaos.json");
-    match std::fs::write(&path, report.to_json()) {
-        Ok(()) => println!("wrote chaos soak to {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    bliss_bench::write_report("BENCH_chaos.json", &report);
 
     if !failures.is_empty() {
         eprintln!("chaos gates FAILED:");

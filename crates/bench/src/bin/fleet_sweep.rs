@@ -12,17 +12,14 @@
 //! sweep for CI.
 //!
 //! The whole sweep runs with `bliss_telemetry` tracing **on** (after an
-//! off/on bit-identity probe): the report gains a per-stage breakdown and
-//! a metrics snapshot (including per-host utilisation gauges), and the
-//! spans — `pid` = host, `tid` = session — are exported as
+//! off/on bit-identity probe): the report gains a per-stage breakdown, and
+//! the spans — `pid` = host, `tid` = session — are exported as
 //! Perfetto-loadable Chrome trace JSON to `TRACE_fleet.json`.
 
 use bliss_bench::Flag;
 use bliss_fleet::{FleetConfig, FleetReport, FleetRuntime, PlacementPolicy};
-use bliss_telemetry::export::{chrome_trace_json, stage_breakdown, StageSummary};
-use bliss_telemetry::MetricsSnapshot;
+use bliss_telemetry::export::StageSummary;
 use blisscam_core::SystemConfig;
-use serde::json::JsonValue;
 use serde::Serialize;
 use std::time::Instant;
 
@@ -42,9 +39,6 @@ struct SweepReport {
     frames_per_session: usize,
     /// Per-stage span aggregates over the whole traced sweep.
     stages: Vec<StageSummary>,
-    /// The telemetry metrics registry frozen at the end of the sweep
-    /// (per-host utilisation gauges reflect the last load point).
-    metrics: MetricsSnapshot,
     /// Spans the fixed ring dropped (0 = the trace is complete).
     spans_dropped: u64,
     points: Vec<SweepPoint>,
@@ -83,7 +77,6 @@ fn main() {
     );
     println!("telemetry neutrality probe: on/off outcomes bit-identical");
     bliss_telemetry::clear_spans();
-    bliss_telemetry::reset_metrics();
 
     let mut points = Vec::new();
     let mut rows = Vec::new();
@@ -125,48 +118,14 @@ fn main() {
         &rows,
     );
 
-    // Freeze the metrics, then drain the span ring: validate the Chrome
-    // trace JSON by re-parsing, then write it next to the bench report.
-    bliss_telemetry::set_enabled(false);
-    let spans_dropped = bliss_telemetry::spans_dropped();
-    let metrics = bliss_telemetry::metrics_snapshot();
-    let spans = bliss_telemetry::take_spans();
-    assert_eq!(
-        metrics.gauge("spans_recorded"),
-        spans.len() as f64,
-        "the spans_recorded gauge must count the spans drained from the ring"
-    );
-    let stages = stage_breakdown(&spans);
-    let trace_json = chrome_trace_json(&spans);
-    let trace_value = JsonValue::parse(&trace_json).expect("trace JSON must parse");
-    let event_count = trace_value
-        .field("traceEvents")
-        .and_then(|v| v.expect_array())
-        .expect("traceEvents array")
-        .len();
-    println!(
-        "traced {} spans ({} dropped) into {} Chrome trace events",
-        spans.len(),
-        spans_dropped,
-        event_count
-    );
-    let trace_path = bliss_bench::report_path("TRACE_fleet.json");
-    match std::fs::write(&trace_path, &trace_json) {
-        Ok(()) => println!("wrote Perfetto trace to {}", trace_path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", trace_path.display()),
-    }
+    let (stages, spans_dropped) = bliss_bench::drain_trace("TRACE_fleet.json");
 
     let report = SweepReport {
         mode: if quick { "quick" } else { "standard" }.to_string(),
         frames_per_session: frames,
         stages,
-        metrics,
         spans_dropped,
         points,
     };
-    let path = bliss_bench::report_path("BENCH_fleet.json");
-    match std::fs::write(&path, report.to_json()) {
-        Ok(()) => println!("wrote fleet sweep to {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    bliss_bench::write_report("BENCH_fleet.json", &report);
 }

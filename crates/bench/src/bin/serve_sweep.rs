@@ -14,16 +14,14 @@
 //!
 //! The whole sweep runs with `bliss_telemetry` tracing **on** (after an
 //! off/on bit-identity probe): the report gains a per-stage breakdown and
-//! a metrics-registry snapshot, and the recorded spans are exported as
-//! Perfetto-loadable Chrome trace JSON to `TRACE_serve.json` (validated by
-//! re-parsing before it is written).
+//! the shared ViT's plan-cache counters, and the recorded spans are
+//! exported as Perfetto-loadable Chrome trace JSON to `TRACE_serve.json`
+//! (validated by re-parsing before it is written).
 
 use bliss_bench::Flag;
 use bliss_serve::{Precision, ServeConfig, ServeOutcome, ServeReport, ServeRuntime};
-use bliss_telemetry::export::{chrome_trace_json, stage_breakdown, StageSummary};
-use bliss_telemetry::MetricsSnapshot;
+use bliss_telemetry::export::StageSummary;
 use blisscam_core::{SparseFrontEnd, SystemConfig};
-use serde::json::JsonValue;
 use serde::Serialize;
 use std::time::Instant;
 
@@ -70,6 +68,17 @@ struct ScenarioAccuracy {
     delta_deg: f64,
 }
 
+/// The shared ViT's plan-cache counters at the end of the sweep
+/// (`ServeRuntime::vit_plan_stats`).
+#[derive(Serialize)]
+struct PlanStats {
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+    plans: usize,
+    arena_elems: usize,
+}
+
 #[derive(Serialize)]
 struct SweepReport {
     mode: String,
@@ -89,8 +98,8 @@ struct SweepReport {
     /// Per-stage span aggregates over the whole traced sweep (virtual and
     /// wall time), in pipeline order.
     stages: Vec<StageSummary>,
-    /// The telemetry metrics registry frozen at the end of the sweep.
-    metrics: MetricsSnapshot,
+    /// Plan-cache traffic and occupancy over the whole run.
+    vit_plans: PlanStats,
     /// Spans the fixed ring dropped (0 = the trace is complete).
     spans_dropped: u64,
     /// Quantised matmul sites in the shared ViT's int8 spec (0 when the
@@ -226,7 +235,6 @@ fn main() {
     );
     println!("telemetry neutrality probe: on/off outcomes bit-identical");
     bliss_telemetry::clear_spans();
-    bliss_telemetry::reset_metrics();
 
     let max_batch = 16;
     let mut points = Vec::new();
@@ -397,38 +405,8 @@ fn main() {
     }
     let int8_sites = runtime.int8_sites();
 
-    // Freeze the metrics, then drain the span ring into the
-    // Perfetto-loadable Chrome trace and the per-stage breakdown; validate
-    // the trace JSON by re-parsing it with the same parser CI uses before
-    // writing it next to the bench report.
-    bliss_telemetry::set_enabled(false);
-    let spans_dropped = bliss_telemetry::spans_dropped();
-    let metrics = bliss_telemetry::metrics_snapshot();
-    let spans = bliss_telemetry::take_spans();
-    assert_eq!(
-        metrics.gauge("spans_recorded"),
-        spans.len() as f64,
-        "the spans_recorded gauge must count the spans drained from the ring"
-    );
-    let stages = stage_breakdown(&spans);
-    let trace_json = chrome_trace_json(&spans);
-    let trace_value = JsonValue::parse(&trace_json).expect("trace JSON must parse");
-    let event_count = trace_value
-        .field("traceEvents")
-        .and_then(|v| v.expect_array())
-        .expect("traceEvents array")
-        .len();
-    println!(
-        "traced {} spans ({} dropped) into {} Chrome trace events",
-        spans.len(),
-        spans_dropped,
-        event_count
-    );
-    let trace_path = bliss_bench::report_path("TRACE_serve.json");
-    match std::fs::write(&trace_path, &trace_json) {
-        Ok(()) => println!("wrote Perfetto trace to {}", trace_path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", trace_path.display()),
-    }
+    let (stages, spans_dropped) = bliss_bench::drain_trace("TRACE_serve.json");
+    let plans = runtime.vit_plan_stats();
 
     let report = SweepReport {
         mode: if quick { "quick" } else { "standard" }.to_string(),
@@ -442,7 +420,13 @@ fn main() {
         roi_box_to_gt_area_ratio: roi_ratio,
         knee_sessions,
         stages,
-        metrics,
+        vit_plans: PlanStats {
+            hits: plans.hits,
+            misses: plans.misses,
+            evictions: plans.evictions,
+            plans: plans.plans,
+            arena_elems: plans.arena_elems,
+        },
         spans_dropped,
         int8_sites,
         quant_gate,
@@ -450,9 +434,5 @@ fn main() {
         pareto_scenarios,
         points,
     };
-    let path = bliss_bench::report_path("BENCH_serve.json");
-    match std::fs::write(&path, report.to_json()) {
-        Ok(()) => println!("wrote serve sweep to {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    bliss_bench::write_report("BENCH_serve.json", &report);
 }

@@ -11,8 +11,9 @@
 //!
 //! The whole soak runs on a single-thread pool so the scratch-pool
 //! readings on the main thread cover the inference work too. Results go
-//! to `BENCH_soak.json` and `BENCH_soak_metrics.json` at the workspace root
-//! (or inside the `BLISS_BENCH_OUT` directory); neither is committed.
+//! to `BENCH_soak.json` at the workspace root (or inside the
+//! `BLISS_BENCH_OUT` directory); it is not committed. The soak runs
+//! untraced.
 //! `--quick` runs the minutes-scale smoke profile the `soak-smoke` CI job
 //! uses. The process exits non-zero if a
 //! durability check fails, so CI catches regressions without parsing the
@@ -21,7 +22,6 @@
 use bliss_bench::soak::{run_soak, SoakConfig};
 use bliss_serve::ServeRuntime;
 use blisscam_core::SystemConfig;
-use serde::Serialize;
 use std::time::Instant;
 
 fn main() {
@@ -52,17 +52,11 @@ fn main() {
         cfg.frames_total()
     );
     let t0 = Instant::now();
-    // Metrics-only telemetry for the whole soak: the span ring is never
-    // initialised (recording a span is then a no-op), so the million-frame
-    // horizon adds no trace memory — only the static registry counters.
-    bliss_telemetry::set_enabled(true);
     // Single-thread pool: the scratch-pool high-water readings are
     // per-thread, so this makes the main-thread curve cover inference too.
     let report =
         bliss_parallel::with_thread_count(1, || run_soak(&runtime, &cfg)).expect("soak succeeds");
-    bliss_telemetry::set_enabled(false);
     let wall_s = t0.elapsed().as_secs_f64();
-    let metrics = bliss_telemetry::metrics_snapshot();
 
     let mut rows = Vec::new();
     // Print head/tail epochs only; the JSON has them all.
@@ -120,28 +114,7 @@ fn main() {
         wall_s,
     );
 
-    println!(
-        "telemetry: plan cache {} hits / {} misses / {} evictions, \
-         {} frames in {} batches, {} cold-start reads, {} deadline misses",
-        metrics.counter("plan_cache_hits"),
-        metrics.counter("plan_cache_misses"),
-        metrics.counter("plan_cache_evictions"),
-        metrics.counter("frames_served"),
-        metrics.counter("batches_launched"),
-        metrics.counter("cold_start_frames"),
-        metrics.counter("deadline_misses"),
-    );
-
-    let path = bliss_bench::report_path("BENCH_soak.json");
-    match std::fs::write(&path, report.to_json()) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
-    let mpath = bliss_bench::report_path("BENCH_soak_metrics.json");
-    match std::fs::write(&mpath, metrics.to_json()) {
-        Ok(()) => println!("wrote {}", mpath.display()),
-        Err(e) => eprintln!("could not write {}: {e}", mpath.display()),
-    }
+    bliss_bench::write_report("BENCH_soak.json", &report);
 
     let mut failed = false;
     if !report.sentinel_identical {

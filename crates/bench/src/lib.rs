@@ -29,7 +29,10 @@
 //! Criterion micro-benchmarks for the hot kernels (eventification, RLE,
 //! SRAM sampling, ViT forward, systolic model, renderer) live in `benches/`.
 
+use bliss_telemetry::export::{chrome_trace_json, stage_breakdown, StageSummary};
 use blisscam_core::experiments::ExperimentScale;
+use serde::json::JsonValue;
+use serde::Serialize;
 
 pub mod soak;
 
@@ -155,21 +158,10 @@ pub fn scale_from_args() -> ExperimentScale {
 
 /// Resolves where a sweep binary writes its report `name`: inside the
 /// `BLISS_BENCH_OUT` directory when set, else at the workspace root
-/// (nearest ancestor with a `Cargo.lock`), else in the current directory.
+/// ([`criterion::workspace_root`]).
 pub fn report_path(name: &str) -> std::path::PathBuf {
-    use std::path::PathBuf;
-    let mut root = std::env::var("CARGO_MANIFEST_DIR")
-        .map(PathBuf::from)
-        .or_else(|_| std::env::current_dir())
-        .unwrap_or_else(|_| PathBuf::from("."));
-    while !root.join("Cargo.lock").exists() {
-        if !root.pop() {
-            root = PathBuf::from(".");
-            break;
-        }
-    }
     let out = std::env::var("BLISS_BENCH_OUT").ok();
-    report_path_in(out.as_deref(), &root, name)
+    report_path_in(out.as_deref(), &criterion::workspace_root(), name)
 }
 
 /// The path of report `name`: inside the `out` directory when it is given
@@ -179,6 +171,64 @@ fn report_path_in(out: Option<&str>, root: &std::path::Path, name: &str) -> std:
         Some(dir) if !dir.is_empty() => std::path::Path::new(dir).join(name),
         _ => root.join(name),
     }
+}
+
+/// `report`'s JSON opened by the `provenance` object of the checkout at
+/// `root` ([`criterion::provenance_json`]: commit, CPU model, nproc).
+/// `report` must serialise as a JSON object with at least one field, as
+/// every sweep report does.
+pub fn report_json(root: &std::path::Path, report: &impl Serialize) -> String {
+    let json = report.to_json();
+    let members = json
+        .strip_prefix('{')
+        .expect("a sweep report serialises as a JSON object");
+    format!(
+        "{{\"provenance\":{},{members}",
+        criterion::provenance_json(root)
+    )
+}
+
+/// Writes sweep report `name` to [`report_path`], opened by the
+/// checkout's provenance (see [`report_json`]). A write error is reported,
+/// not fatal.
+pub fn write_report(name: &str, report: &impl Serialize) {
+    let path = report_path(name);
+    match std::fs::write(&path, report_json(&criterion::workspace_root(), report)) {
+        Ok(()) => println!("wrote {name} to {}", path.display()),
+        Err(e) => eprintln!("could not write {}: {e}", path.display()),
+    }
+}
+
+/// Stops tracing, drains the span ring into its per-stage breakdown and
+/// writes it as Perfetto-loadable Chrome trace JSON to trace file `name`,
+/// validated by re-parsing first. Returns the breakdown and the count of
+/// spans the ring dropped (0 = the trace is complete).
+pub fn drain_trace(name: &str) -> (Vec<StageSummary>, u64) {
+    bliss_telemetry::set_enabled(false);
+    let dropped = bliss_telemetry::spans_dropped();
+    let recorded = bliss_telemetry::spans_recorded();
+    let spans = bliss_telemetry::take_spans();
+    assert_eq!(
+        recorded,
+        spans.len(),
+        "the ring must hand over every span it recorded"
+    );
+    let trace_json = chrome_trace_json(&spans);
+    let events = JsonValue::parse(&trace_json)
+        .expect("trace JSON must parse")
+        .field("traceEvents")
+        .and_then(|v| v.expect_array().map(<[JsonValue]>::len))
+        .expect("traceEvents array");
+    println!(
+        "traced {} spans ({dropped} dropped) into {events} Chrome trace events",
+        spans.len()
+    );
+    let path = report_path(name);
+    match std::fs::write(&path, &trace_json) {
+        Ok(()) => println!("wrote Perfetto trace to {}", path.display()),
+        Err(e) => eprintln!("could not write {}: {e}", path.display()),
+    }
+    (stage_breakdown(&spans), dropped)
 }
 
 /// Formats seconds as adaptive ms/us text.
@@ -238,6 +288,30 @@ mod tests {
             .contains("needs a value"));
         assert!(parse(&["--precision", "fp16"], &all).is_err());
         assert!(parse(&["--precision="], &all).is_err());
+    }
+
+    #[test]
+    fn sweep_reports_open_with_provenance() {
+        #[derive(Serialize)]
+        struct Sweep {
+            mode: String,
+        }
+        let root = std::path::Path::new("/nonexistent");
+        let json = report_json(
+            root,
+            &Sweep {
+                mode: "quick".into(),
+            },
+        );
+        assert!(
+            json.starts_with("{\"provenance\":{\"commit\": \"unknown\", \"cpu\": \""),
+            "{json}"
+        );
+        let value = JsonValue::parse(&json).expect("the report stays valid JSON");
+        let members = value.expect_object().expect("an object");
+        assert_eq!(members[0].0, "provenance");
+        assert_eq!(members[1].0, "mode");
+        assert!(value.field("provenance").unwrap().field("nproc").is_ok());
     }
 
     #[test]

@@ -34,9 +34,9 @@ use bliss_serve::{LatencyStats, ServeConfig, ServeOutcome, ServeRuntime};
 use bliss_tensor::TensorError;
 use serde::{Deserialize, Serialize};
 
-// The histogram was born here and later promoted into `bliss_telemetry` so
-// the metrics registry could share it; re-exported so soak call sites (and
-// the serde round-trip suite) are unchanged.
+// The histogram lives in `bliss_telemetry`, where `bliss_serve`'s latency
+// report shares it; re-exported so soak call sites (and the serde
+// round-trip suite) name it from here.
 pub use bliss_telemetry::{
     StreamingHistogram, HISTOGRAM_BASE_S, HISTOGRAM_BUCKETS, HISTOGRAM_GROWTH,
 };

@@ -322,7 +322,6 @@ impl SparseFrontEnd {
     /// first). Bit-identical to the allocating form; streaming sessions keep
     /// one event buffer per stream and reuse it every frame.
     pub fn sense_events_into(&mut self, clean: &[f32], out: &mut Vec<f32>) {
-        bliss_telemetry::metrics::SENSOR_FRAMES.add(1);
         self.noise
             .apply_into(clean, 1.0, &mut self.rng, &mut self.noisy_buf);
         self.sensor.expose(&self.noisy_buf);
@@ -344,7 +343,6 @@ impl SparseFrontEnd {
         if self.have_seg {
             roi_net.predict_box(roi_out)
         } else {
-            bliss_telemetry::metrics::COLD_START_FRAMES.add(1);
             RoiBox::full(self.width, self.height)
         }
     }

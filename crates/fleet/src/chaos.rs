@@ -219,6 +219,29 @@ impl FaultPlan {
         });
         FaultPlan { seed, events }
     }
+
+    /// Checks that every event can be injected: a slow factor must be a
+    /// finite slowdown of at least 1 and a timeout stall finite and
+    /// non-negative. [`FaultPlan::generate`] only schedules such events; a
+    /// plan read from JSON may hold anything.
+    fn check(&self) -> Result<(), TensorError> {
+        for (i, ev) in self.events.iter().enumerate() {
+            let problem = match ev.kind {
+                FaultKind::Slow { factor, .. } if !(factor.is_finite() && factor >= 1.0) => {
+                    format!("slow factor {factor} is not a finite slowdown >= 1")
+                }
+                FaultKind::Timeout { stall_s } if !(stall_s.is_finite() && stall_s >= 0.0) => {
+                    format!("timeout stall {stall_s} s is not finite and non-negative")
+                }
+                _ => continue,
+            };
+            return Err(TensorError::InvalidArgument {
+                op: "serve_chaos",
+                message: format!("fault event {i} on host {}: {problem}", ev.host),
+            });
+        }
+        Ok(())
+    }
 }
 
 /// SLO-aware graceful degradation: when a host's recent deadline-miss rate
@@ -453,7 +476,7 @@ impl FleetRuntime {
     ///
     /// # Errors
     ///
-    /// Propagates tensor errors from inference.
+    /// As [`FleetRuntime::serve_chaos_sessions`].
     pub fn serve_chaos(
         &self,
         cfg: &FleetConfig,
@@ -466,13 +489,16 @@ impl FleetRuntime {
     ///
     /// # Errors
     ///
-    /// Propagates tensor errors from inference.
+    /// [`TensorError::InvalidArgument`] before anything is served if the
+    /// plan holds a slow factor below 1 or a negative stall (or either
+    /// non-finite); otherwise propagates tensor errors from inference.
     pub fn serve_chaos_sessions(
         &self,
         cfg: &FleetConfig,
         chaos: &ChaosConfig,
         sessions: Vec<SessionConfig>,
     ) -> Result<ChaosOutcome, TensorError> {
+        chaos.plan.check()?;
         // `FleetState::assignment` is position-aligned with this list; keep
         // the ids so failover can update the routing table by session id.
         let session_ids: Vec<usize> = sessions.iter().map(|s| s.id).collect();
@@ -693,13 +719,6 @@ impl FleetRuntime {
             frames_done: outcome.report.frames_total,
             alive_hosts: hosts.iter().filter(|h| h.alive).count(),
         });
-
-        if bliss_telemetry::enabled() {
-            faults.record_telemetry();
-            for &r in &recovery_latency_s {
-                bliss_telemetry::metrics::RECOVERY_LATENCY_S.record(r);
-            }
-        }
 
         let mut outcome = outcome;
         outcome.report.faults = faults;

@@ -270,13 +270,6 @@ impl FleetRuntime {
             .collect();
         let timeline = merge_timelines(&per_host);
         let report = FleetReport::from_hosts(cfg, &state.assignment, &per_host, &timeline);
-        if bliss_telemetry::enabled() {
-            use bliss_telemetry::metrics as m;
-            m::FLEET_HOSTS.set(cfg.hosts as f64);
-            for (host, outcome) in per_host.iter().enumerate().take(m::MAX_HOSTS) {
-                m::HOST_UTILISATION[host].set(outcome.report.utilisation);
-            }
-        }
         FleetOutcome {
             report,
             per_host,

@@ -13,6 +13,7 @@ use bliss_fleet::{
     FleetConfig, FleetOutcome, FleetRuntime, PlacementPolicy,
 };
 use bliss_serve::FrameRecord;
+use bliss_tensor::TensorError;
 use bliss_track::{RoiPredictionNet, SparseViT};
 use blisscam_core::SystemConfig;
 use rand::{rngs::StdRng, SeedableRng};
@@ -307,4 +308,36 @@ fn degradation_sheds_deterministically_and_loses_no_frames() {
         }
         assert_eq!(shed_seen, a.chaos.faults.frames_shed);
     });
+}
+
+#[test]
+fn fault_plans_that_cannot_be_injected_fail_typed() {
+    let fleet = runtime();
+    let cfg = load(PlacementPolicy::RoundRobin);
+    let slow = |factor: f64| FaultKind::Slow {
+        factor,
+        duration_s: 1.0,
+    };
+    for kind in [
+        slow(0.5),
+        slow(f64::NAN),
+        slow(f64::INFINITY),
+        FaultKind::Timeout { stall_s: -1.0 },
+    ] {
+        let plan = FaultPlan {
+            seed: 1,
+            events: vec![FaultEvent {
+                at_s: 0.0,
+                host: 0,
+                kind,
+            }],
+        };
+        let err = fleet
+            .serve_chaos(&cfg, &ChaosConfig::new(plan))
+            .expect_err("an uninjectable fault must be rejected");
+        assert!(
+            matches!(err, TensorError::InvalidArgument { .. }),
+            "{kind:?}: expected InvalidArgument, got {err:?}"
+        );
+    }
 }

@@ -67,7 +67,6 @@ fn spans_carry_the_owning_host_id() {
     let rt = fleet();
     bliss_telemetry::init_spans(1 << 14);
     bliss_telemetry::clear_spans();
-    bliss_telemetry::reset_metrics();
     let mut cfg = FleetConfig::new(3, PlacementPolicy::RoundRobin, 6, 3);
     cfg.serve.max_batch = 4;
     bliss_telemetry::set_enabled(true);
@@ -105,18 +104,5 @@ fn spans_carry_the_owning_host_id() {
     let hosts: std::collections::HashSet<u32> = spans.iter().map(|s| s.host).collect();
     assert_eq!(hosts.len(), 3);
     assert_eq!(bliss_telemetry::current_host(), 0);
-
-    // Per-host utilisation gauges landed in the snapshot for every host.
-    let snap = bliss_telemetry::metrics_snapshot();
-    assert_eq!(snap.gauge("fleet_hosts"), 3.0);
-    for host in 0..3u32 {
-        let name = format!("host_{host}_utilisation");
-        let util = snap.gauge(&name);
-        assert!(
-            util > 0.0 && util <= 1.0,
-            "{name} should be a duty-cycle fraction, got {util}"
-        );
-    }
-    bliss_telemetry::reset_metrics();
     bliss_telemetry::clear_spans();
 }

@@ -937,10 +937,6 @@ impl ServeRuntime {
             s.prev_completion_s = completion;
             s.next_frame = t + 1;
         }
-        if tel && shed_count > 0 {
-            bliss_telemetry::metrics::FRAMES_SHED.add(shed_count as u64);
-        }
-
         if tel {
             self.record_batch_telemetry(
                 &refs,
@@ -963,11 +959,11 @@ impl ServeRuntime {
         ))
     }
 
-    /// Emits per-frame, per-stage spans and batch metrics for one executed
-    /// batch. Pure reconstruction from the scheduler's own accounting —
-    /// each member's virtual stage timeline is recovered from its recorded
-    /// frame and its readiness time in `batch` — so telemetry reads state
-    /// the results path already produced and writes nothing back.
+    /// Emits per-frame, per-stage spans for one executed batch. Pure
+    /// reconstruction from the scheduler's own accounting — each member's
+    /// virtual stage timeline is recovered from its recorded frame and its
+    /// readiness time in `batch` — so telemetry reads state the results
+    /// path already produced and writes nothing back.
     fn record_batch_telemetry(
         &self,
         refs: &[&mut Session],
@@ -977,16 +973,11 @@ impl ServeRuntime {
         seg_time: f64,
         walls: [u64; 5],
     ) {
-        use bliss_telemetry::metrics as m;
         use bliss_telemetry::{record_span, SpanRecord, Stage};
 
         let [w0, w1, w2, w3, w4] = walls;
         let w5 = bliss_telemetry::wall_now_ns();
         let host = bliss_telemetry::current_host();
-        m::BATCHES_LAUNCHED.add(1);
-        m::BATCH_OCCUPANCY.record(batch.len() as f64);
-        m::SCRATCH_RETAINED_BYTES.set(bliss_tensor::pool_stats().retained_bytes() as f64);
-        m::SHELF_RETAINED_BYTES.set(bliss_tensor::shelf_stats().retained_bytes() as f64);
         // Sensor-side readiness decomposition (see `next_ready`): a frame's
         // readiness is roi_start + roi_pred + sampling + readout + mipi, so
         // the ROI stage start — including any stall waiting for the
@@ -995,17 +986,9 @@ impl ServeRuntime {
         let tail = st.roi_pred_s + st.sampling_s + st.readout_s + st.mipi_s;
         for (pos, (s, &(_, ready))) in refs.iter().zip(batch).enumerate() {
             let rec = s.records.last().expect("batch member was just recorded");
-            let scenario = (s.config.scenario.index()).min(m::MAX_SCENARIOS - 1);
-            m::FRAMES_SERVED.add(1);
-            m::SCENARIO_FRAMES[scenario].add(1);
-            m::FRAME_LATENCY_S.record(rec.latency_s);
-            if rec.deadline_missed {
-                m::DEADLINE_MISSES.add(1);
-                m::SCENARIO_DEADLINE_MISSES[scenario].add(1);
-            }
             let base = SpanRecord {
                 stage: Stage::Expose,
-                scenario: scenario as u8,
+                scenario: s.config.scenario.index() as u8,
                 host,
                 session: s.config.id as u32,
                 frame: rec.index as u32,

@@ -262,12 +262,14 @@ impl ShardCheckpoint {
         parse_versioned(json)
     }
 
-    /// Checks that the checkpoint was written by this format version and
-    /// taken on the model named `model_digest`.
+    /// Checks that the checkpoint was written by this format version, taken
+    /// on the model named `model_digest`, and that its scheduling
+    /// parameters can be stepped.
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::Version`] or [`SnapshotError::ModelMismatch`].
+    /// [`SnapshotError::Version`], [`SnapshotError::ModelMismatch`], or
+    /// [`SnapshotError::Corrupt`] on a zero `max_batch`.
     pub fn verify(&self, model_digest: u64) -> Result<(), SnapshotError> {
         check_version(self.version)?;
         if self.model_digest != model_digest {
@@ -275,6 +277,11 @@ impl ShardCheckpoint {
                 expected: model_digest,
                 found: self.model_digest,
             });
+        }
+        if self.serve.max_batch == 0 {
+            return Err(SnapshotError::Corrupt(
+                "serve.max_batch is 0; a batch needs at least one frame".into(),
+            ));
         }
         Ok(())
     }
@@ -647,6 +654,24 @@ mod tests {
         let mut bad = snap;
         bad.shard.sessions[2].front.rng = [0; 4];
         assert_corrupt(&rt, &bad, "imaging-noise");
+    }
+
+    #[test]
+    fn restore_rejects_a_zero_max_batch_from_json() {
+        let (_, snap) = stepped_snapshot();
+        let json = snap.to_json();
+        let key = format!("\"max_batch\":{}", snap.shard.serve.max_batch);
+        assert_eq!(json.matches(&key).count(), 1, "{key} appears once");
+        let bad = ServeSnapshot::parse(&json.replace(&key, "\"max_batch\":0"))
+            .expect("the edited snapshot still parses");
+        match ServeRuntime::restore(&bad) {
+            Err(SnapshotError::Corrupt(msg)) => assert!(msg.contains("max_batch"), "{msg}"),
+            Err(e) => panic!("expected a Corrupt error, got {e:?}"),
+            Ok((rt, cfg, mut state)) => {
+                let stepped = rt.step_batch(&cfg, &mut state);
+                panic!("a zero max_batch restored and stepped to {stepped:?}");
+            }
+        }
     }
 
     #[test]

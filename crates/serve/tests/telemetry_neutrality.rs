@@ -108,7 +108,6 @@ fn recorded_spans_describe_every_served_frame() {
     let rt = runtime();
     bliss_telemetry::init_spans(1 << 14);
     bliss_telemetry::clear_spans();
-    bliss_telemetry::reset_metrics();
     let cfg = load(3, 4);
     bliss_telemetry::set_enabled(true);
     let outcome = rt.serve(&cfg).expect("serves");
@@ -156,20 +155,5 @@ fn recorded_spans_describe_every_served_frame() {
             }
         }
     }
-
-    // The metrics registry agrees with the report.
-    let snap = bliss_telemetry::metrics_snapshot();
-    assert_eq!(snap.counter("frames_served") as usize, frames_total);
-    assert!(snap.counter("batches_launched") > 0);
-    assert_eq!(
-        snap.counter("deadline_misses") as usize,
-        outcome
-            .traces
-            .iter()
-            .flat_map(|t| &t.records)
-            .filter(|r| r.deadline_missed)
-            .count()
-    );
-    bliss_telemetry::reset_metrics();
     bliss_telemetry::clear_spans();
 }

@@ -1,8 +1,8 @@
 //! Fixed-footprint streaming latency histogram.
 //!
-//! Promoted out of `bliss_bench::soak` so the metrics registry and the
-//! soak harness share one implementation; `bliss_bench::soak` re-exports
-//! it, so existing call sites are unchanged.
+//! Lives here, below `bliss_serve` in the crate DAG, so the serving
+//! report (`bliss_serve::LatencyStats::from_histogram`) and the soak
+//! harness in `bliss_bench` share one implementation.
 
 use serde::{Deserialize, Serialize};
 

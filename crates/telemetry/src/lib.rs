@@ -12,7 +12,7 @@
 //!   `bliss_bench`), so recording must be writes into storage that was
 //!   pre-sized at init.
 //!
-//! The crate therefore provides three pieces, all global, all safe to call
+//! The crate therefore provides two pieces, both global and safe to call
 //! from any layer without threading handles through APIs:
 //!
 //! * a fixed-capacity **span recorder** ([`record_span`]): per-frame,
@@ -21,18 +21,13 @@
 //!   session/host/frame/scenario identity, written into a ring pre-sized
 //!   by [`init_spans`]. When the ring is full new spans are counted as
 //!   dropped rather than reallocating;
-//! * a **metrics registry** ([`metrics`]): statically-allocated counters,
-//!   gauges and fixed-bucket atomic histograms for plan-cache traffic,
-//!   scratch-pool and arena occupancy, batch-size distribution,
-//!   per-scenario deadline misses and per-host fleet utilisation, snapshot
-//!   into a serialisable [`MetricsSnapshot`];
 //! * **exporters** ([`export`]): Chrome trace-event JSON (loadable in
 //!   Perfetto / `chrome://tracing`) and per-stage aggregate breakdowns for
 //!   the bench reports.
 //!
 //! # The disabled path is a branch
 //!
-//! Telemetry is off by default. Every mutator first performs one relaxed
+//! Telemetry is off by default. [`record_span`] first performs one relaxed
 //! atomic load ([`enabled`]) and returns on `false` — a predictable branch,
 //! not a dynamic dispatch — so instrumented hot loops cost one test per
 //! record site when telemetry is off. [`set_enabled`] flips recording at
@@ -52,11 +47,9 @@
 
 pub mod export;
 mod histogram;
-pub mod metrics;
 mod span;
 
 pub use histogram::{StreamingHistogram, HISTOGRAM_BASE_S, HISTOGRAM_BUCKETS, HISTOGRAM_GROWTH};
-pub use metrics::{metrics_snapshot, reset_metrics, MetricsSnapshot};
 pub use span::{
     clear_spans, current_host, init_spans, record_span, set_current_host, span_capacity,
     spans_dropped, spans_recorded, take_spans, wall_now_ns, SpanRecord, Stage,
@@ -79,7 +72,7 @@ pub fn set_enabled(on: bool) {
 /// Whether telemetry recording is currently enabled.
 ///
 /// One relaxed atomic load; instrumentation sites call this (directly or
-/// through the mutators, which all self-guard) so the disabled path is a
+/// through [`record_span`], which self-guards) so the disabled path is a
 /// branch, not a vtable call.
 #[inline]
 pub fn enabled() -> bool {
@@ -88,7 +81,7 @@ pub fn enabled() -> bool {
 
 #[cfg(test)]
 pub(crate) mod test_support {
-    //! Tests that toggle the global enable flag or mutate the registry
+    //! Tests that toggle the global enable flag or fill the span ring
     //! serialise on this one lock (the unit-test binary is multi-threaded).
     use std::sync::{Mutex, MutexGuard};
 

@@ -625,11 +625,9 @@ impl PlanCache {
     ) -> Result<Rc<ExecPlan>, TensorError> {
         if let Some(plan) = self.plans.get(key) {
             self.hits += 1;
-            bliss_telemetry::metrics::PLAN_CACHE_HITS.add(1);
             return Ok(plan.clone());
         }
         self.misses += 1;
-        bliss_telemetry::metrics::PLAN_CACHE_MISSES.add(1);
         let plan = Rc::new(build()?);
         // Bound the cache before admitting the new plan: FIFO over the
         // insertion order, so eviction is deterministic and independent of
@@ -644,12 +642,9 @@ impl PlanCache {
             let evicted = self.plans.remove(&oldest).expect("order mirrors plans");
             arena_total -= evicted.arena_len();
             self.evictions += 1;
-            bliss_telemetry::metrics::PLAN_CACHE_EVICTIONS.add(1);
         }
         self.order.push_back(key.to_vec());
         self.plans.insert(key.to_vec(), plan.clone());
-        bliss_telemetry::metrics::PLAN_CACHE_PLANS.set(self.plans.len() as f64);
-        bliss_telemetry::metrics::PLAN_ARENA_ELEMS.set(arena_total as f64);
         Ok(plan)
     }
 

@@ -391,7 +391,6 @@ pub(crate) fn plan_graph(b: &GraphBuilder) -> Result<Plan, TensorError> {
         })
         .collect();
 
-    bliss_telemetry::metrics::PLANS_COMPILED.add(1);
     Ok(Plan {
         steps,
         arena_len: alloc.high,

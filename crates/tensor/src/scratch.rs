@@ -38,7 +38,6 @@
 //! `NdArray`, or through [`IndexVec`], a pooled `Vec<usize>` that recycles
 //! itself on drop exactly like `NdArray` does.
 
-use bliss_telemetry::metrics::{self, Counter};
 use std::cell::RefCell;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -135,20 +134,17 @@ impl<T> Bins<T> {
     }
 }
 
-/// An element type with pooled buffers: names its thread-local pool, its
-/// global overflow shelf and the telemetry counter a miss bumps.
-/// Implemented for `f32` and `usize`.
+/// An element type with pooled buffers: names its thread-local pool and its
+/// global overflow shelf. Implemented for `f32` and `usize`.
 pub trait Pooled: Sized + 'static {
     /// The calling thread's pool of this type's buffers.
     fn pool() -> &'static LocalKey<RefCell<Bins<Self>>>;
     /// The process-wide overflow shelf of this type's buffers.
     fn shelf() -> &'static Mutex<Bins<Self>>;
-    /// Counts takes that had to allocate.
-    fn misses() -> &'static Counter;
 }
 
 macro_rules! pooled {
-    ($t:ty, $pool:ident, $shelf:ident, $misses:expr) => {
+    ($t:ty, $pool:ident, $shelf:ident) => {
         static $shelf: Mutex<Bins<$t>> = Mutex::new(Bins::new(MAX_SHELF_BUFS, MAX_SHELF_ELEMS));
         thread_local! {
             static $pool: RefCell<Bins<$t>> =
@@ -161,15 +157,12 @@ macro_rules! pooled {
             fn shelf() -> &'static Mutex<Bins<$t>> {
                 &$shelf
             }
-            fn misses() -> &'static Counter {
-                $misses
-            }
         }
     };
 }
 
-pooled!(f32, F32_POOL, F32_SHELF, &metrics::SCRATCH_F32_MISSES);
-pooled!(usize, IDX_POOL, IDX_SHELF, &metrics::SCRATCH_INDEX_MISSES);
+pooled!(f32, F32_POOL, F32_SHELF);
+pooled!(usize, IDX_POOL, IDX_SHELF);
 
 /// Locks a shelf, shrugging off poisoning (the shelf holds only empty
 /// buffers, so a panicking holder cannot leave it inconsistent).
@@ -196,10 +189,7 @@ pub fn take_buffer<T: Pooled>(len: usize) -> Vec<T> {
         // exact class their own request size maps to — without this, every
         // odd-sized working-set buffer would miss its bin on the next
         // iteration and steady state would keep allocating.
-        .unwrap_or_else(|| {
-            T::misses().add(1);
-            Vec::with_capacity(len.next_power_of_two())
-        })
+        .unwrap_or_else(|| Vec::with_capacity(len.next_power_of_two()))
 }
 
 /// Returns a buffer obtained from [`take_buffer`] (or any `Vec`) to the

@@ -323,14 +323,13 @@ impl Criterion {
     }
 
     /// [`Criterion::to_json`] headed by a `provenance` object for the
-    /// checkout at `root`.
+    /// checkout at `root` (see [`provenance_json`]), which here also says
+    /// whether fast mode was on.
     pub fn report_json(&self, root: &Path) -> String {
         let provenance = format!(
-            "{{\"commit\": \"{}\", \"cpu\": \"{}\", \"nproc\": {}, \"fast_mode\": {}}}",
-            commit(root),
-            cpu_model().replace('"', "'"),
-            std::thread::available_parallelism().map_or(1, |n| n.get()),
-            fast_mode(),
+            "{{{}, \"fast_mode\": {}}}",
+            provenance_fields(root),
+            fast_mode()
         );
         self.to_json()
             .replacen("{\n", &format!("{{\n  \"provenance\": {provenance},\n"), 1)
@@ -362,6 +361,23 @@ fn report_path(out: Option<&str>, root: &Path, group: &str) -> PathBuf {
         Some(dir) if !dir.is_empty() => Path::new(dir).join(name),
         _ => root.join(name),
     }
+}
+
+/// The `provenance` object heading a report written from the checkout at
+/// `root`: the commit checked out there, the CPU model and the logical CPU
+/// count.
+pub fn provenance_json(root: &Path) -> String {
+    format!("{{{}}}", provenance_fields(root))
+}
+
+/// The members of [`provenance_json`]'s object, without the braces.
+fn provenance_fields(root: &Path) -> String {
+    format!(
+        "\"commit\": \"{}\", \"cpu\": \"{}\", \"nproc\": {}",
+        commit(root),
+        cpu_model().replace('"', "'"),
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+    )
 }
 
 /// The commit checked out at `root`, read from `.git` without spawning a
@@ -400,7 +416,7 @@ fn cpu_model() -> String {
 
 /// The workspace root: the nearest ancestor of `CARGO_MANIFEST_DIR` (or
 /// the current directory) holding a `Cargo.lock`, else `.`.
-fn workspace_root() -> PathBuf {
+pub fn workspace_root() -> PathBuf {
     let mut dir = std::env::var("CARGO_MANIFEST_DIR")
         .map(PathBuf::from)
         .or_else(|_| std::env::current_dir())
