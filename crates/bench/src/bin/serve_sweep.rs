@@ -68,8 +68,9 @@ struct ScenarioAccuracy {
     delta_deg: f64,
 }
 
-/// The shared ViT's plan-cache counters at the end of the sweep
-/// (`ServeRuntime::vit_plan_stats`).
+/// Plan-cache counters of the shared ViT cache that served the load points
+/// (`ServeRuntime::vit_plan_stats`, the int8 cache under `--precision
+/// int8`), read right after the load-point loop.
 #[derive(Serialize)]
 struct PlanStats {
     hits: u64,
@@ -98,7 +99,8 @@ struct SweepReport {
     /// Per-stage span aggregates over the whole traced sweep (virtual and
     /// wall time), in pipeline order.
     stages: Vec<StageSummary>,
-    /// Plan-cache traffic and occupancy over the whole run.
+    /// Plan-cache traffic since the runtime was built (the f32 cache also
+    /// counts the neutrality probe) and occupancy after the load points.
     vit_plans: PlanStats,
     /// Spans the fixed ring dropped (0 = the trace is complete).
     spans_dropped: u64,
@@ -278,6 +280,10 @@ fn main() {
         });
     }
 
+    // The cache that served the load points, before the Pareto block adds
+    // its own traffic.
+    let plans = runtime.vit_plan_stats();
+
     bliss_bench::print_table(
         "bliss_serve load sweep (batched max_batch=16 vs sequential max_batch=1)",
         &[
@@ -406,7 +412,6 @@ fn main() {
     let int8_sites = runtime.int8_sites();
 
     let (stages, spans_dropped) = bliss_bench::drain_trace("TRACE_serve.json");
-    let plans = runtime.vit_plan_stats();
 
     let report = SweepReport {
         mode: if quick { "quick" } else { "standard" }.to_string(),

@@ -2,8 +2,8 @@
 //!
 //! Trains one BlissCam model, then serves epoch after epoch of
 //! scenario-diverse session fleets on it — 10⁶ frames of session time at
-//! the standard profile — streaming every steady-state frame latency into
-//! a fixed-bucket histogram and watching the rot modes the
+//! the standard profile — summarising every steady-state frame latency
+//! and watching the rot modes the
 //! [`bliss_bench::soak`] module documents: allocator/pool creep,
 //! plan-cache/arena growth on the compiled inference path, cross-run state
 //! leaks (same-seed sentinel epochs must stay bit-identical) and accuracy

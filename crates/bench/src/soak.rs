@@ -22,24 +22,17 @@
 //!   numeric drift shows up in the report even when each epoch looks fine
 //!   in isolation.
 //!
-//! Latency is aggregated across every epoch by a [`StreamingHistogram`]
-//! with a **fixed** bucket array: recording a sample is a pure index
-//! increment, so a million-frame soak adds zero allocator traffic and the
-//! memory cost is constant regardless of horizon. Epochs are served with a
+//! Steady-state latencies of every epoch are kept in one `Vec` (8 bytes a
+//! frame, ~8 MB at the 10⁶-frame profile) and summarised at the end by
+//! [`LatencyStats::from_latencies_s`] plus their exact mean, the summary
+//! every other report uses. Epochs are served with a
 //! [`ServeConfig::warmup_s`] window covering the admission ramp, so the
-//! histogram sees steady-state frames only (the per-epoch all-frames stats
+//! summary sees steady-state frames only (the per-epoch all-frames stats
 //! still include the ramp).
 
 use bliss_serve::{LatencyStats, ServeConfig, ServeOutcome, ServeRuntime};
 use bliss_tensor::TensorError;
 use serde::{Deserialize, Serialize};
-
-// The histogram lives in `bliss_telemetry`, where `bliss_serve`'s latency
-// report shares it; re-exported so soak call sites (and the serde
-// round-trip suite) name it from here.
-pub use bliss_telemetry::{
-    StreamingHistogram, HISTOGRAM_BASE_S, HISTOGRAM_BUCKETS, HISTOGRAM_GROWTH,
-};
 
 /// Shape of one soak run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -86,7 +79,8 @@ impl SoakConfig {
     /// The serving configuration of epoch `epoch`: sentinel epochs (first
     /// and last) reuse [`SoakConfig::seed`] verbatim, middle epochs rotate,
     /// and every epoch excludes its admission ramp plus two frame periods
-    /// as warmup so the soak histogram sees steady-state frames only.
+    /// as warmup so the soak's latency summary sees steady-state frames
+    /// only.
     pub fn serve_config(&self, epoch: usize) -> ServeConfig {
         let mut cfg = ServeConfig::new(self.sessions, self.frames_per_session);
         cfg.seed = if epoch == 0 || epoch + 1 == self.epochs {
@@ -144,16 +138,15 @@ pub struct SoakReport {
     /// Epochs are independent fleets, so this is session time covered, not
     /// one contiguous wall of virtual time.
     pub virtual_s_total: f64,
-    /// Steady-state samples in the latency histogram.
+    /// Steady-state frames in the latency summary.
     pub steady_frames: u64,
     /// Frames excluded by the per-epoch warmup windows.
     pub warmup_excluded: usize,
-    /// Histogram percentiles over every steady-state frame of every epoch.
+    /// Nearest-rank percentiles over every steady-state frame of every
+    /// epoch.
     pub latency: LatencyStats,
     /// Mean steady-state latency, milliseconds.
     pub mean_latency_ms: f64,
-    /// The full streaming histogram (fixed 64 geometric buckets).
-    pub histogram: StreamingHistogram,
     /// Deadline-miss rate over all steady-state frames.
     pub steady_miss_rate: f64,
     /// Whether the first and last (same-seed sentinel) epochs produced
@@ -197,18 +190,18 @@ fn mean_errors(outcome: &ServeOutcome) -> (f32, f32) {
 
 /// Runs a full soak on `runtime`.
 ///
-/// Serve epoch after epoch, stream steady-state latencies into the fixed
-/// histogram, and record the per-epoch health counters described on
-/// [`SoakReport`]. The scratch-pool readings are taken on the calling
-/// thread, so run under `bliss_parallel::with_thread_count(1, ..)` when the
-/// flat-pool check should cover the inference workers too (the `soak` bin
-/// and the smoke tests do).
+/// Serve epoch after epoch, collect steady-state latencies, and record the
+/// per-epoch health counters described on [`SoakReport`]. The scratch-pool
+/// readings are taken on the calling thread, so run under
+/// `bliss_parallel::with_thread_count(1, ..)` when the flat-pool check
+/// should cover the inference workers too (the `soak` bin and the smoke
+/// tests do).
 ///
 /// # Errors
 ///
 /// Propagates tensor errors from inference.
 pub fn run_soak(runtime: &ServeRuntime, cfg: &SoakConfig) -> Result<SoakReport, TensorError> {
-    let mut hist = StreamingHistogram::new();
+    let mut steady_latencies_s = Vec::new();
     let mut per_epoch = Vec::with_capacity(cfg.epochs);
     let mut frames_total = 0usize;
     let mut virtual_s_total = 0.0f64;
@@ -224,7 +217,7 @@ pub fn run_soak(runtime: &ServeRuntime, cfg: &SoakConfig) -> Result<SoakReport, 
         for trace in &outcome.traces {
             for r in &trace.records {
                 if r.arrival_s >= serve_cfg.warmup_s {
-                    hist.record(r.latency_s);
+                    steady_latencies_s.push(r.latency_s);
                     steady_misses += u64::from(r.deadline_missed);
                 }
             }
@@ -288,22 +281,22 @@ pub fn run_soak(runtime: &ServeRuntime, cfg: &SoakConfig) -> Result<SoakReport, 
         _ => true, // a 1-epoch soak has no repeat load to judge
     };
 
+    let steady = steady_latencies_s.len();
     Ok(SoakReport {
         config: *cfg,
         frames_total,
         virtual_s_total,
-        steady_frames: hist.count(),
+        steady_frames: steady as u64,
         warmup_excluded,
-        latency: LatencyStats::from_histogram(&hist),
-        mean_latency_ms: hist.mean_s() * 1e3,
-        steady_miss_rate: steady_misses as f64 / hist.count().max(1) as f64,
+        latency: LatencyStats::from_latencies_s(&steady_latencies_s),
+        mean_latency_ms: steady_latencies_s.iter().sum::<f64>() / steady.max(1) as f64 * 1e3,
+        steady_miss_rate: steady_misses as f64 / steady.max(1) as f64,
         sentinel_identical,
         pool_high_water_bytes,
         pool_flat_after_warmup,
         plan_high_water,
         arena_high_water_elems,
         plans_flat_after_warmup,
-        histogram: hist,
         per_epoch,
     })
 }
@@ -315,68 +308,8 @@ mod tests {
     use blisscam_core::SystemConfig;
     use rand::{rngs::StdRng, SeedableRng};
 
-    #[test]
-    fn histogram_buckets_cover_and_order() {
-        let mut h = StreamingHistogram::new();
-        assert_eq!(h.quantile_s(0.5), 0.0);
-        for i in 1..=1000 {
-            h.record(i as f64 * 1e-5); // 10 µs .. 10 ms
-        }
-        assert_eq!(h.count(), 1000);
-        let p50 = h.quantile_s(0.50);
-        let p95 = h.quantile_s(0.95);
-        let p99 = h.quantile_s(0.99);
-        assert!(p50 <= p95 && p95 <= p99 && p99 <= h.max_s());
-        assert_eq!(h.max_s(), 1e-2);
-        // Bucket-edge quantile error is bounded by the growth factor.
-        assert!((5e-3 / HISTOGRAM_GROWTH..=5e-3 * HISTOGRAM_GROWTH).contains(&p50));
-        assert!((h.mean_s() - 1000.0 * 1001.0 / 2.0 * 1e-5 / 1000.0).abs() < 1e-9);
-        assert_eq!(h.buckets().iter().sum::<u64>(), 1000);
-    }
-
-    #[test]
-    fn histogram_clamps_underflow_and_overflow() {
-        let mut h = StreamingHistogram::new();
-        h.record(0.0);
-        h.record(1e-9);
-        h.record(1e9);
-        assert_eq!(h.buckets()[0], 2);
-        assert_eq!(h.buckets()[HISTOGRAM_BUCKETS - 1], 1);
-        assert_eq!(h.quantile_s(1.0), 1e9);
-    }
-
-    #[test]
-    fn histogram_merge_matches_combined_stream() {
-        let (mut a, mut b, mut all) = (
-            StreamingHistogram::new(),
-            StreamingHistogram::new(),
-            StreamingHistogram::new(),
-        );
-        for i in 0..50 {
-            let x = 1e-4 * (1.0 + i as f64);
-            if i % 2 == 0 {
-                a.record(x);
-            } else {
-                b.record(x);
-            }
-            all.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a, all);
-    }
-
-    #[test]
-    fn histogram_round_trips_through_json() {
-        let mut h = StreamingHistogram::new();
-        for i in 1..=17 {
-            h.record(i as f64 * 3.7e-4);
-        }
-        let back = StreamingHistogram::from_json(&h.to_json()).expect("round-trip parses");
-        assert_eq!(back, h);
-    }
-
     /// A smoke-scale soak: sentinel epochs bit-identical, pools flat,
-    /// histogram fed exactly the steady frames.
+    /// latency summary fed exactly the steady frames.
     #[test]
     fn smoke_soak_is_healthy() {
         let mut system = SystemConfig::miniature();

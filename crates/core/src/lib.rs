@@ -7,9 +7,11 @@
 //!   compute per-frame energy (Fig. 13) and pipeline timing (Figs. 8/14) for
 //!   any [`SystemConfig`] x [`SystemVariant`] point, at paper scale.
 //! * **Executable simulation** — [`EyeTrackingSystem`] runs the full
-//!   hardware path at miniature scale: renderer → noise → DPS sensor
-//!   (eventify/ROI/sample/readout/RLE) → MIPI → sparse ViT → gaze, with
-//!   per-frame measured energy.
+//!   hardware path of the in-sensor variants (BlissCam, S+NPU) at miniature
+//!   scale: renderer → noise → DPS sensor (eventify/ROI/sample/readout/RLE)
+//!   → MIPI → sparse ViT → gaze, with per-frame measured energy. The dense
+//!   baselines' accuracy comes from `bliss_track::DenseTrainer` and their
+//!   cost from the analytic models.
 //! * **Experiments** — [`experiments`] regenerates every table and figure of
 //!   the paper's evaluation section.
 //!

@@ -1,18 +1,12 @@
 use crate::config::{SystemConfig, SystemVariant};
-use crate::energy_model::{energy_breakdown_with_counts_at, EnergyBreakdown, FrameCounts};
+use crate::energy_model::{energy_breakdown_with_counts_at, EnergyBreakdown};
 use crate::frontend::SparseFrontEnd;
 use crate::latency_model::simulate_pipeline;
-use bliss_eye::{render_sequence, EyeSequence, Gaze, ImagingNoise, Scenario, SequenceConfig};
+use bliss_eye::{render_sequence, EyeSequence, Gaze, Scenario, SequenceConfig};
 use bliss_npu::Precision;
-use bliss_sensor::{sparse_image_into, DigitalPixelSensor, RoiBox, SensorConfig};
 use bliss_tensor::TensorError;
 use bliss_timing::PipelineReport;
-use bliss_track::{
-    util::frame_difference_events, DenseTrainer, GazeEstimator, JointTrainer, RoiPredictionNet,
-    SparseViT,
-};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use bliss_track::{JointTrainer, RoiPredictionNet, SparseViT};
 use serde::{Deserialize, Serialize};
 
 /// Per-frame outcome of the executable simulation.
@@ -107,39 +101,28 @@ impl SystemReport {
 
 /// The assembled, executable BlissCam system at miniature scale.
 ///
-/// `EyeTrackingSystem` wires the full hardware path: rendered frames pass
-/// through the imaging-noise model into the [`DigitalPixelSensor`]
+/// `EyeTrackingSystem` is the lock-step runner of the in-sensor variants
+/// (`BlissCam`, `SNpu`). It wires the full hardware path: rendered frames
+/// pass through the imaging-noise model into the [`DigitalPixelSensor`]
 /// (exposure → eventification → ROI → SRAM-metastability sampling → sparse
 /// readout → RLE), across the modelled MIPI link, and into the trained
 /// networks on the host (run-length decode → sparse ViT → geometric gaze).
-/// Dense variants (`NpuFull`, `NpuRoi`) run the dense readout path with a
-/// trained CNN baseline instead.
+/// The dense baselines (`NpuFull`, `NpuRoi`) have no executable pipeline
+/// here: their accuracy is [`bliss_track::DenseTrainer`]'s (Fig. 12) and
+/// their energy and latency are the analytic models' (Figs. 13–14).
 ///
-/// Construction renders a training sequence and trains the variant's
-/// networks (seconds at miniature scale).
+/// Construction renders a training sequence and trains the networks
+/// (seconds at miniature scale).
+///
+/// [`DigitalPixelSensor`]: bliss_sensor::DigitalPixelSensor
 #[derive(Debug)]
 pub struct EyeTrackingSystem {
     variant: SystemVariant,
     config: SystemConfig,
-    pipeline: HostPipeline,
-}
-
-/// The trained host networks plus the per-stream sensor-side state each
-/// pipeline flavour owns. The sparse arm's sensor/noise/RNG state lives
-/// inside the shared [`SparseFrontEnd`] — the same component `bliss_serve`
-/// drives — so the two execution paths cannot drift apart.
-#[derive(Debug)]
-enum HostPipeline {
-    Sparse {
-        trainer: Box<JointTrainer>,
-        front: Box<SparseFrontEnd>,
-    },
-    Dense {
-        trainer: Box<DenseTrainer>,
-        sensor: Box<DigitalPixelSensor>,
-        noise: ImagingNoise,
-        rng: StdRng,
-    },
+    trainer: JointTrainer,
+    /// Per-stream sensor, noise and RNG state: the same component
+    /// `bliss_serve` drives, so the two execution paths cannot drift apart.
+    front: SparseFrontEnd,
 }
 
 impl EyeTrackingSystem {
@@ -147,8 +130,20 @@ impl EyeTrackingSystem {
     ///
     /// # Errors
     ///
-    /// Propagates tensor errors from training.
+    /// [`TensorError::InvalidArgument`] for a dense variant (`NpuFull`,
+    /// `NpuRoi`); propagates tensor errors from training.
     pub fn new(variant: SystemVariant, config: SystemConfig) -> Result<Self, TensorError> {
+        if !variant.in_sensor_sampling() {
+            return Err(TensorError::InvalidArgument {
+                op: "EyeTrackingSystem::new",
+                message: format!(
+                    "{} is a dense baseline with no in-sensor pipeline: its accuracy is \
+                     DenseTrainer's (Fig. 12), its energy and latency the analytic \
+                     models' (energy_breakdown, simulate_pipeline; Figs. 13-14)",
+                    variant.label()
+                ),
+            });
+        }
         let train_seq = render_sequence(&SequenceConfig {
             width: config.width,
             height: config.height,
@@ -156,40 +151,13 @@ impl EyeTrackingSystem {
             fps: config.fps as f32,
             seed: config.seed,
         });
-        let pipeline = if variant.in_sensor_sampling() {
-            let mut trainer = JointTrainer::new(config.train_config())?;
-            trainer.train_on(&train_seq)?;
-            HostPipeline::Sparse {
-                trainer: Box::new(trainer),
-                front: Box::new(SparseFrontEnd::new(
-                    config.width,
-                    config.height,
-                    config.seed,
-                )),
-            }
-        } else {
-            let mut trainer = DenseTrainer::new(
-                config.width,
-                config.height,
-                1,
-                variant.host_roi(),
-                config.seed,
-            );
-            trainer.set_epochs(config.train_epochs.max(1));
-            trainer.train_on(&train_seq)?;
-            let mut sensor_cfg = SensorConfig::miniature(config.width, config.height);
-            sensor_cfg.seed = config.seed ^ 0xD5;
-            HostPipeline::Dense {
-                trainer: Box::new(trainer),
-                sensor: Box::new(DigitalPixelSensor::new(sensor_cfg)),
-                noise: ImagingNoise::default(),
-                rng: StdRng::seed_from_u64(config.seed ^ 0xE7A1),
-            }
-        };
+        let mut trainer = JointTrainer::new(config.train_config())?;
+        trainer.train_on(&train_seq)?;
         Ok(EyeTrackingSystem {
             variant,
             config,
-            pipeline,
+            trainer,
+            front: SparseFrontEnd::new(config.width, config.height, config.seed),
         })
     }
 
@@ -203,23 +171,15 @@ impl EyeTrackingSystem {
         &self.config
     }
 
-    /// The trained sparse ViT segmenter (`None` for dense variants). The
-    /// serving layers wrap these shared networks via
-    /// `ServeRuntime::with_networks`-style constructors.
-    pub fn vit(&self) -> Option<&SparseViT> {
-        match &self.pipeline {
-            HostPipeline::Sparse { trainer, .. } => Some(trainer.vit()),
-            HostPipeline::Dense { .. } => None,
-        }
+    /// The trained sparse ViT segmenter. The serving layers wrap these
+    /// shared networks via `ServeRuntime::with_networks`-style constructors.
+    pub fn vit(&self) -> &SparseViT {
+        self.trainer.vit()
     }
 
-    /// The trained in-sensor ROI-prediction network (`None` for dense
-    /// variants).
-    pub fn roi_net(&self) -> Option<&RoiPredictionNet> {
-        match &self.pipeline {
-            HostPipeline::Sparse { trainer, .. } => Some(trainer.roi_net()),
-            HostPipeline::Dense { .. } => None,
-        }
+    /// The trained in-sensor ROI-prediction network.
+    pub fn roi_net(&self) -> &RoiPredictionNet {
+        self.trainer.roi_net()
     }
 
     /// Runs `n` frames of a fresh evaluation sequence end-to-end.
@@ -235,39 +195,16 @@ impl EyeTrackingSystem {
             fps: self.config.fps as f32,
             seed: self.config.seed + 1,
         });
-        let latency = simulate_pipeline(&self.config, self.variant, n.max(4));
-        let mut report = SystemReport::new(self.variant, latency, self.config.pixels());
-        match &mut self.pipeline {
-            HostPipeline::Sparse { trainer, front } => {
-                front.begin_stream(seq.model.clone(), &seq.frames[0].clean);
-                run_sparse(
-                    &mut report,
-                    &self.config,
-                    self.variant,
-                    front,
-                    trainer,
-                    &seq,
-                )?;
-            }
-            HostPipeline::Dense {
-                trainer,
-                sensor,
-                noise,
-                rng,
-            } => {
-                run_dense(
-                    &mut report,
-                    &self.config,
-                    self.variant,
-                    sensor,
-                    trainer,
-                    &seq,
-                    noise,
-                    rng,
-                )?;
-            }
-        }
-        Ok(report)
+        self.front
+            .begin_stream(seq.model.clone(), &seq.frames[0].clean);
+        run_sparse(
+            &self.config,
+            self.variant,
+            &mut self.front,
+            &self.trainer,
+            &seq,
+            n,
+        )
     }
 
     /// Runs `n` frames of a [`Scenario`]-parameterised sequence identified
@@ -278,58 +215,42 @@ impl EyeTrackingSystem {
     ///
     /// # Errors
     ///
-    /// Returns an error for dense variants (the streaming runtime serves the
-    /// sparse pipeline only) and propagates tensor errors from the networks.
+    /// Propagates tensor errors from the networks.
     pub fn run_scenario_frames(
         &mut self,
         scenario: Scenario,
         seed: u64,
         n: usize,
     ) -> Result<SystemReport, TensorError> {
-        let latency = simulate_pipeline(&self.config, self.variant, n.max(4));
-        let mut report = SystemReport::new(self.variant, latency, self.config.pixels());
-        match &mut self.pipeline {
-            HostPipeline::Sparse { trainer, .. } => {
-                // The one shared stream recipe — identical to a serve
-                // session's — already primed with frame 0.
-                let (seq, mut front) =
-                    SparseFrontEnd::scenario_stream(&self.config, scenario, seed, n);
-                run_sparse(
-                    &mut report,
-                    &self.config,
-                    self.variant,
-                    &mut front,
-                    trainer,
-                    &seq,
-                )?;
-            }
-            HostPipeline::Dense { .. } => {
-                return Err(TensorError::InvalidArgument {
-                    op: "run_scenario_frames",
-                    message: format!(
-                        "scenario replay drives the sparse front-end; {} is a dense variant",
-                        self.variant.label()
-                    ),
-                });
-            }
-        }
-        Ok(report)
+        // The one shared stream recipe — identical to a serve session's —
+        // already primed with frame 0.
+        let (seq, mut front) = SparseFrontEnd::scenario_stream(&self.config, scenario, seed, n);
+        run_sparse(
+            &self.config,
+            self.variant,
+            &mut front,
+            &self.trainer,
+            &seq,
+            n,
+        )
     }
 }
 
 /// Drives the shared [`SparseFrontEnd`] lock-step over a rendered sequence —
 /// the same stages `bliss_serve` schedules asynchronously, composed by
-/// [`SparseFrontEnd::run_frame`]. The caller has already begun the stream
-/// (frame 0 primed) so that priming happens exactly once per stream on
-/// every path.
+/// [`SparseFrontEnd::run_frame`] — and reports the `n`-frame run. The
+/// caller has already begun the stream (frame 0 primed) so that priming
+/// happens exactly once per stream on every path.
 fn run_sparse(
-    report: &mut SystemReport,
     cfg: &SystemConfig,
     variant: SystemVariant,
     front: &mut SparseFrontEnd,
     trainer: &JointTrainer,
     seq: &EyeSequence,
-) -> Result<(), TensorError> {
+    n: usize,
+) -> Result<SystemReport, TensorError> {
+    let latency = simulate_pipeline(cfg, variant, n.max(4));
+    let mut report = SystemReport::new(variant, latency, cfg.pixels());
     for (t, frame) in seq.frames.iter().enumerate().skip(1) {
         let served = front.run_frame(
             &frame.clean,
@@ -352,111 +273,13 @@ fn run_sparse(
             energy: energy_breakdown_with_counts_at(cfg, variant, &counts, Precision::F32),
         });
     }
-    Ok(())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_dense(
-    report: &mut SystemReport,
-    cfg: &SystemConfig,
-    variant: SystemVariant,
-    sensor: &mut DigitalPixelSensor,
-    trainer: &mut DenseTrainer,
-    seq: &EyeSequence,
-    noise: &ImagingNoise,
-    rng: &mut StdRng,
-) -> Result<(), TensorError> {
-    let (w, h) = (cfg.width, cfg.height);
-    let mut estimator = GazeEstimator::new(seq.model.clone());
-    let mut prev_noisy = noise.apply(&seq.frames[0].clean, 1.0, rng);
-    let adc_bits = sensor.config().adc_bits;
-    let (mut image, mut mask) = (Vec::new(), Vec::new());
-
-    for (t, frame) in seq.frames.iter().enumerate().skip(1) {
-        let noisy = noise.apply(&frame.clean, 1.0, rng);
-        sensor.expose(&noisy);
-        let readout = sensor.dense_readout(RoiBox::full(w, h));
-        sparse_image_into(
-            readout.roi,
-            &readout.stream,
-            w,
-            h,
-            adc_bits,
-            &mut image,
-            &mut mask,
-        );
-
-        // NPU-ROI masks everything outside the (host-derived) ROI before
-        // segmentation; the ROI comes from frame differencing on the host.
-        let transmitted = if variant.host_roi() {
-            let events = frame_difference_events(&image, &prev_noisy, 15.0 / 255.0);
-            let boxed = event_bbox(&events, w, h).unwrap_or(RoiBox::full(w, h));
-            for y in 0..h {
-                for x in 0..w {
-                    if !boxed.contains(x, y) {
-                        image[y * w + x] = 0.0;
-                    }
-                }
-            }
-            boxed.area()
-        } else {
-            w * h
-        };
-
-        let logits = trainer.network().forward_dense(&image)?;
-        let arg = logits.value().argmax_rows().expect("rank-2 logits");
-        let seg: Vec<u8> = arg.iter().map(|&c| c as u8).collect();
-        let gaze = estimator.estimate_from_map(&seg, w, 1.0);
-
-        let counts = FrameCounts {
-            conversions: readout.conversions,
-            sampled: transmitted as u64,
-            mipi_payload_bytes: cfg.energy.mipi.frame_bytes(w * h),
-            tokens: 0,
-            roi_pixels: transmitted as u64,
-        };
-        report.frames.push(FrameResult {
-            index: t - 1,
-            gaze_prediction: gaze,
-            gaze_truth: frame.gaze,
-            horizontal_error_deg: (gaze.horizontal_deg - frame.gaze.horizontal_deg).abs(),
-            vertical_error_deg: (gaze.vertical_deg - frame.gaze.vertical_deg).abs(),
-            sampled_pixels: transmitted,
-            conversions: readout.conversions,
-            mipi_bytes: cfg.energy.mipi.frame_bytes(w * h),
-            tokens: 0,
-            energy: energy_breakdown_with_counts_at(cfg, variant, &counts, Precision::F32),
-        });
-        prev_noisy = noisy;
-    }
-    Ok(())
-}
-
-fn event_bbox(events: &[f32], w: usize, h: usize) -> Option<RoiBox> {
-    let mut x1 = w;
-    let mut y1 = h;
-    let mut x2 = 0usize;
-    let mut y2 = 0usize;
-    for (i, &e) in events.iter().enumerate() {
-        if e > 0.0 {
-            let x = i % w;
-            let y = i / w;
-            x1 = x1.min(x);
-            y1 = y1.min(y);
-            x2 = x2.max(x + 1);
-            y2 = y2.max(y + 1);
-        }
-    }
-    if x2 > x1 && y2 > y1 {
-        Some(RoiBox::new(x1, y1, x2, y2).expand(4, w, h))
-    } else {
-        None
-    }
+    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::energy_model::{energy_breakdown, FrameCounts};
 
     fn fast_config() -> SystemConfig {
         let mut cfg = SystemConfig::miniature();
@@ -526,32 +349,42 @@ mod tests {
     }
 
     #[test]
-    fn npu_full_system_runs_end_to_end() {
-        let mut sys = EyeTrackingSystem::new(SystemVariant::NpuFull, fast_config()).unwrap();
-        let report = sys.run_frames(4).unwrap();
-        assert_eq!(report.frames.len(), 4);
-        for f in &report.frames {
-            assert_eq!(f.sampled_pixels, 160 * 100);
-            assert_eq!(f.conversions, 160 * 100);
+    fn dense_variants_are_refused_at_construction() {
+        // Refused before any training, with a pointer to where the dense
+        // baselines live.
+        for variant in [SystemVariant::NpuFull, SystemVariant::NpuRoi] {
+            match EyeTrackingSystem::new(variant, fast_config()) {
+                Err(TensorError::InvalidArgument { op, message }) => {
+                    assert_eq!(op, "EyeTrackingSystem::new");
+                    assert!(message.contains(variant.label()), "{message}");
+                    assert!(message.contains("DenseTrainer"), "{message}");
+                    assert!(message.contains("Figs. 13-14"), "{message}");
+                }
+                other => panic!("{variant:?}: expected InvalidArgument, got {other:?}"),
+            }
         }
     }
 
     #[test]
     fn blisscam_moves_fewer_bytes_and_joules_than_npu_full() {
+        // NPU-Full has no executable pipeline: the measured BlissCam run is
+        // held against its analytic energy, full-frame MIPI payload and
+        // pipeline schedule at the same configuration.
         let cfg = fast_config();
         let mut bliss = EyeTrackingSystem::new(SystemVariant::BlissCam, cfg).unwrap();
         let rb = bliss.run_frames(10).unwrap();
-        let mut full = EyeTrackingSystem::new(SystemVariant::NpuFull, cfg).unwrap();
-        let rf = full.run_frames(10).unwrap();
-        assert!(rb.mean_energy_uj() < rf.mean_energy_uj());
+        let full_uj = energy_breakdown(&cfg, SystemVariant::NpuFull).total_j() * 1e6;
+        assert!(rb.mean_energy_uj() < full_uj);
         // Skip the cold-start bootstrap frames (full-frame readout) when
         // comparing steady-state traffic.
-        let bytes_b: u64 = rb.frames.iter().skip(3).map(|f| f.mipi_bytes).sum();
-        let bytes_f: u64 = rf.frames.iter().skip(3).map(|f| f.mipi_bytes).sum();
+        let steady = &rb.frames[3..];
+        let bytes_b: u64 = steady.iter().map(|f| f.mipi_bytes).sum();
+        let bytes_f = cfg.energy.mipi.frame_bytes(cfg.pixels()) * steady.len() as u64;
         assert!(
             bytes_b * 2 < bytes_f,
             "bliss {bytes_b} B vs full {bytes_f} B"
         );
-        assert!(rb.latency.mean_latency_s <= rf.latency.mean_latency_s * 1.02);
+        let full_latency = simulate_pipeline(&cfg, SystemVariant::NpuFull, 10);
+        assert!(rb.latency.mean_latency_s <= full_latency.mean_latency_s * 1.02);
     }
 }

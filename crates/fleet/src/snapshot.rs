@@ -80,10 +80,12 @@ impl FleetRuntime {
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::Corrupt`] on an empty host list or weight shapes
-    /// that do not match the recorded system configuration. Shard-level
-    /// errors — a shard naming another model
-    /// ([`SnapshotError::ModelMismatch`]) or a corrupt session — are
+    /// [`SnapshotError::Corrupt`] on an empty host list, a `hosts` count
+    /// other than the number of shards, an assignment that names a host
+    /// past `hosts` or routes to a host other than the number of sessions
+    /// its shard holds, or weight shapes that do not match the recorded
+    /// system configuration. Shard-level errors — a shard naming another
+    /// model ([`SnapshotError::ModelMismatch`]) or a corrupt session — are
     /// wrapped in [`SnapshotError::Host`] with the offending host id (and,
     /// for per-session corruption, the session id inside), so a corrupt
     /// shard is diagnosable from the message alone.
@@ -93,6 +95,28 @@ impl FleetRuntime {
         let first = snapshot.per_host.first().ok_or_else(|| {
             SnapshotError::Corrupt("fleet snapshot contains no host shards".into())
         })?;
+        let shards = snapshot.per_host.len();
+        if snapshot.hosts != shards {
+            return Err(SnapshotError::Corrupt(format!(
+                "fleet snapshot names {} hosts but holds {shards} shards",
+                snapshot.hosts
+            )));
+        }
+        // Each host's shard holds exactly the sessions routed to it.
+        let mut routed = vec![0usize; shards];
+        for &host in &snapshot.assignment {
+            *routed.get_mut(host).ok_or_else(|| {
+                SnapshotError::Corrupt(format!("fleet assignment names host {host} of {shards}"))
+            })? += 1;
+        }
+        for (host, (&n, shard)) in routed.iter().zip(&snapshot.per_host).enumerate() {
+            if n != shard.sessions.len() {
+                return Err(SnapshotError::Corrupt(format!(
+                    "fleet assignment routes {n} sessions to host {host}, whose shard holds {}",
+                    shard.sessions.len()
+                )));
+            }
+        }
         // All hosts are replicas of one model: build the shared runtime once
         // (its precision from host 0's settings, which every shard shares),
         // then restore every shard's scheduler state against it.

@@ -133,6 +133,61 @@ fn empty_fleet_snapshot_is_corrupt() {
 }
 
 #[test]
+fn inconsistent_fleet_snapshot_json_is_corrupt() {
+    bliss_parallel::with_thread_count(1, || {
+        let fleet = runtime();
+        let cfg = load(PlacementPolicy::RoundRobin);
+        let mut state = fleet.start(&cfg);
+        assert!(fleet.step(&mut state).expect("step succeeds"));
+        let snap = fleet.snapshot(&cfg, &state);
+        let json = snap.to_json();
+        let list = |hosts: &[usize]| {
+            let items: Vec<String> = hosts.iter().map(usize::to_string).collect();
+            format!("\"assignment\":[{}]", items.join(","))
+        };
+        let mut shorter = snap.assignment.clone();
+        shorter.pop();
+        let mut past_last_host = snap.assignment.clone();
+        past_last_host[0] = snap.hosts;
+        // Same length and range, but one of host 0's sessions moves to host 1.
+        let mut rerouted = snap.assignment.clone();
+        let on_host_0 = rerouted
+            .iter()
+            .position(|&h| h == 0)
+            .expect("host 0 serves");
+        rerouted[on_host_0] = 1;
+        let hosts = |n: usize| format!("\"hosts\":{n},");
+        for (what, from, to) in [
+            ("hosts != shards", hosts(snap.hosts), hosts(snap.hosts + 1)),
+            (
+                "assignment shorter than the sessions",
+                list(&snap.assignment),
+                list(&shorter),
+            ),
+            (
+                "assignment names a missing host",
+                list(&snap.assignment),
+                list(&past_last_host),
+            ),
+            (
+                "assignment disagrees with the shards",
+                list(&snap.assignment),
+                list(&rerouted),
+            ),
+        ] {
+            assert_eq!(json.matches(&from).count(), 1, "{what}: {from} not unique");
+            let edited = FleetSnapshot::parse(&json.replace(&from, &to))
+                .unwrap_or_else(|e| panic!("{what}: edited JSON must parse: {e:?}"));
+            let err = FleetRuntime::restore(&edited).expect_err(what);
+            assert!(
+                matches!(err, SnapshotError::Corrupt(_)),
+                "{what}: expected Corrupt, got {err:?}"
+            );
+        }
+    });
+}
+
+#[test]
 fn a_shard_naming_another_model_fails_typed_with_its_host() {
     bliss_parallel::with_thread_count(1, || {
         let fleet = runtime();

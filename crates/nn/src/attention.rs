@@ -318,22 +318,6 @@ impl MultiHeadAttention {
         });
         Ok(fused)
     }
-
-    /// Multiply-accumulate operations for `tokens` input rows.
-    ///
-    /// Counts QKV projections, the two attention GEMMs (`QK^T`, `AV`) and the
-    /// output projection. The quadratic `tokens^2` terms are why dropping
-    /// empty patches under sparse sampling reduces compute super-linearly.
-    pub fn macs(&self, tokens: usize) -> u64 {
-        let t = tokens as u64;
-        let d = self.dim as u64;
-        let hd = self.head_dim as u64;
-        let heads = self.heads() as u64;
-        let qkv = 3 * heads * t * d * hd;
-        let attn = 2 * heads * t * t * hd;
-        let proj = t * d * d;
-        qkv + attn + proj
-    }
 }
 
 impl Module for MultiHeadAttention {
@@ -414,11 +398,6 @@ impl TransformerBlock {
         let mlp_out = self.mlp.forward(r, &n2)?;
         r.op(Op::Add(&x1, &mlp_out))
     }
-
-    /// Multiply-accumulate operations for `tokens` input rows.
-    pub fn macs(&self, tokens: usize) -> u64 {
-        self.attn.macs(tokens) + self.mlp.macs(tokens)
-    }
 }
 
 impl Module for TransformerBlock {
@@ -447,16 +426,6 @@ mod tests {
         let x = Tensor::constant(NdArray::ones(&[7, 12]));
         let y = mha.forward(&mut Tape, &x, &[(0, 7)]).unwrap();
         assert_eq!(y.shape(), vec![7, 12]);
-    }
-
-    #[test]
-    fn mha_macs_grow_quadratically_in_tokens() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mha = MultiHeadAttention::new(&mut rng, 12, 3);
-        let m1 = mha.macs(10);
-        let m2 = mha.macs(20);
-        // Superlinear growth: more than 2x for 2x tokens.
-        assert!(m2 > 2 * m1);
     }
 
     #[test]

@@ -11,7 +11,6 @@ pub struct Linear {
     weight: Tensor,
     bias: Tensor,
     in_features: usize,
-    out_features: usize,
 }
 
 impl Linear {
@@ -26,7 +25,6 @@ impl Linear {
             )),
             bias: Tensor::parameter(NdArray::zeros(&[out_features])),
             in_features,
-            out_features,
         }
     }
 
@@ -46,11 +44,6 @@ impl Linear {
     pub fn in_features(&self) -> usize {
         self.in_features
     }
-
-    /// Multiply-accumulate operations for `tokens` input rows.
-    pub fn macs(&self, tokens: usize) -> u64 {
-        tokens as u64 * self.in_features as u64 * self.out_features as u64
-    }
 }
 
 impl Module for Linear {
@@ -64,8 +57,6 @@ impl Module for Linear {
 pub struct Conv2d {
     weight: Tensor,
     bias: Tensor,
-    in_channels: usize,
-    out_channels: usize,
     kernel: usize,
     stride: usize,
     pad: usize,
@@ -89,8 +80,6 @@ impl Conv2d {
                 fan_in,
             )),
             bias: Tensor::parameter(NdArray::zeros(&[out_channels])),
-            in_channels,
-            out_channels,
             kernel,
             stride,
             pad,
@@ -113,12 +102,6 @@ impl Conv2d {
         let oh = (h + 2 * self.pad - self.kernel) / self.stride + 1;
         let ow = (w + 2 * self.pad - self.kernel) / self.stride + 1;
         (oh, ow)
-    }
-
-    /// Multiply-accumulate operations for an `h x w` input.
-    pub fn macs(&self, h: usize, w: usize) -> u64 {
-        let (oh, ow) = self.out_dims(h, w);
-        (self.out_channels * self.in_channels * self.kernel * self.kernel) as u64 * (oh * ow) as u64
     }
 }
 
@@ -191,11 +174,6 @@ impl Mlp {
         let act = r.op(Op::Gelu(&hidden))?;
         self.fc2.forward(r, &act)
     }
-
-    /// Multiply-accumulate operations for `tokens` input rows.
-    pub fn macs(&self, tokens: usize) -> u64 {
-        self.fc1.macs(tokens) + self.fc2.macs(tokens)
-    }
 }
 
 impl Module for Mlp {
@@ -215,13 +193,12 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn linear_shapes_and_macs() {
+    fn linear_shapes() {
         let mut rng = StdRng::seed_from_u64(0);
         let l = Linear::new(&mut rng, 8, 3);
         let x = Tensor::constant(NdArray::ones(&[5, 8]));
         let y = l.forward(&mut Tape, &x).unwrap();
         assert_eq!(y.shape(), vec![5, 3]);
-        assert_eq!(l.macs(5), 5 * 8 * 3);
         assert_eq!(l.num_parameters(), 8 * 3 + 3);
     }
 
@@ -234,14 +211,13 @@ mod tests {
     }
 
     #[test]
-    fn conv_shapes_and_macs() {
+    fn conv_shapes() {
         let mut rng = StdRng::seed_from_u64(0);
         let c = Conv2d::new(&mut rng, 2, 4, 3, 2, 1);
         let x = Tensor::constant(NdArray::ones(&[2, 8, 8]));
         let y = c.forward(&mut Tape, &x).unwrap();
         assert_eq!(y.shape(), vec![4, 4, 4]);
         assert_eq!(c.out_dims(8, 8), (4, 4));
-        assert_eq!(c.macs(8, 8), (4 * 2 * 3 * 3) as u64 * 16);
     }
 
     #[test]
@@ -262,7 +238,6 @@ mod tests {
         let mlp = Mlp::new(&mut rng, 6, 24);
         let x = Tensor::constant(NdArray::ones(&[2, 6]));
         assert_eq!(mlp.forward(&mut Tape, &x).unwrap().shape(), vec![2, 6]);
-        assert_eq!(mlp.macs(2), 2 * 6 * 24 * 2);
     }
 
     /// Runs one module's generic forward on both recorders — the tape, and

@@ -13,9 +13,9 @@
 //!   sparse ViT segmenter (12-block encoder + 2-block decoder, §III-B).
 //! * [`Adam`], [`Sgd`] — the joint-training optimizers (§III-C).
 //!
-//! Each layer exposes a `macs(...)` method for multiply-accumulate
-//! accounting; the lowered GEMM workload descriptions consumed by the NPU
-//! simulator live in `bliss-npu`.
+//! The layers count no MACs: the cost models price the networks from their
+//! configurations (`ViTConfig`, `RoiNetConfig`, `CnnSegConfig` in
+//! `bliss-track`), lowered to the GEMM workloads of `bliss-npu`.
 //!
 //! # Example
 //!

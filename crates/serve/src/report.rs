@@ -39,19 +39,6 @@ impl LatencyStats {
             max_ms: sorted[sorted.len() - 1] * 1e3,
         }
     }
-
-    /// Percentiles of a telemetry streaming histogram in this shape
-    /// (bucket upper edges, so quantised by the bucket growth factor; max
-    /// is exact). Lives here rather than on the histogram so
-    /// `bliss_telemetry` stays below `bliss_serve` in the crate DAG.
-    pub fn from_histogram(h: &bliss_telemetry::StreamingHistogram) -> Self {
-        LatencyStats {
-            p50_ms: h.quantile_s(0.50) * 1e3,
-            p95_ms: h.quantile_s(0.95) * 1e3,
-            p99_ms: h.quantile_s(0.99) * 1e3,
-            max_ms: h.max_s() * 1e3,
-        }
-    }
 }
 
 /// Aggregate statistics of one session's trace.

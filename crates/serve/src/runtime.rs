@@ -308,10 +308,16 @@ impl ServeRuntime {
         }
     }
 
-    /// Plan-cache counters of the shared sparse-ViT planned state (one
-    /// compiled plan per batch span layout).
+    /// Plan-cache counters of the shared sparse ViT (one compiled plan per
+    /// batch span layout), read from the cache planned inference currently
+    /// routes through: the int8 cache after an int8 serve, the f32 cache
+    /// otherwise.
     pub fn vit_plan_stats(&self) -> bliss_tensor::PlanCacheStats {
-        self.vit.plan_stats()
+        if self.vit.int8_enabled() {
+            self.vit.quant_plan_stats()
+        } else {
+            self.vit.plan_stats()
+        }
     }
 
     /// Plan-cache counters of the ROI net's planned state (a single

@@ -34,11 +34,7 @@ fn serve_and_lockstep_paths_are_bit_identical() {
     // Train ONCE through the lock-step system, then serve the very same
     // networks (shared parameters, no copy).
     let mut sys = EyeTrackingSystem::new(SystemVariant::BlissCam, system).expect("system builds");
-    let runtime = ServeRuntime::with_networks(
-        system,
-        sys.vit().expect("sparse variant").clone(),
-        sys.roi_net().expect("sparse variant").clone(),
-    );
+    let runtime = ServeRuntime::with_networks(system, sys.vit().clone(), sys.roi_net().clone());
     let mut serve_cfg = ServeConfig::new(1, 6);
     serve_cfg.max_batch = 4;
 
@@ -99,14 +95,4 @@ fn serve_and_lockstep_paths_are_bit_identical() {
             }
         });
     }
-}
-
-#[test]
-fn dense_variants_refuse_scenario_replay() {
-    let mut system = smoke_system();
-    system.train_frames = 10;
-    let mut sys = EyeTrackingSystem::new(SystemVariant::NpuFull, system).expect("system builds");
-    assert!(sys.vit().is_none());
-    assert!(sys.roi_net().is_none());
-    assert!(sys.run_scenario_frames(Scenario::Mixed, 1, 2).is_err());
 }

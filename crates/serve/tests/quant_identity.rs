@@ -129,6 +129,32 @@ fn mean_energy_j(outcome: &ServeOutcome) -> f64 {
 }
 
 #[test]
+fn vit_plan_stats_read_the_cache_that_served_the_last_load() {
+    // Which cache serves does not depend on the weights, so untrained
+    // networks keep this test independent of the trained fixture.
+    let mut system = SystemConfig::miniature();
+    system.vit.dim = 12;
+    system.vit.enc_depth = 1;
+    system.vit.dec_depth = 1;
+    system.roi_net.hidden = 16;
+    let mut rng = StdRng::seed_from_u64(3);
+    // A clone shares the plan caches, so `vit` reads the runtime's.
+    let vit = SparseViT::new(&mut rng, system.vit);
+    let roi_net = RoiPredictionNet::new(&mut rng, system.roi_net);
+    let rt = ServeRuntime::with_networks(system, vit.clone(), roi_net);
+
+    rt.serve(&load(Precision::Int8))
+        .expect("int8 serve succeeds");
+    let int8 = rt.vit_plan_stats();
+    assert!(int8.misses > 0, "the int8 load compiled no plan: {int8:?}");
+    assert_eq!(int8, vit.quant_plan_stats());
+
+    rt.serve(&load(Precision::F32)).expect("f32 serve succeeds");
+    assert_eq!(rt.vit_plan_stats(), vit.plan_stats());
+    assert_ne!(rt.vit_plan_stats(), int8);
+}
+
+#[test]
 fn int8_serving_is_bit_identical_across_thread_counts() {
     let fx = fixture();
     let cfg = load(Precision::Int8);

@@ -46,10 +46,8 @@
 #![forbid(unsafe_code)]
 
 pub mod export;
-mod histogram;
 mod span;
 
-pub use histogram::{StreamingHistogram, HISTOGRAM_BASE_S, HISTOGRAM_BUCKETS, HISTOGRAM_GROWTH};
 pub use span::{
     clear_spans, current_host, init_spans, record_span, set_current_host, span_capacity,
     spans_dropped, spans_recorded, take_spans, wall_now_ns, SpanRecord, Stage,

@@ -871,19 +871,24 @@ impl Tensor {
         ))
     }
 
-    /// Softmax cross-entropy with a *differentiable* per-row weight tensor.
+    /// Weighted softmax cross-entropy over rows of an `[n, c]` logit tensor,
+    /// with a per-row weight tensor of shape `[n]`.
     ///
-    /// `self` is `[n, c]` logits, `weights` is `[n]`. The loss is the
-    /// weighted mean `L = sum_i w_i * ce_i / C` with `C = max(sum_i w_i,
-    /// eps)`; gradients flow both into the logits (scaled by `w_i / C`) and
+    /// `targets[i]` is the class index of row `i`. The loss is the weighted
+    /// mean `L = sum_i w_i * ce_i / C` with `C = max(sum_i w_i, eps)`, a `[1]`
+    /// tensor; a row with weight 0 adds nothing to the loss or to the
+    /// logits' gradient. Gradients flow into
+    /// the logits (scaled by `w_i / C`) and, when the weights require grad,
     /// into the weights (`dL/dw_i = (ce_i - L) / C`, the exact quotient
     /// rule).
     ///
-    /// This implements the paper's joint-training gradient path (§III-C,
-    /// Fig. 5): with `w` a soft, differentiable ROI gate, the segmentation
-    /// loss back-propagates into the ROI-prediction network, while pixels
-    /// outside the random-sampling mask carry zero weight — the "gradient
-    /// masking" of unsampled pixels.
+    /// This one op is every segmentation loss in the workspace. With
+    /// constant weights it is the plain (all ones) or class-weighted dense
+    /// loss. With `w` a soft, differentiable ROI gate it is the paper's
+    /// joint-training gradient path (§III-C, Fig. 5): the segmentation loss
+    /// back-propagates into the ROI-prediction network, while pixels outside
+    /// the random-sampling mask carry zero weight — the "gradient masking"
+    /// of unsampled pixels.
     ///
     /// # Errors
     ///
@@ -954,105 +959,6 @@ impl Tensor {
                         &NdArray::from_vec(dw, &w_shape).expect("gated ce dw shape"),
                     );
                 }
-            }),
-        ))
-    }
-
-    /// Weighted softmax cross-entropy over rows of an `[n, c]` logit tensor.
-    ///
-    /// `targets[i]` is the class index of row `i`; `weights` (if given) is a
-    /// per-row weight of shape `[n]` — rows with weight 0 are ignored. The
-    /// loss is normalised by the total weight, producing a `[1]` tensor.
-    ///
-    /// This single op implements both the dense segmentation loss and the
-    /// *sparse* loss (weights = sampling mask) used for gradient masking in
-    /// the paper's joint training (§III-C).
-    ///
-    /// # Errors
-    ///
-    /// Returns shape errors if `targets`/`weights` do not match the rows, or
-    /// [`TensorError::IndexOutOfBounds`] for an out-of-range class index.
-    pub fn cross_entropy_rows(
-        &self,
-        targets: &[usize],
-        weights: Option<&[f32]>,
-    ) -> Result<Tensor, TensorError> {
-        let x = self.value().clone();
-        if x.ndim() != 2 {
-            return Err(TensorError::RankMismatch {
-                op: "cross_entropy_rows",
-                expected: 2,
-                actual: x.ndim(),
-            });
-        }
-        let (n, c) = (x.shape()[0], x.shape()[1]);
-        if targets.len() != n {
-            return Err(TensorError::ShapeMismatch {
-                op: "cross_entropy_rows",
-                lhs: vec![n],
-                rhs: vec![targets.len()],
-            });
-        }
-        if let Some(w) = weights {
-            if w.len() != n {
-                return Err(TensorError::ShapeMismatch {
-                    op: "cross_entropy_rows weights",
-                    lhs: vec![n],
-                    rhs: vec![w.len()],
-                });
-            }
-        }
-        for &t in targets {
-            if t >= c {
-                return Err(TensorError::IndexOutOfBounds {
-                    op: "cross_entropy_rows",
-                    index: t,
-                    bound: c,
-                });
-            }
-        }
-        let probs = x.softmax_rows()?;
-        let total_weight: f32 = match weights {
-            Some(w) => w.iter().sum(),
-            None => n as f32,
-        };
-        let denom = if total_weight > 0.0 {
-            total_weight
-        } else {
-            1.0
-        };
-        let mut loss = 0.0f32;
-        for (i, &t) in targets.iter().enumerate() {
-            let w = weights.map_or(1.0, |w| w[i]);
-            if w == 0.0 {
-                continue;
-            }
-            loss -= w * probs.data()[i * c + t].max(1e-12).ln();
-        }
-        let value = NdArray::from_vec(vec![loss / denom], &[1])?;
-        let tgt = targets.to_vec();
-        let wts = weights.map(|w| w.to_vec());
-        Ok(Tensor::from_op(
-            value,
-            vec![self.clone()],
-            Box::new(move |g, parents| {
-                let gs = g.data()[0] / denom;
-                let mut dx = probs.clone();
-                for (i, &t) in tgt.iter().enumerate() {
-                    let w = wts.as_ref().map_or(1.0, |w| w[i]);
-                    let row = &mut dx.data_mut()[i * c..(i + 1) * c];
-                    if w == 0.0 {
-                        for v in row.iter_mut() {
-                            *v = 0.0;
-                        }
-                        continue;
-                    }
-                    row[t] -= 1.0;
-                    for v in row.iter_mut() {
-                        *v *= w * gs;
-                    }
-                }
-                parents[0].accumulate_grad(&dx);
             }),
         ))
     }
@@ -1157,7 +1063,8 @@ mod tests {
     fn cross_entropy_matches_manual() {
         // Uniform logits over 4 classes: loss = ln(4)
         let x = Tensor::parameter(NdArray::zeros(&[2, 4]));
-        let loss = x.cross_entropy_rows(&[1, 2], None).unwrap();
+        let ones = Tensor::constant(NdArray::ones(&[2]));
+        let loss = x.cross_entropy_rows_gated(&[1, 2], &ones).unwrap();
         assert!((loss.value().data()[0] - 4.0f32.ln()).abs() < 1e-5);
         loss.backward().unwrap();
         let g = x.grad().unwrap();
@@ -1169,8 +1076,8 @@ mod tests {
     #[test]
     fn cross_entropy_zero_weight_rows_are_ignored() {
         let x = Tensor::parameter(arr(vec![5.0, 0.0, 0.0, 5.0], &[2, 2]));
-        let w = vec![1.0, 0.0];
-        let loss = x.cross_entropy_rows(&[0, 0], Some(&w)).unwrap();
+        let w = Tensor::constant(arr(vec![1.0, 0.0], &[2]));
+        let loss = x.cross_entropy_rows_gated(&[0, 0], &w).unwrap();
         loss.backward().unwrap();
         let g = x.grad().unwrap();
         assert_eq!(g.at(1, 0), 0.0);
@@ -1181,22 +1088,8 @@ mod tests {
     #[test]
     fn cross_entropy_rejects_bad_target() {
         let x = Tensor::parameter(NdArray::zeros(&[1, 3]));
-        assert!(x.cross_entropy_rows(&[3], None).is_err());
-    }
-
-    #[test]
-    fn gated_cross_entropy_matches_constant_weights() {
-        let logits = arr(vec![1.0, -0.5, 0.2, 0.3, 2.0, -1.0], &[2, 3]);
-        let x1 = Tensor::parameter(logits.clone());
-        let x2 = Tensor::parameter(logits);
-        let wv = vec![0.5f32, 2.0];
-        let w = Tensor::constant(arr(wv.clone(), &[2]));
-        let gated = x1.cross_entropy_rows_gated(&[0, 1], &w).unwrap();
-        let fixed = x2.cross_entropy_rows(&[0, 1], Some(&wv)).unwrap();
-        assert!((gated.value().data()[0] - fixed.value().data()[0]).abs() < 1e-6);
-        gated.backward().unwrap();
-        fixed.backward().unwrap();
-        assert!(x1.grad().unwrap().approx_eq(&x2.grad().unwrap(), 1e-6));
+        let ones = Tensor::constant(NdArray::ones(&[1]));
+        assert!(x.cross_entropy_rows_gated(&[3], &ones).is_err());
     }
 
     #[test]

@@ -131,13 +131,14 @@ mod tests {
         let w2 = Tensor::parameter(NdArray::randn(&mut rng, &[3, 2], 0.5));
         let x = NdArray::randn(&mut rng, &[5, 4], 1.0);
         let params = [w1.clone(), b1.clone(), w2.clone()];
+        let ones = Tensor::constant(NdArray::ones(&[5]));
         let report = check_gradients(
             &params,
             || {
                 let xin = Tensor::constant(x.clone());
                 let h = xin.matmul(&w1)?.add_row(&b1)?.gelu();
                 let y = h.matmul(&w2)?;
-                y.cross_entropy_rows(&[0, 1, 0, 1, 0], None)
+                y.cross_entropy_rows_gated(&[0, 1, 0, 1, 0], &ones)
             },
             1e-2,
             10,

@@ -279,11 +279,6 @@ impl RoiPredictionNet {
             self.config.frame_height,
         )
     }
-
-    /// Lowered workload of one inference, for the NPU simulator.
-    pub fn workload(&self) -> WorkloadDesc {
-        self.config.workload()
-    }
 }
 
 impl Module for RoiPredictionNet {
@@ -335,9 +330,7 @@ mod tests {
     #[test]
     fn paper_scale_macs_match_quote() {
         // §III-A: "only 2.1e7 MAC operations". Accept the right magnitude.
-        let mut rng = StdRng::seed_from_u64(1);
-        let n = RoiPredictionNet::new(&mut rng, RoiNetConfig::paper());
-        let macs = n.workload().total_macs();
+        let macs = RoiNetConfig::paper().workload().total_macs();
         assert!(
             (1.0e7..4.0e7).contains(&(macs as f64)),
             "paper-scale ROI net macs = {macs}"
@@ -346,8 +339,7 @@ mod tests {
 
     #[test]
     fn workload_matches_network_dims() {
-        let n = net();
-        let w = n.workload();
+        let w = net().config().workload();
         assert_eq!(w.gemms.len(), 5);
         assert!(w.total_macs() > 0);
     }

@@ -535,11 +535,6 @@ impl DenseTrainer {
         self.epochs = epochs.max(1);
     }
 
-    /// The wrapped network.
-    pub fn network(&self) -> &RitnetLike {
-        &self.net
-    }
-
     fn prepare(&mut self, frame: &bliss_eye::EyeFrame, w: usize, h: usize) -> (Vec<f32>, Vec<u8>) {
         let mut img = self.noise.apply(&frame.clean, 1.0, &mut self.rng);
         if self.roi_only {
@@ -575,7 +570,8 @@ impl DenseTrainer {
                 let targets: Vec<usize> = gt.iter().map(|&c| c as usize).collect();
                 let class_weights = [0.4f32, 1.0, 1.5, 6.0];
                 let weights: Vec<f32> = targets.iter().map(|&t| class_weights[t.min(3)]).collect();
-                let loss = logits.cross_entropy_rows(&targets, Some(&weights))?;
+                let weights = Tensor::constant(NdArray::from_vec(weights, &[targets.len()])?);
+                let loss = logits.cross_entropy_rows_gated(&targets, &weights)?;
                 self.optimizer.zero_grad();
                 loss.backward()?;
                 clip_global_norm(&self.net.parameters(), 5.0);

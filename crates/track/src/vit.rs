@@ -1083,17 +1083,6 @@ impl SparseViT {
     pub fn int8_sites(&self) -> usize {
         self.plans.borrow().quant.as_ref().map_or(0, |s| s.len())
     }
-
-    /// Lowered workload for `tokens` occupied patches and `pixels`
-    /// classification queries, for the NPU simulator.
-    pub fn workload(&self, tokens: usize, pixels: usize) -> WorkloadDesc {
-        self.config.workload(tokens, pixels)
-    }
-
-    /// MAC count for a given occupancy, convenience over [`Self::workload`].
-    pub fn macs(&self, tokens: usize, pixels: usize) -> u64 {
-        self.workload(tokens, pixels).total_macs()
-    }
 }
 
 impl Module for SparseViT {
@@ -1206,9 +1195,9 @@ mod tests {
 
     #[test]
     fn macs_shrink_with_tokens() {
-        let vit = tiny();
-        let dense = vit.macs(12, 1200);
-        let sparse = vit.macs(3, 100);
+        let cfg = *tiny().config();
+        let dense = cfg.workload(12, 1200).total_macs();
+        let sparse = cfg.workload(3, 100).total_macs();
         assert!(sparse < dense / 3);
     }
 
@@ -1235,7 +1224,11 @@ mod tests {
         let mask = vec![1.0f32; 1200];
         let pred = vit.forward(&image, &mask).unwrap().unwrap();
         let targets = vec![1usize; pred.pixel_indices.len()];
-        let loss = pred.logits.cross_entropy_rows(&targets, None).unwrap();
+        let ones = Tensor::constant(NdArray::ones(&[targets.len()]));
+        let loss = pred
+            .logits
+            .cross_entropy_rows_gated(&targets, &ones)
+            .unwrap();
         loss.backward().unwrap();
         let with_grads = vit
             .parameters()
