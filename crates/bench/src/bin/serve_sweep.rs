@@ -77,6 +77,7 @@ struct PlanStats {
     misses: u64,
     evictions: u64,
     plans: usize,
+    /// Length of the arena the cached plans share: the largest plan's.
     arena_elems: usize,
 }
 

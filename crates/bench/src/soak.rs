@@ -12,9 +12,9 @@
 //!   epochs rather than ratcheting up;
 //! * **plan-state leak** — serving runs through compiled execution plans
 //!   by default, and the batch span layouts a load can produce are finite:
-//!   the cached-plan count and total arena footprint
+//!   the cached-plan count and the shared plan arena's length
 //!   ([`ServeRuntime::vit_plan_stats`]) must plateau by mid-soak rather
-//!   than accrete a plan (or regrow an arena) every epoch;
+//!   than accrete a plan (or regrow the arena) every epoch;
 //! * **state leak** — the first and last epochs are *sentinels* served
 //!   from the same seed; any state smuggled across epochs (RNG, pools,
 //!   caches) breaks their bit-identity;
@@ -116,8 +116,9 @@ pub struct EpochStats {
     /// this count must plateau — a cache still growing late in the soak is
     /// a plan-state leak.
     pub vit_plans: usize,
-    /// Total arena footprint across those plans, in `f32` elements — the
-    /// plan-memory curve that must go flat alongside the pools.
+    /// Length of the one arena those plans share, in `f32` elements (the
+    /// largest plan's working set so far) — the plan-memory curve that must
+    /// go flat alongside the pools.
     pub vit_arena_elems: usize,
     /// **Cumulative** plan-cache misses (compilations) since the runtime
     /// was created, read after the epoch. The per-epoch delta is this
@@ -160,15 +161,16 @@ pub struct SoakReport {
     pub pool_flat_after_warmup: bool,
     /// Highest cached ViT plan count across epochs.
     pub plan_high_water: usize,
-    /// Highest total plan-arena footprint across epochs, in elements.
+    /// Highest shared plan-arena length across epochs, in elements (the
+    /// last epoch's: the arena never shrinks).
     pub arena_high_water_elems: usize,
     /// Whether the final (same-seed sentinel) epoch compiled **zero** new
     /// plans: seed-rotating middle epochs legitimately keep introducing
     /// novel span layouts (the bounded cache absorbs them), so the leak
     /// check is that *repeat* load compiles nothing — a plan cache keyed
     /// on anything run-specific, or one that forgot its warm layouts,
-    /// would grow here. (The arena sum is reported but not gated: bounded
-    /// FIFO eviction may rotate which plans are resident.)
+    /// would grow here. (The arena length is reported but not gated: a
+    /// rotated middle epoch may legitimately bring the largest layout.)
     pub plans_flat_after_warmup: bool,
     /// Per-epoch health counters.
     pub per_epoch: Vec<EpochStats>,
@@ -273,9 +275,8 @@ pub fn run_soak(runtime: &ServeRuntime, cfg: &SoakConfig) -> Result<SoakReport, 
     // keep compiling (novel layouts, bounded by the cache), but the final
     // epoch replays the first epoch's seed, so every one of its layouts
     // was compiled before — it must not add a single plan. Judged on the
-    // occupancy count alone: bounded FIFO eviction can rotate which plans
-    // are resident (and hence the arena sum) without the population
-    // growing.
+    // occupancy count alone: the shared arena only grows when a larger
+    // layout arrives, which the rotated middle epochs may bring.
     let plans_flat_after_warmup = match per_epoch.as_slice() {
         [.., prev, last] => last.vit_plans == prev.vit_plans,
         _ => true, // a 1-epoch soak has no repeat load to judge

@@ -129,6 +129,12 @@ pub struct Fig12Result {
 
 /// Runs the Fig. 12 experiment.
 ///
+/// The NPU-ROI series uses an **oracle ROI**: [`DenseTrainer`] zeroes the
+/// pixels outside the renderer's ground-truth `frame.roi`, and counts the
+/// series' compression from `frame.roi.area()`. The paper's NPU-ROI
+/// predicts its ROI on the host, so this series is an upper bound on that
+/// baseline's accuracy at each compression rate.
+///
 /// # Errors
 ///
 /// Propagates tensor errors from training/evaluation.

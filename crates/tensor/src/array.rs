@@ -1022,9 +1022,11 @@ const MATMUL_COL_TILE: usize = 16;
 /// Rows are processed four at a time against `MATMUL_COL_TILE`-wide column
 /// tiles: the 4x16 accumulator tile lives in registers across the whole k
 /// loop and is stored exactly once, so the kernel is FLOP-bound instead of
-/// store-bound. The per-element accumulation order depends only on the
-/// shapes (k ascending within each row-group/column-tile), never on the
-/// thread count, so results are bit-identical on 1 or N threads.
+/// store-bound. The 1–3 rows past the last full group run through the same
+/// tile with zero rows padding it (see [`matmul_quad`]). The per-element
+/// accumulation order depends only on the shapes (k ascending within each
+/// row-group/column-tile), never on the thread count, so results are
+/// bit-identical on 1 or N threads.
 ///
 /// With `sparse` set, all-zero columns of `a` are skipped inside the inner
 /// loop (exact for finite `b`: the skipped updates add `+0.0`); the dense
@@ -1039,104 +1041,103 @@ pub(crate) fn matmul_block(
     sparse: bool,
 ) {
     let rows = out_block.len() / n;
-    let mut r = 0;
-    while r + 4 <= rows {
-        let (quad, _) = out_block[r * n..].split_at_mut(4 * n);
-        let (o0, rest) = quad.split_at_mut(n);
-        let (o1, rest) = rest.split_at_mut(n);
-        let (o2, o3) = rest.split_at_mut(n);
-        let base = (i0 + r) * k;
-        let mut jt = 0;
-        // Full-width column tiles: fixed-size accumulator arrays keep the
-        // inner loop free of bounds checks and friendly to vectorisation.
-        while jt + MATMUL_COL_TILE <= n {
-            let mut acc0 = [0.0f32; MATMUL_COL_TILE];
-            let mut acc1 = [0.0f32; MATMUL_COL_TILE];
-            let mut acc2 = [0.0f32; MATMUL_COL_TILE];
-            let mut acc3 = [0.0f32; MATMUL_COL_TILE];
-            macro_rules! quad_k_loop {
-                ($skip_zero:expr) => {
-                    for kk in 0..k {
-                        let (a0, a1, a2, a3) = (
-                            a[base + kk],
-                            a[base + k + kk],
-                            a[base + 2 * k + kk],
-                            a[base + 3 * k + kk],
-                        );
-                        if $skip_zero && a0 == 0.0 && a1 == 0.0 && a2 == 0.0 && a3 == 0.0 {
-                            continue;
-                        }
-                        let bt: &[f32; MATMUL_COL_TILE] = b
-                            [kk * n + jt..kk * n + jt + MATMUL_COL_TILE]
-                            .try_into()
-                            .unwrap();
-                        for j in 0..MATMUL_COL_TILE {
-                            acc0[j] += a0 * bt[j];
-                            acc1[j] += a1 * bt[j];
-                            acc2[j] += a2 * bt[j];
-                            acc3[j] += a3 * bt[j];
-                        }
-                    }
-                };
-            }
-            if sparse {
-                quad_k_loop!(true);
-            } else {
-                quad_k_loop!(false);
-            }
-            o0[jt..jt + MATMUL_COL_TILE].copy_from_slice(&acc0);
-            o1[jt..jt + MATMUL_COL_TILE].copy_from_slice(&acc1);
-            o2[jt..jt + MATMUL_COL_TILE].copy_from_slice(&acc2);
-            o3[jt..jt + MATMUL_COL_TILE].copy_from_slice(&acc3);
-            jt += MATMUL_COL_TILE;
+    let full = rows - rows % 4;
+    for (g, quad) in out_block[..full * n].chunks_exact_mut(4 * n).enumerate() {
+        matmul_quad::<4>(a, b, k, n, (i0 + 4 * g) * k, quad, sparse);
+    }
+    let (base, rest) = ((i0 + full) * k, &mut out_block[full * n..rows * n]);
+    match rows - full {
+        1 => matmul_quad::<1>(a, b, k, n, base, rest, sparse),
+        2 => matmul_quad::<2>(a, b, k, n, base, rest, sparse),
+        3 => matmul_quad::<3>(a, b, k, n, base, rest, sparse),
+        _ => {}
+    }
+}
+
+/// One 4-row group of [`matmul_block`]: the `R` output rows in `out`
+/// (`R * n` elements) from the `R` rows of `a` starting at `base`. Rows
+/// `R..4` of the tile are zero padding that reads nothing and is never
+/// written back. A zero operand that the sparse skip does not skip adds
+/// `+0.0` to an accumulator that starts at `+0.0` and so is never `-0.0`;
+/// for finite operands every real row therefore gets the bits of its own
+/// k-ascending sum, whatever the other rows of its group hold.
+#[inline(always)]
+fn matmul_quad<const R: usize>(
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    n: usize,
+    base: usize,
+    out: &mut [f32],
+    sparse: bool,
+) {
+    // `R` is a constant, so the padding branch folds away.
+    let a_at = |row: usize, kk: usize| {
+        if row < R {
+            a[base + row * k + kk]
+        } else {
+            0.0
         }
-        // Remainder columns (width < MATMUL_COL_TILE). The zero-skip is
-        // gated on the same `sparse` probe as the full tiles, so non-finite
-        // `b` values propagate uniformly across one output matrix.
-        if jt < n {
-            let w = n - jt;
-            let mut acc = [[0.0f32; MATMUL_COL_TILE]; 4];
-            for kk in 0..k {
-                let bt = &b[kk * n + jt..kk * n + n];
-                for (row, accr) in acc.iter_mut().enumerate() {
-                    let av = a[base + row * k + kk];
-                    if sparse && av == 0.0 {
+    };
+    let mut store = |jt: usize, acc: [&[f32]; 4]| {
+        for (row, accr) in acc.iter().enumerate().take(R) {
+            out[row * n + jt..row * n + jt + accr.len()].copy_from_slice(accr);
+        }
+    };
+    let mut jt = 0;
+    // Full-width column tiles: fixed-size accumulator arrays keep the
+    // inner loop free of bounds checks and friendly to vectorisation.
+    while jt + MATMUL_COL_TILE <= n {
+        let mut acc0 = [0.0f32; MATMUL_COL_TILE];
+        let mut acc1 = [0.0f32; MATMUL_COL_TILE];
+        let mut acc2 = [0.0f32; MATMUL_COL_TILE];
+        let mut acc3 = [0.0f32; MATMUL_COL_TILE];
+        macro_rules! quad_k_loop {
+            ($skip_zero:expr) => {
+                for kk in 0..k {
+                    let (a0, a1, a2, a3) = (a_at(0, kk), a_at(1, kk), a_at(2, kk), a_at(3, kk));
+                    if $skip_zero && a0 == 0.0 && a1 == 0.0 && a2 == 0.0 && a3 == 0.0 {
                         continue;
                     }
-                    for j in 0..w {
-                        accr[j] += av * bt[j];
+                    let bt: &[f32; MATMUL_COL_TILE] = b[kk * n + jt..kk * n + jt + MATMUL_COL_TILE]
+                        .try_into()
+                        .unwrap();
+                    for j in 0..MATMUL_COL_TILE {
+                        acc0[j] += a0 * bt[j];
+                        acc1[j] += a1 * bt[j];
+                        acc2[j] += a2 * bt[j];
+                        acc3[j] += a3 * bt[j];
                     }
                 }
-            }
-            o0[jt..].copy_from_slice(&acc[0][..w]);
-            o1[jt..].copy_from_slice(&acc[1][..w]);
-            o2[jt..].copy_from_slice(&acc[2][..w]);
-            o3[jt..].copy_from_slice(&acc[3][..w]);
+            };
         }
-        r += 4;
+        if sparse {
+            quad_k_loop!(true);
+        } else {
+            quad_k_loop!(false);
+        }
+        store(jt, [&acc0, &acc1, &acc2, &acc3]);
+        jt += MATMUL_COL_TILE;
     }
-    // Remainder rows: one-row accumulator tiles with the same k order.
-    while r < rows {
-        let o_row = &mut out_block[r * n..(r + 1) * n];
-        let base = (i0 + r) * k;
-        let mut jt = 0;
-        while jt < n {
-            let w = (n - jt).min(MATMUL_COL_TILE);
-            let mut acc = [0.0f32; MATMUL_COL_TILE];
-            for kk in 0..k {
-                let av = a[base + kk];
+    // Remainder columns (width < MATMUL_COL_TILE). The zero-skip is gated
+    // on the same `sparse` probe as the full tiles, so non-finite `b`
+    // values propagate uniformly across one output matrix.
+    if jt < n {
+        let w = n - jt;
+        let mut acc = [[0.0f32; MATMUL_COL_TILE]; 4];
+        for kk in 0..k {
+            let bt = &b[kk * n + jt..kk * n + n];
+            for (row, accr) in acc.iter_mut().enumerate() {
+                let av = a_at(row, kk);
                 if sparse && av == 0.0 {
                     continue;
                 }
-                let bt = &b[kk * n + jt..kk * n + jt + w];
                 for j in 0..w {
-                    acc[j] += av * bt[j];
+                    accr[j] += av * bt[j];
                 }
             }
-            o_row[jt..jt + w].copy_from_slice(&acc[..w]);
-            jt += w;
         }
-        r += 1;
+        store(jt, [&acc[0][..w], &acc[1][..w], &acc[2][..w], &acc[3][..w]]);
     }
 }
 
@@ -1726,6 +1727,52 @@ mod tests {
                 "m={m} k={k} n={n}: max diff {}",
                 fast.max_abs_diff(&reference).unwrap()
             );
+        }
+    }
+
+    #[test]
+    fn remainder_rows_match_naive_reference_bitwise() {
+        // 1..=7 rows cover every remainder (0–3 rows) after zero or one full
+        // 4-row group; the block starts at row 1 of `a` so `i0` is exercised.
+        let mut rng = StdRng::seed_from_u64(27);
+        for rows in 1..=7 {
+            for k in [1, 48, 1040] {
+                for n in [4, 16, 20, 192] {
+                    let b = NdArray::randn(&mut rng, &[k, n], 1.0);
+                    for zeroed in [false, true] {
+                        let mut a = NdArray::randn(&mut rng, &[rows + 1, k], 1.0)
+                            .data()
+                            .to_vec();
+                        if zeroed {
+                            // Mostly zeros, so whole tile columns are skipped.
+                            for (i, v) in a.iter_mut().enumerate() {
+                                if (i * 7 + i / 5) % 4 != 0 {
+                                    *v = 0.0;
+                                }
+                            }
+                        }
+                        let mut want = vec![0u32; rows * n];
+                        for i in 0..rows {
+                            for j in 0..n {
+                                let mut acc = 0.0f32;
+                                for kk in 0..k {
+                                    acc += a[(i + 1) * k + kk] * b.at(kk, j);
+                                }
+                                want[i * n + j] = acc.to_bits();
+                            }
+                        }
+                        for sparse in [false, true] {
+                            let mut out = vec![f32::NAN; rows * n];
+                            matmul_block(&a, b.data(), k, n, 1, &mut out, sparse);
+                            let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+                            assert_eq!(
+                                got, want,
+                                "rows={rows} k={k} n={n} zeroed={zeroed} sparse={sparse}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

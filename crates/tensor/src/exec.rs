@@ -1,25 +1,30 @@
 //! Arena executor: runs a compiled plan with zero per-call allocations.
 //!
 //! The final stage of the trace → plan → execute pipeline. An [`ExecPlan`]
-//! owns the planner's step schedule, the captured parameter tensors and one
-//! flat `f32` arena sized to the plan's working set. [`ExecPlan::execute`]
-//! walks the steps, dispatching each to the *same* slice-level kernels the
-//! tape ops call (`matmul_into`, `attention_head_into`, `layer_norm_row_stats`
-//! …), reading and writing arena offsets — no `NdArray` construction, no
-//! `Rc` traffic, no pool lookups, no heap allocation of any size once the
-//! plan exists. Sharing the kernel cores (rather than reimplementing them)
-//! is what makes planned execution bit-identical to the tape at any thread
-//! count: both paths run the exact same floating-point expression trees in
-//! the exact same order.
+//! owns the planner's step schedule and the captured parameter tensors, and
+//! executes in one flat `f32` arena that holds at least the plan's working
+//! set: a private arena for a plan from [`ExecPlan::compile`], or the one
+//! arena its [`PlanCache`] shares among every plan it holds, sized to the
+//! largest of them. [`ExecPlan::execute`] walks the steps, dispatching each
+//! to the *same* slice-level kernels the tape ops call (`matmul_into`,
+//! `attention_head_into`, `layer_norm_row_stats` …), reading and writing
+//! arena offsets — no `NdArray` construction, no `Rc` traffic, no pool
+//! lookups, no heap allocation of any size once the plan exists. Sharing the
+//! kernel cores (rather than reimplementing them) is what makes planned
+//! execution bit-identical to the tape at any thread count: both paths run
+//! the exact same floating-point expression trees in the exact same order.
 //!
 //! # Safety
 //!
 //! Each step needs `&mut` to its output interval and `&` to its read
 //! intervals, all inside the one arena — which safe Rust cannot express.
-//! The slices are derived from raw pointers instead; soundness rests on the
-//! planner's build-time `assert_disjoint` proof that no step's read interval
-//! — an elementwise step's copy source included — overlaps its output
-//! interval. Elementwise steps run in place: they read their primary
+//! The slices are derived from raw pointers instead. Before deriving any,
+//! [`ExecPlan::execute`] checks that the arena it borrows holds at least the
+//! plan's `arena_len` elements, so every planned interval is in bounds even
+//! when the arena is a cache's shared one. Beyond that, soundness rests on
+//! the planner's build-time `assert_disjoint` proof that no step's read
+//! interval — an elementwise step's copy source included — overlaps its
+//! output interval. Elementwise steps run in place: they read their primary
 //! operand from the output slice itself (after the copy source, if any, has
 //! been copied into it) and read nothing else from the output range. The
 //! `BlockAttention` step additionally hands its output to tasks on several
@@ -50,7 +55,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 /// A compiled, reusable execution plan: step schedule, captured parameters
-/// and a pre-sized arena.
+/// and the arena it executes in.
 ///
 /// Compile once per (model, shape class) with [`ExecPlan::compile`], then
 /// [`ExecPlan::execute`] any number of times. Parameters are captured as
@@ -60,7 +65,9 @@ use std::rc::Rc;
 pub struct ExecPlan {
     plan: Plan,
     params: Vec<Tensor>,
-    arena: RefCell<Vec<f32>>,
+    /// Private to a compiled plan; a [`PlanCache`] replaces it with the
+    /// arena it shares among its plans.
+    arena: Rc<RefCell<Vec<f32>>>,
 }
 
 impl std::fmt::Debug for ExecPlan {
@@ -76,8 +83,8 @@ impl std::fmt::Debug for ExecPlan {
 
 impl ExecPlan {
     /// Compiles a finished graph: plans buffer lifetimes into an arena
-    /// layout and allocates the arena (the last allocation this plan ever
-    /// performs).
+    /// layout and allocates a private arena of that size (the last
+    /// allocation this plan ever performs).
     ///
     /// # Errors
     ///
@@ -85,7 +92,7 @@ impl ExecPlan {
     /// a marked output is a raw input or parameter.
     pub fn compile(graph: GraphBuilder) -> Result<ExecPlan, TensorError> {
         let plan = plan_graph(&graph)?;
-        let arena = RefCell::new(vec![0.0; plan.arena_len]);
+        let arena = Rc::new(RefCell::new(vec![0.0; plan.arena_len]));
         Ok(ExecPlan {
             plan,
             params: graph.params,
@@ -110,8 +117,8 @@ impl ExecPlan {
         Self::compile(graph)
     }
 
-    /// Arena size in `f32` elements — the plan's entire per-execution
-    /// working set (soak tests gate on this staying constant).
+    /// The plan's entire per-execution working set in `f32` elements: the
+    /// least arena it can execute in.
     pub fn arena_len(&self) -> usize {
         self.plan.arena_len
     }
@@ -132,8 +139,13 @@ impl ExecPlan {
         self.plan.steps.len()
     }
 
-    /// Reads output `i` after an [`ExecPlan::execute`] call. The slice
-    /// borrows the arena, so the closure must not re-enter `execute`.
+    /// Reads output `i` after an [`ExecPlan::execute`] call.
+    ///
+    /// Outputs live in the arena, so they stay valid until the next
+    /// `execute` of any plan that shares it: this plan alone for a compiled
+    /// plan, every plan of the same [`PlanCache`] for a cached one. The slice
+    /// borrows the arena, so the closure must not execute any of those plans
+    /// (that panics on the `RefCell` borrow).
     pub fn with_output<R>(&self, i: usize, f: impl FnOnce(&[f32]) -> R) -> R {
         let arena = self.arena.borrow();
         let o = &self.plan.outputs[i];
@@ -243,17 +255,30 @@ impl ExecPlan {
     ///
     /// [`TensorError::InvalidArgument`] when the call does not match the
     /// plan's compiled shapes (see the module docs on stale-plan
-    /// protection); [`TensorError::IndexOutOfBounds`] for out-of-range
-    /// gather indices.
+    /// protection), or when the arena holds fewer than
+    /// [`ExecPlan::arena_len`] elements (a cache bug: a [`PlanCache`] grows
+    /// its shared arena before handing a plan out and never shrinks it);
+    /// [`TensorError::IndexOutOfBounds`] for out-of-range gather indices.
     ///
     /// # Panics
     ///
-    /// Panics (`RefCell` borrow) if called re-entrantly from a
-    /// [`ExecPlan::with_output`] closure.
+    /// Panics (`RefCell` borrow) if called from a
+    /// [`ExecPlan::with_output`] closure of a plan sharing the arena.
     pub fn execute(&self, inputs: &[&[f32]], index_inputs: &[&[usize]]) -> Result<(), TensorError> {
         self.validate(inputs, index_inputs)?;
         let mut arena_ref = self.arena.borrow_mut();
         let arena = &mut **arena_ref;
+        // Every raw-derived slice below relies on this bound.
+        if arena.len() < self.plan.arena_len {
+            return Err(TensorError::InvalidArgument {
+                op: "exec_plan",
+                message: format!(
+                    "arena holds {} elements, the plan needs {}",
+                    arena.len(),
+                    self.plan.arena_len
+                ),
+            });
+        }
         let base = arena.as_mut_ptr();
 
         for step in &self.plan.steps {
@@ -559,17 +584,14 @@ pub struct PlanCacheStats {
     pub evictions: u64,
     /// Plans currently cached.
     pub plans: usize,
-    /// Total arena elements retained across cached plans — the soak gauge
-    /// for arena growth (must go flat once the shape classes have been
-    /// seen).
+    /// Length in `f32` elements of the one arena the cache's plans share:
+    /// the largest `arena_len` of any plan it has admitted (the soak gauge
+    /// for arena growth, flat once the largest shape class has been seen).
     pub arena_elems: usize,
 }
 
 /// Maximum plans a [`PlanCache`] retains before evicting the oldest.
 pub const MAX_CACHED_PLANS: usize = 1024;
-/// Maximum total arena elements a [`PlanCache`] retains across its plans
-/// (~256 MiB of `f32` at the cap) before evicting the oldest.
-pub const MAX_CACHED_ARENA_ELEMS: usize = 64 << 20;
 
 /// Cache of compiled plans keyed by shape class.
 ///
@@ -581,18 +603,25 @@ pub const MAX_CACHED_ARENA_ELEMS: usize = 64 << 20;
 /// are never executed against another, which [`ExecPlan::execute`]'s
 /// validation enforces independently).
 ///
-/// The cache is **bounded**: at most [`MAX_CACHED_PLANS`] plans and
-/// [`MAX_CACHED_ARENA_ELEMS`] total arena elements, enforced by
-/// deterministic FIFO eviction (insertion order, so results cannot depend
-/// on timing or thread count). Long-horizon serving under layout-rotating
-/// load therefore holds plan memory flat; an evicted layout simply
-/// recompiles on next sight. Plans handed out earlier stay alive through
-/// their own `Rc` until their users drop them.
+/// Every plan the cache admits executes in **one shared arena**, grown on
+/// a miss to the new plan's [`ExecPlan::arena_len`] and never shrunk, so
+/// the cache's working set is its largest plan's, not the sum over every
+/// layout it has seen. The price: a cached plan's outputs stay valid only
+/// until the next [`ExecPlan::execute`] of *any* plan from the same cache,
+/// so callers read them straight after their own `execute`.
+///
+/// The plan count is **bounded** at [`MAX_CACHED_PLANS`] by deterministic
+/// FIFO eviction (insertion order, so results cannot depend on timing or
+/// thread count); an evicted layout simply recompiles on next sight. Plans
+/// handed out earlier stay alive through their own `Rc` until their users
+/// drop them, and keep executing in the shared arena.
 #[derive(Default)]
 pub struct PlanCache {
     plans: HashMap<Vec<usize>, Rc<ExecPlan>>,
     /// Insertion order of the keys in `plans` (the FIFO eviction queue).
     order: std::collections::VecDeque<Vec<usize>>,
+    /// The arena every plan of this cache executes in.
+    arena: Rc<RefCell<Vec<f32>>>,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -613,11 +642,17 @@ impl PlanCache {
     }
 
     /// Returns the plan for `key`, compiling it with `build` on first
-    /// sight. The hot path (hit) performs no allocation.
+    /// sight and moving it into the shared arena. The hot path (hit)
+    /// performs no allocation.
     ///
     /// # Errors
     ///
     /// Propagates `build` errors; nothing is cached on failure.
+    ///
+    /// # Panics
+    ///
+    /// Panics (`RefCell` borrow) on a miss inside a
+    /// [`ExecPlan::with_output`] closure of one of this cache's plans.
     pub fn get_or_build(
         &mut self,
         key: &[usize],
@@ -628,19 +663,20 @@ impl PlanCache {
             return Ok(plan.clone());
         }
         self.misses += 1;
-        let plan = Rc::new(build()?);
-        // Bound the cache before admitting the new plan: FIFO over the
-        // insertion order, so eviction is deterministic and independent of
-        // hit patterns, timing or thread count. Misses are already the
-        // slow (compiling) path, so the O(plans) arena sum is immaterial.
-        let mut arena_total: usize =
-            self.plans.values().map(|p| p.arena_len()).sum::<usize>() + plan.arena_len();
-        while !self.plans.is_empty()
-            && (self.plans.len() >= MAX_CACHED_PLANS || arena_total > MAX_CACHED_ARENA_ELEMS)
+        let mut plan = build()?;
         {
+            let arena = &mut *self.arena.borrow_mut();
+            let extra = plan.arena_len().saturating_sub(arena.len());
+            arena.reserve_exact(extra);
+            arena.resize(arena.len() + extra, 0.0);
+        }
+        plan.arena = Rc::clone(&self.arena);
+        let plan = Rc::new(plan);
+        // FIFO over the insertion order, so eviction is deterministic and
+        // independent of hit patterns, timing or thread count.
+        if self.plans.len() >= MAX_CACHED_PLANS {
             let oldest = self.order.pop_front().expect("order mirrors plans");
-            let evicted = self.plans.remove(&oldest).expect("order mirrors plans");
-            arena_total -= evicted.arena_len();
+            self.plans.remove(&oldest).expect("order mirrors plans");
             self.evictions += 1;
         }
         self.order.push_back(key.to_vec());
@@ -649,7 +685,8 @@ impl PlanCache {
     }
 
     /// Drops every cached plan (used on weight-shape changes; weight
-    /// *value* changes need no invalidation — plans read live tensors).
+    /// *value* changes need no invalidation — plans read live tensors). The
+    /// shared arena stays, so plans handed out before still execute.
     pub fn clear(&mut self) {
         self.plans.clear();
         self.order.clear();
@@ -672,7 +709,7 @@ impl PlanCache {
             misses: self.misses,
             evictions: self.evictions,
             plans: self.plans.len(),
-            arena_elems: self.plans.values().map(|p| p.arena_len()).sum(),
+            arena_elems: self.arena.borrow().len(),
         }
     }
 }
@@ -1037,9 +1074,102 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.plans), (1, 2, 2));
         assert_eq!(stats.evictions, 0, "under-cap cache must never evict");
-        assert_eq!(stats.arena_elems, p1.arena_len() + _p3.arena_len());
+        assert_eq!(stats.arena_elems, p1.arena_len().max(_p3.arena_len()));
         cache.clear();
         assert!(cache.is_empty());
+    }
+
+    /// A two-layer graph over `[rows, 3]` inputs whose arena grows with
+    /// `rows`, so two row counts give two plans of different `arena_len`.
+    fn mlp_graph(rows: usize, w: &Tensor) -> GraphBuilder {
+        let mut g = GraphBuilder::new();
+        let x = g.input(&[rows, 3]);
+        let wn = g.param(w);
+        let h = g.matmul(x, wn).unwrap();
+        let h = g.gelu(h);
+        let t = g.transpose(h).unwrap();
+        let out = g.concat_rows(&[t, t]).unwrap();
+        g.mark_output(h);
+        g.mark_output(out);
+        g
+    }
+
+    /// Every output of one execution, as bits.
+    fn output_bits(plan: &ExecPlan, x: &[f32]) -> Vec<Vec<u32>> {
+        plan.execute(&[x], &[]).unwrap();
+        (0..plan.plan.outputs.len())
+            .map(|i| plan.with_output(i, |o| o.iter().map(|v| v.to_bits()).collect()))
+            .collect()
+    }
+
+    fn input(rows: usize, seed: f32) -> Vec<f32> {
+        (0..rows * 3)
+            .map(|i| (i as f32 * 0.37 + seed).sin())
+            .collect()
+    }
+
+    #[test]
+    fn cached_plans_share_one_arena_and_match_standalone_plans() {
+        let w = Tensor::parameter(nd(&[0.5, -1.0, 0.25, 2.0, -0.75, 1.5], &[3, 2]));
+        let mut cache = PlanCache::new();
+        let small = cache
+            .get_or_build(&[2], || ExecPlan::compile(mlp_graph(2, &w)))
+            .unwrap();
+        let large = cache
+            .get_or_build(&[9], || ExecPlan::compile(mlp_graph(9, &w)))
+            .unwrap();
+        assert!(small.arena_len() < large.arena_len());
+        assert!(
+            Rc::ptr_eq(&small.arena, &large.arena),
+            "one arena per cache"
+        );
+        assert_eq!(cache.stats().arena_elems, large.arena_len());
+
+        let alone_small = ExecPlan::compile(mlp_graph(2, &w)).unwrap();
+        let alone_large = ExecPlan::compile(mlp_graph(9, &w)).unwrap();
+        // Interleaved: each execution overwrites the other plan's outputs.
+        for round in 0..3 {
+            let seed = round as f32;
+            for (cached, alone, rows) in [(&small, &alone_small, 2), (&large, &alone_large, 9)] {
+                let x = input(rows, seed);
+                assert_eq!(
+                    output_bits(cached, &x),
+                    output_bits(alone, &x),
+                    "rows {rows}, round {round}"
+                );
+            }
+        }
+        assert_eq!(cache.stats().arena_elems, large.arena_len());
+    }
+
+    #[test]
+    fn plans_from_before_a_clear_still_execute() {
+        let w = Tensor::parameter(nd(&[0.5, -1.0, 0.25, 2.0, -0.75, 1.5], &[3, 2]));
+        let mut cache = PlanCache::new();
+        let old = cache
+            .get_or_build(&[6], || ExecPlan::compile(mlp_graph(6, &w)))
+            .unwrap();
+        let x = input(6, 0.5);
+        let want = output_bits(&ExecPlan::compile(mlp_graph(6, &w)).unwrap(), &x);
+        cache.clear();
+        assert!(cache.is_empty());
+        for rows in [1, 12] {
+            let p = cache
+                .get_or_build(&[rows], || ExecPlan::compile(mlp_graph(rows, &w)))
+                .unwrap();
+            p.execute(&[&input(rows, 1.0)], &[]).unwrap();
+        }
+        assert_eq!(output_bits(&old, &x), want);
+    }
+
+    #[test]
+    fn an_undersized_arena_fails_loudly() {
+        let w = Tensor::parameter(nd(&[0.5, -1.0, 0.25, 2.0, -0.75, 1.5], &[3, 2]));
+        let plan = ExecPlan::compile(mlp_graph(4, &w)).unwrap();
+        plan.arena.borrow_mut().truncate(plan.arena_len() - 1);
+        let err = plan.execute(&[&input(4, 0.0)], &[]).unwrap_err();
+        assert!(matches!(err, TensorError::InvalidArgument { .. }));
+        assert!(err.to_string().contains("arena holds"), "{err}");
     }
 
     #[test]

@@ -39,7 +39,8 @@
 //! with **zero heap allocations** and no refcount traffic, dispatching to
 //! the *same* slice-level kernels as the tape ops (which is what makes
 //! planned and taped execution bit-identical at any thread count). Plans
-//! are cached per shape class in a [`PlanCache`]; [`inference_mode`] is the
+//! are cached per shape class in a [`PlanCache`], whose plans share one
+//! arena sized to the largest of them; [`inference_mode`] is the
 //! thread-local switch network forwards use to choose the planned path when
 //! no gradient is required.
 //!
@@ -76,8 +77,7 @@ pub use array::{validate_spans, NdArray};
 pub use autograd::Tensor;
 pub use error::TensorError;
 pub use exec::{
-    in_inference_mode, inference_mode, ExecPlan, PlanCache, PlanCacheStats, MAX_CACHED_ARENA_ELEMS,
-    MAX_CACHED_PLANS,
+    in_inference_mode, inference_mode, ExecPlan, PlanCache, PlanCacheStats, MAX_CACHED_PLANS,
 };
 pub use gradcheck::{check_gradients, GradCheckReport};
 pub use graph::{GraphBuilder, IndexSlot, NodeId};
