@@ -112,32 +112,29 @@ impl Adam {
 
     /// Applies one bias-corrected Adam step; parameters without gradients are
     /// skipped.
+    ///
+    /// One pass per parameter updates `m`, `v` and the weights in place.
     pub fn step(&mut self) {
         self.step_count += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.step_count as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.step_count as i32);
+        let (b1, b2, eps, lr) = (self.beta1, self.beta2, self.eps, self.lr);
+        let (c1, c2) = (1.0 - b1, 1.0 - b2);
+        let inv_bc1 = 1.0 / (1.0 - b1.powi(self.step_count as i32));
+        let inv_bc2 = 1.0 / (1.0 - b2.powi(self.step_count as i32));
         for ((p, m), v) in self
             .params
             .iter()
             .zip(self.m.iter_mut())
             .zip(self.v.iter_mut())
         {
-            let Some(g) = p.grad() else { continue };
-            *m = m
-                .scale(self.beta1)
-                .add(&g.scale(1.0 - self.beta1))
-                .expect("adam m shape");
-            *v = v
-                .scale(self.beta2)
-                .add(&g.mul(&g).expect("adam g^2").scale(1.0 - self.beta2))
-                .expect("adam v shape");
-            let m_hat = m.scale(1.0 / bc1);
-            let v_hat = v.scale(1.0 / bc2);
-            let eps = self.eps;
-            let lr = self.lr;
-            let update = m_hat.zip_with(&v_hat, |mh, vh| lr * mh / (vh.sqrt() + eps));
+            let Some(g) = p.grad_ref() else { continue };
             p.update_value(|value| {
-                *value = value.sub(&update).expect("adam update shape");
+                let moments = m.data_mut().iter_mut().zip(v.data_mut());
+                for ((w, (m, v)), &g) in value.data_mut().iter_mut().zip(moments).zip(g.data()) {
+                    *m = *m * b1 + g * c1;
+                    *v = *v * b2 + (g * g) * c2;
+                    let (mh, vh) = (*m * inv_bc1, *v * inv_bc2);
+                    *w -= lr * mh / (vh.sqrt() + eps);
+                }
             });
         }
     }
@@ -150,7 +147,7 @@ impl Adam {
 pub fn clip_global_norm(params: &[Tensor], max_norm: f32) -> f32 {
     let mut total = 0.0f32;
     for p in params {
-        if let Some(g) = p.grad() {
+        if let Some(g) = p.grad_ref() {
             total += g.data().iter().map(|&x| x * x).sum::<f32>();
         }
     }
@@ -158,10 +155,7 @@ pub fn clip_global_norm(params: &[Tensor], max_norm: f32) -> f32 {
     if norm > max_norm && norm > 0.0 {
         let scale = max_norm / norm;
         for p in params {
-            if let Some(g) = p.grad() {
-                p.zero_grad();
-                p.add_grad(&g.scale(scale)).expect("clip grad shape");
-            }
+            p.update_grad(|g| g.data_mut().iter_mut().for_each(|x| *x *= scale));
         }
     }
     norm
@@ -228,6 +222,75 @@ mod tests {
         let mut opt = Adam::new(vec![x.clone()], 0.1);
         opt.step(); // no gradient accumulated; should be a no-op
         assert_eq!(x.value().data(), &[1.0, 1.0]);
+    }
+
+    #[test]
+    fn in_place_clip_and_adam_match_the_composed_expressions_bit_for_bit() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        let shapes: [&[usize]; 3] = [&[7, 5], &[33], &[2, 3, 4]];
+        let init: Vec<NdArray> = shapes
+            .iter()
+            .map(|s| NdArray::randn(&mut rng, s, 1.0))
+            .collect();
+        let params: Vec<Tensor> = init.iter().cloned().map(Tensor::parameter).collect();
+        let mut opt = Adam::new(params.clone(), 3e-3);
+        // The reference: the same update written with whole-array ops.
+        let (b1, b2, eps, lr) = (0.9f32, 0.999f32, 1e-8f32, 3e-3f32);
+        let mut w = init;
+        let mut m: Vec<NdArray> = w.iter().map(|x| NdArray::zeros(x.shape())).collect();
+        let mut v = m.clone();
+        for step in 1..=6 {
+            // Large gradients on even steps, so clipping both acts and not.
+            let spread = if step % 2 == 0 { 10.0 } else { 0.01 };
+            let grads: Vec<NdArray> = shapes
+                .iter()
+                .map(|s| NdArray::randn(&mut rng, s, spread))
+                .collect();
+            for (p, g) in params.iter().zip(&grads) {
+                p.zero_grad();
+                p.add_grad(g).unwrap();
+            }
+            let norm = clip_global_norm(&params, 1.0);
+            opt.step();
+
+            let mut total = 0.0f32;
+            for g in &grads {
+                total += g.data().iter().map(|&x| x * x).sum::<f32>();
+            }
+            assert_eq!(norm.to_bits(), total.sqrt().to_bits());
+            let clipped: Vec<NdArray> = if total.sqrt() > 1.0 {
+                let scale = 1.0 / total.sqrt();
+                grads.iter().map(|g| g.scale(scale)).collect()
+            } else {
+                grads
+            };
+            let bc1 = 1.0 - b1.powi(step);
+            let bc2 = 1.0 - b2.powi(step);
+            for i in 0..w.len() {
+                let g = &clipped[i];
+                m[i] = m[i].scale(b1).add(&g.scale(1.0 - b1)).unwrap();
+                v[i] = v[i]
+                    .scale(b2)
+                    .add(&g.mul(g).unwrap().scale(1.0 - b2))
+                    .unwrap();
+                let m_hat = m[i].scale(1.0 / bc1);
+                let v_hat = v[i].scale(1.0 / bc2);
+                let update = m_hat.zip_with(&v_hat, |mh, vh| lr * mh / (vh.sqrt() + eps));
+                w[i] = w[i].sub(&update).unwrap();
+                let bits = |a: &NdArray| a.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&params[i].grad().unwrap()),
+                    bits(g),
+                    "step {step} grad {i}"
+                );
+                assert_eq!(
+                    bits(&params[i].value()),
+                    bits(&w[i]),
+                    "step {step} param {i}"
+                );
+            }
+        }
     }
 
     #[test]

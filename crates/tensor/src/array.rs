@@ -1396,9 +1396,9 @@ pub fn gather_rows_into(
 /// `sqrt(2/pi)` of the tanh GELU approximation — shared by the tape forward/
 /// backward and the planned executor so their expression trees agree bit for
 /// bit.
-pub(crate) const GELU_A: f32 = 0.797_884_6;
+const GELU_A: f32 = 0.797_884_6;
 /// Cubic coefficient of the tanh GELU approximation.
-pub(crate) const GELU_B: f32 = 0.044_715;
+const GELU_B: f32 = 0.044_715;
 
 /// The tanh-approximated GELU of one element. Always inlined, so the slice
 /// kernels below vectorise; callers outside them use those kernels.
@@ -1427,6 +1427,38 @@ pub fn gelu_into(src: &[f32], out: &mut [f32]) {
             *o = gelu_scalar(x);
         }
     });
+}
+
+/// The tanh-approximated GELU of `src` into `out`, and its derivative into
+/// `d`, from one `tanh` per element. `out` is bit-identical to
+/// [`gelu_into`].
+///
+/// # Panics
+///
+/// Panics if the lengths differ.
+pub(crate) fn gelu_with_derivative_into(src: &[f32], out: &mut [f32], d: &mut [f32]) {
+    assert!(
+        src.len() == out.len() && src.len() == d.len(),
+        "gelu: length mismatch"
+    );
+    #[inline(always)]
+    fn run(src: &[f32], out: &mut [f32], d: &mut [f32]) {
+        for ((o, dv), &v) in out.iter_mut().zip(d.iter_mut()).zip(src) {
+            let u = GELU_A * (v + GELU_B * v * v * v);
+            let t = tanh_f32(u);
+            *o = 0.5 * v * (1.0 + t);
+            let du = GELU_A * (1.0 + 3.0 * GELU_B * v * v);
+            *dv = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * du;
+        }
+    }
+    // Whole chunks go to the pool; the short tail runs here.
+    let whole = src.len() / GELU_CHUNK * GELU_CHUNK;
+    let (out, out_tail) = out.split_at_mut(whole);
+    let (d, d_tail) = d.split_at_mut(whole);
+    bliss_parallel::par_zip_rows(out, GELU_CHUNK, d, GELU_CHUNK, GELU_COST, |ci, o, d| {
+        run(&src[ci * GELU_CHUNK..(ci + 1) * GELU_CHUNK], o, d);
+    });
+    run(&src[whole..], out_tail, d_tail);
 }
 
 /// The tanh-approximated GELU of `data`, in place.

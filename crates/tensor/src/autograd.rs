@@ -30,7 +30,8 @@ struct TensorNode {
 /// until [`Tensor::zero_grad`] is called.
 ///
 /// `Tensor` is intentionally **not** `Send`: each training thread owns its
-/// own graph.
+/// own graph, built on its own copy of the parameters. Threads exchange
+/// plain [`NdArray`] values (weights in, gradients out), never tensors.
 #[derive(Clone)]
 pub struct Tensor {
     node: Rc<TensorNode>,
@@ -164,6 +165,29 @@ impl Tensor {
         self.node.grad.borrow().clone()
     }
 
+    /// Borrow of the accumulated gradient, if any.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the gradient is concurrently borrowed mutably (only possible
+    /// from within an [`Tensor::update_grad`] closure).
+    pub fn grad_ref(&self) -> Option<Ref<'_, NdArray>> {
+        Ref::filter_map(self.node.grad.borrow(), Option::as_ref).ok()
+    }
+
+    /// Applies an in-place mutation to the accumulated gradient, if any
+    /// (used by gradient clipping).
+    pub fn update_grad(&self, f: impl FnOnce(&mut NdArray)) {
+        if let Some(g) = self.node.grad.borrow_mut().as_mut() {
+            f(g);
+        }
+    }
+
+    /// Moves the accumulated gradient out, leaving none behind.
+    pub fn take_grad(&self) -> Option<NdArray> {
+        self.node.grad.borrow_mut().take()
+    }
+
     /// Clears the accumulated gradient.
     pub fn zero_grad(&self) {
         *self.node.grad.borrow_mut() = None;
@@ -237,8 +261,12 @@ impl Tensor {
     /// Runs reverse-mode differentiation from this tensor.
     ///
     /// The seed gradient is all-ones (for scalar losses this is the usual
-    /// `dL/dL = 1`). Gradients accumulate into every reachable tensor with
+    /// `dL/dL = 1`). Gradients accumulate into every reachable leaf with
     /// `requires_grad`.
+    ///
+    /// Each interior node's gradient is moved into its backward closure, so
+    /// after this returns an interior node's [`Tensor::grad`] (this tensor's
+    /// included) is `None`; only leaves keep theirs.
     ///
     /// # Errors
     ///
@@ -248,8 +276,10 @@ impl Tensor {
         let topo = self.topo_order();
         self.accumulate_seed();
         for node in topo.iter().rev() {
-            let grad = node.node.grad.borrow().clone();
-            if let (Some(grad), Some(f)) = (grad, node.node.backward_fn.as_ref()) {
+            let Some(f) = node.node.backward_fn.as_ref() else {
+                continue;
+            };
+            if let Some(grad) = node.take_grad() {
                 f(&grad, &node.node.parents);
             }
         }
@@ -339,14 +369,16 @@ impl Tensor {
     /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
     pub fn mul(&self, other: &Tensor) -> Result<Tensor, TensorError> {
         let value = self.value().mul(&other.value())?;
-        let a = self.value().clone();
-        let b = other.value().clone();
+        // Operand values never change before backward, so the closure reads
+        // them from the parents instead of keeping copies.
         Ok(Tensor::from_op(
             value,
             vec![self.clone(), other.clone()],
-            Box::new(move |g, parents| {
-                parents[0].accumulate_grad(&g.mul(&b).expect("mul grad shape"));
-                parents[1].accumulate_grad(&g.mul(&a).expect("mul grad shape"));
+            Box::new(|g, parents| {
+                let da = g.mul(&parents[1].value()).expect("mul grad shape");
+                parents[0].accumulate_grad(&da);
+                let db = g.mul(&parents[0].value()).expect("mul grad shape");
+                parents[1].accumulate_grad(&db);
             }),
         ))
     }
@@ -481,22 +513,19 @@ impl Tensor {
     }
 
     /// Gaussian error linear unit (tanh approximation), as used in ViT MLPs.
+    ///
+    /// The forward pass keeps the derivative instead of the input, so
+    /// backward is one multiply per element.
     pub fn gelu(&self) -> Tensor {
-        use crate::array::{GELU_A as A, GELU_B as B};
-        let x = self.value().clone();
+        let x = self.value();
         let mut value = NdArray::zeros(x.shape());
-        crate::array::gelu_into(x.data(), value.data_mut());
+        let mut d = NdArray::zeros(x.shape());
+        crate::array::gelu_with_derivative_into(x.data(), value.data_mut(), d.data_mut());
         Tensor::from_op(
             value,
             vec![self.clone()],
             Box::new(move |g, parents| {
-                let dg = g.zip_with(&x, |gv, v| {
-                    let u = A * (v + B * v * v * v);
-                    let t = bliss_parallel::math::tanh_f32(u);
-                    let du = A * (1.0 + 3.0 * B * v * v);
-                    gv * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * du)
-                });
-                parents[0].accumulate_grad(&dg);
+                parents[0].accumulate_grad(&g.zip_with(&d, |gv, dv| gv * dv));
             }),
         )
     }
@@ -512,18 +541,23 @@ impl Tensor {
     /// Propagates shape errors from the underlying matmul.
     pub fn matmul(&self, other: &Tensor) -> Result<Tensor, TensorError> {
         let value = self.value().matmul(&other.value())?;
-        let a = self.value().clone();
-        let b = other.value().clone();
+        // Like `mul`, backward reads the operands from the parents.
         Ok(Tensor::from_op(
             value,
             vec![self.clone(), other.clone()],
-            Box::new(move |g, parents| {
+            Box::new(|g, parents| {
                 if parents[0].requires_grad() {
                     // dA = g B^T, without materialising the transpose.
-                    parents[0].accumulate_grad(&g.matmul_transposed(&b).expect("matmul grad a"));
+                    let da = g
+                        .matmul_transposed(&parents[1].value())
+                        .expect("matmul grad a");
+                    parents[0].accumulate_grad(&da);
                 }
                 if parents[1].requires_grad() {
-                    let at = a.transpose().expect("matmul grad transpose");
+                    let at = parents[0]
+                        .value()
+                        .transpose()
+                        .expect("matmul grad transpose");
                     parents[1].accumulate_grad(&at.matmul(g).expect("matmul grad b"));
                 }
             }),

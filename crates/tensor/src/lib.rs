@@ -100,5 +100,6 @@ pub mod kernels {
     pub use bliss_parallel::math::{exp_f32, exp_f32_in_place, tanh_f32};
 }
 pub use scratch::{
-    pool_stats, recycle_buffer, shelf_stats, take_buffer, IndexVec, PoolStats, Pooled,
+    pool_stats, recycle_buffer, release_thread_pools, shelf_stats, take_buffer, IndexVec,
+    PoolStats, Pooled,
 };

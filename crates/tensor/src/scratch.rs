@@ -205,6 +205,18 @@ pub fn recycle_buffer<T: Pooled>(buf: Vec<T>) {
     }
 }
 
+/// Frees every buffer the calling thread's pools retain (the shelf is left
+/// alone). For a phase whose working set the rest of the thread's life never
+/// reuses, such as training before serving: the freed memory goes back to
+/// the allocator instead of staying parked in the pool.
+pub fn release_thread_pools() {
+    fn release<T: Pooled>() {
+        T::pool().with(|p| *p.borrow_mut() = Bins::new(MAX_POOL_BUFS, MAX_POOL_ELEMS));
+    }
+    release::<f32>();
+    release::<usize>();
+}
+
 /// A zero-filled buffer of exactly `len` elements, recycled when possible.
 pub(crate) fn take_zeroed(len: usize) -> Vec<f32> {
     let mut buf = take_buffer(len);
@@ -467,6 +479,25 @@ mod tests {
             assert!(pool.bufs <= MAX_POOL_BUFS);
             assert!(pool.elems <= MAX_POOL_ELEMS);
         });
+    }
+
+    #[test]
+    fn release_empties_only_the_calling_threads_pools() {
+        // A fresh thread, so concurrent tests cannot touch its pools.
+        std::thread::spawn(|| {
+            recycle_buffer(vec![0.0f32; 4 * MIN_POOL_LEN]);
+            recycle_buffer(vec![0usize; 4 * MIN_POOL_LEN]);
+            assert_eq!(pool_stats().f32_bufs, 1);
+            assert_eq!(pool_stats().index_bufs, 1);
+            release_thread_pools();
+            assert_eq!(pool_stats().retained_bytes(), 0);
+            assert_eq!(pool_stats().f32_bufs + pool_stats().index_bufs, 0);
+            // The emptied pools keep working.
+            recycle_buffer(vec![0.0f32; MIN_POOL_LEN]);
+            assert_eq!(pool_stats().f32_bufs, 1);
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

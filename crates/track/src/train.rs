@@ -6,11 +6,12 @@ use crate::sampling::{apply_strategy, SamplingStrategy};
 use crate::util::{frame_difference_events, normalize_box};
 use crate::vit::{SparseViT, ViTConfig};
 use bliss_eye::{EyeSequence, ImagingNoise, NoiseConfig};
-use bliss_nn::{clip_global_norm, Adam, Module};
+use bliss_nn::{clip_global_norm, restore_params, snapshot_params, Adam, Module, ParamSnapshot};
 use bliss_tensor::{NdArray, Tensor, TensorError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::sync::mpsc;
 
 /// Hyper-parameters of the joint training procedure (paper §III-C).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -40,7 +41,9 @@ pub struct TrainConfig {
     /// Global gradient-norm clip.
     pub grad_clip: f32,
     /// Frames whose gradients are accumulated into one optimizer step
-    /// (reduces the gradient noise of single-frame updates).
+    /// (reduces the gradient noise of single-frame updates). The frames of
+    /// one such window share the weights, so [`JointTrainer::train_on`]
+    /// learns them on two threads, with the sequential loop's bits.
     pub grad_accum: usize,
     /// Per-class loss weights (skin, sclera, iris, pupil). The pupil is a
     /// tiny minority class yet carries all the gaze information, so it is
@@ -100,6 +103,11 @@ impl TrainConfig {
 ///    so its gradient flows back into the ROI network while unsampled pixels
 ///    are masked out (§III-C's gradient masking);
 /// 5. descend both losses with Adam.
+///
+/// Steps 1–3 are the serial *draw* of each frame: every RNG draw, in the
+/// sequential order. Step 4 and the backward pass are its *learn* half,
+/// which reads only the weights and the draw, so the frames of one
+/// `grad_accum` window learn in parallel (see [`JointTrainer::train_on`]).
 #[derive(Debug)]
 pub struct JointTrainer {
     vit: SparseViT,
@@ -157,11 +165,51 @@ impl JointTrainer {
     /// Trains over the sequence for `config.epochs` passes; returns the loss
     /// at every step.
     ///
+    /// The frames of one `grad_accum` window share the weights until the
+    /// optimizer steps, so each window runs in two halves. A serial *draw*
+    /// makes every RNG draw of its frames in the sequential order (noise,
+    /// the feedback and full-frame coins, the in-ROI samples) and the ROI
+    /// forward that places each sampling box. Then the frames *learn* (tape
+    /// forward, losses, `backward`): frame 0 on these networks, frames 1.. on
+    /// a scoped worker thread's replica, both at one thread each. The
+    /// worker's per-frame gradients are added in frame order, which is the
+    /// sequential sum bit for bit, since each parameter takes one gradient
+    /// accumulation per frame's backward. At [`bliss_parallel::thread_count`]
+    /// 1, or for a one-frame window, the frames learn here in order.
+    ///
+    /// Windows follow the global step count, so one may straddle an epoch
+    /// boundary. A trailing partial window learns but does not step: its
+    /// gradients stay on the parameters.
+    ///
     /// # Errors
     ///
     /// Propagates tensor shape errors (none occur for well-formed configs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the worker thread panics.
     pub fn train_on(&mut self, seq: &EyeSequence) -> Result<Vec<f32>, TensorError> {
+        let parallel = self.config.grad_accum > 1 && bliss_parallel::thread_count() > 1;
+        let config = self.config;
+        let losses = std::thread::scope(|s| {
+            let worker = parallel.then(|| WindowWorker::spawn(s, config, seq));
+            self.train_windows(seq, worker.as_ref())
+        });
+        // Serving never reuses the training working set.
+        bliss_tensor::release_thread_pools();
+        losses
+    }
+
+    fn train_windows(
+        &mut self,
+        seq: &EyeSequence,
+        worker: Option<&WindowWorker>,
+    ) -> Result<Vec<f32>, TensorError> {
+        let accum = self.config.grad_accum.max(1);
+        let mut params = self.vit.parameters();
+        params.extend(self.roi_net.parameters());
         let mut losses = Vec::new();
+        let mut window = Vec::with_capacity(accum);
         let mut step = 0usize;
         for epoch in 0..self.config.epochs {
             // Halve the learning rate every epoch: the loss landscape of the
@@ -186,31 +234,30 @@ impl JointTrainer {
                 let cur = self
                     .noise
                     .apply(&frame.clean, self.config.exposure_scale, &mut self.rng);
-                let loss = self.train_step(seq, t, &prev, &cur)?;
-                if let Some(l) = loss {
-                    losses.push(l);
-                }
-                if step.is_multiple_of(self.config.grad_accum.max(1)) {
-                    let mut params = self.vit.parameters();
-                    params.extend(self.roi_net.parameters());
+                window.push(self.draw(seq, t, &prev, &cur)?);
+                prev = cur;
+                if step.is_multiple_of(accum) {
+                    self.learn_window(seq, &mut window, worker, &params, &mut losses)?;
                     clip_global_norm(&params, self.config.grad_clip);
                     self.optimizer.step();
                     self.optimizer.zero_grad();
                 }
-                prev = cur;
             }
         }
+        self.learn_window(seq, &mut window, worker, &params, &mut losses)?;
         Ok(losses)
     }
 
-    fn train_step(
+    /// The serial half of a training step: the draws and the ROI forward
+    /// that places the sampling box. Returns the draw and that forward's
+    /// tape output, which a learn step on these networks reuses.
+    fn draw(
         &mut self,
         seq: &EyeSequence,
         t: usize,
         prev: &[f32],
         cur: &[f32],
-    ) -> Result<Option<f32>, TensorError> {
-        let frame = &seq.frames[t];
+    ) -> Result<(Draw, Tensor), TensorError> {
         let events = frame_difference_events(cur, prev, self.config.event_sigma);
         // Teacher forcing with scheduled degradation: the previous frame's
         // ground-truth segmentation map stands in for the fed-back
@@ -226,9 +273,6 @@ impl JointTrainer {
         };
         let roi_input = self.roi_net.make_input(&events, prev_seg);
         let roi_out = self.roi_net.forward(&roi_input)?;
-        let gt_box = normalize_box(&frame.roi, seq.width, seq.height);
-        let roi_target = NdArray::from_vec(gt_box.to_vec(), &[1, 4])?;
-        let roi_loss = roi_out.mse_loss(&roi_target)?;
 
         // Hard sampling inside the predicted box (forward path). A fraction
         // of steps sample the whole frame instead — the cold-start bootstrap
@@ -244,89 +288,53 @@ impl JointTrainer {
         };
         let (w, h) = (seq.width, seq.height);
         let sampled = apply_strategy(&strategy, cur, w, h, hard_box, None, 0.0, &mut self.rng);
-
-        let total = match self.vit.forward(&sampled.values, &sampled.mask)? {
-            Some(pred) => {
-                let targets: Vec<usize> = pred
-                    .pixel_indices
-                    .iter()
-                    .map(|&i| frame.mask[i] as usize)
-                    .collect();
-                let gate = self.soft_gate(&roi_out, &pred.pixel_indices, seq.width, seq.height)?;
-                // Bound the gate's dynamic range: a raw weighted mean lets
-                // the box shrink away from hard pixels (the pupil boundary)
-                // to reduce the loss. With weights in [0.75, 1], gradients
-                // still reach the ROI network but cannot overpower the
-                // explicit ROI regression loss.
-                let gate = gate.scale(0.25).add_scalar(0.75);
-                // Fold the per-class weights into the gate (constant factor,
-                // so gradients still reach the ROI network through the gate).
-                let cw: Vec<f32> = targets
-                    .iter()
-                    .map(|&t| self.config.class_weights[t.min(3)])
-                    .collect();
-                let cw = NdArray::from_vec(cw, &[targets.len()])?;
-                let gate = gate.mul_mask(&cw)?;
-                let seg_loss = pred.logits.cross_entropy_rows_gated(&targets, &gate)?;
-                seg_loss.add(&roi_loss.scale(self.config.lambda_roi))?
-            }
-            // Eye fully closed and nothing sampled: only the ROI loss learns.
-            None => roi_loss.scale(self.config.lambda_roi),
+        let draw = Draw {
+            t,
+            roi_input,
+            values: sampled.values,
+            mask: sampled.mask,
         };
-
-        // Gradients accumulate across `grad_accum` frames; the optimizer
-        // steps (and clears) at the accumulation boundary in `train_on`.
-        total
-            .scale(1.0 / self.config.grad_accum.max(1) as f32)
-            .backward()?;
-        let loss_value = total.value().data()[0];
-        Ok(Some(loss_value))
+        Ok((draw, roi_out))
     }
 
-    /// The differentiable soft-box gate: for each queried pixel, the product
-    /// of four sigmoids measuring how far inside the predicted box it lies.
-    /// Gradients flow through the box coordinates into the ROI network.
-    fn soft_gate(
+    /// Learns the drained `window`, leaving its gradients, summed in frame
+    /// order, on `params` (these networks' parameters, the ViT's first).
+    fn learn_window(
         &self,
-        roi_out: &Tensor,
-        pixel_indices: &[usize],
-        width: usize,
-        height: usize,
-    ) -> Result<Tensor, TensorError> {
-        let s = pixel_indices.len();
-        let k = self.config.gate_sharpness;
-        let b = roi_out.transpose()?; // [4, 1]
-        let cx = b.slice_rows(0, 1)?;
-        let cy = b.slice_rows(1, 2)?;
-        let bw = b.slice_rows(2, 3)?;
-        let bh = b.slice_rows(3, 4)?;
-        let x1 = cx.sub(&bw.scale(0.5))?.broadcast_to(&[s, 1])?;
-        let x2 = cx.add(&bw.scale(0.5))?.broadcast_to(&[s, 1])?;
-        let y1 = cy.sub(&bh.scale(0.5))?.broadcast_to(&[s, 1])?;
-        let y2 = cy.add(&bh.scale(0.5))?.broadcast_to(&[s, 1])?;
-
-        let xs: Vec<f32> = pixel_indices
-            .iter()
-            .map(|&i| ((i % width) as f32 + 0.5) / width as f32)
-            .collect();
-        let ys: Vec<f32> = pixel_indices
-            .iter()
-            .map(|&i| ((i / width) as f32 + 0.5) / height as f32)
-            .collect();
-        let xs = Tensor::constant(NdArray::from_vec(xs, &[s, 1])?);
-        let ys = Tensor::constant(NdArray::from_vec(ys, &[s, 1])?);
-
-        let gx = xs
-            .sub(&x1)?
-            .scale(k)
-            .sigmoid()
-            .mul(&x2.sub(&xs)?.scale(k).sigmoid())?;
-        let gy = ys
-            .sub(&y1)?
-            .scale(k)
-            .sigmoid()
-            .mul(&y2.sub(&ys)?.scale(k).sigmoid())?;
-        gx.mul(&gy)?.reshape(&[s])
+        seq: &EyeSequence,
+        window: &mut Vec<(Draw, Tensor)>,
+        worker: Option<&WindowWorker>,
+        params: &[Tensor],
+        losses: &mut Vec<f32>,
+    ) -> Result<(), TensorError> {
+        let cfg = &self.config;
+        let mut frames = window.drain(..);
+        let Some(worker) = worker.filter(|_| frames.len() > 1) else {
+            for (draw, roi_out) in frames {
+                losses.push(learn(cfg, &self.vit, seq, &draw, roi_out)?);
+            }
+            return Ok(());
+        };
+        let (first, roi_out) = frames.next().expect("window has two frames");
+        worker.send(WindowJob {
+            vit: snapshot_params(&self.vit),
+            roi: snapshot_params(&self.roi_net),
+            draws: frames.map(|(draw, _)| draw).collect(),
+        });
+        let first_loss =
+            bliss_parallel::with_thread_count(1, || learn(cfg, &self.vit, seq, &first, roi_out));
+        // Receive before propagating an error, so the worker is idle again.
+        let learned = worker.recv();
+        losses.push(first_loss?);
+        for frame in learned? {
+            losses.push(frame.loss);
+            for (p, g) in params.iter().zip(&frame.grads) {
+                if let Some(g) = g {
+                    p.add_grad(g)?;
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Evaluates the full closed-loop pipeline: predicted segmentation maps
@@ -478,6 +486,190 @@ impl JointTrainer {
             mean_tokens: tokens_total as f32 / frames.max(1) as f32,
             frames,
         })
+    }
+}
+
+/// One frame's drawn inputs: what the draw half hands the learn half.
+struct Draw {
+    /// The frame's index in the sequence.
+    t: usize,
+    /// The ROI network's input (event map and fed-back segmentation map).
+    roi_input: NdArray,
+    /// The sampled sparse frame: values, zero where unsampled.
+    values: Vec<f32>,
+    /// The sampling mask: 1.0 where sampled.
+    mask: Vec<f32>,
+}
+
+/// The learn half of a training step: the tape forward of `vit` on `draw`,
+/// both losses and `backward`. `roi_out` is the ROI network's tape output
+/// for `draw.roi_input`. It reads only the weights and the draw. Returns the
+/// frame's loss.
+fn learn(
+    cfg: &TrainConfig,
+    vit: &SparseViT,
+    seq: &EyeSequence,
+    draw: &Draw,
+    roi_out: Tensor,
+) -> Result<f32, TensorError> {
+    let frame = &seq.frames[draw.t];
+    let gt_box = normalize_box(&frame.roi, seq.width, seq.height);
+    let roi_target = NdArray::from_vec(gt_box.to_vec(), &[1, 4])?;
+    let roi_loss = roi_out.mse_loss(&roi_target)?;
+    let total = match vit.forward(&draw.values, &draw.mask)? {
+        Some(pred) => {
+            let targets: Vec<usize> = pred
+                .pixel_indices
+                .iter()
+                .map(|&i| frame.mask[i] as usize)
+                .collect();
+            let gate = soft_gate(cfg, &roi_out, &pred.pixel_indices, seq.width, seq.height)?;
+            // Bound the gate's dynamic range: a raw weighted mean lets the
+            // box shrink away from hard pixels (the pupil boundary) to
+            // reduce the loss. With weights in [0.75, 1], gradients still
+            // reach the ROI network but cannot overpower the explicit ROI
+            // regression loss.
+            let gate = gate.scale(0.25).add_scalar(0.75);
+            // Fold the per-class weights into the gate (constant factor, so
+            // gradients still reach the ROI network through the gate).
+            let cw: Vec<f32> = targets
+                .iter()
+                .map(|&t| cfg.class_weights[t.min(3)])
+                .collect();
+            let cw = NdArray::from_vec(cw, &[targets.len()])?;
+            let gate = gate.mul_mask(&cw)?;
+            let seg_loss = pred.logits.cross_entropy_rows_gated(&targets, &gate)?;
+            seg_loss.add(&roi_loss.scale(cfg.lambda_roi))?
+        }
+        // Eye fully closed and nothing sampled: only the ROI loss learns.
+        None => roi_loss.scale(cfg.lambda_roi),
+    };
+
+    // Gradients accumulate across `grad_accum` frames; the optimizer steps
+    // (and clears) at the window's end.
+    total.scale(1.0 / cfg.grad_accum.max(1) as f32).backward()?;
+    let loss = total.value().data()[0];
+    Ok(loss)
+}
+
+/// The differentiable soft-box gate: for each queried pixel, the product
+/// of four sigmoids measuring how far inside the predicted box it lies.
+/// Gradients flow through the box coordinates into the ROI network.
+fn soft_gate(
+    cfg: &TrainConfig,
+    roi_out: &Tensor,
+    pixel_indices: &[usize],
+    width: usize,
+    height: usize,
+) -> Result<Tensor, TensorError> {
+    let s = pixel_indices.len();
+    let k = cfg.gate_sharpness;
+    let b = roi_out.transpose()?; // [4, 1]
+    let cx = b.slice_rows(0, 1)?;
+    let cy = b.slice_rows(1, 2)?;
+    let bw = b.slice_rows(2, 3)?;
+    let bh = b.slice_rows(3, 4)?;
+    let x1 = cx.sub(&bw.scale(0.5))?.broadcast_to(&[s, 1])?;
+    let x2 = cx.add(&bw.scale(0.5))?.broadcast_to(&[s, 1])?;
+    let y1 = cy.sub(&bh.scale(0.5))?.broadcast_to(&[s, 1])?;
+    let y2 = cy.add(&bh.scale(0.5))?.broadcast_to(&[s, 1])?;
+
+    let xs: Vec<f32> = pixel_indices
+        .iter()
+        .map(|&i| ((i % width) as f32 + 0.5) / width as f32)
+        .collect();
+    let ys: Vec<f32> = pixel_indices
+        .iter()
+        .map(|&i| ((i / width) as f32 + 0.5) / height as f32)
+        .collect();
+    let xs = Tensor::constant(NdArray::from_vec(xs, &[s, 1])?);
+    let ys = Tensor::constant(NdArray::from_vec(ys, &[s, 1])?);
+
+    let gx = xs
+        .sub(&x1)?
+        .scale(k)
+        .sigmoid()
+        .mul(&x2.sub(&xs)?.scale(k).sigmoid())?;
+    let gy = ys
+        .sub(&y1)?
+        .scale(k)
+        .sigmoid()
+        .mul(&y2.sub(&ys)?.scale(k).sigmoid())?;
+    gx.mul(&gy)?.reshape(&[s])
+}
+
+/// The weights one window starts from and the frames the worker learns.
+struct WindowJob {
+    vit: Vec<ParamSnapshot>,
+    roi: Vec<ParamSnapshot>,
+    draws: Vec<Draw>,
+}
+
+/// One frame learned on the worker: its loss and each parameter's
+/// gradient, in `SparseViT` then `RoiPredictionNet` parameter order.
+struct Learned {
+    loss: f32,
+    grads: Vec<Option<NdArray>>,
+}
+
+/// The trainer's side of the scoped worker thread that learns frames 1.. of
+/// each window on its own replica of both networks.
+struct WindowWorker {
+    jobs: mpsc::Sender<WindowJob>,
+    learned: mpsc::Receiver<Result<Vec<Learned>, TensorError>>,
+}
+
+impl WindowWorker {
+    /// Starts the worker. It runs until the trainer's side is dropped.
+    fn spawn<'scope>(
+        s: &'scope std::thread::Scope<'scope, '_>,
+        config: TrainConfig,
+        seq: &'scope EyeSequence,
+    ) -> Self {
+        let (jobs, job_rx) = mpsc::channel::<WindowJob>();
+        let (learned_tx, learned) = mpsc::channel();
+        s.spawn(move || {
+            bliss_parallel::with_thread_count(1, || {
+                // Every job overwrites these initial weights.
+                let mut rng = StdRng::seed_from_u64(0);
+                let vit = SparseViT::new(&mut rng, config.vit);
+                let roi_net = RoiPredictionNet::new(&mut rng, config.roi);
+                let mut params = vit.parameters();
+                params.extend(roi_net.parameters());
+                let learn_job = |job: &WindowJob| -> Result<Vec<Learned>, TensorError> {
+                    restore_params(&vit, &job.vit)?;
+                    restore_params(&roi_net, &job.roi)?;
+                    job.draws
+                        .iter()
+                        .map(|draw| {
+                            let roi_out = roi_net.forward(&draw.roi_input)?;
+                            let loss = learn(&config, &vit, seq, draw, roi_out)?;
+                            let grads = params.iter().map(Tensor::take_grad).collect();
+                            Ok(Learned { loss, grads })
+                        })
+                        .collect()
+                };
+                for job in job_rx {
+                    if learned_tx.send(learn_job(&job)).is_err() {
+                        break;
+                    }
+                    // Frame shapes vary, so a pool kept across windows fills
+                    // to its buffer cap with size classes the next frame
+                    // rarely takes (2 M f32 elements on the miniature
+                    // config); the allocator reuses the freed memory instead.
+                    bliss_tensor::release_thread_pools();
+                }
+            });
+        });
+        WindowWorker { jobs, learned }
+    }
+
+    fn send(&self, job: WindowJob) {
+        self.jobs.send(job).expect("the training worker panicked");
+    }
+
+    fn recv(&self) -> Result<Vec<Learned>, TensorError> {
+        self.learned.recv().expect("the training worker panicked")
     }
 }
 
@@ -704,9 +896,7 @@ mod tests {
             .iter()
             .map(|&i| seq.frames[1].mask[i] as usize)
             .collect();
-        let gate = trainer
-            .soft_gate(&roi_out, &pred.pixel_indices, seq.width, seq.height)
-            .unwrap();
+        let gate = soft_gate(&cfg, &roi_out, &pred.pixel_indices, seq.width, seq.height).unwrap();
         let loss = pred
             .logits
             .cross_entropy_rows_gated(&targets, &gate)
