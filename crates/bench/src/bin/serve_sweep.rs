@@ -10,7 +10,9 @@
 //! Results go to `BENCH_serve.json` at the workspace root (or inside the
 //! `BLISS_BENCH_OUT` directory); the file is not committed, and the
 //! `serve-smoke` CI job uploads it on every push. `--quick` runs a reduced
-//! sweep for CI.
+//! sweep for CI. `--precision <f32|int8|both>` picks what the load points
+//! run at, and `--quant-gate` makes the precision Pareto block a hard gate
+//! (the `quant-smoke` CI job).
 //!
 //! The whole sweep runs with `bliss_telemetry` tracing **on** (after an
 //! off/on bit-identity probe): the report gains a per-stage breakdown and
@@ -26,7 +28,7 @@ use serde::Serialize;
 use std::time::Instant;
 
 /// Per-scenario ceiling on `mean_gaze_error(int8) - mean_gaze_error(f32)`
-/// enforced under `BLISS_QUANT_GATE=1` — the same bound the serve crate's
+/// enforced under `--quant-gate` — the same bound the serve crate's
 /// `quant_identity` differential suite pins.
 const GAZE_TOLERANCE_DEG: f64 = 0.15;
 
@@ -63,8 +65,7 @@ struct ScenarioAccuracy {
     scenario: String,
     f32_gaze_error_deg: f64,
     int8_gaze_error_deg: f64,
-    /// `int8 - f32`; gated at [`GAZE_TOLERANCE_DEG`] under
-    /// `BLISS_QUANT_GATE=1`.
+    /// `int8 - f32`; gated at [`GAZE_TOLERANCE_DEG`] under `--quant-gate`.
     delta_deg: f64,
 }
 
@@ -108,8 +109,8 @@ struct SweepReport {
     /// Quantised matmul sites in the shared ViT's int8 spec (0 when the
     /// int8 path never ran).
     int8_sites: usize,
-    /// Whether `BLISS_QUANT_GATE=1` gated this run (a written report means
-    /// the gate passed).
+    /// Whether `--quant-gate` gated this run (a written report means the
+    /// gate passed).
     quant_gate: bool,
     /// Accuracy/energy/throughput corner per precision (empty under
     /// `--precision f32`).
@@ -121,15 +122,7 @@ struct SweepReport {
 }
 
 /// The flags this binary accepts.
-const FLAGS: &[Flag] = &[Flag::Quick, Flag::Precision];
-
-/// Reads `--precision <f32|int8|both>` (`bliss_bench::flags` rejects any
-/// other mode); defaults to `both`.
-fn precision_mode() -> String {
-    bliss_bench::flags(FLAGS)
-        .precision
-        .unwrap_or_else(|| "both".to_string())
-}
+const FLAGS: &[Flag] = &[Flag::Quick, Flag::Precision, Flag::QuantGate];
 
 /// Mean per-frame angular gaze error over an outcome's traces, optionally
 /// restricted to one scenario label.
@@ -185,13 +178,11 @@ fn roi_tightness(runtime: &ServeRuntime, frames: usize) -> f64 {
 }
 
 fn main() {
-    let quick = bliss_bench::flags(FLAGS).quick;
-    let precision_mode = precision_mode();
-    let quant_gate = std::env::var("BLISS_QUANT_GATE").is_ok_and(|v| !v.is_empty() && v != "0");
-    assert!(
-        !(quant_gate && precision_mode == "f32"),
-        "BLISS_QUANT_GATE=1 needs the int8 path; drop --precision f32"
-    );
+    // `flags` rejects any other `--precision` mode, and `--quant-gate`
+    // with `--precision f32`.
+    let flags = bliss_bench::flags(FLAGS);
+    let (quick, quant_gate) = (flags.quick, flags.quant_gate);
+    let precision_mode = flags.precision.unwrap_or_else(|| "both".to_string());
     let sweep_precision = if precision_mode == "int8" {
         Precision::Int8
     } else {
@@ -310,7 +301,7 @@ fn main() {
 
     // Precision Pareto: the same scenario-diverse load point served at f32
     // and int8, charting accuracy against modelled energy and throughput.
-    // Under BLISS_QUANT_GATE=1 this block is a hard CI gate: per scenario,
+    // Under --quant-gate this block is a hard CI gate: per scenario,
     // int8 may cost at most GAZE_TOLERANCE_DEG of gaze error over f32, and
     // must win on energy per frame — a violation panics before any report
     // is written.

@@ -23,8 +23,9 @@
 //!
 //! Every binary accepts `--quick` (a fast, smaller-workload run; the
 //! default matches `ExperimentScale::standard()`) and `serve_sweep` also
-//! accepts `--precision <f32|int8|both>`. Any other argument exits with
-//! status 2 and a usage line (see [`flags`]).
+//! accepts `--precision <f32|int8|both>` and `--quant-gate`. Any other
+//! argument, or `--quant-gate` with `--precision f32`, exits with status 2
+//! and a usage line (see [`flags`]).
 //!
 //! Criterion micro-benchmarks for the hot kernels (eventification, RLE,
 //! SRAM sampling, ViT forward, systolic model, renderer) live in `benches/`.
@@ -78,6 +79,9 @@ pub enum Flag {
     Quick,
     /// `--precision <f32|int8|both>` or `--precision=<mode>`.
     Precision,
+    /// `--quant-gate`: fail unless int8 holds f32's accuracy and saves
+    /// energy. Needs the int8 path, so `--precision f32` rejects it.
+    QuantGate,
 }
 
 impl Flag {
@@ -85,6 +89,7 @@ impl Flag {
         match self {
             Flag::Quick => "[--quick]",
             Flag::Precision => "[--precision <f32|int8|both>]",
+            Flag::QuantGate => "[--quant-gate]",
         }
     }
 }
@@ -96,6 +101,8 @@ pub struct Flags {
     pub quick: bool,
     /// The `--precision` mode, when given.
     pub precision: Option<String>,
+    /// `--quant-gate` was given.
+    pub quant_gate: bool,
 }
 
 /// Parses `args` (program name excluded) against the `accepted` flags.
@@ -103,7 +110,8 @@ pub struct Flags {
 /// # Errors
 ///
 /// A message naming the offending argument: a flag not in `accepted`, a
-/// positional argument, or a missing or unknown `--precision` mode.
+/// positional argument, a missing or unknown `--precision` mode, or
+/// `--quant-gate` with `--precision f32`.
 pub fn parse_flags(args: &[String], accepted: &[Flag]) -> Result<Flags, String> {
     let mut flags = Flags::default();
     let mut rest = args.iter();
@@ -114,6 +122,9 @@ pub fn parse_flags(args: &[String], accepted: &[Flag]) -> Result<Flags, String> 
         };
         match name {
             "--quick" if inline.is_none() && accepted.contains(&Flag::Quick) => flags.quick = true,
+            "--quant-gate" if inline.is_none() && accepted.contains(&Flag::QuantGate) => {
+                flags.quant_gate = true;
+            }
             "--precision" if accepted.contains(&Flag::Precision) => {
                 let mode = inline
                     .or_else(|| rest.next().cloned())
@@ -127,6 +138,9 @@ pub fn parse_flags(args: &[String], accepted: &[Flag]) -> Result<Flags, String> 
             }
             _ => return Err(format!("unexpected argument {arg:?}")),
         }
+    }
+    if flags.quant_gate && flags.precision.as_deref() == Some("f32") {
+        return Err("--quant-gate needs the int8 path; drop --precision f32".into());
     }
     Ok(flags)
 }
@@ -262,6 +276,7 @@ mod tests {
         let want = Flags {
             quick: true,
             precision: Some("int8".to_string()),
+            quant_gate: false,
         };
         assert_eq!(
             parse(&["--quick", "--precision=int8"], &all).as_ref(),
@@ -288,6 +303,34 @@ mod tests {
             .contains("needs a value"));
         assert!(parse(&["--precision", "fp16"], &all).is_err());
         assert!(parse(&["--precision="], &all).is_err());
+    }
+
+    #[test]
+    fn parse_flags_reads_the_quant_gate_with_an_int8_precision() {
+        let all = [Flag::Quick, Flag::Precision, Flag::QuantGate];
+        for args in [
+            &["--quick", "--quant-gate"][..],
+            &["--precision", "int8", "--quant-gate"],
+            &["--quant-gate", "--precision=both"],
+        ] {
+            assert!(parse(args, &all).unwrap().quant_gate, "{args:?}");
+        }
+        assert!(!parse(&["--quick"], &all).unwrap().quant_gate);
+    }
+
+    #[test]
+    fn parse_flags_rejects_a_quant_gate_without_the_int8_path() {
+        let all = [Flag::Quick, Flag::Precision, Flag::QuantGate];
+        for args in [
+            &["--quant-gate", "--precision", "f32"][..],
+            &["--precision=f32", "--quant-gate"],
+        ] {
+            let e = parse(args, &all).unwrap_err();
+            assert!(e.contains("--quant-gate") && e.contains("f32"), "{e}");
+        }
+        assert!(parse(&["--quant-gate=1"], &all).is_err());
+        // Only the binaries that accept it take it.
+        assert!(parse(&["--quant-gate"], &[Flag::Quick, Flag::Precision]).is_err());
     }
 
     #[test]

@@ -42,10 +42,7 @@ use blisscam_core::experiments::{
     AccuracyPoint, AccuracySeries, EnergyRow, ExperimentScale, Fig12Result, Fig15Result, Fig16Row,
     Fig17Row, LatencyRow, Tab1Row,
 };
-use blisscam_core::{
-    EnergyBreakdown, FrameCounts, FrameResult, MeanAngularError, SystemConfig, SystemReport,
-    SystemVariant,
-};
+use blisscam_core::{EnergyBreakdown, FrameCounts, SystemConfig, SystemVariant};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -441,10 +438,6 @@ fn sensor_and_track_values_round_trip() {
         mean_tokens: 40.25,
         frames: 24,
     });
-    rt(&MeanAngularError {
-        horizontal: 0.75,
-        vertical: 1.25,
-    });
 }
 
 #[test]
@@ -520,35 +513,6 @@ fn experiment_row_values_round_trip() {
         reuse_window: 4,
         vertical: stats,
         energy_saving_fraction: 0.25,
-    });
-
-    let frame = FrameResult {
-        index: 2,
-        gaze_prediction: Gaze {
-            horizontal_deg: 1.0,
-            vertical_deg: 2.0,
-        },
-        gaze_truth: Gaze {
-            horizontal_deg: 1.5,
-            vertical_deg: 2.5,
-        },
-        horizontal_error_deg: 0.5,
-        vertical_error_deg: 0.5,
-        sampled_pixels: 512,
-        conversions: 600,
-        mipi_bytes: 1200,
-        tokens: 39,
-        energy: breakdown,
-    };
-    rt(&frame);
-    rt(&SystemReport {
-        variant: SystemVariant::BlissCam,
-        frames: vec![frame],
-        latency: simulate(
-            &PipelineConfig::conventional(120.0, StageDurations::paper_blisscam()),
-            2,
-        ),
-        pixels: 64 * 48,
     });
 }
 

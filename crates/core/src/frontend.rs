@@ -3,12 +3,10 @@
 //! Exactly one implementation of BlissCam's closed loop — noise → exposure →
 //! analog eventification → ROI-net input assembly → cold-start full-frame
 //! fallback → SRAM-sampled sparse readout → RLE over MIPI → host decode →
-//! segmentation feedback → geometric gaze — shared by the lock-step
-//! simulator ([`crate::EyeTrackingSystem`]) and the streaming runtime
-//! (`bliss_serve`). Before this module existed the stages were duplicated in
-//! both crates, and a change to one could silently miss the other; the
-//! serve-vs-system equivalence suite now pins the two paths to the same
-//! bits.
+//! segmentation feedback → geometric gaze. The streaming runtime
+//! (`bliss_serve`) drives it, one [`SparseFrontEnd`] per session, and its
+//! equivalence suite replays the same stages on the autograd tape as the
+//! bit-identity reference for the planned serving path.
 //!
 //! # Contract
 //!
@@ -18,28 +16,25 @@
 //! independently — and deterministically — on any thread pool. Per frame,
 //! the stages must run in this order:
 //!
-//! 1. [`SparseFrontEnd::sense_events`] — one imaging-noise draw, exposure,
-//!    analog eventification against the held previous frame;
+//! 1. [`SparseFrontEnd::sense_events_into`] — one imaging-noise draw,
+//!    exposure, analog eventification against the held previous frame;
 //! 2. [`SparseFrontEnd::roi_input`] — assemble the 2-channel ROI-net input
 //!    from the event map and the fed-back segmentation;
 //! 3. [`SparseFrontEnd::select_box`] — the predicted box, or the full-frame
 //!    cold-start bootstrap before the first segmentation feedback arrives;
-//! 4. [`SparseFrontEnd::read_out`] — SRAM-metastability sampling inside the
-//!    box, RLE encode, modelled MIPI transfer, host-side decode into the
+//! 4. [`SparseFrontEnd::read_out_into`] — SRAM-metastability sampling inside
+//!    the box, RLE encode, modelled MIPI transfer, host-side decode into the
 //!    sparse image + mask;
 //! 5. the host ViT (solo `forward` or cross-session `forward_batch` — the
 //!    front end does not care which);
 //! 6. [`SparseFrontEnd::absorb`] — adopt the segmentation as the next
 //!    frame's feedback cue and regress the gaze.
 //!
-//! [`SparseFrontEnd::run_frame`] is the lock-step composition of those
-//! stages for callers that do not interleave other sessions in between.
-//!
 //! The RNG streams are seeded as `seed ^ 0xD5` (sensor) and `seed ^ 0xE7A1`
 //! (imaging noise), and both advance exactly once per
-//! [`SparseFrontEnd::begin_stream`]/[`SparseFrontEnd::sense_events`] call —
-//! so a stream's outputs depend only on `(seed, frame sequence)`, never on
-//! batching or scheduling.
+//! [`SparseFrontEnd::begin_stream`]/[`SparseFrontEnd::sense_events_into`]
+//! call — so a stream's outputs depend only on `(seed, frame sequence)`,
+//! never on batching or scheduling.
 
 use crate::config::SystemConfig;
 use crate::energy_model::FrameCounts;
@@ -52,7 +47,7 @@ use bliss_sensor::{
 };
 use bliss_tensor::{NdArray, Tensor, TensorError};
 use bliss_track::{
-    EstimatorSnapshot, GazeEstimator, RoiNetConfig, RoiPredictionNet, SegPrediction, SparseViT,
+    EstimatorSnapshot, GazeEstimator, RoiNetConfig, RoiPredictionNet, SegPrediction,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -89,18 +84,6 @@ impl SensedFrame {
             roi_pixels: self.roi_pixels,
         }
     }
-}
-
-/// One frame's complete front-end outcome under the lock-step composition
-/// ([`SparseFrontEnd::run_frame`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServedFrame {
-    /// The sensor-side stage outputs.
-    pub sensed: SensedFrame,
-    /// The regressed gaze.
-    pub gaze: Gaze,
-    /// Occupied ViT tokens this frame contributed to the host launch.
-    pub tokens: usize,
 }
 
 /// The dynamic state of a [`SparseFrontEnd`] for durable-serving snapshots.
@@ -175,7 +158,6 @@ pub struct SparseFrontEnd {
     /// Per-stream staging buffers, reused across frames so the steady-state
     /// front end performs no per-frame allocations for these stages.
     noisy_buf: Vec<f32>,
-    events_buf: Vec<f32>,
     seg_buf: Vec<u8>,
     classes_buf: Vec<(usize, u8)>,
     events_map: EventMap,
@@ -202,7 +184,6 @@ impl SparseFrontEnd {
             prev_seg: vec![0u8; width * height],
             have_seg: false,
             noisy_buf: Vec::new(),
-            events_buf: Vec::new(),
             seg_buf: Vec::new(),
             classes_buf: Vec::new(),
             events_map: EventMap::empty(0, 0),
@@ -282,10 +263,9 @@ impl SparseFrontEnd {
 
     /// Renders a [`Scenario`]-parameterised stream of `frames` servable
     /// frames for `seed` and builds + primes its front end — THE single
-    /// recipe behind both execution paths (`bliss_serve` sessions and
-    /// [`crate::EyeTrackingSystem::run_scenario_frames`]), so a stream's
-    /// identity is `(system geometry, scenario, seed, frames)` everywhere
-    /// and the serve-vs-lockstep equivalence holds by construction.
+    /// stream recipe (`bliss_serve` sessions and the serving equivalence
+    /// suite's tape replay both start here), so a stream's identity is
+    /// `(system geometry, scenario, seed, frames)` everywhere.
     ///
     /// The sequence gets one extra leading frame: frame 0 primes the
     /// sensor's analog memory and is never served.
@@ -310,17 +290,9 @@ impl SparseFrontEnd {
     }
 
     /// Stage 1: exposes `clean` through the imaging-noise model and
-    /// eventifies it against the held previous frame, returning the
-    /// full-resolution event map.
-    pub fn sense_events(&mut self, clean: &[f32]) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.sense_events_into(clean, &mut out);
-        out
-    }
-
-    /// [`SparseFrontEnd::sense_events`] into a caller-owned buffer (cleared
-    /// first). Bit-identical to the allocating form; streaming sessions keep
-    /// one event buffer per stream and reuse it every frame.
+    /// eventifies it against the held previous frame, writing the
+    /// full-resolution event map into `out` (cleared first). Streaming
+    /// sessions keep one event buffer per stream and reuse it every frame.
     pub fn sense_events_into(&mut self, clean: &[f32], out: &mut Vec<f32>) {
         self.noise
             .apply_into(clean, 1.0, &mut self.rng, &mut self.noisy_buf);
@@ -349,23 +321,9 @@ impl SparseFrontEnd {
 
     /// Stage 4: sparse readout through the SRAM-metastability sampler
     /// inside `roi`, RLE encode over the modelled MIPI link, and host-side
-    /// decode into the sparse image + mask the segmenter consumes.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the RLE stream fails to round-trip (a modelling
-    /// bug, not an input condition).
-    pub fn read_out(&mut self, roi: RoiBox, sample_rate: f32) -> Result<SensedFrame, TensorError> {
-        let mut out = SensedFrame::default();
-        self.read_out_into(roi, sample_rate, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`SparseFrontEnd::read_out`] into a caller-owned frame: the sparse
-    /// image and mask buffers are resized and fully overwritten, so a
-    /// streaming session reuses one [`SensedFrame`] per stream instead of
-    /// rebuilding both full-frame buffers every frame. Bit-identical to the
-    /// allocating form.
+    /// decode into the sparse image + mask the segmenter consumes. The
+    /// image and mask buffers of `out` are resized and fully overwritten, so
+    /// a streaming session reuses one [`SensedFrame`] per stream.
     ///
     /// # Errors
     ///
@@ -446,43 +404,23 @@ impl SparseFrontEnd {
             None => (self.estimator.as_mut().expect("checked above").last(), 0),
         }
     }
-
-    /// The lock-step composition of stages 1–6 with a solo host launch in
-    /// the middle — one frame end-to-end. The streaming runtime runs the
-    /// same stages individually so that stage 5 can batch across sessions;
-    /// the equivalence suite pins both compositions to identical bits.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tensor errors from the networks.
-    pub fn run_frame(
-        &mut self,
-        clean: &[f32],
-        roi_net: &RoiPredictionNet,
-        vit: &SparseViT,
-        sample_rate: f32,
-    ) -> Result<ServedFrame, TensorError> {
-        let mut events = std::mem::take(&mut self.events_buf);
-        self.sense_events_into(clean, &mut events);
-        let input = self.roi_input(roi_net.config(), &events);
-        self.events_buf = events;
-        let roi_out = roi_net.forward(&input)?;
-        let roi = self.select_box(roi_net, &roi_out);
-        let sensed = self.read_out(roi, sample_rate)?;
-        let prediction = vit.forward(&sensed.image, &sensed.mask)?;
-        let (gaze, tokens) = self.absorb(prediction);
-        Ok(ServedFrame {
-            sensed,
-            gaze,
-            tokens,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bliss_eye::{render_sequence, SequenceConfig};
+
+    /// Stages 1 and 4 on one frame, into fresh buffers, reading the full
+    /// 80x50 frame at a 20 % rate.
+    fn sense_and_read(fe: &mut SparseFrontEnd, clean: &[f32]) -> (Vec<f32>, SensedFrame) {
+        let mut events = Vec::new();
+        fe.sense_events_into(clean, &mut events);
+        let mut sensed = SensedFrame::default();
+        fe.read_out_into(RoiBox::full(80, 50), 0.2, &mut sensed)
+            .unwrap();
+        (events, sensed)
+    }
 
     #[test]
     fn cold_start_reads_the_full_frame_then_shrinks() {
@@ -499,9 +437,8 @@ mod tests {
         let mut fe = SparseFrontEnd::new(80, 50, 9);
         fe.begin_stream(seq.model.clone(), &seq.frames[0].clean);
         assert!(!fe.have_seg);
-        let events = fe.sense_events(&seq.frames[1].clean);
+        let (events, sensed) = sense_and_read(&mut fe, &seq.frames[1].clean);
         assert_eq!(events.len(), 80 * 50);
-        let sensed = fe.read_out(RoiBox::full(80, 50), 0.2).unwrap();
         assert_eq!(sensed.image.len(), 80 * 50);
         assert_eq!(sensed.roi_pixels, 80 * 50);
         assert!(sensed.sampled > 0 && sensed.sampled <= 80 * 50);
@@ -524,9 +461,7 @@ mod tests {
         reference.begin_stream(seq.model.clone(), &seq.frames[0].clean);
         let mut ref_out = Vec::new();
         for f in &seq.frames[1..] {
-            let e = reference.sense_events(&f.clean);
-            let s = reference.read_out(RoiBox::full(80, 50), 0.2).unwrap();
-            ref_out.push((e, s));
+            ref_out.push(sense_and_read(&mut reference, &f.clean));
         }
         // Interrupted run: snapshot after 2 frames, restore into a freshly
         // primed front end, continue.
@@ -534,9 +469,7 @@ mod tests {
         first.begin_stream(seq.model.clone(), &seq.frames[0].clean);
         let mut out = Vec::new();
         for f in &seq.frames[1..3] {
-            let e = first.sense_events(&f.clean);
-            let s = first.read_out(RoiBox::full(80, 50), 0.2).unwrap();
-            out.push((e, s));
+            out.push(sense_and_read(&mut first, &f.clean));
         }
         let json = first.snapshot().to_json();
         let snap = FrontEndSnapshot::from_json(&json).unwrap();
@@ -544,9 +477,7 @@ mod tests {
         second.begin_stream(seq.model.clone(), &seq.frames[0].clean);
         second.restore(&snap);
         for f in &seq.frames[3..] {
-            let e = second.sense_events(&f.clean);
-            let s = second.read_out(RoiBox::full(80, 50), 0.2).unwrap();
-            out.push((e, s));
+            out.push(sense_and_read(&mut second, &f.clean));
         }
         assert_eq!(out, ref_out);
     }
@@ -563,9 +494,7 @@ mod tests {
         let run = || {
             let mut fe = SparseFrontEnd::new(80, 50, 123);
             fe.begin_stream(seq.model.clone(), &seq.frames[0].clean);
-            let e1 = fe.sense_events(&seq.frames[1].clean);
-            let s1 = fe.read_out(RoiBox::full(80, 50), 0.2).unwrap();
-            (e1, s1)
+            sense_and_read(&mut fe, &seq.frames[1].clean)
         };
         let (ea, sa) = run();
         let (eb, sb) = run();

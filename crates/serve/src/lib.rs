@@ -1,10 +1,9 @@
 //! `bliss_serve` — the multi-session streaming runtime.
 //!
-//! The rest of the workspace simulates *one* eye-tracking pipeline at a
-//! time ([`blisscam_core::EyeTrackingSystem::run_frames`], single-session and
-//! lock-step). This crate adds the serving layer a production deployment
-//! needs: N concurrent sessions — each replaying its own
-//! [`Scenario`](bliss_eye::Scenario)-parameterised oculomotor trace
+//! This crate runs the executable BlissCam closed loop. One session is the
+//! single-user eye tracker; the same runtime adds the serving layer a
+//! production deployment needs: N concurrent sessions — each replaying its
+//! own [`Scenario`](bliss_eye::Scenario)-parameterised oculomotor trace
 //! (saccade-heavy, smooth-pursuit, fixation/drift, blink-storm, mixed) —
 //! admitted by a **deterministic virtual-time scheduler** and served through
 //! **cross-session batched inference**:
@@ -13,8 +12,7 @@
 //!   ONE shared per-frame pipeline,
 //!   [`blisscam_core::SparseFrontEnd`] (noise → exposure → analog
 //!   eventification → ROI input assembly → cold-start fallback →
-//!   SRAM-sampled readout → RLE → feedback → gaze), the same component the
-//!   lock-step [`blisscam_core::EyeTrackingSystem`] drives — advance in
+//!   SRAM-sampled readout → RLE → feedback → gaze) — advance in
 //!   parallel on the [`bliss_parallel`] pool; each session owns its state,
 //!   so results are bit-identical for every thread count;
 //! * up to [`ServeConfig::max_batch`] ready frames fuse into **one**

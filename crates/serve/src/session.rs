@@ -79,9 +79,8 @@ pub struct SessionTrace {
 }
 
 /// Live state of one streaming session: its rendered trace, the shared
-/// per-frame front-end ([`blisscam_core::SparseFrontEnd`] — the same
-/// component `EyeTrackingSystem` drives lock-step) and the scheduler's
-/// per-session bookkeeping.
+/// per-frame front-end ([`blisscam_core::SparseFrontEnd`]) and the
+/// scheduler's per-session bookkeeping.
 ///
 /// All mutable state is owned — a fleet of sessions can advance in parallel
 /// on the `bliss_parallel` pool, and a session's outputs depend only on its
@@ -109,7 +108,7 @@ pub(crate) struct Session {
 impl Session {
     /// Renders the session's trace and primes the front-end with frame 0 —
     /// the one shared stream recipe ([`SparseFrontEnd::scenario_stream`]),
-    /// identical to the lock-step simulator's.
+    /// which the equivalence suite's tape replay also starts from.
     pub fn new(config: SessionConfig, system: &SystemConfig) -> Self {
         let (seq, front) =
             SparseFrontEnd::scenario_stream(system, config.scenario, config.seed, config.frames);

@@ -4,8 +4,8 @@
 //! (`bliss_tensor::exec`): for every scenario in the session mix, under 1-,
 //! 2- and 8-thread pools, both networks compile plans (misses) and reuse
 //! them across batches (hits). That planned serving is bit-identical to the
-//! autograd tape is pinned by the `equivalence` suite, which compares it
-//! with the lock-step `EyeTrackingSystem` path.
+//! autograd tape is pinned by the `equivalence` suite, which compares every
+//! served record with a replay of the same front-end stages on the tape.
 //!
 //! Snapshots extend the guarantee across restarts: compiled plans are
 //! deliberately **not** serialised (they are pure derived state), so a

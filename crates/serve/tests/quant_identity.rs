@@ -32,8 +32,7 @@ use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 /// Per-scenario ceiling on `mean_gaze_error(int8) - mean_gaze_error(f32)`,
-/// in degrees (the ISSUE's acceptance gate; `serve_sweep` enforces the same
-/// bound under `BLISS_QUANT_GATE=1`).
+/// in degrees (`serve_sweep --quant-gate` enforces the same bound).
 const GAZE_TOLERANCE_DEG: f64 = 0.15;
 
 struct Fixture {

@@ -15,7 +15,8 @@
 //! cargo run --release --example foveated_rendering
 //! ```
 
-use blisscam::core::{EyeTrackingSystem, SystemConfig, SystemVariant};
+use blisscam::core::SystemConfig;
+use blisscam::serve::{ServeConfig, ServeRuntime};
 
 /// Display parameters of a simulated HMD panel.
 const DISPLAY_W: usize = 1440;
@@ -39,17 +40,17 @@ fn shading_cost(fovea_deg: f32) -> f64 {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("training the BlissCam tracker...");
-    let mut system = EyeTrackingSystem::new(SystemVariant::BlissCam, SystemConfig::miniature())?;
-    let report = system.run_frames(48)?;
+    let outcome = ServeRuntime::new(SystemConfig::miniature())?.serve(&ServeConfig::new(1, 48))?;
+    let report = &outcome.report;
+    let frames = &outcome.traces[0].records;
+    let session = &report.per_session[0];
 
-    let latency_ms = report.latency.mean_latency_s * 1e3;
-    let err = report.mean_angular_error();
+    let latency_ms = report.latency.p50_ms;
     // The fovea must cover: rendering margin + tracking error + how far the
     // eye can travel during one tracking latency (saccades up to 700 deg/s).
-    let saccade_slip = 700.0 * report.latency.mean_latency_s as f32;
+    let saccade_slip = 700.0 * (latency_ms / 1e3) as f32;
     let p95_err = {
-        let mut errs: Vec<f32> = report
-            .frames
+        let mut errs: Vec<f32> = frames
             .iter()
             .map(|f| f.horizontal_error_deg.max(f.vertical_error_deg))
             .collect();
@@ -59,10 +60,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fovea = 5.0 + p95_err; // 5 deg physiological fovea + tracking error
 
     println!("\ntracker characteristics:");
-    println!("  latency            : {latency_ms:.2} ms");
+    println!("  latency (p50)      : {latency_ms:.2} ms");
     println!(
         "  mean error         : {:.2}°/{:.2}° (h/v)",
-        err.horizontal, err.vertical
+        session.mean_horizontal_error_deg, session.mean_vertical_error_deg
     );
     println!("  p95 error          : {p95_err:.2}°");
     println!("  saccade slip/frame : {saccade_slip:.1}° (eye travel during one latency)");
@@ -72,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let full_cost = (DISPLAY_W * DISPLAY_H) as f64;
     let fov_cost = shading_cost(fovea);
     let mut misses = 0usize;
-    for frame in &report.frames {
+    for frame in frames {
         let miss = frame.gaze_prediction.angular_distance(&frame.gaze_truth) > fovea;
         if miss {
             misses += 1;
@@ -87,12 +88,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "  fovea misses       : {misses}/{} frames ({:.1} %)",
-        report.frames.len(),
-        misses as f64 / report.frames.len() as f64 * 100.0
+        frames.len(),
+        misses as f64 / frames.len() as f64 * 100.0
     );
     println!(
         "  tracker energy     : {:.1} uJ/frame on top of the saved GPU work",
-        report.mean_energy_uj()
+        report.mean_energy_uj
     );
     println!("\nThe latency budget is why the paper targets sub-10 ms tracking: at 15+ ms a");
     println!("700°/s saccade moves the eye >10° before the fovea catches up.");

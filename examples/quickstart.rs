@@ -1,11 +1,13 @@
-//! Quickstart: build a BlissCam eye-tracking system, run frames end-to-end,
-//! and print what the co-designed sensor+algorithm stack delivers.
+//! Quickstart: train a BlissCam eye tracker, serve one user's frames
+//! end-to-end, and print what the co-designed sensor+algorithm stack
+//! delivers.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
 //! ```
 
-use blisscam::core::{EyeTrackingSystem, SystemConfig, SystemVariant};
+use blisscam::core::SystemConfig;
+use blisscam::serve::{ServeConfig, ServeRuntime};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A miniature configuration trains its networks in seconds on a CPU.
@@ -18,14 +20,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         config.sample_rate * 100.0
     );
     println!("training the ROI predictor and sparse ViT jointly...");
-    let mut system = EyeTrackingSystem::new(SystemVariant::BlissCam, config)?;
+    let runtime = ServeRuntime::new(config)?;
 
-    println!("running 24 frames through the full hardware path:");
+    println!("serving one user for 24 frames through the full hardware path:");
     println!("  render -> noise -> expose -> eventify -> ROI -> SRAM sampling");
     println!("  -> sparse readout -> RLE -> MIPI -> decode -> sparse ViT -> gaze\n");
-    let report = system.run_frames(24)?;
+    let outcome = runtime.serve(&ServeConfig::new(1, 24))?;
+    let records = &outcome.traces[0].records;
 
-    for frame in report.frames.iter().take(6) {
+    for frame in records.iter().take(6) {
         println!(
             "frame {:>2}: gaze ({:+6.1}°, {:+6.1}°) truth ({:+6.1}°, {:+6.1}°)  \
              {:>5} px sampled, {:>5} B on MIPI, {:>3} tokens",
@@ -39,25 +42,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             frame.tokens,
         );
     }
-    println!("  ... ({} frames total)\n", report.frames.len());
+    println!("  ... ({} frames total)\n", records.len());
 
-    let err = report.mean_angular_error();
+    let report = &outcome.report;
+    let session = &report.per_session[0];
     println!(
         "mean gaze error      : {:.2}° horizontal, {:.2}° vertical",
-        err.horizontal, err.vertical
+        session.mean_horizontal_error_deg, session.mean_vertical_error_deg
     );
+    let sampled: usize = records.iter().map(|r| r.sampled_pixels).sum();
     println!(
         "pixel compression    : {:.1}x (paper: 20.6x at paper scale)",
-        report.mean_compression()
+        (records.len() * config.pixels()) as f64 / sampled.max(1) as f64
     );
     println!(
         "energy per frame     : {:.1} uJ (miniature-scale hardware model)",
-        report.mean_energy_uj()
+        report.mean_energy_uj
     );
     println!(
-        "tracking latency     : {:.2} ms at {:.0} FPS (budget: 15 ms)",
-        report.latency.mean_latency_s * 1e3,
-        report.latency.achieved_fps
+        "tracking latency     : {:.2} ms p50, {:.2} ms p99 at {:.0} FPS (budget: 15 ms)",
+        report.latency.p50_ms, report.latency.p99_ms, report.throughput_fps
     );
     Ok(())
 }

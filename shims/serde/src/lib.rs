@@ -3,9 +3,9 @@
 //! Unlike the first-cut shim, [`Serialize`] is now a *real* trait: it writes
 //! a JSON encoding of the value, and `#[derive(Serialize)]` (re-exported
 //! from the `serde_derive` shim) generates field-by-field implementations.
-//! That closes the PR-1 open item — the report types (`SystemReport`,
-//! `ServeReport`, the bench sweeps) serialise through a hand-rolled JSON
-//! layer with no change at their definition sites. Swapping the real `serde`
+//! The report types (`ServeReport`, `FleetReport`, the bench sweeps)
+//! serialise through a hand-rolled JSON layer with no change at their
+//! definition sites. Swapping the real `serde`
 //! back in (see `shims/README.md`) still requires no source change for the
 //! derives; only direct `to_json()` call sites would move to `serde_json`.
 //!

@@ -20,24 +20,29 @@
 //! * [`energy`] — process scaling, MIPI/DRAM/readout energy and area models
 //! * [`timing`] — frame-pipeline timing simulator
 //! * [`track`] — ROI prediction, sparse ViT segmentation, sampling strategies
-//! * [`core`] — the assembled system, its variants and the paper experiments
-//! * [`serve`] — multi-session streaming runtime with batched inference
+//! * [`core`] — system variants, the shared per-frame front end, the
+//!   analytic models and the paper experiments
+//! * [`serve`] — the runtime that runs the closed loop: one session is the
+//!   eye tracker, N sessions share batched inference
 //! * [`fleet`] — multi-host sharded serving with pluggable placement policies
 //!
 //! # Quickstart
 //!
 //! ```
-//! use blisscam::core::{SystemConfig, SystemVariant, EyeTrackingSystem};
+//! use blisscam::core::SystemConfig;
+//! use blisscam::serve::{ServeConfig, ServeRuntime};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let config = SystemConfig::miniature();
-//! let mut system = EyeTrackingSystem::new(SystemVariant::BlissCam, config)?;
-//! let report = system.run_frames(12)?;
-//! println!("mean gaze error: {:.2} deg", report.mean_angular_error().horizontal);
-//! println!("energy per frame: {:.1} uJ", report.mean_energy_uj());
-//! # assert_eq!(report.frames.len(), 12);
-//! # assert!(report.mean_angular_error().horizontal.is_finite());
-//! # assert!(report.mean_energy_uj() > 0.0);
+//! // Train the networks (seconds at miniature scale), then track one user
+//! // for 12 frames.
+//! let runtime = ServeRuntime::new(SystemConfig::miniature())?;
+//! let outcome = runtime.serve(&ServeConfig::new(1, 12))?;
+//! let session = &outcome.report.per_session[0];
+//! println!("mean gaze error: {:.2} deg", session.mean_horizontal_error_deg);
+//! println!("energy per frame: {:.1} uJ", session.mean_energy_uj);
+//! # assert_eq!(session.frames, 12);
+//! # assert!(session.mean_horizontal_error_deg.is_finite());
+//! # assert!(session.mean_energy_uj > 0.0);
 //! # Ok(())
 //! # }
 //! ```

@@ -2,40 +2,37 @@
 //! `src/lib.rs` quickstart advertise must keep working, and every re-exported
 //! sub-crate must stay reachable through the facade paths.
 
-use blisscam::core::{EyeTrackingSystem, SystemConfig, SystemVariant};
+use blisscam::core::SystemConfig;
+use blisscam::serve::{ServeConfig, ServeRuntime};
 
 #[test]
 fn quickstart_flow_runs_and_reports_sane_numbers() {
     let config = SystemConfig::miniature();
-    let mut system =
-        EyeTrackingSystem::new(SystemVariant::BlissCam, config).expect("system construction");
-    let report = system.run_frames(12).expect("12-frame run");
+    let runtime = ServeRuntime::new(config).expect("runtime trains");
+    let outcome = runtime
+        .serve(&ServeConfig::new(1, 12))
+        .expect("12-frame serve");
 
-    assert_eq!(report.frames.len(), 12);
-    assert_eq!(report.variant, SystemVariant::BlissCam);
+    let records = &outcome.traces[0].records;
+    assert_eq!(records.len(), 12);
+    let session = &outcome.report.per_session[0];
+    assert_eq!(session.frames, 12);
 
-    let err = report.mean_angular_error();
-    assert!(
-        err.horizontal.is_finite() && err.horizontal >= 0.0,
-        "horizontal error {:?}",
-        err.horizontal
+    let (h, v) = (
+        session.mean_horizontal_error_deg,
+        session.mean_vertical_error_deg,
     );
-    assert!(
-        err.vertical.is_finite() && err.vertical >= 0.0,
-        "vertical error {:?}",
-        err.vertical
-    );
+    assert!(h.is_finite() && h >= 0.0, "horizontal error {h:?}");
+    assert!(v.is_finite() && v >= 0.0, "vertical error {v:?}");
 
-    let energy = report.mean_energy_uj();
+    let energy = session.mean_energy_uj;
     assert!(energy > 0.0 && energy.is_finite(), "energy {energy} uJ");
 
     // The whole point of BlissCam: far fewer pixels leave the sensor than a
     // dense readout would ship.
-    assert!(
-        report.mean_compression() > 1.0,
-        "compression {}",
-        report.mean_compression()
-    );
+    let sampled: usize = records.iter().map(|r| r.sampled_pixels).sum();
+    let compression = (records.len() * config.pixels()) as f32 / sampled.max(1) as f32;
+    assert!(compression > 1.0, "compression {compression}");
 }
 
 #[test]

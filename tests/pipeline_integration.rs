@@ -1,17 +1,20 @@
 //! End-to-end integration tests across the whole workspace: renderer →
-//! sensor → networks → gaze, for every in-sensor system variant. The dense
-//! baselines have no executable pipeline; the ordering test holds the
-//! measured runs against their analytic energy instead.
+//! sensor → networks → gaze, served as one session by `ServeRuntime`. S+NPU
+//! runs the same in-sensor pipeline as BlissCam and differs only in its
+//! energy model, so its run is the served records priced as S+NPU. The
+//! dense baselines have no executable pipeline; the ordering tests hold the
+//! measured run against their analytic energy instead.
 //!
-//! Building an [`EyeTrackingSystem`] trains its networks, which dominates
-//! this suite's wall clock — so all read-only assertions share one
-//! `OnceLock` fixture of per-variant reports (seed 7, 8 frames) instead of
-//! re-training per test. Only the determinism test builds fresh systems,
-//! with a trimmed training budget.
+//! Building a runtime trains its networks, which dominates this suite's
+//! wall clock — so all read-only assertions share one `OnceLock` fixture
+//! (seed 7, 8 frames) instead of re-training per test. Only the determinism
+//! test builds fresh runtimes, with a trimmed training budget.
 
 use blisscam::core::{
-    energy_breakdown, EyeTrackingSystem, SystemConfig, SystemReport, SystemVariant,
+    energy_breakdown, energy_breakdown_with_counts_at, simulate_pipeline, FrameCounts, Precision,
+    SystemConfig, SystemVariant,
 };
+use blisscam::serve::{FrameRecord, ServeConfig, ServeOutcome, ServeRuntime};
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -25,37 +28,108 @@ fn fast_config(seed: u64) -> SystemConfig {
     cfg
 }
 
-/// One trained-and-run report per in-sensor variant, shared by every
-/// read-only test.
-fn shared_reports() -> &'static HashMap<&'static str, SystemReport> {
-    static REPORTS: OnceLock<HashMap<&'static str, SystemReport>> = OnceLock::new();
-    REPORTS.get_or_init(|| {
-        SystemVariant::ALL
-            .into_iter()
-            .filter(SystemVariant::in_sensor_sampling)
-            .map(|variant| {
-                let mut system =
-                    EyeTrackingSystem::new(variant, fast_config(7)).expect("system builds");
-                let report = system.run_frames(8).expect("frames run");
-                (variant.label(), report)
-            })
-            .collect()
-    })
+/// Trains a runtime for `cfg` and serves one session of `frames` frames,
+/// its stream seeded by the system seed.
+fn serve_one(cfg: SystemConfig, frames: usize) -> ServeOutcome {
+    let mut load = ServeConfig::new(1, frames);
+    load.seed = cfg.seed;
+    ServeRuntime::new(cfg)
+        .expect("runtime trains")
+        .serve(&load)
+        .expect("frames serve")
+}
+
+/// The served run every read-only test shares.
+fn shared_run() -> &'static ServeOutcome {
+    static RUN: OnceLock<ServeOutcome> = OnceLock::new();
+    RUN.get_or_init(|| serve_one(fast_config(7), 8))
+}
+
+fn shared_records() -> &'static [FrameRecord] {
+    &shared_run().traces[0].records
+}
+
+/// The energy-model counters of a served frame. A sparse readout converts
+/// exactly the pixels it samples (pinned by `sparse_readout_respects_rate`
+/// in `bliss_sensor`).
+fn counts(r: &FrameRecord) -> FrameCounts {
+    FrameCounts {
+        conversions: r.sampled_pixels as u64,
+        sampled: r.sampled_pixels as u64,
+        mipi_payload_bytes: r.mipi_bytes,
+        tokens: r.tokens,
+        roi_pixels: r.roi_pixels,
+    }
+}
+
+/// Mean per-frame energy of the shared run priced as `variant`, in µJ.
+fn priced_uj(cfg: &SystemConfig, variant: SystemVariant) -> f64 {
+    let records = shared_records();
+    let total_j: f64 = records
+        .iter()
+        .map(|r| {
+            energy_breakdown_with_counts_at(cfg, variant, &counts(r), Precision::F32).total_j()
+        })
+        .sum();
+    total_j / records.len() as f64 * 1e6
 }
 
 #[test]
 fn every_variant_runs_end_to_end() {
-    let reports = shared_reports();
-    assert_eq!(reports.len(), 2);
-    for (label, report) in reports {
-        assert_eq!(report.frames.len(), 8, "{label}");
-        let err = report.mean_angular_error();
+    let cfg = fast_config(7);
+    let outcome = shared_run();
+    let records = shared_records();
+    assert_eq!(records.len(), 8);
+    let session = &outcome.report.per_session[0];
+    assert!(
+        session.mean_horizontal_error_deg.is_finite()
+            && session.mean_vertical_error_deg.is_finite(),
+        "NaN gaze errors: {session:?}"
+    );
+    assert!(outcome.report.latency.p50_ms > 0.0);
+    for variant in [SystemVariant::BlissCam, SystemVariant::SNpu] {
+        assert!(priced_uj(&cfg, variant) > 0.0, "{}", variant.label());
+        assert!(simulate_pipeline(&cfg, variant, records.len()).mean_latency_s > 0.0);
+    }
+    // Every frame, the cold start included, moved fewer pixels and bytes
+    // than a dense 10-bit readout of the frame.
+    for r in records {
+        assert!(r.sampled_pixels < cfg.pixels(), "frame {}", r.index);
         assert!(
-            err.horizontal.is_finite() && err.vertical.is_finite(),
-            "{label} produced NaN errors"
+            r.mipi_bytes < (cfg.pixels() * 10 / 8) as u64,
+            "frame {}",
+            r.index
         );
-        assert!(report.mean_energy_uj() > 0.0);
-        assert!(report.latency.mean_latency_s > 0.0);
+    }
+}
+
+#[test]
+fn blisscam_system_runs_end_to_end() {
+    // The BlissCam session on its own: finite gaze errors, a positive
+    // billed energy, a compressed readout, and no frame as large as a dense
+    // one.
+    let cfg = fast_config(7);
+    let outcome = shared_run();
+    let records = shared_records();
+    assert_eq!(records.len(), 8);
+    for r in records {
+        assert!(
+            r.horizontal_error_deg.is_finite() && r.vertical_error_deg.is_finite(),
+            "frame {}",
+            r.index
+        );
+    }
+    assert!(outcome.report.mean_energy_uj > 0.0);
+    let sampled: usize = records.iter().map(|r| r.sampled_pixels).sum();
+    let compression = (records.len() * cfg.pixels()) as f32 / sampled.max(1) as f32;
+    assert!(compression > 3.0, "compression {compression}");
+    for r in records {
+        assert!(r.sampled_pixels < 160 * 100, "frame {}", r.index);
+        assert!(
+            r.mipi_bytes < (160 * 100 * 10 / 8) as u64,
+            "frame {}",
+            r.index
+        );
     }
 }
 
@@ -65,9 +139,20 @@ fn energy_ordering_holds_in_executable_runs() {
     // ordering against the dense baselines' analytic energy at the same
     // configuration: BlissCam < S+NPU and BlissCam < NPU-ROI < NPU-Full.
     let cfg = fast_config(7);
-    let mut totals: HashMap<&str, f64> = shared_reports()
-        .iter()
-        .map(|(&label, report)| (label, report.mean_energy_uj()))
+    // The counts are the ones serving billed: priced as BlissCam, they give
+    // every record's energy back bit for bit.
+    for r in shared_records() {
+        let e = energy_breakdown_with_counts_at(
+            &cfg,
+            SystemVariant::BlissCam,
+            &counts(r),
+            Precision::F32,
+        );
+        assert_eq!(e.total_j(), r.energy_j, "frame {}", r.index);
+    }
+    let mut totals: HashMap<&str, f64> = [SystemVariant::BlissCam, SystemVariant::SNpu]
+        .into_iter()
+        .map(|variant| (variant.label(), priced_uj(&cfg, variant)))
         .collect();
     for variant in [SystemVariant::NpuRoi, SystemVariant::NpuFull] {
         totals.insert(
@@ -81,17 +166,41 @@ fn energy_ordering_holds_in_executable_runs() {
 }
 
 #[test]
+fn blisscam_moves_fewer_bytes_and_joules_than_npu_full() {
+    // NPU-Full has no executable pipeline: the served BlissCam run is held
+    // against its analytic energy, full-frame MIPI payload and pipeline
+    // schedule at the same configuration.
+    let cfg = fast_config(7);
+    let records = shared_records();
+    let full_uj = energy_breakdown(&cfg, SystemVariant::NpuFull).total_j() * 1e6;
+    assert!(shared_run().report.mean_energy_uj < full_uj);
+    // Skip the cold-start bootstrap frames (full-frame readout) when
+    // comparing steady-state traffic.
+    let steady = &records[3..];
+    let bytes_b: u64 = steady.iter().map(|r| r.mipi_bytes).sum();
+    let bytes_f = cfg.energy.mipi.frame_bytes(cfg.pixels()) * steady.len() as u64;
+    assert!(
+        bytes_b * 2 < bytes_f,
+        "bliss {bytes_b} B vs full {bytes_f} B"
+    );
+    let n = records.len();
+    let bliss_latency = simulate_pipeline(&cfg, SystemVariant::BlissCam, n);
+    let full_latency = simulate_pipeline(&cfg, SystemVariant::NpuFull, n);
+    assert!(bliss_latency.mean_latency_s <= full_latency.mean_latency_s * 1.02);
+}
+
+#[test]
 fn sparse_variants_compress_dense_variants_do_not() {
     // In-sensor sampling: far fewer pixels cross the link than the frame
-    // holds.
-    let reports = shared_reports();
-    for label in ["BlissCam", "S+NPU"] {
-        let compression = reports[label].mean_compression();
-        assert!(compression > 4.0, "{label} compression {compression}");
-    }
+    // holds. S+NPU samples the same pixels as BlissCam, so one measured
+    // compression covers both in-sensor variants.
+    let cfg = fast_config(7);
+    let records = shared_records();
+    let sampled: usize = records.iter().map(|r| r.sampled_pixels).sum();
+    let compression = (records.len() * cfg.pixels()) as f32 / sampled.max(1) as f32;
+    assert!(compression > 4.0, "compression {compression}");
     // The dense baselines have no executable pipeline: their analytic model
     // converts and ships every pixel of the frame.
-    let cfg = fast_config(7);
     let p = &cfg.energy;
     let full_adc_j = p.readout.adc_energy_j(cfg.pixels() as u64, cfg.analog_node);
     let full_mipi_j = p.mipi.transfer_energy_j(p.mipi.frame_bytes(cfg.pixels()));
@@ -109,20 +218,14 @@ fn runs_are_deterministic_for_a_seed() {
     let run = |seed: u64| {
         let mut cfg = fast_config(seed);
         cfg.train_frames = 12;
-        let mut sys = EyeTrackingSystem::new(SystemVariant::BlissCam, cfg).unwrap();
-        sys.run_frames(5).unwrap()
+        serve_one(cfg, 5).traces.remove(0).records
     };
     let a = run(11);
     let b = run(11);
-    assert_eq!(a.frames.len(), b.frames.len());
-    for (fa, fb) in a.frames.iter().zip(b.frames.iter()) {
-        assert_eq!(fa.gaze_prediction, fb.gaze_prediction);
-        assert_eq!(fa.sampled_pixels, fb.sampled_pixels);
-        assert_eq!(fa.mipi_bytes, fb.mipi_bytes);
-    }
+    assert_eq!(a, b);
     let c = run(12);
     assert_ne!(
-        a.frames[4].sampled_pixels, c.frames[4].sampled_pixels,
+        a[4].sampled_pixels, c[4].sampled_pixels,
         "different seeds should sample differently"
     );
 }
@@ -132,14 +235,13 @@ fn blisscam_tokens_track_roi_occupancy() {
     // The number of ViT tokens must stay well below the total patch count —
     // that is where the compute savings come from.
     let total_patches = fast_config(7).vit.num_patches();
-    let report = &shared_reports()["BlissCam"];
     // The cold-start bootstrap reads the full frame, so early frames may
     // occupy every patch; steady state must not.
-    let steady: Vec<_> = report.frames.iter().skip(3).collect();
-    let below = steady.iter().filter(|f| f.tokens < total_patches).count();
+    let steady = &shared_records()[3..];
+    let below = steady.iter().filter(|r| r.tokens < total_patches).count();
     assert!(
         below * 2 > steady.len(),
         "steady-state frames mostly at full occupancy: {:?}",
-        steady.iter().map(|f| f.tokens).collect::<Vec<_>>()
+        steady.iter().map(|r| r.tokens).collect::<Vec<_>>()
     );
 }
