@@ -22,7 +22,7 @@ use bliss_eye::{
 };
 use bliss_nn::{MultiHeadAttention, Tape};
 use bliss_parallel::{with_min_parallel_work, with_thread_count};
-use bliss_sensor::{rle, DigitalPixelSensor, RoiBox, SensorConfig, SramRng};
+use bliss_sensor::{rle, DigitalPixelSensor, Jump, RoiBox, SensorConfig, SramRng};
 use bliss_tensor::{NdArray, Tensor};
 use bliss_track::{PlannedBatch, RoiNetConfig, SparseViT, ViTConfig};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
@@ -293,20 +293,28 @@ fn bench_sparse_readout(c: &mut Criterion) {
 }
 
 /// The die build (comparator offsets, SRAM thresholds and the 64-power-up
-/// θ-LUT calibration) every serving session pays once, and the per-frame
-/// SRAM power-up mask on its own.
+/// θ-LUT calibration) every serving session pays once, the calibration
+/// and the per-frame SRAM power-up mask on their own, and one jump of the
+/// SRAM stream over a whole 160x100 power-up (160 000 draws).
 fn bench_sensor_die(c: &mut Criterion) {
     let config = SensorConfig::miniature(160, 100);
     c.bench_function("sensor_die_build_160x100", |b| {
         b.iter(|| std::hint::black_box(DigitalPixelSensor::new(std::hint::black_box(config))))
     });
     let mut sram = SramRng::new(config.pixels(), config.sram_rng, config.seed);
+    c.bench_function("sram_calibrate_160x100", |b| {
+        b.iter(|| std::hint::black_box(sram.calibrate()))
+    });
     let mut mask = Vec::new();
     c.bench_function("sram_sample_mask_160x100", |b| {
         b.iter(|| {
             sram.sample_mask_into(5, &mut mask);
             std::hint::black_box(&mask);
         })
+    });
+    let jump = Jump::new(160_000);
+    c.bench_function("sram_jump_160k", |b| {
+        b.iter(|| std::hint::black_box(jump.apply(std::hint::black_box(sram.rng_state()))))
     });
 }
 

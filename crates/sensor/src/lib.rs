@@ -48,5 +48,5 @@ mod roi;
 pub use codes::{PackedCodes, SnapshotFrame};
 pub use dps::{sparse_image_into, DigitalPixelSensor, ReadoutResult, SensorConfig, SensorSnapshot};
 pub use event::EventMap;
-pub use rng::{gauss, uniform_word, CalibrationLut, SramRng, SramRngConfig};
+pub use rng::{gauss, uniform_word, CalibrationLut, Jump, SramRng, SramRngConfig};
 pub use roi::RoiBox;

@@ -1,4 +1,5 @@
 use bliss_parallel::normal::{box_muller, gauss_from_words, gauss_words_into, unit};
+use bliss_parallel::{par_chunks, par_map_collect};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -91,24 +92,38 @@ impl CalibrationLut {
 /// compares raw 24-bit draws against it: no float conversion, no branch, and
 /// bit-for-bit the same ones-counts as the float comparison.
 ///
-/// # Why the stream stays sequential
+/// # Lanes over one sequential stream
 ///
-/// All draws come from one sequential xoshiro stream, pixel by pixel and
-/// cell by cell. A counter-hashed draw per cell would let power-ups
-/// parallelise, but a hashed variant reproducibly left the host CPU of the
-/// dev container in a state where *unrelated* FP code (the eye renderer) ran
-/// ~10x slower until the next power-up toggled it back — a data-dependent,
-/// virtualisation-specific pathology. Power-up is a per-frame
-/// O(pixels × cells) scan that is not on the parallel readout's critical
-/// path, and jumping the stream ahead would change every mask, so the
-/// sequential stream stays.
+/// The draws are those of one sequential xoshiro256\*\* stream, pixel by
+/// pixel and cell by cell: the thresholds take two words per cell, a
+/// power-up of `n` pixels the next `n · cells` words, and a calibration
+/// `trials` power-ups in a row. The stream is nonetheless walked in
+/// lanes. The pixels are cut into 2 blocks of 16 equal contiguous lanes
+/// plus a scalar tail, a cut that depends only on the pixel count. Each
+/// lane starts from the stream state [`Jump`]ed ahead to its first draw,
+/// and the 16 lanes of a block step in struct-of-arrays form, which LLVM
+/// vectorises where one lane, or 2 to 8, stay at the serial draw's cost.
+/// Blocks run on the `bliss_parallel` pool, and so do the calibration's
+/// trials, each starting one power-up further on. So every threshold,
+/// count, mask, θ-LUT bit and end state is the sequential stream's, at
+/// any thread count.
+///
+/// The thresholds are stored once, in the kernel's lane-interleaved order.
+/// A counter-hashed draw per cell would have parallelised too, but it
+/// would change every mask, and on one virtualised host it left
+/// *unrelated* FP code (the eye renderer) about 10x slower until the next
+/// power-up. The lanes draw the sequential stream's words, and showed no
+/// such slowdown there.
 #[derive(Debug, Clone)]
 pub struct SramRng {
     config: SramRngConfig,
     /// Per-cell power-up-one threshold `ceil(bias · 2^24)` on the 24-bit
-    /// draw (length = pixels × cells; see the type docs).
+    /// draw (length = pixels × cells; see the type docs), in lane order:
+    /// block by block, each block step by step (pixel-in-lane, then cell),
+    /// each step its 16 lanes; then the tail, pixel-major.
     cell_threshold: Vec<u32>,
     pixels: usize,
+    lanes: Lanes,
     rng: StdRng,
 }
 
@@ -118,16 +133,43 @@ impl SramRng {
     /// `seed` fixes both the per-cell process variation (a permanent property
     /// of a physical die) and the subsequent power-up draws.
     pub fn new(pixels: usize, config: SramRngConfig, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut cell_threshold = Vec::with_capacity(pixels * config.cells_per_pixel);
-        for_each_gauss(&mut rng, pixels * config.cells_per_pixel, |g| {
-            let bias = g * config.cell_bias_sigma + 0.5;
-            cell_threshold.push(bias_threshold(bias.clamp(0.02, 0.98)));
+        let mut die = SramRng::blank(pixels, config, StdRng::seed_from_u64(seed));
+        let cells = config.cells_per_pixel;
+        let start = die.rng.state();
+        // Two words per cell: each lane's first threshold word lies twice
+        // as far into the stream as its first power-up draw.
+        let words = Lanes::new(pixels, 2 * cells);
+        let lane_pixels = die.lanes.lane_pixels;
+        let bias = |g: f32| bias_threshold((g * config.cell_bias_sigma + 0.5).clamp(0.02, 0.98));
+        let (laned, tail) = die
+            .cell_threshold
+            .split_at_mut(BLOCKS * LANES * lane_pixels * cells);
+        if lane_pixels > 0 {
+            par_chunks(
+                laned,
+                LANES * lane_pixels * cells,
+                GAUSS_COST,
+                |b, block| {
+                    fill_gaussian_block(block, lane_states(&words.offsets[b], start), bias);
+                },
+            );
+        }
+        let mut tail_rng = StdRng::from_state(words.tail.apply(start));
+        let mut tail = tail.iter_mut();
+        for_each_gauss(&mut tail_rng, tail.len(), |g| {
+            *tail.next().expect("one threshold per tail cell") = bias(g);
         });
+        die.rng = tail_rng;
+        die
+    }
+
+    /// A die with zero thresholds and the power-up stream at `rng`.
+    fn blank(pixels: usize, config: SramRngConfig, rng: StdRng) -> Self {
         SramRng {
             config,
-            cell_threshold,
+            cell_threshold: vec![0; pixels * config.cells_per_pixel],
             pixels,
+            lanes: Lanes::new(pixels, config.cells_per_pixel),
             rng,
         }
     }
@@ -154,8 +196,7 @@ impl SramRng {
     /// first), so steady-state serving performs no per-frame allocation.
     /// Draws the identical RNG stream as the allocating variant.
     pub fn power_up_into(&mut self, counts: &mut Vec<u8>) {
-        counts.clear();
-        self.each_power_up(|ones| counts.push(ones));
+        self.draw_into(counts, |ones| ones);
     }
 
     /// The power-up generator's internal state, for snapshotting.
@@ -178,17 +219,40 @@ impl SramRng {
     /// builds the rate→θ lookup table (paper §IV-C).
     ///
     /// Histograms the ones-counts of `calibration_trials` power-ups, then
-    /// suffix-sums the histogram into the `count >= θ` tallies.
+    /// suffix-sums the histogram into the `count >= θ` tallies. The trials
+    /// run on the pool, each from the stream state one power-up past the
+    /// previous one's; their histograms add up exactly in integers.
     pub fn calibrate(&mut self) -> CalibrationLut {
         let cells = self.config.cells_per_pixel;
         let trials = self.config.calibration_trials.max(1);
-        let mut ge_counts = vec![0u64; cells + 1];
+        let mut starts = Vec::with_capacity(trials);
+        let mut state = self.rng.state();
         for _ in 0..trials {
-            self.each_power_up(|ones| ge_counts[ones as usize] += 1);
+            starts.push(state);
+            state = self.lanes.power_up.apply(state);
+        }
+        let die = &*self;
+        let histograms = par_map_collect(trials, |t| {
+            // One histogram per lane, so the 16 increments of a lane step
+            // hit 16 different counters.
+            let mut histogram = vec![[0u64; LANES]; cells + 1];
+            die.each_power_up_from(starts[t], |counts| {
+                for (lane, &ones) in counts.iter().enumerate() {
+                    histogram[ones as usize][lane] += 1;
+                }
+            });
+            histogram
+        });
+        let mut ge_counts = vec![0u64; cells + 1];
+        for histogram in histograms {
+            for (total, lanes) in ge_counts.iter_mut().zip(histogram) {
+                *total += lanes.iter().sum::<u64>();
+            }
         }
         for theta in (0..cells).rev() {
             ge_counts[theta] += ge_counts[theta + 1];
         }
+        self.rng = StdRng::from_state(state);
         let total = (trials * self.pixels) as f32;
         CalibrationLut {
             achieved_rate: ge_counts.iter().map(|&c| c as f32 / total).collect(),
@@ -203,28 +267,355 @@ impl SramRng {
     }
 
     /// [`sample_mask`](SramRng::sample_mask) into a caller-owned buffer
-    /// (cleared first). Fuses the power-up scan with the θ comparison —
-    /// same cell-by-cell draw order, so the mask and the RNG stream are
-    /// bit-identical to the allocating variant.
+    /// (cleared first). Fuses the power-up with the θ comparison — the same
+    /// draws, so the mask and the RNG stream are bit-identical to the
+    /// allocating variant.
     pub fn sample_mask_into(&mut self, theta: u8, mask: &mut Vec<bool>) {
-        mask.clear();
-        self.each_power_up(|ones| mask.push(ones >= theta));
+        self.draw_into(mask, |ones| ones >= theta);
     }
 
-    /// One power-up of the whole array: hands each pixel's ones-count to
-    /// `f`, in pixel order. The one place the stream is drawn, so every
-    /// caller consumes it identically.
-    fn each_power_up(&mut self, mut f: impl FnMut(u8)) {
+    /// One power-up of the whole array into `out` (resized to one entry per
+    /// pixel), `f` mapping each pixel's ones-count to its entry. The lane
+    /// blocks run on the pool, the tail on the calling thread, and the
+    /// stream advances by one power-up.
+    fn draw_into<T: Copy + Default + Send>(
+        &mut self,
+        out: &mut Vec<T>,
+        f: impl Fn(u8) -> T + Sync,
+    ) {
+        out.clear();
+        out.resize(self.pixels, T::default());
+        let start = self.rng.state();
         let cells = self.config.cells_per_pixel;
-        for p in 0..self.pixels {
-            let mut ones = 0u8;
-            for &threshold in &self.cell_threshold[p * cells..(p + 1) * cells] {
-                let draw = (self.rng.next_u64() >> 40) as u32;
-                ones += u8::from(draw < threshold);
+        let lane_pixels = self.lanes.lane_pixels;
+        let (laned, tail) = out.split_at_mut(BLOCKS * LANES * lane_pixels);
+        if lane_pixels > 0 {
+            let die = &*self;
+            par_chunks(laned, LANES * lane_pixels, cells, |b, block| {
+                die.each_block_step(b, start, |i, ones| {
+                    for (lane, &count) in ones.iter().enumerate() {
+                        block[lane * lane_pixels + i] = f(count);
+                    }
+                });
+            });
+        }
+        let mut tail = tail.iter_mut();
+        let end = self.each_tail_pixel(self.lanes.tail.apply(start), |ones| {
+            *tail.next().expect("one entry per tail pixel") = f(ones);
+        });
+        self.rng = StdRng::from_state(end);
+    }
+
+    /// One power-up from stream state `start` on the calling thread: hands
+    /// `f` the pixels' ones-counts, 16 lanes' worth per lane step and then
+    /// one per tail pixel, and returns the state after it.
+    fn each_power_up_from(&self, start: [u64; 4], mut f: impl FnMut(&[u8])) -> [u64; 4] {
+        if self.lanes.lane_pixels > 0 {
+            for b in 0..BLOCKS {
+                self.each_block_step(b, start, |_, ones| f(ones));
             }
-            f(ones);
+        }
+        self.each_tail_pixel(self.lanes.tail.apply(start), |ones| f(&[ones]))
+    }
+
+    /// Runs lane block `b` of the power-up starting at stream state
+    /// `start`: hands `f` each step `i` (pixel `i` of every lane) with the
+    /// 16 lanes' ones-counts.
+    fn each_block_step(&self, b: usize, start: [u64; 4], mut f: impl FnMut(usize, &[u8; LANES])) {
+        let cells = self.config.cells_per_pixel;
+        let block_len = LANES * self.lanes.lane_pixels * cells;
+        let thresholds = &self.cell_threshold[b * block_len..(b + 1) * block_len];
+        let mut s = lane_states(&self.lanes.offsets[b], start);
+        let mut counts = [[0u8; LANES]; STEPS];
+        for (chunk, rows) in thresholds.chunks(STEPS * cells * LANES).enumerate() {
+            let counts = &mut counts[..rows.len() / (cells * LANES)];
+            count_ones(rows, cells, &mut s, counts);
+            for (i, ones) in counts.iter().enumerate() {
+                f(chunk * STEPS + i, ones);
+            }
         }
     }
+
+    /// The scalar tail: the pixels past the lanes, drawn in order from
+    /// stream state `state`. Hands each ones-count to `f` and returns the
+    /// state after the last draw.
+    fn each_tail_pixel(&self, state: [u64; 4], mut f: impl FnMut(u8)) -> [u64; 4] {
+        let cells = self.config.cells_per_pixel;
+        let mut rng = StdRng::from_state(state);
+        for p in BLOCKS * LANES * self.lanes.lane_pixels..self.pixels {
+            let thresholds = &self.cell_threshold[p * cells..(p + 1) * cells];
+            f(thresholds
+                .iter()
+                .map(|&threshold| u8::from(uniform_word(&mut rng) < threshold))
+                .sum());
+        }
+        rng.state()
+    }
+}
+
+/// Lanes per block: the struct-of-arrays width of the power-up kernel.
+/// LLVM vectorises the lockstep loop at this width, not at 2, 4 or 8.
+const LANES: usize = 16;
+
+/// Lane blocks per power-up. Fixed, so the partition depends only on the
+/// pixel count; each block is one pool task.
+const BLOCKS: usize = 2;
+
+/// The lane partition of one die and the stream jumps it needs, derived
+/// once from the pixel and cell counts.
+#[derive(Debug, Clone)]
+struct Lanes {
+    /// Pixels per lane; the `pixels - BLOCKS · LANES · lane_pixels` pixels
+    /// past the lanes form the scalar tail.
+    lane_pixels: usize,
+    /// Per block, the jump from the power-up's first draw to each lane's,
+    /// in struct-of-arrays form: `offsets[b][w][k]` is word `w` of the
+    /// polynomial of lane `b · LANES + k`.
+    offsets: [[[u64; LANES]; 4]; BLOCKS],
+    /// The jump from the power-up's first draw to the tail's.
+    tail: Jump,
+    /// The jump over one whole power-up.
+    power_up: Jump,
+}
+
+impl Lanes {
+    /// The partition of `pixels` pixels that draw `cells` words each.
+    fn new(pixels: usize, cells: usize) -> Self {
+        // A die without cells draws nothing: all of it is tail.
+        let lane_pixels = if cells == 0 {
+            0
+        } else {
+            pixels / (BLOCKS * LANES)
+        };
+        let lane = Jump::new((lane_pixels * cells) as u64);
+        let mut offsets = [[[0u64; LANES]; 4]; BLOCKS];
+        let mut at = Jump::new(0);
+        for block in &mut offsets {
+            for k in 0..LANES {
+                for (w, word) in block.iter_mut().enumerate() {
+                    word[k] = at.0[w];
+                }
+                at = at.then(&lane);
+            }
+        }
+        let tail = (BLOCKS * LANES * lane_pixels * cells) as u64;
+        let power_up = at.then(&Jump::new((pixels * cells) as u64 - tail));
+        Lanes {
+            lane_pixels,
+            offsets,
+            tail: at,
+            power_up,
+        }
+    }
+}
+
+/// The 16 lane start states of a block: `offsets` applied to the state
+/// `state` for all lanes at once (see [`Jump::apply`]).
+fn lane_states(offsets: &[[u64; LANES]; 4], state: [u64; 4]) -> [[u64; LANES]; 4] {
+    let mut lanes = [[0u64; LANES]; 4];
+    let mut s = state;
+    for mut words in *offsets {
+        for _ in 0..64 {
+            for (lane, word) in words.iter_mut().enumerate() {
+                let take = 0u64.wrapping_sub(*word & 1);
+                *word >>= 1;
+                for (acc, &w) in lanes.iter_mut().zip(&s) {
+                    acc[lane] ^= w & take;
+                }
+            }
+            step(&mut s);
+        }
+    }
+    lanes
+}
+
+/// The next 24-bit word of each of 16 lanes, stepping them all.
+#[inline(always)]
+fn next_words(s: &mut [[u64; LANES]; 4]) -> [u64; LANES] {
+    let mut words = [0u64; LANES];
+    for (lane, word) in words.iter_mut().enumerate() {
+        *word = output(s[1][lane]) >> 40;
+        let t = s[1][lane] << 17;
+        s[2][lane] ^= s[0][lane];
+        s[3][lane] ^= s[1][lane];
+        s[1][lane] ^= s[2][lane];
+        s[0][lane] ^= s[3][lane];
+        s[2][lane] ^= t;
+        s[3][lane] = s[3][lane].rotate_left(45);
+    }
+    words
+}
+
+/// Lane steps per call of [`count_ones`], and per stack block of
+/// [`fill_gaussian_block`].
+const STEPS: usize = 64;
+
+/// Consecutive lane steps of a power-up: `counts[i][lane]` becomes the
+/// ones-count of lane `lane` over its pixel `i`, whose cell `c` has the
+/// threshold `rows[(i · cells + c) · LANES + lane]`.
+///
+/// Kept out of line so that the lockstep loop compiles to the same vector
+/// code whatever its caller does with the counts; the states stay local
+/// for all the steps of a call.
+#[inline(never)]
+fn count_ones(
+    rows: &[u32],
+    cells: usize,
+    state: &mut [[u64; LANES]; 4],
+    counts: &mut [[u8; LANES]],
+) {
+    let mut s = *state;
+    for (pixel, out) in rows.chunks_exact(cells * LANES).zip(counts) {
+        // 64-bit counters keep the loop in one lane width.
+        let mut ones = [0u64; LANES];
+        for row in pixel.chunks_exact(LANES) {
+            let words = next_words(&mut s);
+            for lane in 0..LANES {
+                ones[lane] += u64::from(words[lane] < u64::from(row[lane]));
+            }
+        }
+        *out = ones.map(|count| count as u8);
+    }
+    *state = s;
+}
+
+/// Cost hint of one Gaussian threshold for the pool's serial cutoff.
+const GAUSS_COST: usize = 16;
+
+/// Fills one lane block of thresholds in lane order: each lane draws its
+/// cells' Gaussians (two words each) from its start state in `s`, and
+/// `threshold` maps each to its cell's threshold. The words go through
+/// [`gauss_words_into`] in stack blocks.
+fn fill_gaussian_block(
+    block: &mut [u32],
+    mut s: [[u64; LANES]; 4],
+    threshold: impl Fn(f32) -> u32,
+) {
+    let mut words = [0u32; 2 * LANES * STEPS];
+    let mut gauss = [0.0f32; LANES * STEPS];
+    for chunk in block.chunks_mut(LANES * STEPS) {
+        let n = chunk.len();
+        for step in words[..2 * n].chunks_exact_mut(2 * LANES) {
+            for half in 0..2 {
+                for (lane, &word) in next_words(&mut s).iter().enumerate() {
+                    step[2 * lane + half] = word as u32;
+                }
+            }
+        }
+        gauss_words_into(&words[..2 * n], &mut gauss[..n]);
+        for (t, &g) in chunk.iter_mut().zip(&gauss[..n]) {
+            *t = threshold(g);
+        }
+    }
+}
+
+/// The output of xoshiro256\*\* in state `s`, from its word `s[1]`.
+#[inline(always)]
+fn output(s1: u64) -> u64 {
+    s1.wrapping_mul(5).rotate_left(7).wrapping_mul(9)
+}
+
+/// One step of xoshiro256\*\*'s linear state map (the `rand` shim's
+/// `StdRng::next_u64` without the output).
+#[inline(always)]
+fn step(s: &mut [u64; 4]) {
+    let t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = s[3].rotate_left(45);
+}
+
+/// The low 256 coefficients of `P`, the characteristic polynomial of
+/// xoshiro256\*\*'s state map (degree 256, so `x^256` is implicit), bit `i`
+/// of the array the coefficient of `x^i`. Derived by Berlekamp–Massey over
+/// one state bit's sequence; the tests re-derive it.
+const CHAR_POLY: [u64; 4] = [
+    0x9d11_6f2b_b0f0_f001,
+    0x0280_002b_cefd_1a5e,
+    0x04b4_edcf_2625_9f85,
+    0x0003_c03c_3f3e_cb19,
+];
+
+/// A jump ahead by a fixed number of draws on an xoshiro256\*\* stream: the
+/// polynomial `x^d mod P` over GF(2), `P` the characteristic polynomial of
+/// the state map. By Cayley–Hamilton, stepping `d` times is applying that
+/// polynomial to the state map.
+///
+/// ```
+/// use bliss_sensor::Jump;
+/// use rand::rngs::StdRng;
+/// use rand::{RngCore, SeedableRng};
+///
+/// let mut stepped = StdRng::seed_from_u64(7);
+/// let jumped = Jump::new(1_000).apply(stepped.state());
+/// for _ in 0..1_000 {
+///     stepped.next_u64();
+/// }
+/// assert_eq!(jumped, stepped.state());
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Jump([u64; 4]);
+
+impl Jump {
+    /// The jump by `distance` draws, by square-and-multiply.
+    pub fn new(distance: u64) -> Self {
+        let mut poly = [1, 0, 0, 0];
+        for bit in (0..u64::BITS - distance.leading_zeros()).rev() {
+            poly = mul_mod(&poly, &poly);
+            if (distance >> bit) & 1 == 1 {
+                poly = mul_x(poly);
+            }
+        }
+        Jump(poly)
+    }
+
+    /// The jump by both distances: this one, then `other`.
+    fn then(&self, other: &Jump) -> Jump {
+        Jump(mul_mod(&self.0, &other.0))
+    }
+
+    /// The state `state` reaches after the jump's number of draws, Horner
+    /// style: 256 steps, XOR-accumulating the states whose coefficient is
+    /// set.
+    pub fn apply(&self, state: [u64; 4]) -> [u64; 4] {
+        let mut acc = [0u64; 4];
+        let mut s = state;
+        for bit in 0..256 {
+            let take = 0u64.wrapping_sub((self.0[bit / 64] >> (bit % 64)) & 1);
+            for (a, &w) in acc.iter_mut().zip(&s) {
+                *a ^= w & take;
+            }
+            step(&mut s);
+        }
+        acc
+    }
+}
+
+/// `a · x mod P`.
+fn mul_x(a: [u64; 4]) -> [u64; 4] {
+    let carry = 0u64.wrapping_sub(a[3] >> 63);
+    let mut out = [0u64; 4];
+    for w in 0..4 {
+        let low = if w == 0 { 0 } else { a[w - 1] >> 63 };
+        out[w] = (a[w] << 1 | low) ^ (CHAR_POLY[w] & carry);
+    }
+    out
+}
+
+/// `a · b mod P`, Horner style over `b`'s coefficients from the top.
+fn mul_mod(a: &[u64; 4], b: &[u64; 4]) -> [u64; 4] {
+    let mut acc = [0u64; 4];
+    for bit in (0..256).rev() {
+        acc = mul_x(acc);
+        let take = 0u64.wrapping_sub((b[bit / 64] >> (bit % 64)) & 1);
+        for (x, &y) in acc.iter_mut().zip(a) {
+            *x ^= y & take;
+        }
+    }
+    acc
 }
 
 /// The integer threshold `ceil(bias · 2^24)` on a 24-bit draw `x` with
@@ -305,6 +696,62 @@ pub(crate) fn hash_gauss(h: u64) -> f32 {
 mod tests {
     use super::*;
     use rand::Rng;
+
+    impl Lanes {
+        /// Where each cell's threshold is stored, in the stream's pixel-major
+        /// draw order.
+        fn slots(&self, pixels: usize, cells: usize) -> impl Iterator<Item = usize> {
+            let lane_pixels = self.lane_pixels;
+            let laned = BLOCKS * LANES * lane_pixels * cells;
+            (0..BLOCKS * LANES)
+                .flat_map(move |lane| {
+                    let first = lane / LANES * LANES * lane_pixels * cells + lane % LANES;
+                    (0..lane_pixels * cells).map(move |step| first + step * LANES)
+                })
+                .chain(laned..pixels * cells)
+        }
+    }
+
+    impl SramRng {
+        /// The thresholds in the stream's pixel-major draw order.
+        fn pixel_major_thresholds(&self) -> Vec<u32> {
+            let cells = self.config.cells_per_pixel;
+            self.lanes
+                .slots(self.pixels, cells)
+                .map(|slot| self.cell_threshold[slot])
+                .collect()
+        }
+
+        /// A die with the given pixel-major thresholds and power-up stream.
+        fn with_pixel_major_thresholds(
+            config: SramRngConfig,
+            thresholds: &[u32],
+            rng: StdRng,
+        ) -> Self {
+            let cells = config.cells_per_pixel;
+            let pixels = thresholds.len() / cells;
+            let mut die = SramRng::blank(pixels, config, rng);
+            for (slot, &threshold) in die.lanes.slots(pixels, cells).zip(thresholds) {
+                die.cell_threshold[slot] = threshold;
+            }
+            die
+        }
+
+        /// The sequential power-up the lanes replace, kept as their reference:
+        /// one draw of the stream per cell, pixel by pixel, each pixel's
+        /// ones-count handed to `f` in pixel order.
+        fn each_power_up(&mut self, mut f: impl FnMut(u8)) {
+            let cells = self.config.cells_per_pixel;
+            for pixel in self.pixel_major_thresholds().chunks_exact(cells) {
+                let mut ones = 0u8;
+                for &threshold in pixel {
+                    let draw = (self.rng.next_u64() >> 40) as u32;
+                    ones += u8::from(draw < threshold);
+                }
+                f(ones);
+            }
+        }
+    }
 
     fn rng(pixels: usize, seed: u64) -> SramRng {
         SramRng::new(pixels, SramRngConfig::default(), seed)
@@ -469,7 +916,7 @@ mod tests {
             .iter()
             .map(|&b| bias_threshold(b))
             .collect();
-        assert_eq!(fast.cell_threshold, thresholds);
+        assert_eq!(fast.pixel_major_thresholds(), thresholds);
         assert_eq!(fast.rng.state(), reference.rng.state());
     }
 
@@ -584,7 +1031,7 @@ mod tests {
                     .iter()
                     .map(|&b| bias_threshold(b))
                     .collect();
-                assert_eq!(fast.cell_threshold, thresholds);
+                assert_eq!(fast.pixel_major_thresholds(), thresholds);
                 assert_lockstep(
                     &mut fast,
                     &mut reference,
@@ -627,12 +1074,9 @@ mod tests {
         };
         let cells = config.cells_per_pixel;
         let pixels = cell_bias.len() / cells;
-        let mut fast = SramRng {
-            config,
-            cell_threshold: cell_bias.iter().map(|&b| bias_threshold(b)).collect(),
-            pixels,
-            rng: StdRng::seed_from_u64(seed),
-        };
+        let thresholds: Vec<u32> = cell_bias.iter().map(|&b| bias_threshold(b)).collect();
+        let mut fast =
+            SramRng::with_pixel_major_thresholds(config, &thresholds, StdRng::seed_from_u64(seed));
         let mut reference = FloatSram {
             cell_bias,
             cells,
@@ -668,5 +1112,238 @@ mod tests {
             })
             .collect();
         assert_lockstep_with_biases(cell_bias, seed, "biases on the draws");
+    }
+
+    /// Berlekamp–Massey over GF(2): the shortest connection polynomial
+    /// `c` (`c[0] = 1`) with `bits[n] = Σ c[i] bits[n - i]`.
+    fn berlekamp_massey(bits: &[u8]) -> Vec<u8> {
+        let n = bits.len();
+        let (mut c, mut b) = (vec![0u8; n + 1], vec![0u8; n + 1]);
+        (c[0], b[0]) = (1, 1);
+        // `len` is the current complexity, `shift` the steps since `b`
+        // was last replaced.
+        let (mut len, mut shift) = (0usize, 1usize);
+        for i in 0..n {
+            let d = (1..=len).fold(bits[i], |d, j| d ^ (c[j] & bits[i - j]));
+            if d == 1 {
+                let before = c.clone();
+                for j in 0..=n - shift {
+                    c[j + shift] ^= b[j];
+                }
+                if 2 * len <= i {
+                    (len, b, shift) = (i + 1 - len, before, 0);
+                }
+            }
+            shift += 1;
+        }
+        c.truncate(len + 1);
+        c
+    }
+
+    #[test]
+    fn characteristic_polynomial_is_rederived_by_berlekamp_massey() {
+        for seed in [1u64, 0xB1155] {
+            let mut s = StdRng::seed_from_u64(seed).state();
+            let bits: Vec<u8> = (0..512)
+                .map(|_| {
+                    let bit = (s[0] & 1) as u8;
+                    step(&mut s);
+                    bit
+                })
+                .collect();
+            let c = berlekamp_massey(&bits);
+            assert_eq!(c.len(), 257, "degree 256");
+            // P is the reciprocal of the connection polynomial.
+            let mut poly = [0u64; 4];
+            for j in 0..256 {
+                poly[j / 64] |= u64::from(c[256 - j]) << (j % 64);
+            }
+            assert_eq!(poly, CHAR_POLY, "seed {seed}");
+        }
+    }
+
+    /// `x^(2^k) mod P`.
+    fn x_to_two_to_the(k: usize) -> [u64; 4] {
+        (0..k).fold([2, 0, 0, 0], |p, _| mul_mod(&p, &p))
+    }
+
+    #[test]
+    fn power_of_two_jumps_are_the_reference_jump_constants() {
+        let jump = [
+            0x180e_c6d3_3cfd_0aba,
+            0xd5a6_1266_f0c9_392c,
+            0xa958_2618_e03f_c9aa,
+            0x39ab_dc45_29b1_661c,
+        ];
+        let long_jump = [
+            0x76e1_5d3e_fefd_cbbf,
+            0xc500_4e44_1c52_2fb3,
+            0x7771_0069_854e_e241,
+            0x3910_9bb0_2acb_e635,
+        ];
+        assert_eq!(x_to_two_to_the(128), jump);
+        assert_eq!(x_to_two_to_the(192), long_jump);
+        assert_eq!(Jump::new(1 << 40).0, x_to_two_to_the(40));
+    }
+
+    #[test]
+    fn a_jump_by_d_is_d_steps() {
+        for seed in [3u64, 0xB1155] {
+            let mut stepped = StdRng::seed_from_u64(seed);
+            let start = stepped.state();
+            let mut taken = 0u64;
+            for d in [0u64, 1, 255, 256, 257, 10_000, 160_000] {
+                for _ in taken..d {
+                    stepped.next_u64();
+                }
+                taken = d;
+                assert_eq!(
+                    Jump::new(d).apply(start),
+                    stepped.state(),
+                    "seed {seed}, d {d}"
+                );
+            }
+        }
+        let (a, b) = (Jump::new(1_234), Jump::new(98_765));
+        assert_eq!(a.then(&b), Jump::new(1_234 + 98_765));
+    }
+
+    #[test]
+    fn the_step_is_the_generators() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut s = rng.state();
+        for _ in 0..1_000 {
+            assert_eq!(output(s[1]), rng.next_u64());
+            step(&mut s);
+            assert_eq!(s, rng.state());
+        }
+    }
+
+    /// The sequential reference's power-up counts.
+    fn sequential_power_up(r: &mut SramRng) -> Vec<u8> {
+        let mut counts = Vec::new();
+        r.each_power_up(|ones| counts.push(ones));
+        counts
+    }
+
+    /// The sequential reference's θ-LUT bits: `trials` power-ups in a row.
+    fn sequential_calibration(r: &mut SramRng) -> Vec<u32> {
+        let cells = r.config.cells_per_pixel;
+        let mut ge_counts = vec![0u64; cells + 1];
+        for _ in 0..r.config.calibration_trials.max(1) {
+            r.each_power_up(|ones| ge_counts[ones as usize] += 1);
+        }
+        for theta in (0..cells).rev() {
+            ge_counts[theta] += ge_counts[theta + 1];
+        }
+        let total = (r.config.calibration_trials.max(1) * r.pixels) as f32;
+        ge_counts
+            .iter()
+            .map(|&c| (c as f32 / total).to_bits())
+            .collect()
+    }
+
+    /// Every entry point of the lane kernel against the sequential
+    /// reference on a clone: counts, masks at every θ, LUT bits and the
+    /// stream state after each call.
+    fn assert_lanes_match_sequential(lanes: &mut SramRng, label: &str) {
+        let mut reference = lanes.clone();
+        assert_eq!(
+            lanes.power_up(),
+            sequential_power_up(&mut reference),
+            "{label}"
+        );
+        assert_eq!(
+            lanes.rng_state(),
+            reference.rng_state(),
+            "{label}: power_up"
+        );
+        for theta in 0..=11u8 {
+            let want: Vec<bool> = sequential_power_up(&mut reference)
+                .into_iter()
+                .map(|ones| ones >= theta)
+                .collect();
+            assert_eq!(lanes.sample_mask(theta), want, "{label}: θ {theta}");
+            assert_eq!(
+                lanes.rng_state(),
+                reference.rng_state(),
+                "{label}: θ {theta}"
+            );
+        }
+        let lut: Vec<u32> = lanes
+            .calibrate()
+            .achieved_rate
+            .iter()
+            .map(|r| r.to_bits())
+            .collect();
+        assert_eq!(lut, sequential_calibration(&mut reference), "{label}: LUT");
+        assert_eq!(
+            lanes.rng_state(),
+            reference.rng_state(),
+            "{label}: calibrate"
+        );
+    }
+
+    #[test]
+    fn lanes_match_the_sequential_stream_at_any_thread_count() {
+        for threads in [1usize, 2, 8] {
+            for pixels in [0usize, 1, 3, 100, 1_000, 161 * 101] {
+                let seed = 0x5EED ^ pixels as u64;
+                let lanes = SramRng::new(pixels, SramRngConfig::default(), seed);
+                bliss_parallel::with_thread_count(threads, || {
+                    bliss_parallel::with_min_parallel_work(0, || {
+                        assert_lanes_match_sequential(
+                            &mut lanes.clone(),
+                            &format!("{pixels} px, {threads} threads"),
+                        )
+                    })
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn a_die_without_cells_counts_no_ones() {
+        let config = SramRngConfig {
+            cells_per_pixel: 0,
+            ..SramRngConfig::default()
+        };
+        let mut r = SramRng::new(100, config, 1);
+        let state = r.rng_state();
+        assert_eq!(r.power_up(), vec![0; 100]);
+        assert_eq!(r.sample_mask(0), vec![true; 100]);
+        assert_eq!(r.calibrate().achieved_rate, vec![1.0]);
+        assert_eq!(r.rng_state(), state);
+    }
+
+    /// Full 160x100 dies at 8 seeds, each calibrated with the default 64
+    /// trials, then 1 000 consecutive masks at varying θ, against the
+    /// sequential stream (several minutes unoptimised; CI runs it in
+    /// release).
+    #[test]
+    #[ignore]
+    fn full_dies_match_the_sequential_stream_over_a_thousand_masks() {
+        for seed in 0..8u64 {
+            let mut lanes = SramRng::new(160 * 100, SramRngConfig::default(), seed);
+            let mut reference = lanes.clone();
+            let lut: Vec<u32> = lanes
+                .calibrate()
+                .achieved_rate
+                .iter()
+                .map(|r| r.to_bits())
+                .collect();
+            assert_eq!(lut, sequential_calibration(&mut reference), "seed {seed}");
+            let mut mask = Vec::new();
+            for frame in 0..1_000u64 {
+                let theta = ((frame * 7 + seed) % 12) as u8;
+                lanes.sample_mask_into(theta, &mut mask);
+                let want: Vec<bool> = sequential_power_up(&mut reference)
+                    .into_iter()
+                    .map(|ones| ones >= theta)
+                    .collect();
+                assert_eq!(mask, want, "seed {seed}, frame {frame}");
+            }
+            assert_eq!(lanes.rng_state(), reference.rng_state(), "seed {seed}");
+        }
     }
 }
