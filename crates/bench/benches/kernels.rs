@@ -441,7 +441,8 @@ fn bench_plan_vs_tape(c: &mut Criterion) {
     let b = synth(2, 0.02);
     let batch: Vec<(&[f32], &[f32])> = vec![(&a.0, &a.1), (&b.0, &b.1)];
 
-    // Warm-up: compile the plan, populate the scratch pools on both paths.
+    // Warm-up: compile the plan, grow the batch holder and the thread's
+    // matmul workspaces.
     let mut out = PlannedBatch::new();
     for _ in 0..2 {
         vit.forward_batch_into(&batch, &mut out).unwrap();

@@ -4,14 +4,11 @@
 //! scenario-diverse session fleets on it — 10⁶ frames of session time at
 //! the standard profile — summarising every steady-state frame latency
 //! and watching the rot modes the
-//! [`bliss_bench::soak`] module documents: allocator/pool creep,
-//! plan-cache/arena growth on the compiled inference path, cross-run state
-//! leaks (same-seed sentinel epochs must stay bit-identical) and accuracy
-//! drift.
+//! [`bliss_bench::soak`] module documents: plan-cache/arena growth on the
+//! compiled inference path, cross-run state leaks (same-seed sentinel
+//! epochs must stay bit-identical) and accuracy drift.
 //!
-//! The whole soak runs on a single-thread pool so the scratch-pool
-//! readings on the main thread cover the inference work too. Results go
-//! to `BENCH_soak.json` at the workspace root (or inside the
+//! Results go to `BENCH_soak.json` at the workspace root (or inside the
 //! `BLISS_BENCH_OUT` directory); it is not committed. The soak runs
 //! untraced.
 //! `--quick` runs the minutes-scale smoke profile the `soak-smoke` CI job
@@ -52,10 +49,7 @@ fn main() {
         cfg.frames_total()
     );
     let t0 = Instant::now();
-    // Single-thread pool: the scratch-pool high-water readings are
-    // per-thread, so this makes the main-thread curve cover inference too.
-    let report =
-        bliss_parallel::with_thread_count(1, || run_soak(&runtime, &cfg)).expect("soak succeeds");
+    let report = run_soak(&runtime, &cfg).expect("soak succeeds");
     let wall_s = t0.elapsed().as_secs_f64();
 
     let mut rows = Vec::new();
@@ -74,17 +68,16 @@ fn main() {
             format!("{:.3}", e.mean_horizontal_error_deg),
             format!("{:.3}", e.mean_vertical_error_deg),
             format!("{:.1}", e.steady_miss_rate * 100.0),
-            format!("{:.0}", e.pool_retained_bytes as f64 / 1024.0),
         ]);
     }
     bliss_bench::print_table(
         "bliss_serve durability soak (per-epoch health, head/tail)",
-        &["epoch", "frames", "h err", "v err", "miss %", "pool KiB"],
+        &["epoch", "frames", "h err", "v err", "miss %"],
         &rows,
     );
     println!(
         "{} steady frames over {:.1} virtual s: p50/p95/p99/max {:.2}/{:.2}/{:.2}/{:.2} ms, \
-         {:.2}% misses, pool high-water {:.0} KiB ({}), {} plans / {} arena elems ({}), \
+         {:.2}% misses, {} plans / {} arena elems ({}), \
          sentinels {}, wall {:.1} s",
         report.steady_frames,
         report.virtual_s_total,
@@ -93,12 +86,6 @@ fn main() {
         report.latency.p99_ms,
         report.latency.max_ms,
         report.steady_miss_rate * 100.0,
-        report.pool_high_water_bytes as f64 / 1024.0,
-        if report.pool_flat_after_warmup {
-            "flat"
-        } else {
-            "GROWING"
-        },
         report.plan_high_water,
         report.arena_high_water_elems,
         if report.plans_flat_after_warmup {
@@ -119,10 +106,6 @@ fn main() {
     let mut failed = false;
     if !report.sentinel_identical {
         eprintln!("FAIL: same-seed sentinel epochs diverged — state leaked across epochs");
-        failed = true;
-    }
-    if !report.pool_flat_after_warmup {
-        eprintln!("FAIL: scratch-pool retained bytes kept growing past mid-soak");
         failed = true;
     }
     if !report.plans_flat_after_warmup {

@@ -5,19 +5,17 @@
 //! served frames of virtual time at the standard profile, and watches for
 //! the three ways a long-lived deployment rots:
 //!
-//! * **allocator creep** — the steady-state hot path must stay
-//!   allocation-free, which the companion `soak_alloc` integration test
-//!   pins with a counting global allocator, and the scratch-pool retained
-//!   bytes ([`bliss_tensor::pool_stats`]) must go **flat** after the first
-//!   epochs rather than ratcheting up;
+//! * **allocator creep** — the steady-state hot path must stay free of
+//!   buffer-class allocations, which the companion `soak_alloc`
+//!   integration test pins with a counting global allocator;
 //! * **plan-state leak** — serving runs through compiled execution plans
 //!   by default, and the batch span layouts a load can produce are finite:
 //!   the cached-plan count and the shared plan arena's length
 //!   ([`ServeRuntime::vit_plan_stats`]) must plateau by mid-soak rather
 //!   than accrete a plan (or regrow the arena) every epoch;
 //! * **state leak** — the first and last epochs are *sentinels* served
-//!   from the same seed; any state smuggled across epochs (RNG, pools,
-//!   caches) breaks their bit-identity;
+//!   from the same seed; any state smuggled across epochs (RNG, caches,
+//!   reused buffers) breaks their bit-identity;
 //! * **accuracy drift** — per-epoch mean gaze error is recorded so a slow
 //!   numeric drift shows up in the report even when each epoch looks fine
 //!   in isolation.
@@ -108,9 +106,6 @@ pub struct EpochStats {
     pub steady_miss_rate: f64,
     /// Virtual span of the epoch (first arrival to last completion), s.
     pub span_s: f64,
-    /// Scratch-pool bytes retained on the serving thread **after** the
-    /// epoch — the curve that must go flat (see [`SoakReport`]).
-    pub pool_retained_bytes: usize,
     /// Compiled ViT execution plans cached after the epoch (0 when the
     /// runtime is forced onto the tape path). Span layouts are finite, so
     /// this count must plateau — a cache still growing late in the soak is
@@ -118,7 +113,7 @@ pub struct EpochStats {
     pub vit_plans: usize,
     /// Length of the one arena those plans share, in `f32` elements (the
     /// largest plan's working set so far) — the plan-memory curve that must
-    /// go flat alongside the pools.
+    /// go flat.
     pub vit_arena_elems: usize,
     /// **Cumulative** plan-cache misses (compilations) since the runtime
     /// was created, read after the epoch. The per-epoch delta is this
@@ -153,12 +148,6 @@ pub struct SoakReport {
     /// Whether the first and last (same-seed sentinel) epochs produced
     /// bit-identical outcomes — the no-state-leak check.
     pub sentinel_identical: bool,
-    /// Highest scratch-pool retained-bytes reading across epochs.
-    pub pool_high_water_bytes: usize,
-    /// Whether the pool high-water was already reached in the first half
-    /// of the soak — i.e. the retained-bytes curve went **flat** instead
-    /// of ratcheting up epoch over epoch.
-    pub pool_flat_after_warmup: bool,
     /// Highest cached ViT plan count across epochs.
     pub plan_high_water: usize,
     /// Highest shared plan-arena length across epochs, in elements (the
@@ -193,11 +182,7 @@ fn mean_errors(outcome: &ServeOutcome) -> (f32, f32) {
 /// Runs a full soak on `runtime`.
 ///
 /// Serve epoch after epoch, collect steady-state latencies, and record the
-/// per-epoch health counters described on [`SoakReport`]. The scratch-pool
-/// readings are taken on the calling thread, so run under
-/// `bliss_parallel::with_thread_count(1, ..)` when the flat-pool check
-/// should cover the inference workers too (the `soak` bin and the smoke
-/// tests do).
+/// per-epoch health counters described on [`SoakReport`].
 ///
 /// # Errors
 ///
@@ -237,7 +222,6 @@ pub fn run_soak(runtime: &ServeRuntime, cfg: &SoakConfig) -> Result<SoakReport, 
             mean_vertical_error_deg: ev,
             steady_miss_rate: report.steady.deadline_miss_rate,
             span_s: report.span_s,
-            pool_retained_bytes: bliss_tensor::pool_stats().retained_bytes(),
             vit_plans: plan_stats.plans,
             vit_arena_elems: plan_stats.arena_elems,
             vit_plan_misses: plan_stats.misses,
@@ -254,17 +238,6 @@ pub fn run_soak(runtime: &ServeRuntime, cfg: &SoakConfig) -> Result<SoakReport, 
         }
     }
 
-    let pool_high_water_bytes = per_epoch
-        .iter()
-        .map(|e| e.pool_retained_bytes)
-        .max()
-        .unwrap_or(0);
-    // Flat means the high-water is already hit by mid-soak; a pool that is
-    // still setting records in the tail is leaking buffers epoch by epoch.
-    let pool_flat_after_warmup = per_epoch
-        .iter()
-        .take(cfg.epochs.div_ceil(2))
-        .any(|e| e.pool_retained_bytes == pool_high_water_bytes);
     let plan_high_water = per_epoch.iter().map(|e| e.vit_plans).max().unwrap_or(0);
     let arena_high_water_elems = per_epoch
         .iter()
@@ -293,8 +266,6 @@ pub fn run_soak(runtime: &ServeRuntime, cfg: &SoakConfig) -> Result<SoakReport, 
         mean_latency_ms: steady_latencies_s.iter().sum::<f64>() / steady.max(1) as f64 * 1e3,
         steady_miss_rate: steady_misses as f64 / steady.max(1) as f64,
         sentinel_identical,
-        pool_high_water_bytes,
-        pool_flat_after_warmup,
         plan_high_water,
         arena_high_water_elems,
         plans_flat_after_warmup,
@@ -309,7 +280,7 @@ mod tests {
     use blisscam_core::SystemConfig;
     use rand::{rngs::StdRng, SeedableRng};
 
-    /// A smoke-scale soak: sentinel epochs bit-identical, pools flat,
+    /// A smoke-scale soak: sentinel epochs bit-identical, plans flat,
     /// latency summary fed exactly the steady frames.
     #[test]
     fn smoke_soak_is_healthy() {
@@ -330,15 +301,13 @@ mod tests {
             epochs: 3,
             seed: 9,
         };
-        let report = bliss_parallel::with_thread_count(1, || run_soak(&runtime, &cfg))
-            .expect("soak succeeds");
+        let report = run_soak(&runtime, &cfg).expect("soak succeeds");
         assert_eq!(report.frames_total, cfg.frames_total());
         assert_eq!(report.per_epoch.len(), 3);
         assert!(
             report.sentinel_identical,
             "same-seed sentinel epochs diverged"
         );
-        assert!(report.pool_flat_after_warmup, "scratch pool kept growing");
         // The planned path ran and its plan state went flat: every span
         // layout this load produces was compiled by mid-soak.
         assert!(report.plan_high_water > 0, "planned path never compiled");

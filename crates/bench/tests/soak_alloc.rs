@@ -6,24 +6,23 @@
 //! free; this test drives the full durable-serving hot path instead — event
 //! queue, sensor eventification, sparse readout, RLE MIPI framing, ROI-net
 //! staging, batched inference, gaze regression and trace recording — via
-//! [`ServeRuntime::step_batch`]. After a warm-up that populates the
-//! thread-local scratch pools and every session's persistent staging
-//! buffers, each further batch must:
+//! [`ServeRuntime::step_batch`]. After a warm-up that grows every session's
+//! persistent staging buffers and the run's launch buffers to their
+//! working set, each further batch must:
 //!
-//! 1. perform **zero buffer-class allocations** (>= 1 KiB) — the pools and
-//!    the sessions' reused buffers serve the entire working set;
-//! 2. keep the scratch-pool retained bytes **exactly flat** — the pool
-//!    high-water after warm-up never moves again, which is the same curve
-//!    the long-horizon `soak` binary watches epoch over epoch;
-//! 3. keep the small-allocation count flat across iterations (scheduler
-//!    headers and autograd bookkeeping are bounded and non-growing);
-//! 4. keep the compiled-plan cache **exactly stable** — serving runs
+//! 1. perform **zero buffer-class allocations** (>= 1 KiB) — the sessions'
+//!    staging, the state's launch buffers and the plan arena serve the
+//!    entire working set;
+//! 2. keep the small-allocation count flat across iterations (scheduler
+//!    headers and per-step bookkeeping are bounded and non-growing);
+//! 3. keep the compiled-plan cache **exactly stable** — serving runs
 //!    through execution plans by default, and once every span layout of
 //!    this load has been compiled, neither the plan count nor the total
 //!    arena footprint may move again.
 //!
-//! Single-threaded (`with_thread_count(1)`) because the scratch pools are
-//! thread-local — see `alloc_counter.rs` for the rationale.
+//! Single-threaded (`with_thread_count(1)`), so that every allocation of a
+//! step is made on the counting thread and the counts do not depend on the
+//! machine's core count.
 
 // The counting allocator needs `unsafe` (GlobalAlloc); mirrors
 // `alloc_counter.rs`.
@@ -134,14 +133,13 @@ fn steady_state_serving_is_buffer_allocation_free() {
 
         let mut state = runtime.start(&cfg);
         // Warm-up: cold-start full-frame reads, first segmentation
-        // feedback, pool population and every session's persistent staging
-        // buffers reaching their high-water capacity.
+        // feedback and every session's persistent staging buffers reaching
+        // their high-water capacity.
         for _ in 0..160 {
             assert!(runtime.step_batch(&cfg, &mut state).expect("step succeeds"));
         }
         let warm_frames = state.frames_served();
         assert!(warm_frames > 3, "warm-up served only {warm_frames} frames");
-        let pool_warm = bliss_tensor::pool_stats();
         let plans_warm = runtime.vit_plan_stats();
         assert!(plans_warm.plans > 0, "planned path never compiled");
 
@@ -165,16 +163,9 @@ fn steady_state_serving_is_buffer_allocation_free() {
             assert_eq!(
                 big, 0,
                 "steady-state serving performed {big} buffer-class (>= {BIG} B) \
-                 heap allocations over {STEPS_PER_ITER} batches; the scratch \
-                 pools and session staging buffers must serve the entire \
-                 working set"
-            );
-            // The flat-pool claim of the soak harness, at its sharpest:
-            // once warm, the thread's retained capacity never moves again.
-            assert_eq!(
-                bliss_tensor::pool_stats(),
-                pool_warm,
-                "scratch-pool retained capacity changed after warm-up"
+                 heap allocations over {STEPS_PER_ITER} batches; the session \
+                 staging and launch buffers must serve the entire working \
+                 set"
             );
             // Plan-state stability: every span layout this load produces
             // was compiled during warm-up, so steady state neither adds

@@ -18,16 +18,16 @@
 //!
 //! 1. [`SparseFrontEnd::sense_events_into`] — one imaging-noise draw,
 //!    exposure, analog eventification against the held previous frame;
-//! 2. [`SparseFrontEnd::roi_input`] — assemble the 2-channel ROI-net input
-//!    from the event map and the fed-back segmentation;
+//! 2. [`SparseFrontEnd::roi_input_into`] — assemble the 2-channel ROI-net
+//!    input from the event map and the fed-back segmentation;
 //! 3. [`SparseFrontEnd::select_box`] — the predicted box, or the full-frame
 //!    cold-start bootstrap before the first segmentation feedback arrives;
 //! 4. [`SparseFrontEnd::read_out_into`] — SRAM-metastability sampling inside
 //!    the box, RLE encode, modelled MIPI transfer, host-side decode into the
 //!    sparse image + mask;
-//! 5. the host ViT (solo `forward` or cross-session `forward_batch` — the
-//!    front end does not care which);
-//! 6. [`SparseFrontEnd::absorb`] — adopt the segmentation as the next
+//! 5. the host ViT (a planned `forward_batch_into` launch or the tape's
+//!    `forward_batch` — the front end does not care which);
+//! 6. [`SparseFrontEnd::absorb_frame`] — adopt the segmentation as the next
 //!    frame's feedback cue and regress the gaze.
 //!
 //! The RNG streams are seeded as `seed ^ 0xD5` (sensor) and `seed ^ 0xE7A1`
@@ -47,7 +47,8 @@ use bliss_sensor::{
 };
 use bliss_tensor::{NdArray, Tensor, TensorError};
 use bliss_track::{
-    EstimatorSnapshot, GazeEstimator, RoiNetConfig, RoiPredictionNet, SegPrediction,
+    EstimatorSnapshot, GazeEstimator, PlannedFrameView, RoiNetConfig, RoiPredictionNet,
+    SegPrediction,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -302,8 +303,13 @@ impl SparseFrontEnd {
     }
 
     /// Stage 2: assembles the 2-channel in-sensor ROI-net input from the
-    /// event map and the fed-back segmentation map (pure buffer math, safe
-    /// to fan out across sessions).
+    /// event map and the fed-back segmentation map into `out`, overwritten
+    /// in place (pure buffer math, safe to fan out across sessions).
+    pub fn roi_input_into(&self, cfg: &RoiNetConfig, events: &[f32], out: &mut NdArray) {
+        cfg.make_input_into(events, &self.prev_seg, out);
+    }
+
+    /// [`SparseFrontEnd::roi_input_into`] into a new array.
     pub fn roi_input(&self, cfg: &RoiNetConfig, events: &[f32]) -> NdArray {
         cfg.make_input(events, &self.prev_seg)
     }
@@ -365,24 +371,25 @@ impl SparseFrontEnd {
     /// Stage 6: closes the loop on a host prediction — adopts the
     /// segmentation as the next frame's feedback cue if it actually found
     /// the eye, and regresses the gaze (holding the last estimate when the
-    /// launch produced nothing).
+    /// launch produced nothing). Returns the gaze and the frame's token
+    /// count.
     ///
     /// # Panics
     ///
     /// Panics if called before [`SparseFrontEnd::begin_stream`].
-    pub fn absorb(&mut self, prediction: Option<SegPrediction>) -> (Gaze, usize) {
+    pub fn absorb_frame(&mut self, frame: Option<PlannedFrameView<'_>>) -> (Gaze, usize) {
         assert!(
             self.estimator.is_some(),
             "begin_stream must run before absorb"
         );
-        match prediction {
-            Some(pred) => {
+        match frame {
+            Some(frame) => {
                 // Decode once into the per-stream scratch buffers (the seg
                 // map is scattered from the already-computed class pairs, as
                 // `SegPrediction::seg_map` historically did), then swap the
                 // segmentation in — same bits as rebuilding both per frame,
                 // with zero steady-state allocations and one argmax pass.
-                pred.classes_into(&mut self.classes_buf);
+                frame.classes_into(&mut self.classes_buf);
                 self.seg_buf.clear();
                 self.seg_buf.resize(self.width * self.height, 0u8);
                 for &(i, c) in &self.classes_buf {
@@ -398,10 +405,22 @@ impl SparseFrontEnd {
                 let estimator = self.estimator.as_mut().expect("checked above");
                 (
                     estimator.estimate_from_pairs(&self.classes_buf, width),
-                    pred.tokens,
+                    frame.tokens,
                 )
             }
             None => (self.estimator.as_mut().expect("checked above").last(), 0),
+        }
+    }
+
+    /// [`SparseFrontEnd::absorb_frame`] on an owned prediction.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before [`SparseFrontEnd::begin_stream`].
+    pub fn absorb(&mut self, prediction: Option<SegPrediction>) -> (Gaze, usize) {
+        match prediction {
+            Some(pred) => pred.with_view(|view| self.absorb_frame(Some(view))),
+            None => self.absorb_frame(None),
         }
     }
 }

@@ -70,8 +70,8 @@ impl GemmShape {
 // energy evaluation — once per fused batch and twice per served frame in the
 // streaming runtime's hot path. A small thread-local freelist recycles the
 // layer storage between descriptors so steady-state serving performs no
-// buffer-class heap allocation here (the same contract the `bliss_tensor`
-// scratch pools give the data plane).
+// buffer-class heap allocation here (the contract the data plane keeps with
+// buffers its callers own).
 thread_local! {
     static GEMM_FREELIST: RefCell<Vec<Vec<GemmShape>>> = const { RefCell::new(Vec::new()) };
 }

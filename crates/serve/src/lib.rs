@@ -16,7 +16,7 @@
 //!   parallel on the [`bliss_parallel`] pool; each session owns its state,
 //!   so results are bit-identical for every thread count;
 //! * up to [`ServeConfig::max_batch`] ready frames fuse into **one**
-//!   [`SparseViT::forward_batch`](bliss_track::SparseViT::forward_batch)
+//!   [`SparseViT::forward_batch_into`](bliss_track::SparseViT::forward_batch_into)
 //!   launch — one set of GEMM/attention kernels instead of K, with
 //!   block-diagonal attention keeping sessions independent and every
 //!   session's logits bit-identical to a solo run;

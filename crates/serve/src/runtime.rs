@@ -3,7 +3,7 @@ use crate::session::{FrameRecord, Session, SessionConfig, SessionTrace};
 use bliss_eye::{render_sequence, Scenario, SequenceConfig};
 use bliss_tensor::{inference_mode, TensorError};
 use bliss_timing::StageDurations;
-use bliss_track::{JointTrainer, RoiPredictionNet, SparseViT};
+use bliss_track::{JointTrainer, PlannedBatch, RoiPredictionNet, SparseViT};
 use blisscam_core::{
     energy_breakdown_with_counts_at, host_batched_segmentation_time_s_at, stage_durations,
     Precision, SystemConfig, SystemVariant,
@@ -183,6 +183,10 @@ pub struct ServeState {
     pub(crate) heap: BinaryHeap<Reverse<(Time, usize)>>,
     pub(crate) host_free_s: f64,
     pub(crate) host_busy_s: f64,
+    /// The inference launches' lowering and output buffers, kept across
+    /// steps so steady-state launches allocate nothing. Holds no state
+    /// between steps, so snapshots leave it out.
+    pub(crate) launch: PlannedBatch,
 }
 
 impl ServeState {
@@ -235,7 +239,7 @@ impl Ord for Time {
 /// (event queue keyed by per-session frame readiness — **no wall clock
 /// anywhere in the results path**) admits frames, fuses up to
 /// [`ServeConfig::max_batch`] of them into one cross-session batched
-/// inference launch ([`SparseViT::forward_batch`]), and accounts latency
+/// inference launch ([`SparseViT::forward_batch_into`]), and accounts latency
 /// against the analytic hardware model:
 ///
 /// * sensor-side stages and the MIPI transfer come from
@@ -392,11 +396,12 @@ impl ServeRuntime {
         self.vit.begin_int8_calibration();
         let roi_cfg = *self.roi_net.config();
         let sample_rate = self.system.sample_rate;
+        let mut launch = PlannedBatch::new();
         for sc in self.calibration_sessions() {
             let mut session = Session::new(sc, &self.system);
             while session.has_next() {
-                let input = session.prepare_roi_input(&roi_cfg);
-                let roi_out = inference_mode(|| self.roi_net.forward(&input))?;
+                session.prepare_roi_input(&roi_cfg);
+                let roi_out = inference_mode(|| self.roi_net.forward(&session.roi_input))?;
                 let roi_box = session.front.select_box(&self.roi_net, &roi_out);
                 session.read_out(roi_box, sample_rate)?;
                 let frame = (&session.sensed.image[..], &session.sensed.mask[..]);
@@ -404,10 +409,8 @@ impl ServeRuntime {
                 // Close the feedback loop with the f32 prediction so later
                 // frames calibrate the warm sparse regime, not just
                 // cold-start full reads.
-                let prediction = inference_mode(|| self.vit.forward_batch(&[frame]))?
-                    .pop()
-                    .expect("single-frame batch");
-                session.front.absorb(prediction);
+                self.vit.forward_batch_into(&[frame], &mut launch)?;
+                session.front.absorb_frame(launch.frame(0));
                 session.next_frame += 1;
             }
         }
@@ -570,6 +573,7 @@ impl ServeRuntime {
             heap: BinaryHeap::new(),
             host_free_s: 0.0,
             host_busy_s: 0.0,
+            launch: PlannedBatch::new(),
         };
         self.rebuild_heap(&mut state);
         state
@@ -674,7 +678,8 @@ impl ServeRuntime {
         // arrived.
         let last_ready = batch.iter().map(|&(_, r)| r).fold(f64::MIN, f64::max);
         let host_start = state.host_free_s.max(last_ready);
-        let (host_free, mut stats) = self.run_batch(cfg, sessions, &batch, host_start, opts)?;
+        let (host_free, mut stats) =
+            self.run_batch(cfg, sessions, &mut state.launch, &batch, host_start, opts)?;
         state.host_free_s = host_free;
         state.host_busy_s += host_free - host_start;
         stats.host_start_s = host_start;
@@ -763,6 +768,7 @@ impl ServeRuntime {
         &self,
         cfg: &ServeConfig,
         sessions: &mut [Session],
+        launch: &mut PlannedBatch,
         batch: &[(usize, f64)],
         host_start: f64,
         opts: &StepOptions,
@@ -797,7 +803,7 @@ impl ServeRuntime {
         // Stage A (parallel across sessions): front-end stages 1+2 — noise
         // -> exposure -> analog eventification -> ROI-net input assembly.
         // Pure per-session state, staged in each session's reused buffers.
-        let inputs = bliss_parallel::par_map_mut(&mut refs, |_, s| s.prepare_roi_input(&roi_cfg));
+        bliss_parallel::par_map_mut(&mut refs, |_, s| s.prepare_roi_input(&roi_cfg));
         let w1 = if tel {
             bliss_telemetry::wall_now_ns()
         } else {
@@ -808,8 +814,8 @@ impl ServeRuntime {
         // the front-end's cold-start full-frame fallback. The network holds
         // shared autograd parameters, so it stays off the pool.
         let mut boxes = Vec::with_capacity(refs.len());
-        for (s, input) in refs.iter().zip(&inputs) {
-            let roi_out = inference_mode(|| self.roi_net.forward(input))?;
+        for s in &refs {
+            let roi_out = inference_mode(|| self.roi_net.forward(&s.roi_input))?;
             boxes.push(s.front.select_box(&self.roi_net, &roi_out));
         }
         let w2 = if tel {
@@ -855,22 +861,22 @@ impl ServeRuntime {
             .map(|(s, _)| (&s.sensed.image[..], &s.sensed.mask[..]))
             .collect();
         let any_live = !live_frames.is_empty();
-        let mut live_predictions = if any_live {
-            inference_mode(|| self.vit.forward_batch(&live_frames))?
-        } else {
-            Vec::new()
-        };
-        let mut live_iter = live_predictions.drain(..);
-        let predictions: Vec<Option<bliss_track::SegPrediction>> = shed_mask
+        if any_live {
+            self.vit.forward_batch_into(&live_frames, launch)?;
+        }
+        drop(live_frames);
+        // Each member's result: its live position's frame of the launch.
+        let mut live = 0;
+        let slots: Vec<Option<usize>> = shed_mask
             .iter()
             .map(|&shed| {
-                if shed {
-                    None
-                } else {
-                    live_iter.next().expect("one prediction per live member")
-                }
+                (!shed).then(|| {
+                    live += 1;
+                    live - 1
+                })
             })
             .collect();
+        let prediction = |pos: usize| slots[pos].and_then(|slot| launch.frame(slot));
         let w4 = if tel {
             bliss_telemetry::wall_now_ns()
         } else {
@@ -885,13 +891,12 @@ impl ServeRuntime {
         // a fully-shed batch costs no host time at all. The slow-host
         // dilation multiplies only the inference launch (the NPU's cycle
         // budget), not the per-frame gaze regressions.
-        let frame_shapes: Vec<(usize, usize)> = predictions
+        let frame_shapes: Vec<(usize, usize)> = refs
             .iter()
-            .zip(refs.iter())
-            .zip(&shed_mask)
-            .filter(|&(_, &shed)| !shed)
-            .map(|((p, s), _)| {
-                let tokens = p.as_ref().map_or(0, |p| p.tokens);
+            .enumerate()
+            .filter(|&(pos, _)| !shed_mask[pos])
+            .map(|(pos, s)| {
+                let tokens = prediction(pos).map_or(0, |p| p.tokens);
                 self.timing_shape(tokens, s.sensed.sampled, s.sensed.roi_pixels)
             })
             .collect();
@@ -906,10 +911,10 @@ impl ServeRuntime {
         // regress gaze — then record the frame.
         let mut deadline_misses = 0usize;
         let shed_count = shed_mask.iter().filter(|&&m| m).count();
-        for (pos, (s, prediction)) in refs.iter_mut().zip(predictions).enumerate() {
+        for (pos, s) in refs.iter_mut().enumerate() {
             let t = s.next_frame;
             let truth = s.next_truth();
-            let (gaze, tokens) = s.front.absorb(prediction);
+            let (gaze, tokens) = s.front.absorb_frame(prediction(pos));
             let counts = s.sensed.counts(tokens);
             let energy = energy_breakdown_with_counts_at(
                 &self.system,

@@ -100,6 +100,8 @@ pub(crate) struct Session {
     pub records: Vec<FrameRecord>,
     /// Per-session event-map staging, reused every frame.
     events_buf: Vec<f32>,
+    /// Per-session ROI-net input, rebuilt in place every frame.
+    pub roi_input: NdArray,
     /// Per-session sensed-frame staging (sparse image + mask + counters),
     /// reused every frame instead of rebuilding two full-frame buffers.
     pub sensed: SensedFrame,
@@ -120,6 +122,7 @@ impl Session {
             prev_completion_s: f64::NEG_INFINITY,
             records: Vec::with_capacity(config.frames),
             events_buf: Vec::new(),
+            roi_input: NdArray::default(),
             sensed: SensedFrame::default(),
         }
     }
@@ -144,14 +147,15 @@ impl Session {
 
     /// Front-end stages 1 + 2 on the session's next sequence frame: sense
     /// events into the session's reused staging buffer and assemble the
-    /// ROI-net input. Bit-identical to running the stages with fresh
-    /// buffers.
-    pub fn prepare_roi_input(&mut self, cfg: &RoiNetConfig) -> NdArray {
+    /// ROI-net input into [`Session::roi_input`]. Bit-identical to running
+    /// the stages with fresh buffers.
+    pub fn prepare_roi_input(&mut self, cfg: &RoiNetConfig) {
         self.front.sense_events_into(
             &self.seq.frames[self.next_frame].clean,
             &mut self.events_buf,
         );
-        self.front.roi_input(cfg, &self.events_buf)
+        self.front
+            .roi_input_into(cfg, &self.events_buf, &mut self.roi_input);
     }
 
     /// Front-end stage 4 into the session's reused [`SensedFrame`] staging.

@@ -41,7 +41,7 @@
 use crate::runtime::{ServeConfig, ServeRuntime, ServeState};
 use crate::session::{FrameRecord, Session, SessionConfig};
 use bliss_nn::{restore_params, snapshot_params, Module, ParamSnapshot};
-use bliss_track::{RoiPredictionNet, SparseViT};
+use bliss_track::{PlannedBatch, RoiPredictionNet, SparseViT};
 use blisscam_core::{FrontEndSnapshot, SystemConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -481,6 +481,7 @@ impl ServeRuntime {
             heap: std::collections::BinaryHeap::new(),
             host_free_s: checkpoint.host_free_s,
             host_busy_s: checkpoint.host_busy_s,
+            launch: PlannedBatch::new(),
         };
         self.rebuild_heap(&mut state);
         Ok(state)

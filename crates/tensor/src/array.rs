@@ -1,4 +1,3 @@
-use crate::scratch;
 use crate::TensorError;
 use bliss_parallel::math::{exp_f32, exp_f32_in_place, tanh_f32};
 use rand::Rng;
@@ -23,27 +22,10 @@ use std::fmt;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(PartialEq)]
+#[derive(Clone, PartialEq)]
 pub struct NdArray {
     shape: Vec<usize>,
     data: Vec<f32>,
-}
-
-impl Clone for NdArray {
-    fn clone(&self) -> Self {
-        NdArray {
-            shape: self.shape.clone(),
-            data: scratch::take_from_iter(self.data.len(), self.data.iter().copied()),
-        }
-    }
-}
-
-impl Drop for NdArray {
-    fn drop(&mut self) {
-        // Return the backing store to the thread-local scratch pool so the
-        // next forward/backward pass reuses it instead of reallocating.
-        scratch::recycle_buffer(std::mem::take(&mut self.data));
-    }
 }
 
 impl fmt::Debug for NdArray {
@@ -95,8 +77,18 @@ impl NdArray {
     pub fn zeros(shape: &[usize]) -> Self {
         NdArray {
             shape: shape.to_vec(),
-            data: scratch::take_zeroed(shape.iter().product()),
+            data: vec![0.0; shape.iter().product()],
         }
+    }
+
+    /// Re-shapes the array to `shape` and zero-fills it in place, keeping
+    /// the capacity of both buffers: an owner that rebuilds an array of one
+    /// shape every frame allocates only the first time.
+    pub fn reset_zeros(&mut self, shape: &[usize]) {
+        self.shape.clear();
+        self.shape.extend_from_slice(shape);
+        self.data.clear();
+        self.data.resize(shape.iter().product(), 0.0);
     }
 
     /// Creates a one-filled array.
@@ -107,11 +99,9 @@ impl NdArray {
     /// Creates an array filled with `value`.
     pub fn full(shape: &[usize], value: f32) -> Self {
         let n: usize = shape.iter().product();
-        let mut data = scratch::take_buffer(n);
-        data.resize(n, value);
         NdArray {
             shape: shape.to_vec(),
-            data,
+            data: vec![value; n],
         }
     }
 
@@ -129,7 +119,7 @@ impl NdArray {
         let n: usize = shape.iter().product();
         NdArray {
             shape: shape.to_vec(),
-            data: scratch::take_from_iter(n, (0..n).map(&mut f)),
+            data: (0..n).map(&mut f).collect(),
         }
     }
 
@@ -236,7 +226,7 @@ impl NdArray {
         }
         Ok(NdArray {
             shape: shape.to_vec(),
-            data: scratch::take_from_iter(self.data.len(), self.data.iter().copied()),
+            data: self.data.clone(),
         })
     }
 
@@ -254,7 +244,7 @@ impl NdArray {
             });
         }
         let (m, n) = (self.shape[0], self.shape[1]);
-        let mut out = scratch::take_zeroed(m * n);
+        let mut out = vec![0.0; m * n];
         transpose_into(&self.data, m, n, &mut out);
         Ok(NdArray {
             shape: vec![n, m],
@@ -336,7 +326,7 @@ impl NdArray {
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
         NdArray {
             shape: self.shape.clone(),
-            data: scratch::take_from_iter(self.data.len(), self.data.iter().map(|&x| f(x))),
+            data: self.data.iter().map(|&x| f(x)).collect(),
         }
     }
 
@@ -350,13 +340,12 @@ impl NdArray {
         debug_assert_eq!(self.shape, other.shape);
         NdArray {
             shape: self.shape.clone(),
-            data: scratch::take_from_iter(
-                self.data.len(),
-                self.data
-                    .iter()
-                    .zip(other.data.iter())
-                    .map(|(&a, &b)| f(a, b)),
-            ),
+            data: self
+                .data
+                .iter()
+                .zip(other.data.iter())
+                .map(|(&a, &b)| f(a, b))
+                .collect(),
         }
     }
 
@@ -425,7 +414,7 @@ impl NdArray {
             });
         }
         let (m, k, n) = (self.shape[0], self.shape[1], other.shape[1]);
-        let mut out = scratch::take_zeroed(m * n);
+        let mut out = vec![0.0; m * n];
         matmul_into(&self.data, &other.data, k, n, &mut out);
         Ok(NdArray {
             shape: vec![m, n],
@@ -440,7 +429,7 @@ impl NdArray {
     /// gradient products against weight matrices (`dY W^T`). Internally the
     /// right operand is packed row-major-transposed into the thread's
     /// dedicated matmul workspace (one buffer reused across every call — no
-    /// allocator or pool traffic in steady state) and fed to the
+    /// allocator traffic in steady state) and fed to the
     /// register-blocked [`NdArray::matmul`] kernel — measured faster than a
     /// fused dot-product loop at every shape this workspace uses, because
     /// the broadcast-FMA micro-kernel beats horizontal dot products and the
@@ -471,7 +460,7 @@ impl NdArray {
             });
         }
         let (m, k, p) = (self.shape[0], self.shape[1], other.shape[0]);
-        let mut out = scratch::take_zeroed(m * p);
+        let mut out = vec![0.0; m * p];
         matmul_transposed_into(&self.data, &other.data, k, p, &mut out);
         Ok(NdArray {
             shape: vec![m, p],
@@ -536,7 +525,7 @@ impl NdArray {
             });
         }
         let (m, n) = (self.shape[0], self.shape[1]);
-        let mut out = scratch::take_zeroed(n);
+        let mut out = vec![0.0; n];
         for i in 0..m {
             for j in 0..n {
                 out[j] += self.data[i * n + j];
@@ -590,7 +579,7 @@ impl NdArray {
             });
         }
         let (m, n) = (self.shape[0], self.shape[1]);
-        let mut out = scratch::take_zeroed(m * n);
+        let mut out = vec![0.0; m * n];
         softmax_rows_into(&self.data, n, &mut out);
         Ok(NdArray {
             shape: vec![m, n],
@@ -627,7 +616,7 @@ impl NdArray {
             }
             rows += p.shape[0];
         }
-        let mut data = scratch::take_buffer(rows * cols);
+        let mut data = Vec::with_capacity(rows * cols);
         for p in parts {
             data.extend_from_slice(&p.data);
         }
@@ -662,7 +651,7 @@ impl NdArray {
             }
             cols += p.shape[1];
         }
-        let mut data = scratch::take_buffer(rows * cols);
+        let mut data = Vec::with_capacity(rows * cols);
         for r in 0..rows {
             for p in parts {
                 let w = p.shape[1];
@@ -699,10 +688,7 @@ impl NdArray {
         let n = self.shape[1];
         Ok(NdArray {
             shape: vec![end - start, n],
-            data: scratch::take_from_iter(
-                (end - start) * n,
-                self.data[start * n..end * n].iter().copied(),
-            ),
+            data: self.data[start * n..end * n].to_vec(),
         })
     }
 
@@ -735,10 +721,10 @@ impl NdArray {
             });
         }
         let width = end - start;
-        let data = scratch::take_from_iter(
-            m * width,
-            (0..m).flat_map(|i| self.data[i * n + start..i * n + end].iter().copied()),
-        );
+        let mut data = Vec::with_capacity(m * width);
+        for i in 0..m {
+            data.extend_from_slice(&self.data[i * n + start..i * n + end]);
+        }
         Ok(NdArray {
             shape: vec![m, width],
             data,
@@ -760,7 +746,7 @@ impl NdArray {
             });
         }
         let (m, n) = (self.shape[0], self.shape[1]);
-        let mut data = scratch::take_buffer(indices.len() * n);
+        let mut data = Vec::with_capacity(indices.len() * n);
         for &i in indices {
             if i >= m {
                 return Err(TensorError::IndexOutOfBounds {
@@ -808,7 +794,7 @@ impl NdArray {
         }
         let (c, h, w) = (self.shape[0], self.shape[1], self.shape[2]);
         let (oh, ow) = conv_out_dims(h, w, kh, kw, stride, pad)?;
-        let mut out = scratch::take_zeroed(c * kh * kw * oh * ow);
+        let mut out = vec![0.0; c * kh * kw * oh * ow];
         im2col_into(&self.data, h, w, kh, kw, stride, pad, oh, ow, &mut out);
         Ok(NdArray {
             shape: vec![c * kh * kw, oh * ow],
@@ -842,7 +828,7 @@ impl NdArray {
                 rhs: vec![c * kh * kw, oh * ow],
             });
         }
-        let mut out = scratch::take_zeroed(c * h * w);
+        let mut out = vec![0.0; c * h * w];
         let ow_total = oh * ow;
         if h * w > 0 {
             let src = &self.data;
@@ -892,7 +878,7 @@ impl NdArray {
             });
         }
         let (c, h, w) = (self.shape[0], self.shape[1], self.shape[2]);
-        let mut out = scratch::take_zeroed(c * 4 * h * w);
+        let mut out = vec![0.0; c * 4 * h * w];
         let (oh, ow) = (2 * h, 2 * w);
         if ow > 0 {
             let src = &self.data;
@@ -932,7 +918,7 @@ impl NdArray {
             });
         }
         let (oh, ow) = (h / 2, w / 2);
-        let mut out = scratch::take_zeroed(c * oh * ow);
+        let mut out = vec![0.0; c * oh * ow];
         if oh * ow > 0 {
             let src = &self.data;
             // Cost hint 4: each pooled output element sums a 2x2 block.
@@ -998,7 +984,7 @@ pub fn matmul_into(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
     }
     if k == 0 {
         // An empty inner dimension produces an all-zero product. The tape
-        // path starts from a zeroed pool buffer, but planned execution reuses
+        // path starts from a zeroed buffer, but planned execution reuses
         // arena bytes, so the fill must be explicit.
         out.fill(0.0);
         return;

@@ -632,9 +632,9 @@ impl Tensor {
                 rhs: gv.shape().to_vec(),
             });
         }
-        let mut out = crate::scratch::take_zeroed(m * n);
-        let mut xhat = crate::scratch::take_zeroed(m * n);
-        let mut inv_std = crate::scratch::take_zeroed(m);
+        let mut out = vec![0.0f32; m * n];
+        let mut xhat = vec![0.0f32; m * n];
+        let mut inv_std = vec![0.0f32; m];
         for i in 0..m {
             let row = &x.data()[i * n..(i + 1) * n];
             let (mu, istd) = crate::array::layer_norm_row_stats(row, eps);
@@ -822,9 +822,8 @@ impl Tensor {
     /// Same conditions as [`NdArray::gather_rows`].
     pub fn gather_rows(&self, indices: &[usize]) -> Result<Tensor, TensorError> {
         let value = self.value().gather_rows(indices)?;
-        // Pooled copy: the backward closure holds the indices for the life
-        // of the graph, and recycles them when the graph drops.
-        let idx = crate::scratch::IndexVec::from_slice(indices);
+        // The backward closure holds its own copy for the life of the graph.
+        let idx = indices.to_vec();
         let parent_shape = self.shape();
         Ok(Tensor::from_op(
             value,

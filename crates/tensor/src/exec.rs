@@ -8,8 +8,8 @@
 //! largest of them. [`ExecPlan::execute`] walks the steps, dispatching each
 //! to the *same* slice-level kernels the tape ops call (`matmul_into`,
 //! `attention_head_into`, `layer_norm_row_stats` …), reading and writing
-//! arena offsets — no `NdArray` construction, no `Rc` traffic, no pool
-//! lookups, no heap allocation of any size once the plan exists. Sharing the
+//! arena offsets — no `NdArray` construction, no `Rc` traffic, no heap
+//! allocation of any size once the plan exists. Sharing the
 //! kernel cores (rather than reimplementing them) is what makes planned
 //! execution bit-identical to the tape at any thread count: both paths run
 //! the exact same floating-point expression trees in the exact same order.

@@ -13,20 +13,17 @@
 //!   joint training of the ROI-prediction network and the sparse ViT
 //!   segmenter (paper §III-C).
 //!
-//! # Scratch pool and workspaces
+//! # Buffers and workspaces
 //!
-//! Steady-state inference and training reuse their buffers instead of
-//! allocating: every `NdArray` returns its backing store to a bounded,
-//! size-class-binned, thread-local pool on drop, and the constructors draw
-//! from it first (see the `scratch` module docs for the full contract).
-//! Other crates join the same economy through [`take_buffer`] /
-//! [`recycle_buffer`] (for `f32`, `usize`, `i8` and `i32` buffers) for
-//! explicit staging buffers, or [`IndexVec`] — a
-//! pooled `Vec<usize>` that recycles itself on drop — for index lists that
-//! escape into caller-held results. The register-blocked matmul additionally
-//! keeps a dedicated per-thread operand-packing workspace for
-//! [`NdArray::matmul_transposed`], so attention-score products pack without
-//! any pool traffic at all.
+//! Every [`NdArray`] owns its backing store and frees it through the global
+//! allocator; there is no process-wide buffer pool. Hot paths that must not
+//! allocate per frame keep their buffers with an owner instead: a
+//! [`PlanCache`] shares one arena among its plans, and callers such as the
+//! sparse ViT's planned batch keep their staging buffers across calls,
+//! grown to the largest request seen. The register-blocked matmul keeps a
+//! dedicated per-thread operand-packing workspace for
+//! [`NdArray::matmul_transposed`], and the planned executor's fused steps
+//! keep their per-task scratch in per-thread workspaces.
 //!
 //! # Planned inference (trace → plan → execute)
 //!
@@ -70,7 +67,6 @@ mod gradcheck;
 mod graph;
 mod plan;
 pub mod quant;
-mod scratch;
 mod workspace;
 
 pub use array::{validate_spans, NdArray};
@@ -87,7 +83,7 @@ pub use quant::{CalTap, QuantCalibration, QuantEntry, QuantSpec, QuantizedWeight
 /// executor.
 ///
 /// These operate on caller-provided buffers with **zero allocations**, so
-/// hot paths that stage data in pooled buffers (e.g. the sparse ViT's
+/// hot paths that stage data in their own buffers (e.g. the sparse ViT's
 /// per-pixel refinement tail, whose row count changes every frame and so
 /// cannot live inside a shape-keyed [`ExecPlan`]) can run the exact same
 /// arithmetic as the corresponding [`NdArray`] / [`Tensor`] ops —
@@ -99,7 +95,3 @@ pub mod kernels {
     };
     pub use bliss_parallel::math::{exp_f32, exp_f32_in_place, tanh_f32};
 }
-pub use scratch::{
-    pool_stats, recycle_buffer, release_thread_pools, shelf_stats, take_buffer, IndexVec,
-    PoolStats, Pooled,
-};

@@ -3,12 +3,10 @@
 //! [`crate::NdArray::matmul_transposed`] feeds the register-blocked matmul a
 //! row-major copy of its transposed right operand (the "pack": the kernel
 //! streams `b` rows, so `Q K^T`-style products need `K` laid out `[k, p]`).
-//! Before this module the pack was an intermediate `NdArray` per call —
-//! pool-recycled, but still paying a pool lookup, a shape header and a
-//! tensor construction on every attention score/gradient product. The
-//! workspace instead keeps **one** dedicated buffer per thread, taken and
-//! put back around the kernel call, so steady-state packing touches no
-//! allocator and no pool search.
+//! The workspace keeps **one** dedicated buffer per thread, taken and put
+//! back around the kernel call, so steady-state packing touches no
+//! allocator, instead of building an intermediate `NdArray` on every
+//! attention score/gradient product.
 //!
 //! The planned executor's fused steps keep their per-task scratch in a
 //! second slot ([`with_task_buf`]): a `BlockAttention` task's gathered

@@ -3,7 +3,7 @@ use bliss_nn::{Conv2d, Linear, Module, Op, Recorder, Tape};
 use bliss_npu::WorkloadDesc;
 use bliss_sensor::RoiBox;
 use bliss_tensor::{
-    take_buffer, ExecPlan, GraphBuilder, NdArray, PlanCache, PlanCacheStats, Tensor, TensorError,
+    ExecPlan, GraphBuilder, NdArray, PlanCache, PlanCacheStats, Tensor, TensorError,
 };
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -86,17 +86,22 @@ impl RoiNetConfig {
     /// and the previous segmentation mask (pure buffer math — no parameters
     /// needed, so per-session pipelines can run it off the network).
     pub fn make_input(&self, events: &[f32], prev_seg: &[u8]) -> NdArray {
+        let mut input = NdArray::default();
+        self.make_input_into(events, prev_seg, &mut input);
+        input
+    }
+
+    /// [`RoiNetConfig::make_input`] into `out`, re-shaped and overwritten in
+    /// place, so a stream that keeps one input array builds every frame's
+    /// without allocating.
+    pub fn make_input_into(&self, events: &[f32], prev_seg: &[u8], out: &mut NdArray) {
         let (w, h) = (self.frame_width, self.frame_height);
         assert_eq!(events.len(), w * h, "image size mismatch");
         assert_eq!(prev_seg.len(), w * h, "mask size mismatch");
         let f = self.input_downsample;
         let (iw, ih) = self.input_dims();
-        // Stage through the shared buffer pool: the NdArray returns the
-        // backing store on drop, so steady-state serving builds ROI inputs
-        // without touching the global allocator at any geometry.
-        let mut data = take_buffer::<f32>(2 * iw * ih);
-        data.resize(2 * iw * ih, 0.0);
-        let (mean, seg_max) = data.split_at_mut(iw * ih);
+        out.reset_zeros(&[2, ih, iw]);
+        let (mean, seg_max) = out.data_mut().split_at_mut(iw * ih);
         // One band of `f` frame rows per output row. Channel 0 is the block
         // average of the event map: each block's sum accumulates row by row
         // from its top-left pixel, the order of a nested loop over the
@@ -126,7 +131,6 @@ impl RoiNetConfig {
                 }
             }
         }
-        NdArray::from_vec(data, &[2, ih, iw]).expect("roi input shape")
     }
 
     /// Lowered workload of one inference (pure shape math — no parameters
@@ -236,8 +240,8 @@ impl RoiPredictionNet {
     /// Planned counterpart of [`RoiPredictionNet::forward`]: compiles the
     /// fixed-shape network graph once, then each call executes the cached
     /// plan (zero allocations in the plan itself; only the tiny `[1, 4]`
-    /// result tensor is materialised, from a pooled buffer). Bit-identical
-    /// to the tape forward at any thread count.
+    /// result tensor is materialised). Bit-identical to the tape forward at
+    /// any thread count.
     fn forward_planned(&self, input: &NdArray) -> Result<Tensor, TensorError> {
         let (iw, ih) = self.config.input_dims();
         let plan = self.plans.borrow_mut().get_or_build(&[2, ih, iw], || {
@@ -248,11 +252,7 @@ impl RoiPredictionNet {
             ExecPlan::compile(g)
         })?;
         plan.execute(&[input.data()], &[])?;
-        let out = plan.with_output(0, |data| {
-            let mut buf = take_buffer::<f32>(data.len());
-            buf.extend_from_slice(data);
-            NdArray::from_vec(buf, &[1, 4])
-        })?;
+        let out = plan.with_output(0, |data| NdArray::from_vec(data.to_vec(), &[1, 4]))?;
         Ok(Tensor::constant(out))
     }
 
@@ -434,6 +434,9 @@ mod tests {
 
     #[test]
     fn make_input_matches_the_reference_loop() {
+        // One array reused across every case, starting from stale values of
+        // another shape, as a stream's owned input is.
+        let mut reused = NdArray::full(&[3, 2], 7.0);
         for (w, h, f) in [
             (160, 100, 4),
             (161, 101, 4),
@@ -462,6 +465,9 @@ mod tests {
             let want = reference_make_input(&cfg, &events, &seg);
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(got.data()), bits(&want), "{w}x{h}, f = {f}");
+            cfg.make_input_into(&events, &seg, &mut reused);
+            assert_eq!(reused.shape(), got.shape(), "{w}x{h}, f = {f}");
+            assert_eq!(bits(reused.data()), bits(&want), "reused, {w}x{h}, f = {f}");
         }
     }
 

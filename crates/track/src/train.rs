@@ -191,13 +191,10 @@ impl JointTrainer {
     pub fn train_on(&mut self, seq: &EyeSequence) -> Result<Vec<f32>, TensorError> {
         let parallel = self.config.grad_accum > 1 && bliss_parallel::thread_count() > 1;
         let config = self.config;
-        let losses = std::thread::scope(|s| {
+        std::thread::scope(|s| {
             let worker = parallel.then(|| WindowWorker::spawn(s, config, seq));
             self.train_windows(seq, worker.as_ref())
-        });
-        // Serving never reuses the training working set.
-        bliss_tensor::release_thread_pools();
-        losses
+        })
     }
 
     fn train_windows(
@@ -653,11 +650,6 @@ impl WindowWorker {
                     if learned_tx.send(learn_job(&job)).is_err() {
                         break;
                     }
-                    // Frame shapes vary, so a pool kept across windows fills
-                    // to its buffer cap with size classes the next frame
-                    // rarely takes (2 M f32 elements on the miniature
-                    // config); the allocator reuses the freed memory instead.
-                    bliss_tensor::release_thread_pools();
                 }
             });
         });

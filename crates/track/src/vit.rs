@@ -1,8 +1,8 @@
 use bliss_nn::{Linear, Module, Op, Recorder, Tape, TransformerBlock};
 use bliss_npu::{GemmShape, WorkloadDesc};
 use bliss_tensor::{
-    kernels, recycle_buffer, take_buffer, ExecPlan, GraphBuilder, IndexVec, NdArray, PlanCache,
-    PlanCacheStats, QuantCalibration, QuantSpec, Tensor, TensorError,
+    kernels, ExecPlan, GraphBuilder, NdArray, PlanCache, PlanCacheStats, QuantCalibration,
+    QuantSpec, Tensor, TensorError,
 };
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -151,52 +151,57 @@ impl ViTConfig {
     }
 }
 
-/// One frame lowered to its transformer inputs: occupied-patch tokens and
-/// per-pixel classification queries, ready for (batched) inference.
+/// A batch's frames lowered to their transformer inputs and stacked for one
+/// launch: every active frame's occupied-patch tokens and per-pixel
+/// classification queries, back to back in frame order.
 ///
-/// Every buffer is drawn from the `bliss_tensor` scratch pools and returned
-/// there when the frame is consumed ([`PreparedFrame::recycle`]) — in steady
-/// state the lowering allocates nothing.
-struct PreparedFrame {
-    /// Patch-grid indices of occupied patches (pooled).
-    kept: Vec<usize>,
-    /// `(values, sample-mask)` rows for each kept patch, `[t, 2*p^2]` flat
-    /// (pooled).
+/// [`SparseViT::lower`] clears and refills every buffer, so a holder kept
+/// across launches grows each buffer to the largest launch it has seen and
+/// then allocates nothing.
+#[derive(Default)]
+struct Lowered {
+    /// Per-patch occupancy flags of the frame being lowered.
+    occupancy: Vec<f32>,
+    /// Per input frame: `None` where no pixel is sampled, else the frame's
+    /// slice of the stacked queries.
+    frames: Vec<Option<FrameSlice>>,
+    /// Active frames' token counts: the span layout and plan-cache key.
+    token_counts: Vec<usize>,
+    /// `(values, sample-mask)` rows of every kept patch, `[T, 2*p^2]` flat.
     token_data: Vec<f32>,
-    /// Frame-flat index of every sampled pixel; pooled and self-recycling,
-    /// because it escapes into the returned [`SegPrediction`].
-    pixel_indices: IndexVec,
-    /// Frame-local token index owning each sampled pixel (pooled).
+    /// Patch-grid index of every kept patch, `[T]`.
+    kept: Vec<usize>,
+    /// Frame-flat index of every sampled pixel, `[S]`.
+    pixel_indices: Vec<usize>,
+    /// Frame-local token index owning each sampled pixel, `[S]`.
     pixel_token: Vec<usize>,
-    /// `(value, 1)` feature pairs for the pixel refinement head (pooled).
-    pixel_feat: Vec<f32>,
+    /// `(value, 1)` features of the pixel refinement head, `[S, 2]` flat.
+    pixel_feats: Vec<f32>,
 }
 
-impl PreparedFrame {
-    /// Returns the consumed frame's staging buffers to the scratch pools
-    /// (except `pixel_indices`, which lives on inside the prediction and
-    /// recycles itself on drop).
-    fn recycle(self) -> IndexVec {
-        recycle_buffer(self.kept);
-        recycle_buffer(self.token_data);
-        recycle_buffer(self.pixel_token);
-        recycle_buffer(self.pixel_feat);
-        self.pixel_indices
+/// One active frame's pixel-query rows and token count in a [`Lowered`]
+/// batch.
+#[derive(Debug, Clone, Copy)]
+struct FrameSlice {
+    /// First pixel-query row.
+    row: usize,
+    /// Pixel-query rows: the frame's sampled pixels.
+    rows: usize,
+    /// Occupied patch tokens.
+    tokens: usize,
+}
+
+impl FrameSlice {
+    fn rows(&self) -> std::ops::Range<usize> {
+        self.row..self.row + self.rows
     }
 }
-
-/// A batch's active frames stacked for one launch, in pooled buffers: the
-/// flat `[T, 2*p^2]` token rows, their `T` kept patch-grid indices, and the
-/// flat `[S, 2]` pixel-head features.
-type StackedFrames = (Vec<f32>, Vec<usize>, Vec<f32>);
 
 /// Output of one sparse segmentation forward pass.
 #[derive(Debug)]
 pub struct SegPrediction {
     /// Frame-flat pixel index of every logits row (the sampled pixels).
-    /// Pooled: the buffer returns to the thread's index pool when the
-    /// prediction is dropped.
-    pub pixel_indices: IndexVec,
+    pub pixel_indices: Vec<usize>,
     /// Per-pixel class logits, `[S, num_classes]`.
     pub logits: Tensor,
     /// Number of occupied patch tokens the transformer processed — the
@@ -225,19 +230,23 @@ impl SegPrediction {
         out
     }
 
-    /// Writes the per-pixel argmax classes into `out` (cleared first),
-    /// computing the row argmax inline — the steady-state serving path
-    /// reuses one pair buffer per stream instead of allocating per frame.
+    /// Writes the per-pixel argmax classes into `out` (cleared first); see
+    /// [`PlannedFrameView::classes_into`].
     pub fn classes_into(&self, out: &mut Vec<(usize, u8)>) {
-        out.clear();
+        self.with_view(|view| view.classes_into(out));
+    }
+
+    /// Runs `f` on this prediction seen as a [`PlannedFrameView`], the form
+    /// of a planned launch's results, so one decode serves both.
+    pub fn with_view<T>(&self, f: impl FnOnce(PlannedFrameView<'_>) -> T) -> T {
         let logits = self.logits.value();
         assert_eq!(logits.ndim(), 2, "logits are rank 2");
-        let n = logits.shape()[1];
-        out.reserve(self.pixel_indices.len());
-        for (r, &i) in self.pixel_indices.iter().enumerate() {
-            let row = &logits.data()[r * n..(r + 1) * n];
-            out.push((i, argmax_row(row) as u8));
-        }
+        f(PlannedFrameView {
+            pixel_indices: &self.pixel_indices,
+            logits: logits.data(),
+            classes: logits.shape()[1],
+            tokens: self.tokens,
+        })
     }
 
     /// Expands the sparse classification into a full-frame mask
@@ -283,8 +292,7 @@ struct VitPlans {
     /// Pixel-head weight/bias handles cached once so the per-frame
     /// refinement tail reads them without re-collecting parameter vectors.
     pixel_params: Option<(Tensor, Tensor)>,
-    /// Reusable output/staging buffers for the planned
-    /// [`SparseViT::forward_batch`] wrapper.
+    /// The planned [`SparseViT::forward_batch`] wrapper's batch holder.
     batch: Option<PlannedBatch>,
 }
 
@@ -310,45 +318,53 @@ impl std::fmt::Debug for VitPlans {
     }
 }
 
-/// Reusable output and staging buffers of [`SparseViT::forward_batch_into`]
-/// — the strict zero-allocation planned inference entry point.
+/// Reusable lowering and output buffers of
+/// [`SparseViT::forward_batch_into`], the zero-allocation planned inference
+/// entry point.
 ///
-/// All buffers are retained between calls (or drawn from the scratch
-/// pools), so a steady-state iteration over a repeating span layout
-/// performs **zero heap allocations**. The results of the last call are
-/// read through [`PlannedBatch::frame`].
+/// The holder owns every buffer a launch lowers into, stacks or writes,
+/// grown to the largest launch it has run and never shrunk, so a
+/// steady-state launch over span layouts seen before performs **zero heap
+/// allocations**, whichever of them it runs. The results of the last call
+/// are read through [`PlannedBatch::frame`].
 #[derive(Default)]
 pub struct PlannedBatch {
-    /// Flat per-pixel logits of every active frame, `[sum_S, classes]`.
+    /// The last launch's frames, lowered and stacked.
+    lowered: Lowered,
+    /// Per-pixel logits of every active frame, `[S, classes]`, row-aligned
+    /// with the lowered pixel queries.
     logits: Vec<f32>,
-    /// Per input frame: `None` for empty frames, else offsets into `logits`.
-    frames: Vec<Option<PlannedFrame>>,
+    /// Pixel-head refinement rows, `[S, classes]`.
+    refined: Vec<f32>,
     /// Class count of the last run.
     classes: usize,
-    // Scratch reused across calls (never observable between them).
-    prepared: Vec<Option<PreparedFrame>>,
-    /// Active frames' token counts — also the plan-cache key.
-    token_counts: Vec<usize>,
-    refined: Vec<f32>,
-}
-
-/// One active frame's slice of a [`PlannedBatch`].
-struct PlannedFrame {
-    off: usize,
-    rows: usize,
-    tokens: usize,
-    pixel_indices: IndexVec,
 }
 
 /// Borrowed view of one frame's planned-inference result.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub struct PlannedFrameView<'a> {
     /// Frame-flat pixel index of every logits row.
     pub pixel_indices: &'a [usize],
     /// Row-major `[rows, classes]` per-pixel logits.
     pub logits: &'a [f32],
+    /// Logits per row.
+    pub classes: usize,
     /// Occupied patch tokens the transformer processed for this frame.
     pub tokens: usize,
+}
+
+impl PlannedFrameView<'_> {
+    /// Writes the per-pixel argmax classes as `(frame_index, class)` pairs
+    /// into `out` (cleared first), so a stream can reuse one pair buffer
+    /// every frame.
+    pub fn classes_into(&self, out: &mut Vec<(usize, u8)>) {
+        out.clear();
+        let n = self.classes;
+        out.reserve(self.pixel_indices.len());
+        for (r, &i) in self.pixel_indices.iter().enumerate() {
+            out.push((i, argmax_row(&self.logits[r * n..(r + 1) * n]) as u8));
+        }
+    }
 }
 
 impl PlannedBatch {
@@ -359,12 +375,12 @@ impl PlannedBatch {
 
     /// Frames in the last completed batch (including empty ones).
     pub fn len(&self) -> usize {
-        self.frames.len()
+        self.lowered.frames.len()
     }
 
     /// Whether the holder has no frames recorded.
     pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
+        self.lowered.frames.is_empty()
     }
 
     /// Class count of the last run's logits rows.
@@ -375,9 +391,11 @@ impl PlannedBatch {
     /// The `i`-th input frame's result; `None` if that frame had no sampled
     /// pixel.
     pub fn frame(&self, i: usize) -> Option<PlannedFrameView<'_>> {
-        self.frames[i].as_ref().map(|f| PlannedFrameView {
-            pixel_indices: &f.pixel_indices,
-            logits: &self.logits[f.off..f.off + f.rows * self.classes],
+        let c = self.classes;
+        self.lowered.frames[i].map(|f| PlannedFrameView {
+            pixel_indices: &self.lowered.pixel_indices[f.rows()],
+            logits: &self.logits[f.row * c..(f.row + f.rows) * c],
+            classes: c,
             tokens: f.tokens,
         })
     }
@@ -386,7 +404,7 @@ impl PlannedBatch {
 impl std::fmt::Debug for PlannedBatch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PlannedBatch")
-            .field("frames", &self.frames.len())
+            .field("frames", &self.len())
             .field("classes", &self.classes)
             .field("logit_rows", &(self.logits.len() / self.classes.max(1)))
             .finish()
@@ -495,14 +513,31 @@ impl SparseViT {
             .expect("one output per input frame"))
     }
 
-    /// Lowers one frame into its occupied-patch tokens and pixel queries.
-    ///
+    /// Lowers every frame into `out` (cleared first), in frame order.
+    /// Returns `false` when no frame samples a pixel.
+    fn lower(&self, frames: &[(&[f32], &[f32])], out: &mut Lowered) -> Result<bool, TensorError> {
+        out.frames.clear();
+        out.token_counts.clear();
+        out.token_data.clear();
+        out.kept.clear();
+        out.pixel_indices.clear();
+        out.pixel_token.clear();
+        out.pixel_feats.clear();
+        for (image, sampled) in frames {
+            let frame = self.lower_frame(image, sampled, out)?;
+            out.frames.push(frame);
+        }
+        Ok(!out.token_counts.is_empty())
+    }
+
+    /// Appends one frame's occupied-patch tokens and pixel queries to `out`.
     /// Returns `None` when no pixel is sampled.
-    fn prepare(
+    fn lower_frame(
         &self,
         image: &[f32],
         sampled: &[f32],
-    ) -> Result<Option<PreparedFrame>, TensorError> {
+        out: &mut Lowered,
+    ) -> Result<Option<FrameSlice>, TensorError> {
         let (w, h) = (self.config.frame_width, self.config.frame_height);
         if image.len() != w * h || sampled.len() != w * h {
             return Err(TensorError::InvalidArgument {
@@ -521,12 +556,11 @@ impl SparseViT {
 
         // Pass 1: parallel occupancy scan — one read-only task per patch
         // (cost hint: a patch scans up to p^2 mask pixels, so miniature
-        // grids stay on the calling thread). The flags are staged in a
-        // pooled f32 buffer — one write per patch into its own chunk — so
-        // the steady-state lowering allocates nothing.
-        let mut occupancy = take_buffer::<f32>(gw * gh);
-        occupancy.resize(gw * gh, 0.0);
-        bliss_parallel::par_chunks(&mut occupancy, 1, p2, |patch_idx, chunk| {
+        // grids stay on the calling thread), one write per patch into its
+        // own chunk.
+        out.occupancy.clear();
+        out.occupancy.resize(gw * gh, 0.0);
+        bliss_parallel::par_chunks(&mut out.occupancy, 1, p2, |patch_idx, chunk| {
             let (gy, gx) = (patch_idx / gw, patch_idx % gw);
             chunk[0] = 0.0;
             'scan: for dy in 0..p {
@@ -547,20 +581,21 @@ impl SparseViT {
                 }
             }
         });
-        let mut kept = take_buffer::<usize>(gw * gh);
-        kept.extend((0..gw * gh).filter(|&i| occupancy[i] > 0.0));
-        recycle_buffer(occupancy);
-        if kept.is_empty() {
-            recycle_buffer(kept);
+        let first = out.kept.len();
+        let occupancy = &out.occupancy;
+        out.kept
+            .extend((0..gw * gh).filter(|&i| occupancy[i] > 0.0));
+        let kept = &out.kept[first..];
+        let t = kept.len();
+        if t == 0 {
             return Ok(None);
         }
-        let t = kept.len();
 
         // Pass 2: parallel token gather — each kept patch fills its own
         // `(values, sample-mask)` slice of the batched embedding input.
-        let mut token_data = take_buffer::<f32>(t * 2 * p2);
-        token_data.resize(t * 2 * p2, 0.0);
-        bliss_parallel::par_chunks(&mut token_data, 2 * p2, 1, |token, chunk| {
+        let start = out.token_data.len();
+        out.token_data.resize(start + t * 2 * p2, 0.0);
+        bliss_parallel::par_chunks(&mut out.token_data[start..], 2 * p2, 1, |token, chunk| {
             let patch_idx = kept[token];
             let (gy, gx) = (patch_idx / gw, patch_idx % gw);
             let (values, mask) = chunk.split_at_mut(p2);
@@ -584,12 +619,7 @@ impl SparseViT {
         // Pass 3: register sampled pixels as classification queries (serial:
         // the outputs are variable-length appends, and only kept patches are
         // visited).
-        // Capacity bound: every sampled pixel lies inside a kept patch, so
-        // t * p^2 bounds the query count — sizing up front keeps the pooled
-        // buffers from growing (and thus re-allocating) mid-loop.
-        let mut pixel_indices = IndexVec::with_capacity(t * p2);
-        let mut pixel_token = take_buffer::<usize>(t * p2);
-        let mut pixel_feat = take_buffer::<f32>(2 * t * p2);
+        let row = out.pixel_indices.len();
         for (token, &patch_idx) in kept.iter().enumerate() {
             let (gy, gx) = (patch_idx / gw, patch_idx % gw);
             for dy in 0..p {
@@ -604,21 +634,19 @@ impl SparseViT {
                     }
                     let fi = y * w + x;
                     if sampled[fi] > 0.0 {
-                        pixel_indices.push(fi);
-                        pixel_token.push(token);
-                        pixel_feat.push(image[fi]);
-                        pixel_feat.push(1.0);
+                        out.pixel_indices.push(fi);
+                        out.pixel_token.push(token);
+                        out.pixel_feats.push(image[fi]);
+                        out.pixel_feats.push(1.0);
                     }
                 }
             }
         }
-
-        Ok(Some(PreparedFrame {
-            kept,
-            token_data,
-            pixel_indices,
-            pixel_token,
-            pixel_feat,
+        out.token_counts.push(t);
+        Ok(Some(FrameSlice {
+            row,
+            rows: out.pixel_indices.len() - row,
+            tokens: t,
         }))
     }
 
@@ -647,84 +675,45 @@ impl SparseViT {
         if bliss_tensor::in_inference_mode() {
             return self.forward_batch_planned(frames);
         }
-        let p2 = self.config.patch * self.config.patch;
-        let mut prepared = Vec::with_capacity(frames.len());
-        let mut token_counts = Vec::with_capacity(frames.len());
-        let Some((token_data, kept_all, pixel_feats)) =
-            self.stack_frames(frames, &mut prepared, &mut token_counts)?
-        else {
+        let mut batch = Lowered::default();
+        if !self.lower(frames, &mut batch)? {
             return Ok(frames.iter().map(|_| None).collect());
-        };
-        // The f32 buffers move into the graph (recycled when it drops);
-        // `kept_all` goes back to the pool after the pass (the position
-        // gather keeps its own copy for backward).
-        let tokens_in = NdArray::from_vec(token_data, &[kept_all.len(), 2 * p2])?;
-        let tokens_in = Tensor::constant(tokens_in);
-        let patch_logits = self.token_pass(&mut Tape, &tokens_in, &kept_all, &token_counts)?;
-        recycle_buffer(kept_all);
+        }
+        // The stacked f32 inputs move into the graph; the position gather
+        // keeps its own copy of the kept indices for backward.
+        let p2 = self.config.patch * self.config.patch;
+        let token_data = std::mem::take(&mut batch.token_data);
+        let tokens_in =
+            Tensor::constant(NdArray::from_vec(token_data, &[batch.kept.len(), 2 * p2])?);
+        let patch_logits =
+            self.token_pass(&mut Tape, &tokens_in, &batch.kept, &batch.token_counts)?;
 
         // Pixel head: one GEMM over every frame's sampled-pixel features.
-        let s_total = pixel_feats.len() / 2;
+        let s_total = batch.pixel_indices.len();
+        let pixel_feats = std::mem::take(&mut batch.pixel_feats);
         let feats = Tensor::constant(NdArray::from_vec(pixel_feats, &[s_total, 2])?);
         let refined_all = self.pixel_head.forward(&mut Tape, &feats)?;
 
         // Per-frame decode: expand each frame's patch logits to its pixel
         // queries and add the refinement rows.
         let mut patch_logits = patch_logits.into_iter();
-        let mut pixel_cursor = 0usize;
-        prepared
-            .into_iter()
+        batch
+            .frames
+            .iter()
             .map(|f| {
                 let Some(f) = f else { return Ok(None) };
-                let rows = f.pixel_indices.len();
                 let expanded = patch_logits
                     .next()
                     .expect("one patch-logits node per active frame")
-                    .gather_rows(&f.pixel_token)?;
-                let refined = refined_all.slice_rows(pixel_cursor, pixel_cursor + rows)?;
-                pixel_cursor += rows;
-                let logits = expanded.add(&refined)?;
-                let tokens = f.kept.len();
+                    .gather_rows(&batch.pixel_token[f.rows()])?;
+                let refined = refined_all.slice_rows(f.row, f.row + f.rows)?;
                 Ok(Some(SegPrediction {
-                    pixel_indices: f.recycle(),
-                    logits,
-                    tokens,
+                    pixel_indices: batch.pixel_indices[f.rows()].to_vec(),
+                    logits: expanded.add(&refined)?,
+                    tokens: f.tokens,
                 }))
             })
             .collect()
-    }
-
-    /// Lowers every frame into `prepared` (`None` where no pixel is
-    /// sampled), writes the active frames' token counts — the span layout —
-    /// into `token_counts`, and stacks the active frames' inputs. Both
-    /// vectors are cleared first. Returns `None` when no frame is active.
-    fn stack_frames(
-        &self,
-        frames: &[(&[f32], &[f32])],
-        prepared: &mut Vec<Option<PreparedFrame>>,
-        token_counts: &mut Vec<usize>,
-    ) -> Result<Option<StackedFrames>, TensorError> {
-        prepared.clear();
-        token_counts.clear();
-        for (image, sampled) in frames {
-            prepared.push(self.prepare(image, sampled)?);
-        }
-        token_counts.extend(prepared.iter().flatten().map(|f| f.kept.len()));
-        if token_counts.is_empty() {
-            return Ok(None);
-        }
-        let p2 = self.config.patch * self.config.patch;
-        let total: usize = token_counts.iter().sum();
-        let feats: usize = prepared.iter().flatten().map(|f| f.pixel_feat.len()).sum();
-        let mut token_data = take_buffer::<f32>(total * 2 * p2);
-        let mut kept_all = take_buffer::<usize>(total);
-        let mut pixel_feats = take_buffer::<f32>(feats);
-        for f in prepared.iter().flatten() {
-            token_data.extend_from_slice(&f.token_data);
-            kept_all.extend_from_slice(&f.kept);
-            pixel_feats.extend_from_slice(&f.pixel_feat);
-        }
-        Ok(Some((token_data, kept_all, pixel_feats)))
     }
 
     /// The cross-frame batched token pass, written once for both recorders:
@@ -801,9 +790,8 @@ impl SparseViT {
     }
 
     /// The planned counterpart of the tape `forward_batch` body: runs
-    /// [`SparseViT::forward_batch_into`] on the shared reusable batch holder
-    /// and wraps each frame's result in a [`SegPrediction`] (the only step
-    /// that allocates — pooled logits copies and the constant tensors).
+    /// [`SparseViT::forward_batch_into`] on the shared batch holder and
+    /// copies each frame's result into a [`SegPrediction`].
     fn forward_batch_planned(
         &self,
         frames: &[(&[f32], &[f32])],
@@ -812,23 +800,20 @@ impl SparseViT {
         // can borrow the plan cache without a double RefCell borrow.
         let mut batch = self.plans.borrow_mut().batch.take().unwrap_or_default();
         let result = self.forward_batch_into(frames, &mut batch).and_then(|()| {
-            let classes = batch.classes;
-            let mut out: Vec<Option<SegPrediction>> = Vec::with_capacity(frames.len());
-            for fr in batch.frames.drain(..) {
-                let Some(pf) = fr else {
-                    out.push(None);
-                    continue;
-                };
-                let mut buf = take_buffer::<f32>(pf.rows * classes);
-                buf.extend_from_slice(&batch.logits[pf.off..pf.off + pf.rows * classes]);
-                let logits = Tensor::constant(NdArray::from_vec(buf, &[pf.rows, classes])?);
-                out.push(Some(SegPrediction {
-                    pixel_indices: pf.pixel_indices,
-                    logits,
-                    tokens: pf.tokens,
-                }));
-            }
-            Ok(out)
+            (0..batch.len())
+                .map(|i| {
+                    let Some(f) = batch.frame(i) else {
+                        return Ok(None);
+                    };
+                    let logits =
+                        NdArray::from_vec(f.logits.to_vec(), &[f.pixel_indices.len(), f.classes])?;
+                    Ok(Some(SegPrediction {
+                        pixel_indices: f.pixel_indices.to_vec(),
+                        logits: Tensor::constant(logits),
+                        tokens: f.tokens,
+                    }))
+                })
+                .collect()
         });
         self.plans.borrow_mut().batch = Some(batch);
         result
@@ -840,9 +825,10 @@ impl SparseViT {
     /// The token pass executes a cached [`ExecPlan`] keyed by the batch's
     /// span layout `[t_1..t_k]` (compiled on first sight of a layout); the
     /// variable-row pixel refinement tail runs as direct
-    /// [`bliss_tensor::kernels`] calls on pooled buffers. In steady state —
-    /// warm scratch pools, previously seen span layout — one call performs
-    /// **zero heap allocations**, and every frame's logits are
+    /// [`bliss_tensor::kernels`] calls on `out`'s own buffers. In steady
+    /// state — span layouts seen before, through a holder that has run a
+    /// launch at least as large — one call performs **zero heap
+    /// allocations**, and every frame's logits are
     /// bit-identical to the tape [`SparseViT::forward_batch`] at any thread
     /// count (the plan dispatches to the same slice-level kernels).
     ///
@@ -858,18 +844,15 @@ impl SparseViT {
         let classes = self.config.num_classes;
         out.classes = classes;
         out.logits.clear();
-        out.frames.clear();
-        let Some((token_data, kept_all, pixel_feats)) =
-            self.stack_frames(frames, &mut out.prepared, &mut out.token_counts)?
-        else {
-            out.frames.extend(frames.iter().map(|_| None));
+        if !self.lower(frames, &mut out.lowered)? {
             return Ok(());
-        };
+        }
+        let lowered = &out.lowered;
 
         // Look up (or compile) the plan for this span layout.
         let plan = {
             let mut plans = self.plans.borrow_mut();
-            let counts = &out.token_counts;
+            let counts = &lowered.token_counts;
             if plans.use_int8 {
                 let spec = plans
                     .quant
@@ -885,13 +868,11 @@ impl SparseViT {
                     .get_or_build(counts, || ExecPlan::compile(self.token_graph(counts)?))?
             }
         };
-        plan.execute(&[&token_data], &[&kept_all])?;
-        recycle_buffer(token_data);
-        recycle_buffer(kept_all);
+        plan.execute(&[&lowered.token_data], &[&lowered.kept])?;
 
         // Pixel refinement head: one GEMM over every frame's sampled-pixel
         // features.
-        let s_total = pixel_feats.len() / 2;
+        let s_total = lowered.pixel_indices.len();
         let (pw, pb) = {
             let mut plans = self.plans.borrow_mut();
             if plans.pixel_params.is_none() {
@@ -903,45 +884,32 @@ impl SparseViT {
         out.refined.clear();
         out.refined.resize(s_total * classes, 0.0);
         kernels::matmul_into(
-            &pixel_feats,
+            &lowered.pixel_feats,
             pw.value().data(),
             2,
             classes,
             &mut out.refined,
         );
         kernels::add_row_assign(&mut out.refined, pb.value().data());
-        recycle_buffer(pixel_feats);
 
         // Per-frame decode: expand each frame's patch logits (a plan
         // output) to its pixel queries and add the refinement rows.
         out.logits.resize(s_total * classes, 0.0);
-        let mut pixel_cursor = 0usize;
-        let mut slot = 0usize;
-        for i in 0..frames.len() {
-            if out.prepared[i].is_none() {
-                out.frames.push(None);
-                continue;
-            }
-            let f = out.prepared[i].take().expect("active");
-            let t = f.kept.len();
-            let rows = f.pixel_indices.len();
-            let off = pixel_cursor * classes;
-            let dst = &mut out.logits[off..off + rows * classes];
+        for (slot, f) in lowered.frames.iter().flatten().enumerate() {
+            let rows = f.row * classes..(f.row + f.rows) * classes;
+            let dst = &mut out.logits[rows.clone()];
             plan.with_output(slot, |data| {
-                kernels::gather_rows_into(data, t, classes, &f.pixel_token, dst)
+                kernels::gather_rows_into(
+                    data,
+                    f.tokens,
+                    classes,
+                    &lowered.pixel_token[f.rows()],
+                    dst,
+                )
             })?;
-            for (l, &r) in dst.iter_mut().zip(&out.refined[off..off + rows * classes]) {
+            for (l, &r) in dst.iter_mut().zip(&out.refined[rows]) {
                 *l += r;
             }
-            let pixel_indices = f.recycle();
-            out.frames.push(Some(PlannedFrame {
-                off,
-                rows,
-                tokens: t,
-                pixel_indices,
-            }));
-            pixel_cursor += rows;
-            slot += 1;
         }
         Ok(())
     }
@@ -982,28 +950,17 @@ impl SparseViT {
     /// Returns shape errors if a buffer does not match the configured
     /// frame, or plan compile/execute errors.
     pub fn observe_int8_calibration(&self, frames: &[(&[f32], &[f32])]) -> Result<(), TensorError> {
-        let mut prepared = Vec::with_capacity(frames.len());
-        let mut token_counts = Vec::with_capacity(frames.len());
-        let Some((token_data, kept_all, pixel_feats)) =
-            self.stack_frames(frames, &mut prepared, &mut token_counts)?
-        else {
+        let mut batch = Lowered::default();
+        if !self.lower(frames, &mut batch)? {
             return Ok(());
-        };
-        recycle_buffer(pixel_feats);
-        let mut g = self.token_graph(&token_counts)?;
+        }
+        let mut g = self.token_graph(&batch.token_counts)?;
         let taps = QuantCalibration::instrument(&mut g);
         let plan = ExecPlan::compile(g)?;
-        plan.execute(&[&token_data], &[&kept_all])?;
-        {
-            let mut plans = self.plans.borrow_mut();
-            let calib = plans.calib.get_or_insert_with(QuantCalibration::new);
-            calib.observe_plan(&plan, &[&token_data], &taps);
-        }
-        recycle_buffer(token_data);
-        recycle_buffer(kept_all);
-        for f in prepared.into_iter().flatten() {
-            drop(f.recycle());
-        }
+        plan.execute(&[&batch.token_data], &[&batch.kept])?;
+        let mut plans = self.plans.borrow_mut();
+        let calib = plans.calib.get_or_insert_with(QuantCalibration::new);
+        calib.observe_plan(&plan, &[&batch.token_data], &taps);
         Ok(())
     }
 
