@@ -214,6 +214,15 @@ fn main() {
         .expect("training succeeds")
         .with_paper_scale_timing();
 
+    // Int8 calibration serves its own population through the runtime, so
+    // it runs before tracing starts: the trace and the stage breakdown
+    // hold only the sweep's frames.
+    if precision_mode != "f32" {
+        runtime
+            .apply_precision(&ServeConfig::new(1, 1).at_precision(Precision::Int8))
+            .expect("int8 calibration succeeds");
+    }
+
     // Telemetry neutrality probe: the same load point served with tracing
     // off and on must produce bit-identical outcomes (telemetry is
     // write-only — nothing it records feeds back into scheduling or
@@ -273,7 +282,9 @@ fn main() {
     }
 
     // The cache that served the load points, before the Pareto block adds
-    // its own traffic.
+    // its own traffic. An f32 sweep's counts also hold the neutrality
+    // probe's launches and, unless `--precision f32`, the int8
+    // calibration's.
     let plans = runtime.vit_plan_stats();
 
     bliss_bench::print_table(

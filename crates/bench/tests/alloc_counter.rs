@@ -29,6 +29,7 @@
 #![allow(unsafe_code)]
 
 use bliss_parallel::with_thread_count;
+use bliss_tensor::QuantCalibration;
 use bliss_track::{PlannedBatch, SparseViT, ViTConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -263,14 +264,18 @@ fn steady_state_int8_forward_batch_allocates_nothing_at_all() {
         // Calibration and the quantised-plan compile happen before counting
         // is armed — they are one-time costs, exactly like f32 plan
         // compilation in the planned baseline above.
-        vit.begin_int8_calibration();
-        vit.observe_int8_calibration(&batch)
+        let mut out = PlannedBatch::new();
+        let mut calib = QuantCalibration::new();
+        vit.forward_batch_into(&batch, &mut out)
+            .expect("f32 forward succeeds");
+        vit.observe_int8_calibration(&mut calib, &out)
             .expect("calibration observes");
-        let sites = vit.finish_int8_calibration().expect("calibration finishes");
+        let sites = vit
+            .finish_int8_calibration(&calib)
+            .expect("calibration finishes");
         assert!(sites > 0, "calibration found no quantisable sites");
         vit.set_int8(true).expect("int8 enables");
 
-        let mut out = PlannedBatch::new();
         // Warm-up: compile the int8 plan for this span layout and grow the
         // batch holder and the thread's task workspace.
         for _ in 0..4 {

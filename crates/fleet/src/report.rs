@@ -91,35 +91,13 @@ impl FleetReport {
     /// Aggregates the per-host outcomes of one fleet run.
     ///
     /// `assignment` is the placement result (host index per admitted
-    /// session); `timeline` is the merged event queue from
-    /// [`merge_timelines`].
-    pub fn from_hosts(
-        cfg: &FleetConfig,
-        assignment: &[usize],
-        per_host: &[ServeOutcome],
-        timeline: &[FleetEvent],
-    ) -> Self {
-        let mut all_latencies = Vec::new();
-        let mut misses = 0usize;
-        let mut frames_total = 0usize;
-        let mut energy_j = 0.0f64;
-        let mut inv_batch = 0.0f64;
-        let mut first_arrival = f64::INFINITY;
-        for outcome in per_host {
-            for trace in &outcome.traces {
-                for r in &trace.records {
-                    all_latencies.push(r.latency_s);
-                    misses += usize::from(r.deadline_missed);
-                    frames_total += 1;
-                    energy_j += r.energy_j;
-                    inv_batch += 1.0 / r.batch_size as f64;
-                    first_arrival = first_arrival.min(r.arrival_s);
-                }
-            }
-        }
-        let last_completion = timeline.last().map_or(f64::NEG_INFINITY, |e| e.time_s);
-        let span_s = (last_completion - first_arrival).max(f64::MIN_POSITIVE);
-
+    /// session). The fleet-wide statistics are one
+    /// [`ServeReport::from_traces`] pass over every host's traces.
+    pub fn from_hosts(cfg: &FleetConfig, assignment: &[usize], per_host: &[ServeOutcome]) -> Self {
+        // Utilisation is a per-host quantity (averaged below), so the
+        // fleet-wide pass gets no busy time.
+        let fleet =
+            ServeReport::from_traces(&cfg.serve, per_host.iter().flat_map(|o| &o.traces), 0.0);
         let per_host: Vec<HostReport> = per_host
             .iter()
             .enumerate()
@@ -140,20 +118,12 @@ impl FleetReport {
             hosts: cfg.hosts,
             policy: cfg.placement.label().to_string(),
             sessions: assignment.len(),
-            frames_total,
-            latency: LatencyStats::from_latencies_s(&all_latencies),
-            deadline_miss_rate: misses as f64 / frames_total.max(1) as f64,
-            throughput_fps: if frames_total == 0 {
-                0.0
-            } else {
-                frames_total as f64 / span_s
-            },
-            mean_batch_size: if inv_batch > 0.0 {
-                frames_total as f64 / inv_batch
-            } else {
-                0.0
-            },
-            mean_energy_uj: energy_j / frames_total.max(1) as f64 * 1e6,
+            frames_total: fleet.frames_total,
+            latency: fleet.latency,
+            deadline_miss_rate: fleet.deadline_miss_rate,
+            throughput_fps: fleet.throughput_fps,
+            mean_batch_size: fleet.mean_batch_size,
+            mean_energy_uj: fleet.mean_energy_uj,
             mean_utilisation,
             per_host,
             faults: FaultStats::default(),

@@ -269,7 +269,7 @@ impl FleetRuntime {
             .map(|(shard_cfg, shard)| self.runtime.finish(shard_cfg, shard))
             .collect();
         let timeline = merge_timelines(&per_host);
-        let report = FleetReport::from_hosts(cfg, &state.assignment, &per_host, &timeline);
+        let report = FleetReport::from_hosts(cfg, &state.assignment, &per_host);
         FleetOutcome {
             report,
             per_host,

@@ -11,7 +11,8 @@
 //!   §III-A) and the RITnet-style dense baseline.
 //! * [`MultiHeadAttention`], [`TransformerBlock`], [`LayerNormLayer`] — the
 //!   sparse ViT segmenter (12-block encoder + 2-block decoder, §III-B).
-//! * [`Adam`], [`Sgd`] — the joint-training optimizers (§III-C).
+//! * [`Adam`] — the joint-training optimizer (§III-C), with
+//!   [`clip_global_norm`] for gradient clipping.
 //!
 //! The layers count no MACs: the cost models price the networks from their
 //! configurations (`ViTConfig`, `RoiNetConfig`, `CnnSegConfig` in
@@ -20,21 +21,25 @@
 //! # Example
 //!
 //! ```
-//! use bliss_nn::{Linear, Module, Sgd, Tape};
+//! use bliss_nn::{Adam, Linear, Module, Tape};
 //! use bliss_tensor::{NdArray, Tensor};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! # fn main() -> Result<(), bliss_tensor::TensorError> {
 //! let mut rng = StdRng::seed_from_u64(0);
 //! let layer = Linear::new(&mut rng, 4, 2);
-//! let mut opt = Sgd::new(layer.parameters(), 0.1);
+//! let mut opt = Adam::new(layer.parameters(), 0.1);
+//! let x = Tensor::constant(NdArray::ones(&[3, 4]));
+//! let target = NdArray::zeros(&[3, 2]);
+//! let mut losses = Vec::new();
 //! for _ in 0..10 {
-//!     let x = Tensor::constant(NdArray::ones(&[3, 4]));
-//!     let loss = layer.forward(&mut Tape, &x)?.mse_loss(&NdArray::zeros(&[3, 2]))?;
+//!     let loss = layer.forward(&mut Tape, &x)?.mse_loss(&target)?;
+//!     losses.push(loss.value().data()[0]);
 //!     opt.zero_grad();
 //!     loss.backward()?;
 //!     opt.step();
 //! }
+//! assert!(losses[9] < losses[0]);
 //! # Ok(())
 //! # }
 //! ```
@@ -51,7 +56,7 @@ mod snapshot;
 pub use attention::{MultiHeadAttention, TransformerBlock};
 pub use init::{kaiming_normal, xavier_uniform};
 pub use layers::{Conv2d, LayerNormLayer, Linear, Mlp};
-pub use optim::{clip_global_norm, Adam, Sgd};
+pub use optim::{clip_global_norm, Adam};
 pub use recorder::{Op, Recorder, Tape};
 pub use snapshot::{restore_params, snapshot_params, ParamSnapshot};
 

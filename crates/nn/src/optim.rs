@@ -1,66 +1,5 @@
 use bliss_tensor::{NdArray, Tensor};
 
-/// Stochastic gradient descent with optional momentum.
-#[derive(Debug)]
-pub struct Sgd {
-    params: Vec<Tensor>,
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<NdArray>,
-}
-
-impl Sgd {
-    /// Creates plain SGD over `params` with learning rate `lr`.
-    pub fn new(params: Vec<Tensor>, lr: f32) -> Self {
-        Self::with_momentum(params, lr, 0.0)
-    }
-
-    /// Creates SGD with heavy-ball momentum.
-    pub fn with_momentum(params: Vec<Tensor>, lr: f32, momentum: f32) -> Self {
-        let velocity = params
-            .iter()
-            .map(|p| NdArray::zeros(p.value().shape()))
-            .collect();
-        Sgd {
-            params,
-            lr,
-            momentum,
-            velocity,
-        }
-    }
-
-    /// Overrides the learning rate (e.g. for schedules).
-    pub fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
-    /// Clears gradients of all managed parameters.
-    pub fn zero_grad(&self) {
-        for p in &self.params {
-            p.zero_grad();
-        }
-    }
-
-    /// Applies one update step; parameters without gradients are skipped.
-    pub fn step(&mut self) {
-        for (p, v) in self.params.iter().zip(self.velocity.iter_mut()) {
-            let Some(g) = p.grad() else { continue };
-            if self.momentum > 0.0 {
-                *v = v.scale(self.momentum).add(&g).expect("velocity shape");
-                let update = v.scale(self.lr);
-                p.update_value(|value| {
-                    *value = value.sub(&update).expect("sgd update shape");
-                });
-            } else {
-                let update = g.scale(self.lr);
-                p.update_value(|value| {
-                    *value = value.sub(&update).expect("sgd update shape");
-                });
-            }
-        }
-    }
-}
-
 /// The Adam optimizer (Kingma & Ba), used for joint training of the ROI and
 /// segmentation networks.
 #[derive(Debug)]
@@ -169,37 +108,6 @@ mod tests {
     fn quad_loss(x: &Tensor) -> Tensor {
         // loss = sum(x^2), minimum at 0
         x.mul(x).unwrap().sum_all()
-    }
-
-    #[test]
-    fn sgd_descends_quadratic() {
-        let x = Tensor::parameter(NdArray::from_vec(vec![4.0, -2.0], &[2]).unwrap());
-        let mut opt = Sgd::new(vec![x.clone()], 0.1);
-        let initial = quad_loss(&x).value().data()[0];
-        for _ in 0..50 {
-            opt.zero_grad();
-            quad_loss(&x).backward().unwrap();
-            opt.step();
-        }
-        let fin = quad_loss(&x).value().data()[0];
-        assert!(fin < initial * 1e-3, "initial={initial} final={fin}");
-    }
-
-    #[test]
-    fn sgd_momentum_accelerates() {
-        let x1 = Tensor::parameter(NdArray::from_vec(vec![4.0], &[1]).unwrap());
-        let x2 = Tensor::parameter(NdArray::from_vec(vec![4.0], &[1]).unwrap());
-        let mut plain = Sgd::new(vec![x1.clone()], 0.01);
-        let mut mom = Sgd::with_momentum(vec![x2.clone()], 0.01, 0.9);
-        for _ in 0..20 {
-            plain.zero_grad();
-            quad_loss(&x1).backward().unwrap();
-            plain.step();
-            mom.zero_grad();
-            quad_loss(&x2).backward().unwrap();
-            mom.step();
-        }
-        assert!(x2.value().data()[0].abs() < x1.value().data()[0].abs());
     }
 
     #[test]

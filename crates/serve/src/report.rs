@@ -130,7 +130,11 @@ pub struct ServeReport {
 impl ServeReport {
     /// Aggregates a run's traces; `host_busy_s` is the scheduler-accounted
     /// virtual time the host NPU spent executing launches.
-    pub fn from_traces(cfg: &ServeConfig, traces: &[SessionTrace], host_busy_s: f64) -> Self {
+    pub fn from_traces<'a>(
+        cfg: &ServeConfig,
+        traces: impl IntoIterator<Item = &'a SessionTrace>,
+        host_busy_s: f64,
+    ) -> Self {
         let mut all_latencies = Vec::new();
         let mut steady_latencies = Vec::new();
         let mut steady_misses = 0usize;
@@ -142,7 +146,7 @@ impl ServeReport {
         let mut inv_batch = 0.0f64;
         let mut first_arrival = f64::INFINITY;
         let mut last_completion = f64::NEG_INFINITY;
-        let mut per_session = Vec::with_capacity(traces.len());
+        let mut per_session = Vec::new();
 
         for trace in traces {
             let n = trace.records.len();
@@ -197,7 +201,7 @@ impl ServeReport {
             (host_busy_s / span_s).clamp(0.0, 1.0)
         };
         ServeReport {
-            sessions: traces.len(),
+            sessions: per_session.len(),
             frames_total,
             max_batch: cfg.max_batch,
             deadline_ms: cfg.deadline_s * 1e3,

@@ -1,7 +1,7 @@
 use crate::report::ServeReport;
 use crate::session::{FrameRecord, Session, SessionConfig, SessionTrace};
 use bliss_eye::{render_sequence, Scenario, SequenceConfig};
-use bliss_tensor::{inference_mode, TensorError};
+use bliss_tensor::{inference_mode, QuantCalibration, TensorError};
 use bliss_timing::StageDurations;
 use bliss_track::{JointTrainer, PlannedBatch, RoiPredictionNet, SparseViT};
 use blisscam_core::{
@@ -387,34 +387,36 @@ impl ServeRuntime {
     /// Records activation absmax ranges over the scenario library and
     /// freezes them into the shared ViT's int8 spec.
     ///
-    /// Each calibration session replays its trace through the real serving
-    /// front end — ROI prediction, sampled readout, f32 segmentation,
-    /// feedback absorption — so the observed ranges cover cold full-frame
-    /// and warm sparse activations alike. Runs on the f32 path regardless
-    /// of any previous precision state.
+    /// Serves each of [`ServeRuntime::calibration_sessions`] at f32
+    /// through [`ServeRuntime::step_batch`], one frame per launch, and
+    /// folds each launch's lowered inputs into the ranges, so the observed
+    /// ranges cover cold full-frame and warm sparse activations alike. The
+    /// fold is order-free and each session's frames do not depend on how
+    /// they are batched, so the spec is a function of the weights and the
+    /// system seed alone.
     fn calibrate_int8(&self) -> Result<usize, TensorError> {
-        self.vit.begin_int8_calibration();
-        let roi_cfg = *self.roi_net.config();
-        let sample_rate = self.system.sample_rate;
-        let mut launch = PlannedBatch::new();
-        for sc in self.calibration_sessions() {
-            let mut session = Session::new(sc, &self.system);
-            while session.has_next() {
-                session.prepare_roi_input(&roi_cfg);
-                let roi_out = inference_mode(|| self.roi_net.forward(&session.roi_input))?;
-                let roi_box = session.front.select_box(&self.roi_net, &roi_out);
-                session.read_out(roi_box, sample_rate)?;
-                let frame = (&session.sensed.image[..], &session.sensed.mask[..]);
-                self.vit.observe_int8_calibration(&[frame])?;
-                // Close the feedback loop with the f32 prediction so later
-                // frames calibrate the warm sparse regime, not just
-                // cold-start full reads.
-                self.vit.forward_batch_into(&[frame], &mut launch)?;
-                session.front.absorb_frame(launch.frame(0));
-                session.next_frame += 1;
+        self.vit.set_int8(false)?;
+        // Stepping reads only the scheduling fields; the sessions carry
+        // their own frame counts.
+        let cfg = ServeConfig {
+            max_batch: 1,
+            ..ServeConfig::new(1, 0)
+        };
+        let mut calib = QuantCalibration::new();
+        // One session per run: a lone session is built on this thread, so
+        // its buffers return to this thread's allocator for the serving
+        // that follows. The whole population built at once on the pool
+        // would leave its freed buffers in the workers' malloc arenas
+        // (about 3 MiB more peak RSS in loopbench's device-int8 workload
+        // on a 2-vCPU VM).
+        for session in self.calibration_sessions() {
+            let mut state = self.start_sessions(vec![session]);
+            while self.step_batch(&cfg, &mut state)? {
+                self.vit
+                    .observe_int8_calibration(&mut calib, &state.launch)?;
             }
         }
-        self.vit.finish_int8_calibration()
+        self.vit.finish_int8_calibration(&calib)
     }
 
     /// Number of quantised matmul sites in the shared ViT's int8 spec
@@ -1066,4 +1068,64 @@ fn disjoint_muts<'a>(sessions: &'a mut [Session], indices: &[usize]) -> Vec<&'a 
         base = i + 1;
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// A small untrained runtime; every call holds the same weights, in
+    /// networks (and plan caches) of its own.
+    fn runtime() -> ServeRuntime {
+        let mut system = SystemConfig::miniature();
+        system.vit.dim = 24;
+        system.vit.enc_depth = 1;
+        system.vit.dec_depth = 1;
+        system.roi_net.hidden = 16;
+        let mut rng = StdRng::seed_from_u64(0xCA11);
+        ServeRuntime::with_networks(
+            system,
+            SparseViT::new(&mut rng, system.vit),
+            RoiPredictionNet::new(&mut rng, system.roi_net),
+        )
+    }
+
+    #[test]
+    fn int8_calibration_does_not_depend_on_how_its_frames_are_batched() {
+        let cfg = ServeConfig::new(4, 6).at_precision(Precision::Int8);
+        let served = runtime();
+        served.apply_precision(&cfg).unwrap();
+
+        // The same calibration population, fused up to 16 frames a launch.
+        let replayed = runtime();
+        let sessions = replayed.calibration_sessions();
+        let fused = ServeConfig {
+            max_batch: 16,
+            max_cold_per_batch: usize::MAX,
+            ..ServeConfig::new(sessions.len(), 0)
+        };
+        let mut state = replayed.start_sessions(sessions);
+        let mut calib = QuantCalibration::new();
+        let mut widest = 0;
+        while let Some(step) = replayed
+            .step_batch_with(&fused, &mut state, &StepOptions::default())
+            .unwrap()
+        {
+            widest = widest.max(step.served);
+            replayed
+                .vit
+                .observe_int8_calibration(&mut calib, &state.launch)
+                .unwrap();
+        }
+        assert!(widest > 1, "the replay must fuse frames into one launch");
+        let sites = replayed.vit.finish_int8_calibration(&calib).unwrap();
+        assert_eq!(sites, served.int8_sites());
+        replayed.apply_precision(&cfg).unwrap();
+
+        let a = served.serve(&cfg).unwrap();
+        let b = replayed.serve(&cfg).unwrap();
+        assert_eq!(a.traces, b.traces, "served int8 records differ");
+    }
 }

@@ -8,7 +8,10 @@
 //!    output; the caller executes the instrumented plan over a representative
 //!    batch set and feeds each tap back through
 //!    [`QuantCalibration::observe_plan`], which folds running absolute maxima
-//!    per weight site.
+//!    per weight site. The fold is a maximum, so the ranges do not depend on
+//!    the order of the batches or on how frames were grouped into them. The
+//!    caller owns the calibration for the length of the pass (the serving
+//!    runtime folds each f32 launch of its calibration population into one).
 //! 2. **Spec build** ([`QuantCalibration::finish`]): per-output-channel
 //!    symmetric weight scales (`absmax / 127`, degenerate all-zero channels
 //!    fall back to scale 1.0 so nothing divides by zero) and a per-tensor

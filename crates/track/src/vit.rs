@@ -285,8 +285,6 @@ struct VitPlans {
     /// Calibrated int8 quantisation parameters (weight-site keyed), present
     /// after [`SparseViT::finish_int8_calibration`].
     quant: Option<Rc<QuantSpec>>,
-    /// In-progress activation-range calibration.
-    calib: Option<QuantCalibration>,
     /// Whether planned inference routes through the quantised plans.
     use_int8: bool,
     /// Pixel-head weight/bias handles cached once so the per-frame
@@ -302,7 +300,6 @@ impl Default for VitPlans {
             cache: PlanCache::new(),
             qcache: PlanCache::new(),
             quant: None,
-            calib: None,
             use_int8: false,
             pixel_params: None,
             batch: Some(PlannedBatch::new()),
@@ -925,46 +922,38 @@ impl SparseViT {
         self.plans.borrow().qcache.stats()
     }
 
-    /// Starts (or restarts) post-training int8 calibration: clears any
-    /// previous activation ranges, quantisation spec and quantised plans,
-    /// and drops back to f32 inference until
-    /// [`Self::finish_int8_calibration`] runs.
-    pub fn begin_int8_calibration(&self) {
-        let mut plans = self.plans.borrow_mut();
-        plans.calib = Some(QuantCalibration::new());
-        plans.quant = None;
-        plans.use_int8 = false;
-        plans.qcache.clear();
-    }
-
-    /// Feeds one batch of frames through an **instrumented** f32 plan and
-    /// folds each quantisable matmul's activation absmax into the running
-    /// calibration. Frames use the same `(image, sampled)` convention as
-    /// [`Self::forward_batch`]; all-static frames contribute nothing.
+    /// Folds the activation ranges of `launch`'s last forward into
+    /// `calib`: runs an **instrumented** f32 plan of the launch's span
+    /// layout on the inputs [`Self::forward_batch_into`] already lowered,
+    /// and records each quantisable matmul's activation absmax. A launch
+    /// with no active frame contributes nothing. The absmax fold is
+    /// order-free and idempotent, so the ranges do not depend on how the
+    /// observed frames were grouped into launches or in which order.
     ///
     /// This is an offline pass: the instrumented plan pins every tapped
     /// activation as an extra output and is compiled per call, not cached.
     ///
     /// # Errors
     ///
-    /// Returns shape errors if a buffer does not match the configured
-    /// frame, or plan compile/execute errors.
-    pub fn observe_int8_calibration(&self, frames: &[(&[f32], &[f32])]) -> Result<(), TensorError> {
-        let mut batch = Lowered::default();
-        if !self.lower(frames, &mut batch)? {
+    /// Plan compile/execute errors.
+    pub fn observe_int8_calibration(
+        &self,
+        calib: &mut QuantCalibration,
+        launch: &PlannedBatch,
+    ) -> Result<(), TensorError> {
+        let lowered = &launch.lowered;
+        if lowered.token_counts.is_empty() {
             return Ok(());
         }
-        let mut g = self.token_graph(&batch.token_counts)?;
+        let mut g = self.token_graph(&lowered.token_counts)?;
         let taps = QuantCalibration::instrument(&mut g);
         let plan = ExecPlan::compile(g)?;
-        plan.execute(&[&batch.token_data], &[&batch.kept])?;
-        let mut plans = self.plans.borrow_mut();
-        let calib = plans.calib.get_or_insert_with(QuantCalibration::new);
-        calib.observe_plan(&plan, &[&batch.token_data], &taps);
+        plan.execute(&[&lowered.token_data], &[&lowered.kept])?;
+        calib.observe_plan(&plan, &[&lowered.token_data], &taps);
         Ok(())
     }
 
-    /// Freezes the observed activation ranges into per-channel symmetric
+    /// Freezes the ranges observed in `calib` into per-channel symmetric
     /// int8 weight scales + per-site activation scales, stores the spec,
     /// and returns the number of quantised matmul sites. Does **not** flip
     /// inference to int8 — call [`Self::set_int8`] for that.
@@ -975,20 +964,8 @@ impl SparseViT {
     ///
     /// # Errors
     ///
-    /// Returns `InvalidArgument` if no calibration is in progress or no
-    /// batch was observed.
-    pub fn finish_int8_calibration(&self) -> Result<usize, TensorError> {
-        let g = self.token_graph(&[1])?;
-        let mut plans = self.plans.borrow_mut();
-        let calib = plans
-            .calib
-            .take()
-            .ok_or_else(|| TensorError::InvalidArgument {
-                op: "finish_int8_calibration",
-                message: "no calibration in progress (call begin_int8_calibration \
-                      and observe at least one batch first)"
-                    .to_string(),
-            })?;
+    /// Returns `InvalidArgument` if `calib` observed no activation range.
+    pub fn finish_int8_calibration(&self, calib: &QuantCalibration) -> Result<usize, TensorError> {
         if calib.observed_sites() == 0 {
             return Err(TensorError::InvalidArgument {
                 op: "finish_int8_calibration",
@@ -997,6 +974,7 @@ impl SparseViT {
                     .to_string(),
             });
         }
+        let g = self.token_graph(&[1])?;
         let mut spec = calib.finish(&g);
         // The patch embedding stays f32: its activation range is set by
         // cold-start full-frame reads, so the dim sparse frames that
@@ -1005,6 +983,7 @@ impl SparseViT {
         // the model's MACs is small, so the energy win is untouched.
         spec.remove(self.patch_embed.parameters()[0].id());
         let sites = spec.len();
+        let mut plans = self.plans.borrow_mut();
         plans.quant = Some(Rc::new(spec));
         plans.qcache.clear();
         Ok(sites)
@@ -1392,12 +1371,16 @@ mod tests {
     /// Calibrates `vit` over a small deterministic scenario set and flips
     /// it to int8.
     fn calibrate_int8(vit: &SparseViT) -> usize {
-        vit.begin_int8_calibration();
+        vit.set_int8(false).unwrap();
+        let mut calib = QuantCalibration::new();
+        let mut launch = PlannedBatch::new();
         for seed in 0..4u64 {
             let f = synth_frame(20 + seed, 0.2 + 0.2 * seed as f32);
-            vit.observe_int8_calibration(&[(&f.0, &f.1)]).unwrap();
+            vit.forward_batch_into(&[(&f.0, &f.1)], &mut launch)
+                .unwrap();
+            vit.observe_int8_calibration(&mut calib, &launch).unwrap();
         }
-        let sites = vit.finish_int8_calibration().unwrap();
+        let sites = vit.finish_int8_calibration(&calib).unwrap();
         vit.set_int8(true).unwrap();
         sites
     }
@@ -1497,9 +1480,9 @@ mod tests {
         let vit = tiny();
         assert!(vit.set_int8(true).is_err());
         assert!(!vit.int8_enabled());
-        vit.begin_int8_calibration();
         assert!(
-            vit.finish_int8_calibration().is_err(),
+            vit.finish_int8_calibration(&QuantCalibration::new())
+                .is_err(),
             "finishing with no observed batches must fail"
         );
         // Disabling is always allowed.
