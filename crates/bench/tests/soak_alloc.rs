@@ -3,8 +3,8 @@
 //! granularity.
 //!
 //! `alloc_counter.rs` proves the batched ViT forward is buffer-allocation
-//! free; this test drives the full durable-serving hot path instead — event
-//! queue, sensor eventification, sparse readout, RLE MIPI framing, ROI-net
+//! free; this test drives the full durable-serving hot path instead — batch
+//! selection, sensor eventification, sparse readout, RLE MIPI framing, ROI-net
 //! staging, batched inference, gaze regression and trace recording — via
 //! [`ServeRuntime::step_batch`]. After a warm-up that grows every session's
 //! persistent staging buffers and the run's launch buffers to their

@@ -220,13 +220,15 @@ impl FaultPlan {
         FaultPlan { seed, events }
     }
 
-    /// Checks that every event can be injected: a slow factor must be a
-    /// finite slowdown of at least 1 and a timeout stall finite and
-    /// non-negative. [`FaultPlan::generate`] only schedules such events; a
-    /// plan read from JSON may hold anything.
-    fn check(&self) -> Result<(), TensorError> {
+    /// Checks that every event can be injected into a fleet of `hosts`
+    /// hosts: its host must exist, a slow factor must be a finite slowdown
+    /// of at least 1 and a timeout stall finite and non-negative.
+    /// [`FaultPlan::generate`] only schedules such events; a plan read from
+    /// JSON may hold anything.
+    fn check(&self, hosts: usize) -> Result<(), TensorError> {
         for (i, ev) in self.events.iter().enumerate() {
             let problem = match ev.kind {
+                _ if ev.host >= hosts => format!("the fleet has {hosts} hosts"),
                 FaultKind::Slow { factor, .. } if !(factor.is_finite() && factor >= 1.0) => {
                     format!("slow factor {factor} is not a finite slowdown >= 1")
                 }
@@ -344,7 +346,7 @@ pub struct SurvivalPoint {
 pub struct ChaosReport {
     /// Seed of the fault plan that ran.
     pub plan_seed: u64,
-    /// Fault/recovery counters (mirrored into the fleet report).
+    /// Fault/recovery counters.
     pub faults: FaultStats,
     /// Times a host entered degraded (shedding) mode.
     pub degraded_enters: usize,
@@ -361,8 +363,8 @@ pub struct ChaosReport {
     pub max_checkpoint_bytes: usize,
 }
 
-/// Everything a chaos run produces: the ordinary fleet outcome (with
-/// [`FaultStats`] filled in), the chaos report and the injected-fault log.
+/// Everything a chaos run produces: the ordinary fleet outcome, the chaos
+/// report (with the run's [`FaultStats`]) and the injected-fault log.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosOutcome {
     /// The fleet outcome (merged timeline, per-host outcomes, report).
@@ -490,18 +492,16 @@ impl FleetRuntime {
     /// # Errors
     ///
     /// [`TensorError::InvalidArgument`] before anything is served if the
-    /// plan holds a slow factor below 1 or a negative stall (or either
-    /// non-finite); otherwise propagates tensor errors from inference.
+    /// plan aims a fault at a host the fleet does not have, or holds a slow
+    /// factor below 1 or a negative stall (or either non-finite); otherwise
+    /// propagates tensor errors from inference.
     pub fn serve_chaos_sessions(
         &self,
         cfg: &FleetConfig,
         chaos: &ChaosConfig,
         sessions: Vec<SessionConfig>,
     ) -> Result<ChaosOutcome, TensorError> {
-        chaos.plan.check()?;
-        // `FleetState::assignment` is position-aligned with this list; keep
-        // the ids so failover can update the routing table by session id.
-        let session_ids: Vec<usize> = sessions.iter().map(|s| s.id).collect();
+        chaos.plan.check(cfg.hosts)?;
         let mut state = self.start_sessions(cfg, sessions);
         // Every checkpoint names the shared model; hash it once.
         let digest = self.runtime.model_digest();
@@ -555,7 +555,6 @@ impl FleetRuntime {
                                 cfg,
                                 digest,
                                 &mut state,
-                                &session_ids,
                                 &mut hosts,
                                 host,
                                 start,
@@ -644,7 +643,7 @@ impl FleetRuntime {
                 bliss_telemetry::set_current_host(host as u32);
                 let stats = self
                     .runtime
-                    .step_batch_with(&state.shard_cfgs[host], &mut state.shards[host], &opts)?
+                    .step_batch_with(&state.serve, &mut state.shards[host], &opts)?
                     .expect("peeked a ready frame above");
                 bliss_telemetry::set_current_host(0);
                 advanced = true;
@@ -720,8 +719,6 @@ impl FleetRuntime {
             alive_hosts: hosts.iter().filter(|h| h.alive).count(),
         });
 
-        let mut outcome = outcome;
-        outcome.report.faults = faults;
         Ok(ChaosOutcome {
             chaos: ChaosReport {
                 plan_seed: chaos.plan.seed,
@@ -754,7 +751,7 @@ impl FleetRuntime {
     ) {
         let mut json = self
             .runtime
-            .checkpoint(&state.shard_cfgs[host], &state.shards[host], digest)
+            .checkpoint(&state.serve, &state.shards[host], digest)
             .to_json();
         hc.max_checkpoint_bytes = hc.max_checkpoint_bytes.max(json.len());
         if corrupt {
@@ -800,7 +797,6 @@ impl FleetRuntime {
         cfg: &FleetConfig,
         digest: u64,
         state: &mut FleetState,
-        session_ids: &[usize],
         hosts: &mut [HostChaos],
         host: usize,
         crash_s: f64,
@@ -853,7 +849,6 @@ impl FleetRuntime {
             .filter(|&h| h != host && hosts[h].alive)
             .collect();
         state.shards[host] = self.runtime.start_sessions(Vec::new());
-        state.shard_cfgs[host].sessions = 0;
 
         // Re-place the recovered sessions. With no survivors the host
         // restarts in place from its checkpoint — the "rejoin" case. Either
@@ -873,17 +868,12 @@ impl FleetRuntime {
             // `records.len()` is the index of the next frame this session
             // will record — the first replayed frame.
             moved.push((ss.config.id, ss.records.len()));
-            // Keep the fleet's routing table honest for the report.
-            if let Some(slot) = session_ids.iter().position(|&id| id == ss.config.id) {
-                state.assignment[slot] = targets[ti];
-            }
             groups[ti].push(session);
         }
         for (&target, group) in targets.iter().zip(groups) {
             if group.is_empty() {
                 continue;
             }
-            state.shard_cfgs[target].sessions += group.len();
             self.runtime
                 .adopt_sessions(&mut state.shards[target], group);
             // Handoff durability: the adoptive host checkpoints immediately
@@ -932,7 +922,6 @@ mod tests {
     fn failover_falls_back_past_a_checkpoint_that_parses_but_does_not_restore() {
         let fleet = fleet();
         let cfg = FleetConfig::new(2, PlacementPolicy::RoundRobin, 4, 4);
-        let ids: Vec<usize> = fleet.session_configs(&cfg).iter().map(|s| s.id).collect();
         let digest = fleet.serve_runtime().model_digest();
         type Breakage = fn(&mut ShardCheckpoint);
         let breakages: [(&str, Breakage); 2] = [
@@ -953,10 +942,9 @@ mod tests {
             assert!(fleet.step(&mut state).expect("step succeeds"));
             // The newest entry parses but names another model or holds a
             // session that cannot restore.
-            let mut bad =
-                fleet
-                    .serve_runtime()
-                    .checkpoint(&state.shard_cfgs[0], &state.shards[0], digest);
+            let mut bad = fleet
+                .serve_runtime()
+                .checkpoint(&state.serve, &state.shards[0], digest);
             breakage(&mut bad);
             let hc = &mut hosts[0];
             hc.checkpoints.push(Checkpoint {
@@ -972,7 +960,6 @@ mod tests {
                 &cfg,
                 digest,
                 &mut state,
-                &ids,
                 &mut hosts,
                 0,
                 3e-3,

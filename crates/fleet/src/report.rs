@@ -31,9 +31,9 @@ pub struct HostReport {
     pub report: ServeReport,
 }
 
-/// Fault-injection and recovery counters of one fleet run. All-zero for a
-/// fault-free run ([`FleetRuntime::serve`](crate::FleetRuntime::serve));
-/// the chaos engine ([`crate::FleetRuntime::serve_chaos`]) fills them in.
+/// Fault-injection and recovery counters of one chaos run
+/// ([`crate::FleetRuntime::serve_chaos`]), reported in
+/// [`crate::ChaosReport::faults`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct FaultStats {
     /// Faults the plan actually triggered (a fault aimed at an
@@ -83,17 +83,13 @@ pub struct FleetReport {
     pub mean_utilisation: f64,
     /// Per-host breakdowns (empty shards included, so host indices align).
     pub per_host: Vec<HostReport>,
-    /// Fault-injection and recovery counters (all zero without chaos).
-    pub faults: FaultStats,
 }
 
 impl FleetReport {
-    /// Aggregates the per-host outcomes of one fleet run.
-    ///
-    /// `assignment` is the placement result (host index per admitted
-    /// session). The fleet-wide statistics are one
-    /// [`ServeReport::from_traces`] pass over every host's traces.
-    pub fn from_hosts(cfg: &FleetConfig, assignment: &[usize], per_host: &[ServeOutcome]) -> Self {
+    /// Aggregates the per-host outcomes of one fleet run. The fleet-wide
+    /// statistics are one [`ServeReport::from_traces`] pass over every
+    /// host's traces.
+    pub fn from_hosts(cfg: &FleetConfig, per_host: &[ServeOutcome]) -> Self {
         // Utilisation is a per-host quantity (averaged below), so the
         // fleet-wide pass gets no busy time.
         let fleet =
@@ -117,7 +113,7 @@ impl FleetReport {
         FleetReport {
             hosts: cfg.hosts,
             policy: cfg.placement.label().to_string(),
-            sessions: assignment.len(),
+            sessions: per_host.iter().map(|h| h.sessions).sum(),
             frames_total: fleet.frames_total,
             latency: fleet.latency,
             deadline_miss_rate: fleet.deadline_miss_rate,
@@ -126,7 +122,6 @@ impl FleetReport {
             mean_energy_uj: fleet.mean_energy_uj,
             mean_utilisation,
             per_host,
-            faults: FaultStats::default(),
         }
     }
 }

@@ -32,8 +32,8 @@ impl FleetConfig {
     }
 }
 
-/// Resumable state of one in-flight fleet run: every host shard's scheduler
-/// state plus the session→host assignment.
+/// Resumable state of one in-flight fleet run: the scheduling parameters
+/// every host steps under and each host shard's scheduler state.
 ///
 /// Produced by [`FleetRuntime::start`], advanced by [`FleetRuntime::step`]
 /// (one fused batch on every unfinished host per call — hosts are
@@ -41,11 +41,13 @@ impl FleetConfig {
 /// shard's results), and folded into the final [`FleetOutcome`] by
 /// [`FleetRuntime::finish`]. Between steps the fleet sits at a batch
 /// boundary on every host — the instants [`FleetRuntime::snapshot`]
-/// captures.
+/// captures. Which host serves a session is where its state lives: the
+/// state keeps no separate routing table.
 #[derive(Debug)]
 pub struct FleetState {
-    pub(crate) assignment: Vec<usize>,
-    pub(crate) shard_cfgs: Vec<ServeConfig>,
+    /// The fleet-wide scheduling parameters; each shard holds its own
+    /// sessions, so `serve.sessions` is never read while stepping.
+    pub(crate) serve: ServeConfig,
     pub(crate) shards: Vec<ServeState>,
 }
 
@@ -79,7 +81,7 @@ pub struct FleetOutcome {
 /// behind a load balancer: a [`PlacementPolicy`] routes each admitted
 /// session to a host, every host runs the full [`ServeRuntime`]
 /// virtual-time scheduler over its shard (cross-session batching included),
-/// and the per-host event queues are k-way merged into one deterministic
+/// and the per-host completion records are merged into one deterministic
 /// fleet timeline. Hosts are independent NPUs — no virtual time flows
 /// between shards — so fleet throughput scales with `M` until the per-host
 /// shard drops below the single-host saturation knee.
@@ -206,10 +208,9 @@ impl FleetRuntime {
     /// Starts a resumable run over an explicit session population: routes
     /// every session to its host and primes each shard's scheduler.
     ///
-    /// Each host runs its shard under the shard-sized serve config. Hosts
-    /// are independent hardware; the shared model parameters are read-only,
-    /// so shard order cannot affect results — the determinism suite pins
-    /// this.
+    /// Every host steps its shard under `cfg.serve`. Hosts are independent
+    /// hardware; the shared model parameters are read-only, so shard order
+    /// cannot affect results — the determinism suite pins this.
     pub fn start_sessions(&self, cfg: &FleetConfig, sessions: Vec<SessionConfig>) -> FleetState {
         // One shared model serves every shard, so the precision state (and
         // any int8 calibration it needs) is established once fleet-wide; an
@@ -220,18 +221,12 @@ impl FleetRuntime {
         for (sc, &host) in sessions.iter().zip(&assignment) {
             shards[host].push(*sc);
         }
-        let mut shard_cfgs = Vec::with_capacity(cfg.hosts);
-        let mut states = Vec::with_capacity(cfg.hosts);
-        for shard in shards {
-            let mut shard_cfg = cfg.serve;
-            shard_cfg.sessions = shard.len();
-            states.push(self.runtime.start_sessions(shard));
-            shard_cfgs.push(shard_cfg);
-        }
         FleetState {
-            assignment,
-            shard_cfgs,
-            shards: states,
+            serve: cfg.serve,
+            shards: shards
+                .into_iter()
+                .map(|shard| self.runtime.start_sessions(shard))
+                .collect(),
         }
     }
 
@@ -243,17 +238,12 @@ impl FleetRuntime {
     /// Propagates tensor errors from inference.
     pub fn step(&self, state: &mut FleetState) -> Result<bool, TensorError> {
         let mut advanced = false;
-        for (host, (shard_cfg, shard)) in state
-            .shard_cfgs
-            .iter()
-            .zip(state.shards.iter_mut())
-            .enumerate()
-        {
+        for (host, shard) in state.shards.iter_mut().enumerate() {
             // Shards step serially on this thread, so the ambient host id
             // tags every span the shard's batch emits. Telemetry-only: the
             // scheduler never reads it back.
             bliss_telemetry::set_current_host(host as u32);
-            advanced |= self.runtime.step_batch(shard_cfg, shard)?;
+            advanced |= self.runtime.step_batch(&state.serve, shard)?;
         }
         bliss_telemetry::set_current_host(0);
         Ok(advanced)
@@ -263,13 +253,12 @@ impl FleetRuntime {
     /// outcome.
     pub fn finish(&self, cfg: &FleetConfig, state: FleetState) -> FleetOutcome {
         let per_host: Vec<ServeOutcome> = state
-            .shard_cfgs
-            .iter()
-            .zip(state.shards)
-            .map(|(shard_cfg, shard)| self.runtime.finish(shard_cfg, shard))
+            .shards
+            .into_iter()
+            .map(|shard| self.runtime.finish(&state.serve, shard))
             .collect();
         let timeline = merge_timelines(&per_host);
-        let report = FleetReport::from_hosts(cfg, &state.assignment, &per_host);
+        let report = FleetReport::from_hosts(cfg, &per_host);
         FleetOutcome {
             report,
             per_host,

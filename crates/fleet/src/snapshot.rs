@@ -3,13 +3,16 @@
 //! A [`FleetSnapshot`] freezes every host shard at a batch boundary. All
 //! hosts are replicas of one model, so it holds that model once, as a
 //! [`ModelImage`], plus one weight-free [`ShardCheckpoint`] per host and the
-//! fleet's session→host assignment and placement policy.
+//! fleet's placement policy. Everything else is read off the shards: the
+//! host count is the number of checkpoints, a session's host is the
+//! checkpoint that holds it, and the fleet-wide session count is their sum.
 //! [`FleetRuntime::restore`] rebuilds the shared runtime from the image and
 //! restores every shard against it, checking that each shard names the
-//! image's digest. The restored fleet continues bit-identically to the
-//! uninterrupted run — the same guarantee the serve layer makes, lifted
-//! over the k-way shard composition (hosts are independent, so per-shard
-//! bit-identity composes).
+//! image's digest and shares host 0's scheduling parameters. The restored
+//! fleet continues bit-identically to the uninterrupted run — the same
+//! guarantee the serve layer makes, lifted over the k-way shard
+//! composition (hosts are independent, so per-shard bit-identity
+//! composes).
 //!
 //! The version field is checked before full deserialisation, exactly like
 //! the serve layer's ([`bliss_serve::parse_versioned`];
@@ -19,7 +22,8 @@
 use crate::placement::PlacementPolicy;
 use crate::runtime::{FleetConfig, FleetRuntime, FleetState};
 use bliss_serve::{
-    parse_versioned, ModelImage, ServeRuntime, ShardCheckpoint, SnapshotError, SNAPSHOT_VERSION,
+    parse_versioned, ModelImage, ServeConfig, ServeRuntime, ShardCheckpoint, SnapshotError,
+    SNAPSHOT_VERSION,
 };
 use serde::{Deserialize, Serialize};
 
@@ -29,12 +33,8 @@ pub struct FleetSnapshot {
     /// Wire-format version ([`SNAPSHOT_VERSION`]); checked before anything
     /// else on restore.
     pub version: u32,
-    /// Host NPUs behind the load balancer.
-    pub hosts: usize,
     /// How sessions map onto hosts.
     pub placement: PlacementPolicy,
-    /// Session→host routing of the frozen run.
-    pub assignment: Vec<usize>,
     /// The one model every host serves.
     pub model: ModelImage,
     /// Each host shard's checkpoint, indexed by host.
@@ -63,15 +63,12 @@ impl FleetRuntime {
         let digest = model.digest();
         FleetSnapshot {
             version: SNAPSHOT_VERSION,
-            hosts: cfg.hosts,
             placement: cfg.placement,
-            assignment: state.assignment.clone(),
             model,
             per_host: state
-                .shard_cfgs
+                .shards
                 .iter()
-                .zip(&state.shards)
-                .map(|(shard_cfg, shard)| self.runtime.checkpoint(shard_cfg, shard, digest))
+                .map(|shard| self.runtime.checkpoint(&state.serve, shard, digest))
                 .collect(),
         }
     }
@@ -80,72 +77,58 @@ impl FleetRuntime {
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::Corrupt`] on an empty host list, a `hosts` count
-    /// other than the number of shards, an assignment that names a host
-    /// past `hosts` or routes to a host other than the number of sessions
-    /// its shard holds, or weight shapes that do not match the recorded
-    /// system configuration. Shard-level errors — a shard naming another
-    /// model ([`SnapshotError::ModelMismatch`]) or a corrupt session — are
-    /// wrapped in [`SnapshotError::Host`] with the offending host id (and,
-    /// for per-session corruption, the session id inside), so a corrupt
-    /// shard is diagnosable from the message alone.
+    /// [`SnapshotError::Corrupt`] on an empty host list, a shard whose
+    /// scheduling parameters (every [`ServeConfig`] field but `sessions`)
+    /// differ from host 0's, or weight shapes that do not match the
+    /// recorded system configuration. Shard-level errors — a shard naming
+    /// another model ([`SnapshotError::ModelMismatch`]) or a corrupt
+    /// session — are wrapped in [`SnapshotError::Host`] with the offending
+    /// host id (and, for per-session corruption, the session id inside), so
+    /// a corrupt shard is diagnosable from the message alone.
     pub fn restore(
         snapshot: &FleetSnapshot,
     ) -> Result<(FleetRuntime, FleetConfig, FleetState), SnapshotError> {
         let first = snapshot.per_host.first().ok_or_else(|| {
             SnapshotError::Corrupt("fleet snapshot contains no host shards".into())
         })?;
-        let shards = snapshot.per_host.len();
-        if snapshot.hosts != shards {
-            return Err(SnapshotError::Corrupt(format!(
-                "fleet snapshot names {} hosts but holds {shards} shards",
-                snapshot.hosts
-            )));
-        }
-        // Each host's shard holds exactly the sessions routed to it.
-        let mut routed = vec![0usize; shards];
-        for &host in &snapshot.assignment {
-            *routed.get_mut(host).ok_or_else(|| {
-                SnapshotError::Corrupt(format!("fleet assignment names host {host} of {shards}"))
-            })? += 1;
-        }
-        for (host, (&n, shard)) in routed.iter().zip(&snapshot.per_host).enumerate() {
-            if n != shard.sessions.len() {
+        // One config steps every shard, so every shard must have been
+        // stepped under host 0's; only the session count is the shard's own.
+        let serve = ServeConfig {
+            sessions: snapshot.per_host.iter().map(|h| h.sessions.len()).sum(),
+            ..first.serve
+        };
+        for (host, shard) in snapshot.per_host.iter().enumerate().skip(1) {
+            let own = ServeConfig {
+                sessions: serve.sessions,
+                ..shard.serve
+            };
+            if own != serve {
                 return Err(SnapshotError::Corrupt(format!(
-                    "fleet assignment routes {n} sessions to host {host}, whose shard holds {}",
-                    shard.sessions.len()
+                    "host {host} was stepped under {:?}, host 0 under {:?}",
+                    shard.serve, first.serve
                 )));
             }
         }
-        // All hosts are replicas of one model: build the shared runtime once
-        // (its precision from host 0's settings, which every shard shares),
+        // All hosts are replicas of one model: build the shared runtime once,
         // then restore every shard's scheduler state against it.
-        let runtime = ServeRuntime::restore_runtime(&snapshot.model, &first.serve)?;
+        let runtime = ServeRuntime::restore_runtime(&snapshot.model, &serve)?;
         let digest = snapshot.model.digest();
-        let mut shard_cfgs = Vec::with_capacity(snapshot.per_host.len());
-        let mut shards = Vec::with_capacity(snapshot.per_host.len());
-        for (host_id, host) in snapshot.per_host.iter().enumerate() {
-            let shard = runtime
-                .restore_state(host, digest)
-                .map_err(|e| SnapshotError::for_host(host_id, e))?;
-            shard_cfgs.push(host.serve);
-            shards.push(shard);
-        }
-        let fleet = FleetRuntime { runtime };
-        // The fleet-wide config: per-shard settings are identical except for
-        // the session count, which is fleet-wide at this level.
-        let mut serve = first.serve;
-        serve.sessions = snapshot.assignment.len();
+        let shards = snapshot
+            .per_host
+            .iter()
+            .enumerate()
+            .map(|(host, shard)| {
+                runtime
+                    .restore_state(shard, digest)
+                    .map_err(|e| SnapshotError::for_host(host, e))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         let cfg = FleetConfig {
-            hosts: snapshot.hosts,
+            hosts: shards.len(),
             placement: snapshot.placement,
             serve,
         };
-        let state = FleetState {
-            assignment: snapshot.assignment.clone(),
-            shard_cfgs,
-            shards,
-        };
-        Ok((fleet, cfg, state))
+        let fleet = FleetRuntime { runtime };
+        Ok((fleet, cfg, FleetState { serve, shards }))
     }
 }

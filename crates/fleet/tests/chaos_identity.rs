@@ -141,7 +141,6 @@ fn crash_recovery_is_bit_identical_for_every_policy_seed_and_thread_count() {
                 baseline_acc,
                 "{policy:?}/seed {seed:#x}: chaos run perturbed accuracy/volume/energy"
             );
-            assert_eq!(run.outcome.report.faults, run.chaos.faults);
             assert_eq!(run.chaos.plan_seed, seed);
             // Recovery latencies exist for every failover and are positive
             // virtual durations.
@@ -318,17 +317,19 @@ fn fault_plans_that_cannot_be_injected_fail_typed() {
         factor,
         duration_s: 1.0,
     };
-    for kind in [
-        slow(0.5),
-        slow(f64::NAN),
-        slow(f64::INFINITY),
-        FaultKind::Timeout { stall_s: -1.0 },
+    for (host, kind) in [
+        (0, slow(0.5)),
+        (0, slow(f64::NAN)),
+        (0, slow(f64::INFINITY)),
+        (0, FaultKind::Timeout { stall_s: -1.0 }),
+        // A host the fleet does not have would never fire.
+        (cfg.hosts, FaultKind::Crash),
     ] {
         let plan = FaultPlan {
             seed: 1,
             events: vec![FaultEvent {
                 at_s: 0.0,
-                host: 0,
+                host,
                 kind,
             }],
         };
@@ -337,7 +338,7 @@ fn fault_plans_that_cannot_be_injected_fail_typed() {
             .expect_err("an uninjectable fault must be rejected");
         assert!(
             matches!(err, TensorError::InvalidArgument { .. }),
-            "{kind:?}: expected InvalidArgument, got {err:?}"
+            "{kind:?} on host {host}: expected InvalidArgument, got {err:?}"
         );
     }
 }

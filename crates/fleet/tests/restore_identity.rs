@@ -123,7 +123,6 @@ fn empty_fleet_snapshot_is_corrupt() {
         assert!(fleet.step(&mut state).expect("step succeeds"));
         let mut snap = fleet.snapshot(&cfg, &state);
         snap.per_host.clear();
-        snap.assignment.clear();
         let err = FleetRuntime::restore(&snap).expect_err("hostless snapshot must fail");
         assert!(
             matches!(err, SnapshotError::Corrupt(_)),
@@ -139,51 +138,20 @@ fn inconsistent_fleet_snapshot_json_is_corrupt() {
         let cfg = load(PlacementPolicy::RoundRobin);
         let mut state = fleet.start(&cfg);
         assert!(fleet.step(&mut state).expect("step succeeds"));
-        let snap = fleet.snapshot(&cfg, &state);
-        let json = snap.to_json();
-        let list = |hosts: &[usize]| {
-            let items: Vec<String> = hosts.iter().map(usize::to_string).collect();
-            format!("\"assignment\":[{}]", items.join(","))
-        };
-        let mut shorter = snap.assignment.clone();
-        shorter.pop();
-        let mut past_last_host = snap.assignment.clone();
-        past_last_host[0] = snap.hosts;
-        // Same length and range, but one of host 0's sessions moves to host 1.
-        let mut rerouted = snap.assignment.clone();
-        let on_host_0 = rerouted
-            .iter()
-            .position(|&h| h == 0)
-            .expect("host 0 serves");
-        rerouted[on_host_0] = 1;
-        let hosts = |n: usize| format!("\"hosts\":{n},");
-        for (what, from, to) in [
-            ("hosts != shards", hosts(snap.hosts), hosts(snap.hosts + 1)),
-            (
-                "assignment shorter than the sessions",
-                list(&snap.assignment),
-                list(&shorter),
-            ),
-            (
-                "assignment names a missing host",
-                list(&snap.assignment),
-                list(&past_last_host),
-            ),
-            (
-                "assignment disagrees with the shards",
-                list(&snap.assignment),
-                list(&rerouted),
-            ),
-        ] {
-            assert_eq!(json.matches(&from).count(), 1, "{what}: {from} not unique");
-            let edited = FleetSnapshot::parse(&json.replace(&from, &to))
-                .unwrap_or_else(|e| panic!("{what}: edited JSON must parse: {e:?}"));
-            let err = FleetRuntime::restore(&edited).expect_err(what);
-            assert!(
-                matches!(err, SnapshotError::Corrupt(_)),
-                "{what}: expected Corrupt, got {err:?}"
-            );
-        }
+        let mut json = fleet.snapshot(&cfg, &state).to_json();
+        // One config steps every host, so a host whose `max_batch` differs
+        // from host 0's cannot be restored.
+        let key = format!("\"max_batch\":{}", cfg.serve.max_batch);
+        assert_eq!(json.matches(&key).count(), 2, "{key}: one per host");
+        let at = json.rfind(&key).expect("host 1 records max_batch");
+        let other = format!("\"max_batch\":{}", cfg.serve.max_batch + 1);
+        json.replace_range(at..at + key.len(), &other);
+        let edited = FleetSnapshot::parse(&json).expect("edited JSON must parse");
+        let err = FleetRuntime::restore(&edited).expect_err("max_batch differs across hosts");
+        assert!(
+            matches!(err, SnapshotError::Corrupt(_)),
+            "expected Corrupt, got {err:?}"
+        );
     });
 }
 

@@ -168,6 +168,7 @@ impl SystolicArray {
         weights_resident: bool,
     ) -> RunReport {
         let mut report = RunReport::new(w.name.clone());
+        let weight_bytes = w.total_weight_bytes();
         for g in &w.gemms {
             let cycles = self.gemm_cycles(g);
             let macs = g.macs();
@@ -182,7 +183,7 @@ impl SystolicArray {
             // buffer (minus working set), they are read from DRAM only at
             // load time, not per frame.
             let weights_fit =
-                w.total_weight_bytes() + g.input_bytes() + g.output_bytes() <= self.buffer_bytes;
+                weight_bytes + g.input_bytes() + g.output_bytes() <= self.buffer_bytes;
             let dram_bytes = if weights_resident && weights_fit {
                 0
             } else {

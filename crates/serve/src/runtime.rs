@@ -9,8 +9,6 @@ use blisscam_core::{
     Precision, SystemConfig, SystemVariant,
 };
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Load and scheduling parameters of one serving run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -174,13 +172,12 @@ pub struct ServeOutcome {
 /// by [`ServeRuntime::step_batch`], and folded into the final
 /// [`ServeOutcome`] by [`ServeRuntime::finish`]. Between steps the state
 /// sits at a **batch boundary** — the only instants at which
-/// [`ServeRuntime::snapshot`] captures it, so the event queue is always
-/// exactly reconstructible from the per-session progress.
+/// [`ServeRuntime::snapshot`] captures it. It holds the sessions and the
+/// host clock and nothing derived from them: when each session's next
+/// frame is ready is recomputed from the session itself at every step.
 #[derive(Debug)]
 pub struct ServeState {
     pub(crate) sessions: Vec<Session>,
-    /// Event queue: (readiness time of the session's next frame, session).
-    pub(crate) heap: BinaryHeap<Reverse<(Time, usize)>>,
     pub(crate) host_free_s: f64,
     pub(crate) host_busy_s: f64,
     /// The inference launches' lowering and output buffers, kept across
@@ -197,7 +194,7 @@ impl ServeState {
 
     /// Whether every session has drained (no frame is waiting to serve).
     pub fn is_done(&self) -> bool {
-        self.heap.is_empty()
+        !self.sessions.iter().any(Session::has_next)
     }
 
     /// Per-session scheduler progress, in session-slot order.
@@ -213,31 +210,14 @@ impl ServeState {
     }
 }
 
-/// Virtual-time ordering key: finite f64 seconds with a total order.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Time(pub(crate) f64);
-
-impl Eq for Time {}
-
-impl PartialOrd for Time {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Time {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
 /// The multi-session streaming runtime.
 ///
 /// One trained BlissCam model (sparse ViT + in-sensor ROI net) serves N
 /// concurrent eye-tracking sessions, each replaying its own
 /// [`Scenario`]-parameterised trace. A deterministic virtual-time scheduler
-/// (event queue keyed by per-session frame readiness — **no wall clock
-/// anywhere in the results path**) admits frames, fuses up to
+/// (sessions taken in order of their next frame's readiness, recomputed
+/// from each session at every step — **no wall clock anywhere in the
+/// results path**) admits frames, fuses up to
 /// [`ServeConfig::max_batch`] of them into one cross-session batched
 /// inference launch ([`SparseViT::forward_batch_into`]), and accounts latency
 /// against the analytic hardware model:
@@ -559,7 +539,7 @@ impl ServeRuntime {
     }
 
     /// Starts a resumable run over an explicit session set: renders every
-    /// session's trace, primes its front end and seeds the event queue.
+    /// session's trace and primes its front end.
     ///
     /// Sessions are built in parallel on the `bliss_parallel` pool, one per
     /// task; each is a pure function of its config, so the state is the same
@@ -570,27 +550,11 @@ impl ServeRuntime {
         let sessions = bliss_parallel::par_map_collect(session_cfgs.len(), |i| {
             Session::new(session_cfgs[i], system)
         });
-        let mut state = ServeState {
+        ServeState {
             sessions,
-            heap: BinaryHeap::new(),
             host_free_s: 0.0,
             host_busy_s: 0.0,
             launch: PlannedBatch::new(),
-        };
-        self.rebuild_heap(&mut state);
-        state
-    }
-
-    /// Reconstructs the event queue from per-session progress — used both at
-    /// start and after a snapshot restore (the queue holds no information
-    /// beyond each session's next readiness time, which is a pure function
-    /// of its state at a batch boundary).
-    pub(crate) fn rebuild_heap(&self, state: &mut ServeState) {
-        state.heap.clear();
-        for (i, s) in state.sessions.iter().enumerate() {
-            if s.has_next() {
-                state.heap.push(Reverse((Time(self.next_ready(s)), i)));
-            }
         }
     }
 
@@ -635,45 +599,36 @@ impl ServeRuntime {
             opts.time_dilation.is_finite() && opts.time_dilation >= 1.0,
             "time_dilation must be a finite slowdown factor >= 1"
         );
-        let Some(Reverse((first_ready, first))) = state.heap.pop() else {
+        let ready = self.ready_order(state);
+        let Some(&(first_ready, first)) = ready.first() else {
             return Ok(None);
         };
         let sessions = &mut state.sessions;
-        let heap = &mut state.heap;
         // Adaptive batching: every frame that is (or becomes) ready by
         // the time the host could start joins, up to max_batch. Selection
         // depends only on virtual times, so the schedule is deterministic.
-        let gate = state.host_free_s.max(first_ready.0);
-        let mut batch: Vec<(usize, f64)> = vec![(first, first_ready.0)];
+        let gate = state.host_free_s.max(first_ready);
+        let mut batch: Vec<(usize, f64)> = vec![(first, first_ready)];
         // Cold-start cap: the head frame is always admitted (progress),
-        // further cold-start full-frame reads join only up to the cap;
-        // the rest re-enter the heap with their readiness unchanged and
-        // land in a later batch. Deferral depends only on virtual times
-        // and per-session feedback state, so the schedule stays
-        // deterministic.
+        // further cold-start full-frame reads join only up to the cap; the
+        // rest keep their readiness and land in a later batch. Deferral
+        // depends only on virtual times and per-session feedback state, so
+        // the schedule stays deterministic.
         let mut cold = usize::from(sessions[first].is_cold());
-        let mut deferred: Vec<(Time, usize)> = Vec::new();
-        while batch.len() < cfg.max_batch {
-            match heap.peek() {
-                Some(&Reverse((t, i))) if t.0 <= gate => {
-                    heap.pop();
-                    if sessions[i].is_cold() {
-                        if cold >= cfg.max_cold_per_batch {
-                            deferred.push((t, i));
-                            continue;
-                        }
-                        cold += 1;
-                    }
-                    batch.push((i, t.0));
-                }
-                _ => break,
+        for &(t, i) in ready[1..].iter().take_while(|&&(t, _)| t <= gate) {
+            if batch.len() == cfg.max_batch {
+                break;
             }
+            if sessions[i].is_cold() {
+                if cold >= cfg.max_cold_per_batch {
+                    continue;
+                }
+                cold += 1;
+            }
+            batch.push((i, t));
         }
-        for d in deferred {
-            heap.push(Reverse(d));
-        }
-        // Fixed processing order (by session id) so front-end execution
-        // order never depends on heap tie-breaking internals.
+        // Fixed processing order (by session slot) so front-end execution
+        // order never depends on readiness ties.
         batch.sort_unstable_by_key(|&(i, _)| i);
 
         // The batch launches once the host is free and every member has
@@ -686,15 +641,23 @@ impl ServeRuntime {
         state.host_busy_s += host_free - host_start;
         stats.host_start_s = host_start;
         stats.host_free_s = host_free;
-
-        for &(i, _) in &batch {
-            if state.sessions[i].has_next() {
-                state
-                    .heap
-                    .push(Reverse((Time(self.next_ready(&state.sessions[i])), i)));
-            }
-        }
         Ok(Some(stats))
+    }
+
+    /// `(readiness, slot)` of every session with a frame still to submit,
+    /// earliest first and ties to the lower slot. Frame *t* waits for frame
+    /// *t−1*'s feedback, so a session's readiness is a function of its own
+    /// state, recomputed here rather than kept.
+    fn ready_order(&self, state: &ServeState) -> Vec<(f64, usize)> {
+        let mut ready: Vec<(f64, usize)> = state
+            .sessions
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.has_next())
+            .map(|(i, s)| (self.next_ready(s), i))
+            .collect();
+        ready.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        ready
     }
 
     /// Virtual time at which the **next** fused batch would launch: the
@@ -703,10 +666,8 @@ impl ServeRuntime {
     /// engine uses it to decide, at a batch boundary, whether a scheduled
     /// virtual-time fault has come due on this host.
     pub fn next_launch_start_s(&self, state: &ServeState) -> Option<f64> {
-        state
-            .heap
-            .peek()
-            .map(|&Reverse((t, _))| state.host_free_s.max(t.0))
+        let ready = self.ready_order(state);
+        ready.first().map(|&(t, _)| state.host_free_s.max(t))
     }
 
     /// Stalls the host without executing anything: advances the host-free

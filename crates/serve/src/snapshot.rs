@@ -10,11 +10,12 @@
 //!   from the configuration. The image is named by its content digest
 //!   ([`ModelImage::digest`], FNV-1a 64), computed in this crate;
 //! * a [`ShardCheckpoint`]: one host's session state, naming the model it
-//!   was taken on by digest. It holds the scheduling configuration, the
-//!   host clock (`host_free_s`/`host_busy_s`) and each session's dynamic
-//!   state ([`SessionSnapshot`]): the front end's sensor memory, entropy
-//!   and RNG positions, scheduler progress and the records served so far.
-//!   It holds no weights, so a periodic per-host checkpoint costs only the
+//!   was taken on by digest. It holds the scheduling configuration (with
+//!   `sessions` set to the shard's own session count), the host clock
+//!   (`host_free_s`/`host_busy_s`) and each session's dynamic state
+//!   ([`SessionSnapshot`]): the front end's sensor memory, entropy and RNG
+//!   positions, scheduler progress and the records served so far. It
+//!   holds no weights, so a periodic per-host checkpoint costs only the
 //!   sessions. Sensor frames are stored once each, as 10-bit ADC codes
 //!   when on the ADC grid ([`bliss_sensor::SnapshotFrame`]); the feedback
 //!   map is bit-packed ([`bliss_sensor::PackedCodes`]).
@@ -26,9 +27,10 @@
 //!
 //! What is **not** serialised is re-derived: the rendered eye sequence is a
 //! pure function of `(system geometry, scenario, seed, frames)` and is
-//! re-rendered on restore; the event queue is rebuilt, because at a batch
-//! boundary every entry is exactly `next_ready(session)`; the int8
-//! quantisation spec is re-calibrated from the restored weights.
+//! re-rendered on restore; the scheduler keeps no queue to restore, because
+//! it recomputes each session's next readiness from the session at every
+//! step; the int8 quantisation spec is re-calibrated from the restored
+//! weights.
 //!
 //! The wire format is the workspace `serde` layer's JSON; numbers round-trip
 //! bit-exactly (raw-token parsing), which is what makes
@@ -64,8 +66,10 @@ use std::fmt;
 /// the format split into a digest-named [`ModelImage`] and weight-free
 /// [`ShardCheckpoint`]s, sensor frames became deduplicated ADC codes and
 /// the feedback map became bit-packed classes; `7` — `ServeConfig` lost
-/// `warmup_frames` (the virtual-time `warmup_s` window remains).
-pub const SNAPSHOT_VERSION: u32 = 7;
+/// `warmup_frames` (the virtual-time `warmup_s` window remains); `8` — the
+/// fleet snapshot lost its `hosts` count and session→host `assignment`,
+/// both derivable from its shards (shard checkpoints are unchanged).
+pub const SNAPSHOT_VERSION: u32 = 8;
 
 /// Errors from restoring a serving snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -241,7 +245,8 @@ pub struct ShardCheckpoint {
     pub version: u32,
     /// [`ModelImage::digest`] of the model the shard was served by.
     pub model_digest: u64,
-    /// The shard's scheduling parameters.
+    /// The shard's scheduling parameters; `sessions` is the number of
+    /// sessions this checkpoint holds.
     pub serve: ServeConfig,
     /// Virtual time at which the host NPU next becomes free.
     pub host_free_s: f64,
@@ -351,7 +356,8 @@ impl ServeRuntime {
     /// [`ServeRuntime::model_digest`]).
     ///
     /// `cfg` must be the same scheduling configuration the run is stepping
-    /// under — it is recorded so a restore resumes with identical batching
+    /// under — it is recorded, with `sessions` set to the shard's own
+    /// session count, so a restore resumes with identical batching
     /// decisions.
     pub fn checkpoint(
         &self,
@@ -362,7 +368,10 @@ impl ServeRuntime {
         ShardCheckpoint {
             version: SNAPSHOT_VERSION,
             model_digest,
-            serve: *cfg,
+            serve: ServeConfig {
+                sessions: state.sessions.len(),
+                ..*cfg
+            },
             host_free_s: state.host_free_s,
             host_busy_s: state.host_busy_s,
             sessions: state
@@ -458,7 +467,7 @@ impl ServeRuntime {
     /// Restores a shard checkpoint's in-flight state against this runtime:
     /// each session re-renders its trace from its config (pure function of
     /// the seeds), sessions in parallel, and then overwrites the front end's
-    /// dynamic state; the event queue is rebuilt from per-session progress.
+    /// dynamic state.
     ///
     /// `model_digest` names the model this runtime serves
     /// ([`ModelImage::digest`] of the image it was restored from, or
@@ -476,15 +485,12 @@ impl ServeRuntime {
     ) -> Result<ServeState, SnapshotError> {
         checkpoint.verify(model_digest)?;
         let sessions = self.restore_sessions(&checkpoint.sessions, f64::NEG_INFINITY)?;
-        let mut state = ServeState {
+        Ok(ServeState {
             sessions: sessions.into_iter().map(|s| s.0).collect(),
-            heap: std::collections::BinaryHeap::new(),
             host_free_s: checkpoint.host_free_s,
             host_busy_s: checkpoint.host_busy_s,
             launch: PlannedBatch::new(),
-        };
-        self.rebuild_heap(&mut state);
-        Ok(state)
+        })
     }
 
     /// Rebuilds `snaps` as live sessions in parallel on the pool (in
@@ -521,10 +527,9 @@ impl ServeRuntime {
     /// Adopts restored sessions into a live state — the failover
     /// primitive: a crashed host's sessions, rebuilt from its last
     /// checkpoint by [`ServeRuntime::restore_sessions`], resume on a
-    /// surviving host. The event queue is rebuilt to include the newcomers.
+    /// surviving host. The next step schedules them with the rest.
     pub fn adopt_sessions(&self, state: &mut ServeState, sessions: Vec<RestoredSession>) {
         state.sessions.extend(sessions.into_iter().map(|s| s.0));
-        self.rebuild_heap(state);
     }
 }
 

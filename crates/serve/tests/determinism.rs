@@ -325,3 +325,78 @@ fn batch_sizes_respect_the_cap_and_schedule_is_causal() {
         }
     }
 }
+
+/// A stagger-0 cold storm's batch composition, step by step.
+///
+/// The identity suites compare runs of the same scheduler with itself, so
+/// only a pinned schedule notices when tie order drifts: four sessions
+/// connect in the same instant, their cold starts all ready at the same
+/// virtual time, and the cold-start cap decides which of them share a
+/// launch. Before each step, `next_launch_start_s` must name the instant
+/// that step then launches at.
+#[test]
+fn cold_storm_batch_composition_is_pinned() {
+    use bliss_serve::StepOptions;
+    use bliss_track::{RoiPredictionNet, SparseViT};
+    use rand::{rngs::StdRng, SeedableRng};
+
+    let mut system = SystemConfig::miniature();
+    system.vit.dim = 12;
+    system.vit.enc_depth = 1;
+    system.vit.dec_depth = 1;
+    system.roi_net.hidden = 16;
+    let mut rng = StdRng::seed_from_u64(0x0057_074D);
+    let rt = ServeRuntime::with_networks(
+        system,
+        SparseViT::new(&mut rng, system.vit),
+        RoiPredictionNet::new(&mut rng, system.roi_net),
+    );
+    // Served session slots, step by step.
+    let schedules = [
+        (
+            1,
+            "[[0], [1], [2], [3], [0, 1, 2], [3], [0, 1, 2], [3], [0, 1, 2], [3]]",
+        ),
+        (
+            2,
+            "[[0, 1], [2, 3], [0, 1, 2], [3], [0, 1, 2], [3], [0, 1, 2], [3]]",
+        ),
+    ];
+    for (cap, schedule) in schedules {
+        let mut cfg = load(4, 4);
+        cfg.stagger_s = 0.0;
+        cfg.max_batch = 3;
+        cfg.max_cold_per_batch = cap;
+        let mut state = rt.start(&cfg);
+        let mut got: Vec<Vec<usize>> = Vec::new();
+        while let Some(start) = rt.next_launch_start_s(&state) {
+            let before = state.progress();
+            let step = rt
+                .step_batch_with(&cfg, &mut state, &StepOptions::default())
+                .expect("step succeeds")
+                .expect("a frame was waiting");
+            assert_eq!(
+                start.to_bits(),
+                step.host_start_s.to_bits(),
+                "cap {cap}, step {}: predicted launch {start} s, launched {} s",
+                got.len(),
+                step.host_start_s
+            );
+            let served: Vec<usize> = state
+                .progress()
+                .iter()
+                .zip(&before)
+                .enumerate()
+                .filter(|(_, (now, was))| now.frames_served > was.frames_served)
+                .map(|(slot, _)| slot)
+                .collect();
+            assert_eq!(served.len(), step.served);
+            got.push(served);
+        }
+        assert_eq!(
+            format!("{got:?}"),
+            schedule,
+            "cap {cap}: batch composition drifted"
+        );
+    }
+}

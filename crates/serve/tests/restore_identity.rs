@@ -9,9 +9,10 @@
 //! scenario in the session mix, at every snapshot point tried, under 1-, 2-
 //! and 8-thread pools.
 //!
-//! This holds because snapshots only happen at batch boundaries (the event
-//! heap is a pure function of per-session progress there) and everything
-//! not captured is re-derived deterministically from recorded config seeds.
+//! This holds because snapshots only happen at batch boundaries (the
+//! scheduler keeps nothing there but the sessions and the host clock, both
+//! captured) and everything not captured is re-derived deterministically
+//! from recorded config seeds.
 //!
 //! Like `determinism.rs`, the trained model is built once; here the
 //! fixture stores the **weights** (plain-data [`ParamSnapshot`]s, so the
